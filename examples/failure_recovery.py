@@ -10,33 +10,25 @@ hash ring, and every subsequent read return the latest value.
 Run:  python examples/failure_recovery.py
 """
 
-from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
-from repro.core import ConcordSystem
-from repro.sim import Simulator
+from repro.session import Session
 from repro.storage import DataItem
 
 
 def main() -> None:
-    sim = Simulator(seed=11)
-    config = SimConfig(num_nodes=4, heartbeat_interval_ms=100.0)
-    cluster = Cluster(sim, config)
-    coord = CoordinationService(cluster.network, config)
-    concord = ConcordSystem(cluster, app="resilient", coord=coord)
+    s = Session(seed=11, app="resilient",
+                config=SimConfig(num_nodes=4, heartbeat_interval_ms=100.0))
+    sim, cluster, coord, concord = s.sim, s.cluster, s.coord, s.system
 
     key = "inventory:widget"
-    cluster.storage.preload({key: DataItem("stock=100", size_bytes=512)})
+    s.preload({key: DataItem("stock=100", size_bytes=512)})
     home = concord.ring_template.home(key)
     others = [n for n in cluster.node_ids if n != home]
     print(f"'{key}' is homed at {home}; cluster = {cluster.node_ids}\n")
 
-    def run(op):
-        return sim.run_until_complete(sim.spawn(op), limit=sim.now + 120_000.0)
-
     # Spread copies across the cluster.
     for node in others:
-        run(concord.read(node, key))
+        s.read(node, key)
     print(f"[{sim.now:8.1f} ms] {len(others)} nodes cached the item (Shared)")
 
     # Crash the home the instant the next write hits storage — the
@@ -71,7 +63,7 @@ def main() -> None:
     print(f"new home of '{key}': {new_home}")
 
     for node in survivors:
-        value = run(concord.read(node, key))
+        value = s.read(node, key)
         assert value == new_value, f"stale read at {node}!"
         print(f"  {node} reads '{value.payload}'  (coherent)")
     print("\nno node ever observed a stale value — recovery preserved "

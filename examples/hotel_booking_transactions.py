@@ -12,9 +12,8 @@ Run:  python examples/hotel_booking_transactions.py
 
 from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
-from repro.core import ConcordSystem
 from repro.metrics import Histogram
+from repro.session import Session
 from repro.sim import Simulator
 from repro.storage import DataItem
 from repro.txn import BeldiRunner, ConcordTxnRuntime, SagaRunner, TXN_APPS
@@ -39,19 +38,18 @@ def booking_body(app, hotel: int):
 
 
 def run_system(system_name: str) -> dict:
-    sim = Simulator(seed=7)
-    cluster = Cluster(sim, SimConfig(num_nodes=4))
+    config = SimConfig(num_nodes=4)
+    if system_name == "concord":
+        s = Session(config=config, seed=7, app="hotel")
+        sim, cluster = s.sim, s.cluster
+        runtime = ConcordTxnRuntime(s.system)
+    else:
+        # Saga and Beldi run on storage alone: no coordination service.
+        sim = Simulator(seed=7)
+        cluster = Cluster(sim, config)
+        runtime = (SagaRunner if system_name == "saga" else BeldiRunner)(cluster)
     app = TXN_APPS["HotelBooking"]
     cluster.storage.preload({k: DataItem("init", 256) for k in app.keyspace()})
-
-    if system_name == "concord":
-        coord = CoordinationService(cluster.network, cluster.config)
-        runtime = ConcordTxnRuntime(ConcordSystem(
-            cluster, app="hotel", coord=coord))
-    elif system_name == "saga":
-        runtime = SagaRunner(cluster)
-    else:
-        runtime = BeldiRunner(cluster)
 
     rng = sim.rng.stream("clients")
     latencies = Histogram()

@@ -9,12 +9,9 @@ coherence-aware scheduling (CAS) under Poisson load.
 Run:  python examples/serverless_platform.py
 """
 
-from repro.cluster import Cluster
-from repro.config import KB, SimConfig
-from repro.coord import CoordinationService
-from repro.core import ConcordSystem
+from repro.config import KB
 from repro.faas import AppSpec, CasScheduler, FaasPlatform, FunctionSpec, RandomScheduler
-from repro.sim import Simulator
+from repro.session import Session
 from repro.storage import DataItem
 from repro.workloads import ZipfSampler
 
@@ -57,12 +54,10 @@ def build_image_tagger() -> AppSpec:
 
 
 def run_deployment(scheduler_name: str) -> dict:
-    sim = Simulator(seed=99)
-    cluster = Cluster(sim, SimConfig(num_nodes=8, cores_per_node=4))
-    coord = CoordinationService(cluster.network, cluster.config)
-    concord = ConcordSystem(cluster, app="tagger", coord=coord)
+    s = Session(nodes=8, cores_per_node=4, seed=99, app="tagger")
+    sim, cluster, concord = s.sim, s.cluster, s.system
 
-    cluster.storage.preload({
+    s.preload({
         **{f"images:{i}:blob": DataItem(("raw", i), 64 * KB)
            for i in range(NUM_IMAGES)},
         "models:labels": DataItem("label-set-v7", 12 * KB),

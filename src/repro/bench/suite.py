@@ -1,9 +1,8 @@
 """Benchmark suites: named collections of :class:`JobSpec`.
 
-The ``tier1`` suite is the CI perf gate — the two fixed-seed simulator
-points that ``scripts/perf_smoke.py`` has always timed, now expressed as
-bench jobs so their wall times and simulated counters flow through the
-journal and the regression gate:
+The ``tier1`` suite is the CI perf gate — fixed-seed simulator points
+expressed as bench jobs so their wall times and simulated counters flow
+through the journal and the regression gate:
 
 * ``fig08_point`` — one throughput grid point (8 nodes, mixed apps,
   near the SLO knee): the protocol + FaaS fast path.
@@ -34,6 +33,8 @@ from repro.bench.quiesce import quiesce_gc
 from repro.experiments.fig13_churn import _throughput_at
 from repro.experiments.runner import MixedRunConfig, run_mixed_workload
 from repro.obs import FlightRecorder
+from repro.session import Session
+from repro.storage import DataItem
 
 __all__ = ["DEFAULT_SEED", "SUITES", "fig08_point", "fig08_point_obs",
            "fig13_churn_point", "fig13_churn_point_obs", "load_suite",
@@ -126,20 +127,10 @@ def scale_point(seed: int = DEFAULT_SEED, num_nodes: int = 100,
     minute.  Reduced-scale variants (the keyword arguments) back the
     cross-``PYTHONHASHSEED`` byte-identity test.
     """
-    from repro.cluster import Cluster
-    from repro.config import SimConfig
-    from repro.coord import CoordinationService
-    from repro.schemes import build_scheme
-    from repro.sim import Simulator
-    from repro.storage import DataItem
-
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=num_nodes, cores_per_node=2))
-    coord = CoordinationService(cluster.network, cluster.config)
-    system = build_scheme("concord", cluster, coord, "scale")
+    s = Session(nodes=num_nodes, cores_per_node=2, seed=seed, app="scale")
+    sim, cluster, system = s.sim, s.cluster, s.system
     keys = [f"scale-{index}" for index in range(working_set)]
-    cluster.storage.preload(
-        {key: DataItem("v", size_bytes=1024) for key in keys})
+    s.preload({key: DataItem("v", size_bytes=1024) for key in keys})
 
     completed = [0]
 

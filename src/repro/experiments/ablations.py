@@ -11,22 +11,19 @@
 
 from __future__ import annotations
 
-from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
 from repro.core import ConsistentHashRing
 from repro.experiments.runner import MixedRunConfig, run_mixed_workload
 from repro.experiments.tables import ExperimentResult
 from repro.schemes import build_scheme
-from repro.sim import Simulator
+from repro.session import Session
 from repro.storage import DataItem
 
 
 def run_estate(scale: float = 1.0, seed: int = 201) -> ExperimentResult:
     """Writes with and without the E-state storage-direct fast path."""
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=4))
-    coord = CoordinationService(cluster.network, cluster.config)
+    s = Session(config=SimConfig(num_nodes=4), seed=seed, app="ab-True",
+                estate_writes=True)
     result = ExperimentResult(
         experiment="Ablation: E-state writes",
         title="Repeated writes by one node, with/without E-state bypass",
@@ -34,25 +31,23 @@ def run_estate(scale: float = 1.0, seed: int = 201) -> ExperimentResult:
         note="The E state exists to cut hops on repeated single-writer "
              "updates (paper Section VII).",
     )
+    network = s.cluster.network.stats
     for variant, estate in (("with E-state", True), ("without", False)):
-        system = build_scheme(
-            "concord", cluster, coord, app=f"ab-{estate}",
-            estate_writes=estate)
+        # The second variant is a sibling app added to the same cluster.
+        system = s.system if estate else build_scheme(
+            "concord", s.cluster, s.coord, app="ab-False",
+            estate_writes=False)
         key = f"counter-{estate}"
-
-        def op(gen):
-            return sim.run_until_complete(sim.spawn(gen), limit=sim.now + 60_000.0)
-
-        op(system.write("node1", key, DataItem(0, 8)))  # acquire E
-        messages_before = cluster.network.stats.messages
-        start = sim.now
+        s.run(system.write("node1", key, DataItem(0, 8)))  # acquire E
+        messages_before = network.messages
+        start = s.sim.now
         repeats = 5
         for index in range(repeats):
-            op(system.write("node1", key, DataItem(index + 1, 8)))
+            s.run(system.write("node1", key, DataItem(index + 1, 8)))
         result.data.append({
             "variant": variant,
-            "write_ms": (sim.now - start) / repeats,
-            "coherence_msgs": cluster.network.stats.messages - messages_before,
+            "write_ms": (s.sim.now - start) / repeats,
+            "coherence_msgs": network.messages - messages_before,
         })
     return result
 
@@ -66,23 +61,15 @@ def run_parallel_inv(scale: float = 1.0, seed: int = 203) -> ExperimentResult:
         note="Parallel invalidations hide behind the storage round trip.",
     )
     for variant, parallel in (("parallel", True), ("serialized", False)):
-        sim = Simulator(seed=seed)
-        cluster = Cluster(sim, SimConfig(num_nodes=8))
-        coord = CoordinationService(cluster.network, cluster.config)
-        system = build_scheme(
-            "concord", cluster, coord, app="abinv",
-            parallel_invalidations=parallel)
+        s = Session(config=SimConfig(num_nodes=8), seed=seed, app="abinv",
+                    parallel_invalidations=parallel)
         key = "shared"
-        cluster.storage.preload({key: DataItem("v", 1024)})
-
-        def op(gen):
-            return sim.run_until_complete(sim.spawn(gen), limit=sim.now + 60_000.0)
-
-        for node_id in cluster.node_ids:
-            op(system.read(node_id, key))
-        start = sim.now
-        op(system.write("node0", key, DataItem("w", 1024)))
-        result.data.append({"variant": variant, "write_ms": sim.now - start})
+        s.preload({key: DataItem("v", 1024)})
+        for node_id in s.cluster.node_ids:
+            s.read(node_id, key)
+        write = s.run(s.system.write("node0", key, DataItem("w", 1024)))
+        result.data.append({"variant": variant,
+                            "write_ms": write.duration_ms})
     return result
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
 from repro.experiments.tables import ExperimentResult
 from repro.schemes import build_scheme
+from repro.session import Session
 from repro.sim import Simulator
 from repro.storage import DataItem
 
@@ -22,23 +22,26 @@ NODE_COUNTS = (1, 2, 4, 8, 16, 24, 30)
 
 def _measure(system_name: str, num_nodes: int, seed: int) -> tuple:
     """Returns (write_ms, read_hit_ms) for one system at one scale."""
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=num_nodes))
+    config = SimConfig(num_nodes=num_nodes)
+    if system_name == "concord":
+        s = Session(config=config, seed=seed, app="bench")
+        sim, cluster, system = s.sim, s.cluster, s.system
+    else:
+        # Faa$T runs no coordination service.
+        sim = Simulator(seed=seed)
+        cluster = Cluster(sim, config)
+        system = build_scheme("faast", cluster, None, "bench")
     key = "shared-item"
     cluster.storage.preload({key: DataItem("v0", size_bytes=8 * 1024)})
 
-    if system_name == "concord":
-        coord = CoordinationService(cluster.network, cluster.config)
-        system = build_scheme("concord", cluster, coord, "bench")
-    else:
-        system = build_scheme("faast", cluster, None, "bench")
-
-    def op(gen):
-        return sim.run_until_complete(sim.spawn(gen), limit=sim.now + 600_000.0)
+    def timed(gen):
+        start = sim.now
+        sim.run_until_complete(sim.spawn(gen), limit=sim.now + 600_000.0)
+        return sim.now - start
 
     # Load the item into every node's cache.
     for node_id in cluster.node_ids:
-        op(system.read(node_id, key))
+        timed(system.read(node_id, key))
 
     # Non-home reader/writer exercise the interesting paths.
     home = system.ring.home(key) if system_name == "faast" else (
@@ -47,13 +50,9 @@ def _measure(system_name: str, num_nodes: int, seed: int) -> tuple:
     reader = others[0] if others else home
     writer = others[-1] if others else home
 
-    start = sim.now
-    op(system.read(reader, key))
-    read_hit_ms = sim.now - start
-
-    start = sim.now
-    op(system.write(writer, key, DataItem("v1", size_bytes=8 * 1024)))
-    write_ms = sim.now - start
+    read_hit_ms = timed(system.read(reader, key))
+    write_ms = timed(
+        system.write(writer, key, DataItem("v1", size_bytes=8 * 1024)))
     return write_ms, read_hit_ms
 
 

@@ -19,19 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.cluster import Cluster
-from repro.config import SimConfig
-from repro.coord import CoordinationService
 from repro.experiments.tables import ExperimentResult
-from repro.faas import CasScheduler, FaasPlatform
-from repro.obs import FlightRecorder
-from repro.schemes import build_scheme
-from repro.sim import Simulator
+from repro.session import Session
 from repro.storage import DataItem
-from repro.telemetry import MetricsRegistry, Sampler
-from repro.telemetry import export_jsonl as export_metrics_jsonl
-from repro.workloads import ALL_PROFILES, build_app, entity_inputs_factory
-from repro.workloads.profiles import preload_storage
 
 CHURN_RATES = (0, 6, 12, 24, 48, 96)  # removals (and re-additions) / minute
 
@@ -98,36 +88,22 @@ def _throughput_at(
 ):
     """One churn run; returns ``(throughput_rps, registry_or_None)``.
 
-    ``metrics`` works like :class:`MixedRunConfig.metrics`: truthy
-    attaches a sampled registry, a path string also exports the JSONL
-    timeline there.  ``obs`` attaches a flight recorder the same way
-    (truthy for an in-memory ring, an instance as-is).
+    ``metrics`` and ``obs`` follow the :class:`~repro.session.Session`
+    contract: truthy attaches a sampled registry / an in-memory flight
+    recorder, an instance is used as-is, a path string also exports
+    there when the run ends.
     """
-    registry = None
-    if metrics:
-        registry = (metrics if isinstance(metrics, MetricsRegistry)
-                    else MetricsRegistry())
-    # isinstance first: an empty FlightRecorder is falsy (len() == 0).
-    recorder = None
-    if isinstance(obs, FlightRecorder):
-        recorder = obs
-    elif obs:
-        recorder = FlightRecorder()
-    sim = Simulator(seed=seed, metrics=registry, obs=recorder)
-    cluster = Cluster(sim, SimConfig(num_nodes=num_nodes, cores_per_node=2))
-    coord = CoordinationService(cluster.network, cluster.config)
-    profile = ALL_PROFILES["SocNet"]
-    concord = build_scheme("concord", cluster, coord, "SocNet")
-    preload_storage(cluster.storage, profile)
-    platform = FaasPlatform(cluster, scheduler=CasScheduler())
-    app = platform.deploy(build_app(profile), concord)
-    factory = entity_inputs_factory(profile, sim)
-    sampler = Sampler(sim, interval_ms=metrics_interval_ms)
-    sampler.start()
+    s = Session(nodes=num_nodes, cores_per_node=2, seed=seed,
+                apps=("SocNet",), metrics=metrics,
+                metrics_interval_ms=metrics_interval_ms, obs=obs)
+    sim, cluster, concord = s.sim, s.cluster, s.system
+    app = s.deployed["SocNet"]
 
     rps = 40.0
-    sim.spawn(platform.open_loop("SocNet", rps, duration_ms, factory),
-              name="load")
+    sim.spawn(
+        s.platform.open_loop("SocNet", rps, duration_ms,
+                             s.factories["SocNet"]),
+        name="load")
 
     if churn_per_min > 0:
         interval_ms = 60_000.0 / churn_per_min
@@ -160,10 +136,8 @@ def _throughput_at(
             )
 
     sim.run(until=duration_ms + 3000.0)
-    sampler.stop()
-    if registry is not None and isinstance(metrics, str):
-        export_metrics_jsonl(registry, metrics)
-    return app.requests_completed / (duration_ms / 1000.0), registry
+    s.close()
+    return app.requests_completed / (duration_ms / 1000.0), s.metrics
 
 
 def run_write_burst_timeline(

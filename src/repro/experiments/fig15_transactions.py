@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
 from repro.experiments.tables import ExperimentResult
 from repro.metrics import Histogram
-from repro.schemes import build_scheme
+from repro.session import Session
 from repro.sim import Simulator
 from repro.storage import DataItem
 from repro.txn import BeldiRunner, ConcordTxnRuntime, SagaRunner, TXN_APPS
@@ -41,19 +40,18 @@ def _concord_body(app, entity):
 
 def _measure_system(system: str, app, clients: int, txns_per_client: int,
                     seed: int) -> float:
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=4))
+    config = SimConfig(num_nodes=4)
+    if system == "concord":
+        s = Session(config=config, seed=seed, app=app.name)
+        sim, cluster = s.sim, s.cluster
+        runtime = ConcordTxnRuntime(s.system)
+    else:
+        # Saga and Beldi run on storage alone: no coordination service.
+        sim = Simulator(seed=seed)
+        cluster = Cluster(sim, config)
+        runtime = (SagaRunner if system == "saga" else BeldiRunner)(cluster)
     _preload(cluster, app)
     latencies = Histogram()
-
-    if system == "concord":
-        coord = CoordinationService(cluster.network, cluster.config)
-        concord = build_scheme("concord", cluster, coord, app.name)
-        runtime = ConcordTxnRuntime(concord)
-    elif system == "saga":
-        runtime = SagaRunner(cluster)
-    else:
-        runtime = BeldiRunner(cluster)
 
     rng = sim.rng.stream("txn-clients")
 

@@ -8,23 +8,17 @@ cache instance.  Paper: average latency drops 25 %, most for short apps.
 
 from __future__ import annotations
 
-from repro.cluster import Cluster
-from repro.config import SimConfig
-from repro.coord import CoordinationService
 from repro.experiments.tables import ExperimentResult
 from repro.faas import FaasPlatform
 from repro.metrics import Histogram
 from repro.placement import CommAwarePlacement, ProducerConsumerTable
-from repro.schemes import build_scheme
-from repro.sim import Simulator
+from repro.session import Session
 from repro.workloads.pc_apps import PC_PROFILES, build_pc_app
 
 
 def _measure(profile, use_cafp: bool, duration_ms: float, seed: int) -> float:
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=8, cores_per_node=4))
-    coord = CoordinationService(cluster.network, cluster.config)
-    concord = build_scheme("concord", cluster, coord, profile.name)
+    s = Session(nodes=8, cores_per_node=4, seed=seed, app=profile.name)
+    sim, cluster, concord = s.sim, s.cluster, s.system
     pct = ProducerConsumerTable(min_observations=2).attach(concord)
 
     if use_cafp:

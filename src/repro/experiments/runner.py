@@ -14,21 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.cluster import Cluster
 from repro.config import MB, LatencyModel, SimConfig
-from repro.coord import CoordinationService
 from repro.core import ConcordSystem
-from repro.faas import FaasPlatform
-from repro.faults import FaultInjector
 from repro.metrics import AccessStats, Histogram
-from repro.obs import FlightRecorder
-from repro.schemes import build_scheme_map, make_scheduler, scheme_spec
-from repro.sim import Simulator
-from repro.telemetry import MetricsRegistry, Sampler
-from repro.telemetry import export_jsonl as export_metrics_jsonl
-from repro.trace import Tracer, export_chrome
-from repro.workloads import ALL_PROFILES, build_app, entity_inputs_factory
-from repro.workloads.profiles import preload_storage
+from repro.session import Session
+from repro.workloads import ALL_PROFILES
 
 #: Load levels as target cluster CPU utilization (paper Section V).
 LOAD_LEVELS = {"low": 0.25, "medium": 0.50, "high": 0.70}
@@ -80,8 +70,9 @@ class MixedRunConfig:
     #: Simulated-clock sampling period of the telemetry Sampler.
     metrics_interval_ms: float = 100.0
     #: Protocol-event flight recorder: ``True`` records into
-    #: ``result.obs``, a :class:`~repro.obs.FlightRecorder` instance is
-    #: used as-is (set ``dump_path`` there for fault auto-dumps).
+    #: ``result.obs``, a path string also dumps the ring there (at the
+    #: end of the run and on every injected fault), a
+    #: :class:`~repro.obs.FlightRecorder` instance is used as-is.
     obs: object = None
     #: Optional :class:`~repro.faults.FaultPlan` replayed during the run
     #: (times are absolute simulated time, warmup included).
@@ -163,10 +154,18 @@ class MixedRunResult:
         return sum(values) / len(values) if values else float("nan")
 
 
-def _make_schemes(config, cluster, coord):
-    """Build the per-app StorageAPI map through the scheme registry."""
-    return build_scheme_map(
-        config.scheme, cluster, coord, config.apps,
+def _compose(config: MixedRunConfig) -> Session:
+    """Wire ``config``'s cluster, schemes, platform and apps; start nothing."""
+    return Session.compose(
+        seed=config.seed,
+        config=SimConfig(
+            num_nodes=config.num_nodes, cores_per_node=config.cores_per_node,
+            latency=replace(LatencyModel(),
+                            agent_service_ms=config.agent_service_ms),
+            regions=config.regions),
+        scheme=config.scheme, apps=config.apps,
+        trace=config.trace, metrics=config.metrics, obs=config.obs,
+        metrics_interval_ms=config.metrics_interval_ms, faults=config.faults,
         capacity=config.cache_capacity,
         ofc_shared_capacity=config.ofc_shared_capacity,
         read_only_annotations=config.read_only_annotations,
@@ -177,69 +176,12 @@ def _make_schemes(config, cluster, coord):
     )
 
 
-def _make_tracer(config) -> Optional[Tracer]:
-    if not config.trace:
-        return None
-    return config.trace if isinstance(config.trace, Tracer) else Tracer()
-
-
-def _make_registry(config) -> Optional[MetricsRegistry]:
-    if not config.metrics:
-        return None
-    return (config.metrics if isinstance(config.metrics, MetricsRegistry)
-            else MetricsRegistry())
-
-
-def _make_recorder(config) -> Optional[FlightRecorder]:
-    # isinstance first: an empty FlightRecorder is falsy (len() == 0).
-    if isinstance(config.obs, FlightRecorder):
-        return config.obs
-    return FlightRecorder() if config.obs else None
-
-
 def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
     """Execute one measurement run and collect all metrics."""
-    tracer = _make_tracer(config)
-    registry = _make_registry(config)
-    recorder = _make_recorder(config)
-    sim = Simulator(seed=config.seed, tracer=tracer, metrics=registry,
-                    obs=recorder)
-    latency = replace(LatencyModel(), agent_service_ms=config.agent_service_ms)
-    sim_config = SimConfig(
-        num_nodes=config.num_nodes, cores_per_node=config.cores_per_node,
-        latency=latency, regions=config.regions)
-    cluster = Cluster(sim, sim_config)
-    coord = CoordinationService(cluster.network, sim_config)
-    spec = scheme_spec(config.scheme)
-    schemes = _make_schemes(config, cluster, coord)
-    platform = FaasPlatform(
-        cluster, scheduler=make_scheduler(config.scheme, schemes))
-    injector = None
-    if config.faults is not None:
-        # Any scheme exposing restart_instance participates in node
-        # recovery (Concord agents, the zoo schemes); dedup by identity
-        # because shared schemes appear once per app.
-        restartable: list = []
-        for scheme in schemes.values():
-            if (hasattr(scheme, "restart_instance")
-                    and not any(scheme is seen for seen in restartable)):
-                restartable.append(scheme)
-        injector = FaultInjector(
-            cluster, config.faults, systems=restartable,
-            platform=platform)
-        injector.start()
-
-    factories = {}
-    deployed = {}
-    for name in config.apps:
-        profile = ALL_PROFILES[name]
-        preload_storage(cluster.storage, profile)
-        scheme = schemes[name]
-        if spec.preload is not None:
-            # Schemes acting as the terminal store prime themselves too.
-            spec.preload(scheme, profile)
-        deployed[name] = platform.deploy(build_app(profile), scheme)
-        factories[name] = entity_inputs_factory(profile, sim)
+    s = _compose(config)
+    sim, cluster, schemes, platform = s.sim, s.cluster, s.schemes, s.platform
+    if s.injector is not None:
+        s.injector.start()
 
     per_app_rps = config.resolved_total_rps() / len(config.apps)
     result = MixedRunResult(config=config)
@@ -247,14 +189,15 @@ def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
     def load_phase(duration_ms):
         for name in config.apps:
             sim.spawn(
-                platform.open_loop(name, per_app_rps, duration_ms, factories[name]),
+                platform.open_loop(name, per_app_rps, duration_ms,
+                                   s.factories[name]),
                 name=f"load:{name}",
             )
 
     # Warmup: populate caches, then reset every metric.
     load_phase(config.warmup_ms)
     sim.run(until=sim.now + config.warmup_ms + 500.0)
-    for name, app in deployed.items():
+    for name, app in s.deployed.items():
         app.latency = Histogram()
         app.storage_ms_total = 0.0
         app.compute_ms_total = 0.0
@@ -290,14 +233,13 @@ def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
     sim.spawn(sampler(sim), name="sampler", daemon=True)
     # Time-series telemetry sampling starts with the measurement phase,
     # so exported timelines cover measurement + drain (not warmup).
-    metrics_sampler = Sampler(sim, interval_ms=config.metrics_interval_ms)
-    metrics_sampler.start()
+    s.sampler.start()
 
     # Measurement phase.
     load_phase(config.duration_ms)
     sim.run(until=sim.now + config.duration_ms + config.drain_ms)
 
-    for name, app in deployed.items():
+    for name, app in s.deployed.items():
         histogram = app.latency
         result.per_app[name] = AppRunStats(
             app=name,
@@ -317,17 +259,14 @@ def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
     result.network_messages = cluster.network.stats.messages - network_before
     result.storage_reads = cluster.storage.stats.reads - storage_reads_before
     result.storage_writes = cluster.storage.stats.writes - storage_writes_before
-    result.tracer = tracer
-    if tracer is not None and isinstance(config.trace, str):
-        export_chrome(tracer, config.trace)
-    metrics_sampler.stop()
-    result.metrics = registry
-    if registry is not None and isinstance(config.metrics, str):
-        export_metrics_jsonl(registry, config.metrics)
-    result.obs = recorder
+    # Stops the sampler and writes whichever signals were given as paths.
+    s.close()
+    result.tracer = s.tracer
+    result.metrics = s.metrics
+    result.obs = s.obs
     result.schemes = schemes
-    if injector is not None:
-        result.fault_log = list(injector.applied)
+    if s.injector is not None:
+        result.fault_log = list(s.injector.applied)
     return result
 
 
@@ -340,29 +279,18 @@ def unloaded_latency(
     seed: int = 77,
 ) -> dict:
     """Per-app mean latency on an otherwise idle cluster (SLO baseline)."""
-    config = MixedRunConfig(
+    # A default MixedRunConfig's 1.2 ms agent is a loaded-cluster
+    # calibration; the SLO baseline uses the raw latency model.
+    s = _compose(MixedRunConfig(
         scheme=scheme, num_nodes=num_nodes, cores_per_node=cores_per_node,
         apps=apps or tuple(ALL_PROFILES), seed=seed,
-    )
-    sim = Simulator(seed=seed)
-    sim_config = SimConfig(num_nodes=num_nodes, cores_per_node=cores_per_node)
-    cluster = Cluster(sim, sim_config)
-    coord = CoordinationService(cluster.network, sim_config)
-    schemes = _make_schemes(config, cluster, coord)
-    platform = FaasPlatform(
-        cluster, scheduler=make_scheduler(config.scheme, schemes))
+        agent_service_ms=LatencyModel().agent_service_ms))
     latencies = {}
-    for name in config.apps:
-        profile = ALL_PROFILES[name]
-        preload_storage(cluster.storage, profile)
-        platform.deploy(build_app(profile), schemes[name])
-        factory = entity_inputs_factory(profile, sim)
+    for name, factory in s.factories.items():
         histogram = Histogram()
         for index in range(requests):
-            outcome = sim.run_until_complete(
-                sim.spawn(platform.request(name, factory(index))),
-                limit=sim.now + 600_000.0,
-            )
+            outcome = s.run(s.platform.request(name, factory(index)),
+                            limit_ms=600_000.0).value
             histogram.record(outcome.latency_ms)
         latencies[name] = histogram.mean
     return latencies

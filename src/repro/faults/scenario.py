@@ -13,20 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
-from repro.faas import FaasPlatform
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.obs import FlightRecorder
 from repro.obs import jsonl_dumps as obs_jsonl_dumps
-from repro.schemes import build_scheme, make_scheduler, scheme_spec
-from repro.sim import Simulator
-from repro.telemetry import MetricsRegistry, Sampler, jsonl_dumps
+from repro.session import Session
+from repro.telemetry import jsonl_dumps
 from repro.verify import check_scheme_invariants
-from repro.workloads import ALL_PROFILES, build_app, entity_inputs_factory
-from repro.workloads.profiles import preload_storage
 
 #: Post-load settle window: failure detection + recovery + drain.
 SETTLE_MS = 4000.0
@@ -111,57 +103,27 @@ def run_fault_scenario(
     builder keywords.  Concord-specific outcome fields (recoveries,
     shard table) stay at their zero defaults for other schemes.
     """
-    if isinstance(regions, int):
-        from repro.net import RegionTopology
-
-        regions = RegionTopology.even(
-            [f"node{i}" for i in range(num_nodes)],
-            regions=tuple(f"region{i}" for i in range(regions)))
-    # isinstance first: an empty FlightRecorder is falsy (len() == 0).
-    recorder = None
-    if isinstance(obs, FlightRecorder):
-        recorder = obs
-    elif isinstance(obs, str):
-        recorder = FlightRecorder(dump_path=obs)
-    elif obs:
-        recorder = FlightRecorder()
-    registry = MetricsRegistry()
-    sim = Simulator(seed=seed, metrics=registry, obs=recorder)
-    config = SimConfig(
-        num_nodes=num_nodes, cores_per_node=2,
-        # Fast detection keeps recovery inside the settle window.
-        heartbeat_interval_ms=200.0, heartbeat_misses=3,
-        regions=regions,
-    )
-    cluster = Cluster(sim, config)
-    coord = CoordinationService(cluster.network, config)
-    profile = ALL_PROFILES[app_name]
-    system = build_scheme(
-        scheme, cluster, coord, app_name,
+    s = Session.compose(
+        seed=seed,
+        config=SimConfig(
+            num_nodes=num_nodes, cores_per_node=2,
+            # Fast detection keeps recovery inside the settle window.
+            heartbeat_interval_ms=200.0, heartbeat_misses=3),
+        regions=regions, scheme=scheme, apps=(app_name,),
+        metrics=True, obs=obs, faults=plan,
         recovery_lease_ms=recovery_lease_ms,
         shards=shards, replication=replication,
         **(scheme_cfg or {}),
     )
-    preload_storage(cluster.storage, profile)
-    spec = scheme_spec(scheme)
-    if spec.preload is not None:
-        # Schemes acting as the terminal store prime themselves too.
-        spec.preload(system, profile)
-    platform = FaasPlatform(
-        cluster, scheduler=make_scheduler(scheme, {app_name: system}))
-    app = platform.deploy(build_app(profile), system)
-    factory = entity_inputs_factory(profile, sim)
-
-    restartable = (system,) if hasattr(system, "restart_instance") else ()
-    injector = FaultInjector(
-        cluster, plan, systems=restartable, platform=platform)
-    injector.start()
-    sampler = Sampler(sim, interval_ms=100.0)
-    sampler.start()
-    sim.spawn(platform.open_loop(app_name, rps, duration_ms, factory),
-              name="load")
-    sim.run(until=duration_ms + settle_ms)
-    sampler.stop()
+    system, app = s.system, s.deployed[app_name]
+    s.injector.start()
+    s.sampler.start()
+    s.sim.spawn(
+        s.platform.open_loop(app_name, rps, duration_ms,
+                             s.factories[app_name]),
+        name="load")
+    s.sim.run(until=duration_ms + settle_ms)
+    s.sampler.stop()
 
     manager = getattr(system, "shard_manager", None)
     shard_table = ()
@@ -177,12 +139,12 @@ def run_fault_scenario(
         completed=app.requests_completed,
         failed=app.requests_failed,
         rescheduled=app.requests_rescheduled,
-        failures_detected=list(coord.failures_detected),
+        failures_detected=list(s.coord.failures_detected),
         recoveries_completed=recoveries,
-        applied=list(injector.applied),
-        violations=check_scheme_invariants(system, cluster),
-        telemetry_jsonl=jsonl_dumps(registry),
-        obs_jsonl=obs_jsonl_dumps(recorder) if recorder is not None else "",
+        applied=list(s.injector.applied),
+        violations=check_scheme_invariants(system, s.cluster),
+        telemetry_jsonl=jsonl_dumps(s.metrics),
+        obs_jsonl=obs_jsonl_dumps(s.obs) if s.obs is not None else "",
         shard_table=shard_table,
         shards_rehomed=manager.rehomes_total if manager is not None else 0,
         shard_failovers=(manager.failovers_total

@@ -22,6 +22,7 @@ catalogue CLIs print; :exc:`UnknownSchemeError` lists it too.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -137,6 +138,30 @@ def scheme_spec(name: str) -> SchemeSpec:
     return spec
 
 
+def _reject_unknown_keys(cfg: dict) -> None:
+    """Raise when a config key is one *no* registered scheme accepts.
+
+    Builders swallow keys meant for other schemes (callers pass one flat
+    keyword set to whichever scheme is selected), so a misspelt key
+    would otherwise vanish silently.  The accepted set is read off the
+    registered builders' and ``prepare`` hooks' keyword-only parameters.
+    """
+    if not cfg:
+        return
+    accepted = {
+        parameter.name
+        for spec in _REGISTRY.values()
+        for hook in (spec.builder, spec.prepare) if hook is not None
+        for parameter in inspect.signature(hook).parameters.values()
+        if parameter.kind is parameter.KEYWORD_ONLY
+    }
+    unknown = sorted(set(cfg) - accepted)
+    if unknown:
+        raise TypeError(
+            f"unknown scheme configuration {', '.join(map(repr, unknown))}; "
+            f"registered schemes accept: {', '.join(sorted(accepted))}")
+
+
 def build_scheme(
     name: str,
     cluster: "Cluster",
@@ -149,8 +174,11 @@ def build_scheme(
     Any ``prepare`` hook runs first and its result augments ``cfg`` —
     callers building several instances that must share prepared state
     (the mixed-workload runner) should use :func:`build_scheme_map`.
+    A ``cfg`` key that no registered scheme accepts raises
+    :class:`TypeError`; keys meant for a different scheme are ignored.
     """
     spec = scheme_spec(name)
+    _reject_unknown_keys(cfg)
     if spec.prepare is not None:
         cfg = {**cfg, **spec.prepare(cluster, **cfg)}
     return spec.builder(cluster, coord, app, **cfg)
@@ -169,6 +197,7 @@ def build_scheme_map(
     per-app schemes get one instance each.  ``prepare`` runs exactly once.
     """
     spec = scheme_spec(name)
+    _reject_unknown_keys(cfg)
     if spec.prepare is not None:
         cfg = {**cfg, **spec.prepare(cluster, **cfg)}
     if spec.shared:

@@ -1,8 +1,14 @@
-"""One-object facade over the simulator / cluster / scheme wiring.
+"""The composition root: the one place ``src/repro`` wires a system.
 
-The explicit five-object setup (Simulator, Cluster, CoordinationService,
-scheme system, drive-to-completion helper) stays fully supported — every
-piece remains public — but most scripts want exactly one shape::
+Everything the paper evaluates is one stack — a simulator, a cluster, a
+coordination service, a coherence scheme per application and, for the
+FaaS experiments, a platform with deployed applications on top.
+:class:`Session` builds that stack from data; the experiment runner, the
+fault scenario, the bench grid and the figure scripts all go through it
+(``tests/session/test_single_root.py`` keeps it that way).  The five
+public constructors stay supported for code that wants a partial stack.
+
+The blocking facade most scripts want::
 
     from repro.session import Session
     from repro.storage import DataItem
@@ -12,39 +18,61 @@ piece remains public — but most scripts want exactly one shape::
         value = s.read("node1", "k")
         s.write("node2", "k", DataItem("v1", 256))
 
+``apps=`` (names from :data:`repro.workloads.ALL_PROFILES`) additionally
+builds a :class:`~repro.faas.FaasPlatform` with the scheme's registered
+scheduler, preloads and deploys every application and keeps one input
+factory per application; ``faults=`` builds a
+:class:`~repro.faults.FaultInjector` for that plan::
+
+    s = Session.compose(seed=7, scheme="concord", apps=("SocNet",),
+                        faults=plan, shards=4)
+    s.injector.start()
+    s.sim.spawn(s.platform.open_loop("SocNet", 30.0, 8000.0,
+                                     s.factories["SocNet"]))
+    s.sim.run(until=12_000.0)
+
+Composition spawns nothing: *when* the injector daemon, the telemetry
+sampler and the load processes start decides same-instant event order,
+so that stays with the caller.  ``Session(...)`` is ``compose`` plus
+starting the sampler, which is what the blocking facade always did.
+
 Schemes are constructed through the :mod:`repro.schemes` registry, so any
-registered name works (``concord``, ``faast``, ``ofc``, ``nocache``, ...).
-Passing ``trace=True`` attaches a :class:`~repro.trace.Tracer`; passing a
-path string additionally exports a Chrome trace there when the session
-closes.  ``metrics=`` works the same way for time-series telemetry: pass
-``True`` (or a :class:`~repro.telemetry.MetricsRegistry`) to attach a
-registry sampled every ``metrics_interval_ms`` of simulated time, or a
-path string to also export the JSONL timeline on close.  ``obs=``
-follows the same contract for the protocol-event flight recorder: pass
-``True`` (or a :class:`~repro.obs.FlightRecorder`) to record protocol
-events, or a path string to also dump the ring as JSONL on close — and,
-through the recorder's own auto-dump hook, the moment a fault is
-injected or the coherence checker flags a violation.
+registered name works (``concord``, ``faast``, ``ofc``, ``nocache``, ...);
+keyword arguments the root does not name are scheme configuration and a
+key no registered scheme accepts is a :class:`TypeError`.
+
+``trace=``, ``metrics=`` and ``obs=`` share one contract: ``True``
+attaches a fresh :class:`~repro.trace.Tracer` /
+:class:`~repro.telemetry.MetricsRegistry` (sampled every
+``metrics_interval_ms`` of simulated time) /
+:class:`~repro.obs.FlightRecorder`, an instance is used as-is, and a path
+string additionally exports there on :meth:`Session.close` (Chrome trace,
+JSONL timeline, JSONL event ring — the recorder also auto-dumps to its
+path the moment a fault is injected or a checker flags a violation).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.cluster import Cluster
 from repro.config import SimConfig
 from repro.coord import CoordinationService
+from repro.faas import FaasPlatform
+from repro.net import RegionTopology
 from repro.obs import FlightRecorder
 from repro.obs import export_jsonl as _obs_export_jsonl
-from repro.schemes import build_scheme
+from repro.schemes import build_scheme_map, make_scheduler, scheme_spec
 from repro.sim import Simulator
 from repro.telemetry import MetricsRegistry, Sampler
 from repro.telemetry import export_csv as _metrics_export_csv
 from repro.telemetry import export_jsonl as _metrics_export_jsonl
 from repro.telemetry import export_prometheus as _metrics_export_prometheus
 from repro.trace import Tracer, export_chrome, export_jsonl
+from repro.workloads import ALL_PROFILES, build_app, entity_inputs_factory
+from repro.workloads.profiles import preload_storage
 
 __all__ = ["RunResult", "Session"]
 
@@ -70,63 +98,42 @@ class RunResult:
         return self.finished_ms - self.started_ms
 
 
-#: Parameter order of the pre-v2 positional signature, oldest first —
-#: how bare positional arguments are interpreted on the deprecated path.
-_LEGACY_POSITIONAL = (
-    "nodes", "seed", "scheme", "app", "cores_per_node",
-    "trace", "metrics", "metrics_interval_ms", "config",
-)
-
-
 class Session:
-    """A ready-to-use simulated cluster running one caching scheme.
+    """A wired simulated cluster running one caching scheme.
 
     All configuration is keyword-only::
 
         with Session(nodes=4, seed=42, scheme="concord") as s:
             ...
-
-    Positional configuration (the pre-v2 signature) still works but emits
-    a :class:`DeprecationWarning` and will be removed in a later release.
     """
 
-    def __init__(self, *legacy_args, **kwargs):
-        if legacy_args:
-            warnings.warn(
-                "positional Session(...) configuration is deprecated; "
-                "pass every setting as a keyword argument "
-                "(e.g. Session(nodes=4, seed=42))",
-                DeprecationWarning, stacklevel=2)
-            if len(legacy_args) > len(_LEGACY_POSITIONAL):
-                raise TypeError(
-                    f"Session() takes at most {len(_LEGACY_POSITIONAL)} "
-                    f"positional arguments ({len(legacy_args)} given)")
-            for name, value in zip(_LEGACY_POSITIONAL, legacy_args):
-                if name in kwargs:
-                    raise TypeError(
-                        f"Session() got multiple values for argument {name!r}")
-                kwargs[name] = value
-        nodes = kwargs.pop("nodes", 4)
-        seed = kwargs.pop("seed", 42)
-        scheme = kwargs.pop("scheme", "concord")
-        app = kwargs.pop("app", "app")
-        cores_per_node = kwargs.pop("cores_per_node", 8)
-        trace = kwargs.pop("trace", None)
-        metrics = kwargs.pop("metrics", None)
-        obs = kwargs.pop("obs", None)
-        metrics_interval_ms = kwargs.pop("metrics_interval_ms", 100.0)
-        regions = kwargs.pop("regions", None)
-        config: Optional[SimConfig] = kwargs.pop("config", None)
-        scheme_cfg = kwargs
-        if regions is not None and config is not None:
-            raise TypeError(
-                "pass regions= via the SimConfig when config= is given")
-        if isinstance(regions, int):
-            from repro.net import RegionTopology
+    def _compose(self, *, nodes: int = 4, seed: int = 42,
+                 scheme: str = "concord", app: str = "app", apps=None,
+                 cores_per_node: int = 8,
+                 config: Optional[SimConfig] = None, regions=None,
+                 trace=None, metrics=None, obs=None,
+                 metrics_interval_ms: float = 100.0, faults=None,
+                 **scheme_cfg):
+        """Wire the system.
 
-            regions = RegionTopology.even(
-                [f"node{i}" for i in range(nodes)],
-                regions=tuple(f"region{i}" for i in range(regions)))
+        ``config`` replaces ``nodes``/``cores_per_node``; ``regions`` (a
+        :class:`~repro.net.RegionTopology`, or an int to split the nodes
+        round-robin over that many regions) is layered onto either.
+        ``apps`` deploys those profiles on a FaaS platform (``app`` only
+        names the single scheme instance built without one); ``faults``
+        is a :class:`~repro.faults.FaultPlan`; ``scheme_cfg`` goes to
+        the scheme builder.
+        """
+        if config is None:
+            config = SimConfig(num_nodes=nodes, cores_per_node=cores_per_node)
+        if regions is not None:
+            if config.regions is not None:
+                raise TypeError("regions= given twice: config.regions is set")
+            if isinstance(regions, int):
+                regions = RegionTopology.even(
+                    [f"node{i}" for i in range(config.num_nodes)],
+                    regions=tuple(f"region{i}" for i in range(regions)))
+            config = replace(config, regions=regions)
         self._trace = trace
         tracer = None
         if trace:
@@ -151,18 +158,76 @@ class Session:
         self.obs: Optional[FlightRecorder] = recorder
         self.sim = Simulator(seed=seed, tracer=tracer, metrics=registry,
                              obs=recorder)
-        self.config = config or SimConfig(
-            num_nodes=nodes, cores_per_node=cores_per_node, regions=regions)
-        self.cluster = Cluster(self.sim, self.config)
-        self.coord = CoordinationService(self.cluster.network, self.config)
+        self.config = config
+        self.cluster = Cluster(self.sim, config)
+        self.coord = CoordinationService(self.cluster.network, config)
         self.scheme = scheme
-        self.app = app
-        #: The scheme instance (a StorageAPI) built through the registry.
-        self.system = build_scheme(
-            scheme, self.cluster, self.coord, app=app, **scheme_cfg)
+        names = (app,) if apps is None else tuple(apps)
+        self.app = names[0]
+        #: app name -> scheme instance (a StorageAPI) built through the
+        #: registry; shared schemes map every app to one object.
+        self.schemes = build_scheme_map(
+            scheme, self.cluster, self.coord, names, **scheme_cfg)
+        #: The (first) application's scheme instance.
+        self.system = self.schemes[self.app]
+        #: The FaaS platform, its deployed apps and their per-request
+        #: input factories, by app name (``apps=`` only).
+        self.platform = None
+        self.deployed: dict = {}
+        self.factories: dict = {}
+        if apps is not None:
+            self._deploy(names)
+        #: Replays ``faults`` once started (None without a plan).
+        self.injector = None
+        if faults is not None:
+            # Imported here: repro.faults imports this module (scenario).
+            from repro.faults.injector import FaultInjector
+
+            # Any scheme exposing restart_instance takes part in node
+            # recovery; dedup by identity because shared schemes appear
+            # once per app.
+            restartable: list = []
+            for system in self.schemes.values():
+                if (hasattr(system, "restart_instance")
+                        and not any(system is seen for seen in restartable)):
+                    restartable.append(system)
+            self.injector = FaultInjector(
+                self.cluster, faults, systems=restartable,
+                platform=self.platform)
         #: Fixed-interval telemetry sampler (inert when metrics is off).
         self.sampler = Sampler(self.sim, interval_ms=metrics_interval_ms)
+
+    def _deploy(self, apps) -> None:
+        """Build the platform; preload, deploy and seed inputs per app."""
+        self.platform = FaasPlatform(
+            self.cluster, scheduler=make_scheduler(self.scheme, self.schemes))
+        spec = scheme_spec(self.scheme)
+        for name in apps:
+            profile = ALL_PROFILES[name]
+            preload_storage(self.cluster.storage, profile)
+            if spec.preload is not None:
+                # Schemes acting as the terminal store prime themselves too.
+                spec.preload(self.schemes[name], profile)
+            self.deployed[name] = self.platform.deploy(
+                build_app(profile), self.schemes[name])
+            self.factories[name] = entity_inputs_factory(profile, self.sim)
+
+    # wraps: help() and inspect.signature() report _compose's signature.
+    @functools.wraps(_compose, assigned=("__doc__",))
+    def __init__(self, **settings):
+        self._compose(**settings)
         self.sampler.start()
+
+    @classmethod
+    def compose(cls, **settings) -> "Session":
+        """Wire what ``Session(**settings)`` wires, but start nothing.
+
+        For drivers that decide themselves when ``s.sampler`` and
+        ``s.injector`` start relative to their own load processes.
+        """
+        session = cls.__new__(cls)
+        session._compose(**settings)
+        return session
 
     # -- data ----------------------------------------------------------------
     @property

@@ -86,6 +86,21 @@ class TestBuildScheme:
                               ofc_shared_capacity=MB)
         assert isinstance(system, DirectStorage)
 
+    def test_key_no_scheme_accepts_is_an_error(self, cluster, coord):
+        # A typo used to fall through every builder's ``**_`` and run
+        # with the default (E-state writes silently left on).
+        with pytest.raises(TypeError, match="estate_write"):
+            build_scheme("concord", cluster, coord, app="a",
+                         estate_write=False)
+        with pytest.raises(TypeError, match="shard"):
+            build_scheme_map("concord", cluster, coord, APPS, shard=4)
+
+    def test_session_rejects_misspelt_settings(self):
+        from repro.session import Session
+
+        with pytest.raises(TypeError, match="node"):
+            Session(node=9, seed=1)
+
 
 class TestBuildSchemeMap:
     def test_per_app_schemes_are_distinct(self, cluster, coord):

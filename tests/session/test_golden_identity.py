@@ -1,0 +1,110 @@
+"""Cross-commit identity pins for the wired-up system.
+
+The other fingerprint tests compare a run with itself (across
+``PYTHONHASHSEED`` values); these compare it with the commit the golden
+file was recorded at.  Each entry of ``golden_identity.json`` is the
+SHA-256 of the ``repr`` of one run's simulated outcome, so a refactor of
+how the system is *wired* (or of a hot path that must not move a
+counter) either leaves every digest alone or fails here.
+
+A change that is *meant* to move simulated behaviour re-records the file
+and says so in its PR::
+
+    PYTHONPATH=src python tests/session/test_golden_identity.py \
+        > tests/session/golden_identity.json
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.bench.suite import scale_point
+from repro.experiments.fig13_churn import _throughput_at
+from repro.experiments.runner import (
+    MixedRunConfig,
+    run_mixed_workload,
+    unloaded_latency,
+)
+from repro.faults import FaultPlan, NodeCrash, NodeRestart
+from repro.shard.topologies import run_topology_scenario
+
+GOLDEN = Path(__file__).with_name("golden_identity.json")
+
+_MIXED = dict(
+    num_nodes=4, cores_per_node=4, apps=("SocNet", "HotelBook", "TrainT"),
+    utilization=0.4, duration_ms=1200.0, warmup_ms=600.0, drain_ms=800.0,
+    seed=1009,
+)
+
+
+def _histogram(histogram) -> tuple:
+    return (histogram.count, histogram.mean, histogram.p50, histogram.p99)
+
+
+def _mixed(**overrides) -> tuple:
+    """The reduced mixed-workload result the experiments read."""
+    result = run_mixed_workload(MixedRunConfig(**{**_MIXED, **overrides}))
+    access = result.access
+    return (
+        tuple((name, stats.mean_latency_ms, stats.p50_latency_ms,
+               stats.p99_latency_ms, stats.completed, stats.storage_fraction)
+              for name, stats in sorted(result.per_app.items())),
+        tuple(sorted((kind.value, count, _histogram(access.latency[kind]))
+                     for kind, count in access.ops.items())),
+        _histogram(access.invalidations_per_write), access.version_checks,
+        result.network_messages, result.storage_reads, result.storage_writes,
+        tuple(result.fault_log),
+    )
+
+
+def _crash_plan() -> FaultPlan:
+    return FaultPlan(events=(
+        NodeCrash(at_ms=900.0, node="node1"),
+        NodeRestart(at_ms=1500.0, node="node1"),
+    ))
+
+
+def _topology(name):
+    return lambda: run_topology_scenario(name, seed=0).fingerprint()
+
+
+CASES = {
+    "topology_flat": _topology("flat"),
+    "topology_shard4": _topology("shard4"),
+    "topology_shard4rep": _topology("shard4rep"),
+    "topology_region2": _topology("region2"),
+    "mixed_concord": _mixed,
+    "mixed_concord_signals": lambda: _mixed(
+        metrics=True, obs=True, trace=True),
+    "mixed_concord_faults": lambda: _mixed(faults=_crash_plan()),
+    "mixed_ofc": lambda: _mixed(scheme="ofc"),
+    "mixed_apta_mem": lambda: _mixed(scheme="apta-mem"),
+    "unloaded_concord": lambda: sorted(unloaded_latency(
+        "concord", apps=("SocNet", "HotelBook"), requests=3).items()),
+    "fig13_churn": lambda: _throughput_at(
+        24, duration_ms=2000.0, seed=121, num_nodes=8)[0],
+    "scale_point": lambda: sorted(scale_point(
+        seed=1009, num_nodes=12, requests_per_node=60,
+        working_set=40).items()),
+}
+
+
+def digest(name: str) -> str:
+    return hashlib.sha256(repr(CASES[name]()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_recorded_commit(name):
+    assert digest(name) == json.loads(GOLDEN.read_text())[name]
+
+
+def test_signals_do_not_move_the_mixed_run():
+    golden = json.loads(GOLDEN.read_text())
+    assert golden["mixed_concord_signals"] == golden["mixed_concord"]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: digest(name) for name in sorted(CASES)},
+                     indent=1))

@@ -69,16 +69,9 @@ class TestDriving:
             assert result.finished_ms == result.started_ms + 5.0
             assert result.duration_ms == 5.0
 
-    def test_positional_config_warns_but_works(self):
-        with pytest.warns(DeprecationWarning):
-            s = Session(2, 9)
-        assert len(s.cluster.node_ids) == 2
-        s.close()
-
-    def test_positional_plus_keyword_collision_raises(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                Session(2, nodes=4)
+    def test_configuration_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            Session(2, 9)
 
     def test_identical_sessions_identical_results(self):
         def trial():
@@ -136,3 +129,52 @@ class TestTracing:
         with Session(seed=9, trace=True) as s:
             with pytest.raises(ValueError):
                 s.export_trace(str(tmp_path / "x.bin"), fmt="protobuf")
+
+
+class TestComposition:
+    def test_apps_build_a_platform_with_the_schemes_scheduler(self):
+        from repro.faas import CasScheduler
+
+        s = Session.compose(nodes=3, seed=5, apps=("SocNet", "HotelBook"))
+        assert isinstance(s.platform.scheduler, CasScheduler)
+        assert set(s.deployed) == set(s.factories) == {"SocNet", "HotelBook"}
+        assert s.system is s.schemes["SocNet"]
+        assert s.schemes["SocNet"] is not s.schemes["HotelBook"]
+        assert "entity" in s.factories["SocNet"](0)
+
+    def test_plain_session_builds_no_platform_or_injector(self):
+        with Session(seed=5) as s:
+            assert s.platform is None and s.injector is None
+            assert s.schemes == {"app": s.system}
+
+    def test_compose_starts_nothing(self):
+        from repro.faults import FaultPlan
+
+        s = Session.compose(nodes=2, seed=5, apps=("SocNet",), metrics=True,
+                            faults=FaultPlan(events=()))
+        assert not s.sampler.running
+        assert s.injector.platform is s.platform
+        assert Session(nodes=2, seed=5, metrics=True).sampler.running
+
+    def test_injector_gets_the_restartable_schemes(self):
+        from repro.faults import FaultPlan
+
+        s = Session.compose(nodes=2, seed=5, scheme="write-through",
+                            apps=("SocNet", "HotelBook"),
+                            faults=FaultPlan(events=()))
+        assert s.injector.systems == list(s.schemes.values())
+        # OFC's shared cache has no restart_instance: nothing to re-admit.
+        ofc = Session.compose(nodes=2, seed=5, scheme="ofc",
+                              apps=("SocNet", "HotelBook"),
+                              faults=FaultPlan(events=()))
+        assert ofc.injector.systems == []
+
+    def test_regions_layer_onto_a_config(self):
+        from repro.config import SimConfig
+
+        config = SimConfig(num_nodes=4, cores_per_node=2)
+        with Session(config=config, regions=2) as s:
+            assert s.config.regions.region_of("node1") == "region1"
+            assert s.config.cores_per_node == 2
+        with pytest.raises(TypeError):
+            Session(config=s.config, regions=2)
