@@ -287,7 +287,7 @@ def register_scheme_metrics(registry, scheme: StorageAPI, app: str) -> None:
         "cache_ops_total", "Storage operations by classification.",
         labelnames=("app", "op", "scheme"))
     for kind in OpKind:
-        ops.set_callback(lambda kind=kind: scheme.stats.ops.get(kind, 0),
+        ops.set_callback(lambda kind=kind: scheme.stats.count(kind),
                          scheme=name, app=app, op=kind.value)
     registry.counter(
         "cache_reads_total", "Read operations served.",

@@ -84,9 +84,23 @@ class DataDirectory:
             labelnames=("app", "node", "scheme"),
         ).set_callback(lambda: len(self._entries), **labels)
 
+        # Both sharer gauges read one pass over the entries per sampling
+        # tick: pull callbacks run only inside ``registry.sample()``,
+        # which bumps ``registry.samples`` once per tick.
+        tick = -1
+        largest, mean = 0, 0.0
+
+        def summarise() -> None:
+            nonlocal tick, largest, mean
+            if tick != registry.samples:
+                tick = registry.samples
+                counts = self.sharer_counts()
+                largest = max(counts, default=0)
+                mean = sum(counts) / len(counts) if counts else 0.0
+
         def sharers_max() -> int:
-            counts = self.sharer_counts()
-            return max(counts) if counts else 0
+            summarise()
+            return largest
 
         registry.gauge(
             "directory_sharers_max", "Largest sharer set homed here.",
@@ -94,8 +108,8 @@ class DataDirectory:
         ).set_callback(sharers_max, **labels)
 
         def sharers_mean() -> float:
-            counts = self.sharer_counts()
-            return sum(counts) / len(counts) if counts else 0.0
+            summarise()
+            return mean
 
         registry.gauge(
             "directory_sharers_mean", "Mean sharer-set size homed here.",

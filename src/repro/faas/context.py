@@ -68,12 +68,20 @@ class InvocationContext:
                             node=self.node.id, function=self.function)
                 if tracer.active else None)
         start = self.sim.now
+        cores = self.node.cores
         try:
-            yield self.node.cores.acquire_wait()
+            grant = cores.acquire_wait()
+            try:
+                yield grant
+            except BaseException:
+                # A crash interrupts queued invocations too, and the
+                # cores outlive the restart: withdraw the request.
+                cores.cancel(grant)
+                raise
             try:
                 yield self.sim.sleep(ms)
             finally:
-                self.node.cores.release()
+                cores.release()
             self.compute_ms += self.sim.now - start
             return None
         finally:

@@ -145,25 +145,39 @@ class OpKind(enum.Enum):
 class AccessStats:
     """Per-scheme operation counters and latency histograms."""
 
-    ops: dict = field(default_factory=dict)          # OpKind -> count
     latency: dict = field(default_factory=dict)      # OpKind -> Histogram
     invalidations_per_write: Histogram = field(default_factory=Histogram)
     version_checks: int = 0
 
     def record(self, kind: OpKind, latency_ms: float) -> None:
-        self.ops[kind] = self.ops.get(kind, 0) + 1
-        self.latency.setdefault(kind, Histogram()).record(latency_ms)
+        # Once per cache operation: one dict lookup (Enum.__hash__ is
+        # Python code) and no throw-away default on the steady path.
+        histogram = self.latency.get(kind)
+        if histogram is None:
+            histogram = self.latency[kind] = Histogram()
+        histogram.record(latency_ms)
+
+    @property
+    def ops(self) -> dict:
+        """OpKind -> operations recorded, in first-seen order."""
+        return {kind: histogram.count
+                for kind, histogram in self.latency.items()}
 
     def count(self, kind: OpKind) -> int:
-        return self.ops.get(kind, 0)
+        histogram = self.latency.get(kind)
+        return histogram.count if histogram is not None else 0
 
     @property
     def reads(self) -> int:
-        return sum(n for kind, n in self.ops.items() if kind.is_read)
+        return sum(histogram.count
+                   for kind, histogram in self.latency.items()
+                   if kind.is_read)
 
     @property
     def writes(self) -> int:
-        return sum(n for kind, n in self.ops.items() if not kind.is_read)
+        return sum(histogram.count
+                   for kind, histogram in self.latency.items()
+                   if not kind.is_read)
 
     def read_mix(self) -> dict[str, float]:
         """Fractions of reads that were local hits / remote hits / misses."""
@@ -178,15 +192,12 @@ class AccessStats:
 
     def reset(self) -> None:
         """Drop all recorded data (end-of-warmup)."""
-        self.ops.clear()
         self.latency.clear()
         self.invalidations_per_write = Histogram()
         self.version_checks = 0
 
     def merge(self, other: "AccessStats") -> None:
         """Fold another stats object into this one."""
-        for kind, n in other.ops.items():
-            self.ops[kind] = self.ops.get(kind, 0) + n
         for kind, histogram in other.latency.items():
             self.latency.setdefault(kind, Histogram()).extend(histogram)
         self.invalidations_per_write.extend(other.invalidations_per_write)

@@ -350,10 +350,23 @@ class Endpoint:
     def _serve(self, handler: Handler, message: Message):
         try:
             if self._server is not None:
-                yield self._server.acquire_wait()
+                # A crash interrupts handlers still waiting for a grant,
+                # and the node's cores outlive the restart: a request
+                # that dies waiting is withdrawn, not leaked.
+                slot = self._server.acquire_wait()
+                try:
+                    yield slot
+                except BaseException:
+                    self._server.cancel(slot)
+                    raise
                 try:
                     if self._cpu is not None:
-                        yield self._cpu.acquire_wait()
+                        core = self._cpu.acquire_wait()
+                        try:
+                            yield core
+                        except BaseException:
+                            self._cpu.cancel(core)
+                            raise
                         try:
                             yield self.sim.sleep(self.service_time_ms)
                         finally:

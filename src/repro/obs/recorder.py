@@ -31,6 +31,15 @@ sampled timelines of the same run without timestamps alone.
 within a run), so eviction always discards a prefix — the survivors stay
 sorted by ``(t, seq)``.
 
+**Storage layout.**  The ring keeps one row of atomics per event —
+``(seq, t, type, node, key, trace, span, tick)`` — and the attrs dict at
+the same index of a parallel list, never an object per event: CPython's
+cyclic collector re-scans every tracked object a run retains, a tuple of
+atomics and a dict of atomic values are both untracked, and a tuple that
+*holds* a dict never is (the same layout, for the same reason, as the
+tracer's finished spans).  :meth:`FlightRecorder.events` builds
+:class:`ProtoEvent` views on demand.
+
 **Automatic dump.**  When constructed with ``dump_path``, emitting a
 dump-trigger event (fault injection, coherence violation) writes the
 full buffer to that JSONL path immediately, so the flight recording of a
@@ -52,7 +61,7 @@ DEFAULT_CAPACITY = 65536
 
 
 class ProtoEvent:
-    """One recorded protocol event."""
+    """One recorded protocol event (a read-side view of one ring row)."""
 
     __slots__ = ("seq", "t", "type", "node", "key", "trace", "span",
                  "tick", "attrs")
@@ -69,21 +78,28 @@ class ProtoEvent:
         self.attrs = attrs
 
     def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "t": self.t,
-            "type": self.type,
-            "node": self.node,
-            "key": self.key,
-            "trace": self.trace,
-            "span": self.span,
-            "tick": self.tick,
-            "attrs": self.attrs,
-        }
+        return _event_dict((self.seq, self.t, self.type, self.node, self.key,
+                            self.trace, self.span, self.tick), self.attrs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ProtoEvent(#{self.seq} t={self.t} {self.type} "
                 f"node={self.node!r} key={self.key!r})")
+
+
+def _event_dict(row: tuple, attrs: dict) -> dict:
+    """The JSON-ready export record of one ring row."""
+    seq, t, etype, node, key, trace, span, tick = row
+    return {
+        "seq": seq,
+        "t": t,
+        "type": etype,
+        "node": node,
+        "key": key,
+        "trace": trace,
+        "span": span,
+        "tick": tick,
+        "attrs": attrs,
+    }
 
 
 class FlightRecorder:
@@ -98,7 +114,9 @@ class FlightRecorder:
         self.capacity = capacity
         self.dump_path = dump_path
         self._sim = None
-        self._buffer: list = []
+        # The ring: rows of atomics and, index for index, their attrs.
+        self._rows: list = []
+        self._attrs: list = []
         self._head = 0          # overwrite cursor once the ring is full
         self._next_seq = itertools.count(1)
         #: Events overwritten by ring eviction.
@@ -131,46 +149,45 @@ class FlightRecorder:
         if sim is None:
             raise RuntimeError("FlightRecorder.emit() before bind(): attach "
                                "the recorder via Simulator(obs=...)")
-        ctx = sim.tracer.current()
-        event = ProtoEvent(
-            seq=next(self._next_seq),
-            t=sim.now,
-            type=etype,
-            node=node,
-            key=key,
-            trace=ctx.trace_id if ctx is not None else 0,
-            span=ctx.span_id if ctx is not None else 0,
-            tick=sim.metrics.samples,
-            attrs=attrs,
-        )
-        buffer = self._buffer
-        if len(buffer) < self.capacity:
-            buffer.append(event)
+        trace, span = sim.tracer.current() or (0, 0)
+        row = (next(self._next_seq), sim.now, etype, node, key, trace, span,
+               sim.metrics.samples)
+        rows = self._rows
+        if len(rows) < self.capacity:
+            rows.append(row)
+            self._attrs.append(attrs)
         else:
-            buffer[self._head] = event
-            self._head = (self._head + 1) % self.capacity
+            head = self._head
+            rows[head] = row
+            self._attrs[head] = attrs
+            self._head = (head + 1) % self.capacity
             self.dropped += 1
         if etype in DUMP_TRIGGERS and self.dump_path is not None:
             self._autodump()
 
     # -- inspection ---------------------------------------------------
     def __len__(self) -> int:
-        return len(self._buffer)
+        return len(self._rows)
+
+    def _oldest_first(self):
+        """(row, attrs) pairs in emission (sim-time / seq) order."""
+        head = self._head
+        rows, attrs = self._rows, self._attrs
+        return zip(rows[head:] + rows[:head], attrs[head:] + attrs[:head])
 
     def events(self) -> list:
-        """Recorded events, oldest first (sim-time / seq order)."""
-        buffer = self._buffer
-        head = self._head
-        if head == 0:
-            return list(buffer)
-        return buffer[head:] + buffer[:head]
+        """Recorded events, oldest first (built on demand)."""
+        return [ProtoEvent(*row, attrs)
+                for row, attrs in self._oldest_first()]
 
     def to_dicts(self) -> list:
         """Events as JSON-ready dicts, oldest first."""
-        return [event.to_dict() for event in self.events()]
+        return [_event_dict(row, attrs)
+                for row, attrs in self._oldest_first()]
 
     def clear(self) -> None:
-        self._buffer = []
+        self._rows = []
+        self._attrs = []
         self._head = 0
 
     # -- dumping ------------------------------------------------------

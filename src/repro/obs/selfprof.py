@@ -16,14 +16,19 @@ Two complementary views of where the simulator itself spends its effort:
   code resumes: the package of the process generator being stepped, or
   of the callback/event owner.  This answers "where does wall time go"
   for the ROADMAP perf work without cProfile's overhead or its
-  per-function granularity.  Wall readings are measurement, not
-  simulation — they vary run to run and are deliberately kept out of
-  metric exports and flight-recorder dumps (the determinism contract,
-  DESIGN.md §13).
+  per-function granularity.  Pauses of CPython's cyclic collector are
+  timed through ``gc.callbacks`` and reported per generation *beside*
+  the layers: a collection is triggered by whichever allocation crosses
+  the threshold but its cost is set by everything the run retains, so
+  booking it to the allocating layer (as cProfile does) misleads.  Wall
+  readings are measurement, not simulation — they vary run to run and
+  are deliberately kept out of metric exports and flight-recorder dumps
+  (the determinism contract, DESIGN.md §13).
 """
 
 from __future__ import annotations
 
+import gc
 # Wall-clock self-measurement only, never simulation time.
 import time  # noqa: DET01
 from typing import Optional
@@ -117,12 +122,16 @@ class SelfProfiler:
 
     ``profiler.run(sim, until=...)`` is a drop-in for ``sim.run`` with
     per-dispatch wall measurement; accumulated attribution lands in
-    ``wall_s`` / ``dispatches`` (layer-keyed dicts).
+    ``wall_s`` / ``dispatches`` (layer-keyed dicts) and, for the cyclic
+    collector, in ``gc_s`` / ``gc_collections`` (indexed by generation;
+    that time is in no layer's ``wall_s``).
     """
 
     def __init__(self):
         self.wall_s: dict = {}
         self.dispatches: dict = {}
+        self.gc_s: list = [0.0, 0.0, 0.0]
+        self.gc_collections: list = [0, 0, 0]
 
     def run(self, sim, until: Optional[float] = None) -> None:
         """Dispatch like ``Simulator.run`` while attributing wall time.
@@ -133,12 +142,37 @@ class SelfProfiler:
         """
         wall_s = self.wall_s
         dispatches = self.dispatches
+        clock = time.perf_counter
+        gc_began = 0.0
+        gc_in_dispatch = 0.0
+
+        def on_gc(phase: str, info: dict) -> None:
+            nonlocal gc_began, gc_in_dispatch
+            if phase == "start":
+                gc_began = clock()
+            else:
+                spent = clock() - gc_began
+                self.gc_s[info["generation"]] += spent
+                self.gc_collections[info["generation"]] += 1
+                gc_in_dispatch += spent
+
+        def classify(event, fn) -> str:
+            nonlocal gc_in_dispatch
+            layer = _layer_of(event, fn)
+            # The dispatch is timed from here on; a pause before it
+            # belongs to no layer.
+            gc_in_dispatch = 0.0
+            return layer
 
         def observe(layer: str, spent: float) -> None:
-            wall_s[layer] = wall_s.get(layer, 0.0) + spent
+            wall_s[layer] = wall_s.get(layer, 0.0) + spent - gc_in_dispatch
             dispatches[layer] = dispatches.get(layer, 0) + 1
 
-        profiled_run(sim, time.perf_counter, _layer_of, observe, until=until)
+        gc.callbacks.append(on_gc)
+        try:
+            profiled_run(sim, clock, classify, observe, until=until)
+        finally:
+            gc.callbacks.remove(on_gc)
 
     def report(self) -> list:
         """Attribution rows sorted by wall share, descending."""
@@ -152,6 +186,13 @@ class SelfProfiler:
         rows.sort(key=lambda row: (-row["wall_s"], row["layer"]))
         return rows
 
+    def gc_report(self) -> list:
+        """Collector rows, one per generation that ran."""
+        return [{"generation": generation, "wall_s": self.gc_s[generation],
+                 "collections": self.gc_collections[generation]}
+                for generation in range(3)
+                if self.gc_collections[generation]]
+
 
 def render_profile(profiler: SelfProfiler) -> str:
     """Text table of per-layer wall attribution."""
@@ -164,4 +205,10 @@ def render_profile(profiler: SelfProfiler) -> str:
     for row in rows:
         lines.append(f"{row['layer']:<12} {row['wall_s'] * 1e3:>10.2f} "
                      f"{row['share'] * 100:>6.1f}% {row['dispatches']:>11}")
+    for row in profiler.gc_report():
+        # Beside the layers, not among them: no share, and the count is
+        # of collections, not dispatches.
+        lines.append(f"{'gc gen' + str(row['generation']):<12} "
+                     f"{row['wall_s'] * 1e3:>10.2f} {'':>7} "
+                     f"{row['collections']:>11}")
     return "\n".join(lines) + "\n"

@@ -111,9 +111,13 @@ class Resource:
         self._waiters.append(grant)
         return grant
 
-    def cancel(self, grant: Event) -> None:
-        """Withdraw a pending request, or release an already-granted one."""
-        if grant.triggered:
+    def cancel(self, grant) -> None:
+        """Withdraw a pending request, or release an already-granted one.
+
+        ``grant`` is what :meth:`acquire` or :meth:`acquire_wait`
+        returned; the latter's fast path took its slot on the spot.
+        """
+        if grant is RAW_WAIT or grant.triggered:
             self.release()
             return
         try:

@@ -46,11 +46,14 @@ def _label_key(labelnames: tuple, labelvalues: dict) -> tuple:
 class _Child:
     """One labeled stream of an instrument."""
 
-    __slots__ = ("_value", "_callback")
+    __slots__ = ("_value", "_callback", "_series")
 
     def __init__(self):
         self._value = 0.0
         self._callback = None
+        #: The store series this child samples into, bound at its first
+        #: sample (series are created in first-sample order).
+        self._series = None
 
     def current(self):
         callback = self._callback
@@ -94,13 +97,16 @@ class HistogramChild:
     summary CLI), so high-rate observation stays O(1) in memory.
     """
 
-    __slots__ = ("count", "sum", "min", "max")
+    __slots__ = ("count", "sum", "min", "max", "_series")
 
     def __init__(self):
         self.count = 0
         self.sum = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
+        #: The (``_count``, ``_sum``) store series pair, bound like
+        #: :attr:`_Child._series`.
+        self._series = None
 
     def observe(self, value) -> None:
         self.count += 1
@@ -147,13 +153,22 @@ class Instrument:
 
     def children(self) -> list:
         """(label_pairs, child) in registration order."""
-        return [(tuple(zip(self.labelnames, key)), child)
+        return [(self._label_pairs(key), child)
                 for key, child in self._children.items()]
 
+    def _label_pairs(self, key: tuple) -> tuple:
+        return tuple(zip(self.labelnames, key))
+
     def _sample(self, now: float, store: TimeSeriesStore) -> None:
-        for label_pairs, child in self.children():
-            series = store.series(self.name, self.kind, label_pairs, self.help)
-            series.points.append((now, child.current()))
+        for key, child in self._children.items():
+            series = child._series
+            if series is None:
+                series = child._series = store.series(
+                    self.name, self.kind, self._label_pairs(key), self.help)
+            callback = child._callback
+            series.times.append(now)
+            series.values.append(
+                callback() if callback is not None else child._value)
 
 
 class Counter(Instrument):
@@ -187,13 +202,20 @@ class HistogramMetric(Instrument):
 
     def _sample(self, now: float, store: TimeSeriesStore) -> None:
         # A histogram exports as two counter series, Prometheus-style.
-        for label_pairs, child in self.children():
-            count = store.series(f"{self.name}_count", COUNTER, label_pairs,
-                                 self.help)
-            count.points.append((now, child.count))
-            total = store.series(f"{self.name}_sum", COUNTER, label_pairs,
-                                 self.help)
-            total.points.append((now, child.sum))
+        for key, child in self._children.items():
+            pair = child._series
+            if pair is None:
+                label_pairs = self._label_pairs(key)
+                pair = child._series = (
+                    store.series(f"{self.name}_count", COUNTER, label_pairs,
+                                 self.help),
+                    store.series(f"{self.name}_sum", COUNTER, label_pairs,
+                                 self.help))
+            count, total = pair
+            count.times.append(now)
+            count.values.append(child.count)
+            total.times.append(now)
+            total.values.append(child.sum)
 
 
 class MetricsRegistry:

@@ -7,6 +7,12 @@ derived from it — is fully determined by program order, never by hash
 order.  Timestamps are simulated milliseconds stamped by the
 :class:`~repro.telemetry.sampler.Sampler`; nothing here reads a wall
 clock.
+
+A series keeps its samples as two flat lists (``times`` / ``values``),
+not a list of ``(t, v)`` pairs: a long run takes hundreds of thousands
+of samples, every sample of one tick shares the same timestamp object,
+and a retained tuple per sample is one more allocation for CPython's
+cyclic collector to visit.  ``points`` zips the pairs on demand.
 """
 
 from __future__ import annotations
@@ -27,8 +33,14 @@ class Series:
     #: Label pairs in labelnames order, e.g. (("node", "node0"),).
     labels: tuple = ()
     help: str = ""
-    #: Sampled (sim_time_ms, value) points in sampling order.
-    points: list = field(default_factory=list)
+    #: Sampling instants (sim_time_ms) and, index for index, the values.
+    times: list = field(default_factory=list)
+    values: list = field(default_factory=list)
+
+    @property
+    def points(self) -> list:
+        """Sampled ``(sim_time_ms, value)`` pairs in sampling order."""
+        return list(zip(self.times, self.values))
 
     @property
     def key(self) -> tuple:
@@ -43,7 +55,7 @@ class Series:
 
     def last(self):
         """The most recent sampled value (None when never sampled)."""
-        return self.points[-1][1] if self.points else None
+        return self.values[-1] if self.values else None
 
     def to_dict(self) -> dict:
         return {
@@ -51,7 +63,7 @@ class Series:
             "kind": self.kind,
             "labels": self.label_dict(),
             "help": self.help,
-            "points": [[t, v] for t, v in self.points],
+            "points": [[t, v] for t, v in zip(self.times, self.values)],
         }
 
 

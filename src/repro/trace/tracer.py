@@ -21,21 +21,38 @@ spans open and close, so generator-based protocol code rarely needs to
 thread contexts by hand.  RPC boundaries carry the context explicitly in
 ``Message.trace``; passing ``trace=INHERIT`` at a call site (the default)
 says "attach to whatever operation this process is serving".
+
+**Storage layout.**  A long traced run finishes hundreds of thousands of
+spans, and CPython's cyclic collector re-scans every *tracked* object it
+retains on each full pass.  So the tracer retains nothing the collector
+tracks per span: a finished span is one row of atomics in ``_rows`` —
+``(trace_id, span_id, parent_id, name, category, start_ms, end_ms,
+tid)`` — with its attrs dict at the same index of the parallel
+``_attrs`` list.  A tuple of atomics is untracked at its first young
+pass and a dict of str/int/float/bool/None values is never tracked; a
+tuple that *holds a dict* stays tracked for ever (the collector cannot
+rule out that the dict gains a container later), which is why the attrs
+are not a ninth column.  A :class:`Span` object exists only while its
+span is open; ``spans`` rebuilds them on demand.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+import sys
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """Position inside one span tree, carried across process boundaries."""
 
     trace_id: int
     span_id: int
+
+
+#: ``TraceContext(a, b)`` runs the NamedTuple's Python-level ``__new__``;
+#: :meth:`Tracer.span` (once per span) goes to the C constructor.
+_tuple_new = tuple.__new__
 
 
 class _Inherit:
@@ -52,30 +69,32 @@ INHERIT = _Inherit()
 
 
 class Span:
-    """One timed node of a trace tree.  Usable as a context manager."""
+    """One timed node of a trace tree.  Usable as a context manager.
+
+    Live while the span is open: ending it files the row with the tracer
+    and drops the references (tracer, process, previous context) that
+    would otherwise keep the process that opened it reachable.
+    """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "category",
-                 "start_ms", "end_ms", "attrs",
-                 "_tracer", "_process", "_prev_ctx", "tid")
+                 "start_ms", "end_ms", "attrs", "tid", "context",
+                 "_tracer", "_process", "_prev_ctx")
 
-    def __init__(self, tracer, trace_id, span_id, parent_id, name,
-                 category, start_ms, attrs):
-        self.trace_id = trace_id
-        self.span_id = span_id
+    def __init__(self, tracer, context, parent_id, name, category,
+                 start_ms, end_ms, attrs, tid, process=None, prev_ctx=None):
+        self.trace_id, self.span_id = context
         self.parent_id = parent_id
         self.name = name
         self.category = category
         self.start_ms = start_ms
-        self.end_ms: Optional[float] = None
+        self.end_ms: Optional[float] = end_ms
         self.attrs = attrs
-        self.tid = 0
-        self._tracer = tracer
-        self._process = None
-        self._prev_ctx: Optional[TraceContext] = None
-
-    @property
-    def context(self) -> TraceContext:
-        return TraceContext(self.trace_id, self.span_id)
+        self.tid = tid
+        #: This span's position, as handed to children and RPC messages.
+        self.context: TraceContext = context
+        self._tracer = tracer          # None once ended
+        self._process = process
+        self._prev_ctx: Optional[TraceContext] = prev_ctx
 
     @property
     def duration_ms(self) -> float:
@@ -88,22 +107,38 @@ class Span:
         return self
 
     def end(self) -> None:
-        self._tracer._end(self)
+        """Close the span at ``sim.now``; a second call is a no-op."""
+        tracer = self._tracer
+        if tracer is None:
+            return
+        self._tracer = None
+        span_id = self.span_id
+        end_ms = self.end_ms = tracer._sim.now
+        del tracer._open[span_id]
+        tracer._rows.append((self.trace_id, span_id, self.parent_id,
+                             self.name, self.category, self.start_ms,
+                             end_ms, self.tid))
+        tracer._attrs.append(self.attrs)
+        # Restore the context on whichever process opened the span, but
+        # only if that span is still its current context (spans closed
+        # out of order keep whatever the inner code installed).
+        process = self._process
+        if process is not None:
+            holder_ctx = process.trace_ctx
+            if holder_ctx is not None and holder_ctx[1] == span_id:
+                process.trace_ctx = self._prev_ctx
+            self._process = None
+        else:
+            holder_ctx = tracer._ambient
+            if holder_ctx is not None and holder_ctx[1] == span_id:
+                tracer._ambient = self._prev_ctx
+        self._prev_ctx = None
 
     def to_dict(self) -> dict:
         end = self.end_ms if self.end_ms is not None else self.start_ms
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "category": self.category,
-            "start_ms": self.start_ms,
-            "end_ms": end,
-            "duration_ms": end - self.start_ms,
-            "attrs": self.attrs,
-            "tid": self.tid,
-        }
+        return _span_dict((self.trace_id, self.span_id, self.parent_id,
+                           self.name, self.category, self.start_ms, end,
+                           self.tid), self.attrs)
 
     def __enter__(self) -> "Span":
         return self
@@ -116,6 +151,24 @@ class Span:
         state = "open" if self.end_ms is None else f"{self.duration_ms:.3f}ms"
         return (f"Span({self.category}:{self.name} "
                 f"t{self.trace_id}/s{self.span_id} {state})")
+
+
+def _span_dict(row: tuple, attrs: dict) -> dict:
+    """The JSON-ready export record of one finished-span row."""
+    (trace_id, span_id, parent_id, name, category, start_ms, end_ms,
+     tid) = row
+    return {
+        "trace_id": trace_id,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "name": name,
+        "category": category,
+        "start_ms": start_ms,
+        "end_ms": end_ms,
+        "duration_ms": end_ms - start_ms,
+        "attrs": attrs,
+        "tid": tid,
+    }
 
 
 class _NullSpan:
@@ -153,15 +206,21 @@ class Tracer:
 
     def __init__(self):
         self._sim = None
-        self._finished: list = []
-        # Insertion-ordered registry of spans not yet ended (dict-as-set).
+        # Finished spans, closure order: rows of atomics plus the attrs
+        # dict at the same index (see "Storage layout" above).
+        self._rows: list = []
+        self._attrs: list = []
+        # span id -> Span not yet ended, in opening order.
         self._open: dict = {}
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
-        # Process -> lane id for Chrome export; assigned by first use so
-        # the numbering is deterministic. Key None = outside any process.
-        self._lanes: dict = {}
+        # Chrome-export lanes, numbered by first use so the numbering is
+        # deterministic.  A process carries its lane in its own
+        # ``trace_lane`` slot (a Process-keyed table here would keep
+        # every finished process of the run alive); code outside any
+        # process shares the "driver" lane.
         self._lane_names: dict = {}
+        self._driver_lane: Optional[int] = None
         # Context for code running outside any sim process.
         self._ambient: Optional[TraceContext] = None
 
@@ -196,22 +255,15 @@ class Tracer:
             return parent.context
         raise TypeError(f"not a trace parent: {parent!r}")
 
-    def _set_current(self, ctx: Optional[TraceContext]) -> None:
-        process = self._sim.active_process if self._sim is not None else None
-        if process is not None:
-            process.trace_ctx = ctx
+    def _new_lane(self, process) -> int:
+        """Number the next lane for ``process`` (None: the driver)."""
+        lane = len(self._lane_names)
+        if process is None:
+            self._driver_lane = lane
+            self._lane_names[lane] = "driver"
         else:
-            self._ambient = ctx
-
-    def _lane_for(self, process) -> int:
-        lane = self._lanes.get(process)
-        if lane is None:
-            lane = len(self._lanes)
-            self._lanes[process] = lane
-            if process is None:
-                self._lane_names[lane] = "driver"
-            else:
-                self._lane_names[lane] = process.name or f"process-{lane}"
+            process.trace_lane = lane
+            self._lane_names[lane] = process.name or f"process-{lane}"
         return lane
 
     # -- span lifecycle -----------------------------------------------
@@ -219,73 +271,69 @@ class Tracer:
     def span(self, name: str, category: str = "span",
              parent=INHERIT, **attrs) -> Span:
         """Open a span; it becomes the current context until ended."""
-        if self._sim is None:
+        sim = self._sim
+        if sim is None:
             raise RuntimeError("Tracer.span() before bind(): attach the "
                                "tracer via Simulator(tracer=...)")
-        parent_ctx = self.resolve(parent)
+        process = sim.active_process
+        current = process.trace_ctx if process is not None else self._ambient
+        parent_ctx = current if parent is INHERIT else self.resolve(parent)
         if parent_ctx is None:
             trace_id = next(self._trace_ids)
             parent_id = None
         else:
-            trace_id = parent_ctx.trace_id
-            parent_id = parent_ctx.span_id
-        span = Span(self, trace_id, next(self._span_ids), parent_id,
-                    name, category, self._sim.now, attrs)
-        process = self._sim.active_process
-        span._process = process
-        span._prev_ctx = self.current()
-        span.tid = self._lane_for(process)
-        self._set_current(span.context)
-        self._open[span] = None
+            trace_id, parent_id = parent_ctx
+        span_id = next(self._span_ids)
+        context = _tuple_new(TraceContext, (trace_id, span_id))
+        if process is not None:
+            process.trace_ctx = context
+            lane = process.trace_lane
+        else:
+            self._ambient = context
+            lane = self._driver_lane
+        if lane is None:
+            lane = self._new_lane(process)
+        # Names are mostly per-call f-strings ("rpc:read"): retain one
+        # copy per distinct name, not one per span.
+        span = Span(self, context, parent_id, sys.intern(name), category,
+                    sim.now, None, attrs, lane, process, current)
+        self._open[span_id] = span
         return span
 
     def instant(self, name: str, category: str = "event",
-                parent=INHERIT, **attrs) -> Span:
+                parent=INHERIT, **attrs) -> None:
         """Record a zero-duration event without shifting the context."""
-        if self._sim is None:
+        sim = self._sim
+        if sim is None:
             raise RuntimeError("Tracer.instant() before bind()")
         parent_ctx = self.resolve(parent)
         if parent_ctx is None:
             trace_id = next(self._trace_ids)
             parent_id = None
         else:
-            trace_id = parent_ctx.trace_id
-            parent_id = parent_ctx.span_id
-        span = Span(self, trace_id, next(self._span_ids), parent_id,
-                    name, category, self._sim.now, attrs)
-        span.tid = self._lane_for(self._sim.active_process)
-        span.end_ms = span.start_ms
-        self._finished.append(span)
-        return span
-
-    def _end(self, span: Span) -> None:
-        if span.end_ms is not None:
-            return
-        span.end_ms = self._sim.now
-        self._open.pop(span, None)
-        self._finished.append(span)
-        # Restore the context on whichever process opened the span, but
-        # only if that span is still its current context (spans closed
-        # out of order keep whatever the inner code installed).
-        process = span._process
-        holder_ctx = (process.trace_ctx if process is not None
-                      else self._ambient)
-        if holder_ctx is not None and holder_ctx.span_id == span.span_id:
-            if process is not None:
-                process.trace_ctx = span._prev_ctx
-            else:
-                self._ambient = span._prev_ctx
+            trace_id, parent_id = parent_ctx
+        process = sim.active_process
+        lane = (process.trace_lane if process is not None
+                else self._driver_lane)
+        if lane is None:
+            lane = self._new_lane(process)
+        now = sim.now
+        self._rows.append((trace_id, next(self._span_ids), parent_id,
+                           sys.intern(name), category, now, now, lane))
+        self._attrs.append(attrs)
 
     # -- inspection / export ------------------------------------------
 
     @property
     def spans(self) -> list:
-        """Completed spans, in the order they ended."""
-        return list(self._finished)
+        """Completed spans, in the order they ended (built on demand)."""
+        return [Span(None, TraceContext(row[0], row[1]), *row[2:7], attrs,
+                     row[7])
+                for row, attrs in zip(self._rows, self._attrs)]
 
     def open_spans(self) -> list:
         """Spans begun but not yet ended (should drain to empty)."""
-        return list(self._open)
+        return list(self._open.values())
 
     def lane_names(self) -> dict:
         """Chrome-export lane id -> human-readable process name."""
@@ -293,8 +341,9 @@ class Tracer:
 
     def to_dicts(self) -> list:
         """Completed spans as JSON-ready dicts, sorted by span id."""
-        return [span.to_dict()
-                for span in sorted(self._finished, key=lambda s: s.span_id)]
+        pairs = sorted(zip(self._rows, self._attrs),
+                       key=lambda pair: pair[0][1])
+        return [_span_dict(row, attrs) for row, attrs in pairs]
 
 
 class NullTracer:
@@ -324,7 +373,7 @@ class NullTracer:
         return NULL_SPAN
 
     def instant(self, name, category="event", parent=INHERIT, **attrs):
-        return NULL_SPAN
+        return None
 
     @property
     def spans(self) -> list:

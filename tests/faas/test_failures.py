@@ -113,3 +113,43 @@ class TestFailures:
         total = sum(len(n.containers_of("t", "f"))
                     for n in cluster.nodes.values())
         assert total == 1
+
+
+class TestCrashReturnsCores:
+    """A crash must not leak the node's cores (they survive a restart)."""
+
+    def _one_core_platform(self, sim, compute_ms):
+        cluster = Cluster(sim, SimConfig(num_nodes=2, cores_per_node=1))
+
+        def burn(ctx):
+            yield from ctx.compute(compute_ms)
+            return "done"
+
+        spec = AppSpec(name="t")
+        spec.add_function(FunctionSpec("f", burn))
+        platform = FaasPlatform(cluster)
+        platform.reschedule_on_crash = False
+        platform.deploy(spec, DirectStorage(cluster), node_ids=["node1"])
+        return cluster, platform
+
+    def test_crash_with_a_queued_invocation_frees_the_core(self, sim):
+        cluster, platform = self._one_core_platform(sim, compute_ms=500.0)
+        platform.submit("t")
+        platform.submit("t")
+        sim.run(until=100.0)
+        cores = cluster.node("node1").cores
+        assert (cores.in_use, cores.queue_length) == (1, 1)
+        cluster.crash_node("node1")
+        sim.run(until=200.0)
+        assert (cores.in_use, cores.queue_length) == (0, 0)
+
+    def test_crash_on_the_uncontended_grant_hop_frees_the_core(self, sim):
+        cluster, platform = self._one_core_platform(sim, compute_ms=500.0)
+        cores = cluster.node("node1").cores
+        platform.submit("t")
+        # Step to the instant the grant is taken but not yet delivered.
+        while cores.in_use == 0:
+            sim.step()
+        cluster.crash_node("node1")
+        sim.run(until=200.0)
+        assert (cores.in_use, cores.queue_length) == (0, 0)

@@ -307,3 +307,53 @@ class TestMetaPiggyback:
 def sizeof_dict():
     """Size of the {"k": 1} request payload used above."""
     return 1 + 8
+
+
+class TestCrashReturnsServiceSlots:
+    """kill_inflight_handlers() must free the server slot and the CPU."""
+
+    def _server(self, sim, net):
+        from repro.sim.resources import Resource
+
+        cpu = Resource(sim, capacity=1, name="cores")
+        server = Endpoint(net, "node1", "svc", service_time_ms=5.0, cpu=cpu)
+        server.register_handler("echo", echo_handler)
+        return server, cpu
+
+    def _fire(self, sim, net, count):
+        client = Endpoint(net, "node0", "svc")
+        for _ in range(count):
+            client.notify("node1/svc", "echo", None)
+
+    def test_queued_handler_killed_with_the_served_one(self, sim, net):
+        server, cpu = self._server(sim, net)
+        self._fire(sim, net, 2)
+        sim.run(until=2.0)  # one in its service slice, one queued behind it
+        assert (server._server.in_use, server._server.queue_length) == (1, 1)
+        assert cpu.in_use == 1
+        server.kill_inflight_handlers()
+        sim.run(until=50.0)
+        assert (server._server.in_use, server._server.queue_length) == (0, 0)
+        assert (cpu.in_use, cpu.queue_length) == (0, 0)
+
+    def test_handler_killed_while_queued_for_the_cpu(self, sim, net):
+        server, cpu = self._server(sim, net)
+        holder = cpu.acquire()  # something else is computing on the node
+        self._fire(sim, net, 1)
+        sim.run(until=2.0)
+        assert (cpu.in_use, cpu.queue_length) == (1, 1)
+        server.kill_inflight_handlers()
+        sim.run(until=50.0)
+        cpu.cancel(holder)
+        assert (cpu.in_use, cpu.queue_length) == (0, 0)
+        assert server._server.in_use == 0
+
+    def test_handler_killed_on_the_uncontended_grant_hop(self, sim, net):
+        server, cpu = self._server(sim, net)
+        self._fire(sim, net, 1)
+        while server._server.in_use == 0:
+            sim.step()
+        server.kill_inflight_handlers()
+        sim.run(until=50.0)
+        assert server._server.in_use == 0
+        assert cpu.in_use == 0

@@ -71,6 +71,21 @@ class TestRing:
         assert [e.key for e in recorder.events()] == ["k6", "k7", "k8", "k9"]
         assert [e.seq for e in recorder.events()] == [7, 8, 9, 10]
 
+    def test_wrapped_ring_keeps_rows_and_attrs_aligned(self):
+        recorder = FlightRecorder(capacity=4)
+        sim = make_sim(recorder)
+        for index in range(10):
+            sim.run(until=float(index))
+            recorder.emit(CACHE_UPDATE, node=f"n{index}", key=f"k{index}",
+                          index=index)
+        assert recorder.dropped == 6 and len(recorder) == 4
+        events = recorder.events()
+        assert [(e.seq, e.t, e.type, e.node, e.key, e.trace, e.span, e.tick,
+                 e.attrs) for e in events] == [
+            (index + 1, float(index), CACHE_UPDATE, f"n{index}", f"k{index}",
+             0, 0, 0, {"index": index}) for index in range(6, 10)]
+        assert [e.to_dict() for e in events] == recorder.to_dicts()
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)

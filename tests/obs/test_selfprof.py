@@ -62,6 +62,27 @@ class TestProfiledRunEquivalence:
         assert text.startswith("self-profile:")
         assert rows[0]["layer"] in text
 
+    def test_collector_pauses_are_a_row_of_their_own(self):
+        import gc
+
+        session = _loaded_session()
+        profiler = SelfProfiler()
+        callbacks = list(gc.callbacks)
+        session.sim.call_at(100.0, lambda _arg: gc.collect())
+        profiler.run(session.sim, until=400.0)
+        session.close()
+        assert gc.callbacks == callbacks  # the hook is gone again
+        (full,) = [row for row in profiler.gc_report()
+                   if row["generation"] == 2]
+        assert full["collections"] == 1 and full["wall_s"] > 0.0
+        # Excluded from the layers: the dispatch that collected spent
+        # (almost) all its time in the collector, none of it booked.
+        assert all(spent >= 0.0 for spent in profiler.wall_s.values())
+        assert "gc" not in profiler.wall_s
+        assert "gc gen2" in render_profile(profiler)
+        assert sum(row["share"] for row in profiler.report()) \
+            == pytest.approx(1.0)
+
     def test_until_in_the_past_rejected(self):
         sim = Simulator(seed=0)
         sim.run(until=10.0)

@@ -14,8 +14,11 @@ and says so in its PR::
         > tests/session/golden_identity.json
 """
 
+import functools
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -28,7 +31,13 @@ from repro.experiments.runner import (
     unloaded_latency,
 )
 from repro.faults import FaultPlan, NodeCrash, NodeRestart
+from repro.obs import cli as inspect_cli
+from repro.obs import jsonl_dumps as obs_jsonl_dumps
 from repro.shard.topologies import run_topology_scenario
+from repro.telemetry import csv_dumps, prometheus_dumps
+from repro.telemetry import jsonl_dumps as metrics_jsonl_dumps
+from repro.trace import chrome_dumps
+from repro.trace import jsonl_dumps as trace_jsonl_dumps
 
 GOLDEN = Path(__file__).with_name("golden_identity.json")
 
@@ -66,6 +75,39 @@ def _crash_plan() -> FaultPlan:
     ))
 
 
+@functools.lru_cache(maxsize=None)
+def _exports() -> dict:
+    """Every export of one reduced all-signals mixed run, as text."""
+    result = run_mixed_workload(MixedRunConfig(
+        **_MIXED, trace=True, metrics=True, obs=True))
+    out = {
+        "trace_jsonl": trace_jsonl_dumps(result.tracer),
+        "trace_chrome": chrome_dumps(result.tracer),
+        "obs_jsonl": obs_jsonl_dumps(result.obs),
+        "metrics_jsonl": metrics_jsonl_dumps(result.metrics),
+        "metrics_csv": csv_dumps(result.metrics),
+        "metrics_prometheus": prometheus_dumps(result.metrics),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name in ("obs_jsonl", "trace_chrome", "metrics_jsonl"):
+            paths[name] = Path(tmp, name)
+            paths[name].write_text(out[name], encoding="utf-8")
+        merged = io.StringIO()
+        status = inspect_cli.main(
+            ["timeline", str(paths["obs_jsonl"]),
+             "--trace", str(paths["trace_chrome"]),
+             "--metrics", str(paths["metrics_jsonl"]),
+             "--format", "json"], out=merged)
+        assert status == 0
+    out["inspect_timeline_json"] = merged.getvalue()
+    return out
+
+
+def _export(name):
+    return lambda: _exports()[name]
+
+
 def _topology(name):
     return lambda: run_topology_scenario(name, seed=0).fingerprint()
 
@@ -88,6 +130,15 @@ CASES = {
     "scale_point": lambda: sorted(scale_point(
         seed=1009, num_nodes=12, requests_per_node=60,
         working_set=40).items()),
+    # Byte identity of every signal export of the all-signals run (the
+    # digest is of the export text itself).
+    "export_trace_jsonl": _export("trace_jsonl"),
+    "export_trace_chrome": _export("trace_chrome"),
+    "export_obs_jsonl": _export("obs_jsonl"),
+    "export_metrics_jsonl": _export("metrics_jsonl"),
+    "export_metrics_csv": _export("metrics_csv"),
+    "export_metrics_prometheus": _export("metrics_prometheus"),
+    "export_inspect_timeline_json": _export("inspect_timeline_json"),
 }
 
 

@@ -1,0 +1,100 @@
+"""What the three signal sinks leave on the garbage collector's plate.
+
+CPython's cyclic collector re-scans every *tracked* object a run
+retains, so a sink that keeps one object per span / event / sample makes
+every full collection of a long run slower (DESIGN.md §12).  The sinks
+therefore store rows of atomics; these tests pin that property on the
+heap itself — a wall-clock assertion could not.
+"""
+
+import gc
+
+import pytest
+
+from repro.obs import ProtoEvent
+from repro.session import Session
+from repro.sim.process import Process
+from repro.trace import Span, TraceContext
+
+APPS = ("SocNet", "HotelBook")
+
+
+def _drained_run(signals: bool) -> Session:
+    """A small FaaS run driven to quiescence (sampler included)."""
+    s = Session(seed=7, nodes=4, cores_per_node=4, scheme="concord",
+                apps=APPS, trace=signals, metrics=signals, obs=signals)
+    for name in APPS:
+        s.sim.spawn(s.platform.open_loop(name, 40.0, 2500.0,
+                                         s.factories[name]),
+                    name=f"load:{name}")
+    s.sim.run(until=5000.0)
+    assert all(app.inflight == 0 for app in s.deployed.values())
+    s.close()
+    s.advance(500.0)  # the stopped sampler wakes once more and exits
+    return s
+
+
+def _census() -> dict:
+    gc.collect()
+    counts: dict = {}
+    for obj in gc.get_objects():
+        counts[type(obj)] = counts.get(type(obj), 0) + 1
+    counts["tracked"] = sum(counts.values())
+    return counts
+
+
+def _measured_run(signals: bool):
+    """(session, {type or "tracked": objects the run left tracked})."""
+    before = _census()
+    session = _drained_run(signals)
+    after = _census()
+    return session, {key: after[key] - before.get(key, 0) for key in after}
+
+
+@pytest.fixture(scope="module")
+def heaps():
+    """(plain heap cost, signals session, signals heap cost)."""
+    plain, plain_cost = _measured_run(signals=False)
+    signals, signals_cost = _measured_run(signals=True)
+    yield plain_cost, signals, signals_cost
+    del plain
+
+
+def test_no_per_record_objects_survive(heaps):
+    _, s, cost = heaps
+    spans = len(s.tracer.to_dicts())
+    assert spans > 5000 and len(s.obs) > 1000
+    # The coordination service's heartbeat RPCs never drain.
+    open_spans = len(s.tracer.open_spans())
+    assert open_spans < 20
+    assert cost.get(Span, 0) == open_spans
+    assert cost.get(ProtoEvent, 0) == 0
+    # A context lives in a process slot, an open span or a message in
+    # flight: bounded by what is live, not by what has finished.
+    assert cost.get(TraceContext, 0) <= cost[Process]
+
+
+def test_tracing_keeps_no_finished_process_alive(heaps):
+    plain_cost, _, cost = heaps
+    assert cost[Process] == plain_cost[Process]
+
+
+def test_tracked_objects_per_finished_span(heaps):
+    plain_cost, s, cost = heaps
+    spans = len(s.tracer.to_dicts())
+    assert (cost["tracked"] - plain_cost["tracked"]) / spans < 0.1
+
+
+def test_read_surfaces_are_built_on_demand(heaps):
+    _, s, _ = heaps
+    before = _census()
+    spans = s.tracer.spans
+    assert len(spans) == len(s.tracer.to_dicts())
+    assert all(type(span) is Span for span in spans)
+    events = s.obs.events()
+    assert len(events) == len(s.obs)
+    assert all(type(event) is ProtoEvent for event in events)
+    del spans, events
+    after = _census()
+    assert after.get(Span, 0) == before.get(Span, 0)
+    assert after.get(ProtoEvent, 0) == before.get(ProtoEvent, 0)

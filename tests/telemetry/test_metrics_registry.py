@@ -105,6 +105,33 @@ class TestSampling:
             (("node", "n1"),), (("node", "n0"),)]
         assert all(len(s.points) == 2 for s in series)
 
+    def test_series_read_surface(self):
+        """points / last / to_dict over the flat times+values storage."""
+        registry = MetricsRegistry()
+        gauge = registry.gauge("level", "A level.", labelnames=("node",))
+        gauge.labels(node="n0").set(3)
+        latency = registry.histogram("lat", labelnames=())
+        latency.observe(1.0)
+        registry.sample(0.0)
+        # A child first touched later starts its series later.
+        gauge.labels(node="n1").set(7.5)
+        latency.observe(4.0)
+        registry.sample(100.0)
+        by_key = {s.key: s for s in registry.store.all_series()}
+        n0 = by_key[("level", (("node", "n0"),))]
+        n1 = by_key[("level", (("node", "n1"),))]
+        assert n0.points == [(0.0, 3), (100.0, 3)] and n0.last() == 3
+        assert n1.points == [(100.0, 7.5)]
+        assert n0.to_dict() == {
+            "name": "level", "kind": "gauge", "labels": {"node": "n0"},
+            "help": "A level.", "points": [[0.0, 3], [100.0, 3]]}
+        assert by_key[("lat_count", ())].points == [(0.0, 1), (100.0, 2)]
+        assert by_key[("lat_sum", ())].points == [(0.0, 1.0), (100.0, 5.0)]
+        # Series appear in first-sample order, whatever their keys.
+        assert list(by_key) == [
+            ("level", (("node", "n0"),)), ("lat_count", ()), ("lat_sum", ()),
+            ("level", (("node", "n1"),))]
+
     def test_bind_rejects_second_simulator(self):
         registry = MetricsRegistry()
         sim = Simulator(seed=1, metrics=registry)

@@ -110,6 +110,41 @@ class TestSpanTree:
         assert tracer.resolve(INHERIT) is None  # nothing current yet
 
 
+    def test_finished_spans_read_like_the_live_ones(self, sim, tracer):
+        """``spans`` rebuilds Span objects from the stored rows."""
+        def proc(sim):
+            with tracer.span("outer", "op", key="k") as outer:
+                yield sim.timeout(2.0)
+                tracer.instant("mark", "event", n=1)
+                with tracer.span("inner", "agent") as inner:
+                    yield sim.timeout(3.0)
+                    inner.set("status", "ok")
+            return outer, inner
+
+        process = sim.spawn(proc(sim), name="worker")
+        sim.run()
+        outer, inner = process.value
+        mark, rebuilt_inner, rebuilt_outer = tracer.spans
+        for live, rebuilt in ((inner, rebuilt_inner), (outer, rebuilt_outer)):
+            assert type(rebuilt) is Span and rebuilt is not live
+            assert rebuilt.to_dict() == live.to_dict()
+            assert rebuilt.context == live.context
+            assert rebuilt.duration_ms == live.duration_ms
+        assert (rebuilt_outer.start_ms, rebuilt_outer.end_ms) == (0.0, 5.0)
+        assert rebuilt_inner.attrs == {"status": "ok"}
+        assert (mark.name, mark.category, mark.attrs, mark.duration_ms) == (
+            "mark", "event", {"n": 1}, 0.0)
+        assert mark.parent_id == outer.span_id
+        assert {s.tid for s in tracer.spans} == {process.trace_lane}
+        assert tracer.lane_names() == {process.trace_lane: "worker"}
+        assert [s.to_dict() for s in sorted(tracer.spans,
+                                            key=lambda s: s.span_id)] \
+            == tracer.to_dicts()
+        # Ending again (or leaving the with block late) files nothing new.
+        outer.end()
+        assert len(tracer.spans) == 3
+
+
 class TestProcessAmbientContext:
     def test_spawned_process_inherits_spawner_context(self, sim, tracer):
         seen = {}
@@ -168,7 +203,7 @@ class TestNullTracer:
         with tracer.span("anything", "op", key="k") as span:
             assert span is NULL_SPAN
             assert span.set("a", 1) is NULL_SPAN
-        assert tracer.instant("e") is NULL_SPAN
+        assert tracer.instant("e") is None
         assert tracer.spans == []
         assert tracer.open_spans() == []
         assert tracer.to_dicts() == []
