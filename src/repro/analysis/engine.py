@@ -23,7 +23,7 @@ import ast
 import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Iterable, Iterator, Optional
 
 SEVERITY_ERROR = "error"
@@ -155,6 +155,25 @@ def is_sim_process(func: ast.AST) -> bool:
                              ast.Await)):
             return True
     return False
+
+
+def in_layers(module: "ModuleInfo", layers) -> bool:
+    """Whether ``module`` lives under a directory named in ``layers``."""
+    return not layers.isdisjoint(PurePosixPath(module.display_path).parts)
+
+
+def receiver_name(node: ast.AST) -> str:
+    """The last name of a call receiver: ``sim`` for ``self.sim`` / ``sim``.
+
+    Rules recognise a recorder, tracer, registry or simulator at a call
+    site by what the code calls it; anything that is not a plain name or
+    attribute chain has no name ("").
+    """
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
 
 
 def walk_function_body(func: ast.AST) -> Iterator[ast.AST]:

@@ -1,7 +1,8 @@
-"""Flight-recorder rules (OBS*).
+"""Flight-recorder and Null-sink rules (OBS*).
 
-The protocol event log (:mod:`repro.obs`) promises two things its call
-sites can silently break:
+The protocol event log (:mod:`repro.obs`) promises three things its call
+sites can silently break — and the last one binds the tracer's call
+sites on the protocol hot paths just the same:
 
 - **Interned event types.**  Every ``recorder.emit(...)`` names its
   event with one of the interned constants from
@@ -13,7 +14,14 @@ sites can silently break:
   so a run without a recorder never evaluates the event arguments.  An
   *unguarded* emit whose arguments do real work (calls, f-strings,
   arithmetic, comprehensions) pays that work on every run — including
-  the benchmark runs whose wall times gate CI.
+  the benchmark runs whose wall times gate CI.  Inside the hot layers
+  (``core/``, ``caching/``, ``net/``, ``faas/``) the same holds for
+  ``tracer.span(...)`` / ``tracer.instant(...)``: keyword attrs build a
+  dict and call into the ``NullTracer`` once per protocol step with
+  tracing off.  A guard is an enclosing ``if``/conditional expression
+  testing ``.active``, an earlier ``if not <x>.active: return ...`` in
+  the same block, or — by convention — living in a ``_traced_*``
+  function, whose own call sites must then be guarded.
 - **Byte-deterministic dumps.**  Event attrs are exported verbatim
   (JSONL, byte-compared across ``PYTHONHASHSEED`` values), so an attr
   that materializes a bare set in iteration order leaks hash order into
@@ -24,11 +32,30 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.engine import ModuleInfo, Rule, register
+from repro.analysis.engine import (
+    ModuleInfo,
+    Rule,
+    in_layers,
+    receiver_name,
+    register,
+)
 from repro.analysis.setness import ModuleSetFacts, is_setish
 
 #: Receiver names that identify a flight recorder at a call site.
 _RECORDER_NAMES = frozenset({"obs", "recorder"})
+
+#: Layers whose tracer sites sit on per-operation protocol paths.
+_HOT_LAYERS = frozenset({"core", "caching", "net", "faas"})
+
+#: Tracer methods that take span attrs as keywords.
+_SPAN_METHODS = frozenset({"span", "instant"})
+
+#: Functions only ever entered with tracing on (their callers dispatch
+#: on ``tracer.active``); calling one is itself a guarded site.
+_TRACED_PREFIX = "_traced_"
+
+#: Statements that leave the enclosing block.
+_EXITS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 
 #: Wrappers that preserve their argument's (hash) order.
 _ORDER_PRESERVING = frozenset({"list", "tuple", "iter", "reversed",
@@ -41,14 +68,20 @@ _EXPENSIVE = (ast.Call, ast.JoinedStr, ast.BinOp, ast.ListComp,
 
 def _is_recorder_receiver(node: ast.AST) -> bool:
     """Whether an attribute-call receiver looks like a FlightRecorder."""
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    else:
-        return False
+    name = receiver_name(node)
     return (name in _RECORDER_NAMES
             or name.endswith("_obs") or name.endswith("_recorder"))
+
+
+def _is_tracer_receiver(node: ast.AST) -> bool:
+    """Whether an attribute-call receiver looks like a Tracer."""
+    name = receiver_name(node)
+    return name == "tracer" or name.endswith("_tracer")
+
+
+def _tests_active(test: ast.AST) -> bool:
+    return any(isinstance(sub, ast.Attribute) and sub.attr == "active"
+               for sub in ast.walk(test))
 
 
 @register
@@ -64,21 +97,26 @@ class ObsDisciplineRule(Rule):
         "sets in hash order (dumps are byte-compared across "
         "PYTHONHASHSEED), and emits with computed arguments must sit "
         "under an `if <recorder>.active:` guard so the Null sink stays "
-        "zero-cost"
+        "zero-cost; in core/, caching/, net/ and faas/ the same guard is "
+        "required of tracer.span()/instant() sites carrying keyword attrs "
+        "and of calls to `_traced_*` functions"
     )
 
     def check_module(self, module: ModuleInfo):
         facts = ModuleSetFacts(module.tree)
+        hot = in_layers(module, _HOT_LAYERS)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr == "emit"
-                    and _is_recorder_receiver(func.value)):
+            if not isinstance(func, ast.Attribute):
                 continue
-            yield from self._check_event_type(module, node)
-            yield from self._check_set_order(module, node, facts)
-            yield from self._check_guard(module, node)
+            if func.attr == "emit" and _is_recorder_receiver(func.value):
+                yield from self._check_event_type(module, node)
+                yield from self._check_set_order(module, node, facts)
+                yield from self._check_guard(module, node)
+            elif hot:
+                yield from self._check_tracer_site(module, node, func)
 
     # -- (a) interned event types ----------------------------------------
     def _check_event_type(self, module: ModuleInfo, node: ast.Call):
@@ -127,13 +165,52 @@ class ObsDisciplineRule(Rule):
             "even under the Null sink, taxing every unrecorded run; "
             "hoist the emit under an active check")
 
+    # -- (d) tracer sites on the protocol hot paths ------------------------
+    def _check_tracer_site(self, module: ModuleInfo, node: ast.Call,
+                           func: ast.Attribute):
+        if func.attr.startswith(_TRACED_PREFIX):
+            what = (f"call to {func.attr}(), which opens its span "
+                    "unconditionally,")
+        elif (func.attr in _SPAN_METHODS
+              and _is_tracer_receiver(func.value)
+              and any(kw.arg != "parent" for kw in node.keywords)):
+            what = f"tracer.{func.attr}() with keyword attrs"
+        else:
+            return
+        if self._under_active_guard(module, node):
+            return
+        yield self.finding(
+            module, node,
+            f"{what} outside a `.active` guard: with tracing off every "
+            "call still builds the attrs dict and enters the NullTracer, "
+            "once per protocol step; test `tracer.active` first (or move "
+            "the span into a `_traced_*` twin chosen by a guarded "
+            "dispatcher)")
+
     def _under_active_guard(self, module: ModuleInfo,
                             node: ast.AST) -> bool:
-        current = module.parent(node)
+        child, current = node, module.parent(node)
         while current is not None:
-            if isinstance(current, ast.If) and any(
-                    isinstance(sub, ast.Attribute) and sub.attr == "active"
-                    for sub in ast.walk(current.test)):
+            if (isinstance(current, (ast.If, ast.IfExp))
+                    and _tests_active(current.test)):
                 return True
-            current = module.parent(current)
+            if (isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and current.name.startswith(_TRACED_PREFIX)):
+                return True
+            # An earlier `if not <x>.active: return ...` in this block.
+            for field in ("body", "orelse", "finalbody"):
+                block = getattr(current, field, None)
+                if isinstance(block, list) and child in block:
+                    if any(self._is_inactive_exit(stmt)
+                           for stmt in block[:block.index(child)]):
+                        return True
+            child, current = current, module.parent(current)
         return False
+
+    @staticmethod
+    def _is_inactive_exit(stmt: ast.AST) -> bool:
+        return (isinstance(stmt, ast.If)
+                and isinstance(stmt.test, ast.UnaryOp)
+                and isinstance(stmt.test.op, ast.Not)
+                and _tests_active(stmt.test)
+                and isinstance(stmt.body[-1], _EXITS))

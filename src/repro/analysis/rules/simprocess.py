@@ -10,9 +10,12 @@ Simulation processes are plain generator functions stepped by
 - a process must never perform real (wall-clock) blocking I/O — the
   simulated clock would keep standing still while real time passes, and
   the result depends on the host machine;
-- code outside ``repro/sim`` must not read the kernel's private state
-  (``Simulator._now``, the event heap, ...) — the public ``sim.now`` /
-  ``peek()`` surface is the contract that lets the kernel evolve.
+- code outside ``repro/sim`` must not touch the kernel's private state
+  (``Simulator._seq``, ``_schedule``, ...) — the public ``sim.now`` /
+  ``peek()`` surface is the contract that lets the kernel evolve — and
+  must never *store* to ``sim.now`` / ``sim.active_process``: they are
+  plain attributes so that reading them costs nothing, and only the run
+  loop may advance the clock or name the process being stepped.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.analysis.engine import (
     Rule,
     is_generator_function,
     is_sim_process,
+    receiver_name,
     register,
     walk_function_body,
 )
@@ -50,8 +54,17 @@ _BLOCKING_ATTR_CALLS = {
 _BLOCKING_MODULES = {"socket", "subprocess", "requests", "urllib", "http"}
 
 #: Private Simulator attributes that only repro/sim may touch.
-_KERNEL_PRIVATE_ATTRS = {"_now", "_heap", "_seq", "_active_process",
-                         "_schedule"}
+_KERNEL_PRIVATE_ATTRS = {"_heap", "_seq", "_schedule"}
+
+#: Public Simulator attributes that everyone reads and only repro/sim
+#: may write.
+_KERNEL_WRITTEN_ATTRS = {"now", "active_process"}
+
+
+def _is_simulator_receiver(node: ast.AST) -> bool:
+    """Whether ``node`` (the object of an attribute store) names a Simulator."""
+    name = receiver_name(node)
+    return name in ("sim", "simulator") or name.endswith("_sim")
 
 
 # Shared with the atomicity rules; see engine.is_sim_process.
@@ -135,14 +148,15 @@ class BlockingIoRule(Rule):
 
 @register
 class KernelPrivateStateRule(Rule):
-    """SIM03: private simulator kernel state read outside repro/sim."""
+    """SIM03: kernel state touched (or the clock written) outside repro/sim."""
 
     id = "SIM03"
     name = "kernel-private-state"
     description = (
-        "code outside repro/sim must not touch Simulator._now/_heap/_seq/"
-        "_active_process/_schedule; use sim.now, sim.peek() and the "
-        "public scheduling API"
+        "code outside repro/sim must not touch Simulator._heap/_seq/"
+        "_schedule (use sim.now, sim.peek() and the public scheduling "
+        "API) and must not store to sim.now / sim.active_process, which "
+        "only the run loop writes"
     )
 
     def check_module(self, module: ModuleInfo):
@@ -150,10 +164,19 @@ class KernelPrivateStateRule(Rule):
         if "sim" in parts:
             return  # the kernel may touch its own internals
         for node in ast.walk(module.tree):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in _KERNEL_PRIVATE_ATTRS):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr in _KERNEL_PRIVATE_ATTRS:
                 yield self.finding(
                     module, node,
                     f"access to private simulator state "
                     f"{ast.unparse(node)!r}; use the public Simulator API "
                     "(sim.now, sim.peek, sim.spawn)")
+            elif (node.attr in _KERNEL_WRITTEN_ATTRS
+                  and isinstance(node.ctx, (ast.Store, ast.Del))
+                  and _is_simulator_receiver(node.value)):
+                yield self.finding(
+                    module, node,
+                    f"store to {ast.unparse(node)!r}: the clock and the "
+                    "active process are written by the run loop only; "
+                    "advance time with sim.run(until=...) / a timeout")

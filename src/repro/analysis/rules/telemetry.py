@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from repro.analysis.engine import ModuleInfo, Rule, register
+from repro.analysis.engine import ModuleInfo, Rule, receiver_name, register
 from repro.analysis.rules.determinism import UnorderedIterationRule
 from repro.analysis.setness import (
     ModuleSetFacts,
@@ -47,12 +47,7 @@ _ORDER_INSENSITIVE = UnorderedIterationRule.ORDER_INSENSITIVE
 
 def _is_registry_receiver(node: ast.AST) -> bool:
     """Whether an attribute-call receiver looks like a MetricsRegistry."""
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    else:
-        return False
+    name = receiver_name(node)
     return (name in _REGISTRY_NAMES
             or name.endswith("_metrics") or name.endswith("_registry"))
 

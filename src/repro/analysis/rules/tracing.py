@@ -14,17 +14,12 @@ TRC01 flags protocol-layer RPC sites that omit the keyword.
 from __future__ import annotations
 
 import ast
-from pathlib import PurePosixPath
 
-from repro.analysis.engine import ModuleInfo, Rule, register
+from repro.analysis.engine import ModuleInfo, Rule, in_layers, register
 from repro.analysis.rules.protocol import _looks_like_rpc
 
 #: Directories whose RPC sites must annotate trace parentage.
-_TRACED_LAYERS = {"core", "caching"}
-
-
-def _in_traced_layer(module: ModuleInfo) -> bool:
-    return bool(_TRACED_LAYERS & set(PurePosixPath(module.display_path).parts))
+_TRACED_LAYERS = frozenset({"core", "caching"})
 
 
 @register
@@ -40,7 +35,7 @@ class TraceContextRule(Rule):
     )
 
     def check_module(self, module: ModuleInfo):
-        if not _in_traced_layer(module):
+        if not in_layers(module, _TRACED_LAYERS):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):

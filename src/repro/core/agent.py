@@ -69,6 +69,13 @@ class CacheAgent:
         self.sim = system.sim
         self.node_id = node_id
         self.app = system.app
+        #: The system's AccessStats (one object for the system's whole
+        #: life; ``reset()`` clears it in place).
+        self.stats = system.stats
+        #: node id -> that node's agent address.  Memoised: one string per
+        #: peer instead of one per RPC, whose hash the fabric's address
+        #: dicts then compute once rather than on every send.
+        self._peer_addresses: dict[str, str] = {}
         self.cache = LruCache(capacity_bytes, name=f"concord:{system.app}:{node_id}")
         self.cache.obs = self.sim.obs
         self.directory = DataDirectory(node_id, tracer=self.sim.tracer,
@@ -166,8 +173,15 @@ class CacheAgent:
     # Public data path (called by ConcordSystem.read / write)
     # ------------------------------------------------------------------
     def read(self, key: str, ctx: Optional[AccessContext] = None):
-        """Read ``key``; returns ``(value, OpKind)``."""
-        yield self.sim.sleep(self.system.latency.local_access)
+        """Read ``key``: the whole operation, accounting included.
+
+        :meth:`ConcordSystem._do_read` hands this generator straight to
+        the caller, so a local hit is one generator frame, one wheel
+        entry (the local-access sleep) and one histogram append.
+        """
+        sim = self.sim
+        start = sim.now
+        yield sim.sleep(self.system.latency.local_access)
         entry = self.cache.get(key)
         while entry is not None:
             verdict = True
@@ -175,7 +189,8 @@ class CacheAgent:
                 verdict = self.txn_manager.on_local_access(
                     key, entry, ctx, is_write=False)
             if verdict is True:
-                return entry.value, OpKind.LOCAL_READ_HIT
+                self.stats.record(OpKind.LOCAL_READ_HIT, sim.now - start)
+                return entry.value
             if verdict is False:
                 # A conflicting transaction was squashed and the entry
                 # discarded; resolve the committed value via the home.
@@ -192,12 +207,16 @@ class CacheAgent:
             # flight: the recovery eviction sweep already ran here, so
             # installing now would plant a copy nobody tracks.
             self._install(key, value, state, ctx, src="read")
-        kind = OpKind.REMOTE_READ_HIT if dir_hit else OpKind.READ_MISS
-        return value, kind
+        self.stats.record(
+            OpKind.REMOTE_READ_HIT if dir_hit else OpKind.READ_MISS,
+            sim.now - start)
+        return value
 
     def write(self, key: str, value: object, ctx: Optional[AccessContext] = None):
-        """Write ``key``; returns the OpKind once durably stored."""
-        yield self.sim.sleep(self.system.latency.local_access)
+        """Write ``key``; returns once durably stored and accounted."""
+        sim = self.sim
+        start = sim.now
+        yield sim.sleep(self.system.latency.local_access)
         entry = self.cache.get(key)
         while entry is not None and self.txn_manager is not None:
             verdict = self.txn_manager.on_local_access(
@@ -216,7 +235,8 @@ class CacheAgent:
             # storage, bypassing the home (Section III-C2).
             applied = yield from self._estate_write(key, value)
             if applied:
-                return OpKind.LOCAL_WRITE_HIT
+                self.stats.record(OpKind.LOCAL_WRITE_HIT, sim.now - start)
+                return None
             # Exclusivity was lost while queued; take the home path.
 
         had_local_copy = entry is not None  # S state: still a local hit
@@ -236,8 +256,9 @@ class CacheAgent:
             # it was disturbed (membership changed mid-write): hold no copy.
             self.cache.remove(key)
         if had_local_copy:
-            return OpKind.LOCAL_WRITE_HIT
-        return kind
+            kind = OpKind.LOCAL_WRITE_HIT
+        self.stats.record(kind, sim.now - start)
+        return None
 
     def _estate_write(self, key: str, value: object):
         """Direct-to-storage write while holding E (Section III-C2).
@@ -270,7 +291,7 @@ class CacheAgent:
                 if obs.active:
                     obs.emit(CACHE_UPDATE, node=self.node_id, key=key,
                              version=version, prev=prev)
-            self.system.stats.invalidations_per_write.record(0)
+            self.stats.invalidations_per_write.record(0)
             return True
         finally:
             lock.release()
@@ -281,7 +302,8 @@ class CacheAgent:
     def _read_via_home(self, key: str, ctx):
         fn = ctx.function if ctx is not None else ""
         for _attempt in range(MAX_ATTEMPTS):
-            yield from self._barrier_wait(key)
+            if self._barriers:
+                yield from self._barrier_wait(key)
             home = self.ring.home(key)
             epoch = self.epoch
             if home == self.node_id:
@@ -296,7 +318,7 @@ class CacheAgent:
                     continue
             try:
                 reply = yield from self.endpoint.call(
-                    f"{home}/concord-{self.app}", "read", (key, self.node_id, fn),
+                    self._address_of(home), "read", (key, self.node_id, fn),
                     size_bytes=len(key) + 8,
                     timeout=self.system.config.rpc_timeout_ms,
                     trace=INHERIT,
@@ -319,7 +341,8 @@ class CacheAgent:
     def _write_via_home(self, key: str, value: object, ctx):
         fn = ctx.function if ctx is not None else ""
         for _attempt in range(MAX_ATTEMPTS):
-            yield from self._barrier_wait(key)
+            if self._barriers:
+                yield from self._barrier_wait(key)
             home = self.ring.home(key)
             epoch = self.epoch
             if home == self.node_id:
@@ -334,7 +357,7 @@ class CacheAgent:
                     continue
             try:
                 kind_name, cacheable, version = yield from self.endpoint.call(
-                    f"{home}/concord-{self.app}", "write",
+                    self._address_of(home), "write",
                     (key, value, self.node_id, fn),
                     size_bytes=sizeof(value) + len(key),
                     timeout=self.system.config.rpc_timeout_ms,
@@ -368,7 +391,8 @@ class CacheAgent:
             return entry.value
         has_local = entry is not None
         for _attempt in range(MAX_ATTEMPTS):
-            yield from self._barrier_wait(key)
+            if self._barriers:
+                yield from self._barrier_wait(key)
             home = self.ring.home(key)
             epoch = self.epoch
             try:
@@ -377,7 +401,7 @@ class CacheAgent:
                         key, self.node_id, has_local)
                 else:
                     value, cacheable = yield from self.endpoint.call(
-                        f"{home}/concord-{self.app}", "rfo",
+                        self._address_of(home), "rfo",
                         (key, self.node_id, has_local),
                         size_bytes=len(key) + 8,
                         timeout=self.system.config.rpc_timeout_ms,
@@ -425,19 +449,17 @@ class CacheAgent:
         (value is None).  Otherwise the data comes from the home's own
         Shared copy if it has one, falling back to storage.
         """
-        tracer = self.sim.tracer
-        if not tracer.active:
-            return (yield from self._home_rfo_impl(key, requester,
-                                                   requester_has_copy))
-        with tracer.span("home_rfo", "agent", key=key, requester=requester):
-            return (yield from self._home_rfo_impl(key, requester,
-                                                   requester_has_copy))
+        body = self._home_rfo_impl(key, requester, requester_has_copy)
+        if not self.sim.tracer.active:
+            return body
+        return self._traced_home("home_rfo", key, requester, body)
 
     def _home_rfo_impl(self, key, requester, requester_has_copy):
         lock = self._lock(self._key_locks, key)
         yield lock.acquire()
         try:
-            yield from self._barrier_wait(key)
+            if self._barriers:
+                yield from self._barrier_wait(key)
             if self.ring.home(key) != self.node_id or self.ejected:
                 raise NotHome(f"{self.node_id} lost home of {key!r}")
             epoch = self.epoch
@@ -511,6 +533,17 @@ class CacheAgent:
             and not self._key_barred(key)
         )
 
+    def _traced_home(self, name: str, key: str, requester: str, body):
+        """A home operation under its ``agent`` span (tracing on only).
+
+        ``_home_read`` / ``_home_write`` / ``_home_rfo`` are plain
+        dispatchers: untraced they hand back the ``_impl`` generator
+        itself, so no wrapper frame sits in the operation's ``yield
+        from`` chain.
+        """
+        with self.sim.tracer.span(name, "agent", key=key, requester=requester):
+            return (yield from body)
+
     def _key_barred(self, key: str) -> bool:
         """Whether any raised barrier's snapshot re-homes ``key``."""
         for member, (ring_snapshot, _event) in self._barriers.items():
@@ -520,11 +553,10 @@ class CacheAgent:
 
     def _home_read(self, key: str, requester: str, fn: str = ""):
         """Serve a read at the home; returns (value, state, dir_hit, cacheable)."""
-        tracer = self.sim.tracer
-        if not tracer.active:
-            return (yield from self._home_read_impl(key, requester, fn))
-        with tracer.span("home_read", "agent", key=key, requester=requester):
-            return (yield from self._home_read_impl(key, requester, fn))
+        body = self._home_read_impl(key, requester, fn)
+        if not self.sim.tracer.active:
+            return body
+        return self._traced_home("home_read", key, requester, body)
 
     def _home_read_impl(self, key, requester, fn):
         lock = self._lock(self._key_locks, key)
@@ -532,7 +564,8 @@ class CacheAgent:
         try:
             # A domain change may have re-homed the key while this request
             # queued on the lock; re-verify before touching the directory.
-            yield from self._barrier_wait(key)
+            if self._barriers:
+                yield from self._barrier_wait(key)
             if self.ring.home(key) != self.node_id or self.ejected:
                 raise NotHome(f"{self.node_id} lost home of {key!r}")
             epoch = self.epoch
@@ -599,17 +632,17 @@ class CacheAgent:
         write committed at, so the requester can order its cache install
         against concurrent direct-to-storage writes.
         """
-        tracer = self.sim.tracer
-        if not tracer.active:
-            return (yield from self._home_write_impl(key, value, requester, fn))
-        with tracer.span("home_write", "agent", key=key, requester=requester):
-            return (yield from self._home_write_impl(key, value, requester, fn))
+        body = self._home_write_impl(key, value, requester, fn)
+        if not self.sim.tracer.active:
+            return body
+        return self._traced_home("home_write", key, requester, body)
 
     def _home_write_impl(self, key, value, requester, fn):
         lock = self._lock(self._key_locks, key)
         yield lock.acquire()
         try:
-            yield from self._barrier_wait(key)
+            if self._barriers:
+                yield from self._barrier_wait(key)
             if self.ring.home(key) != self.node_id or self.ejected:
                 raise NotHome(f"{self.node_id} lost home of {key!r}")
             epoch = self.epoch
@@ -620,7 +653,7 @@ class CacheAgent:
                 # Write miss: update storage, requester becomes E owner.
                 version = yield from self.system.storage.write(
                     key, value, writer=requester)
-                self.system.stats.invalidations_per_write.record(0)
+                self.stats.invalidations_per_write.record(0)
                 if not self._still_home(key, epoch):
                     return OpKind.WRITE_MISS, False, version
                 self.directory.set_exclusive(key, requester)
@@ -633,7 +666,7 @@ class CacheAgent:
                 yield from self._invalidate_sharers(key, [entry.owner])
                 version = yield from self.system.storage.write(
                     key, value, writer=requester)
-                self.system.stats.invalidations_per_write.record(1)
+                self.stats.invalidations_per_write.record(1)
             else:
                 # Shared (or stale self-ownership): invalidations travel in
                 # parallel with the storage update, hiding their latency.
@@ -656,7 +689,7 @@ class CacheAgent:
                     yield from self._invalidate_sharers(key, victims)
                     version = yield from self.system.storage.write(
                         key, value, writer=requester)
-                self.system.stats.invalidations_per_write.record(len(victims))
+                self.stats.invalidations_per_write.record(len(victims))
             if not self._still_home(key, epoch):
                 return OpKind.REMOTE_WRITE_HIT, False, version
             self.directory.set_exclusive(key, requester)
@@ -679,10 +712,13 @@ class CacheAgent:
                 obs.emit(CACHE_DOWNGRADE, node=self.node_id, key=key,
                          version=local.version)
             return local.value
-        with self.sim.tracer.span("fetch_owner", "agent", key=key, owner=owner):
+        tracer = self.sim.tracer
+        span = (tracer.span("fetch_owner", "agent", key=key, owner=owner)
+                if tracer.active else None)
+        try:
             call = self.sim.spawn(
                 self._call_catching(
-                    f"{owner}/concord-{self.app}", "fetch_downgrade", key,
+                    self._address_of(owner), "fetch_downgrade", key,
                     len(key)),
                 name=f"fetch:{key}:{owner}",
             )
@@ -697,6 +733,9 @@ class CacheAgent:
                     self.system.report_unreachable(owner)
                 return None
             return None if isinstance(reply, NotCached) else reply
+        finally:
+            if span is not None:
+                span.end()
 
     def _send_invalidations(self, key: str, sharers: list):
         """Issue invalidations; returns the ack-wait processes.
@@ -733,23 +772,26 @@ class CacheAgent:
         # One span per sharer: the write's invalidation fan-out shows up
         # as parallel children of the home_write span.
         self.invalidations_inflight += 1
+        tracer = self.sim.tracer
+        span = (tracer.span("invalidate", "invalidation",
+                            key=key, sharer=sharer)
+                if tracer.active else None)
         try:
-            with self.sim.tracer.span("invalidate", "invalidation",
-                                      key=key, sharer=sharer):
-                call = self.sim.spawn(
-                    self._call_catching(
-                        f"{sharer}/concord-{self.app}", "invalidate", key,
-                        len(key)),
-                    name=f"invrpc:{key}:{sharer}",
-                )
-                yield self.sim.any_of([call, self._removal_event(sharer)])
-                if not call.triggered:
-                    return  # sharer declared failed; recovery handles its copies
-                status, reply = call.value
-                if status == "err" and isinstance(reply, RpcTimeout):
-                    # A dead sharer holds no readable copy; report and move on.
-                    self.system.report_unreachable(sharer)
+            call = self.sim.spawn(
+                self._call_catching(
+                    self._address_of(sharer), "invalidate", key, len(key)),
+                name=f"invrpc:{key}:{sharer}",
+            )
+            yield self.sim.any_of([call, self._removal_event(sharer)])
+            if not call.triggered:
+                return  # sharer declared failed; recovery handles its copies
+            status, reply = call.value
+            if status == "err" and isinstance(reply, RpcTimeout):
+                # A dead sharer holds no readable copy; report and move on.
+                self.system.report_unreachable(sharer)
         finally:
+            if span is not None:
+                span.end()
             self.invalidations_inflight -= 1
 
     def _call_catching(self, dst: str, method: str, args: object, size: int):
@@ -763,6 +805,14 @@ class CacheAgent:
         except RpcError as exc:
             return ("err", exc)
         return ("ok", value)
+
+    def _address_of(self, node_id: str) -> str:
+        """The agent address of this application's instance on ``node_id``."""
+        address = self._peer_addresses.get(node_id)
+        if address is None:
+            address = f"{node_id}/concord-{self.app}"
+            self._peer_addresses[node_id] = address
+        return address
 
     def _removal_event(self, member: str):
         """Event fired when ``member`` leaves this agent's ring view."""
@@ -794,7 +844,8 @@ class CacheAgent:
     # ------------------------------------------------------------------
     def _check_home(self, key: str):
         """Handlers first wait out barriers, then verify ring ownership."""
-        yield from self._barrier_wait(key)
+        if self._barriers:
+            yield from self._barrier_wait(key)
         if self.ring.home(key) != self.node_id or self.ejected:
             raise NotHome(f"{self.node_id} is not home of {key!r}")
 
@@ -909,7 +960,7 @@ class CacheAgent:
             if follower == self.node_id or follower not in members:
                 continue
             self.endpoint.notify(
-                f"{follower}/concord-{self.app}", "dir_replicate", payload,
+                self._address_of(follower), "dir_replicate", payload,
                 size_bytes=ENTRY_WIRE_BYTES, trace=INHERIT)
 
     def _handle_dir_replicate(self, endpoint, src, args):

@@ -345,20 +345,15 @@ class ConcordSystem(StorageAPI):
     def stats(self) -> AccessStats:
         return self._stats
 
+    # Plain dispatchers: the agent's generator *is* the operation (local
+    # access, lookup, protocol, AccessStats accounting), so no frame of
+    # this class sits between the caller and the agent.
     def _do_read(self, node_id: str, key: str, ctx: Optional[AccessContext] = None):
-        agent = self.agents[node_id]
-        start = self.sim.now
-        value, kind = yield from agent.read(key, ctx)
-        self._stats.record(kind, self.sim.now - start)
-        return value
+        return self.agents[node_id].read(key, ctx)
 
     def _do_write(self, node_id: str, key: str, value: object,
-              ctx: Optional[AccessContext] = None):
-        agent = self.agents[node_id]
-        start = self.sim.now
-        kind = yield from agent.write(key, value, ctx)
-        self._stats.record(kind, self.sim.now - start)
-        return None
+                  ctx: Optional[AccessContext] = None):
+        return self.agents[node_id].write(key, value, ctx)
 
     # -- agent lifecycle -------------------------------------------------------------
     def _bootstrap_agent(self, node_id: str) -> CacheAgent:

@@ -134,6 +134,13 @@ class OpKind(enum.Enum):
     REMOTE_WRITE_HIT = "remote_write_hit"
     WRITE_MISS = "write_miss"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality — and it is C code, where Enum.__hash__
+    # (``hash(self._name_)``) is a Python-level call on every
+    # ``AccessStats.record``.  Nothing orders by it: every OpKind-keyed
+    # container in the tree is an insertion-ordered dict.
+    __hash__ = object.__hash__
+
     @property
     def is_read(self) -> bool:
         return self in (
@@ -150,8 +157,8 @@ class AccessStats:
     version_checks: int = 0
 
     def record(self, kind: OpKind, latency_ms: float) -> None:
-        # Once per cache operation: one dict lookup (Enum.__hash__ is
-        # Python code) and no throw-away default on the steady path.
+        # Once per cache operation: one dict lookup and no throw-away
+        # default on the steady path.
         histogram = self.latency.get(kind)
         if histogram is None:
             histogram = self.latency[kind] = Histogram()

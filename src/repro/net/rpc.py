@@ -122,12 +122,18 @@ class _RpcWaiter(Event):
 
     The caller inspects ``resp_done`` after the yield: the old code's
     ``response.triggered`` check, verbatim.
+
+    ``dst`` / ``method`` name the call, so a declared node crash can find
+    and fail the calls addressed to it (:meth:`Endpoint.fail_calls_to`).
     """
 
-    __slots__ = ("resp_done", "resp_value", "resp_exc", "resp_meta")
+    __slots__ = ("dst", "method", "resp_done", "resp_value", "resp_exc",
+                 "resp_meta")
 
-    def __init__(self, sim):
+    def __init__(self, sim, dst: str, method: str):
         self.sim = sim
+        self.dst = dst
+        self.method = method
         self.name = "rpc-wait"
         self._state = PENDING
         self._value = None
@@ -191,11 +197,10 @@ class Endpoint:
         self._meta_handlers: dict = {}
         #: method -> interned handler-process name "rpc:<addr>:<method>".
         self._spawn_names: dict[str, str] = {}
+        #: request_id -> waiter of every in-flight call (insertion-
+        #: ordered: fail_calls_to() rejects in issue order, never in hash
+        #: order).
         self._pending: dict[int, "_RpcWaiter"] = {}
-        #: request_id -> (dst_node, dst_address, method) for in-flight
-        #: calls, so a declared node crash can fail them fast
-        #: (insertion-ordered: rejection order must not depend on hashes).
-        self._pending_dst: dict[int, tuple] = {}
         # Dict used as an insertion-ordered set: kill_inflight_handlers()
         # iterates it, and interrupt order must not depend on hash order.
         self._inflight_handlers: dict = {}
@@ -269,7 +274,6 @@ class Endpoint:
     def reject_call(self, request_id: int, error: RpcError) -> None:
         """Fail the pending call ``request_id`` with ``error`` (idempotent)."""
         waiter = self._pending.pop(request_id, None)
-        self._pending_dst.pop(request_id, None)
         if waiter is not None and not waiter.resp_done:
             self.resets += 1
             obs = self.sim.obs
@@ -282,18 +286,17 @@ class Endpoint:
 
     def fail_calls_to(self, node_id: str) -> None:
         """Fail every in-flight call addressed to ``node_id`` fast."""
+        node_of = Network.node_of
         matching = [
-            (request_id, dst, method)
-            for request_id, (dst_node, dst, method) in self._pending_dst.items()
-            if dst_node == node_id
+            (request_id, waiter) for request_id, waiter in self._pending.items()
+            if node_of(waiter.dst) == node_id
         ]
-        for request_id, dst, method in matching:
-            self.reject_call(request_id, PeerDown(dst, method))
+        for request_id, waiter in matching:
+            self.reject_call(request_id, PeerDown(waiter.dst, waiter.method))
 
     def _receive(self, message: Message) -> None:
         if message.is_response:
             waiter = self._pending.pop(message.request_id, None)
-            self._pending_dst.pop(message.request_id, None)
             if waiter is not None:
                 payload = message.payload
                 if isinstance(payload, _RemoteFailure):
@@ -319,11 +322,11 @@ class Endpoint:
         if name is None:
             name = f"rpc:{self.address}:{method}"
             self._spawn_names[method] = name
-        # When tracing is off, skip the _run_handler span wrapper entirely
+        # When tracing is off, skip the _traced_serve span wrapper entirely
         # (yield-from is transparent, so dropping the layer changes no
         # scheduling — it only removes a Python frame per request).
         if self.sim.tracer.active:
-            body = self._run_handler(handler, message)
+            body = self._traced_serve(handler, message)
         else:
             body = self._serve(handler, message)
         process = self.sim.spawn(body, name=name, daemon=True)
@@ -338,7 +341,7 @@ class Endpoint:
         # process itself, so no per-request closure is needed.
         self._inflight_handlers.pop(process, None)
 
-    def _run_handler(self, handler: Handler, message: Message):
+    def _traced_serve(self, handler: Handler, message: Message):
         # Server-side span: covers the service slice (queueing at a hot
         # agent) plus the handler body.  _serve() swallows Interrupt, so
         # the span ends on every path, including node crashes.  Only used
@@ -457,10 +460,8 @@ class Endpoint:
             ctx = span.context
         try:
             request_id = next(self._ids)
-            waiter = _RpcWaiter(sim)
+            waiter = _RpcWaiter(sim, dst, method)
             self._pending[request_id] = waiter
-            self._pending_dst[request_id] = (
-                Network.node_of(dst), dst, method)
             try:
                 self.network.send(Message(
                     src=self.address,
@@ -501,12 +502,11 @@ class Endpoint:
                 raise RpcTimeout(dst, method, limit)
             finally:
                 # The in-flight window closes on every exit.  Response
-                # delivery already popped these; the timeout path — and an
-                # Interrupt thrown at the yield when the caller's node
-                # crashes — must not leak the entry (the rpc_inflight
-                # gauge and fail_calls_to() scans would keep seeing it).
+                # delivery already popped the entry; the timeout path —
+                # and an Interrupt thrown at the yield when the caller's
+                # node crashes — must not leak it (the rpc_inflight gauge
+                # and fail_calls_to() scans would keep seeing it).
                 self._pending.pop(request_id, None)
-                self._pending_dst.pop(request_id, None)
         finally:
             if span is not None:
                 span.end()

@@ -13,10 +13,16 @@ Two complementary views of where the simulator itself spends its effort:
   schedule entries exactly like :meth:`Simulator.run` (same pop order,
   same clock advancement — simulated behaviour is unchanged) while
   attributing the wall time of each dispatch to the repo layer whose
-  code resumes: the package of the process generator being stepped, or
-  of the callback/event owner.  This answers "where does wall time go"
-  for the ROADMAP perf work without cProfile's overhead or its
-  per-function granularity.  Pauses of CPython's cyclic collector are
+  code resumes.  For a process that is the *executing frame*: the
+  innermost generator of its ``yield from`` chain, not the root the
+  process was spawned with (a FaaS request suspended inside the cache
+  agent resumes ``core`` code, not ``faas``); an event entry is booked
+  to the process waiting on it.  Beside the per-layer table it keeps a
+  ``sites`` table keyed by the suspension point (``function:line``), so
+  "which wake-ups cost the most" is one ``render_profile`` call.  This
+  answers "where does wall time go" for the ROADMAP perf work without
+  cProfile's overhead (which taxes calls, not native work) or its loss
+  of the dispatch as a unit.  Pauses of CPython's cyclic collector are
   timed through ``gc.callbacks`` and reported per generation *beside*
   the layers: a collection is triggered by whichever allocation crosses
   the threshold but its cost is set by everything the run retains, so
@@ -102,19 +108,54 @@ def _layer_from_module(module: str) -> str:
     return parts[1] if len(parts) > 1 else "repro"
 
 
-def _layer_of(event, fn) -> str:
-    """Attribute one schedule entry to a repo layer before dispatch."""
+def _resuming_frame(generator):
+    """The innermost suspended generator of a ``yield from`` chain.
+
+    That is the frame a wake-up actually re-enters; the outer generators
+    only pass the value through.  Delegation to a plain iterator (no
+    ``gi_code``) stops the walk.
+    """
+    while True:
+        inner = getattr(generator, "gi_yieldfrom", None)
+        if getattr(inner, "gi_code", None) is None:
+            return generator
+        generator = inner
+
+
+def _waiting_process(event):
+    """The first process parked on ``event``, if any."""
+    for callback in event.callbacks:
+        owner = getattr(callback, "__self__", None)
+        if getattr(owner, "generator", None) is not None:
+            return owner
+    return None
+
+
+def _site_of(event, fn) -> tuple:
+    """Attribute one schedule entry, before dispatch: ``(layer, site)``.
+
+    ``site`` names the suspension point that resumes — ``function:line``
+    of the innermost generator frame — or, for entries that wake no
+    process (fabric deliveries, timers, condition hops), the callback or
+    event itself.
+    """
+    owner = getattr(fn, "__self__", None) if fn is not None else event
+    if getattr(owner, "generator", None) is None and event is not None:
+        owner = _waiting_process(event) or owner
+    generator = getattr(owner, "generator", None)
+    if generator is not None:
+        generator = _resuming_frame(generator)
+        code = generator.gi_code
+        frame = generator.gi_frame
+        line = frame.f_lineno if frame is not None else code.co_firstlineno
+        return (_layer_from_path(code.co_filename),
+                f"{code.co_qualname}:{line}")
     if fn is not None:
-        owner = getattr(fn, "__self__", None)
-        generator = getattr(owner, "generator", None)
-        code = getattr(generator, "gi_code", None)
-        if code is not None:
-            return _layer_from_path(code.co_filename)
         module = getattr(fn, "__module__", None)
-        if module:
-            return _layer_from_module(module)
-        return "external"
-    return _layer_from_module(type(event).__module__)
+        layer = _layer_from_module(module) if module else "external"
+        return layer, getattr(fn, "__qualname__", repr(fn))
+    kind = type(event)
+    return _layer_from_module(kind.__module__), f"<{kind.__name__}>"
 
 
 class SelfProfiler:
@@ -122,7 +163,8 @@ class SelfProfiler:
 
     ``profiler.run(sim, until=...)`` is a drop-in for ``sim.run`` with
     per-dispatch wall measurement; accumulated attribution lands in
-    ``wall_s`` / ``dispatches`` (layer-keyed dicts) and, for the cyclic
+    ``wall_s`` / ``dispatches`` (layer-keyed dicts), in ``sites``
+    (suspension point -> ``[wall_s, dispatches]``) and, for the cyclic
     collector, in ``gc_s`` / ``gc_collections`` (indexed by generation;
     that time is in no layer's ``wall_s``).
     """
@@ -130,6 +172,7 @@ class SelfProfiler:
     def __init__(self):
         self.wall_s: dict = {}
         self.dispatches: dict = {}
+        self.sites: dict = {}
         self.gc_s: list = [0.0, 0.0, 0.0]
         self.gc_collections: list = [0, 0, 0]
 
@@ -142,6 +185,7 @@ class SelfProfiler:
         """
         wall_s = self.wall_s
         dispatches = self.dispatches
+        sites = self.sites
         clock = time.perf_counter
         gc_began = 0.0
         gc_in_dispatch = 0.0
@@ -156,17 +200,25 @@ class SelfProfiler:
                 self.gc_collections[info["generation"]] += 1
                 gc_in_dispatch += spent
 
-        def classify(event, fn) -> str:
+        def classify(event, fn) -> tuple:
             nonlocal gc_in_dispatch
-            layer = _layer_of(event, fn)
+            key = _site_of(event, fn)
             # The dispatch is timed from here on; a pause before it
             # belongs to no layer.
             gc_in_dispatch = 0.0
-            return layer
+            return key
 
-        def observe(layer: str, spent: float) -> None:
-            wall_s[layer] = wall_s.get(layer, 0.0) + spent - gc_in_dispatch
+        def observe(key: tuple, spent: float) -> None:
+            layer, site = key
+            spent -= gc_in_dispatch
+            wall_s[layer] = wall_s.get(layer, 0.0) + spent
             dispatches[layer] = dispatches.get(layer, 0) + 1
+            cell = sites.get(site)
+            if cell is None:
+                sites[site] = [spent, 1]
+            else:
+                cell[0] += spent
+                cell[1] += 1
 
         gc.callbacks.append(on_gc)
         try:
@@ -186,6 +238,14 @@ class SelfProfiler:
         rows.sort(key=lambda row: (-row["wall_s"], row["layer"]))
         return rows
 
+    def site_report(self, top: Optional[int] = None) -> list:
+        """Suspension-point rows sorted by wall, descending (``top`` first)."""
+        rows = [{"site": site, "wall_s": wall, "dispatches": count,
+                 "us_per_dispatch": wall / count * 1e6}
+                for site, (wall, count) in self.sites.items()]
+        rows.sort(key=lambda row: (-row["wall_s"], row["site"]))
+        return rows if top is None else rows[:top]
+
     def gc_report(self) -> list:
         """Collector rows, one per generation that ran."""
         return [{"generation": generation, "wall_s": self.gc_s[generation],
@@ -194,8 +254,8 @@ class SelfProfiler:
                 if self.gc_collections[generation]]
 
 
-def render_profile(profiler: SelfProfiler) -> str:
-    """Text table of per-layer wall attribution."""
+def render_profile(profiler: SelfProfiler, top: int = 15) -> str:
+    """Text tables: per-layer wall attribution, then the ``top`` sites."""
     rows = profiler.report()
     total_wall = sum(row["wall_s"] for row in rows)
     total_disp = sum(row["dispatches"] for row in rows)
@@ -211,4 +271,16 @@ def render_profile(profiler: SelfProfiler) -> str:
         lines.append(f"{'gc gen' + str(row['generation']):<12} "
                      f"{row['wall_s'] * 1e3:>10.2f} {'':>7} "
                      f"{row['collections']:>11}")
+    site_rows = profiler.site_report(top)
+    if site_rows:
+        lines.append(f"top {len(site_rows)} of {len(profiler.sites)} sites "
+                     "(suspension point that resumes)")
+        lines.append(f"{'wall_ms':>10} {'share':>7} {'dispatches':>11} "
+                     f"{'us/disp':>8}  site")
+        for row in site_rows:
+            lines.append(
+                f"{row['wall_s'] * 1e3:>10.2f} "
+                f"{row['wall_s'] / (total_wall or 1.0) * 100:>6.1f}% "
+                f"{row['dispatches']:>11} {row['us_per_dispatch']:>8.2f}  "
+                f"{row['site']}")
     return "\n".join(lines) + "\n"

@@ -95,11 +95,11 @@ class Event:
         free = wheel._free
         if free:
             entry = free.pop()
-            entry[0] = sim._now
+            entry[0] = sim.now
             entry[1] = seq
             entry[2] = self
         else:
-            entry = [sim._now, seq, self, None, None]
+            entry = [sim.now, seq, self, None, None]
         wheel._live += 1
         wheel._imm.append(entry)
         return self
@@ -167,11 +167,23 @@ class Timeout(Event):
         sim._schedule(self, delay)
 
 
+def _defuse_late(event: Event) -> None:
+    """What a decided :class:`AnyOf` leaves on each loser it lets go of.
+
+    One shared module-level callback, so a long-lived event holds O(1)
+    callbacks however many races it lost; it keeps the documented "later
+    failures are defused" behaviour without keeping the race reachable.
+    """
+    if event._exc is not None:
+        event._defused = True
+
+
 class AllOf(Event):
     """Fires when every child event has fired successfully.
 
     The value is a list of the children's values, in the order given.  If
     any child fails, :class:`AllOf` fails with that child's exception.
+    Once fired it holds no reference to its children.
     """
 
     __slots__ = ("_children", "_remaining")
@@ -197,18 +209,25 @@ class AllOf(Event):
             return
         if child.exception is not None:
             child.defuse()
+            self._children = None
             self.fail(child.exception)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([c._value for c in self._children])
+            children, self._children = self._children, None
+            self.succeed([c._value for c in children])
 
 
 class AnyOf(Event):
     """Fires when the first child event fires; value is that child's value.
 
     A failed first child fails the :class:`AnyOf`.  Later children firing
-    are ignored (failures among them are defused).
+    are ignored (failures among them are defused).  A decided race lets
+    go of its losers: it takes its callback off every child that has not
+    fired yet and drops its child list, so a long-lived loser (a
+    "member removed" event raced against thousands of short RPCs) does
+    not keep every finished race — and the process that won it —
+    reachable for the rest of the run.
     """
 
     __slots__ = ("_children", "first")
@@ -227,13 +246,24 @@ class AnyOf(Event):
             child.callbacks.append(self._on_child)
 
     def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            if child.exception is not None:
-                child.defuse()
-            return
+        children = self._children
+        if children is None:
+            return  # already decided (the same child listed twice)
+        self._children = None
         self.first = child
-        if child.exception is not None:
-            child.defuse()
-            self.fail(child.exception)
+        on_child = self._on_child
+        for loser in children:
+            if loser is child or loser._state is PROCESSED:
+                continue
+            callbacks = loser.callbacks
+            try:
+                callbacks.remove(on_child)
+            except ValueError:
+                continue  # never attached (a processed sibling decided us)
+            if _defuse_late not in callbacks:
+                callbacks.append(_defuse_late)
+        if child._exc is not None:
+            child._defused = True
+            self.fail(child._exc)
         else:
             self.succeed(child._value)

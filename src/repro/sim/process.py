@@ -16,9 +16,9 @@ ProcessGenerator = Generator[Event, object, object]
 class _RawWait:
     """Sentinel yielded by :meth:`Simulator.sleep`.
 
-    Tells :meth:`Process._step` that the wakeup entry is already in the
-    wheel (registered by ``sleep``), so there is no event to attach a
-    callback to — the process just parks until the entry fires.
+    Tells the process's stepping code that the wakeup entry is already
+    in the wheel (registered by ``sleep``), so there is no event to
+    attach a callback to — the process just parks until the entry fires.
     """
 
     __slots__ = ()
@@ -108,10 +108,26 @@ class Process(Event):
         self._step(throw=Interrupt(cause))
 
     def _sleep_wake(self, token: list) -> None:
-        """Fire a raw sleep (see Simulator.sleep); stale tokens are no-ops."""
-        if self._sleep_token is token:
-            self._sleep_token = None
-            self._step()
+        """Fire a raw sleep (see Simulator.sleep); stale tokens are no-ops.
+
+        Steps the generator itself rather than through :meth:`_step`: a
+        live token means the process is parked on this very entry, so it
+        is pending by construction and there is nothing to send or throw.
+        """
+        if self._sleep_token is not token:
+            return
+        self._sleep_token = None
+        sim = self.sim
+        sim.active_process = self
+        try:
+            target = self._send(None)
+        except BaseException as exc:  # noqa: BLE001 - finished or crashed
+            self._finish(exc)
+            return
+        finally:
+            sim.active_process = None
+        if target is not RAW_WAIT:
+            self._wait_on(target)
 
     def _resume(self, event: Event) -> None:
         """Callback attached to the event the process waits on."""
@@ -126,29 +142,35 @@ class Process(Event):
         if self._state is not PENDING:
             return
         sim = self.sim
-        sim._active_process = self
+        sim.active_process = self
         try:
             if throw is not None:
                 target = self._throw(throw)
             else:
                 target = self._send(send)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - process crashed
-            if self.daemon:
-                sim.daemon_failures.append((self, exc))
-                self.defuse()
-            self.fail(exc)
+        except BaseException as exc:  # noqa: BLE001 - finished or crashed
+            self._finish(exc)
             return
         finally:
-            sim._active_process = None
+            sim.active_process = None
+        # RAW_WAIT: Simulator.sleep already planted the wakeup entry;
+        # nothing to wait on — the entry re-enters the generator at its
+        # scheduled time.
+        if target is not RAW_WAIT:
+            self._wait_on(target)
 
-        if target is RAW_WAIT:
-            # Simulator.sleep already planted the wakeup entry; nothing to
-            # wait on — the entry re-enters _step at its scheduled time.
-            self._waiting_on = None
+    def _finish(self, exc: BaseException) -> None:
+        """The generator returned (StopIteration) or raised: fire."""
+        if exc.__class__ is StopIteration:
+            self.succeed(exc.value)
             return
+        if self.daemon:
+            self.sim.daemon_failures.append((self, exc))
+            self._defused = True
+        self.fail(exc)
+
+    def _wait_on(self, target: Event) -> None:
+        """Park on the event the generator yielded."""
         if target.__class__ is not Event and not isinstance(target, Event):
             self.fail(
                 SimulationError(
@@ -162,6 +184,6 @@ class Process(Event):
             # Already-processed events resume the process immediately
             # (at the current simulated time) via a raw wakeup entry —
             # the same schedule slot the old wakeup event occupied.
-            sim.call_soon(self._resume, target)
+            self.sim.call_soon(self._resume, target)
         else:
             target.callbacks.append(self._resume)

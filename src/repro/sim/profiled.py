@@ -18,8 +18,8 @@ run loop — only the measurement differs — so a profiled run produces
 the same counters, traces and flight recordings as an unprofiled one.
 
 This lives in the ``sim`` package because the loop must touch kernel
-internals (``_now``, the wheel entry layout); SIM03 keeps that privilege
-out of every other layer.
+internals (it advances ``now`` and reads the wheel entry layout); SIM03
+keeps that privilege out of every other layer.
 """
 
 from __future__ import annotations
@@ -39,19 +39,19 @@ def profiled_run(
     until: Optional[float] = None,
 ) -> None:
     """Run ``sim`` like ``Simulator.run(until=...)`` with per-dispatch hooks."""
-    if until is not None and until < sim._now:
+    if until is not None and until < sim.now:
         raise SimulationError(
-            f"cannot run until {until}; clock already at {sim._now}")
+            f"cannot run until {until}; clock already at {sim.now}")
     wheel = sim._wheel
     while True:
         if until is not None and wheel.peek() > until:
             break
-        entry = wheel.pop(sim._now)
+        entry = wheel.pop(sim.now)
         if entry is None:
             break
         when = entry[0]
-        if when > sim._now:
-            sim._now = when
+        if when > sim.now:
+            sim.now = when
         event, fn, arg = entry[2], entry[3], entry[4]
         wheel.recycle(entry)
         key = classify(event, fn)
@@ -61,5 +61,5 @@ def profiled_run(
         else:
             fn(arg)
         observe(key, clock() - begin)
-    if until is not None and until > sim._now:
-        sim._now = until
+    if until is not None and until > sim.now:
+        sim.now = until

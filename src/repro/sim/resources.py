@@ -26,7 +26,13 @@ class Resource:
     holder must later call ``release()`` exactly once per grant.  Use
     :meth:`cancel` to withdraw a not-yet-granted request (e.g. after a
     timeout won a race against the grant).
+
+    Instances are small on purpose: a run holds one per cached key (the
+    agents' per-key locks) and almost none of those is ever contended,
+    so the wait queue exists only once somebody has had to wait.
     """
+
+    __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters")
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -34,11 +40,9 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        # acquire() runs tens of thousands of times per benchmark; the
-        # grant-event name is interned once here instead of per call.
-        self._grant_name = "acquire:" + name
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        #: FIFO of pending grant events; None until first contention.
+        self._waiters: Optional[deque] = None
 
     @property
     def in_use(self) -> int:
@@ -48,7 +52,7 @@ class Resource:
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
-        return len(self._waiters)
+        return len(self._waiters) if self._waiters else 0
 
     @property
     def available(self) -> int:
@@ -72,7 +76,7 @@ class Resource:
         registry.gauge(
             f"{prefix}_queue_length", "Requests waiting for a slot.",
             labelnames=labelnames,
-        ).set_callback(lambda: len(self._waiters), **labels)
+        ).set_callback(lambda: self.queue_length, **labels)
         registry.gauge(
             f"{prefix}_utilization", "Granted slots / capacity.",
             labelnames=labelnames,
@@ -80,12 +84,12 @@ class Resource:
 
     def acquire(self) -> Event:
         """Request a slot; the returned event fires when granted."""
-        grant = Event(self.sim, name=self._grant_name)
+        grant = Event(self.sim, "acquire:" + self.name)
         if self._in_use < self.capacity:
             self._in_use += 1
             grant.succeed()
         else:
-            self._waiters.append(grant)
+            self._enqueue(grant)
         return grant
 
     def acquire_wait(self):
@@ -102,14 +106,19 @@ class Resource:
         if self._in_use < self.capacity:
             self._in_use += 1
             sim = self.sim
-            process = sim._active_process
+            process = sim.active_process
             token = sim.call_soon(process._sleep_wake)
             token[4] = token
             process._sleep_token = token
             return RAW_WAIT
-        grant = Event(self.sim, name=self._grant_name)
-        self._waiters.append(grant)
+        grant = Event(self.sim, "acquire:" + self.name)
+        self._enqueue(grant)
         return grant
+
+    def _enqueue(self, grant: Event) -> None:
+        if self._waiters is None:
+            self._waiters = deque()
+        self._waiters.append(grant)
 
     def cancel(self, grant) -> None:
         """Withdraw a pending request, or release an already-granted one.
@@ -120,10 +129,9 @@ class Resource:
         if grant is RAW_WAIT or grant.triggered:
             self.release()
             return
-        try:
-            self._waiters.remove(grant)
-        except ValueError:
-            raise SimulationError("cancel() of a request not waiting here") from None
+        if self._waiters is None or grant not in self._waiters:
+            raise SimulationError("cancel() of a request not waiting here")
+        self._waiters.remove(grant)
 
     def release(self) -> None:
         """Return a slot, granting it to the oldest waiter if any."""

@@ -32,10 +32,15 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0, tracer=None, metrics=None, obs=None):
-        self._now = 0.0
+        #: Current simulated time in milliseconds.  A plain attribute (it
+        #: is read several times per protocol step); only the kernel
+        #: stores to it — SIM03 flags a store anywhere else.
+        self.now = 0.0
         self._wheel = EventWheel()
         self._seq = 0
-        self._active_process: Optional[Process] = None
+        #: The process currently being stepped, if any (kernel-written,
+        #: like ``now``).
+        self.active_process: Optional[Process] = None
         #: Failures of daemon processes, recorded instead of raised.
         self.daemon_failures: list[tuple[Process, BaseException]] = []
         #: Named deterministic RNG substreams.
@@ -52,16 +57,6 @@ class Simulator:
         #: Flight recorder (repro.obs); the shared no-op recorder unless
         #: one is attached, so emission sites can gate on obs.active.
         self.obs = (obs if obs is not None else NULL_RECORDER).bind(self)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
 
     @property
     def schedule_count(self) -> int:
@@ -94,12 +89,12 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        process = self._active_process
+        process = self.active_process
         if process is None:
             raise SimulationError("sleep() outside a running process")
         seq = self._seq
         self._seq = seq + 1
-        now = self._now
+        now = self.now
         when = now + delay
         # Inlined EventWheel.push; the wakeup receives its own entry as
         # the staleness token (entry[4] = entry), so an interrupt can
@@ -147,15 +142,15 @@ class Simulator:
         processes) stays attached to that operation's span tree.
         """
         process = Process(self, generator, name=name, daemon=daemon)
-        if self._active_process is not None:
-            process.trace_ctx = self._active_process.trace_ctx
+        if self.active_process is not None:
+            process.trace_ctx = self.active_process.trace_ctx
         return process
 
     # -- scheduling / running ----------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         seq = self._seq
         self._seq = seq + 1
-        now = self._now
+        now = self.now
         wheel = self._wheel
         if delay == 0.0:
             # Fast lane: the common zero-delay schedule (succeed/fail at
@@ -187,19 +182,19 @@ class Simulator:
         free = wheel._free
         if free:
             entry = free.pop()
-            entry[0] = self._now
+            entry[0] = self.now
             entry[1] = seq
             entry[3] = fn
             entry[4] = arg
         else:
-            entry = [self._now, seq, None, fn, arg]
+            entry = [self.now, seq, None, fn, arg]
         wheel._live += 1
         wheel._imm.append(entry)
         return entry
 
     def call_at(self, when: float, fn, arg=None) -> list:
         """Schedule ``fn(arg)`` at absolute time ``when`` (>= now)."""
-        now = self._now
+        now = self.now
         if when < now:
             raise SimulationError(
                 f"call_at({when}) in the past; clock at {now}")
@@ -240,12 +235,12 @@ class Simulator:
     def step(self) -> None:
         """Process exactly one schedule entry."""
         wheel = self._wheel
-        entry = wheel.pop(self._now)
+        entry = wheel.pop(self.now)
         if entry is None:
             raise SimulationError("step() on an empty schedule")
         when = entry[0]
-        if when > self._now:
-            self._now = when
+        if when > self.now:
+            self.now = when
         event, fn, arg = entry[2], entry[3], entry[4]
         wheel.recycle(entry)
         if event is not None:
@@ -260,9 +255,9 @@ class Simulator:
         even if the schedule drains earlier, so repeated ``run(until=...)``
         calls observe monotonic time.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"cannot run until {until}; clock already at {self._now}"
+                f"cannot run until {until}; clock already at {self.now}"
             )
         wheel = self._wheel
         imm = wheel._imm
@@ -302,9 +297,9 @@ class Simulator:
             advanced = advance(until)
             if advanced is None:
                 break
-            self._now = advanced
+            self.now = advanced
         if until is not None:
-            self._now = max(self._now, until)
+            self.now = max(self.now, until)
 
     def run_until_complete(self, process: Process, limit: float = float("inf")) -> object:
         """Run until ``process`` finishes; return its value.

@@ -20,4 +20,18 @@ def value_generator(items):
 
 
 def peeking_process(sim):
-    yield sim.timeout(sim._now + 1.0)
+    yield sim.timeout(sim._seq + 1.0)
+
+
+class ClockWriter:
+    def __init__(self, sim):
+        self.sim = sim
+
+    def fast_forward(self, when):
+        self.sim.now = when                                    # line 31
+
+    def skip(self, sim, delta):
+        sim.now += delta                                       # line 34
+
+    def impersonate(self, process):
+        self.sim.active_process = process                      # line 37

@@ -80,6 +80,24 @@ class TestSimProcessRules:
     def test_kernel_private_state_flagged(self, report):
         assert ("SIM03", 23) in keys(report)
 
+    def test_store_to_the_clock_flagged(self, report):
+        # Plain, augmented, and the active-process slot.
+        assert {("SIM03", 31), ("SIM03", 34), ("SIM03", 37)} <= keys(report)
+
+    def test_clean_twin_has_no_findings(self):
+        # Reads of sim.now / sim.active_process and stores to some other
+        # object's ``now`` are fine.
+        assert not run_on("clean_simprocess.py").findings
+
+    def test_kernel_may_write_its_own_clock(self):
+        # The same stores inside repro/sim are the run loop doing its job.
+        import repro.sim.profiled
+        import repro.sim.simulator
+
+        report = Analyzer(select=["SIM03"]).run(
+            [repro.sim.simulator.__file__, repro.sim.profiled.__file__])
+        assert report.files == 2 and not report.findings
+
 
 class TestProtocolRules:
     @pytest.fixture(scope="class")
@@ -335,6 +353,45 @@ class TestObsRules:
             f.rule == "OBS01"
             and f.symbol == "Emitter.unrelated_emitter_not_flagged"
             for f in report.findings)
+
+
+class TestTracerSiteGating:
+    """OBS01's Null-sink gating, applied to tracer sites in hot layers."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return Analyzer(select=["OBS01"]).run(
+            [FIXTURES / "core" / "bad_spans.py"])
+
+    def test_unguarded_span_with_attrs_flagged(self, report):
+        assert ("OBS01", 14) in keys(report)
+
+    def test_unguarded_instant_flagged(self, report):
+        assert ("OBS01", 20) in keys(report)
+
+    def test_fall_through_guard_does_not_count(self, report):
+        assert ("OBS01", 27) in keys(report)
+
+    def test_unguarded_call_of_traced_twin_flagged(self, report):
+        assert ("OBS01", 31) in keys(report)
+        # ... while the twin's own span is covered by the convention.
+        assert not any(f.symbol == "BadSpanAgent._traced_read"
+                       for f in report.findings)
+        assert len(report.findings) == 4
+
+    def test_clean_twin_has_no_findings(self):
+        report = Analyzer(select=["OBS01"]).run(
+            [FIXTURES / "core" / "clean_spans.py"])
+        assert report.files == 1 and not report.findings
+
+    def test_scoped_to_hot_layers(self, tmp_path):
+        # The same unguarded span in a cold layer (experiments, bench,
+        # session wiring) costs nothing that matters.
+        cold = tmp_path / "experiments" / "bad_spans.py"
+        cold.parent.mkdir()
+        cold.write_text(
+            (FIXTURES / "core" / "bad_spans.py").read_text())
+        assert not Analyzer(select=["OBS01"]).run([cold]).findings
 
 
 class TestSchemeRules:

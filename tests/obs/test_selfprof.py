@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.obs.selfprof import SelfProfiler, install_wheel_gauges, \
-    render_profile
+from repro.obs.selfprof import SelfProfiler, _resuming_frame, _site_of, \
+    install_wheel_gauges, render_profile
 from repro.session import Session
 from repro.sim import SimulationError, Simulator
 from repro.sim.profiled import profiled_run
@@ -95,6 +95,86 @@ class TestProfiledRunEquivalence:
         profiled_run(sim, lambda: 0.0, lambda e, f: "x",
                      lambda layer, spent: None, until=25.0)
         assert sim.now == 25.0
+
+
+class TestAttributionByExecutingFrame:
+    """A dispatch is booked to the frame that resumes, not to the root
+    generator the process was spawned with."""
+
+    def test_resuming_frame_follows_yield_from(self):
+        def leaf():
+            yield "parked"
+
+        def middle():
+            yield from leaf()
+
+        def root():
+            yield from middle()
+
+        generator = root()
+        assert _resuming_frame(generator) is generator  # not started yet
+        next(generator)
+        assert _resuming_frame(generator).gi_code.co_name == "leaf"
+        # Delegating to a plain iterator stops at the delegating frame.
+        plain = (lambda: (yield from iter([1])))()
+        next(plain)
+        assert _resuming_frame(plain) is plain
+
+    def test_client_side_cache_work_is_booked_to_core_not_the_caller(self):
+        session = Session(nodes=2, seed=9, scheme="concord")
+        session.preload({"k": DataItem("v0", 64)})
+
+        def test_driver():  # the *root* generator lives in this test file
+            for _ in range(20):
+                yield from session.system.read("node1", "k")
+
+        session.sim.spawn(test_driver(), name="driver")
+        profiler = SelfProfiler()
+        profiler.run(session.sim, until=400.0)
+        session.close()
+        # 20 local-access sleeps resumed inside CacheAgent.read ...
+        (site,) = [s for s in profiler.sites if s.startswith("CacheAgent.read:")]
+        assert profiler.sites[site][1] == 20
+        assert profiler.dispatches["core"] >= 20
+        # ... and only the bootstrap and the process's own completion
+        # event are the driver's.
+        assert profiler.dispatches.get("external", 0) == 2
+
+    def test_event_entry_is_booked_to_the_process_waiting_on_it(self):
+        sim = Simulator(seed=0)
+        gate = sim.event("gate")
+
+        def waiter():
+            yield gate
+
+        process = sim.spawn(waiter())
+        sim.run()  # parked on the gate
+        gate.succeed()
+        layer, site = _site_of(gate, None)
+        assert layer == "external"  # this test file, not "sim"
+        assert site.endswith(f"waiter:{process.generator.gi_frame.f_lineno}")
+        # Nobody waiting: the event's own type.
+        assert _site_of(sim.event("lonely"), None) == ("sim", "<Event>")
+        # A raw callback that wakes no process: the callback itself.
+        assert _site_of(None, sim.cancel) == ("sim", "Simulator.cancel")
+
+    def test_sites_sum_to_the_layers_and_render(self):
+        session = _loaded_session()
+        profiler = SelfProfiler()
+        profiler.run(session.sim, until=800.0)
+        session.close()
+        rows = profiler.site_report()
+        assert sum(row["dispatches"] for row in rows) \
+            == sum(profiler.dispatches.values())
+        assert sum(row["wall_s"] for row in rows) \
+            == pytest.approx(sum(profiler.wall_s.values()))
+        assert rows == sorted(rows, key=lambda r: (-r["wall_s"], r["site"]))
+        assert len(profiler.site_report(top=3)) == 3
+        # The RPC response event resumes the caller inside Endpoint.call.
+        assert any(row["site"].startswith("Endpoint.call:") for row in rows)
+        text = render_profile(profiler, top=5)
+        assert f"top 5 of {len(rows)} sites" in text
+        assert rows[0]["site"] in text and rows[-1]["site"] not in text
 
 
 class TestWheelGauges:

@@ -1,10 +1,12 @@
-"""What the three signal sinks leave on the garbage collector's plate.
+"""What a drained run leaves on the garbage collector's plate.
 
 CPython's cyclic collector re-scans every *tracked* object a run
-retains, so a sink that keeps one object per span / event / sample makes
-every full collection of a long run slower (DESIGN.md §12).  The sinks
-therefore store rows of atomics; these tests pin that property on the
-heap itself — a wall-clock assertion could not.
+retains, so a sink that keeps one object per span / event / sample — or
+a kernel that keeps every finished process reachable from a long-lived
+event — makes every full collection of a long run slower (DESIGN.md
+§12).  The sinks therefore store rows of atomics and a decided race lets
+go of its losers; these tests pin both properties on the heap itself — a
+wall-clock assertion could not.
 """
 
 import gc
@@ -13,6 +15,7 @@ import pytest
 
 from repro.obs import ProtoEvent
 from repro.session import Session
+from repro.sim.events import AnyOf
 from repro.sim.process import Process
 from repro.trace import Span, TraceContext
 
@@ -52,12 +55,42 @@ def _measured_run(signals: bool):
 
 
 @pytest.fixture(scope="module")
-def heaps():
+def plain_heap():
+    """(plain session, plain heap cost) — measured before any signals run."""
+    return _measured_run(signals=False)
+
+
+@pytest.fixture(scope="module")
+def heaps(plain_heap):
     """(plain heap cost, signals session, signals heap cost)."""
-    plain, plain_cost = _measured_run(signals=False)
+    _, plain_cost = plain_heap
     signals, signals_cost = _measured_run(signals=True)
-    yield plain_cost, signals, signals_cost
-    del plain
+    return plain_cost, signals, signals_cost
+
+
+def test_plain_run_keeps_no_finished_process_alive(plain_heap):
+    # Every fetch: / invrpc: process is raced against a long-lived
+    # ``removed:<peer>`` event; the decided race must let go of it.
+    s, cost = plain_heap
+    gc.collect()
+    finished = [obj.name for obj in gc.get_objects()
+                if isinstance(obj, Process) and obj.sim is s.sim
+                and obj.triggered]
+    assert finished == []
+    assert cost.get(AnyOf, 0) == 0
+    # What is left is live work: heartbeats, detectors, idle containers.
+    assert cost[Process] < 20
+
+
+def test_tracked_objects_per_completed_request(plain_heap):
+    s, cost = plain_heap
+    completed = sum(app.requests_completed for app in s.deployed.values())
+    assert completed == 200
+    # 63.1 with decided races released (74.2 before: each of the 142
+    # races kept its AnyOf, Process, generator, lists and bound methods).
+    # The rest is state the run is supposed to hold: storage records,
+    # cached and directory entries, and the RPC deadlines of the last 5 s.
+    assert cost["tracked"] / completed < 66.0
 
 
 def test_no_per_record_objects_survive(heaps):

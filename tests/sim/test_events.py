@@ -1,8 +1,12 @@
 """Unit tests for the event primitives."""
 
+import gc
+
 import pytest
 
 from repro.sim import Event, SimulationError, Simulator
+from repro.sim.events import AnyOf
+from repro.sim.process import Process
 
 
 @pytest.fixture
@@ -152,6 +156,21 @@ class TestAllOf:
         sim.run()
         assert combined.value == [1, 2]
 
+    def test_fired_all_of_holds_no_children(self, sim):
+        combined = sim.all_of([sim.timeout(1.0, "a"), sim.timeout(2.0, "b")])
+        assert len(combined._children) == 2
+        sim.run()
+        assert combined.value == ["a", "b"]
+        assert combined._children is None
+
+    def test_failed_all_of_holds_no_children(self, sim):
+        bad = sim.event()
+        combined = sim.all_of([sim.timeout(5.0), bad])
+        bad.fail(RuntimeError("child"))
+        combined.defuse()
+        sim.run()
+        assert combined._children is None
+
 
 class TestAnyOf:
     def test_first_wins(self, sim):
@@ -182,3 +201,106 @@ class TestAnyOf:
         race.defuse()
         sim.run()
         assert isinstance(race.exception, KeyError)
+
+
+def _finished_race_objects() -> int:
+    """AnyOf events and finished processes alive anywhere on the heap."""
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if isinstance(obj, AnyOf)
+               or (isinstance(obj, Process) and obj.triggered))
+
+
+class TestDecidedRaceLetsGoOfItsLosers:
+    """A long-lived event raced against many short processes (the
+    ``any_of([rpc, removed:<peer>])`` idiom of core/agent.py) must not
+    keep every finished race reachable: heap at quiescence is
+    proportional to live work, not to races ever decided."""
+
+    RACES = 1000
+
+    def _race_all(self, sim, long_lived):
+        def short(index):
+            yield sim.timeout(1.0 + index % 7)
+            return index
+
+        def racer(index):
+            call = sim.spawn(short(index))
+            yield sim.any_of([call, long_lived])
+            assert call.triggered and call.value == index
+
+        for index in range(self.RACES):
+            sim.spawn(racer(index))
+        sim.run()
+
+    def test_long_lived_loser_holds_constant_callbacks(self, sim):
+        long_lived = sim.event("removed:peer")
+        self._race_all(sim, long_lived)
+        assert not long_lived.triggered
+        assert len(long_lived.callbacks) <= 1
+
+    def test_no_finished_race_survives_collection(self, sim):
+        before = _finished_race_objects()
+        long_lived = sim.event("removed:peer")
+        self._race_all(sim, long_lived)
+        # The event is still alive (and pending) right here; nothing that
+        # finished may be reachable from it — or from anywhere else.
+        assert _finished_race_objects() == before
+        assert not long_lived.triggered
+
+    def test_the_long_lived_event_can_still_win_later_races(self, sim):
+        long_lived = sim.event("removed:peer")
+        self._race_all(sim, long_lived)
+        outcome = []
+
+        def waiter():
+            slow = sim.timeout(50.0, "slow")
+            race = sim.any_of([slow, long_lived])
+            outcome.append((yield race))
+            outcome.append(race.first)
+
+        sim.spawn(waiter())
+        long_lived.succeed("gone")
+        sim.run()
+        assert outcome == ["gone", long_lived]
+
+    def test_loser_failing_after_the_decision_is_defused(self, sim):
+        # Pins the semantics the detach must keep (true before it too).
+        fast = sim.timeout(1.0, "fast")
+        late = sim.event()
+        other = sim.event()
+        races = [sim.any_of([fast, late]), sim.any_of([fast, late, other])]
+        sim.run()
+        assert [race.value for race in races] == ["fast", "fast"]
+        assert all(race.first is fast for race in races)
+        late.fail(RuntimeError("late"))
+        sim.run()  # must not raise: the failure is defused
+
+    def test_losers_share_one_defuser(self, sim):
+        fast = sim.timeout(1.0, "fast")
+        late = sim.event()
+        races = [sim.any_of([fast, late]) for _ in range(5)]
+        sim.run()
+        assert all(race.triggered for race in races)
+        assert len(late.callbacks) == 1  # not one per race lost
+
+    def test_processed_sibling_decides_without_attaching_further(self, sim):
+        done = sim.event()
+        done.succeed("done")
+        sim.run()
+        pending_before, pending_after = sim.event(), sim.event()
+        race = sim.any_of([pending_before, done, pending_after])
+        assert race.triggered and race.first is done
+        assert race._on_child not in pending_before.callbacks
+        assert pending_after.callbacks == []
+        sim.run()
+        assert race.value == "done"
+
+    def test_same_instant_losers_are_released_too(self, sim):
+        first, second = sim.event(), sim.event()
+        race = sim.any_of([first, second])
+        first.succeed("first")
+        second.succeed("second")  # triggered, not yet processed
+        sim.run()
+        assert race.value == "first" and race.first is first
+        assert second.callbacks == []

@@ -81,6 +81,85 @@ class TestResource:
         assert finish_times == [10.0, 10.0, 20.0, 20.0]
 
 
+class TestResourceLazyQueue:
+    """The wait queue exists only once somebody has had to wait (a run
+    holds one Resource per cached key, almost none ever contended)."""
+
+    def test_uncontended_resource_allocates_no_queue(self, sim):
+        res = Resource(sim, capacity=1, name="k")
+        assert not hasattr(res, "__dict__")
+        grant = res.acquire()
+        assert grant.triggered and grant.name == "acquire:k"
+        assert res.queue_length == 0
+        res.release()
+        assert res._waiters is None
+        assert (res.in_use, res.available, res.queue_length) == (0, 1, 0)
+
+    def test_fifo_hand_off_through_a_late_allocated_queue(self, sim):
+        res = Resource(sim, capacity=1, name="k")
+        order = []
+
+        def worker(tag, hold):
+            yield res.acquire_wait()
+            order.append((tag, sim.now))
+            yield sim.timeout(hold)
+            res.release()
+
+        for tag in "abc":
+            sim.spawn(worker(tag, 5.0))
+        sim.run()
+        assert order == [("a", 0.0), ("b", 5.0), ("c", 10.0)]
+        assert res.in_use == 0 and res.queue_length == 0
+
+    def test_contended_acquire_wait_returns_a_named_grant(self, sim):
+        res = Resource(sim, capacity=1, name="k")
+        res.acquire()
+        seen = []
+
+        def waiter():
+            grant = res.acquire_wait()
+            seen.append(grant)
+            yield grant
+
+        sim.spawn(waiter())
+        sim.run()
+        assert seen[0].name == "acquire:k" and not seen[0].triggered
+        assert res.queue_length == 1
+        res.release()
+        sim.run()
+        assert seen[0].processed and res.in_use == 1
+
+    def test_cancel_on_a_never_contended_resource_raises(self, sim):
+        res = Resource(sim, capacity=1)
+        with pytest.raises(SimulationError):
+            res.cancel(sim.event())
+        res.acquire()
+        queued = res.acquire()
+        res.cancel(queued)
+        with pytest.raises(SimulationError):
+            res.cancel(queued)  # queue exists now, request no longer in it
+        assert res.queue_length == 0
+
+    def test_register_gauges_reads_the_lazy_queue(self, sim):
+        from repro.telemetry import MetricsRegistry
+
+        metered = Simulator(metrics=MetricsRegistry())
+        res = Resource(metered, capacity=1, name="cores")
+        res.register_gauges(metered.metrics, "cpu", node="n0")
+
+        def gauge(name):
+            metered.metrics.sample(metered.now)
+            return metered.metrics.store.series(
+                name, "gauge", (("node", "n0"),)).last()
+
+        assert gauge("cpu_queue_length") == 0  # no queue allocated yet
+        res.acquire()
+        res.acquire()
+        assert gauge("cpu_queue_length") == 1
+        assert gauge("cpu_in_use") == 1
+        assert gauge("cpu_utilization") == 1.0
+
+
 class TestStore:
     def test_put_then_get(self, sim):
         store = Store(sim)
