@@ -1,10 +1,12 @@
 """Lock-discipline checking for the PRO03 rule, on the real CFG.
 
 The repo's simulation locks (:class:`repro.sim.resources.Resource`) are
-acquired inside generator processes with ``yield lock.acquire()`` and must
-be released on *every* exit path — including the exceptional ones, because
-the simulator throws :class:`~repro.sim.errors.Interrupt` into processes
-at yield points (node crashes) and RPC helpers raise out of ``yield from``.
+acquired inside generator processes with ``yield lock.acquire()`` — or its
+allocation-free twin ``yield lock.acquire_wait()``, which the rule treats
+exactly alike — and must be released on *every* exit path, including the
+exceptional ones, because the simulator throws
+:class:`~repro.sim.errors.Interrupt` into processes at yield points (node
+crashes) and RPC helpers raise out of ``yield from``.
 
 The check walks the per-function CFG (:mod:`repro.analysis.flow`) forward
 from each acquire.  A path is *closed* when it reaches a statement that
@@ -39,7 +41,7 @@ from typing import Optional
 
 from repro.analysis.flow import (
     CFG, build_cfg, build_cfg_body, contains_yield, enclosing_trys,
-    stmt_exprs,
+    statements_after, stmt_exprs, yields_name,
 )
 
 
@@ -51,19 +53,48 @@ class LockProblem:
     node: ast.AST        # the acquire statement
     reason: str          # "no-release" | "unprotected: <detail>"
 
+    @property
+    def acquire(self) -> str:
+        """Source text of the acquiring call, as written."""
+        for node in ast.walk(self.node):
+            if _lock_call(node, ACQUIRE_METHODS) == self.lock:
+                return ast.unparse(node)
+        return f"{self.lock}.acquire()"
+
 
 def _expr_text(node: ast.AST) -> str:
     return ast.unparse(node)
 
 
-def _lock_call(node: ast.AST, method: str) -> Optional[str]:
-    """If ``node`` is ``<expr>.method()``, return the text of ``<expr>``."""
+#: ``Resource`` methods that take a slot (or queue for one).
+ACQUIRE_METHODS = ("acquire", "acquire_wait")
+
+
+def _lock_call(node: ast.AST, methods) -> Optional[str]:
+    """If ``node`` is ``<expr>.<one of methods>()``, the text of ``<expr>``."""
     if (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == method
+            and node.func.attr in methods
             and not node.args and not node.keywords):
         return _expr_text(node.func.value)
     return None
+
+
+def _gives_back(node: ast.AST, lock: str) -> bool:
+    """Whether ``node`` is ``<lock>.release()`` or ``<lock>.cancel(grant)``.
+
+    ``cancel`` withdraws a queued request or releases a granted one —
+    the ``except BaseException: lock.cancel(grant); raise`` guard around
+    the yield of an assigned grant — so either way the slot is not held
+    past it.
+    """
+    if _lock_call(node, ("release",)) == lock:
+        return True
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "cancel"
+            and len(node.args) == 1 and not node.keywords
+            and _expr_text(node.func.value) == lock)
 
 
 def find_acquires(stmt: ast.stmt) -> list[tuple[str, Optional[str]]]:
@@ -77,15 +108,15 @@ def find_acquires(stmt: ast.stmt) -> list[tuple[str, Optional[str]]]:
     if isinstance(stmt, ast.Expr):
         value = stmt.value
         if isinstance(value, ast.Yield) and value.value is not None:
-            lock = _lock_call(value.value, "acquire")
+            lock = _lock_call(value.value, ACQUIRE_METHODS)
             if lock is not None:
                 results.append((lock, None))
         else:
-            lock = _lock_call(value, "acquire")
+            lock = _lock_call(value, ACQUIRE_METHODS)
             if lock is not None:
                 results.append((lock, None))
     elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        lock = _lock_call(stmt.value, "acquire")
+        lock = _lock_call(stmt.value, ACQUIRE_METHODS)
         if lock is not None and isinstance(stmt.targets[0], ast.Name):
             results.append((lock, stmt.targets[0].id))
     return results
@@ -99,7 +130,7 @@ def _contains_release(node: ast.AST, lock: str) -> bool:
         if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
                                 ast.Lambda)) and current is not node:
             continue
-        if _lock_call(current, "release") == lock:
+        if _gives_back(current, lock):
             return True
         stack.extend(ast.iter_child_nodes(current))
     return False
@@ -114,7 +145,7 @@ def _stmt_releases(stmt: ast.stmt, lock: str) -> bool:
             node = stack.pop()
             if isinstance(node, ast.Lambda):
                 continue
-            if _lock_call(node, "release") == lock:
+            if _gives_back(node, lock):
                 return True
             stack.extend(ast.iter_child_nodes(node))
     return False
@@ -184,11 +215,7 @@ def _escape(stmt: ast.stmt, grant_name: Optional[str]) -> Optional[str]:
     acquire (``grant = lock.acquire(); yield grant``) and is not an
     escape: the lock is not held until that yield completes.
     """
-    if (grant_name is not None
-            and isinstance(stmt, ast.Expr)
-            and isinstance(stmt.value, ast.Yield)
-            and isinstance(stmt.value.value, ast.Name)
-            and stmt.value.value.id == grant_name):
+    if grant_name is not None and yields_name(stmt, grant_name):
         return None
     if contains_yield(stmt) is not None:
         return "a yield"
@@ -197,6 +224,30 @@ def _escape(stmt: ast.stmt, grant_name: Optional[str]) -> Optional[str]:
     if isinstance(stmt, ast.Return):
         return "a return"
     return None
+
+
+def _is_grant_guard(stmt: ast.stmt, lock: str, grant_name: str) -> bool:
+    """``try: yield <grant>`` / ``except BaseException: <lock>.cancel(<grant>);
+    raise`` — the second half of an assigned ``acquire_wait()``.
+
+    The slot is not held past the guard unless its yield completes: an
+    exception thrown at the yield (a crash interrupting a queued request)
+    withdraws or releases it on the way out.
+    """
+    if not (isinstance(stmt, ast.Try) and len(stmt.body) == 1
+            and not stmt.orelse and not stmt.finalbody
+            and len(stmt.handlers) == 1):
+        return False
+    if not yields_name(stmt.body[0], grant_name):
+        return False
+    handler = stmt.handlers[0]
+    catches_all = handler.type is None or (
+        isinstance(handler.type, ast.Name)
+        and handler.type.id == "BaseException")
+    return (catches_all and len(handler.body) == 2
+            and _stmt_releases(handler.body[0], lock)
+            and isinstance(handler.body[1], ast.Raise)
+            and handler.body[1].exc is None)
 
 
 def check_lock_discipline(func: ast.AST) -> list[LockProblem]:
@@ -226,11 +277,18 @@ def _check_one(func: ast.AST, cfg: CFG, acquire: ast.stmt, lock: str,
     escapes: list[tuple[int, int, str]] = []
     leaks_out = False
     acq_block, acq_index = cfg.locate(acquire)
+    start = (acq_block, acq_index + 1)
+    if grant_name is not None:
+        # grant = lock.acquire_wait() followed by its cancel-on-exception
+        # guard: the lock is held from the statement after the guard.
+        rest = statements_after(func, acquire)
+        if len(rest) >= 2 and _is_grant_guard(rest[0], lock, grant_name):
+            start = cfg.locate(rest[1])
     # Walk forward from the acquire.  Re-entering the acquire's block from
     # a back-edge rescans it from the top: statements lexically before the
     # acquire do run while the lock is held on looping paths.
     seen: set[int] = set()
-    stack = [(acq_block, acq_index + 1)]
+    stack = [start]
     while stack:
         block, start = stack.pop()
         alive = True

@@ -11,8 +11,8 @@ two RPC/locking disciplines every agent relies on:
   exercised, and registered handler references resolve (PRO01);
 - every client-side ``call`` has an explicit timeout path — an explicit
   ``timeout=`` or an enclosing handler for ``RpcTimeout`` (PRO02);
-- every ``Resource.acquire()`` is matched by a ``release()`` on all exit
-  paths, exceptional ones included (PRO03).
+- every ``Resource.acquire()`` / ``acquire_wait()`` is matched by a
+  ``release()`` on all exit paths, exceptional ones included (PRO03).
 """
 
 from __future__ import annotations
@@ -311,12 +311,13 @@ def _exception_names(node: ast.AST) -> set:
 
 @register
 class LockDisciplineRule(Rule):
-    """PRO03: acquire() without a release() on every exit path."""
+    """PRO03: acquire() / acquire_wait() without a release() on every exit path."""
 
     id = "PRO03"
     name = "lock-release-paths"
     description = (
-        "every <lock>.acquire() must be matched by <lock>.release() on "
+        "every <lock>.acquire() / .acquire_wait() must be matched by "
+        "<lock>.release() (or .cancel(grant) while still waiting) on "
         "all exit paths: either released on the very next statement or "
         "protected by a try/finally covering every yield/raise/return in "
         "between (the simulator interrupts processes at yield points)"
@@ -327,10 +328,10 @@ class LockDisciplineRule(Rule):
             for problem in cfg.check_lock_discipline(func):
                 if problem.reason == "no-release":
                     message = (
-                        f"{problem.lock}.acquire() in {func.name!r} has no "
+                        f"{problem.acquire} in {func.name!r} has no "
                         f"matching {problem.lock}.release() on the "
                         "fall-through path")
                 else:
-                    message = (f"{problem.lock}.acquire() in {func.name!r} "
+                    message = (f"{problem.acquire} in {func.name!r} "
                                f"is {problem.reason}")
                 yield self.finding(module, problem.node, message)

@@ -15,7 +15,19 @@ Simulation processes are plain generator functions stepped by
   ``peek()`` surface is the contract that lets the kernel evolve — and
   must never *store* to ``sim.now`` / ``sim.active_process``: they are
   plain attributes so that reading them costs nothing, and only the run
-  loop may advance the clock or name the process being stepped.
+  loop may advance the clock or name the process being stepped.  The
+  same goes for ``sim._tail``, the kernel's "last thing in its dispatch"
+  flag: a store anywhere else could let a hop be elided that something
+  was still going to overtake.  The kernel calls that *take the caller's
+  word* for tail position (``sim.tail_call`` / ``sim.call_each`` /
+  ``Event._tail_trigger``) are held to their audited call sites, where
+  they must be the function's last action;
+- what ``Resource.acquire_wait()`` returns must be yielded at once: a
+  free slot comes back as the ``READY`` sentinel, which stands for one
+  zero-delay hop that the kernel places (or elides) *when it is
+  yielded* — anything scheduled in between would overtake it, and
+  ``READY`` is not an event that ``any_of`` or a later ``yield`` could
+  wait on.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from repro.analysis.engine import (
     register,
     walk_function_body,
 )
+from repro.analysis.flow import statements_after, yields_name
 
 #: Yield value node types that can never be an Event.
 _NON_EVENT_NODES = (
@@ -56,9 +69,19 @@ _BLOCKING_MODULES = {"socket", "subprocess", "requests", "urllib", "http"}
 #: Private Simulator attributes that only repro/sim may touch.
 _KERNEL_PRIVATE_ATTRS = {"_heap", "_seq", "_schedule"}
 
-#: Public Simulator attributes that everyone reads and only repro/sim
-#: may write.
-_KERNEL_WRITTEN_ATTRS = {"now", "active_process"}
+#: Simulator attributes that only repro/sim may write: the two public
+#: ones everyone reads, and the tail-position flag of the next-entry rule.
+_KERNEL_WRITTEN_ATTRS = {"now", "active_process", "_tail"}
+
+#: Kernel entry points whose caller promises to be in tail position of
+#: its dispatch (the next-entry rule).  No rule here can prove that
+#: across calls, so outside repro/sim each may be called from the one
+#: audited function named — (path suffix, function) — and nowhere else.
+_TAIL_POSITION_CALLS = {
+    "tail_call": ("net/rpc.py", "_receive"),
+    "_tail_trigger": ("net/rpc.py", "_fire"),
+    "call_each": ("net/fabric.py", "_deliver_batch"),
+}
 
 
 def _is_simulator_receiver(node: ast.AST) -> bool:
@@ -155,8 +178,10 @@ class KernelPrivateStateRule(Rule):
     description = (
         "code outside repro/sim must not touch Simulator._heap/_seq/"
         "_schedule (use sim.now, sim.peek() and the public scheduling "
-        "API) and must not store to sim.now / sim.active_process, which "
-        "only the run loop writes"
+        "API), must not store to sim.now / sim.active_process / "
+        "sim._tail, which only the kernel writes, and may call "
+        "sim.tail_call / sim.call_each / Event._tail_trigger only as the "
+        "last action of their audited call sites"
     )
 
     def check_module(self, module: ModuleInfo):
@@ -177,6 +202,92 @@ class KernelPrivateStateRule(Rule):
                   and _is_simulator_receiver(node.value)):
                 yield self.finding(
                     module, node,
-                    f"store to {ast.unparse(node)!r}: the clock and the "
-                    "active process are written by the run loop only; "
-                    "advance time with sim.run(until=...) / a timeout")
+                    f"store to {ast.unparse(node)!r}: the clock, the "
+                    "active process and the tail-position flag are "
+                    "written by the kernel only; advance time with "
+                    "sim.run(until=...) / a timeout, batch deliveries "
+                    "with sim.call_each()")
+            elif (node.attr in _TAIL_POSITION_CALLS
+                  and (node.attr == "_tail_trigger"
+                       or _is_simulator_receiver(node.value))
+                  and not self._audited_tail_call(module, node)):
+                path, function = _TAIL_POSITION_CALLS[node.attr]
+                yield self.finding(
+                    module, node,
+                    f"{ast.unparse(node)!r} takes the caller's word that "
+                    "nothing else runs in its dispatch afterwards: only "
+                    f"{function}() in {path} may call it, as its last "
+                    "action; anywhere else use sim.call_soon() / "
+                    "succeed(), which always pay the hop")
+
+    @staticmethod
+    def _audited_tail_call(module: ModuleInfo, node: ast.Attribute) -> bool:
+        """Whether ``node`` is called from its audited site, after which
+        that (plain, non-generator) function can only return."""
+        call = module.parent(node)
+        func = module.enclosing_function(node)
+        path, function = _TAIL_POSITION_CALLS[node.attr]
+        if not (isinstance(call, ast.Call) and call.func is node
+                and func is not None and func.name == function
+                and module.display_path.replace("\\", "/").endswith(path)
+                and not is_generator_function(func)):
+            return False
+        stmt = module.parent(call)
+        if not isinstance(stmt, ast.Expr):
+            return False
+        while stmt is not func:
+            parent = module.parent(stmt)
+            rest = statements_after(parent, stmt)
+            if rest:
+                return (isinstance(rest[0], ast.Return)
+                        and rest[0].value is None)
+            if parent is not func and not isinstance(parent, ast.If):
+                return False
+            stmt = parent
+        return True
+
+
+@register
+class AcquireWaitYieldedRule(Rule):
+    """SIM04: an ``acquire_wait()`` result that is not yielded at once."""
+
+    id = "SIM04"
+    name = "acquire-wait-yielded"
+    description = (
+        "the result of <resource>.acquire_wait() must be the operand of "
+        "an immediate yield — `yield res.acquire_wait()`, or `grant = "
+        "res.acquire_wait()` directly followed by `yield grant` (bare, or "
+        "first in the try that cancels the grant on an exception): a "
+        "free slot comes back as the READY sentinel, one zero-delay hop "
+        "the kernel places when it is yielded"
+    )
+
+    def check_module(self, module: ModuleInfo):
+        for node in ast.walk(module.tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "acquire_wait"
+                    and not node.args and not node.keywords):
+                continue
+            if not self._yielded_at_once(module, node):
+                yield self.finding(
+                    module, node,
+                    f"{ast.unparse(node)} is not yielded at once; write "
+                    "`yield res.acquire_wait()` or yield the assigned "
+                    "grant in the very next statement")
+
+    @staticmethod
+    def _yielded_at_once(module: ModuleInfo, call: ast.Call) -> bool:
+        parent = module.parent(call)
+        if isinstance(parent, ast.Yield):
+            return True
+        if not (isinstance(parent, ast.Assign) and len(parent.targets) == 1
+                and isinstance(parent.targets[0], ast.Name)):
+            return False
+        rest = statements_after(module.parent(parent), parent)
+        if not rest:
+            return False
+        following = rest[0]
+        if isinstance(following, ast.Try):
+            following = following.body[0]
+        return yields_name(following, parent.targets[0].id)

@@ -6,7 +6,7 @@ shared state moves underneath the suspended frame, and the kernel may
 throw :class:`~repro.sim.errors.Interrupt` right there.  Syntactically:
 
 - every ``yield <expr>`` is a suspension point (timeouts, event waits,
-  ``yield lock.acquire()``);
+  ``yield lock.acquire()`` / ``yield lock.acquire_wait()``);
 - a ``yield from helper(...)`` suspends iff the *delegate* can suspend.
   The analyzer builds a call graph over the analyzed modules and
   computes the least may-suspend fixpoint: a function may suspend when
@@ -35,8 +35,8 @@ __all__ = ["ProjectSummaries", "KNOWN_SUSPENDING_ATTRS"]
 #: Methods on objects outside the analyzed tree that are known to
 #: suspend when delegated to (the RPC/storage/resource surface).
 KNOWN_SUSPENDING_ATTRS = frozenset({
-    "call", "notify", "read", "write", "acquire", "timeout", "wait",
-    "sleep", "all_of", "any_of", "invoke", "join",
+    "call", "notify", "read", "write", "acquire", "acquire_wait", "timeout",
+    "wait", "sleep", "all_of", "any_of", "invoke", "join",
 })
 
 

@@ -270,7 +270,7 @@ class CacheAgent:
         so the caller must fall back to the home path.
         """
         lock = self._lock(self._owner_locks, key)
-        yield lock.acquire()
+        yield lock.acquire_wait()
         try:
             held = self.cache.get(key)
             if held is None or held.state != EXCLUSIVE:
@@ -314,7 +314,7 @@ class CacheAgent:
                         return value, state, dir_hit, False
                     return reply
                 except NotHome:
-                    yield self.sim.timeout(RETRY_DELAY_MS)
+                    yield self.sim.sleep(RETRY_DELAY_MS)
                     continue
             try:
                 reply = yield from self.endpoint.call(
@@ -335,7 +335,7 @@ class CacheAgent:
             except RpcTimeout:
                 yield from self._peer_unreachable(home)
             except NotHome:
-                yield self.sim.timeout(RETRY_DELAY_MS)
+                yield self.sim.sleep(RETRY_DELAY_MS)
         raise ProtocolError(f"read({key!r}) exhausted retries at {self.node_id}")
 
     def _write_via_home(self, key: str, value: object, ctx):
@@ -353,7 +353,7 @@ class CacheAgent:
                         cacheable = False
                     return kind, cacheable, version
                 except NotHome:
-                    yield self.sim.timeout(RETRY_DELAY_MS)
+                    yield self.sim.sleep(RETRY_DELAY_MS)
                     continue
             try:
                 kind_name, cacheable, version = yield from self.endpoint.call(
@@ -372,7 +372,7 @@ class CacheAgent:
             except RpcTimeout:
                 yield from self._peer_unreachable(home)
             except NotHome:
-                yield self.sim.timeout(RETRY_DELAY_MS)
+                yield self.sim.sleep(RETRY_DELAY_MS)
         raise ProtocolError(f"write({key!r}) exhausted retries at {self.node_id}")
 
     def acquire_exclusive(self, key: str, ctx: Optional[AccessContext] = None):
@@ -417,7 +417,7 @@ class CacheAgent:
                         continue
                     value = current.value
             except NotHome:
-                yield self.sim.timeout(RETRY_DELAY_MS)
+                yield self.sim.sleep(RETRY_DELAY_MS)
                 continue
             except RpcTimeout:
                 yield from self._peer_unreachable(home)
@@ -435,7 +435,7 @@ class CacheAgent:
                 # let the txn layer write in E-state behind the new
                 # home's back.  Re-acquire from the current home.
                 has_local = self.cache.peek(key) is not None
-                yield self.sim.timeout(RETRY_DELAY_MS)
+                yield self.sim.sleep(RETRY_DELAY_MS)
                 continue
             self._install(key, value, EXCLUSIVE, ctx, src="rfo")
             return value
@@ -456,7 +456,7 @@ class CacheAgent:
 
     def _home_rfo_impl(self, key, requester, requester_has_copy):
         lock = self._lock(self._key_locks, key)
-        yield lock.acquire()
+        yield lock.acquire_wait()
         try:
             if self._barriers:
                 yield from self._barrier_wait(key)
@@ -511,7 +511,7 @@ class CacheAgent:
         self.system.report_unreachable(peer)
         # Give the failure notification time to propagate and the local
         # membership handler time to erect the barrier.
-        yield self.sim.timeout(RETRY_DELAY_MS)
+        yield self.sim.sleep(RETRY_DELAY_MS)
 
     # ------------------------------------------------------------------
     # Home-side protocol (runs under the per-key home lock)
@@ -560,7 +560,7 @@ class CacheAgent:
 
     def _home_read_impl(self, key, requester, fn):
         lock = self._lock(self._key_locks, key)
-        yield lock.acquire()
+        yield lock.acquire_wait()
         try:
             # A domain change may have re-homed the key while this request
             # queued on the lock; re-verify before touching the directory.
@@ -639,7 +639,7 @@ class CacheAgent:
 
     def _home_write_impl(self, key, value, requester, fn):
         lock = self._lock(self._key_locks, key)
-        yield lock.acquire()
+        yield lock.acquire_wait()
         try:
             if self._barriers:
                 yield from self._barrier_wait(key)
@@ -749,7 +749,7 @@ class CacheAgent:
             if sharer == self.node_id:
                 self._invalidate_local(key)
                 continue
-            yield self.sim.timeout(self.system.latency.send_ms)
+            yield self.sim.sleep(self.system.latency.send_ms)
             self.invalidations_sent += 1
             obs = self.sim.obs
             if obs.active:
@@ -868,7 +868,7 @@ class CacheAgent:
         yield from self._wait_protection(key)
         # Wait out any in-flight direct-to-storage E write.
         lock = self._lock(self._owner_locks, key)
-        yield lock.acquire()
+        yield lock.acquire_wait()
         lock.release()
         entry = self.cache.get(key)
         if entry is None:
@@ -890,7 +890,7 @@ class CacheAgent:
             obs.emit(INV_RECV, node=self.node_id, key=key, src=src)
         yield from self._wait_protection(key)
         lock = self._lock(self._owner_locks, key)
-        yield lock.acquire()
+        yield lock.acquire_wait()
         lock.release()
         self._invalidate_local(key)
         return Reply("ack", size_bytes=1)
@@ -916,7 +916,7 @@ class CacheAgent:
         key, _version = args
         yield from self._check_home(key)
         lock = self._lock(self._key_locks, key)
-        yield lock.acquire()
+        yield lock.acquire_wait()
         try:
             entry = self.directory.get(key)
             if entry is not None:
@@ -1089,7 +1089,7 @@ class CacheAgent:
         for lock in locks:
             # Deliberate lock handoff: released by the returned closure
             # once the caller's dir_install RPC is acknowledged.
-            yield lock.acquire()  # noqa: PRO03
+            yield lock.acquire_wait()  # noqa: PRO03
         entries = self.directory.pop_entries_for(keys)
 
         def release():

@@ -128,7 +128,7 @@ class AppController:
             self._finish_recovery(member)
 
     def _lease_expiry(self, member: str, lease_ms: float):
-        yield self.sim.timeout(lease_ms)
+        yield self.sim.sleep(lease_ms)
         self._finish_recovery(member)
 
     def _handle_recovery_ack(self, endpoint, src, args):
@@ -170,7 +170,7 @@ class AppController:
 
     def _domain_change(self, kind: str, member: str):
         while self._domain_busy:
-            yield self.sim.timeout(1.0)
+            yield self.sim.sleep(1.0)
         self._domain_busy = True
         try:
             if kind == "join":
@@ -260,7 +260,7 @@ class AppController:
                 return
             except (NotHome, RpcTimeout):
                 # Home moved (domain change) or died; re-resolve and retry.
-                yield self.sim.timeout(5.0)
+                yield self.sim.sleep(5.0)
 
     def close(self) -> None:
         self.endpoint.close()
@@ -421,14 +421,14 @@ class ConcordSystem(StorageAPI):
             for _attempt in range(RESTART_POLL_LIMIT):
                 if agent.ejected or node_id not in self.ring_template.members:
                     break
-                yield self.sim.timeout(RESTART_POLL_MS)
+                yield self.sim.sleep(RESTART_POLL_MS)
         if agent.ejected:
             # The false-positive path is already re-admitting the agent;
             # wait for its domain join to commit.
             for _attempt in range(RESTART_POLL_LIMIT):
                 if not agent.ejected and node_id in self.ring_template.members:
                     break
-                yield self.sim.timeout(RESTART_POLL_MS)
+                yield self.sim.sleep(RESTART_POLL_MS)
             return agent
         # Declared while the node was down: flush the lost process's
         # in-memory state and re-admit through the join protocol.
@@ -554,7 +554,7 @@ class ConcordSystem(StorageAPI):
             ]
         cost = SHARD_REHOME_MS * len(gained) + ADOPT_ENTRY_MS * len(entries)
         epoch = agent.epoch
-        yield self.sim.timeout(cost)
+        yield self.sim.sleep(cost)
         if agent.epoch != epoch or agent.ejected:
             # The membership moved again while this takeover was being
             # charged for; leadership may already belong to someone else,
@@ -583,7 +583,7 @@ class ConcordSystem(StorageAPI):
 
     def _rejoin(self, agent: CacheAgent):
         """Re-admit a falsely-ejected agent through the join protocol."""
-        yield self.sim.timeout(RETRY_DELAY_MS)
+        yield self.sim.sleep(RETRY_DELAY_MS)
         yield from self.controller.domain_join(agent.node_id)
         self.ring_template.add(agent.node_id)
         if self.coord is not None:

@@ -104,8 +104,6 @@ class PlacementPolicy:
 class FaasPlatform:
     """Cluster-wide serverless platform."""
 
-    _invocation_ids = itertools.count(1)
-
     def __init__(
         self,
         cluster: "Cluster",
@@ -114,6 +112,10 @@ class FaasPlatform:
     ):
         self.cluster = cluster
         self.sim: "Simulator" = cluster.sim
+        #: Invocation ids end up inside stored values, so the counter is
+        #: the platform's own: a class-level one made the second of two
+        #: identically seeded runs in one interpreter write different data.
+        self._invocation_ids = itertools.count(1)
         self.scheduler = scheduler or RandomScheduler(cluster.sim)
         self.placement = placement or PlacementPolicy()
         self.apps: dict[str, DeployedApp] = {}

@@ -376,9 +376,12 @@ class Network:
         last = self._last_batch
         if last is not None and last[2] is batch:
             self._last_batch = None
-        deliver = self._deliver
-        for message in batch:
-            deliver(message)
+        if len(batch) == 1:
+            self._deliver(batch[0])
+        else:
+            # Each delivery but the last is followed by another: not in
+            # tail position, which only the kernel may say.
+            self.sim.call_each(self._deliver, batch)
 
     def _reject_fast(self, message: Message) -> None:
         """Fail the caller's pending request with a retriable PeerDown."""

@@ -115,10 +115,14 @@ class _RpcWaiter(Event):
     - response delivery records the payload on the waiter
       (unconditionally — a same-tick-as-deadline response must still win,
       matching the old code where the response event fired independently
-      of the race) and, if the gate is still pending, schedules
-      :meth:`_fire` via ``call_soon`` in the slot the old response
-      event's processing used; ``_fire`` then triggers the gate in the
-      slot the old ``AnyOf`` hop used.
+      of the race) and, if the gate is still pending, hops to
+      :meth:`_fire` in the slot the old response event's processing
+      used; ``_fire`` then triggers the gate in the slot the old
+      ``AnyOf`` hop used.  Both hops are asked for in tail position
+      (``Simulator.tail_call`` / ``Event._tail_trigger``), so on the
+      common path — nothing else queued for the delivery instant — the
+      caller resumes inside the delivery's own dispatch and neither
+      entry exists.
 
     The caller inspects ``resp_done`` after the yield: the old code's
     ``response.triggered`` check, verbatim.
@@ -148,13 +152,16 @@ class _RpcWaiter(Event):
         self.resp_meta = None
 
     def _fire(self, _arg=None) -> None:
-        """Second hop of response delivery (the old AnyOf hop's slot)."""
+        """Second hop of response delivery (the old AnyOf hop's slot).
+
+        Runs as the whole of its dispatch or in place from
+        :meth:`Endpoint._receive` — in tail position either way, so the
+        gate's own entry is subject to the next-entry rule.
+        """
         if self._state is PENDING:
-            exc = self.resp_exc
-            if exc is not None:
-                self.fail(exc)
-            else:
-                self.succeed(self.resp_value)
+            self._exc = self.resp_exc
+            self._value = self.resp_value
+            self._tail_trigger()
 
     def _deadline(self, _arg=None) -> None:
         """RPC deadline reached; a no-op if the gate already fired."""
@@ -176,8 +183,6 @@ class Endpoint:
     are never sent).
     """
 
-    _ids = itertools.count(1)
-
     def __init__(
         self,
         network: Network,
@@ -186,6 +191,10 @@ class Endpoint:
         service_time_ms: float = 0.0,
         cpu=None,
     ):
+        #: Request ids of the calls this endpoint issues (responses are
+        #: matched in its own ``_pending``).  Per endpoint, not per class:
+        #: two runs in one interpreter must not share any counter.
+        self._ids = itertools.count(1)
         self.network = network
         self.sim: "Simulator" = network.sim
         self.node_id = node_id
@@ -310,7 +319,10 @@ class Endpoint:
                 # the AnyOf race, and call() checked response.triggered).
                 waiter.resp_done = True
                 if waiter._state is PENDING:
-                    self.sim.call_soon(waiter._fire)
+                    # Delivery is the last thing its dispatch does (the
+                    # fabric sees to that for batches), so the hop to
+                    # _fire falls under the next-entry rule.
+                    self.sim.tail_call(waiter._fire)
             return
         method, args = message.payload
         handler = self._handlers.get(method)
@@ -333,13 +345,9 @@ class Endpoint:
         # The handler joins the caller's span tree: its ambient context is
         # whatever TraceContext travelled with the request.
         process.trace_ctx = message.trace
+        # Registered here, not in _serve: a crash between this spawn and
+        # the handler's first step must still find (and interrupt) it.
         self._inflight_handlers[process] = None
-        process.callbacks.append(self._handler_done)
-
-    def _handler_done(self, process: Event) -> None:
-        # Event callbacks receive the firing event — here the handler
-        # process itself, so no per-request closure is needed.
-        self._inflight_handlers.pop(process, None)
 
     def _traced_serve(self, handler: Handler, message: Message):
         # Server-side span: covers the service slice (queueing at a hot
@@ -351,6 +359,10 @@ class Endpoint:
             yield from self._serve(handler, message)
 
     def _serve(self, handler: Handler, message: Message):
+        # The handler drops its own in-flight slot on the way out, so a
+        # finished handler has no callback: nothing waits on it and its
+        # completion needs no dispatch at all.
+        process = self.sim.active_process
         try:
             if self._server is not None:
                 # A crash interrupts handlers still waiting for a grant,
@@ -389,6 +401,8 @@ class Endpoint:
         except RpcError as exc:
             self._respond(message, _RemoteFailure(exc), 0)
             return
+        finally:
+            self._inflight_handlers.pop(process, None)
         if isinstance(result, Reply):
             self._respond(message, result.value, result.wire_size(),
                           meta=result.meta)

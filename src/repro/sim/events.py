@@ -111,8 +111,7 @@ class Event:
         if self._state != PENDING:
             raise SimulationError(f"event {self!r} already triggered")
         self._exc = exc
-        self._state = TRIGGERED
-        self.sim._schedule(self)
+        self._trigger()
         return self
 
     def trigger_like(self, other: "Event") -> "Event":
@@ -122,21 +121,57 @@ class Event:
         return self.succeed(other._value)
 
     # -- internal --------------------------------------------------------
+    def _trigger(self) -> None:
+        """Schedule processing of the outcome stored in ``_value``/``_exc``."""
+        self._state = TRIGGERED
+        self.sim._schedule(self)
+
+    def _tail_trigger(self) -> None:
+        """:meth:`_trigger` for a caller in tail position of its dispatch.
+
+        The next-entry rule (see :class:`~repro.sim.simulator.Simulator`):
+        with nothing queued for this instant and nothing left to run in
+        this dispatch, the entry ``_trigger`` would add is the next one
+        popped, so the event is processed here instead.  Never call this
+        from code a generator frame is running (an ``AnyOf`` constructor,
+        a ``succeed()`` in a protocol step): the caller's frame continues
+        afterwards, so it is not in tail position whatever ``_tail`` says.
+        """
+        sim = self.sim
+        depth = sim._tail
+        if depth and not sim._imm:
+            sim._tail = depth - 1
+            try:
+                self._process()
+            finally:
+                sim._tail = depth
+        else:
+            self._trigger()
+
     def _process(self) -> None:
         """Run callbacks; called by the simulator at the scheduled time."""
         self._state = PROCESSED
         callbacks = self.callbacks
-        if len(callbacks) == 1:
+        count = len(callbacks)
+        if count == 1:
             # Dominant case (a single waiting process): clear in place
             # before invoking — late appends land in the emptied list and
             # are never run, exactly as with the list swap below.
             callback = callbacks[0]
             callbacks.clear()
             callback(self)
-        else:
+        elif count:
             self.callbacks = []
-            for callback in callbacks:
-                callback(self)
+            # Only the last callback is in tail position of this dispatch.
+            sim = self.sim
+            tail = sim._tail
+            sim._tail = 0
+            try:
+                for index in range(count - 1):
+                    callbacks[index](self)
+            finally:
+                sim._tail = tail
+            callbacks[-1](self)
         if self._exc is not None and not self._defused:
             raise self._exc
 
@@ -198,24 +233,35 @@ class AllOf(Event):
         for child in self._children:
             if child.processed:
                 # Outcome already delivered; account for it immediately.
-                self._on_child(child)
+                # The constructor runs inside its caller's frame, never
+                # in tail position: the hop is always scheduled.
+                if self._absorb(child):
+                    self._trigger()
             else:
                 # Pending *or* scheduled (e.g. a Timeout): callbacks run
                 # when the child is processed at its scheduled time.
                 child.callbacks.append(self._on_child)
 
     def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if child.exception is not None:
-            child.defuse()
+        """Callback on each child: the last thing the child's dispatch does."""
+        if self._absorb(child):
+            self._tail_trigger()
+
+    def _absorb(self, child: Event) -> bool:
+        """Account for a fired child; True once the outcome is stored."""
+        if self._state is not PENDING:
+            return False
+        if child._exc is not None:
+            child._defused = True
             self._children = None
-            self.fail(child.exception)
-            return
+            self._exc = child._exc
+            return True
         self._remaining -= 1
-        if self._remaining == 0:
-            children, self._children = self._children, None
-            self.succeed([c._value for c in children])
+        if self._remaining:
+            return False
+        children, self._children = self._children, None
+        self._value = [c._value for c in children]
+        return True
 
 
 class AnyOf(Event):
@@ -241,14 +287,23 @@ class AnyOf(Event):
         self.first: Optional[Event] = None
         for child in self._children:
             if child.processed:
-                self._on_child(child)
+                # Inside the caller's frame, never in tail position: the
+                # hop is always scheduled (see AllOf).
+                self._absorb(child)
+                self._trigger()
                 break
             child.callbacks.append(self._on_child)
 
     def _on_child(self, child: Event) -> None:
+        """Callback on each child: the last thing the child's dispatch does."""
+        if self._absorb(child):
+            self._tail_trigger()
+
+    def _absorb(self, child: Event) -> bool:
+        """Let ``child`` decide the race; False if it was decided before."""
         children = self._children
         if children is None:
-            return  # already decided (the same child listed twice)
+            return False  # already decided (the same child listed twice)
         self._children = None
         self.first = child
         on_child = self._on_child
@@ -264,6 +319,7 @@ class AnyOf(Event):
                 callbacks.append(_defuse_late)
         if child._exc is not None:
             child._defused = True
-            self.fail(child._exc)
+            self._exc = child._exc
         else:
-            self.succeed(child._value)
+            self._value = child._value
+        return True

@@ -13,21 +13,30 @@ if TYPE_CHECKING:  # pragma: no cover
 ProcessGenerator = Generator[Event, object, object]
 
 
-class _RawWait:
-    """Sentinel yielded by :meth:`Simulator.sleep`.
+class _Sentinel:
+    """A non-event a process may yield; the kernel matches it by identity."""
 
-    Tells the process's stepping code that the wakeup entry is already
-    in the wheel (registered by ``sleep``), so there is no event to
-    attach a callback to — the process just parks until the entry fires.
-    """
+    __slots__ = ("_label",)
 
-    __slots__ = ()
+    def __init__(self, label: str):
+        self._label = label
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<raw-wait>"
+        return f"<{self._label}>"
 
 
-RAW_WAIT = _RawWait()
+#: Yielded by :meth:`Simulator.sleep`: the wakeup entry is already in the
+#: wheel (registered by ``sleep``), so there is no event to attach a
+#: callback to — the process just parks until the entry fires.
+RAW_WAIT = _Sentinel("raw-wait")
+
+#: Yielded by :meth:`Resource.acquire_wait` when it took a free slot: the
+#: wait is already over and the process is owed one zero-delay hop.  The
+#: stepping code pays it through the wheel (``_park``) unless the
+#: next-entry rule says the hop would be the next entry dispatched — then
+#: it just sends again.  Whoever returns ``READY`` must have scheduled
+#: nothing, and the caller must yield it at once.
+READY = _Sentinel("ready")
 
 
 class Process(Event):
@@ -121,13 +130,19 @@ class Process(Event):
         sim.active_process = self
         try:
             target = self._send(None)
-        except BaseException as exc:  # noqa: BLE001 - finished or crashed
-            self._finish(exc)
-            return
-        finally:
+            while target is READY and sim._tail and not sim._imm:
+                target = self._send(None)
+        except StopIteration as stop:
+            self._value = stop.value
+        except BaseException as exc:  # noqa: BLE001 - crashed
+            self._crash(exc)
+        else:
             sim.active_process = None
-        if target is not RAW_WAIT:
-            self._wait_on(target)
+            if target is not RAW_WAIT:
+                self._park(target)
+            return
+        sim.active_process = None
+        self._tail_trigger()
 
     def _resume(self, event: Event) -> None:
         """Callback attached to the event the process waits on."""
@@ -139,6 +154,20 @@ class Process(Event):
             self._step(send=event._value)
 
     def _step(self, send: object = None, throw: Optional[BaseException] = None) -> None:
+        """Run the generator to its next real wait — or to its end.
+
+        Always the last thing its dispatch does (a bootstrap or wake-up
+        entry, or the callback of an event being processed), which is
+        what lets it apply the next-entry rule: a ``READY`` yield is
+        answered by sending again while the hop it stands for would be
+        the next entry popped anyway, and the finished process is
+        processed in place on the same condition (``_tail_trigger``).
+        The generator's end — return or crash — is only *recorded* in
+        the ``except`` blocks and acted on after them, so whatever runs in
+        place does not inherit the ``StopIteration`` or the crash as its
+        exception context (a traceback that would keep the finished
+        frames alive).
+        """
         if self._state is not PENDING:
             return
         sim = self.sim
@@ -148,29 +177,40 @@ class Process(Event):
                 target = self._throw(throw)
             else:
                 target = self._send(send)
-        except BaseException as exc:  # noqa: BLE001 - finished or crashed
-            self._finish(exc)
-            return
-        finally:
+            while target is READY and sim._tail and not sim._imm:
+                target = self._send(None)
+        except StopIteration as stop:
+            self._value = stop.value
+        except BaseException as exc:  # noqa: BLE001 - crashed
+            self._crash(exc)
+        else:
             sim.active_process = None
-        # RAW_WAIT: Simulator.sleep already planted the wakeup entry;
-        # nothing to wait on — the entry re-enters the generator at its
-        # scheduled time.
-        if target is not RAW_WAIT:
-            self._wait_on(target)
-
-    def _finish(self, exc: BaseException) -> None:
-        """The generator returned (StopIteration) or raised: fire."""
-        if exc.__class__ is StopIteration:
-            self.succeed(exc.value)
+            # RAW_WAIT: Simulator.sleep already planted the wakeup entry;
+            # nothing to wait on — the entry re-enters the generator at
+            # its scheduled time.
+            if target is not RAW_WAIT:
+                self._park(target)
             return
+        sim.active_process = None
+        self._tail_trigger()
+
+    def _crash(self, exc: BaseException) -> None:
+        """The generator raised: note the failure (daemons record it and
+        carry on); the caller triggers once it has left its ``except``."""
         if self.daemon:
             self.sim.daemon_failures.append((self, exc))
             self._defused = True
-        self.fail(exc)
+        self._exc = exc
 
-    def _wait_on(self, target: Event) -> None:
-        """Park on the event the generator yielded."""
+    def _park(self, target) -> None:
+        """Wait for what the generator yielded (anything but RAW_WAIT)."""
+        if target is READY:
+            # The hop is not the next entry to be dispatched: pay it, in
+            # the slot a granted acquire has always taken.
+            token = self.sim.call_soon(self._sleep_wake)
+            token[4] = token
+            self._sleep_token = token
+            return
         if target.__class__ is not Event and not isinstance(target, Event):
             self.fail(
                 SimulationError(

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
-from repro.sim.process import RAW_WAIT
+from repro.sim.process import READY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulator import Simulator
@@ -97,20 +97,18 @@ class Resource:
 
         When a slot is free, the granted event's only job is to resume the
         requesting process one schedule slot later — so this fast path
-        skips the event entirely and parks the process on a raw wheel
-        entry in exactly the slot the grant's ``succeed()`` would have
-        used.  Contended requests still return a queued grant event.
-        The caller must yield the result immediately and must not need a
-        cancellation handle (``release()`` works as usual).
+        skips the event entirely and returns ``READY``: the process's
+        stepping code either pays that hop on a raw wheel entry, in
+        exactly the slot the grant's ``succeed()`` would have used, or —
+        when the hop would be the next entry dispatched anyway — carries
+        straight on.  Contended requests still return a queued grant
+        event.  The caller must yield the result immediately (SIM04) and
+        must not need a cancellation handle (``release()`` works as
+        usual).
         """
         if self._in_use < self.capacity:
             self._in_use += 1
-            sim = self.sim
-            process = sim.active_process
-            token = sim.call_soon(process._sleep_wake)
-            token[4] = token
-            process._sleep_token = token
-            return RAW_WAIT
+            return READY
         grant = Event(self.sim, "acquire:" + self.name)
         self._enqueue(grant)
         return grant
@@ -126,7 +124,7 @@ class Resource:
         ``grant`` is what :meth:`acquire` or :meth:`acquire_wait`
         returned; the latter's fast path took its slot on the spot.
         """
-        if grant is RAW_WAIT or grant.triggered:
+        if grant is READY or grant.triggered:
             self.release()
             return
         if self._waiters is None or grant not in self._waiters:

@@ -14,6 +14,13 @@ from repro.sim.wheel import _MAX_FREE, EventWheel
 from repro.telemetry.registry import NULL_REGISTRY
 from repro.trace.tracer import NULL_TRACER
 
+#: How deep zero-delay hops may nest when they are run in place instead
+#: of through the wheel (see ``Simulator._tail``).  Beyond it the hop is
+#: scheduled as usual — either way is the same execution, so the cap only
+#: bounds the Python stack (a chain of N processes each waiting on the
+#: next would otherwise finish N frames deep).
+_MAX_INLINE_DEPTH = 16
+
 
 class Simulator:
     """Owns the event wheel and the simulated clock.
@@ -29,6 +36,16 @@ class Simulator:
     fabric message delivery — that used to be modelled as throwaway
     events.  Both kinds share one ``(time, seq)`` sequence space, so their
     relative order is exactly what the old heap scheduler produced.
+
+    **The next-entry rule.**  A zero-delay wake-up is *not* scheduled when
+    it would be the very next entry dispatched: the current-instant lane
+    is empty (nothing is ahead of it) and the code asking is in *tail
+    position* — the last thing its dispatch will do (nothing runs between
+    now and the pop).  Running the continuation in place is then the same
+    execution with one entry fewer.  ``_tail`` tracks the second
+    condition; the sites that apply the rule are :meth:`tail_call`,
+    ``Event._tail_trigger`` and the ``READY`` loop of ``Process``.  Every
+    other hop goes through the wheel in the slot it has always occupied.
     """
 
     def __init__(self, seed: int = 0, tracer=None, metrics=None, obs=None):
@@ -37,7 +54,17 @@ class Simulator:
         #: stores to it — SIM03 flags a store anywhere else.
         self.now = 0.0
         self._wheel = EventWheel()
+        #: The wheel's current-instant lane (the deque is never replaced).
+        self._imm = self._wheel._imm
         self._seq = 0
+        #: Nonzero while the running code is in tail position of its
+        #: dispatch; the value is how many more hops may nest in place.
+        #: It is only ever lowered and *restored* to what it was — never
+        #: set — so a caller that holds it at 0 (``step()``,
+        #: ``profiled_run``, the differential tests) gets the un-elided
+        #: schedule, entry for entry.  Kernel-owned: SIM03 flags a store
+        #: outside ``repro/sim``.
+        self._tail = _MAX_INLINE_DEPTH
         #: The process currently being stepped, if any (kernel-written,
         #: like ``now``).
         self.active_process: Optional[Process] = None
@@ -192,6 +219,45 @@ class Simulator:
         wheel._imm.append(entry)
         return entry
 
+    def tail_call(self, fn, arg=None) -> None:
+        """:meth:`call_soon` for a caller in tail position of its dispatch.
+
+        The caller promises that nothing else runs in this dispatch once
+        it returns.  If, besides, nothing is queued for the current
+        instant, the entry ``call_soon`` would add is the next one popped
+        — so ``fn(arg)`` runs here and now instead; otherwise it is
+        scheduled exactly as ``call_soon`` would.  The promise cannot be
+        checked across calls, so SIM03 admits one audited caller
+        (``Endpoint._receive``) and nothing after the call in it.
+        """
+        depth = self._tail
+        if depth and not self._imm:
+            self._tail = depth - 1
+            try:
+                fn(arg)
+            finally:
+                self._tail = depth
+        else:
+            self.call_soon(fn, arg)
+
+    def call_each(self, fn, args: list) -> None:
+        """Call ``fn(arg)`` for every ``arg`` inside one dispatch.
+
+        Only the last call is in tail position: the others are followed
+        by their successors, so the hops they cause must be scheduled.
+        ``args`` must not be empty.  The caller itself must be in tail
+        position — SIM03 admits ``Network._deliver_batch`` only.
+        """
+        last = len(args) - 1
+        tail = self._tail
+        self._tail = 0
+        try:
+            for index in range(last):
+                fn(args[index])
+        finally:
+            self._tail = tail
+        fn(args[last])
+
     def call_at(self, when: float, fn, arg=None) -> list:
         """Schedule ``fn(arg)`` at absolute time ``when`` (>= now)."""
         now = self.now
@@ -233,7 +299,16 @@ class Simulator:
         return self._wheel.peek()
 
     def step(self) -> None:
-        """Process exactly one schedule entry."""
+        """Process exactly one schedule entry.
+
+        Nothing is elided under ``step()``: its caller gets control back
+        after the dispatch and may schedule same-instant work of its own,
+        so no hop asked for here is certain to be the next entry popped.
+        The tail-position flag is held down for the dispatch, which makes
+        one step one entry of the un-elided schedule — and
+        :meth:`run_until_complete` return on exactly the state it always
+        did, the awaited process's waiters not yet resumed.
+        """
         wheel = self._wheel
         entry = wheel.pop(self.now)
         if entry is None:
@@ -243,10 +318,15 @@ class Simulator:
             self.now = when
         event, fn, arg = entry[2], entry[3], entry[4]
         wheel.recycle(entry)
-        if event is not None:
-            event._process()
-        else:
-            fn(arg)
+        tail = self._tail
+        self._tail = 0
+        try:
+            if event is not None:
+                event._process()
+            else:
+                fn(arg)
+        finally:
+            self._tail = tail
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or the clock reaches ``until``.
@@ -303,6 +383,10 @@ class Simulator:
 
     def run_until_complete(self, process: Process, limit: float = float("inf")) -> object:
         """Run until ``process`` finishes; return its value.
+
+        Returns as soon as the process has an outcome — before anything
+        waiting on it resumes — so it is driven by :meth:`step` and, like
+        it, elides no hop.
 
         Raises :class:`SimulationError` if the schedule drains or ``limit``
         is reached with the process still alive (deadlock guard).

@@ -73,3 +73,36 @@ class BadAgent:
 
     def flush(self):
         return None
+
+    def leaky_wait(self, key):
+        # acquire_wait() is acquire() to the lock rule.
+        yield self.lock.acquire_wait()                         # line 79
+        yield self.sim.timeout(1.0)
+        self.lock.release()
+
+    def guarded_wait(self, span):
+        # The repo's idiom, inside somebody else's try/finally: clean.
+        try:
+            grant = self.lock.acquire_wait()
+            try:
+                yield grant
+            except BaseException:
+                self.lock.cancel(grant)
+                raise
+            try:
+                yield self.sim.sleep(1.0)
+            finally:
+                self.lock.release()
+        finally:
+            span.end()
+
+    def guarded_but_leaky(self):
+        # The guard covers the wait for the grant, not what follows it.
+        grant = self.lock.acquire_wait()                       # line 101
+        try:
+            yield grant
+        except BaseException:
+            self.lock.cancel(grant)
+            raise
+        yield self.sim.sleep(1.0)
+        self.lock.release()

@@ -35,3 +35,43 @@ class ClockWriter:
 
     def impersonate(self, process):
         self.sim.active_process = process                      # line 37
+
+    def jump_the_queue(self):
+        self.sim._tail = 16                                    # line 40
+
+
+def stashing_process(sim, lock, helper):
+    grant = lock.acquire_wait()                                # line 44
+    sim.spawn(helper(sim))  # scheduled before the hop the grant stands for
+    yield grant
+    lock.release()
+
+
+def racing_process(sim, lock):
+    # READY is not an event: any_of cannot wait on it.
+    yield sim.any_of([lock.acquire_wait(), sim.timeout(5.0)])  # line 52
+
+
+def dropped_grant(lock):
+    lock.acquire_wait()                                        # line 56
+    lock.release()
+
+
+class TailPositionClaimer:
+    """Claims tail position of its dispatch on its own say-so."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def _receive(self, waiter):
+        # Right name, wrong module: only the audited site may ask.
+        self.sim.tail_call(waiter.fire)                        # line 68
+
+    def fan_out(self, deliver, batch):
+        self.sim.call_each(deliver, batch)                     # line 71
+        self.sim.call_soon(self.done)   # ...and it was not even last
+
+    def resuming_process(self, gate):
+        # A generator frame carries on after the call: never tail position.
+        gate._tail_trigger()                                   # line 76
+        yield self.sim.timeout(1.0)

@@ -31,3 +31,46 @@ class Stopwatch:
 
     def reset(self, watch):
         watch.now = 0.0
+
+
+def granted_process(sim, lock):
+    yield lock.acquire_wait()
+    try:
+        yield sim.timeout(1.0)
+    finally:
+        lock.release()
+
+
+def guarded_process(sim, lock):
+    # The assigned form: the grant is yielded first thing in the try that
+    # withdraws it when the wait is interrupted.
+    grant = lock.acquire_wait()
+    try:
+        yield grant
+    except BaseException:
+        lock.cancel(grant)
+        raise
+    try:
+        yield sim.sleep(1.0)
+    finally:
+        lock.release()
+
+
+class Batcher:
+    """Several deliveries at one instant without claiming tail position:
+    one entry each, so every delivery is the whole of its dispatch."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._tail = None       # an attribute of its own is not the kernel's
+
+    def deliver_all(self, deliver, batch):
+        for message in batch:
+            self.sim.call_soon(deliver, message)
+
+    def call_each(self, items):
+        # A method of its own that happens to share the kernel's name.
+        return [self.deliver_all(print, [item]) for item in items]
+
+    def again(self, items):
+        return self.call_each(items)

@@ -84,10 +84,90 @@ class TestSimProcessRules:
         # Plain, augmented, and the active-process slot.
         assert {("SIM03", 31), ("SIM03", 34), ("SIM03", 37)} <= keys(report)
 
+    def test_store_to_the_tail_position_flag_flagged(self, report):
+        # Only the kernel may say what is last in its dispatch; the
+        # fabric batches through sim.call_each().
+        assert ("SIM03", 40) in keys(report)
+
+    def test_tail_position_calls_outside_their_audited_sites_flagged(
+            self, report):
+        # tail_call / call_each / _tail_trigger take the caller's word
+        # for tail position: a namesake of the audited function in
+        # another module, an unaudited function, a generator frame.
+        assert {("SIM03", 68), ("SIM03", 71), ("SIM03", 76)} <= keys(report)
+
+    def test_audited_tail_position_sites_must_end_on_the_call(self):
+        # The three real sites are clean; the same function with
+        # anything after the call (or yielding) is not.
+        import repro.net.fabric
+        import repro.net.rpc
+        from repro.analysis.engine import ModuleInfo
+        from repro.analysis.rules.simprocess import KernelPrivateStateRule
+
+        report = Analyzer(select=["SIM03"]).run(
+            [repro.net.rpc.__file__, repro.net.fabric.__file__])
+        assert report.files == 2 and not report.findings
+
+        def lines(path, source):
+            module = ModuleInfo(Path(path), path, source)
+            return [f.line for f in
+                    KernelPrivateStateRule().check_module(module)]
+
+        receive = ("def _receive(self, message):\n"
+                   "    if message.is_response:\n"
+                   "        if message.waiter is not None:\n"
+                   "            self.sim.tail_call(message.waiter._fire)\n"
+                   "{after}"
+                   "        return\n"
+                   "    self.spawn_handler(message)\n")
+        assert lines("src/repro/net/rpc.py", receive.format(after="")) == []
+        assert lines("src/repro/net/rpc.py", receive.format(
+            after="        self.count += 1\n")) == [4]
+        assert lines("src/repro/net/rpc.py", receive.format(
+            after="        yield self.sim.sleep(0)\n")) == [4]
+        assert lines("src/repro/core/agent.py",
+                     receive.format(after="")) == [4]
+        looping = ("def _deliver_batch(self, batches):\n"
+                   "    for batch in batches:\n"
+                   "        self.sim.call_each(self._deliver, batch)\n")
+        assert lines("src/repro/net/fabric.py", looping) == [3]
+        # A reference that is not a call escapes the audit just the same.
+        assert lines("src/repro/net/rpc.py",
+                     "def _receive(self):\n"
+                     "    return self.sim.tail_call\n") == [2]
+
+    def test_acquire_wait_not_yielded_at_once_flagged(self, report):
+        # Stashed across a spawn, handed to any_of, dropped on the floor.
+        assert {("SIM04", 44), ("SIM04", 52), ("SIM04", 56)} <= keys(report)
+
     def test_clean_twin_has_no_findings(self):
         # Reads of sim.now / sim.active_process and stores to some other
-        # object's ``now`` are fine.
+        # object's ``now`` are fine; so are `yield res.acquire_wait()` and
+        # the assigned grant yielded first thing in its cancel guard —
+        # to SIM04 and to PRO03 alike.
         assert not run_on("clean_simprocess.py").findings
+
+    def test_repo_acquire_wait_sites_are_visible_and_clean(self):
+        # Every acquire_wait() in the tree is seen by the lock rule (it
+        # used to look for acquire() only) and passes it and SIM04.
+        import ast
+
+        import repro.core.agent
+        import repro.faas.context
+        import repro.net.rpc
+        from repro.analysis.cfg import find_acquires
+
+        files = [module.__file__ for module in (
+            repro.core.agent, repro.faas.context, repro.net.rpc)]
+        seen = 0
+        for path in files:
+            with open(path) as handle:
+                tree = ast.parse(handle.read())
+            seen += sum(len(find_acquires(node)) for node in ast.walk(tree)
+                        if isinstance(node, ast.stmt))
+        assert seen == 8 + 1 + 2
+        report = Analyzer(select=["PRO03", "SIM04"]).run(files)
+        assert not report.findings  # (one deliberate hand-off is waived)
 
     def test_kernel_may_write_its_own_clock(self):
         # The same stores inside repro/sim are the run loop doing its job.
@@ -159,6 +239,24 @@ class TestProtocolRules:
         assert not any(f.rule == "PRO03"
                        and f.symbol == "BadAgent.escalated_conditional"
                        for f in report.findings)
+
+    def test_acquire_wait_is_an_acquire_to_the_lock_rule(self, report):
+        found = [f for f in report.findings
+                 if f.rule == "PRO03" and f.symbol == "BadAgent.leaky_wait"]
+        assert found and found[0].line == 79
+        assert "acquire_wait()" in found[0].message
+
+    def test_cancel_guard_covers_the_wait_not_what_follows(self, report):
+        # grant = lock.acquire_wait(); try: yield grant; except
+        # BaseException: lock.cancel(grant); raise — clean even inside
+        # somebody else's try/finally, but the lock is held after it.
+        assert not any(f.rule == "PRO03"
+                       and f.symbol == "BadAgent.guarded_wait"
+                       for f in report.findings)
+        found = [f for f in report.findings
+                 if f.rule == "PRO03"
+                 and f.symbol == "BadAgent.guarded_but_leaky"]
+        assert found and found[0].line == 101 and "107" in found[0].message
 
     def test_assigned_grant_clean(self, report):
         # grant = lock.acquire(); yield grant — the yield completes the

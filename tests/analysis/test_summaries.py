@@ -28,10 +28,16 @@ class Agent:
     def reads_storage(self):
         yield from self.storage.read("k")
 
+    def waits_for_lock(self):
+        yield from self.lock.acquire_wait()
+
 
 class Impl:
     def read(self):
         return 1
+
+    def acquire_wait(self):
+        return None
 '''
 
 TREE = ast.parse(SRC)
@@ -79,6 +85,14 @@ def test_known_attrs_not_laundered_by_name_collision():
     func = FUNCS["reads_storage"]
     assert project.stmt_suspends(func.body[0], func)
     assert project.may_suspend(func)
+
+
+def test_acquire_wait_is_on_the_resource_surface_like_acquire():
+    # Same anti-laundering for the allocation-free acquire: Impl's
+    # non-suspending namesake proves nothing about a Resource.
+    project = summaries()
+    func = FUNCS["waits_for_lock"]
+    assert project.stmt_suspends(func.body[0], func)
 
 
 def test_unknown_function_assumed_suspending():

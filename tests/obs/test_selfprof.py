@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import jsonl_dumps as obs_jsonl_dumps
 from repro.obs.selfprof import SelfProfiler, _resuming_frame, _site_of, \
     install_wheel_gauges, render_profile
 from repro.session import Session
@@ -69,7 +70,17 @@ class TestProfiledRunEquivalence:
         profiler = SelfProfiler()
         callbacks = list(gc.callbacks)
         session.sim.call_at(100.0, lambda _arg: gc.collect())
-        profiler.run(session.sim, until=400.0)
+        # Only the scheduled pass may run in the window: late in a long
+        # test session the collector can otherwise start a full pass of
+        # its own inside it.
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            profiler.run(session.sim, until=400.0)
+        finally:
+            if was_enabled:
+                gc.enable()
         session.close()
         assert gc.callbacks == callbacks  # the hook is gone again
         (full,) = [row for row in profiler.gc_report()
@@ -95,6 +106,39 @@ class TestProfiledRunEquivalence:
         profiled_run(sim, lambda: 0.0, lambda e, f: "x",
                      lambda layer, spent: None, until=25.0)
         assert sim.now == 25.0
+
+    def test_profiled_run_pays_the_hops_a_plain_run_elides(self):
+        """The profiled loop holds the kernel's tail-position flag down
+        (one dispatch stays one suspension point), the plain loop elides
+        hops: same seed, same recorder dump, same AccessStats — the
+        elision oracle, exercised on every tier-1 run."""
+        def run(profiled: bool):
+            session = Session(nodes=3, seed=9, scheme="concord", obs=True)
+            session.preload({f"k{i}": DataItem("v0", 64) for i in range(4)})
+            for i in range(4):
+                session.sim.spawn(session.system.write(
+                    "node0", f"k{i}", DataItem(f"v{i}", 64)))
+                session.sim.spawn(session.system.read("node1", f"k{i}"))
+                session.sim.spawn(session.system.read("node2", f"k{i}"))
+            found = session.sim._tail
+            if profiled:
+                SelfProfiler().run(session.sim, until=800.0)
+            else:
+                session.sim.run(until=800.0)
+            assert session.sim._tail == found  # restored as found
+            session.close()
+            stats = session.system.stats
+            return (obs_jsonl_dumps(session.obs),
+                    {kind.value: (histogram.count, histogram.mean,
+                                  histogram.percentile(99))
+                     for kind, histogram in stats.latency.items()},
+                    stats.version_checks,
+                    session.sim.schedule_count)
+
+        plain, profiled = run(False), run(True)
+        assert plain[:3] == profiled[:3]
+        assert len(plain[1]) >= 3 and plain[0].count("\n") > 20
+        assert plain[3] < profiled[3]  # what was elided, and only that
 
 
 class TestAttributionByExecutingFrame:
