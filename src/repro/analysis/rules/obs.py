@@ -1,7 +1,7 @@
 """Flight-recorder and Null-sink rules (OBS*).
 
 The protocol event log (:mod:`repro.obs`) promises three things its call
-sites can silently break — and the last one binds the tracer's call
+sites can silently break — and the last two bind the tracer's call
 sites on the protocol hot paths just the same:
 
 - **Interned event types.**  Every ``recorder.emit(...)`` names its
@@ -26,6 +26,14 @@ sites on the protocol hot paths just the same:
   (JSONL, byte-compared across ``PYTHONHASHSEED`` values), so an attr
   that materializes a bare set in iteration order leaks hash order into
   the dump — same contract as MET01's sampler callbacks.
+- **Attrs are atomics.**  A finished record is kept as a row of atomics
+  plus a dict of atomic values, which the collector never tracks and
+  :mod:`repro.packedlog` packs with ``marshal``.  A set attr would come
+  back in another order, a dict attr makes the record tracked, and a
+  lambda or generator cannot be packed at all (its whole batch stays
+  unpacked).  In the protocol layers (``core/``, ``caching/``, ``net/``,
+  ``faas/``, ``shard/``) an attr value that is *syntactically* one of
+  those is flagged; a sorted list of atomics is fine.
 """
 
 from __future__ import annotations
@@ -46,6 +54,14 @@ _RECORDER_NAMES = frozenset({"obs", "recorder"})
 
 #: Layers whose tracer sites sit on per-operation protocol paths.
 _HOT_LAYERS = frozenset({"core", "caching", "net", "faas"})
+
+#: Layers whose records fill the packed logs of a long run.
+_PROTOCOL_LAYERS = _HOT_LAYERS | {"shard"}
+
+#: Attr values a record must not hold, by syntax (see "Attrs are atomics").
+_NOT_ATOMIC = {ast.Set: "set", ast.SetComp: "set", ast.Dict: "dict",
+               ast.DictComp: "dict", ast.Lambda: "lambda",
+               ast.GeneratorExp: "generator expression"}
 
 #: Tracer methods that take span attrs as keywords.
 _SPAN_METHODS = frozenset({"span", "instant"})
@@ -99,24 +115,32 @@ class ObsDisciplineRule(Rule):
         "under an `if <recorder>.active:` guard so the Null sink stays "
         "zero-cost; in core/, caching/, net/ and faas/ the same guard is "
         "required of tracer.span()/instant() sites carrying keyword attrs "
-        "and of calls to `_traced_*` functions"
+        "and of calls to `_traced_*` functions; in those layers and "
+        "shard/ no span or event attr may be a set, dict, lambda or "
+        "generator expression (records are packed as atomics)"
     )
 
     def check_module(self, module: ModuleInfo):
         facts = ModuleSetFacts(module.tree)
         hot = in_layers(module, _HOT_LAYERS)
+        protocol = in_layers(module, _PROTOCOL_LAYERS)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             if not isinstance(func, ast.Attribute):
                 continue
-            if func.attr == "emit" and _is_recorder_receiver(func.value):
+            is_emit = (func.attr == "emit"
+                       and _is_recorder_receiver(func.value))
+            if is_emit:
                 yield from self._check_event_type(module, node)
                 yield from self._check_set_order(module, node, facts)
                 yield from self._check_guard(module, node)
             elif hot:
                 yield from self._check_tracer_site(module, node, func)
+            if protocol and (is_emit or (func.attr in _SPAN_METHODS
+                                         and _is_tracer_receiver(func.value))):
+                yield from self._check_atomic_attrs(module, node, func)
 
     # -- (a) interned event types ----------------------------------------
     def _check_event_type(self, module: ModuleInfo, node: ast.Call):
@@ -186,6 +210,20 @@ class ObsDisciplineRule(Rule):
             "once per protocol step; test `tracer.active` first (or move "
             "the span into a `_traced_*` twin chosen by a guarded "
             "dispatcher)")
+
+    # -- (e) attrs the packed logs can keep --------------------------------
+    def _check_atomic_attrs(self, module: ModuleInfo, node: ast.Call,
+                            func: ast.Attribute):
+        for keyword in node.keywords:
+            kind = _NOT_ATOMIC.get(type(keyword.value))
+            if kind is None or keyword.arg is None:
+                continue
+            yield self.finding(
+                module, keyword.value,
+                f"{func.attr}() attr {keyword.arg}= is a {kind}: finished "
+                "records are kept as atomics and packed with marshal "
+                "(repro.packedlog); record a str/int/float/bool/None or "
+                "a sorted list of them")
 
     def _under_active_guard(self, module: ModuleInfo,
                             node: ast.AST) -> bool:

@@ -7,6 +7,10 @@ identity or hash order.  Two identically-seeded runs — under any
 ``PYTHONHASHSEED`` — therefore produce identical dump bytes, and a
 dump/load/dump round trip reproduces the file exactly.
 
+``export_jsonl`` writes event by event (``jsonl_dumps`` joins the same
+lines), so a dump — the recorder's automatic one included — never holds
+the document.
+
 Plain functions (not simulation processes), so file I/O here is outside
 the SIM02 no-blocking-calls contract.
 """
@@ -22,23 +26,26 @@ _REQUIRED = ("seq", "t", "type", "node", "key", "trace", "span", "tick",
              "attrs")
 
 
-def _event_dicts(source) -> list:
+def _event_dicts(source):
     """Accept a FlightRecorder or an iterable of event dicts."""
-    if hasattr(source, "to_dicts"):
-        return source.to_dicts()
-    return list(source)
+    if hasattr(source, "iter_dicts"):
+        return source.iter_dicts()
+    return source
+
+
+def _jsonl_lines(source):
+    for event in _event_dicts(source):
+        yield json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def jsonl_dumps(source) -> str:
     """Serialize recorded events as one JSON object per line."""
-    lines = [json.dumps(event, sort_keys=True, separators=(",", ":"))
-             for event in _event_dicts(source)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_jsonl_lines(source))
 
 
 def export_jsonl(source, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(jsonl_dumps(source))
+        handle.writelines(_jsonl_lines(source))
 
 
 def loads_events(text: str) -> list:

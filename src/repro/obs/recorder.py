@@ -26,19 +26,22 @@ post-mortem tooling can join the event log with the span tree and the
 sampled timelines of the same run without timestamps alone.
 
 **Ring-buffer semantics.**  The buffer holds the most recent
-``capacity`` events; older ones are overwritten in place and counted in
+``capacity`` events; older ones fall out and are counted in
 ``dropped``.  Emission order is sim-time order (the clock is monotonic
 within a run), so eviction always discards a prefix — the survivors stay
 sorted by ``(t, seq)``.
 
-**Storage layout.**  The ring keeps one row of atomics per event —
-``(seq, t, type, node, key, trace, span, tick)`` — and the attrs dict at
-the same index of a parallel list, never an object per event: CPython's
-cyclic collector re-scans every tracked object a run retains, a tuple of
-atomics and a dict of atomic values are both untracked, and a tuple that
-*holds* a dict never is (the same layout, for the same reason, as the
-tracer's finished spans).  :meth:`FlightRecorder.events` builds
-:class:`ProtoEvent` views on demand.
+**Storage layout.**  One row of atomics per event — ``(seq, t, type,
+node, key, trace, span, tick)`` — and its attrs dict, never an object
+per event, filed with a :class:`~repro.packedlog.PackedLog` whose
+*window* is the ring: the newest events are staged as two parallel
+lists, every ``packedlog.BATCH`` of them is replaced by one ``marshal``
+blob (~70 bytes an event instead of ~360), whole batches that fell out
+of the window are dropped and the batch the window's edge runs through
+is cut when read.  It is the tracer's layout, for the tracer's reasons
+(see :mod:`repro.trace.tracer`, "Storage layout").
+:meth:`FlightRecorder.events` builds :class:`ProtoEvent` views on
+demand.
 
 **Automatic dump.**  When constructed with ``dump_path``, emitting a
 dump-trigger event (fault injection, coherence violation) writes the
@@ -52,6 +55,7 @@ import itertools
 from typing import Optional
 
 from repro.obs.events import DUMP_TRIGGERS
+from repro.packedlog import PackedLog
 
 __all__ = ["FlightRecorder", "NullRecorder", "NULL_RECORDER", "ProtoEvent",
            "DEFAULT_CAPACITY"]
@@ -114,13 +118,9 @@ class FlightRecorder:
         self.capacity = capacity
         self.dump_path = dump_path
         self._sim = None
-        # The ring: rows of atomics and, index for index, their attrs.
-        self._rows: list = []
-        self._attrs: list = []
-        self._head = 0          # overwrite cursor once the ring is full
+        # The ring (see "Storage layout" above).
+        self._log = PackedLog(window=capacity)
         self._next_seq = itertools.count(1)
-        #: Events overwritten by ring eviction.
-        self.dropped = 0
         #: Automatic full dumps written (fault / violation triggers).
         self.autodumps = 0
 
@@ -141,8 +141,8 @@ class FlightRecorder:
              **attrs) -> None:
         """Record one event, stamped with sim time, trace ids and tick.
 
-        Purely passive: one list append (or in-place overwrite), no
-        simulator interaction.  Callers gate on ``recorder.active`` so
+        Purely passive: one append to the log, no simulator
+        interaction.  Callers gate on ``recorder.active`` so
         the Null sink never evaluates the arguments.
         """
         sim = self._sim
@@ -150,45 +150,35 @@ class FlightRecorder:
             raise RuntimeError("FlightRecorder.emit() before bind(): attach "
                                "the recorder via Simulator(obs=...)")
         trace, span = sim.tracer.current() or (0, 0)
-        row = (next(self._next_seq), sim.now, etype, node, key, trace, span,
-               sim.metrics.samples)
-        rows = self._rows
-        if len(rows) < self.capacity:
-            rows.append(row)
-            self._attrs.append(attrs)
-        else:
-            head = self._head
-            rows[head] = row
-            self._attrs[head] = attrs
-            self._head = (head + 1) % self.capacity
-            self.dropped += 1
+        self._log.append((next(self._next_seq), sim.now, etype, node, key,
+                          trace, span, sim.metrics.samples), attrs)
         if etype in DUMP_TRIGGERS and self.dump_path is not None:
             self._autodump()
 
     # -- inspection ---------------------------------------------------
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._log)
 
-    def _oldest_first(self):
-        """(row, attrs) pairs in emission (sim-time / seq) order."""
-        head = self._head
-        rows, attrs = self._rows, self._attrs
-        return zip(rows[head:] + rows[:head], attrs[head:] + attrs[:head])
+    @property
+    def dropped(self) -> int:
+        """Events overwritten by ring eviction."""
+        return self._log.dropped
 
     def events(self) -> list:
         """Recorded events, oldest first (built on demand)."""
-        return [ProtoEvent(*row, attrs)
-                for row, attrs in self._oldest_first()]
+        return [ProtoEvent(*row, attrs) for row, attrs in self._log]
+
+    def iter_dicts(self):
+        """Events as JSON-ready dicts, oldest first, one at a time."""
+        for row, attrs in self._log:
+            yield _event_dict(row, attrs)
 
     def to_dicts(self) -> list:
-        """Events as JSON-ready dicts, oldest first."""
-        return [_event_dict(row, attrs)
-                for row, attrs in self._oldest_first()]
+        """:meth:`iter_dicts` as a list."""
+        return list(self.iter_dicts())
 
     def clear(self) -> None:
-        self._rows = []
-        self._attrs = []
-        self._head = 0
+        self._log.clear()
 
     # -- dumping ------------------------------------------------------
     def _autodump(self) -> None:
@@ -228,6 +218,9 @@ class NullRecorder:
 
     def events(self) -> list:
         return []
+
+    def iter_dicts(self):
+        return iter(())
 
     def to_dicts(self) -> list:
         return []

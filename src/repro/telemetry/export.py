@@ -2,8 +2,11 @@
 
 All exporters are byte-deterministic: series are emitted in canonical
 ``(name, labels)`` order, JSON objects use ``sort_keys``, and every
-timestamp is simulated milliseconds.  The writers are plain functions —
-not sim processes — so file I/O here does not violate SIM02.
+timestamp is simulated milliseconds.  Each format is a generator of
+text chunks over ``iter_dicts()`` — one series, and so one list of
+points, alive at a time; ``*_dumps`` joins the chunks, ``export_*``
+writes them as they come.  The writers are plain functions — not sim
+processes — so file I/O here does not violate SIM02.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ import io
 import json
 
 
-def _series_dicts(source) -> list:
+def _series_dicts(source):
     """Normalize a registry, store, or iterable of dicts to sorted dicts."""
-    to_dicts = getattr(source, "to_dicts", None)
-    if to_dicts is not None:
-        return to_dicts()
+    iter_dicts = getattr(source, "iter_dicts", None)
+    if iter_dicts is not None:
+        return iter_dicts()
     return sorted(source, key=_dict_key)
 
 
@@ -33,16 +36,19 @@ def _fmt_value(value) -> str:
 
 # -- JSONL -------------------------------------------------------------
 
+def _jsonl_lines(source):
+    for series in _series_dicts(source):
+        yield json.dumps(series, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def jsonl_dumps(source) -> str:
     """One canonical JSON object per series, one series per line."""
-    lines = [json.dumps(series, sort_keys=True, separators=(",", ":"))
-             for series in _series_dicts(source)]
-    return "".join(line + "\n" for line in lines)
+    return "".join(_jsonl_lines(source))
 
 
 def export_jsonl(source, path: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(jsonl_dumps(source))
+        handle.writelines(_jsonl_lines(source))
     return path
 
 
@@ -51,10 +57,8 @@ def export_jsonl(source, path: str) -> str:
 CSV_HEADER = ("name", "kind", "labels", "t_ms", "value")
 
 
-def csv_dumps(source) -> str:
-    """Long-form CSV: one row per sampled point."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(source, handle) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for series in _series_dicts(source):
         labels = ";".join(f"{name}={value}"
@@ -62,12 +66,18 @@ def csv_dumps(source) -> str:
         for t_ms, value in series["points"]:
             writer.writerow([series["name"], series["kind"], labels,
                              _fmt_value(float(t_ms)), _fmt_value(value)])
+
+
+def csv_dumps(source) -> str:
+    """Long-form CSV: one row per sampled point."""
+    buffer = io.StringIO()
+    _write_csv(source, buffer)
     return buffer.getvalue()
 
 
 def export_csv(source, path: str) -> str:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(csv_dumps(source))
+        _write_csv(source, handle)
     return path
 
 
@@ -87,6 +97,21 @@ def _prom_label_str(labels: dict) -> str:
     return "{" + body + "}"
 
 
+def _prometheus_lines(source):
+    seen_families: set = set()
+    for series in _series_dicts(source):
+        name = series["name"]
+        if name not in seen_families:
+            seen_families.add(name)
+            if series.get("help"):
+                yield f"# HELP {name} {series['help']}\n"
+            yield f"# TYPE {name} {series['kind']}\n"
+        label_str = _prom_label_str(series["labels"])
+        for t_ms, value in series["points"]:
+            yield (f"{name}{label_str} {_fmt_value(value)} "
+                   f"{_fmt_value(float(t_ms))}\n")
+
+
 def prometheus_dumps(source) -> str:
     """Prometheus exposition text with explicit millisecond timestamps.
 
@@ -94,25 +119,12 @@ def prometheus_dumps(source) -> str:
     simulated-clock timestamp, so the full timeline round-trips through
     any Prometheus-format tooling.
     """
-    lines: list = []
-    seen_families: dict = {}
-    for series in _series_dicts(source):
-        name = series["name"]
-        if name not in seen_families:
-            seen_families[name] = None
-            if series.get("help"):
-                lines.append(f"# HELP {name} {series['help']}")
-            lines.append(f"# TYPE {name} {series['kind']}")
-        label_str = _prom_label_str(series["labels"])
-        for t_ms, value in series["points"]:
-            lines.append(f"{name}{label_str} {_fmt_value(value)} "
-                         f"{_fmt_value(float(t_ms))}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(_prometheus_lines(source))
 
 
 def export_prometheus(source, path: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(prometheus_dumps(source))
+        handle.writelines(_prometheus_lines(source))
     return path
 
 

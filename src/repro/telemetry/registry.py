@@ -287,8 +287,13 @@ class MetricsRegistry:
             instrument._sample(now, self.store)
         self.samples += 1
 
+    def iter_dicts(self):
+        """Sampled series as JSON-ready dicts (canonical order), one at
+        a time."""
+        return self.store.iter_dicts()
+
     def to_dicts(self) -> list:
-        """Sampled series as JSON-ready dicts (canonical order)."""
+        """:meth:`iter_dicts` as a list."""
         return self.store.to_dicts()
 
 
@@ -379,6 +384,9 @@ class NullRegistry:
 
     def sample(self, now: float) -> None:
         return None
+
+    def iter_dicts(self):
+        return iter(())
 
     def to_dicts(self) -> list:
         return []

@@ -36,12 +36,15 @@ class Sampler:
         return self._process is not None and not self._process.triggered
 
     def start(self) -> "Sampler":
-        """Spawn the sampling process (no-op if inactive or started)."""
-        if not self.registry.active or self._process is not None:
-            return self
+        """Spawn the sampling process (no-op if inactive or started).
+
+        After a :meth:`stop` whose process has not woken yet, this
+        withdraws the stop and that process carries on, on its grid.
+        """
         self._stopped = False
-        self._process = self.sim.spawn(
-            self._run(), name="telemetry-sampler", daemon=True)
+        if self.registry.active and self._process is None:
+            self._process = self.sim.spawn(
+                self._run(), name="telemetry-sampler", daemon=True)
         return self
 
     def stop(self) -> None:
@@ -52,5 +55,5 @@ class Sampler:
         registry = self.registry
         while not self._stopped:
             registry.sample(self.sim.now)
-            yield self.sim.timeout(self.interval_ms)
+            yield self.sim.sleep(self.interval_ms)
         self._process = None

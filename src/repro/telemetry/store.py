@@ -90,7 +90,12 @@ class TimeSeriesStore:
         """Every series, in creation order."""
         return list(self._series.values())
 
+    def iter_dicts(self):
+        """JSON-ready dicts in canonical (name, labels) order, one series
+        (and so one list of points) at a time."""
+        for series in sorted(self._series.values(), key=lambda s: s.key):
+            yield series.to_dict()
+
     def to_dicts(self) -> list:
-        """JSON-ready dicts, sorted by (name, labels) for canonical output."""
-        return [series.to_dict()
-                for series in sorted(self._series.values(), key=lambda s: s.key)]
+        """:meth:`iter_dicts` as a list."""
+        return list(self.iter_dicts())

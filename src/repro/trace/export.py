@@ -8,6 +8,12 @@ Perfetto / ``chrome://tracing`` — one ``pid`` for the run, one ``tid``
 lane per simulator process, complete (``ph: "X"``) events in
 microseconds.
 
+Every writer is a generator of text chunks, one span per chunk, over
+``Tracer.iter_dicts()``: the ``*_dumps`` functions join them, the
+``export_*`` functions hand them to the file one by one, so writing a
+trace costs the memory of the spans that ended out of order, not of the
+document.
+
 These are plain functions (not simulation processes), so file I/O here
 is outside the SIM02 no-blocking-calls contract.
 """
@@ -15,46 +21,50 @@ is outside the SIM02 no-blocking-calls contract.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Union
+from typing import Iterable, Iterator
 
 
-def _span_dicts(source) -> list:
-    """Accept a Tracer or an iterable of span dicts; return sorted dicts."""
-    if hasattr(source, "to_dicts"):
-        return source.to_dicts()
+def _span_dicts(source) -> Iterable[dict]:
+    """Accept a Tracer or an iterable of span dicts; sorted by span id."""
+    if hasattr(source, "iter_dicts"):
+        return source.iter_dicts()
     return sorted(source, key=lambda s: s["span_id"])
+
+
+def _json(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _jsonl_lines(source) -> Iterator[str]:
+    for span in _span_dicts(source):
+        yield _json(span) + "\n"
 
 
 def jsonl_dumps(source) -> str:
     """Serialize completed spans as one JSON object per line."""
-    lines = [json.dumps(span, sort_keys=True, separators=(",", ":"))
-             for span in _span_dicts(source)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_jsonl_lines(source))
 
 
 def export_jsonl(source, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(jsonl_dumps(source))
+        handle.writelines(_jsonl_lines(source))
 
 
-def chrome_events(source, lane_names=None) -> list:
-    """Build the Chrome ``traceEvents`` list (metadata + complete events)."""
-    spans = _span_dicts(source)
+def _chrome_events(source, lane_names=None) -> Iterator[dict]:
     if lane_names is None:
         lane_names = source.lane_names() if hasattr(source, "lane_names") else {}
-    events = []
     for tid in sorted(lane_names):
-        events.append({
+        yield {
             "ph": "M", "pid": 1, "tid": tid, "name": "thread_name",
             "args": {"name": lane_names[tid]},
-        })
-    for span in spans:
+        }
+    for span in _span_dicts(source):
         args = dict(span.get("attrs") or {})
         args["trace_id"] = span["trace_id"]
         args["span_id"] = span["span_id"]
         if span.get("parent_id") is not None:
             args["parent_id"] = span["parent_id"]
-        events.append({
+        yield {
             "ph": "X",
             "pid": 1,
             "tid": span.get("tid", 0),
@@ -64,23 +74,31 @@ def chrome_events(source, lane_names=None) -> list:
             "ts": span["start_ms"] * 1000.0,
             "dur": (span["end_ms"] - span["start_ms"]) * 1000.0,
             "args": args,
-        })
-    return events
+        }
+
+
+def chrome_events(source, lane_names=None) -> list:
+    """Build the Chrome ``traceEvents`` list (metadata + complete events)."""
+    return list(_chrome_events(source, lane_names))
+
+
+def _chrome_chunks(source, lane_names=None) -> Iterator[str]:
+    yield '{"displayTimeUnit": "ms",\n "traceEvents": [\n  '
+    separator = ""
+    for event in _chrome_events(source, lane_names):
+        yield separator + _json(event)
+        separator = ",\n  "
+    yield "\n ]}\n"
 
 
 def chrome_dumps(source, lane_names=None) -> str:
     """Serialize as a Chrome trace_event JSON document."""
-    events = chrome_events(source, lane_names=lane_names)
-    lines = [json.dumps(event, sort_keys=True, separators=(",", ":"))
-             for event in events]
-    body = ",\n  ".join(lines)
-    return ('{"displayTimeUnit": "ms",\n "traceEvents": [\n  '
-            + body + "\n ]}\n")
+    return "".join(_chrome_chunks(source, lane_names))
 
 
 def export_chrome(source, path, lane_names=None) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(chrome_dumps(source, lane_names=lane_names))
+        handle.writelines(_chrome_chunks(source, lane_names))
 
 
 def _spans_from_chrome(document: dict) -> list:

@@ -23,24 +23,50 @@ thread contexts by hand.  RPC boundaries carry the context explicitly in
 says "attach to whatever operation this process is serving".
 
 **Storage layout.**  A long traced run finishes hundreds of thousands of
-spans, and CPython's cyclic collector re-scans every *tracked* object it
-retains on each full pass.  So the tracer retains nothing the collector
-tracks per span: a finished span is one row of atomics in ``_rows`` —
-``(trace_id, span_id, parent_id, name, category, start_ms, end_ms,
-tid)`` — with its attrs dict at the same index of the parallel
-``_attrs`` list.  A tuple of atomics is untracked at its first young
-pass and a dict of str/int/float/bool/None values is never tracked; a
-tuple that *holds a dict* stays tracked for ever (the collector cannot
-rule out that the dict gains a container later), which is why the attrs
-are not a ninth column.  A :class:`Span` object exists only while its
-span is open; ``spans`` rebuilds them on demand.
+spans; what each one costs while the run goes on is what bounds the run.
+A :class:`Span` object exists only while its span is open.  Ending it
+files one row of atomics — ``(trace_id, span_id, parent_id, name,
+category, start_ms, end_ms, tid)`` — and the attrs dict with the tracer's
+:class:`~repro.packedlog.PackedLog`, in closure order.  The log keeps the
+newest records *staged* as exactly that pair (two parallel lists) and,
+every ``packedlog.BATCH`` records, replaces the staged batch by one
+``marshal.dumps`` blob: ~70 bytes a span instead of the ~380 of a live
+tuple and dict, and one object per 4096 spans for the allocator and the
+cyclic collector to know about.  ``spans``, ``to_dicts()`` and the
+exporters unpack one batch at a time.
+
+* *Why a row beside a dict, not a ninth column.*  What is staged should
+  not feed the collector either: a tuple of atomics is untracked at its
+  first young pass and a dict of str/int/float/bool/None values is never
+  tracked, but a tuple that *holds a dict* stays tracked for ever (the
+  collector cannot rule out that the dict gains a container later).
+* *Why batches.*  Packing per record would pay ``dumps``' fixed cost and
+  lose its back-references 4096 times over; one blob per run would
+  double the peak while it is built.  The hot path (``Span.end``,
+  ``instant``) gains one length check.
+* *Why* ``marshal`` *and not typed columns.*  ``array`` columns plus a
+  table of attr shapes reach the same bytes per span but have to take
+  every row apart in Python — 1.1 µs a row fully vectorised against
+  0.4 µs for ``dumps`` on the host where both were prototyped (ISSUE 24;
+  ``dumps`` measures 0.6–0.85 µs here, EXPERIMENTS.md "Packed signal
+  logs") — for five times the code.
+  ``marshal`` writes str/int/float/bool/None and lists / dicts of them
+  exactly, and a 5-byte reference for an object it has already written,
+  which is why names are ``sys.intern``-ed below: one object per distinct
+  name, not one string per span.
+* *What falls back.*  A batch with an attr ``marshal`` refuses stays in
+  the log as the two lists it was (OBS01 keeps such attrs out of the
+  protocol layers).
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+from bisect import bisect_left
 from typing import NamedTuple, Optional
+
+from repro.packedlog import PackedLog
 
 
 class TraceContext(NamedTuple):
@@ -115,10 +141,9 @@ class Span:
         span_id = self.span_id
         end_ms = self.end_ms = tracer._sim.now
         del tracer._open[span_id]
-        tracer._rows.append((self.trace_id, span_id, self.parent_id,
-                             self.name, self.category, self.start_ms,
-                             end_ms, self.tid))
-        tracer._attrs.append(self.attrs)
+        tracer._log.append((self.trace_id, span_id, self.parent_id,
+                            self.name, self.category, self.start_ms,
+                            end_ms, self.tid), self.attrs)
         # Restore the context on whichever process opened the span, but
         # only if that span is still its current context (spans closed
         # out of order keep whatever the inner code installed).
@@ -171,6 +196,11 @@ def _span_dict(row: tuple, attrs: dict) -> dict:
     }
 
 
+def _pair_span_id(pair: tuple) -> int:
+    """Sort key of a ``(row, attrs)`` pair: the row's span id."""
+    return pair[0][1]
+
+
 class _NullSpan:
     """Shared do-nothing span returned by :class:`NullTracer`."""
 
@@ -206,10 +236,8 @@ class Tracer:
 
     def __init__(self):
         self._sim = None
-        # Finished spans, closure order: rows of atomics plus the attrs
-        # dict at the same index (see "Storage layout" above).
-        self._rows: list = []
-        self._attrs: list = []
+        # Finished spans, closure order (see "Storage layout" above).
+        self._log = PackedLog()
         # span id -> Span not yet ended, in opening order.
         self._open: dict = {}
         self._trace_ids = itertools.count(1)
@@ -318,9 +346,8 @@ class Tracer:
         if lane is None:
             lane = self._new_lane(process)
         now = sim.now
-        self._rows.append((trace_id, next(self._span_ids), parent_id,
-                           sys.intern(name), category, now, now, lane))
-        self._attrs.append(attrs)
+        self._log.append((trace_id, next(self._span_ids), parent_id,
+                          sys.intern(name), category, now, now, lane), attrs)
 
     # -- inspection / export ------------------------------------------
 
@@ -329,7 +356,7 @@ class Tracer:
         """Completed spans, in the order they ended (built on demand)."""
         return [Span(None, TraceContext(row[0], row[1]), *row[2:7], attrs,
                      row[7])
-                for row, attrs in zip(self._rows, self._attrs)]
+                for row, attrs in self._log]
 
     def open_spans(self) -> list:
         """Spans begun but not yet ended (should drain to empty)."""
@@ -339,11 +366,31 @@ class Tracer:
         """Chrome-export lane id -> human-readable process name."""
         return dict(self._lane_names)
 
+    def iter_dicts(self):
+        """Completed spans as JSON-ready dicts, sorted by span id.
+
+        Spans are filed as they end and exported as they began.  A span
+        can be emitted once no later batch of the log holds a smaller id,
+        so only the spans that ended out of order wait in memory, not the
+        run.
+        """
+        lowest = [min(row[1] for row in rows)
+                  for rows, _ in self._log.batches()]
+        # floors[i]: the smallest span id in any batch after batch i.
+        floors = list(itertools.accumulate(
+            reversed(lowest[1:] + [float("inf")]), min))[::-1]
+        waiting: list = []
+        for (rows, attrs), floor in zip(self._log.batches(), floors):
+            waiting.extend(zip(rows, attrs))
+            waiting.sort(key=_pair_span_id)
+            ready = bisect_left(waiting, floor, key=_pair_span_id)
+            for row, row_attrs in waiting[:ready]:
+                yield _span_dict(row, row_attrs)
+            del waiting[:ready]
+
     def to_dicts(self) -> list:
-        """Completed spans as JSON-ready dicts, sorted by span id."""
-        pairs = sorted(zip(self._rows, self._attrs),
-                       key=lambda pair: pair[0][1])
-        return [_span_dict(row, attrs) for row, attrs in pairs]
+        """:meth:`iter_dicts` as a list."""
+        return list(self.iter_dicts())
 
 
 class NullTracer:
@@ -384,6 +431,9 @@ class NullTracer:
 
     def lane_names(self) -> dict:
         return {}
+
+    def iter_dicts(self):
+        return iter(())
 
     def to_dicts(self) -> list:
         return []

@@ -492,6 +492,32 @@ class TestTracerSiteGating:
         assert not Analyzer(select=["OBS01"]).run([cold]).findings
 
 
+class TestAtomicAttrs:
+    """OBS01: span / event attrs the packed logs keep as atomics."""
+
+    def test_container_and_callable_attrs_flagged(self):
+        report = Analyzer(select=["OBS01"]).run(
+            [FIXTURES / "core" / "bad_attrs.py"])
+        assert [(f.line, f.message.split(": ")[0].rsplit(" ", 1)[-1])
+                for f in report.findings] == [
+            (17, "set"), (23, "set"), (29, "dict"), (34, "dict"),
+            (41, "lambda"), (47, "expression")]
+
+    def test_clean_twin_has_no_findings(self):
+        report = Analyzer(select=["OBS01"]).run(
+            [FIXTURES / "core" / "clean_attrs.py"])
+        assert report.files == 1 and not report.findings
+
+    def test_scoped_to_protocol_layers(self, tmp_path):
+        source = (FIXTURES / "core" / "bad_attrs.py").read_text()
+        for layer, findings in (("shard", 6), ("experiments", 0)):
+            path = tmp_path / layer / "bad_attrs.py"
+            path.parent.mkdir()
+            path.write_text(source)
+            report = Analyzer(select=["OBS01"]).run([path])
+            assert len(report.findings) == findings, layer
+
+
 class TestSchemeRules:
     @pytest.fixture(scope="class")
     def report(self):

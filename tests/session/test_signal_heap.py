@@ -6,13 +6,16 @@ a kernel that keeps every finished process reachable from a long-lived
 event — makes every full collection of a long run slower (DESIGN.md
 §12).  The sinks therefore store rows of atomics and a decided race lets
 go of its losers; these tests pin both properties on the heap itself — a
-wall-clock assertion could not.
+wall-clock assertion could not.  Nor could one pin what a finished record
+costs in bytes once the sinks pack their batches: tracemalloc can.
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
+import repro.packedlog
 from repro.obs import ProtoEvent
 from repro.session import Session
 from repro.sim.events import AnyOf
@@ -22,10 +25,11 @@ from repro.trace import Span, TraceContext
 APPS = ("SocNet", "HotelBook")
 
 
-def _drained_run(signals: bool) -> Session:
+def _drained_run(signals: bool, metrics: bool = None) -> Session:
     """A small FaaS run driven to quiescence (sampler included)."""
     s = Session(seed=7, nodes=4, cores_per_node=4, scheme="concord",
-                apps=APPS, trace=signals, metrics=signals, obs=signals)
+                apps=APPS, trace=signals, obs=signals,
+                metrics=signals if metrics is None else metrics)
     for name in APPS:
         s.sim.spawn(s.platform.open_loop(name, 40.0, 2500.0,
                                          s.factories[name]),
@@ -131,3 +135,39 @@ def test_read_surfaces_are_built_on_demand(heaps):
     after = _census()
     assert after.get(Span, 0) == before.get(Span, 0)
     assert after.get(ProtoEvent, 0) == before.get(ProtoEvent, 0)
+
+
+#: tracemalloc bytes per finished record (span or event) at 457b206, one
+#: tuple and one dict each; packed batches must at least halve it.
+UNPACKED_BYTES_PER_RECORD = 350
+
+
+def _allocated_by(build):
+    """(what ``build()`` returned, bytes it left allocated); tracing on."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    result = build()
+    gc.collect()
+    return result, tracemalloc.get_traced_memory()[0] - before
+
+
+def test_bytes_retained_per_finished_record(monkeypatch):
+    # 23k records: at the real batch size a third would still be staged.
+    monkeypatch.setattr(repro.packedlog, "BATCH", 256)
+    tracemalloc.start()
+    try:
+        _, plain = _allocated_by(lambda: _drained_run(False))
+        s, traced = _allocated_by(lambda: _drained_run(True, metrics=False))
+        records = len(s.tracer.to_dicts()) + len(s.obs)
+        assert records > 20000
+        per_record = (traced - plain) / records
+        assert per_record <= UNPACKED_BYTES_PER_RECORD / 2
+
+        # Reading unpacks; what the views needed goes when they go.
+        def build_and_drop_views():
+            assert len(s.tracer.spans) + len(s.obs.events()) == records
+
+        _, left_behind = _allocated_by(build_and_drop_views)
+        assert left_behind / records < 0.05 * per_record
+    finally:
+        tracemalloc.stop()

@@ -38,6 +38,36 @@ def test_stop_ends_sampling():
     assert registry.samples == len(series.points)
 
 
+def test_restart_inside_one_interval_keeps_the_grid():
+    # stop() then start() before the sleeping process wakes: the process
+    # is still there, so start() must un-stop it, not return early.
+    sim, registry = make_sim()
+    registry.gauge("level", labelnames=()).set_callback(lambda: 1.0)
+    sampler = Sampler(sim, interval_ms=100.0).start()
+    sim.run(until=250.0)
+    sampler.stop()
+    sampler.start()
+    sim.run(until=1000.0)
+    assert sampler.running
+    (series,) = registry.store.all_series()
+    assert series.times == [100.0 * tick for tick in range(11)]
+
+
+def test_restart_after_the_process_exited_spawns_a_new_one():
+    sim, registry = make_sim()
+    registry.gauge("level", labelnames=()).set_callback(lambda: 1.0)
+    sampler = Sampler(sim, interval_ms=100.0).start()
+    sim.run(until=250.0)
+    sampler.stop()
+    sim.run(until=450.0)
+    assert not sampler.running
+    sampler.start()
+    sim.run(until=700.0)
+    assert sampler.running
+    (series,) = registry.store.all_series()
+    assert series.times == [0.0, 100.0, 200.0, 450.0, 550.0, 650.0]
+
+
 def test_inactive_registry_is_a_noop():
     sim = Simulator(seed=1)  # NULL_REGISTRY
     sampler = Sampler(sim, interval_ms=50.0).start()

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.packedlog
 from repro.sim import Simulator
 from repro.trace import (
     INHERIT,
@@ -11,6 +12,10 @@ from repro.trace import (
     Span,
     TraceContext,
     Tracer,
+    chrome_dumps,
+    export_chrome,
+    export_jsonl,
+    jsonl_dumps,
 )
 
 
@@ -223,3 +228,61 @@ class TestExportOrdering:
     def test_open_span_excluded_from_export(self, sim, tracer):
         tracer.span("open", "op")
         assert tracer.to_dicts() == []
+
+
+class TestPackedBatches:
+    """Spans filed across many packed batches, ended far out of order."""
+
+    @pytest.fixture
+    def tracer(self, monkeypatch):
+        monkeypatch.setattr(repro.packedlog, "BATCH", 4)
+        return Tracer()
+
+    def _nested_run(self, sim, tracer):
+        # Outer spans open first and end last, each round further out of
+        # order than a batch is long; instants are filed as they happen.
+        for round_ in range(5):
+            outer = [tracer.span(f"outer{round_}.{i}", "op", parent=None,
+                                 round=round_) for i in range(3)]
+            for i in range(7):
+                with tracer.span(f"inner{i}", "agent", size=i * 0.5):
+                    tracer.instant("mark", "directory", hit=bool(i % 2))
+            sim.run(until=sim.now + 1.0)
+            for span in outer:
+                span.end()
+
+    def test_export_order_is_span_id_order(self, sim, tracer):
+        self._nested_run(sim, tracer)
+        dicts = tracer.to_dicts()
+        assert [d["span_id"] for d in dicts] == list(range(1, 86))
+        assert list(tracer.iter_dicts()) == dicts
+        assert dicts[0]["name"] == "outer0.0"
+        assert dicts[0]["attrs"] == {"round": 0}
+        assert dicts[4] == {
+            "trace_id": 3, "span_id": 5, "parent_id": 4, "name": "mark",
+            "category": "directory", "start_ms": 0.0, "end_ms": 0.0,
+            "duration_ms": 0.0, "attrs": {"hit": False}, "tid": 0}
+
+    def test_spans_keep_closure_order(self, sim, tracer):
+        self._nested_run(sim, tracer)
+        spans = tracer.spans
+        assert [s.name for s in spans[:4]] == ["mark", "inner0", "mark",
+                                               "inner1"]
+        assert [s.name for s in spans[14:17]] == ["outer0.0", "outer0.1",
+                                                  "outer0.2"]
+        assert sorted(s.to_dict()["span_id"] for s in spans) == list(
+            range(1, 86))
+        assert {s.span_id: s.to_dict() for s in spans} == {
+            d["span_id"]: d for d in tracer.to_dicts()}
+
+    def test_files_are_the_dumps(self, sim, tracer, tmp_path):
+        self._nested_run(sim, tracer)
+        export_jsonl(tracer, tmp_path / "t.jsonl")
+        export_chrome(tracer, tmp_path / "t.json")
+        assert (tmp_path / "t.jsonl").read_text() == jsonl_dumps(tracer)
+        assert (tmp_path / "t.json").read_text() == chrome_dumps(tracer)
+        # The dict path (no Tracer behind it) sorts and writes the same.
+        shuffled = list(reversed(tracer.to_dicts()))
+        assert jsonl_dumps(shuffled) == jsonl_dumps(tracer)
+        assert (chrome_dumps(shuffled, lane_names=tracer.lane_names())
+                == chrome_dumps(tracer))
