@@ -1,4 +1,8 @@
-"""repro.bench — parallel experiment orchestration and the perf gate.
+"""repro.bench — parallel experiment orchestration and the counter gate.
+
+Three jobs and no more: the sweep executor ``run_all`` runs the figures
+on, exact simulated-counter reports, and the gate that compares them to
+a committed baseline.  Host-clock measurement belongs to ``perfbench/``.
 
 The pieces, bottom-up:
 
@@ -10,13 +14,14 @@ The pieces, bottom-up:
   crash isolation.
 - :mod:`repro.bench.journal` — JSONL checkpoint keyed by fingerprint;
   interrupted sweeps resume by skipping completed jobs.
-- :mod:`repro.bench.report` — versioned ``BENCH_*.json`` schema, the
-  wall-time-vs-simulated-counter regression gate, and the history view.
+- :mod:`repro.bench.report` — versioned ``BENCH_*.json`` schema
+  (counters only, byte-identical across runs) and the exact-equality
+  counter gate.
 - :mod:`repro.bench.suite` — named job suites (``tier1`` is the CI
   gate).  Imported lazily by the CLI so ``repro.bench`` itself stays
   cheap to import inside spawn workers.
 
-CLI: ``repro-bench run|compare|history`` (also
+CLI: ``repro-bench run|compare|schemes`` (also
 ``python -m repro.bench``).
 """
 

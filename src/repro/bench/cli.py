@@ -4,15 +4,12 @@ Usage::
 
     repro-bench run [--suite tier1] [--jobs N] [--out BENCH_tier1.json]
                     [--journal sweep.jsonl] [--compare BENCH_baseline.json]
-                    [--wall-threshold 0.25] [--strict-wall] [--seed N]
-    repro-bench compare CURRENT BASELINE [--wall-threshold] [--strict-wall]
-    repro-bench history BENCH_*.json ...
+                    [--seed N]
+    repro-bench compare CURRENT BASELINE [--format text|json]
     repro-bench schemes
 
 Exit codes: 0 clean; 1 gate failure (failed jobs, simulated-counter
-drift, missing benchmarks — or wall regressions under ``--strict-wall``;
-without it wall regressions only warn, which is the right setting for
-shared CI runners).
+drift, missing benchmarks); 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from repro.bench.executor import run_jobs
 from repro.cli_common import EXIT_USAGE, common_parent
@@ -29,7 +25,6 @@ from repro.bench.report import (
     compare_reports,
     load_report,
     render_comparison,
-    render_history,
     write_report,
 )
 
@@ -38,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description=("Run benchmark suites on the repro.bench executor "
-                     "and gate wall-time / simulated-counter regressions "
-                     "against a committed baseline."),
+                     "and gate simulated-counter drift against a "
+                     "committed baseline."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -61,32 +56,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "on rerun")
     run_p.add_argument("--compare", default=None, metavar="BASELINE",
                        help="gate the fresh report against this baseline")
-    _gate_flags(run_p)
 
     cmp_p = sub.add_parser(
         "compare", help="gate an existing report against a baseline",
         parents=[common_parent(formats=("text", "json"))])
     cmp_p.add_argument("current", help="BENCH report to check")
     cmp_p.add_argument("baseline", help="baseline BENCH report")
-    _gate_flags(cmp_p)
-
-    hist_p = sub.add_parser(
-        "history", help="wall-time trend across BENCH reports")
-    hist_p.add_argument("reports", nargs="+", help="BENCH_*.json files")
 
     sub.add_parser(
         "schemes",
         help="print the registered caching-scheme catalogue")
     return parser
-
-
-def _gate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--wall-threshold", type=float, default=0.25,
-                        help="relative wall-time slack before flagging "
-                             "(default: 0.25 = +25%%)")
-    parser.add_argument("--strict-wall", action="store_true",
-                        help="fail (not warn) on wall-time regressions — "
-                             "for dedicated hardware, not shared runners")
 
 
 # ---------------------------------------------------------------------------
@@ -129,34 +109,25 @@ def _cmd_run(args) -> int:
         status = 1
 
     if args.compare is not None:
-        comparison = compare_reports(
-            report, load_report(args.compare),
-            wall_threshold=args.wall_threshold)
+        comparison = compare_reports(report, load_report(args.compare))
         print(render_comparison(comparison))
-        status = max(status, comparison.exit_code(args.strict_wall))
+        status = max(status, comparison.exit_code())
     return status
 
 
 def _cmd_compare(args) -> int:
     comparison = compare_reports(
-        load_report(args.current), load_report(args.baseline),
-        wall_threshold=args.wall_threshold)
+        load_report(args.current), load_report(args.baseline))
     if args.format == "json":
         json.dump(comparison.to_dict(), sys.stdout, indent=2,
                   sort_keys=True)
         print()
     else:
         print(render_comparison(comparison))
-    return comparison.exit_code(args.strict_wall)
+    return comparison.exit_code()
 
 
-def _cmd_history(args) -> int:
-    pairs = [(Path(path).name, load_report(path)) for path in args.reports]
-    print(render_history(pairs))
-    return 0
-
-
-def _cmd_schemes() -> int:
+def _cmd_schemes(args) -> int:
     from repro.schemes import available  # heavy: imports the simulator
 
     catalogue = available()
@@ -166,16 +137,14 @@ def _cmd_schemes() -> int:
     return 0
 
 
+COMMANDS = {"run": _cmd_run, "compare": _cmd_compare,
+            "schemes": _cmd_schemes}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "schemes":
-            return _cmd_schemes()
-        return _cmd_history(args)
+        return COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"repro-bench: {exc}", file=sys.stderr)
         return EXIT_USAGE

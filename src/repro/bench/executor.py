@@ -33,15 +33,14 @@ Design points:
   interrupted sweep resumes where it stopped.
 
 With ``jobs <= 1`` everything runs in-process through the exact same
-job-invocation path (resolve, call, canonical-JSON round trip), which is
-what makes worker-vs-in-process byte-identity testable.  Timeouts are
+job-invocation path (:func:`execute_spec` → :meth:`JobSpec.run`), which
+is what makes worker-vs-in-process byte-identity testable.  Timeouts are
 only enforced in worker mode — in-process Python cannot safely interrupt
 a running job.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 # Wall-clock here times benchmark attempts and enforces job deadlines —
@@ -59,7 +58,6 @@ from repro.bench.job import (
     STATUS_TIMEOUT,
     JobResult,
     JobSpec,
-    canonical_json,
 )
 from repro.bench.journal import as_journal
 
@@ -71,30 +69,26 @@ def execute_spec(spec_dict: dict) -> tuple:
 
     Module-level on purpose — ``spawn`` workers import this module and
     receive only the spec's dict form, never live objects.  The target is
-    resolved *before* the clock starts so import cost never pollutes the
-    measured wall time.
+    resolved once *before* the clock starts, so import cost stays out of
+    the timed :meth:`JobSpec.run`.
     """
     spec = JobSpec.from_dict(spec_dict)
-    fn = spec.resolve()
-    kwargs = spec.call_kwargs()
+    spec.resolve()
     start = time.perf_counter()
-    value = fn(**kwargs)
-    wall_s = time.perf_counter() - start
-    return json.loads(canonical_json(value)), wall_s
+    value = spec.run()
+    return value, time.perf_counter() - start
 
 
 class _JobState:
     """Mutable bookkeeping for one spec during a sweep."""
 
-    __slots__ = ("spec", "failed_attempts", "started_at", "last_error",
-                 "last_wall_s")
+    __slots__ = ("spec", "failed_attempts", "started_at", "last_error")
 
     def __init__(self, spec: JobSpec):
         self.spec = spec
         self.failed_attempts = 0
         self.started_at: Optional[float] = None
         self.last_error: Optional[str] = None
-        self.last_wall_s = 0.0
 
     @property
     def budget(self) -> int:
@@ -367,6 +361,5 @@ def _failed_result(state: _JobState, status: str) -> JobResult:
         fingerprint=state.spec.fingerprint,
         status=status,
         error=state.last_error,
-        wall_time_s=state.last_wall_s,
         attempts=state.failed_attempts,
     )

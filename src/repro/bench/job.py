@@ -214,7 +214,9 @@ class JobResult:
     #: JSON value returned by the target (``status == "ok"`` only).
     value: Any = None
     error: Optional[str] = None
-    #: Wall-clock seconds of the successful (or last failed) attempt.
+    #: Wall-clock seconds of the successful attempt (0.0 when the job
+    #: failed).  Progress lines and ``run_all``'s wall table read it; no
+    #: report does.
     wall_time_s: float = 0.0
     #: Attempts actually executed (1 = succeeded first try).
     attempts: int = 1

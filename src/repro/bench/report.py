@@ -1,32 +1,23 @@
-"""Versioned BENCH_*.json reports and the perf-regression gate.
+"""Versioned BENCH_*.json reports and the simulated-counter gate.
 
-A bench report records, per benchmark job, two very different kinds of
-numbers:
-
-- **wall-clock keys** (``wall_time_s`` and the derived
-  ``sim_ms_per_wall_s``) — how fast the simulator ran on this machine.
-  Hardware-dependent, noisy on shared CI runners, so the gate treats a
-  regression beyond a threshold as a *warning* by default
-  (``strict_wall=True`` upgrades it to a failure for dedicated boxes).
-- **simulated counters** (everything else: ``simulated_ms``,
-  ``requests_completed``, ``simulated_rps``, ...) — what the simulation
-  computed.  These are seeded and deterministic, so *any* drift against
-  the committed baseline is a behavior change masquerading as a perf
-  result and always hard-fails the gate.
+A bench report records, per benchmark job, the **simulated counters**
+its target returned (``simulated_ms``, ``requests_completed``,
+``simulated_rps``, ...).  They are seeded and deterministic, so *any*
+drift against the committed baseline is a behavior change and fails the
+gate.  A report carries no wall-clock time, timestamp or interpreter
+version: it is a pure function of the code and the seed, and two runs of
+the same tree write byte-identical files.  Host-clock numbers belong to
+``perfbench/``.
 
 ``BENCH_baseline.json`` at the repo root is the committed reference.
 Updating it is a deliberate act: rerun ``repro-bench run --out
-BENCH_baseline.json`` on the reference machine and commit the diff,
-explaining any simulated-counter movement in the commit message.
+BENCH_baseline.json`` and commit the diff, explaining any
+simulated-counter movement in the commit message.
 """
 
 from __future__ import annotations
 
 import json
-import platform
-# Wall-clock here stamps reports for the history view — driver metadata,
-# never simulation input.
-import time  # noqa: DET01
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
@@ -35,25 +26,18 @@ from repro.bench.job import JobResult
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "WALL_KEYS",
     "Comparison",
     "build_report",
     "compare_reports",
     "load_report",
     "render_comparison",
-    "render_history",
     "write_report",
 ]
 
-BENCH_SCHEMA_VERSION = 2
-
-#: Benchmark-entry keys derived from the wall clock (everything else is
-#: a simulated counter and must be bit-stable against the baseline).
-WALL_KEYS = frozenset({"wall_time_s", "sim_ms_per_wall_s"})
+BENCH_SCHEMA_VERSION = 3
 
 #: Finding severities.
 SEV_ERROR = "error"
-SEV_WARNING = "warning"
 SEV_INFO = "info"
 
 
@@ -75,20 +59,11 @@ def build_report(
                 "attempts": result.attempts,
             }
             continue
-        entry = (dict(result.value) if isinstance(result.value, dict)
-                 else {"value": result.value})
-        entry["wall_time_s"] = round(result.wall_time_s, 3)
-        simulated_ms = entry.get("simulated_ms")
-        if (isinstance(simulated_ms, (int, float))
-                and result.wall_time_s > 0):
-            entry["sim_ms_per_wall_s"] = round(
-                simulated_ms / result.wall_time_s, 1)
-        benchmarks[result.name] = entry
+        benchmarks[result.name] = (
+            dict(result.value) if isinstance(result.value, dict)
+            else {"value": result.value})
     report = {
         "schema_version": BENCH_SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "generated_at": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "benchmarks": benchmarks,
     }
     if seed is not None:
@@ -105,17 +80,17 @@ def write_report(report: dict, path: Union[str, Path]) -> None:
 
 
 def load_report(path: Union[str, Path]) -> dict:
-    """Load a BENCH_*.json; legacy schema-less files are upgraded to v1."""
+    """Load a BENCH_*.json written by this schema version."""
     with open(path, "r", encoding="utf-8") as handle:
         report = json.load(handle)
     if not isinstance(report, dict) or "benchmarks" not in report:
         raise ValueError(f"{path}: not a bench report (no 'benchmarks')")
-    report.setdefault("schema_version", 1)
-    version = report["schema_version"]
-    if not isinstance(version, int) or version > BENCH_SCHEMA_VERSION:
+    version = report.get("schema_version")
+    if version != BENCH_SCHEMA_VERSION:
         raise ValueError(
-            f"{path}: unsupported bench schema version {version!r} "
-            f"(this build reads <= {BENCH_SCHEMA_VERSION})")
+            f"{path}: bench schema version {version!r}, this build reads "
+            f"only {BENCH_SCHEMA_VERSION}; re-run `repro-bench run` to "
+            "regenerate it")
     return report
 
 
@@ -127,8 +102,8 @@ class Finding:
     """One difference the gate noticed."""
 
     benchmark: str
-    kind: str          # counter-drift | wall-regression | ...
-    severity: str      # error | warning | info
+    kind: str          # counter-drift | missing-benchmark | job-failed | ...
+    severity: str      # error | info
     detail: str
 
     def to_dict(self) -> dict:
@@ -141,43 +116,23 @@ class Comparison:
     """Outcome of comparing a current report against a baseline."""
 
     findings: List[Finding] = field(default_factory=list)
-    wall_threshold: float = 0.25
 
     @property
     def errors(self) -> List[Finding]:
         return [f for f in self.findings if f.severity == SEV_ERROR]
 
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == SEV_WARNING]
-
-    def exit_code(self, strict_wall: bool = False) -> int:
-        """0 = clean; 1 = gate failed.
-
-        Counter drift, missing benchmarks and failed jobs always fail;
-        wall-time regressions fail only under ``strict_wall`` (dedicated
-        hardware) and warn otherwise (shared CI runners).
-        """
-        if self.errors:
-            return 1
-        if strict_wall and self.warnings:
-            return 1
-        return 0
+    def exit_code(self) -> int:
+        """0 = clean; 1 = counter drift, a missing benchmark or a failed
+        job."""
+        return 1 if self.errors else 0
 
     def to_dict(self) -> dict:
-        return {
-            "wall_threshold": self.wall_threshold,
-            "findings": [f.to_dict() for f in self.findings],
-        }
+        return {"findings": [f.to_dict() for f in self.findings]}
 
 
-def compare_reports(
-    current: dict,
-    baseline: dict,
-    wall_threshold: float = 0.25,
-) -> Comparison:
-    """Diff two reports under the wall-vs-simulated-counter distinction."""
-    comparison = Comparison(wall_threshold=wall_threshold)
+def compare_reports(current: dict, baseline: dict) -> Comparison:
+    """Diff two reports: every benchmark key must match exactly."""
+    comparison = Comparison()
     current_benchmarks = current.get("benchmarks", {})
     baseline_benchmarks = baseline.get("benchmarks", {})
 
@@ -194,10 +149,8 @@ def compare_reports(
                     severity=SEV_ERROR,
                     detail="present in baseline, absent from current run"))
             continue
-        _compare_benchmark(
-            comparison, name,
-            current_benchmarks[name], baseline_benchmarks[name],
-            wall_threshold)
+        _compare_benchmark(comparison, name, current_benchmarks[name],
+                           baseline_benchmarks[name])
 
     for name in sorted(current_benchmarks):
         if name not in baseline_benchmarks:
@@ -208,10 +161,9 @@ def compare_reports(
 
 
 def _compare_benchmark(comparison: Comparison, name: str, current: dict,
-                       baseline: dict, wall_threshold: float) -> None:
+                       baseline: dict) -> None:
     # Simulated counters: exact equality or it's a behavior change.
-    counter_keys = (set(current) | set(baseline)) - WALL_KEYS
-    for key in sorted(counter_keys):
+    for key in sorted(set(current) | set(baseline)):
         if key not in current:
             comparison.findings.append(Finding(
                 benchmark=name, kind="counter-drift", severity=SEV_ERROR,
@@ -227,81 +179,15 @@ def _compare_benchmark(comparison: Comparison, name: str, current: dict,
                         "(simulated counters must not move — this is a "
                         "behavior change, not a speedup)")))
 
-    # Wall time: threshold gate, warn-only by default.
-    base_wall = baseline.get("wall_time_s")
-    cur_wall = current.get("wall_time_s")
-    if not isinstance(base_wall, (int, float)) or base_wall <= 0:
-        return
-    if not isinstance(cur_wall, (int, float)):
-        return
-    ratio = cur_wall / base_wall
-    delta_pct = (ratio - 1.0) * 100.0
-    if ratio > 1.0 + wall_threshold:
-        comparison.findings.append(Finding(
-            benchmark=name, kind="wall-regression", severity=SEV_WARNING,
-            detail=(f"wall_time_s {base_wall} -> {cur_wall} "
-                    f"(+{delta_pct:.1f}%, threshold "
-                    f"+{wall_threshold * 100:.0f}%)")))
-    elif ratio < 1.0 - wall_threshold:
-        comparison.findings.append(Finding(
-            benchmark=name, kind="wall-improvement", severity=SEV_INFO,
-            detail=f"wall_time_s {base_wall} -> {cur_wall} "
-                   f"({delta_pct:.1f}%)"))
-
 
 def render_comparison(comparison: Comparison) -> str:
     """Human-readable gate verdict."""
     lines = []
     if not comparison.findings:
-        lines.append("bench gate: clean (no drift, no wall regression "
-                     f"beyond +{comparison.wall_threshold * 100:.0f}%)")
+        lines.append("bench gate: clean (no counter drift)")
     for finding in comparison.findings:
-        lines.append(f"[{finding.severity.upper():7s}] "
+        lines.append(f"[{finding.severity.upper():5s}] "
                      f"{finding.benchmark}: {finding.kind}: "
                      f"{finding.detail}")
-    errors, warnings = comparison.errors, comparison.warnings
-    lines.append(f"bench gate: {len(errors)} error(s), "
-                 f"{len(warnings)} warning(s)")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# History
-# ---------------------------------------------------------------------------
-def render_history(reports: List[tuple]) -> str:
-    """Per-benchmark wall-time trend across ``(label, report)`` pairs.
-
-    Reports are ordered by their ``generated_at`` stamp (missing stamps
-    sort first, by label).
-    """
-    ordered = sorted(
-        reports, key=lambda pair: (pair[1].get("generated_at", ""), pair[0]))
-    names: List[str] = []
-    for _label, report in ordered:
-        for name in sorted(report.get("benchmarks", {})):
-            if name not in names:
-                names.append(name)
-    lines = []
-    for name in names:
-        lines.append(f"{name}:")
-        previous = None
-        for label, report in ordered:
-            entry = report.get("benchmarks", {}).get(name)
-            if entry is None:
-                continue
-            wall = entry.get("wall_time_s")
-            stamp = report.get("generated_at", "-")
-            delta = ""
-            if (isinstance(wall, (int, float))
-                    and isinstance(previous, (int, float))
-                    and previous > 0):
-                delta = f"  ({(wall / previous - 1.0) * 100.0:+.1f}%)"
-            rate = entry.get("sim_ms_per_wall_s")
-            rate_text = (f"  {rate:>10} sim_ms/wall_s"
-                         if rate is not None else "")
-            lines.append(f"  {stamp:20s} {label:28s} "
-                         f"{wall!s:>10} s{rate_text}{delta}")
-            previous = wall if isinstance(wall, (int, float)) else previous
-    if not lines:
-        lines.append("no benchmarks found")
+    lines.append(f"bench gate: {len(comparison.errors)} error(s)")
     return "\n".join(lines)

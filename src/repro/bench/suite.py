@@ -1,27 +1,19 @@
 """Benchmark suites: named collections of :class:`JobSpec`.
 
-The ``tier1`` suite is the CI perf gate — fixed-seed simulator points
-expressed as bench jobs so their wall times and simulated counters flow
-through the journal and the regression gate:
+The ``tier1`` suite is the CI counter gate — fixed-seed simulator points
+expressed as bench jobs so their simulated counters flow through the
+journal and are compared exactly against ``BENCH_baseline.json``:
 
 * ``fig08_point`` — one throughput grid point (8 nodes, mixed apps,
   near the SLO knee): the protocol + FaaS fast path.
 * ``fig13_churn_point`` — one churn run (16 nodes, 24 removals/min):
   membership changes, directory transfers, barrier churn.
-* ``fig08_point_obs`` / ``fig13_churn_point_obs`` — the same two points
-  with the protocol-event flight recorder attached.  Their simulated
-  counters must stay byte-identical to the plain points (the recorder is
-  purely passive; the gate pins this), they additionally report
-  ``events_recorded``, and the obs/plain wall-time pairing feeds the
-  recorder-overhead column of ``scripts/bench_summary.py``.
+* ``topo_*`` / ``scheme_*`` — fault-free topology matrix cells and zoo
+  schemes (see :func:`topology_point` and :func:`scheme_point`).
 
-Job targets return **simulated counters only** — the executor owns the
-wall clock, and :func:`repro.bench.report.build_report` derives
-``sim_ms_per_wall_s`` from the two.
-
-Heavyweight imports stay at module level on purpose: job resolution
-(imports included) happens before the executor starts a job's timer, so
-the measured wall time covers simulation work only.
+Job targets return **simulated counters only**.  The executor times
+each job for its deadline and progress line, but no wall time enters a
+report; host-clock measurement belongs to ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -29,17 +21,14 @@ from __future__ import annotations
 from typing import List
 
 from repro.bench.job import JobSpec, resolve_target
-from repro.bench.quiesce import quiesce_gc
 from repro.experiments.fig13_churn import _throughput_at
 from repro.experiments.runner import MixedRunConfig, run_mixed_workload
-from repro.obs import FlightRecorder
 from repro.session import Session
 from repro.storage import DataItem
 
-__all__ = ["DEFAULT_SEED", "SUITES", "fig08_point", "fig08_point_obs",
-           "fig13_churn_point", "fig13_churn_point_obs", "load_suite",
-           "scale_point", "scale_suite", "scheme_point", "tier1_suite",
-           "topology_point"]
+__all__ = ["DEFAULT_SEED", "SUITES", "fig08_point", "fig13_churn_point",
+           "load_suite", "scale_point", "scale_suite", "scheme_point",
+           "tier1_suite", "topology_point"]
 
 DEFAULT_SEED = 1009
 
@@ -51,65 +40,23 @@ def fig08_point(seed: int = DEFAULT_SEED) -> dict:
         utilization=None, total_rps=115,
         duration_ms=5000.0, warmup_ms=1500.0, seed=seed,
     )
-    with quiesce_gc():
-        outcome = run_mixed_workload(config)
+    outcome = run_mixed_workload(config)
     completed = sum(s.completed for s in outcome.per_app.values())
     return {
         "simulated_ms": config.duration_ms,
         "requests_completed": completed,
         "simulated_rps": round(completed / (config.duration_ms / 1000.0), 2),
-    }
-
-
-def fig08_point_obs(seed: int = DEFAULT_SEED) -> dict:
-    """``fig08_point`` with the flight recorder on.
-
-    Simulated counters must match ``fig08_point`` byte-for-byte — the
-    recorder never schedules, so attaching it cannot move the
-    simulation.  ``events_recorded`` counts every emission (kept ring +
-    evicted) and is itself deterministic, so it gates exactly too.
-    """
-    config = MixedRunConfig(
-        scheme="concord", num_nodes=8, cores_per_node=4,
-        utilization=None, total_rps=115,
-        duration_ms=5000.0, warmup_ms=1500.0, seed=seed,
-        obs=True,
-    )
-    with quiesce_gc():
-        outcome = run_mixed_workload(config)
-    completed = sum(s.completed for s in outcome.per_app.values())
-    recorder = outcome.obs
-    return {
-        "simulated_ms": config.duration_ms,
-        "requests_completed": completed,
-        "simulated_rps": round(completed / (config.duration_ms / 1000.0), 2),
-        "events_recorded": len(recorder) + recorder.dropped,
     }
 
 
 def fig13_churn_point(seed: int = DEFAULT_SEED) -> dict:
     """One fig13 churn run; returns simulated counters."""
     duration_ms = 8000.0
-    with quiesce_gc():
-        throughput, _registry = _throughput_at(24, duration_ms=duration_ms,
-                                               seed=seed)
+    throughput, _registry = _throughput_at(24, duration_ms=duration_ms,
+                                           seed=seed)
     return {
         "simulated_ms": duration_ms,
         "simulated_rps": round(throughput, 2),
-    }
-
-
-def fig13_churn_point_obs(seed: int = DEFAULT_SEED) -> dict:
-    """``fig13_churn_point`` with the flight recorder on (see above)."""
-    duration_ms = 8000.0
-    recorder = FlightRecorder()
-    with quiesce_gc():
-        throughput, _registry = _throughput_at(24, duration_ms=duration_ms,
-                                               seed=seed, obs=recorder)
-    return {
-        "simulated_ms": duration_ms,
-        "simulated_rps": round(throughput, 2),
-        "events_recorded": len(recorder) + recorder.dropped,
     }
 
 
@@ -156,9 +103,8 @@ def scale_point(seed: int = DEFAULT_SEED, num_nodes: int = 100,
         process.callbacks.append(on_driver_done)
     # Chunked run(until=...) keeps the dispatch on the simulator's inlined
     # hot loop; cluster services never drain the schedule on their own.
-    with quiesce_gc():
-        while remaining[0]:
-            sim.run(until=sim.now + 5000.0)
+    while remaining[0]:
+        sim.run(until=sim.now + 5000.0)
     return {
         "num_nodes": num_nodes,
         "requests_completed": completed[0],
@@ -179,9 +125,8 @@ def topology_point(topology: str, seed: int = DEFAULT_SEED) -> dict:
     from repro.faults.plan import FaultPlan
     from repro.shard.topologies import DURATION_MS, run_topology_scenario
 
-    with quiesce_gc():
-        outcome = run_topology_scenario(
-            topology, seed=seed, plan=FaultPlan(events=()))
+    outcome = run_topology_scenario(
+        topology, seed=seed, plan=FaultPlan(events=()))
     return {
         "simulated_ms": DURATION_MS,
         "requests_completed": outcome.completed,
@@ -207,11 +152,10 @@ def scheme_point(scheme: str, seed: int = DEFAULT_SEED) -> dict:
     from repro.faults.scenario import run_fault_scenario
 
     duration_ms = 4000.0
-    with quiesce_gc():
-        outcome = run_fault_scenario(
-            FaultPlan(events=()), seed=seed, num_nodes=6,
-            duration_ms=duration_ms, rps=30.0, scheme=scheme,
-            settle_ms=2000.0)
+    outcome = run_fault_scenario(
+        FaultPlan(events=()), seed=seed, num_nodes=6,
+        duration_ms=duration_ms, rps=30.0, scheme=scheme,
+        settle_ms=2000.0)
     counters = {
         "simulated_ms": duration_ms,
         "requests_completed": outcome.completed,
@@ -233,10 +177,6 @@ def tier1_suite(seed: int = DEFAULT_SEED) -> List[JobSpec]:
                 target="repro.bench.suite:fig08_point", seed=seed),
         JobSpec(name="fig13_churn_point",
                 target="repro.bench.suite:fig13_churn_point", seed=seed),
-        JobSpec(name="fig08_point_obs",
-                target="repro.bench.suite:fig08_point_obs", seed=seed),
-        JobSpec(name="fig13_churn_point_obs",
-                target="repro.bench.suite:fig13_churn_point_obs", seed=seed),
         JobSpec(name="topo_flat",
                 target="repro.bench.suite:topology_point",
                 args={"topology": "flat"}, seed=seed),

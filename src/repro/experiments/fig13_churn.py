@@ -82,7 +82,6 @@ def _throughput_at(
     churn_per_min: int, duration_ms: float, seed: int,
     num_nodes: int = 16,
     metrics: object = None,
-    metrics_interval_ms: float = 100.0,
     write_burst: Optional[WriteBurst] = None,
     obs: object = None,
 ):
@@ -94,8 +93,7 @@ def _throughput_at(
     there when the run ends.
     """
     s = Session(nodes=num_nodes, cores_per_node=2, seed=seed,
-                apps=("SocNet",), metrics=metrics,
-                metrics_interval_ms=metrics_interval_ms, obs=obs)
+                apps=("SocNet",), metrics=metrics, obs=obs)
     sim, cluster, concord = s.sim, s.cluster, s.system
     app = s.deployed["SocNet"]
 
@@ -147,7 +145,6 @@ def run_write_burst_timeline(
     seed: int = 121,
     churn_per_min: int = 6,
     burst: Optional[WriteBurst] = None,
-    metrics_interval_ms: float = 100.0,
 ):
     """Run fig13's setup with an injected write burst; telemetry on.
 
@@ -162,7 +159,6 @@ def run_write_burst_timeline(
     _throughput, registry = _throughput_at(
         churn_per_min, duration_ms, seed, num_nodes=num_nodes,
         metrics=path if path else True,
-        metrics_interval_ms=metrics_interval_ms,
         write_burst=burst,
     )
     return registry, burst

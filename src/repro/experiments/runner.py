@@ -67,8 +67,6 @@ class MixedRunConfig:
     #: timeline there, a :class:`~repro.telemetry.MetricsRegistry`
     #: instance is used as-is.
     metrics: object = None
-    #: Simulated-clock sampling period of the telemetry Sampler.
-    metrics_interval_ms: float = 100.0
     #: Protocol-event flight recorder: ``True`` records into
     #: ``result.obs``, a path string also dumps the ring there (at the
     #: end of the run and on every injected fault), a
@@ -77,18 +75,6 @@ class MixedRunConfig:
     #: Optional :class:`~repro.faults.FaultPlan` replayed during the run
     #: (times are absolute simulated time, warmup included).
     faults: object = None
-    #: Directory sharding (Concord schemes only): number of consistent-
-    #: hash shards the home role is partitioned over (None = ring homes).
-    shards: Optional[int] = None
-    #: Replica-chain depth per shard (leader + followers).
-    replication: int = 1
-    #: Optional :class:`~repro.net.RegionTopology` for multi-region runs.
-    regions: object = None
-    #: Extra scheme-specific configuration splatted into the scheme
-    #: builder (e.g. ``{"ttl_ms": 200.0}`` for read-through-ttl or
-    #: ``{"wb_buffer_entries": 16}`` for write-behind); keys meant for
-    #: other schemes are ignored by the builders.
-    scheme_cfg: dict = field(default_factory=dict)
 
     def cpu_ms_per_request(self) -> float:
         """Average CPU demand of one request across the app mix."""
@@ -161,18 +147,14 @@ def _compose(config: MixedRunConfig) -> Session:
         config=SimConfig(
             num_nodes=config.num_nodes, cores_per_node=config.cores_per_node,
             latency=replace(LatencyModel(),
-                            agent_service_ms=config.agent_service_ms),
-            regions=config.regions),
+                            agent_service_ms=config.agent_service_ms)),
         scheme=config.scheme, apps=config.apps,
         trace=config.trace, metrics=config.metrics, obs=config.obs,
-        metrics_interval_ms=config.metrics_interval_ms, faults=config.faults,
+        faults=config.faults,
         capacity=config.cache_capacity,
         ofc_shared_capacity=config.ofc_shared_capacity,
         read_only_annotations=config.read_only_annotations,
         num_memory_nodes=config.num_nodes,
-        shards=config.shards,
-        replication=config.replication,
-        **config.scheme_cfg,
     )
 
 

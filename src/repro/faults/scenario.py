@@ -23,6 +23,9 @@ from repro.verify import check_scheme_invariants
 #: Post-load settle window: failure detection + recovery + drain.
 SETTLE_MS = 4000.0
 
+#: The one application the scenario deploys and loads.
+APP = "SocNet"
+
 
 @dataclass
 class ScenarioOutcome:
@@ -74,7 +77,6 @@ def run_fault_scenario(
     num_nodes: int = 6,
     duration_ms: float = 8000.0,
     rps: float = 30.0,
-    app_name: str = "SocNet",
     recovery_lease_ms=None,
     obs=None,
     shards=None,
@@ -82,7 +84,6 @@ def run_fault_scenario(
     regions=None,
     settle_ms: float = SETTLE_MS,
     scheme: str = "concord",
-    scheme_cfg: dict = None,
 ) -> ScenarioOutcome:
     """Run the canonical scenario once and capture its outcome.
 
@@ -99,9 +100,9 @@ def run_fault_scenario(
     resulting eject/rejoin churn must finish before the checker runs.
 
     ``scheme`` selects any registered scheme (the CI fault matrix races
-    the whole catalogue through here); ``scheme_cfg`` passes extra
-    builder keywords.  Concord-specific outcome fields (recoveries,
-    shard table) stay at their zero defaults for other schemes.
+    the whole catalogue through here).  Concord-specific outcome fields
+    (recoveries, shard table) stay at their zero defaults for other
+    schemes.
     """
     s = Session.compose(
         seed=seed,
@@ -109,18 +110,16 @@ def run_fault_scenario(
             num_nodes=num_nodes, cores_per_node=2,
             # Fast detection keeps recovery inside the settle window.
             heartbeat_interval_ms=200.0, heartbeat_misses=3),
-        regions=regions, scheme=scheme, apps=(app_name,),
+        regions=regions, scheme=scheme, apps=(APP,),
         metrics=True, obs=obs, faults=plan,
         recovery_lease_ms=recovery_lease_ms,
         shards=shards, replication=replication,
-        **(scheme_cfg or {}),
     )
-    system, app = s.system, s.deployed[app_name]
+    system, app = s.system, s.deployed[APP]
     s.injector.start()
     s.sampler.start()
     s.sim.spawn(
-        s.platform.open_loop(app_name, rps, duration_ms,
-                             s.factories[app_name]),
+        s.platform.open_loop(APP, rps, duration_ms, s.factories[APP]),
         name="load")
     s.sim.run(until=duration_ms + settle_ms)
     s.sampler.stop()

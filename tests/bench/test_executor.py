@@ -65,6 +65,18 @@ class TestFailureIsolation:
         assert results[0].status == "error"
         assert all(r.ok for r in results[1:])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_json_return_names_the_job(self, jobs):
+        # resolve_target returns a function object: not JSON.
+        bad = JobSpec(name="bad", target="repro.bench.job:resolve_target",
+                      args={"target": "repro.bench._testing:echo"})
+        results = run_jobs([bad] + tiny_suite(), jobs=jobs)
+        assert results[0].status == "error"
+        assert "job 'bad': target returned a non-JSON value" \
+            in results[0].error
+        assert results[0].wall_time_s == 0.0
+        assert all(r.ok for r in results[1:])
+
     def test_worker_crash_does_not_kill_sweep(self):
         specs = [spec_for("crash", "hard_crash")] + tiny_suite()
         results = run_jobs(specs, jobs=2)

@@ -1,4 +1,4 @@
-"""Report schema and the wall-vs-simulated-counter regression gate."""
+"""Report schema and the simulated-counter gate."""
 
 import copy
 
@@ -13,22 +13,15 @@ from repro.bench import (
     write_report,
 )
 from repro.bench.job import JobResult
-from repro.bench.report import render_history
 
 
 def make_report(**benchmarks) -> dict:
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "generated_at": "2026-01-01T00:00:00Z",
-        "benchmarks": benchmarks,
-    }
+    return {"schema_version": BENCH_SCHEMA_VERSION, "benchmarks": benchmarks}
 
 
 BASELINE = make_report(
-    fig08={"simulated_ms": 5000.0, "requests_completed": 471,
-           "wall_time_s": 2.0, "sim_ms_per_wall_s": 2500.0},
-    fig13={"simulated_ms": 8000.0, "simulated_rps": 93.5,
-           "wall_time_s": 3.0},
+    fig08={"simulated_ms": 5000.0, "requests_completed": 471},
+    fig13={"simulated_ms": 8000.0, "simulated_rps": 93.5},
 )
 
 
@@ -37,18 +30,31 @@ def kinds(comparison):
 
 
 class TestBuildReport:
-    def test_entries_and_derived_rate(self):
+    def test_entries_carry_counters_only(self):
         ok = JobResult(name="fig08", fingerprint="a" * 64, status="ok",
                        value={"simulated_ms": 5000.0,
                               "requests_completed": 471},
                        wall_time_s=2.0, attempts=1)
         report = build_report([ok], seed=1009)
-        entry = report["benchmarks"]["fig08"]
-        assert entry["requests_completed"] == 471
-        assert entry["wall_time_s"] == 2.0
-        assert entry["sim_ms_per_wall_s"] == 2500.0
-        assert report["seed"] == 1009
-        assert report["schema_version"] == BENCH_SCHEMA_VERSION
+        assert report == {
+            "schema_version": BENCH_SCHEMA_VERSION,
+            "seed": 1009,
+            "benchmarks": {"fig08": {"simulated_ms": 5000.0,
+                                     "requests_completed": 471}},
+        }
+
+    def test_report_bytes_ignore_wall_time(self, tmp_path):
+        # A report is a pure function of the code and the seed: results
+        # that differ only in how long they took write identical files.
+        def written(wall_s, name):
+            result = JobResult(name="fig08", fingerprint="a" * 64,
+                               value={"requests_completed": 471},
+                               wall_time_s=wall_s)
+            path = tmp_path / name
+            write_report(build_report([result], seed=1009), path)
+            return path.read_bytes()
+
+        assert written(1.403, "a.json") == written(3.514, "b.json")
 
     def test_failures_are_recorded_not_dropped(self):
         bad = JobResult(name="fig13", fingerprint="b" * 64, status="timeout",
@@ -70,11 +76,15 @@ class TestReportIO:
         write_report(BASELINE, path)
         assert load_report(path) == BASELINE
 
-    def test_legacy_schemaless_report_upgrades_to_v1(self, tmp_path):
+    def test_older_schema_versions_are_rejected(self, tmp_path):
         path = tmp_path / "BENCH_old.json"
         legacy = {"benchmarks": {"fig08": {"wall_time_s": 1.0}}}
-        write_report(legacy, path)
-        assert load_report(path)["schema_version"] == 1
+        for version in (None, 1, 2):
+            if version is not None:
+                legacy["schema_version"] = version
+            write_report(legacy, path)
+            with pytest.raises(ValueError, match="re-run `repro-bench run`"):
+                load_report(path)
 
     def test_future_schema_rejected(self, tmp_path):
         path = tmp_path / "BENCH_future.json"
@@ -95,26 +105,6 @@ class TestGate:
         comparison = compare_reports(copy.deepcopy(BASELINE), BASELINE)
         assert comparison.findings == []
         assert comparison.exit_code() == 0
-        assert comparison.exit_code(strict_wall=True) == 0
-
-    def test_planted_wall_regression_warns_then_fails_strict(self):
-        current = copy.deepcopy(BASELINE)
-        current["benchmarks"]["fig08"]["wall_time_s"] = 3.0  # +50%
-        comparison = compare_reports(current, BASELINE)
-        assert kinds(comparison) == [("fig08", "wall-regression", "warning")]
-        assert comparison.exit_code() == 0, "shared runners: warn only"
-        assert comparison.exit_code(strict_wall=True) == 1
-
-    def test_wall_regression_within_threshold_is_silent(self):
-        current = copy.deepcopy(BASELINE)
-        current["benchmarks"]["fig08"]["wall_time_s"] = 2.4  # +20% < 25%
-        assert compare_reports(current, BASELINE).findings == []
-
-    def test_wall_threshold_is_tunable(self):
-        current = copy.deepcopy(BASELINE)
-        current["benchmarks"]["fig08"]["wall_time_s"] = 2.4
-        comparison = compare_reports(current, BASELINE, wall_threshold=0.1)
-        assert kinds(comparison) == [("fig08", "wall-regression", "warning")]
 
     def test_planted_counter_drift_always_fails(self):
         current = copy.deepcopy(BASELINE)
@@ -122,14 +112,7 @@ class TestGate:
         comparison = compare_reports(current, BASELINE)
         assert kinds(comparison) == [("fig08", "counter-drift", "error")]
         assert comparison.exit_code() == 1, \
-            "counter drift is a behavior change: hard fail even unstrict"
-
-    def test_sim_rate_is_wall_derived_not_a_counter(self):
-        # sim_ms_per_wall_s moves whenever the wall clock does; it must
-        # never trip the exact-equality counter gate.
-        current = copy.deepcopy(BASELINE)
-        current["benchmarks"]["fig08"]["sim_ms_per_wall_s"] = 2100.0
-        assert compare_reports(current, BASELINE).findings == []
+            "counter drift is a behavior change: hard fail"
 
     def test_missing_and_new_counters_are_drift(self):
         current = copy.deepcopy(BASELINE)
@@ -158,25 +141,18 @@ class TestGate:
 
     def test_new_benchmark_is_informational(self):
         current = copy.deepcopy(BASELINE)
-        current["benchmarks"]["fig20"] = {"wall_time_s": 1.0}
+        current["benchmarks"]["fig20"] = {"simulated_ms": 1.0}
         comparison = compare_reports(current, BASELINE)
         assert kinds(comparison) == [("fig20", "new-benchmark", "info")]
-        assert comparison.exit_code(strict_wall=True) == 0
-
-    def test_wall_improvement_is_informational(self):
-        current = copy.deepcopy(BASELINE)
-        current["benchmarks"]["fig08"]["wall_time_s"] = 1.0  # -50%
-        comparison = compare_reports(current, BASELINE)
-        assert kinds(comparison) == [("fig08", "wall-improvement", "info")]
-        assert comparison.exit_code(strict_wall=True) == 0
+        assert comparison.exit_code() == 0
 
 
 class TestRendering:
     def test_clean_comparison_renders_verdict(self):
         text = render_comparison(compare_reports(
             copy.deepcopy(BASELINE), BASELINE))
-        assert "clean" in text
-        assert "0 error(s), 0 warning(s)" in text
+        assert "bench gate: clean" in text
+        assert "0 error(s)" in text
 
     def test_findings_render_with_severity(self):
         current = copy.deepcopy(BASELINE)
@@ -184,13 +160,3 @@ class TestRendering:
         text = render_comparison(compare_reports(current, BASELINE))
         assert "[ERROR" in text and "counter-drift" in text
         assert "1 error(s)" in text
-
-    def test_history_orders_by_stamp_and_shows_delta(self):
-        older = make_report(fig08={"wall_time_s": 2.0})
-        older["generated_at"] = "2026-01-01T00:00:00Z"
-        newer = make_report(fig08={"wall_time_s": 3.0})
-        newer["generated_at"] = "2026-01-02T00:00:00Z"
-        # Passed newest-first: render_history must re-sort by stamp.
-        text = render_history([("new.json", newer), ("old.json", older)])
-        assert text.index("old.json") < text.index("new.json")
-        assert "+50.0%" in text

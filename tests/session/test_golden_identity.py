@@ -127,6 +127,8 @@ CASES = {
         "concord", apps=("SocNet", "HotelBook"), requests=3).items()),
     "fig13_churn": lambda: _throughput_at(
         24, duration_ms=2000.0, seed=121, num_nodes=8)[0],
+    "fig13_churn_obs": lambda: _throughput_at(
+        24, duration_ms=2000.0, seed=121, num_nodes=8, obs=True)[0],
     "scale_point": lambda: sorted(scale_point(
         seed=1009, num_nodes=12, requests_per_node=60,
         working_set=40).items()),
@@ -154,6 +156,7 @@ def test_matches_recorded_commit(name):
 def test_signals_do_not_move_the_mixed_run():
     golden = json.loads(GOLDEN.read_text())
     assert golden["mixed_concord_signals"] == golden["mixed_concord"]
+    assert golden["fig13_churn_obs"] == golden["fig13_churn"]
 
 
 if __name__ == "__main__":
