@@ -60,10 +60,10 @@ class Simulator:
         #: Nonzero while the running code is in tail position of its
         #: dispatch; the value is how many more hops may nest in place.
         #: It is only ever lowered and *restored* to what it was — never
-        #: set — so a caller that holds it at 0 (``step()``,
-        #: ``profiled_run``, the differential tests) gets the un-elided
-        #: schedule, entry for entry.  Kernel-owned: SIM03 flags a store
-        #: outside ``repro/sim``.
+        #: set — so a caller that holds it at 0 (``step()``, the
+        #: differential tests) gets the un-elided schedule, entry for
+        #: entry.  Kernel-owned: SIM03 flags a store outside
+        #: ``repro/sim``.
         self._tail = _MAX_INLINE_DEPTH
         #: The process currently being stepped, if any (kernel-written,
         #: like ``now``).

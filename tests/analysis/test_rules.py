@@ -171,12 +171,11 @@ class TestSimProcessRules:
 
     def test_kernel_may_write_its_own_clock(self):
         # The same stores inside repro/sim are the run loop doing its job.
-        import repro.sim.profiled
         import repro.sim.simulator
 
         report = Analyzer(select=["SIM03"]).run(
-            [repro.sim.simulator.__file__, repro.sim.profiled.__file__])
-        assert report.files == 2 and not report.findings
+            [repro.sim.simulator.__file__])
+        assert report.files == 1 and not report.findings
 
 
 class TestProtocolRules:

@@ -16,8 +16,10 @@ directory that receives the failing program as JSON — Hypothesis replays
 the minimised one last, so that is what is left there.
 """
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.cluster import Cluster
 from repro.config import SimConfig
 from repro.faas.context import InvocationContext
 from repro.net import Endpoint, Reply
+from repro.obs import jsonl_dumps as obs_jsonl_dumps
 from repro.session import Session
 from repro.sim import Interrupt, Resource, SimulationError, Simulator
 from repro.storage import DataItem
@@ -267,6 +270,38 @@ def test_elided_run_is_the_unelided_run_with_fewer_entries(program, chunked):
     except Exception:
         _save_failing(program, chunked)
         raise
+
+
+def test_a_protocol_session_is_the_unelided_session_with_fewer_entries():
+    """The same oracle over the whole stack: a three-node Concord run with
+    writes and reads gives the same recorder dump, ``AccessStats`` and
+    version checks with the flag as found and held down."""
+    def run(down: bool):
+        session = Session(nodes=3, seed=9, scheme="concord", obs=True)
+        if down:
+            hold_down(session.sim)
+        session.preload({f"k{i}": DataItem("v0", 64) for i in range(4)})
+        for i in range(4):
+            session.sim.spawn(session.system.write(
+                "node0", f"k{i}", DataItem(f"v{i}", 64)))
+            session.sim.spawn(session.system.read("node1", f"k{i}"))
+            session.sim.spawn(session.system.read("node2", f"k{i}"))
+        found = session.sim._tail
+        session.sim.run(until=800.0)
+        assert session.sim._tail == found  # restored as found
+        session.close()
+        stats = session.system.stats
+        return (obs_jsonl_dumps(session.obs),
+                {kind.value: (histogram.count, histogram.mean,
+                              histogram.percentile(99))
+                 for kind, histogram in stats.latency.items()},
+                stats.version_checks,
+                session.sim.schedule_count)
+
+    elided, reference = run(False), run(True)
+    assert elided[:3] == reference[:3]
+    assert len(elided[1]) >= 3 and elided[0].count("\n") > 20
+    assert elided[3] < reference[3]  # what was elided, and only that
 
 
 def test_the_differential_exercises_elision():
@@ -630,3 +665,26 @@ class TestEntryBudget:
             sim, lambda: client.call("node1/server", "echo", 1,
                                      timeout=1000.0)) == budget
         assert not server._inflight_handlers
+
+
+# ---------------------------------------------------------------------------
+# One dispatch loop
+# ---------------------------------------------------------------------------
+
+def test_only_the_kernel_pops_the_wheel():
+    """``Simulator.run`` / ``step()`` are the only code that dispatches
+    wheel entries, so the elision contract above has no second loop to
+    keep in step with."""
+    source = Path(__file__).resolve().parents[2] / "src" / "repro"
+    popping = set()
+    for path in sorted(source.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "pop"):
+                receiver = node.func.value
+                if ((isinstance(receiver, ast.Name) and receiver.id == "wheel")
+                        or (isinstance(receiver, ast.Attribute)
+                            and receiver.attr == "_wheel")):
+                    popping.add(path.relative_to(source).as_posix())
+    assert popping == {"sim/simulator.py"}
