@@ -19,7 +19,7 @@ them), so the exact failing schedule replays locally with::
     PYTHONPATH=src python scripts/fault_matrix.py --seed N
 
 With ``--obs`` the first run also carries a protocol-event flight
-recorder (provably fingerprint-neutral; the bench gate pins it), and on
+recorder (provably fingerprint-neutral; the golden identity pins hold it), and on
 failure its full dump lands next to the failing plan as
 ``flight_seed{N}.jsonl`` — ready for ``repro-inspect timeline``.
 

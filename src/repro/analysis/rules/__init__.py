@@ -7,7 +7,6 @@ Add a new rule family by creating a module here that defines
 
 from repro.analysis.rules import (
     atomicity,
-    bench,
     determinism,
     obs,
     protocol,
@@ -17,5 +16,5 @@ from repro.analysis.rules import (
     tracing,
 )
 
-__all__ = ["atomicity", "bench", "determinism", "obs", "protocol",
-           "schemes", "simprocess", "telemetry", "tracing"]
+__all__ = ["atomicity", "determinism", "obs", "protocol", "schemes",
+           "simprocess", "telemetry", "tracing"]

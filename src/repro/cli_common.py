@@ -1,7 +1,7 @@
 """Shared argparse surface for the ``repro-*`` command-line tools.
 
 All four console scripts — ``repro-analyze``, ``repro-trace``,
-``repro-metrics``, ``repro-bench`` — build their parsers on the parent
+``repro-metrics``, ``repro-inspect`` — build their parsers on the parent
 returned by :func:`common_parent`, so the flags every tool shares are
 spelled, typed and documented identically everywhere:
 
@@ -9,10 +9,7 @@ spelled, typed and documented identically everywhere:
     Output format (default ``text``; a tool may offer extra formats,
     e.g. ``sarif`` for repro-analyze).
 ``--out PATH``
-    Write the tool's output to ``PATH`` instead of stdout (for
-    repro-bench ``run`` this is the report path, its original meaning).
-``--seed N``
-    Deterministic seed override, where the tool runs a simulation.
+    Write the tool's output to ``PATH`` instead of stdout.
 ``--since T`` / ``--until T``
     Sim-time window (milliseconds) the tool restricts itself to, where
     the tool reads recorded timelines (repro-trace, repro-metrics,
@@ -22,9 +19,8 @@ spelled, typed and documented identically everywhere:
 Exit-code contract (identical across all four tools):
 
 ===  ====================================================================
-0    success / clean gate
-1    tool-level failure: error findings, bench-gate regression,
-     failed jobs, empty metric selection
+0    success
+1    tool-level failure: error findings, empty metric selection
 2    usage or I/O error: unknown flags, missing or unreadable input
      file, malformed input, unwritable ``--out``
 ===  ====================================================================
@@ -57,12 +53,7 @@ EXIT_USAGE = 2
 def common_parent(
     *,
     formats: Optional[Sequence[str]] = None,
-    default_format: str = "text",
-    seed: bool = False,
-    seed_help: str = "deterministic seed override",
     out: bool = False,
-    out_default: Optional[str] = None,
-    out_help: str = "write output to PATH instead of stdout",
     window: bool = False,
 ) -> argparse.ArgumentParser:
     """Build the shared parent parser (``add_help=False``).
@@ -74,14 +65,11 @@ def common_parent(
     parent = argparse.ArgumentParser(add_help=False)
     if formats is not None:
         parent.add_argument(
-            "--format", choices=tuple(formats), default=default_format,
-            help=f"output format (default: {default_format})")
-    if seed:
-        parent.add_argument("--seed", type=int, default=None,
-                            help=seed_help)
+            "--format", choices=tuple(formats), default="text",
+            help="output format (default: text)")
     if out:
-        parent.add_argument("--out", default=out_default, metavar="PATH",
-                            help=out_help)
+        parent.add_argument("--out", default=None, metavar="PATH",
+                            help="write output to PATH instead of stdout")
     if window:
         parent.add_argument(
             "--since", type=float, default=None, metavar="T",

@@ -9,25 +9,31 @@ Usage::
 Prints every table/figure as ASCII (the same output the benchmarks show)
 and a final summary with per-experiment wall time.
 
-Each experiment runs as a :class:`repro.bench.JobSpec`, so ``--jobs N``
-fans the sweep out over N spawn workers with byte-identical
-per-experiment output (every experiment is seeded and hash-seed
-independent, and results are printed in the fixed experiment order
-regardless of completion order).  ``--journal PATH`` checkpoints
-completed experiments: an interrupted sweep rerun with the same journal
-skips everything that already finished.
+``--jobs N`` fans the sweep out over N ``spawn`` workers with
+byte-identical per-experiment output (every experiment is seeded and
+hash-seed independent, and results are printed in the fixed experiment
+order regardless of completion order).  ``--journal PATH`` checkpoints
+completed experiments, one JSON line each keyed by ``(name, scale)``: an
+interrupted sweep rerun with the same journal skips everything that
+already finished.
 
-A failing experiment no longer kills the sweep: the remaining
-experiments still run, failures are summarized at the end, and the exit
-status is nonzero.
+A failing experiment does not kill the sweep: the remaining experiments
+still run, failures are summarized at the end, and the exit status is
+nonzero.  A worker that hard-crashes fails every experiment still in
+flight in the pool.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import multiprocessing
+import os
 import sys
+# Wall clock here only fills the summary table — never simulation input.
+import time  # noqa: DET01
+from concurrent.futures import ProcessPoolExecutor
 
-from repro.bench import JobSpec, run_jobs
 from repro.experiments import (
     char_reads,
     fig01_breakdown,
@@ -87,10 +93,10 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, scale: float = 1.0) -> dict:
-    """Bench-job target: one experiment by name, rendered to ASCII.
+    """One experiment by name, rendered to ASCII.
 
-    Module-level so spawn workers can re-import it; the JSON return value
-    is exactly what the driver prints, which is what makes serial and
+    Module-level so spawn workers can re-import it; the rendered text is
+    exactly what the driver prints, which is what makes serial and
     parallel sweeps byte-identical per experiment.
     """
     if name not in EXPERIMENTS:
@@ -99,15 +105,52 @@ def run_experiment(name: str, scale: float = 1.0) -> dict:
     return {"name": name, "rendered": result.render()}
 
 
-def _specs(names, scale: float) -> list:
-    return [
-        JobSpec(
-            name=name,
-            target="repro.experiments.run_all:run_experiment",
-            args={"name": name, "scale": scale},
-        )
-        for name in names
-    ]
+def _timed(name: str, scale: float) -> dict:
+    """Run one experiment; return its journal record, wall time included."""
+    start = time.perf_counter()
+    rendered = run_experiment(name, scale)["rendered"]
+    return {"name": name, "scale": scale, "rendered": rendered,
+            "wall_time_s": time.perf_counter() - start}
+
+
+def _settle(call) -> tuple:
+    """``(record, None)``, or ``(None, error)`` if the call raised."""
+    try:
+        return call(), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _sweep(names, scale: float, jobs: int):
+    """Yield ``(name, record, error)`` per experiment, in ``names`` order."""
+    if jobs <= 1 or len(names) <= 1:
+        for name in names:
+            yield (name, *_settle(lambda: _timed(name, scale)))
+        return
+    # Spawn children copy os.environ: pin hash randomization before the
+    # workers exist.
+    os.environ.setdefault("PYTHONHASHSEED", "0")
+    with ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(_timed, name, scale) for name in names]
+        for name, future in zip(names, futures):
+            yield (name, *_settle(future.result))
+
+
+def _read_journal(path) -> dict:
+    """``(name, scale) -> record`` for every readable journal line."""
+    done = {}
+    if path is None or not os.path.exists(path):
+        return done
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+                done[(record["name"], record["scale"])] = record
+            except (ValueError, TypeError, KeyError):
+                continue  # a torn last line, or not a journal record
+    return done
 
 
 def main(argv=None) -> int:
@@ -140,38 +183,50 @@ def main(argv=None) -> int:
             parser.error(
                 f"unknown experiments: {', '.join(unknown)}\n"
                 f"valid names: {', '.join(EXPERIMENTS)}")
+        repeated = [n for i, n in enumerate(selected) if n in selected[:i]]
+        if repeated:
+            parser.error(
+                f"duplicate experiments: {', '.join(dict.fromkeys(repeated))}")
 
-    results = run_jobs(
-        _specs(selected, args.scale),
-        jobs=args.jobs,
-        journal=args.journal,
-    )
+    journal = _read_journal(args.journal)
+    done = {name: journal[name, args.scale] for name in selected
+            if (name, args.scale) in journal}
+    cached = set(done)
+    failed = {}
+    for name, record, error in _sweep(
+            [name for name in selected if name not in done],
+            args.scale, args.jobs):
+        if error is not None:
+            failed[name] = error
+            continue
+        done[name] = record
+        if args.journal is not None:
+            with open(args.journal, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
 
-    for result in results:
-        if result.ok:
-            print(result.value["rendered"])
+    for name in selected:
+        if name in done:
+            print(done[name]["rendered"])
             print()
 
     print("=" * 60)
     print(f"{'experiment':28s} {'wall time':>12s}")
-    failures = []
     total_s = 0.0
-    for result in results:
-        if result.ok:
-            cached = "  (journal)" if result.cached else ""
-            print(f"{result.name:28s} {result.wall_time_s:10.1f} s{cached}")
-            total_s += result.wall_time_s
+    for name in selected:
+        if name in done:
+            wall_s = done[name]["wall_time_s"]
+            note = "  (journal)" if name in cached else ""
+            print(f"{name:28s} {wall_s:10.1f} s{note}")
+            total_s += wall_s
         else:
-            failures.append(result)
-            print(f"{result.name:28s} {'FAILED':>12s}")
+            print(f"{name:28s} {'FAILED':>12s}")
     print(f"{'total':28s} {total_s:10.1f} s")
 
-    if failures:
+    if failed:
         print()
-        print(f"{len(failures)} experiment(s) failed:")
-        for result in failures:
-            print(f"  {result.name}: {result.status} after "
-                  f"{result.attempts} attempt(s): {result.error}")
+        print(f"{len(failed)} experiment(s) failed:")
+        for name, error in failed.items():
+            print(f"  {name}: error: {error}")
         return 1
     return 0
 

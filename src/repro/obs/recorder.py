@@ -16,8 +16,8 @@ the metrics registry:
 * **Purely passive**: recording appends to a Python list and never
   schedules, yields or otherwise touches the event wheel, so a run with
   the recorder enabled is schedule-identical — and therefore
-  counter-identical — to the same run without it (the PR 5 bench gate
-  pins this).
+  counter-identical — to the same run without it (the golden identity
+  pins hold this).
 
 **Cross-signal correlation.**  Every event carries the ambient
 ``TraceContext`` (``trace``/``span`` ids, 0 when tracing is off) and the

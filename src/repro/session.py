@@ -4,7 +4,7 @@ Everything the paper evaluates is one stack — a simulator, a cluster, a
 coordination service, a coherence scheme per application and, for the
 FaaS experiments, a platform with deployed applications on top.
 :class:`Session` builds that stack from data; the experiment runner, the
-fault scenario, the bench grid and the figure scripts all go through it
+fault scenario, the scale point and the figure scripts all go through it
 (``tests/session/test_single_root.py`` keeps it that way).  The five
 public constructors stay supported for code that wants a partial stack.
 

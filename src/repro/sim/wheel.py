@@ -10,8 +10,8 @@ are popped, so reuse is safe.
 
 Ordering contract (the whole point): entries pop in strictly increasing
 ``(time, seq)`` order, exactly like the ``heapq`` scheduler this replaced.
-The PR 5 bench gate holds the simulator to byte-identical counters, so the
-wheel must be a drop-in *ordering* replacement, only faster:
+The golden identity pins hold the simulator to byte-identical counters,
+so the wheel must be a drop-in *ordering* replacement, only faster:
 
 - ``_imm`` — the *current-instant lane*: a plain FIFO of entries whose time
   equals the simulator's current clock.  Most events in a busy simulation

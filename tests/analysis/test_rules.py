@@ -368,49 +368,6 @@ class TestTelemetryRules:
             for f in report.findings)
 
 
-class TestBenchRules:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return Analyzer(select=["BEN01"]).run([FIXTURES / "bad_bench.py"])
-
-    def test_fstring_target_flagged(self, report):
-        assert any(f.rule == "BEN01" and f.symbol == "target_fstring"
-                   for f in report.findings)
-
-    def test_callable_object_target_flagged(self, report):
-        assert any(f.rule == "BEN01"
-                   and f.symbol == "target_callable_object"
-                   for f in report.findings)
-
-    def test_bad_format_target_flagged(self, report):
-        assert any(f.rule == "BEN01" and f.symbol == "target_bad_format"
-                   for f in report.findings)
-
-    def test_computed_target_flagged(self, report):
-        assert any(f.rule == "BEN01" and f.symbol == "target_computed_name"
-                   for f in report.findings)
-
-    def test_unserializable_args_flagged(self, report):
-        for symbol in ("args_with_set", "args_with_set_comp",
-                       "args_with_lambda", "args_with_bytes"):
-            assert any(f.rule == "BEN01" and f.symbol == symbol
-                       for f in report.findings), symbol
-
-    def test_dynamic_values_and_foreign_modules_clean(self, report):
-        for symbol in ("clean_dynamic_values", "clean_unanalyzed_module"):
-            assert not any(f.rule == "BEN01" and f.symbol == symbol
-                           for f in report.findings), symbol
-
-    def test_inline_waiver_suppresses(self, report):
-        assert not any(f.symbol == "clean_sorted_list"
-                       for f in report.findings)
-        assert report.waived >= 1
-
-    def test_cross_module_resolution(self):
-        report = Analyzer(select=["BEN01"]).run([FIXTURES / "benchres"])
-        assert [(f.rule, f.line) for f in report.findings] == [("BEN01", 7)]
-
-
 class TestObsRules:
     @pytest.fixture(scope="class")
     def report(self):
@@ -482,8 +439,8 @@ class TestTracerSiteGating:
         assert report.files == 1 and not report.findings
 
     def test_scoped_to_hot_layers(self, tmp_path):
-        # The same unguarded span in a cold layer (experiments, bench,
-        # session wiring) costs nothing that matters.
+        # The same unguarded span in a cold layer (experiments, session
+        # wiring) costs nothing that matters.
         cold = tmp_path / "experiments" / "bad_spans.py"
         cold.parent.mkdir()
         cold.write_text(

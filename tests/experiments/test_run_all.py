@@ -28,6 +28,12 @@ class TestSelection:
         assert "valid names:" in err
         assert "fig08" in err
 
+    def test_duplicate_only_is_usage_error_naming_it(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_all.main(["--only", "fig03,fig01,fig03"])
+        assert excinfo.value.code == 2
+        assert "duplicate experiments: fig03" in capsys.readouterr().err
+
     def test_run_experiment_rejects_unknown_name(self):
         with pytest.raises(ValueError):
             run_all.run_experiment("nope")
@@ -55,6 +61,20 @@ class TestParallelParity:
         second = capsys.readouterr().out
         assert "(journal)" in second
         assert rendered_section(first) == rendered_section(second)
+
+    def test_torn_journal_line_is_skipped(self, tmp_path, capsys):
+        journal = tmp_path / "sweep.jsonl"
+        args = ["--only", "fig03,fig01", "--scale", "0.3",
+                "--journal", str(journal)]
+        assert run_all.main(args) == 0
+        fig03, fig01 = journal.read_text().splitlines()
+        journal.write_text(fig03 + "\n" + fig01[:40])  # killed mid-write
+        capsys.readouterr()
+        assert run_all.main(args) == 0
+        table = capsys.readouterr().out.split("=" * 60)[1].splitlines()
+        rows = {line.split()[0]: line for line in table if line}
+        assert rows["fig03"].endswith("(journal)")
+        assert not rows["fig01"].endswith("(journal)")
 
 
 class TestFailureIsolation:

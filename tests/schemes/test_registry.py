@@ -127,3 +127,11 @@ class TestMakeScheduler:
         assert isinstance(make_scheduler("nocache", {}), LocalityScheduler)
         schemes = build_scheme_map("apta-az", cluster, coord, APPS)
         assert isinstance(make_scheduler("apta-az", schemes), AptaScheduler)
+
+
+class TestCatalogue:
+    def test_schemes_lists_the_catalogue(self, capsys):
+        from repro.schemes.__main__ import main
+
+        main()
+        assert "concord" in capsys.readouterr().out

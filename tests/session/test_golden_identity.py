@@ -23,17 +23,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.suite import scale_point
 from repro.experiments.fig13_churn import _throughput_at
 from repro.experiments.runner import (
     MixedRunConfig,
     run_mixed_workload,
     unloaded_latency,
 )
+from repro.experiments.scale import scale_point
 from repro.faults import FaultPlan, NodeCrash, NodeRestart
+from repro.faults.scenario import run_fault_scenario
 from repro.obs import cli as inspect_cli
 from repro.obs import jsonl_dumps as obs_jsonl_dumps
-from repro.shard.topologies import run_topology_scenario
+from repro.shard.topologies import DURATION_MS, run_topology_scenario
 from repro.telemetry import csv_dumps, prometheus_dumps
 from repro.telemetry import jsonl_dumps as metrics_jsonl_dumps
 from repro.trace import chrome_dumps
@@ -112,6 +113,70 @@ def _topology(name):
     return lambda: run_topology_scenario(name, seed=0).fingerprint()
 
 
+# The ``gate_*`` pins: fixed-seed counter points (a fig08 grid point near
+# the SLO knee, one fig13 churn run, fault-free topology cells and zoo
+# schemes), hashed as their sorted counter items.
+GATE_SEED = 1009
+
+
+def _counters(duration_ms: float, completed: int, **extra) -> list:
+    return sorted({
+        "simulated_ms": duration_ms,
+        "requests_completed": completed,
+        "simulated_rps": round(completed / (duration_ms / 1000.0), 2),
+        **extra,
+    }.items())
+
+
+def _gate_fig08() -> list:
+    config = MixedRunConfig(
+        scheme="concord", num_nodes=8, cores_per_node=4,
+        utilization=None, total_rps=115,
+        duration_ms=5000.0, warmup_ms=1500.0, seed=GATE_SEED,
+    )
+    outcome = run_mixed_workload(config)
+    return _counters(config.duration_ms,
+                     sum(s.completed for s in outcome.per_app.values()))
+
+
+def _gate_fig13_churn() -> list:
+    duration_ms = 8000.0
+    throughput, _registry = _throughput_at(24, duration_ms=duration_ms,
+                                           seed=GATE_SEED)
+    return sorted({"simulated_ms": duration_ms,
+                   "simulated_rps": round(throughput, 2)}.items())
+
+
+def _gate_topology(name):
+    def run() -> list:
+        outcome = run_topology_scenario(
+            name, seed=GATE_SEED, plan=FaultPlan(events=()))
+        return _counters(
+            DURATION_MS, outcome.completed,
+            shards=len(outcome.shard_table),
+            shards_rehomed=outcome.shards_rehomed,
+            shard_failovers=outcome.shard_failovers,
+            violations=len(outcome.violations))
+    return run
+
+
+def _gate_scheme(scheme):
+    def run() -> list:
+        duration_ms = 4000.0
+        outcome = run_fault_scenario(
+            FaultPlan(events=()), seed=GATE_SEED, num_nodes=6,
+            duration_ms=duration_ms, rps=30.0, scheme=scheme,
+            settle_ms=2000.0)
+        system = outcome.system
+        internal = {name: getattr(system, name) for name in (
+            "writes_enqueued", "writes_flushed", "writes_lost",
+            "syncs", "sync_failures", "migrations")
+            if hasattr(system, name)}
+        return _counters(duration_ms, outcome.completed,
+                         violations=len(outcome.violations), **internal)
+    return run
+
+
 CASES = {
     "topology_flat": _topology("flat"),
     "topology_shard4": _topology("shard4"),
@@ -132,6 +197,13 @@ CASES = {
     "scale_point": lambda: sorted(scale_point(
         seed=1009, num_nodes=12, requests_per_node=60,
         working_set=40).items()),
+    "gate_fig08_point": _gate_fig08,
+    "gate_fig13_churn_point": _gate_fig13_churn,
+    "gate_topo_flat": _gate_topology("flat"),
+    "gate_topo_shard4": _gate_topology("shard4"),
+    "gate_topo_region2": _gate_topology("region2"),
+    "gate_scheme_wb": _gate_scheme("write-behind"),
+    "gate_scheme_causal": _gate_scheme("causal"),
     # Byte identity of every signal export of the all-signals run (the
     # digest is of the export text itself).
     "export_trace_jsonl": _export("trace_jsonl"),

@@ -1,8 +1,8 @@
 """Property suite: the event wheel pops in exact heap (time, seq) order.
 
-The PR 5 bench gate holds the simulator to byte-identical counters, which
-reduces to one kernel invariant: :class:`repro.sim.wheel.EventWheel` must
-hand back entries in exactly the order the old ``heapq`` scheduler did —
+The golden identity pins hold the simulator to byte-identical counters,
+which reduces to one kernel invariant: :class:`repro.sim.wheel.EventWheel`
+must hand back entries in exactly the order the old ``heapq`` scheduler did —
 strictly increasing ``(time, seq)``, same-tick ties broken by schedule
 order, cancelled entries silently skipped.  Hypothesis drives random
 interleavings of pushes (zero-delay, slot-local, far-future), pops and
