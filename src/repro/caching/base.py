@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Iterable, Optional
 
 from repro.metrics import AccessStats
@@ -43,9 +43,13 @@ class AccessContext:
     txn_id: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
-    """One cached data item."""
+    """One cached data item.
+
+    Slotted, and an unmarked entry holds no set of its own: one exists
+    per cached copy on every node, and a transaction marks few of them.
+    """
 
     key: str
     value: object
@@ -54,8 +58,10 @@ class CacheEntry:
     #: Version number (used by the Faa$T protocol).
     version: int = 0
     #: Transactional speculation marks: process ids that speculatively
-    #: read / wrote this entry (used by repro.txn).
-    spec_readers: set = field(default_factory=set)
+    #: read / wrote this entry (used by repro.txn).  The shared empty
+    #: ``frozenset`` until repro.txn marks the entry, which gives it a
+    #: ``set`` of its own; only repro.txn mutates it.
+    spec_readers: "set | frozenset" = frozenset()
     spec_writer: Optional[str] = None
     #: Pinned entries are never evicted (in-flight protocol operations,
     #: buffered speculative writes).

@@ -767,7 +767,7 @@ class CacheAgent:
         return None
 
     def _invalidate_one(self, key: str, sharer: str):
-        if sharer not in self.ring.members:
+        if sharer not in self.ring:
             return  # already recovered/left; nothing readable remains there
         # One span per sharer: the write's invalidation fan-out shows up
         # as parallel children of the home_write span.
@@ -955,9 +955,9 @@ class CacheAgent:
             payload = (key, None, ())
         else:
             payload = (key, entry.state, tuple(sorted(entry.sharers)))
-        members = self.ring.members
+        ring = self.ring
         for follower in followers:
-            if follower == self.node_id or follower not in members:
+            if follower == self.node_id or follower not in ring:
                 continue
             self.endpoint.notify(
                 self._address_of(follower), "dir_replicate", payload,
@@ -998,7 +998,7 @@ class CacheAgent:
         for _attempt in range(MAX_ATTEMPTS):
             blocking = None
             for member, (ring_snapshot, event) in self._barriers.items():
-                if member in ring_snapshot.members and ring_snapshot.home(key) == member:
+                if member in ring_snapshot and ring_snapshot.home(key) == member:
                     blocking = event
                     break
             if blocking is None:
@@ -1063,7 +1063,7 @@ class CacheAgent:
                                        obs=self.sim.obs)
         self.dir_mirror.clear()
         self._last_writer.clear()
-        if self.node_id in self.ring.members:
+        if self.node_id in self.ring:
             self.ring.remove(self.node_id)
         for member in list(self._barriers):
             self.lift_barrier(member)

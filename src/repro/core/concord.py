@@ -100,7 +100,7 @@ class AppController:
         yield  # pragma: no cover - generator marker
 
     def _on_member_failed(self, member: str) -> None:
-        if member not in self.ring.members:
+        if member not in self.ring:
             return
         self.ring.remove(member)
         self.system.ring_template.remove(member)
@@ -494,7 +494,7 @@ class ConcordSystem(StorageAPI):
         sim time before acking — extending the barrier window by the
         reconfiguration it models.
         """
-        if failed_member in agent.ring.members:
+        if failed_member in agent.ring:
             tracer = self.sim.tracer
             if tracer.active:
                 tracer.instant("recovery:survivor", "recovery",

@@ -114,8 +114,13 @@ class ConsistentHashRing:
                 del self._owners[position]
 
     def copy(self) -> "ConsistentHashRing":
-        """An independent ring with the same members."""
-        return ConsistentHashRing(self._members, self.virtual_nodes)
+        """An independent ring with the same members (tables cloned, not
+        rebuilt)."""
+        ring = ConsistentHashRing((), self.virtual_nodes)
+        ring._members = set(self._members)
+        ring._positions = list(self._positions)
+        ring._owners = dict(self._owners)
+        return ring
 
     def with_members(self, members: Iterable[str]) -> "ConsistentHashRing":
         """A new ring over ``members`` with this ring's parameters.

@@ -362,7 +362,7 @@ class FaasPlatform:
                     if obs.active:
                         obs.emit(REQ_RESCHEDULE, app=app_name,
                                  attempt=reschedules)
-                    yield self.sim.timeout(RESCHEDULE_BACKOFF_MS)
+                    yield self.sim.sleep(RESCHEDULE_BACKOFF_MS)
                     continue
                 app.requests_failed += 1
                 return None
@@ -386,7 +386,7 @@ class FaasPlatform:
         deadline = self.sim.now + duration_ms
         index = 0
         while self.sim.now < deadline:
-            yield self.sim.timeout(rng.expovariate(rps / 1000.0))
+            yield self.sim.sleep(rng.expovariate(rps / 1000.0))
             if self.sim.now >= deadline:
                 break
             inputs = inputs_factory(index) if inputs_factory else {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 
 
@@ -16,38 +17,60 @@ class Histogram:
     """Streaming collection of samples with percentile queries.
 
     Samples are kept (experiments are bounded), so percentiles are exact.
+
+    Storage is packed while the stream allows it: while every sample is a
+    ``float`` the samples sit in an ``array('d')`` (8 bytes a sample, not
+    a list slot plus a boxed float).  The first sample that is not exactly
+    a ``float`` — an ``int``, a ``bool``, any subclass — turns them into a
+    plain list, for good.  The array hands back exactly the floats stored,
+    so every query returns what a list-backed histogram returns, ``int``
+    vs ``float`` and ``-0.0`` included.
     """
 
     def __init__(self):
-        self._samples: list[float] = []
+        self._samples = array("d")
+        #: True while the samples are an ``array('d')``, False once a list.
+        self._packed = True
         self._sorted = True
         #: Diagnostic: number of times a query had to sort (tests assert
         #: repeated percentile queries after a merge sort exactly once).
         self._sorts = 0
 
     def record(self, value: float) -> None:
+        samples = self._samples
         # An append in non-decreasing order keeps the samples sorted, so
         # monotone streams never pay a sort at query time.
-        if self._sorted and self._samples and value < self._samples[-1]:
+        if self._sorted and samples and value < samples[-1]:
             self._sorted = False
-        self._samples.append(value)
+        if self._packed and type(value) is not float:
+            self._samples = samples = samples.tolist()
+            self._packed = False
+        samples.append(value)
 
     def extend(self, other: "Histogram") -> None:
         """Merge another histogram's samples into this one."""
         if not other._samples:
             return
         if not self._samples:
-            self._samples = list(other._samples)
+            self._samples = other._samples[:]
+            self._packed = other._packed
             self._sorted = other._sorted
             return
         still_sorted = (self._sorted and other._sorted
                         and other._samples[0] >= self._samples[-1])
+        if self._packed and not other._packed:
+            self._samples = self._samples.tolist()
+            self._packed = False
         self._samples.extend(other._samples)
         self._sorted = still_sorted
 
-    def _ensure_sorted(self) -> list:
+    def _ensure_sorted(self):
         if not self._sorted:
-            self._samples.sort()
+            samples = self._samples
+            if self._packed:
+                self._samples = array("d", sorted(samples))
+            else:
+                samples.sort()
             self._sorted = True
             self._sorts += 1
         return self._samples

@@ -110,8 +110,13 @@ class ShardRouter:
         self._rebuild()
 
     def copy(self) -> "ShardRouter":
-        return ShardRouter(self._ring.members, self.num_shards,
-                           self.replication, self._ring.virtual_nodes)
+        """An independent router with the same members and shards (ring
+        and chains cloned, not recomputed)."""
+        router = ShardRouter((), self.num_shards, self.replication,
+                             self._ring.virtual_nodes)
+        router._ring = self._ring.copy()
+        router._chains = list(self._chains)
+        return router
 
     def with_members(self, members: Iterable[str]) -> "ShardRouter":
         """A new router over ``members`` with this router's parameters."""

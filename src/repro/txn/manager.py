@@ -56,6 +56,23 @@ class TxnContext:
     done: Optional[object] = None
 
 
+def _mark_reader(entry: CacheEntry, txn_id: str) -> None:
+    """Add ``txn_id`` to ``entry``'s speculative readers.
+
+    An entry starts with the shared empty ``frozenset``; its own ``set``
+    is made here, at the first mark, and never shared."""
+    readers = entry.spec_readers
+    if type(readers) is not set:
+        readers = entry.spec_readers = set()
+    readers.add(txn_id)
+
+
+def _unmark_reader(entry: CacheEntry, txn_id: str) -> None:
+    """Drop ``txn_id`` from ``entry``'s speculative readers, if marked."""
+    if txn_id in entry.spec_readers:
+        entry.spec_readers.remove(txn_id)
+
+
 class LocalTxnManager:
     """Per-agent speculation tracker, installed as ``agent.txn_manager``."""
 
@@ -116,7 +133,7 @@ class LocalTxnManager:
         if accessor is not None and accessor in self.active and not is_write:
             txn = self.active[accessor]
             txn.read_set.add(key)
-            entry.spec_readers.add(accessor)
+            _mark_reader(entry, accessor)
             entry.pinned = True  # keep it resident so conflicts reach us
         return True
 
@@ -125,7 +142,7 @@ class LocalTxnManager:
         accessor = getattr(ctx, "txn_id", None) if ctx is not None else None
         if accessor is not None and accessor in self.active:
             self.active[accessor].read_set.add(key)
-            entry.spec_readers.add(accessor)
+            _mark_reader(entry, accessor)
             entry.pinned = True
 
     def on_replace(self, key, entry: CacheEntry, ctx) -> None:
@@ -169,7 +186,7 @@ class LocalTxnManager:
         for key in sorted(txn.read_set):
             entry = cache.peek(key)
             if entry is not None:
-                entry.spec_readers.discard(txn.txn_id)
+                _unmark_reader(entry, txn.txn_id)
                 if not entry.speculative:
                     entry.pinned = False
 
@@ -314,7 +331,7 @@ class ConcordTxnRuntime:
             for key in sorted(txn.read_set):
                 entry = agent.cache.peek(key)
                 if entry is not None:
-                    entry.spec_readers.discard(txn.txn_id)
+                    _unmark_reader(entry, txn.txn_id)
                     entry.pinned = entry.speculative
             # Flush all buffered writes concurrently: they are independent
             # E-state updates, so the commit costs ~one storage round trip

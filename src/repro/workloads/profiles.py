@@ -99,14 +99,26 @@ def global_key(app: str, index: int) -> str:
     return f"{app}:g{index}"
 
 
-def _make_handler(profile: AppProfile, stage: int, sizes: SizeSampler):
+def _entity_rows(app: str, entity: int, items_per_entity: int,
+                 sizes: SizeSampler) -> list:
+    """``(key, read_only, size)`` of each item attached to ``entity``."""
+    return [(key, is_read_only(key), sizes.size_of(key))
+            for item in range(items_per_entity)
+            for key in (entity_key(app, entity, item),)]
+
+
+def _make_handler(profile: AppProfile, stage: int, sizes: SizeSampler,
+                  entity_items: list, global_items: list):
     """Build the handler generator-function for workflow step ``stage``.
 
     All key strings, read-only flags and item sizes are pure functions of
-    the profile, so they are precompiled into lookup tables here instead
-    of being re-derived (f-strings + md5 hashes) on every invocation.
-    The RNG draw sequence inside the handler is exactly the one the
-    non-tabled version made — same calls, same order — so workloads are
+    the profile, so they are precompiled into lookup tables instead of
+    being re-derived (f-strings + md5 hashes) on every invocation.  The
+    ``(key, read_only, size)`` rows of the entity and app-global items
+    are built once per app by :func:`build_app` and shared by all its
+    stages; each stage owns only its hand-off keys.  The RNG draw
+    sequence inside the handler is exactly the one the non-tabled
+    version made — same calls, same order — so workloads are
     byte-identical.
     """
     app = profile.name
@@ -122,49 +134,40 @@ def _make_handler(profile: AppProfile, stage: int, sizes: SizeSampler):
     stream_name = f"wl:{app}"
     zipf_globals = _globals_sampler(profile)
 
-    # (key, read_only, size) per entity item / app-global item, plus the
-    # hand-off keys and sizes this stage touches.
-    entity_items = [
-        [(key, is_read_only(key), sizes.size_of(key))
-         for item in range(items_per_entity)
-         for key in (entity_key(app, entity, item),)]
-        for entity in range(profile.entities)
-    ]
-    global_items = [
-        (key, is_read_only(key), sizes.size_of(key))
-        for index in range(profile.global_items)
-        for key in (global_key(app, index),)
-    ]
+    # The hand-off keys and sizes this stage touches, one per entity id
+    # below ``covered``.
+    covered = profile.entities
     handoff_in = ([handoff_key(app, entity, stage - 1)
-                   for entity in range(profile.entities)]
+                   for entity in range(covered)]
                   if stage > 0 else None)
     handoff_out = ([(key, sizes.size_of(key))
-                    for entity in range(profile.entities)
+                    for entity in range(covered)
                     for key in (handoff_key(app, entity, stage),)]
                    if stage < last_stage else None)
 
     def _fill_rows(entity: int) -> None:
         # Out-of-profile entity id (callers may inject arbitrary inputs):
-        # extend every table on demand, exactly as they were built above.
+        # extend the app's shared rows (another stage may have already)
+        # and this stage's own hand-off tables, exactly as built above.
+        nonlocal covered
         if entity < 0:
             raise ValueError(f"negative entity id {entity} for app {app!r}")
         while len(entity_items) <= entity:
-            missing = len(entity_items)
-            entity_items.append(
-                [(key, is_read_only(key), sizes.size_of(key))
-                 for item in range(items_per_entity)
-                 for key in (entity_key(app, missing, item),)])
+            entity_items.append(_entity_rows(
+                app, len(entity_items), items_per_entity, sizes))
+        while covered <= entity:
             if handoff_in is not None:
-                handoff_in.append(handoff_key(app, missing, stage - 1))
+                handoff_in.append(handoff_key(app, covered, stage - 1))
             if handoff_out is not None:
-                key = handoff_key(app, missing, stage)
+                key = handoff_key(app, covered, stage)
                 handoff_out.append((key, sizes.size_of(key)))
+            covered += 1
 
     def handler(ctx):
         rng = ctx.sim.rng.stream(stream_name)
         rng_random = rng.random
         entity = int(ctx.inputs.get("entity", 0))
-        if not 0 <= entity < len(entity_items):
+        if not 0 <= entity < covered:
             _fill_rows(entity)
         my_items = entity_items[entity]
 
@@ -213,12 +216,21 @@ def _globals_sampler(profile: AppProfile) -> ZipfSampler:
 
 def build_app(profile: AppProfile) -> AppSpec:
     """Turn a profile into a deployable application."""
+    app = profile.name
     sizes = SizeSampler(scale=profile.size_scale)
-    spec = AppSpec(name=profile.name)
+    entity_items = [
+        _entity_rows(app, entity, profile.items_per_entity, sizes)
+        for entity in range(profile.entities)]
+    global_items = [
+        (key, is_read_only(key), sizes.size_of(key))
+        for index in range(profile.global_items)
+        for key in (global_key(app, index),)]
+    spec = AppSpec(name=app)
     for stage in range(profile.functions):
         spec.add_function(FunctionSpec(
-            name=f"{profile.name}-f{stage}",
-            handler=_make_handler(profile, stage, sizes),
+            name=f"{app}-f{stage}",
+            handler=_make_handler(profile, stage, sizes, entity_items,
+                                  global_items),
         ))
     return spec
 

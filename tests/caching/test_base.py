@@ -1,14 +1,42 @@
 """Unit and property tests for the LRU cache substrate."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caching import CacheEntry, EvictionPinned, LruCache
+from repro.caching.base import AccessContext
+from repro.txn.manager import LocalTxnManager, TxnContext
 
 
 def entry(key, size, pinned=False):
     return CacheEntry(key=key, value=f"v-{key}", size_bytes=size, pinned=pinned)
+
+
+class TestEntryLayout:
+    def test_fresh_entry_has_no_dict_and_holds_no_set(self):
+        fresh = entry("a", 10)
+        assert not hasattr(fresh, "__dict__")
+        assert not any(isinstance(ref, (set, dict))
+                       for ref in gc.get_referents(fresh))
+        assert not fresh.spec_readers and not fresh.speculative
+        with pytest.raises(AttributeError):
+            fresh.spec_readers.add("t")  # immutable until a txn marks it
+
+    def test_a_txn_mark_gives_each_entry_a_set_of_its_own(self):
+        manager = LocalTxnManager(agent=None)
+        for txn_id in ("t1", "t2"):
+            manager.active[txn_id] = TxnContext(txn_id=txn_id, node_id="n0")
+        a, b, c = entry("a", 1), entry("b", 1), entry("c", 1)
+        manager.on_install("a", a, AccessContext(txn_id="t1"))
+        manager.on_install("b", b, AccessContext(txn_id="t2"))
+        assert a.spec_readers == {"t1"} and b.spec_readers == {"t2"}
+        assert type(a.spec_readers) is set
+        assert a.spec_readers is not b.spec_readers
+        assert a.speculative and not c.speculative
+        assert c.spec_readers == frozenset()
 
 
 class TestLruBasics:

@@ -1,10 +1,12 @@
 """Unit and property tests for the consistent hash ring."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ConsistentHashRing
+from repro.core import ConsistentHashRing, hashring
 from repro.core.domain import keys_moving_to_joiner, new_homes_for_leaver
 from repro.core.hashring import EmptyRingError
 
@@ -202,3 +204,40 @@ def test_remove_add_round_trip_property(members, leaver_index, keys):
     ring.add(leaver)
     assert {k: ring.home(k) for k in keys} == before
     assert ring.members == set(members)
+
+
+def _coarse_hash(value: str) -> int:
+    """A 6-bit ring: virtual nodes of different members collide often."""
+    return hashring._hash(value) % 64
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    members=st.lists(st.sampled_from(MEMBERS), max_size=12),
+    virtual_nodes=st.integers(min_value=1, max_value=12),
+    coarse=st.booleans(),
+    keys=st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=20),
+)
+def test_copy_matches_original_and_is_independent(members, virtual_nodes,
+                                                  coarse, keys):
+    """``copy()``'s cloned tables are the ring it copies — positions,
+    owners (after collisions too) and homes — and share nothing with it."""
+    position_of = _coarse_hash if coarse else hashring._hash
+    with mock.patch.object(hashring, "_hash_cached", position_of):
+        ring = ConsistentHashRing(members, virtual_nodes)
+        copied = ring.copy()
+        assert copied.virtual_nodes == virtual_nodes
+        assert copied._positions == ring._positions
+        assert copied._owners == ring._owners
+        assert copied.members == ring.members
+        if members:
+            assert ([copied.home(k) for k in keys]
+                    == [ring.home(k) for k in keys])
+        positions, owners = list(ring._positions), dict(ring._owners)
+        copied.add("joiner")
+        if members:
+            copied.remove(members[0])
+        assert "joiner" not in ring
+        assert ring._positions == positions
+        assert ring._owners == owners
+        assert ring.members == set(members)

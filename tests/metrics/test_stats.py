@@ -1,6 +1,7 @@
 """Tests for histograms and access statistics."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -93,11 +94,19 @@ class TestHistogram:
         for v in (3.0, 1.0, 2.0):
             src.record(v)
         dst.extend(src)
+        # Adopted as unsorted: a copy that believed itself sorted would
+        # answer min / max from its ends (3.0 / 2.0).
+        assert (dst.min, dst.max) == (1.0, 3.0)
         assert dst.p50 == 2.0
         assert dst._sorts == 1
-        # The copy sorted its own samples; the source is untouched.
-        assert src._samples == [3.0, 1.0, 2.0]
-        assert src.p50 == 2.0
+        # The copy sorted its own samples; the source is untouched (still
+        # unsorted) and the two stay independent afterwards.
+        assert src._sorts == 0
+        assert (src.min, src.max, src.count) == (1.0, 3.0, 3)
+        dst.record(10.0)
+        src.record(0.0)
+        assert (src.count, src.min, src.max, src.p50) == (4, 0.0, 3.0, 1.0)
+        assert (dst.count, dst.min, dst.max, dst.p50) == (4, 1.0, 10.0, 2.0)
 
     def test_extend_of_ordered_histograms_stays_sorted(self):
         a, b = Histogram(), Histogram()
@@ -130,6 +139,36 @@ class TestHistogram:
         # from them in the last ulp.
         tolerance = 1e-9 * max(1.0, h.max)
         assert h.min - tolerance <= h.mean <= h.max + tolerance
+
+
+class TestPackedSamples:
+    def test_bytes_retained_per_float(self):
+        count = 100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            histogram = Histogram()
+            for index in range(count):
+                # A fresh float object each time.
+                histogram.record(index * 0.5 + 0.25)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert histogram.count == count
+        # A list slot plus a boxed float is 32 bytes; packed is 8 plus
+        # the array's growth slack.
+        assert retained / count <= 10
+
+    def test_each_kind_reads_back_as_recorded(self):
+        for stream in ([2.5, -0.0, 1.0], [3, 1, 2], [1, True], [2**63, 1],
+                       [1.0, 2]):
+            histogram = Histogram()
+            for value in stream:
+                histogram.record(value)
+            ordered = sorted(stream)
+            assert [repr(histogram.percentile(100.0 * rank / len(stream)))
+                    for rank in range(1, len(stream) + 1)] == [
+                repr(value) for value in ordered]
 
 
 class TestAccessStats:

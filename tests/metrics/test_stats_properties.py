@@ -114,3 +114,142 @@ def test_trimmed_mean_drops_largest(samples):
     kept = sorted(samples)[:len(samples) - cut] if cut else sorted(samples)
     assert math.isclose(trimmed, sum(kept) / len(kept))
     assert trimmed <= histogram.mean or math.isclose(trimmed, histogram.mean)
+
+
+class ListHistogram:
+    """Reference: the plain list-backed ``Histogram`` the packed one must
+    answer exactly like (same sort points, same returned objects)."""
+
+    def __init__(self):
+        self._samples = []
+        self._sorted = True
+        self._sorts = 0
+
+    def record(self, value):
+        if self._sorted and self._samples and value < self._samples[-1]:
+            self._sorted = False
+        self._samples.append(value)
+
+    def extend(self, other):
+        if not other._samples:
+            return
+        if not self._samples:
+            self._samples = list(other._samples)
+            self._sorted = other._sorted
+            return
+        still_sorted = (self._sorted and other._sorted
+                        and other._samples[0] >= self._samples[-1])
+        self._samples.extend(other._samples)
+        self._sorted = still_sorted
+
+    def _ensure_sorted(self):
+        if not self._sorted:
+            self._samples.sort()
+            self._sorted = True
+            self._sorts += 1
+        return self._samples
+
+    count = property(lambda self: len(self._samples))
+    mean = property(lambda self: (sum(self._samples) / len(self._samples)
+                                  if self._samples else math.nan))
+    max = property(lambda self: (
+        math.nan if not self._samples
+        else self._samples[-1] if self._sorted else max(self._samples)))
+    min = property(lambda self: (
+        math.nan if not self._samples
+        else self._samples[0] if self._sorted else min(self._samples)))
+
+    def percentile(self, p):
+        if not self._samples:
+            return math.nan
+        samples = self._ensure_sorted()
+        return samples[max(1, math.ceil(p / 100.0 * len(samples))) - 1]
+
+    @property
+    def variance(self):
+        if not self._samples:
+            return math.nan
+        mean = self.mean
+        return sum((s - mean) ** 2 for s in self._samples) / len(self._samples)
+
+    def trimmed_mean(self, drop_top_fraction=0.1):
+        if not self._samples:
+            return math.nan
+        kept = self._ensure_sorted()
+        cut = int(len(kept) * drop_top_fraction)
+        kept = kept[:len(kept) - cut] if cut else kept
+        return sum(kept) / len(kept)
+
+
+def _answer(query):
+    try:
+        return repr(query())
+    except Exception as error:  # both sides must fail the same way
+        return f"raises {type(error).__name__}"
+
+
+def answers(histogram) -> list:
+    """``repr`` of every query, in an order that sorts midway."""
+    return [_answer(query) for query in (
+        lambda: histogram.count, lambda: histogram.mean,
+        lambda: histogram.min, lambda: histogram.max,
+        lambda: histogram.variance,
+        *(lambda p=p: histogram.percentile(p)
+          for p in (0.0, 1.0, 50.0, 99.0, 100.0)),
+        lambda: histogram.trimmed_mean(0.3),
+        lambda: histogram.min, lambda: histogram.max,
+        lambda: histogram._sorts)]
+
+
+kinds = st.sampled_from(["float", "int", "huge", "bool", "mixed"])
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 0.0, math.inf, -math.inf])
+small_int = st.integers(min_value=-2**63, max_value=2**63 - 1)
+huge_int = st.integers(min_value=2**63, max_value=2**80) | st.integers(
+    min_value=-2**80, max_value=-2**63 - 1)
+sample_of = {
+    "float": any_float,
+    "int": small_int,
+    "huge": small_int | huge_int,
+    "bool": st.booleans(),
+    "mixed": any_float | small_int | huge_int | st.booleans(),
+}
+
+
+@st.composite
+def streams(draw, min_size=0):
+    kind = draw(kinds)
+    return draw(st.lists(sample_of[kind], min_size=min_size, max_size=40))
+
+
+# One step: record a sample, extend by a histogram built from a stream of
+# any kind, or query everything (which sorts, so later records meet a
+# sorted store).
+steps = st.lists(st.one_of(
+    st.tuples(st.just("record"), sample_of["mixed"]),
+    st.tuples(st.just("extend"), streams()),
+    st.tuples(st.just("query"), st.none())), max_size=12)
+
+
+@given(streams(), steps)
+def test_packed_histogram_answers_like_a_list(first, program):
+    packed, reference = Histogram(), ListHistogram()
+    for value in first:
+        packed.record(value)
+        reference.record(value)
+    for op, arg in program:
+        if op == "record":
+            packed.record(arg)
+            reference.record(arg)
+        elif op == "extend":
+            other_packed, other_reference = Histogram(), ListHistogram()
+            for value in arg:
+                other_packed.record(value)
+                other_reference.record(value)
+            packed.extend(other_packed)
+            reference.extend(other_reference)
+            # The source is left as it was.
+            assert answers(other_packed) == answers(other_reference)
+        else:
+            assert answers(packed) == answers(reference)
+    assert answers(packed) == answers(reference)

@@ -1,6 +1,8 @@
 """Tests for workload distributions and application profiles."""
 
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,37 @@ from repro.workloads.profiles import (
     handoff_key,
     preload_storage,
 )
+
+
+class _FakeContext:
+    """Just what a workload handler touches; records each operation."""
+
+    def __init__(self, entity: int):
+        self.inputs = {"entity": entity}
+        self.invocation_id = 1
+        self.ops = []
+        rng = random.Random(5)
+        self.sim = SimpleNamespace(
+            rng=SimpleNamespace(stream=lambda name: rng))
+
+    def read(self, key):
+        self.ops.append(("read", key))
+        yield from ()
+
+    def write(self, key, value):
+        self.ops.append(("write", key, value.size_bytes))
+        yield from ()
+
+    def compute(self, ms):
+        self.ops.append(("compute", ms))
+        yield from ()
+
+
+def _drive(handler, entity: int) -> list:
+    ctx = _FakeContext(entity)
+    for _ in handler(ctx):
+        pass
+    return ctx.ops
 
 
 class TestZipf:
@@ -91,6 +124,26 @@ class TestProfiles:
         spec = build_app(ALL_PROFILES["SocNet"])
         assert len(spec.workflow) == 5
         assert all(spec.function(name) for name in spec.workflow)
+
+    def test_out_of_profile_entities_replay_an_in_profile_build(self):
+        """Every stage of an app, handed entity ids past the profile (in
+        a shuffled order, so one stage extends the app's shared rows
+        before another needs them), issues exactly the operations the
+        same stage of an app whose profile covers those ids issues."""
+        profile = replace(ALL_PROFILES["SocNet"], entities=3)
+        wider = replace(profile, entities=12)
+        entities = [7, 3, 11, 0, 9, 4]
+        narrow_spec, wide_spec = build_app(profile), build_app(wider)
+        for stage, name in enumerate(narrow_spec.workflow):
+            for entity in entities:
+                ops = [_drive(spec.function(name).handler, entity)
+                       for spec in (narrow_spec, wide_spec)]
+                assert ops[0] == ops[1]
+                if stage > 0:
+                    assert ops[0][0] == ("read", handoff_key(
+                        profile.name, entity, stage - 1))
+        with pytest.raises(ValueError):
+            _drive(narrow_spec.function(narrow_spec.workflow[0]).handler, -1)
 
     def test_key_namespaces_are_distinct(self):
         assert entity_key("A", 1, 2) != entity_key("B", 1, 2)
