@@ -24,6 +24,28 @@ Layering (bottom to top):
 
 __version__ = "1.0.0"
 
+import importlib
+
 from repro.config import LatencyModel, SimConfig
 
 __all__ = ["LatencyModel", "SimConfig", "__version__"]
+
+
+def lazy_exports(package: str, modules: dict[str, tuple[str, ...]]):
+    """A PEP 562 module ``__getattr__`` for ``package``'s root.
+
+    ``modules`` maps a submodule to the names the root re-exports from
+    it; each is imported on first use, so code that imports only the
+    runtime half of a package (recorder, tracer, registry) never loads
+    its exporters, CLIs and checkers.
+    """
+    home = {name: f"{package}.{module}"
+            for module, names in modules.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(home[name]), name)
+
+    return __getattr__

@@ -77,10 +77,6 @@ class LatencyModel:
             + self.internode_rtt / 2.0
         )
 
-    def round_trip(self, payload_bytes: int = 0) -> float:
-        """Internode request/response pair; payload travels one way."""
-        return self.one_way() + self.one_way(payload_bytes)
-
     def storage_read(self, payload_bytes: int = 0) -> float:
         """Round trip to global storage returning ``payload_bytes``."""
         return self.storage_rtt + payload_bytes / self.storage_bytes_per_ms

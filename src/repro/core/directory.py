@@ -30,7 +30,7 @@ from repro.obs.events import (
 ENTRY_WIRE_BYTES = 48
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Directory state for one data item."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class EmptyRingError(LookupError):
@@ -56,9 +56,12 @@ class ConsistentHashRing:
         self._members: set[str] = set()
         self._positions: list[int] = []      # sorted virtual-node hashes
         self._owners: dict[int, str] = {}    # position -> member
-        #: key -> home memo, invalidated wholesale on membership change
+        #: key -> home memo, replaced wholesale on membership change
         #: (home() is a pure function of key + membership).
         self._home_cache: dict[str, str] = {}
+        #: The four tables above may be shared with copies of this ring
+        #: (copy-on-write): the first add/remove clones them first.
+        self._shared = False
         for member in members:
             self.add(member)
 
@@ -77,8 +80,8 @@ class ConsistentHashRing:
         """Add ``member``; idempotent."""
         if member in self._members:
             return
+        self._own()
         self._members.add(member)
-        self._home_cache.clear()
         for replica in range(self.virtual_nodes):
             position = _hash_cached(f"{member}#{replica}")
             # Collisions across members are vanishingly unlikely with
@@ -103,8 +106,8 @@ class ConsistentHashRing:
                 f"cannot remove {member!r}: hash ring is empty")
         if member not in self._members:
             return
+        self._own()
         self._members.remove(member)
-        self._home_cache.clear()
         for replica in range(self.virtual_nodes):
             position = _hash_cached(f"{member}#{replica}")
             if self._owners.get(position) == member:
@@ -114,13 +117,29 @@ class ConsistentHashRing:
                 del self._owners[position]
 
     def copy(self) -> "ConsistentHashRing":
-        """An independent ring with the same members (tables cloned, not
-        rebuilt)."""
+        """An independent ring with the same members.
+
+        The tables and the home memo are shared, not cloned: N agents
+        holding one membership view cost one table, and whichever ring
+        changes membership first clones before it mutates.
+        """
         ring = ConsistentHashRing((), self.virtual_nodes)
-        ring._members = set(self._members)
-        ring._positions = list(self._positions)
-        ring._owners = dict(self._owners)
+        ring._members = self._members
+        ring._positions = self._positions
+        ring._owners = self._owners
+        ring._home_cache = self._home_cache
+        ring._shared = self._shared = True
         return ring
+
+    def _own(self) -> None:
+        """Prepare for a membership change: clone shared tables and start
+        a fresh home memo."""
+        if self._shared:
+            self._members = set(self._members)
+            self._positions = list(self._positions)
+            self._owners = dict(self._owners)
+            self._shared = False
+        self._home_cache = {}
 
     def with_members(self, members: Iterable[str]) -> "ConsistentHashRing":
         """A new ring over ``members`` with this ring's parameters.
@@ -172,19 +191,6 @@ class ConsistentHashRing:
                 if len(chain) == n:
                     break
         return tuple(chain)
-
-    def successor(self, member: str) -> Optional[str]:
-        """The member a departing ``member``'s keys re-home to.
-
-        With virtual nodes the keys spread over several successors; this
-        returns the member that inherits the *first* virtual replica, used
-        only as a representative (actual re-homing recomputes per key).
-        """
-        if member not in self._members or len(self._members) < 2:
-            return None
-        without = self.copy()
-        without.remove(member)
-        return without.home(f"{member}#0")
 
     def rehomed_keys(self, keys: Iterable[str], member: str) -> dict[str, str]:
         """For each key homed at ``member``, its new home once ``member`` leaves.

@@ -288,17 +288,6 @@ class Network:
         return node_id in self._down_nodes
 
     # -- transmission --------------------------------------------------------
-    def transit_time(self, src: str, dst: str, size_bytes: int) -> float:
-        """One-way latency for a ``size_bytes`` message from src to dst."""
-        src_node = self.node_of(src)
-        dst_node = self.node_of(dst)
-        if src_node == dst_node:
-            return 0.0
-        delay = self.latency.one_way(size_bytes)
-        if self.topology is not None:
-            delay += self.topology.extra_one_way_ms(src_node, dst_node)
-        return delay
-
     def send(self, message: Message) -> None:
         """Put ``message`` on the wire (delivery is asynchronous)."""
         src_node = self.node_of(message.src)

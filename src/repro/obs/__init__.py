@@ -7,15 +7,12 @@ deterministic JSONL (:mod:`repro.obs.export`), and interrogated through
 merged timelines (:mod:`repro.obs.timeline`), causal explanations
 (:mod:`repro.obs.explain`) and the ``repro-inspect`` CLI
 (:mod:`repro.obs.cli`).
+
+Only the recorder is imported with the package; the export, timeline
+and explain names load on first use.
 """
 
-from repro.obs.explain import diagnose, explain_key, find_violations
-from repro.obs.export import (
-    export_jsonl,
-    jsonl_dumps,
-    load_events,
-    loads_events,
-)
+from repro import lazy_exports
 from repro.obs.recorder import (
     DEFAULT_CAPACITY,
     NULL_RECORDER,
@@ -23,7 +20,12 @@ from repro.obs.recorder import (
     NullRecorder,
     ProtoEvent,
 )
-from repro.obs.timeline import merge_timeline, render_html, render_text
+
+__getattr__ = lazy_exports(__name__, {
+    "explain": ("diagnose", "explain_key", "find_violations"),
+    "export": ("export_jsonl", "jsonl_dumps", "load_events", "loads_events"),
+    "timeline": ("merge_timeline", "render_html", "render_text"),
+})
 
 __all__ = [
     "FlightRecorder",

@@ -63,14 +63,10 @@ from repro.coord import CoordinationService
 from repro.faas import FaasPlatform
 from repro.net import RegionTopology
 from repro.obs import FlightRecorder
-from repro.obs import export_jsonl as _obs_export_jsonl
 from repro.schemes import build_scheme_map, make_scheduler, scheme_spec
 from repro.sim import Simulator
 from repro.telemetry import MetricsRegistry, Sampler
-from repro.telemetry import export_csv as _metrics_export_csv
-from repro.telemetry import export_jsonl as _metrics_export_jsonl
-from repro.telemetry import export_prometheus as _metrics_export_prometheus
-from repro.trace import Tracer, export_chrome, export_jsonl
+from repro.trace import Tracer
 from repro.workloads import ALL_PROFILES, build_app, entity_inputs_factory
 from repro.workloads.profiles import preload_storage
 
@@ -269,6 +265,8 @@ class Session:
         """Write collected spans to ``path`` (``chrome`` or ``jsonl``)."""
         if self.tracer is None:
             raise RuntimeError("session was created without trace=...")
+        from repro.trace.export import export_chrome, export_jsonl
+
         if fmt == "chrome":
             export_chrome(self.tracer, path)
         elif fmt == "jsonl":
@@ -286,12 +284,14 @@ class Session:
         """
         if self.metrics is None:
             raise RuntimeError("session was created without metrics=...")
+        from repro.telemetry import export
+
         if fmt == "jsonl":
-            _metrics_export_jsonl(self.metrics, path)
+            export.export_jsonl(self.metrics, path)
         elif fmt == "csv":
-            _metrics_export_csv(self.metrics, path)
+            export.export_csv(self.metrics, path)
         elif fmt == "prometheus":
-            _metrics_export_prometheus(self.metrics, path)
+            export.export_prometheus(self.metrics, path)
         else:
             raise ValueError(f"unknown metrics format {fmt!r}")
 
@@ -300,7 +300,9 @@ class Session:
         """Write the flight recorder's event ring to ``path`` (JSONL)."""
         if self.obs is None:
             raise RuntimeError("session was created without obs=...")
-        _obs_export_jsonl(self.obs, path)
+        from repro.obs.export import export_jsonl
+
+        export_jsonl(self.obs, path)
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

@@ -25,7 +25,7 @@ on every node that learns of the failure, with no messages exchanged.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.hashring import ConsistentHashRing, EmptyRingError, _hash_cached
 
@@ -110,21 +110,21 @@ class ShardRouter:
         self._rebuild()
 
     def copy(self) -> "ShardRouter":
-        """An independent router with the same members and shards (ring
-        and chains cloned, not recomputed)."""
+        """An independent router with the same members and shards.
+
+        The ring is a copy-on-write copy and the chain list is shared
+        outright: ``_rebuild`` replaces it, nothing mutates it in place.
+        """
         router = ShardRouter((), self.num_shards, self.replication,
                              self._ring.virtual_nodes)
         router._ring = self._ring.copy()
-        router._chains = list(self._chains)
+        router._chains = self._chains
         return router
 
     def with_members(self, members: Iterable[str]) -> "ShardRouter":
         """A new router over ``members`` with this router's parameters."""
         return ShardRouter(members, self.num_shards, self.replication,
                            self._ring.virtual_nodes)
-
-    def successor(self, member: str) -> Optional[str]:
-        return self._ring.successor(member)
 
     def rehomed_keys(self, keys: Iterable[str], member: str) -> dict[str, str]:
         """For each key homed at ``member``, its new home once it leaves."""

@@ -9,7 +9,7 @@ external-write listener both build on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config import LatencyModel
@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataItem:
     """An opaque application data blob with an explicit wire size.
 
@@ -35,7 +35,7 @@ class DataItem:
         return f"DataItem({self.payload!r}, {self.size_bytes}B)"
 
 
-@dataclass
+@dataclass(slots=True)
 class StorageRecord:
     """Internal per-key record: the latest value and its version."""
 

@@ -16,25 +16,11 @@ The public surface:
   collapse, optional latency SLO).
 
 See DESIGN.md §8 for the telemetry model and its determinism contract.
+Instruments, sampler and store are imported with the package; the
+exporters, anomaly rules and summaries load on first use.
 """
 
-from repro.telemetry.anomaly import (
-    Anomaly,
-    detect_anomalies,
-    detect_cpu_queue_buildup,
-    detect_hit_ratio_collapse,
-    detect_invalidation_storm,
-    detect_slo_latency,
-)
-from repro.telemetry.export import (
-    csv_dumps,
-    export_csv,
-    export_jsonl,
-    export_prometheus,
-    jsonl_dumps,
-    load_series,
-    prometheus_dumps,
-)
+from repro import lazy_exports
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -46,11 +32,15 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.sampler import Sampler
 from repro.telemetry.store import Series, TimeSeriesStore
-from repro.telemetry.summary import (
-    render_sparkline,
-    series_stats,
-    utilization_summary,
-)
+
+__getattr__ = lazy_exports(__name__, {
+    "anomaly": ("Anomaly", "detect_anomalies", "detect_cpu_queue_buildup",
+                "detect_hit_ratio_collapse", "detect_invalidation_storm",
+                "detect_slo_latency"),
+    "export": ("csv_dumps", "export_csv", "export_jsonl", "export_prometheus",
+               "jsonl_dumps", "load_series", "prometheus_dumps"),
+    "summary": ("render_sparkline", "series_stats", "utilization_summary"),
+})
 
 __all__ = [
     "Anomaly",

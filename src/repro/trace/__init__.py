@@ -12,17 +12,11 @@ Public surface::
 
 See :mod:`repro.trace.tracer` for the span model and the determinism
 contract, and ``repro-trace`` (:mod:`repro.trace.cli`) for turning an
-export back into a Fig. 1-style latency breakdown.
+export back into a Fig. 1-style latency breakdown.  The exporters load
+on first use; importing the package loads only the tracer.
 """
 
-from repro.trace.export import (
-    chrome_dumps,
-    export_chrome,
-    export_jsonl,
-    jsonl_dumps,
-    load_trace,
-    loads_trace,
-)
+from repro import lazy_exports
 from repro.trace.tracer import (
     INHERIT,
     NULL_SPAN,
@@ -32,6 +26,11 @@ from repro.trace.tracer import (
     TraceContext,
     Tracer,
 )
+
+__getattr__ = lazy_exports(__name__, {
+    "export": ("chrome_dumps", "export_chrome", "export_jsonl", "jsonl_dumps",
+               "load_trace", "loads_trace"),
+})
 
 __all__ = [
     "INHERIT",

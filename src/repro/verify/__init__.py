@@ -14,26 +14,25 @@ state of a small configuration, checking the paper's invariants:
 
 Modelled events, as in the paper: Local/Remote Read/Write Hit, Read/Write
 Miss, DataEvict, NodeFail, RecoverOnFail, DomainChange.
+
+Only the causal history checks (which the zoo schemes run inline) are
+imported with the package; the model checker and the end-state checks
+load on first use.
 """
 
+from repro import lazy_exports
 from repro.verify.causal import (
     CausalOp,
     check_bounded_staleness,
     check_session_guarantees,
 )
-from repro.verify.model import (
-    CheckReport,
-    ModelChecker,
-    ModelConfig,
-    ModelState,
-    enabled_transitions,
-)
-from repro.verify.runtime import (
-    CoherenceViolation,
-    assert_coherent,
-    check_coherence,
-)
-from repro.verify.schemes import check_scheme_invariants
+
+__getattr__ = lazy_exports(__name__, {
+    "model": ("CheckReport", "ModelChecker", "ModelConfig", "ModelState",
+              "enabled_transitions"),
+    "runtime": ("CoherenceViolation", "assert_coherent", "check_coherence"),
+    "schemes": ("check_scheme_invariants",),
+})
 
 __all__ = [
     "CausalOp",

@@ -214,10 +214,24 @@ def _globals_sampler(profile: AppProfile) -> ZipfSampler:
     return sampler
 
 
+_SIZE_SAMPLERS: dict[float, SizeSampler] = {}
+
+
+def _sizes(profile: AppProfile) -> SizeSampler:
+    """The size sampler of ``profile``'s size scale: one key -> size memo
+    per scale, shared by :func:`build_app` and :func:`working_set`, so
+    wiring an app hashes each key once."""
+    sampler = _SIZE_SAMPLERS.get(profile.size_scale)
+    if sampler is None:
+        sampler = SizeSampler(scale=profile.size_scale)
+        _SIZE_SAMPLERS[profile.size_scale] = sampler
+    return sampler
+
+
 def build_app(profile: AppProfile) -> AppSpec:
     """Turn a profile into a deployable application."""
     app = profile.name
-    sizes = SizeSampler(scale=profile.size_scale)
+    sizes = _sizes(profile)
     entity_items = [
         _entity_rows(app, entity, profile.items_per_entity, sizes)
         for entity in range(profile.entities)]
@@ -237,7 +251,7 @@ def build_app(profile: AppProfile) -> AppSpec:
 
 def working_set(profile: AppProfile) -> dict:
     """The app's initial key -> DataItem working set."""
-    sizes = SizeSampler(scale=profile.size_scale)
+    sizes = _sizes(profile)
     items = {}
     for entity in range(profile.entities):
         for item in range(profile.items_per_entity):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import ConsistentHashRing, hashring
 from repro.core.domain import keys_moving_to_joiner, new_homes_for_leaver
 from repro.core.hashring import EmptyRingError
+from repro.shard import ShardRouter
 
 
 MEMBERS = [f"node{i}" for i in range(8)]
@@ -220,8 +221,9 @@ def _coarse_hash(value: str) -> int:
 )
 def test_copy_matches_original_and_is_independent(members, virtual_nodes,
                                                   coarse, keys):
-    """``copy()``'s cloned tables are the ring it copies — positions,
-    owners (after collisions too) and homes — and share nothing with it."""
+    """``copy()``'s tables are the ring it copies — positions, owners
+    (after collisions too) and homes — and mutating the copy never
+    changes the original."""
     position_of = _coarse_hash if coarse else hashring._hash
     with mock.patch.object(hashring, "_hash_cached", position_of):
         ring = ConsistentHashRing(members, virtual_nodes)
@@ -241,3 +243,62 @@ def test_copy_matches_original_and_is_independent(members, virtual_nodes,
         assert ring._positions == positions
         assert ring._owners == owners
         assert ring.members == set(members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    router=st.booleans(),
+    virtual_nodes=st.integers(min_value=1, max_value=16),
+    start=st.sets(st.sampled_from(MEMBERS)),
+    program=st.lists(st.tuples(
+        st.sampled_from(("copy", "add", "remove", "split")),
+        st.integers(min_value=0, max_value=31),
+        st.sampled_from(MEMBERS)), max_size=20),
+    keys=st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=10),
+)
+def test_copy_on_write_family_matches_rebuilt_rings(router, virtual_nodes,
+                                                    start, program, keys):
+    """Any interleaving of ``copy``/``add``/``remove`` (and ``split``, for
+    routers) over a family of rings that share tables copy-on-write
+    leaves every ring answering ``home`` and ``preference_list`` exactly
+    as a ring rebuilt from its own membership: mutating one ring never
+    changes another, and no ring keeps a stale home memo."""
+    def rebuilt(members, shards):
+        if router:
+            return ShardRouter(sorted(members), shards, replication=2,
+                               virtual_nodes=virtual_nodes)
+        return ConsistentHashRing(sorted(members), virtual_nodes)
+
+    family = [rebuilt(start, 4)]
+    views = [(set(start), 4)]
+    for op, index, member in program:
+        index %= len(family)
+        ring, (members, shards) = family[index], views[index]
+        if op == "copy":
+            family.append(ring.copy())
+            views.append((set(members), shards))
+        elif op == "add":
+            ring.add(member)
+            members.add(member)
+        elif op == "remove":
+            if not members:
+                with pytest.raises(EmptyRingError):
+                    ring.remove(member)
+                continue
+            ring.remove(member)
+            members.discard(member)
+        elif router and shards < 32:
+            ring.split()
+            views[index] = (members, shards * 2)
+        for ring, (members, shards) in zip(family, views):
+            want = rebuilt(members, shards)
+            assert ring.members == members
+            if router:
+                assert ring.table() == want.table()
+            if not members:
+                with pytest.raises(EmptyRingError):
+                    ring.home(keys[0])
+                continue
+            for key in keys:
+                assert ring.home(key) == want.home(key)
+                assert ring.preference_list(key, 3) == want.preference_list(key, 3)

@@ -1,8 +1,11 @@
 """Tests for workload distributions and application profiles."""
 
+import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +163,29 @@ class TestProfiles:
         count = preload_storage(storage, profile)
         assert count == profile.entities * profile.items_per_entity + profile.global_items
         assert storage.peek(entity_key("TrainT", 0, 0)) is not None
+
+    def test_wiring_an_app_hashes_each_key_once(self):
+        """``build_app`` and ``preload_storage`` share one size memo per
+        size scale, so wiring an app md5s each key once (sizes and
+        read-only flags), not once per builder."""
+        from repro.sim import Simulator
+        from repro.storage import GlobalStorage
+
+        # A name no other test uses: none of its keys is memoized yet.
+        profile = replace(ALL_PROFILES["ImgProc"], name="HashedOnce")
+        hashed = Counter()
+        md5 = hashlib.md5
+
+        def counting_md5(data, *args, **kwargs):
+            hashed[data] += 1
+            return md5(data, *args, **kwargs)
+
+        with mock.patch("hashlib.md5", counting_md5):
+            build_app(profile)
+            count = preload_storage(GlobalStorage(Simulator()), profile)
+        handoffs = profile.entities * (profile.functions - 1)
+        assert len(hashed) == 2 * count + handoffs  # size + read-only flag
+        assert set(hashed.values()) == {1}
 
     def test_inputs_factory_draws_zipf_entities(self):
         from repro.sim import Simulator
