@@ -8,9 +8,10 @@ to function code, so workloads are scheme-agnostic.
 from __future__ import annotations
 
 import abc
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Generator, Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from repro.metrics import AccessStats
 from repro.metrics.stats import OpKind
@@ -92,6 +93,10 @@ class LruCache:
         self.capacity_bytes = capacity_bytes
         self.name = name
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        #: Look up without touching recency / make a cached key the most
+        #: recent: the dict's own C methods, so a hit makes no Python call.
+        self.peek = self._entries.get
+        self.touch = self._entries.move_to_end
         self._used_bytes = 0
         self.evictions = 0
         #: High-water mark of bytes used (Figure 12 reports max memory).
@@ -110,10 +115,6 @@ class LruCache:
 
     def keys(self) -> Iterable[str]:
         return list(self._entries.keys())
-
-    def peek(self, key: str) -> Optional[CacheEntry]:
-        """Look up without touching recency."""
-        return self._entries.get(key)
 
     # -- access ---------------------------------------------------------------
     def get(self, key: str) -> Optional[CacheEntry]:
@@ -210,12 +211,12 @@ class StorageAPI(abc.ABC):
     invocation context (node, function name, inputs) so schemes that care —
     Concord's placement learning, transactions — can attribute traffic.
 
-    ``read``/``write`` are template methods: they open one ``op`` trace
-    span per logical operation — so every scheme traces uniformly, and
-    the span's duration is exactly the interval each scheme records into
-    its latency histograms — then delegate to the scheme's ``_do_read``/
-    ``_do_write``.  Subclasses must expose the simulator as ``self.sim``
-    (every scheme in this package does).
+    ``read``/``write`` resolve, once per instance, to the scheme's
+    ``_do_read``/``_do_write`` — or, traced, to a twin opening one ``op``
+    span per logical operation around them, so every scheme traces
+    uniformly and the span is exactly the interval the scheme records.
+    Subclasses must expose the simulator as ``self.sim`` (every scheme in
+    this package does).
     """
 
     #: Scheme name for reporting.
@@ -226,33 +227,29 @@ class StorageAPI(abc.ABC):
     #: e.g. "sequential", "eventual", "bounded-staleness", "causal".
     consistency: str = ""
 
-    def read(self, node_id: str, key: str, ctx: Optional[object] = None) -> Generator:
-        """Read ``key`` from the perspective of ``node_id``; returns value.
+    @functools.cached_property
+    def read(self) -> Callable[..., Generator]:
+        """``read(node_id, key, ctx=None)``: read ``key`` from the
+        perspective of ``node_id``; returns the value.
 
-        Plain dispatcher: with tracing off it returns the scheme's
-        ``_do_read`` generator directly (no wrapper frame on the hot
-        path); ``yield from`` callers see identical behaviour.
+        ``_do_read``, or ``_traced_read`` under an active tracer; resolved
+        on first access, since a simulator's tracer never changes.
         """
-        if not self.sim.tracer.active:
-            return self._do_read(node_id, key, ctx)
-        return self._traced_read(node_id, key, ctx)
+        return self._traced_read if self.sim.tracer.active else self._do_read
 
-    def _traced_read(self, node_id: str, key: str, ctx: Optional[object]) -> Generator:
+    def _traced_read(self, node_id: str, key: str, ctx: Optional[object] = None):
         with self.sim.tracer.span("read", "op",
                                   scheme=self.name, node=node_id, key=key):
             return (yield from self._do_read(node_id, key, ctx))
 
-    def write(
-        self, node_id: str, key: str, value: object, ctx: Optional[object] = None
-    ) -> Generator:
-        """Write ``key`` from ``node_id``; returns when durably stored."""
-        if not self.sim.tracer.active:
-            return self._do_write(node_id, key, value, ctx)
-        return self._traced_write(node_id, key, value, ctx)
+    @functools.cached_property
+    def write(self) -> Callable[..., Generator]:
+        """``write(node_id, key, value, ctx=None)``: write ``key`` from
+        ``node_id``; returns once durably stored.  Resolved like ``read``."""
+        return self._traced_write if self.sim.tracer.active else self._do_write
 
-    def _traced_write(
-        self, node_id: str, key: str, value: object, ctx: Optional[object]
-    ) -> Generator:
+    def _traced_write(self, node_id: str, key: str, value: object,
+                      ctx: Optional[object] = None):
         with self.sim.tracer.span("write", "op",
                                   scheme=self.name, node=node_id, key=key):
             return (yield from self._do_write(node_id, key, value, ctx))

@@ -213,119 +213,112 @@ class FaasPlatform:
         (``parent=None``), so everything the request causes — function
         invocations, cache-agent work, invalidation fan-out, storage round
         trips, even on other nodes — forms one trace tree per request.
-
-        Plain dispatcher, not itself a generator: with tracing off it
-        hands back the ``_request`` generator directly, so the hot path
-        carries no wrapper frame (``yield from`` sees the same object).
         """
-        if not self.sim.tracer.active:
-            return self._request(app_name, inputs)
-        return self._traced_request(app_name, inputs)
-
-    def _traced_request(self, app_name: str, inputs: Optional[dict] = None):
-        with self.sim.tracer.span(f"request:{app_name}", "request",
-                                  parent=None, app=app_name):
-            return (yield from self._request(app_name, inputs))
-
-    def _request(self, app_name: str, inputs: Optional[dict] = None):
-        app = self.apps[app_name]
-        inputs = dict(inputs or {})
-        start = self.sim.now
-        storage_ms = compute_ms = 0.0
-        app.inflight += 1
+        tracer = self.sim.tracer
+        span = (tracer.span(f"request:{app_name}", "request", parent=None,
+                            app=app_name) if tracer.active else None)
         try:
-            yield self.sim.sleep(FRONTEND_OVERHEAD_MS)
-            output = None
-            for function_name in app.spec.workflow:
-                ctx, result = yield from self.invoke(app, function_name, inputs)
-                storage_ms += ctx.storage_ms
-                compute_ms += ctx.compute_ms
-                output = result
-                inputs = {**inputs, "prev": result}
+            app = self.apps[app_name]
+            inputs = dict(inputs or {})
+            start = self.sim.now
+            storage_ms = compute_ms = 0.0
+            app.inflight += 1
+            try:
+                yield self.sim.sleep(FRONTEND_OVERHEAD_MS)
+                output = None
+                for function_name in app.spec.workflow:
+                    ctx, result = yield from self._invoke(
+                        app, function_name, inputs)
+                    storage_ms += ctx.storage_ms
+                    compute_ms += ctx.compute_ms
+                    output = result
+                    inputs = {**inputs, "prev": result}
+            finally:
+                app.inflight -= 1
+            result = RequestResult(
+                app=app_name, start_ms=start, end_ms=self.sim.now,
+                storage_ms=storage_ms, compute_ms=compute_ms, output=output,
+            )
+            app.latency.record(result.latency_ms)
+            app.metric_latency.observe(result.latency_ms)
+            app.storage_ms_total += storage_ms
+            app.compute_ms_total += compute_ms
+            app.requests_completed += 1
+            return result
         finally:
-            app.inflight -= 1
-        result = RequestResult(
-            app=app_name, start_ms=start, end_ms=self.sim.now,
-            storage_ms=storage_ms, compute_ms=compute_ms, output=output,
-        )
-        app.latency.record(result.latency_ms)
-        app.metric_latency.observe(result.latency_ms)
-        app.storage_ms_total += storage_ms
-        app.compute_ms_total += compute_ms
-        app.requests_completed += 1
-        return result
-
-    def invoke(self, app: DeployedApp, function_name: str, inputs: dict):
-        """Schedule and run one function invocation (generator).
-
-        Returns ``(ctx, handler_result)``.  Plain dispatcher like
-        :meth:`request`: tracing off returns the ``_invoke`` generator
-        with no wrapper frame.
-        """
-        if not self.sim.tracer.active:
-            return self._invoke(app, function_name, inputs)
-        return self._traced_invoke(app, function_name, inputs)
-
-    def _traced_invoke(self, app: DeployedApp, function_name: str, inputs: dict):
-        with self.sim.tracer.span(f"invoke:{function_name}", "invoke",
-                                  app=app.name, function=function_name):
-            return (yield from self._invoke(app, function_name, inputs))
+            if span is not None:
+                span.end()
 
     def _invoke(self, app: DeployedApp, function_name: str, inputs: dict):
-        spec = app.spec.function(function_name)
-        if spec is None:
-            raise KeyError(f"{app.name} has no function {function_name!r}")
-        admitted = self.sim.now
-        pre_pick = getattr(self.scheduler, "pre_pick", None)
-        if pre_pick is not None:
-            # Schedulers may need cluster state before deciding (Apta
-            # queries its memory nodes for stale compute nodes).
-            yield from pre_pick(self, app.name, function_name, inputs)
-        candidates = self.warm_nodes(app, function_name)
-        if candidates:
-            node = self.scheduler.pick(app.name, function_name, inputs, candidates)
-            container = node.containers_of(app.name, function_name)[0]
-            obs = self.sim.obs
-            if obs.active:
-                obs.emit(SCHED_WARM, node=node.id, app=app.name,
-                         fn=function_name, warm=len(candidates))
-        else:
-            node = self.placement.place(self, app, function_name)
-            # Register the container *before* the cold start completes so
-            # concurrent invocations queue on it instead of each starting
-            # yet another container (thundering herd).
-            container = node.add_container(
-                app.name, function_name,
-                memory_alloc=spec.memory_alloc, memory_used=spec.memory_used,
-            )
-            if node.id not in app.node_ids:
-                app.node_ids.append(node.id)
-            app.cold_starts += 1
-            obs = self.sim.obs
-            if obs.active:
-                obs.emit(SCHED_COLD, node=node.id, app=app.name,
-                         fn=function_name)
-            yield self.sim.sleep(COLD_START_MS)
-        app.metric_sched_delay.observe(self.sim.now - admitted)
-        container.active += 1
-        container.last_used = self.sim.now
-        ctx = InvocationContext(
-            self.sim, node, app.name, function_name, app.storage_api,
-            inputs=inputs, invocation_id=next(self._invocation_ids),
-        )
-        # Register the executing process with its node so a crash there
-        # interrupts the invocation (the process dies with the node).
-        process = self.sim.active_process
-        if process is not None:
-            self._invocations_on.setdefault(node.id, {})[process] = None
+        """Schedule and run one function invocation (generator).
+
+        Returns ``(ctx, handler_result)``; traced, it runs under an
+        ``invoke`` span.  Public as :attr:`invoke`.
+        """
+        tracer = self.sim.tracer
+        span = (tracer.span(f"invoke:{function_name}", "invoke",
+                            app=app.name, function=function_name)
+                if tracer.active else None)
         try:
-            result = yield from spec.handler(ctx)
-        finally:
-            container.active -= 1
+            spec = app.spec.function(function_name)
+            if spec is None:
+                raise KeyError(f"{app.name} has no function {function_name!r}")
+            admitted = self.sim.now
+            pre_pick = getattr(self.scheduler, "pre_pick", None)
+            if pre_pick is not None:
+                # Schedulers may need cluster state before deciding (Apta
+                # queries its memory nodes for stale compute nodes).
+                yield from pre_pick(self, app.name, function_name, inputs)
+            candidates = self.warm_nodes(app, function_name)
+            if candidates:
+                node = self.scheduler.pick(app.name, function_name, inputs, candidates)
+                container = node.containers_of(app.name, function_name)[0]
+                obs = self.sim.obs
+                if obs.active:
+                    obs.emit(SCHED_WARM, node=node.id, app=app.name,
+                             fn=function_name, warm=len(candidates))
+            else:
+                node = self.placement.place(self, app, function_name)
+                # Register the container *before* the cold start completes so
+                # concurrent invocations queue on it instead of each starting
+                # yet another container (thundering herd).
+                container = node.add_container(
+                    app.name, function_name,
+                    memory_alloc=spec.memory_alloc, memory_used=spec.memory_used,
+                )
+                if node.id not in app.node_ids:
+                    app.node_ids.append(node.id)
+                app.cold_starts += 1
+                obs = self.sim.obs
+                if obs.active:
+                    obs.emit(SCHED_COLD, node=node.id, app=app.name,
+                             fn=function_name)
+                yield self.sim.sleep(COLD_START_MS)
+            app.metric_sched_delay.observe(self.sim.now - admitted)
+            container.active += 1
             container.last_used = self.sim.now
+            ctx = InvocationContext(
+                self.sim, node, app.name, function_name, app.storage_api,
+                inputs=inputs, invocation_id=next(self._invocation_ids),
+            )
+            # Register the executing process with its node so a crash there
+            # interrupts the invocation (the process dies with the node).
+            process = self.sim.active_process
             if process is not None:
-                self._invocations_on.get(node.id, {}).pop(process, None)
-        return ctx, result
+                self._invocations_on.setdefault(node.id, {})[process] = None
+            try:
+                result = yield from spec.handler(ctx)
+            finally:
+                container.active -= 1
+                container.last_used = self.sim.now
+                if process is not None:
+                    self._invocations_on.get(node.id, {}).pop(process, None)
+            return ctx, result
+        finally:
+            if span is not None:
+                span.end()
+
+    invoke = _invoke
 
     def _interrupt_node_invocations(self, node_id: str) -> None:
         """Crash listener: kill every invocation running on ``node_id``."""

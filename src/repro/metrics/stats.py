@@ -180,12 +180,17 @@ class AccessStats:
     version_checks: int = 0
 
     def record(self, kind: OpKind, latency_ms: float) -> None:
-        # Once per cache operation: one dict lookup and no throw-away
-        # default on the steady path.
+        # Once per cache operation: one dict lookup, Histogram.record inlined.
         histogram = self.latency.get(kind)
         if histogram is None:
             histogram = self.latency[kind] = Histogram()
-        histogram.record(latency_ms)
+        samples = histogram._samples
+        if histogram._sorted and samples and latency_ms < samples[-1]:
+            histogram._sorted = False
+        if histogram._packed and type(latency_ms) is not float:
+            histogram._samples = samples = samples.tolist()
+            histogram._packed = False
+        samples.append(latency_ms)
 
     @property
     def ops(self) -> dict:

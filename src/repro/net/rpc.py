@@ -334,14 +334,8 @@ class Endpoint:
         if name is None:
             name = f"rpc:{self.address}:{method}"
             self._spawn_names[method] = name
-        # When tracing is off, skip the _traced_serve span wrapper entirely
-        # (yield-from is transparent, so dropping the layer changes no
-        # scheduling — it only removes a Python frame per request).
-        if self.sim.tracer.active:
-            body = self._traced_serve(handler, message)
-        else:
-            body = self._serve(handler, message)
-        process = self.sim.spawn(body, name=name, daemon=True)
+        process = self.sim.spawn(self._serve(handler, message), name=name,
+                                 daemon=True)
         # The handler joins the caller's span tree: its ambient context is
         # whatever TraceContext travelled with the request.
         process.trace_ctx = message.trace
@@ -349,20 +343,16 @@ class Endpoint:
         # the handler's first step must still find (and interrupt) it.
         self._inflight_handlers[process] = None
 
-    def _traced_serve(self, handler: Handler, message: Message):
-        # Server-side span: covers the service slice (queueing at a hot
-        # agent) plus the handler body.  _serve() swallows Interrupt, so
-        # the span ends on every path, including node crashes.  Only used
-        # when tracing is on; _receive spawns _serve directly otherwise.
-        with self.sim.tracer.span(f"serve:{message.kind}", "rpc.server",
-                                  src=message.src, addr=self.address):
-            yield from self._serve(handler, message)
-
     def _serve(self, handler: Handler, message: Message):
+        # Traced, the span covers service slice, handler and response.
         # The handler drops its own in-flight slot on the way out, so a
         # finished handler has no callback: nothing waits on it and its
         # completion needs no dispatch at all.
         process = self.sim.active_process
+        tracer = self.sim.tracer
+        span = (tracer.span(f"serve:{message.kind}", "rpc.server",
+                            src=message.src, addr=self.address)
+                if tracer.active else None)
         try:
             if self._server is not None:
                 # A crash interrupts handlers still waiting for a grant,
@@ -401,13 +391,16 @@ class Endpoint:
         except RpcError as exc:
             self._respond(message, _RemoteFailure(exc), 0)
             return
+        else:
+            if isinstance(result, Reply):
+                self._respond(message, result.value, result.wire_size(),
+                              meta=result.meta)
+            else:
+                self._respond(message, result, sizeof(result))
         finally:
             self._inflight_handlers.pop(process, None)
-        if isinstance(result, Reply):
-            self._respond(message, result.value, result.wire_size(),
-                          meta=result.meta)
-        else:
-            self._respond(message, result, sizeof(result))
+            if span is not None:
+                span.end()
 
     def _respond(self, request: Message, value: object, size_bytes: int,
                  meta: Optional[object] = None) -> None:

@@ -20,7 +20,3 @@ class Interrupt(Exception):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Interrupt(cause={self.cause!r})"
-
-
-class StopProcess(Exception):
-    """Internal sentinel used to terminate a process early."""

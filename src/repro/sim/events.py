@@ -8,6 +8,7 @@ may also be attached.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.sim.errors import SimulationError
@@ -189,8 +190,8 @@ class Timeout(Event):
         # Hot path: inlined Event.__init__ with an interned name (the old
         # f"timeout({delay})" label dominated allocation profiles; the
         # delay is still visible via the ``delay`` attribute).
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not 0.0 <= delay < inf:  # also rejects nan
+            raise ValueError(f"timeout delay must be finite and >= 0: {delay}")
         self.sim = sim
         self.name = "timeout"
         self._state = TRIGGERED

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from heapq import heappush
+from heapq import heappop, heappush
+from math import inf
 from typing import Iterable, Optional
 
 from repro.sim.errors import SimulationError
@@ -114,8 +115,8 @@ class Simulator:
         exactly the ``(time, seq)`` slot the Timeout would have occupied.
         Only valid as a direct ``yield`` target inside a process.
         """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not 0.0 <= delay < inf:  # also rejects nan
+            raise ValueError(f"timeout delay must be finite and >= 0: {delay}")
         process = self.active_process
         if process is None:
             raise SimulationError("sleep() outside a running process")
@@ -259,11 +260,13 @@ class Simulator:
         fn(args[last])
 
     def call_at(self, when: float, fn, arg=None) -> list:
-        """Schedule ``fn(arg)`` at absolute time ``when`` (>= now)."""
+        """Schedule ``fn(arg)`` at absolute time ``when`` (>= now, finite)."""
         now = self.now
-        if when < now:
-            raise SimulationError(
-                f"call_at({when}) in the past; clock at {now}")
+        if not now <= when < inf:
+            if when < now:
+                raise SimulationError(
+                    f"call_at({when}) in the past; clock at {now}")
+            raise ValueError(f"call_at({when}): time must be finite")
         seq = self._seq
         self._seq = seq + 1
         # Inlined EventWheel.push (this is the fabric/timer hot path).
@@ -343,7 +346,7 @@ class Simulator:
         imm = wheel._imm
         imm_popleft = imm.popleft
         advance = wheel.advance
-        free = wheel._free
+        free, days, buckets = wheel._free, wheel._days, wheel._buckets
         while True:
             # Current-instant lane first: FIFO == (time, seq) order here.
             # Entry recycling is inlined (this loop dispatches hundreds of
@@ -374,6 +377,21 @@ class Simulator:
                 if len(free) < _MAX_FREE:
                     free.append(entry)
                 continue
+            # Inlined EventWheel.advance for a live head in the next slot
+            # (never empty); a cancelled head takes the wheel's own path.
+            if days:
+                bucket = buckets[days[0]]
+                head = bucket[0]
+                if head[2] is not None or head[3] is not None:
+                    when = head[0]
+                    if until is not None and when > until:
+                        break
+                    while bucket and bucket[0][0] == when:
+                        imm.append(heappop(bucket))
+                    if not bucket:
+                        del buckets[heappop(days)]
+                    self.now = when
+                    continue
             advanced = advance(until)
             if advanced is None:
                 break

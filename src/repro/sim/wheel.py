@@ -186,7 +186,7 @@ class EventWheel:
             if imm:
                 entry = imm.popleft()
                 if entry[2] is None and entry[3] is None:
-                    self._free_entry(entry)
+                    self._recycle(entry)
                     continue
                 self._live -= 1
                 return entry
@@ -202,15 +202,9 @@ class EventWheel:
 
     # -- internals ---------------------------------------------------------
     def _recycle(self, entry: list) -> None:
-        # Cancelled entry being discarded during a drain: `cancel` already
-        # decremented the live count and blanked the payload fields.
-        free = self._free
-        if len(free) < _MAX_FREE:
-            free.append(entry)
-
-    def _free_entry(self, entry: list) -> None:
-        # Freelist invariant: entries arrive with [2]=[3]=[4]=None, so the
-        # push fast paths only have to set the fields they use.
+        # A cancelled entry leaving the schedule: `cancel` already dropped
+        # the live count and blanked [2..4] — the freelist invariant that
+        # lets the push fast paths set only the fields they use.
         free = self._free
         if len(free) < _MAX_FREE:
             free.append(entry)

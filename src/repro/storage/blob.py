@@ -177,23 +177,6 @@ class GlobalStorage:
         self._listeners.append(listener)
 
     # -- simulated access ---------------------------------------------------
-    def _traced(self, op: str, key: str, inner):
-        """Wrap one access generator in a ``storage`` span when tracing.
-
-        Also brackets the in-flight-op count sampled by telemetry (the
-        increment/decrement pair is two int ops; no cost worth gating).
-        """
-        self._inflight += 1
-        try:
-            tracer = self.sim.tracer
-            if not tracer.active:
-                return (yield from inner)
-            with tracer.span(f"storage:{op}", "storage", store=self.name,
-                             key=key):
-                return (yield from inner)
-        finally:
-            self._inflight -= 1
-
     def read(self, key: str, reader: str = ""):
         """Read ``key``: yields, returns ``(value, version)``.
 
@@ -202,20 +185,26 @@ class GlobalStorage:
         the caller for the multi-region latency model; untagged reads are
         treated as in-region.
         """
-        return (yield from self._traced("read", key, self._read(key, reader)))
-
-    def _read(self, key: str, reader: str = ""):
-        record = self._data.get(key)
-        size = sizeof(record.value) if record else 0
-        yield self.sim.sleep(self._delay(self.latency.storage_read(size))
-                             + self._region_extra(reader))
-        self.stats.reads += 1
-        self.stats.read_bytes += size
-        # Re-read after the latency: a concurrent write may have landed.
-        record = self._data.get(key)
-        if record is None:
-            return (None, 0)
-        return (record.value, record.version)
+        self._inflight += 1
+        tracer = self.sim.tracer
+        span = (tracer.span("storage:read", "storage", store=self.name,
+                            key=key) if tracer.active else None)
+        try:
+            record = self._data.get(key)
+            size = sizeof(record.value) if record else 0
+            yield self.sim.sleep(self._delay(self.latency.storage_read(size))
+                                 + self._region_extra(reader))
+            self.stats.reads += 1
+            self.stats.read_bytes += size
+            # Re-read after the latency: a concurrent write may have landed.
+            record = self._data.get(key)
+            if record is None:
+                return (None, 0)
+            return (record.value, record.version)
+        finally:
+            if span is not None:
+                span.end()
+            self._inflight -= 1
 
     def write(self, key: str, value: object, writer: str = "unknown"):
         """Write ``key``: yields, returns the new version.
@@ -225,21 +214,26 @@ class GlobalStorage:
         that started earlier can still observe the old value, exactly as
         with a real blob service.
         """
-        return (yield from self._traced("write", key,
-                                        self._write(key, value, writer)))
-
-    def _write(self, key: str, value: object, writer: str):
-        size = sizeof(value)
-        yield self.sim.sleep(self._delay(self.latency.storage_write(size))
-                             + self._region_extra(writer))
-        self.stats.writes += 1
-        self.stats.write_bytes += size
-        record = self._data.get(key)
-        version = (record.version + 1) if record else 1
-        self._data[key] = StorageRecord(value=value, version=version)
-        for listener in self._listeners:
-            listener(key, value, version, writer)
-        return version
+        self._inflight += 1
+        tracer = self.sim.tracer
+        span = (tracer.span("storage:write", "storage", store=self.name,
+                            key=key) if tracer.active else None)
+        try:
+            size = sizeof(value)
+            yield self.sim.sleep(self._delay(self.latency.storage_write(size))
+                                 + self._region_extra(writer))
+            self.stats.writes += 1
+            self.stats.write_bytes += size
+            record = self._data.get(key)
+            version = (record.version + 1) if record else 1
+            self._data[key] = StorageRecord(value=value, version=version)
+            for listener in self._listeners:
+                listener(key, value, version, writer)
+            return version
+        finally:
+            if span is not None:
+                span.end()
+            self._inflight -= 1
 
     def compare_and_swap(self, key: str, value: object, expected_version: int,
                          writer: str = "unknown"):
@@ -249,33 +243,42 @@ class GlobalStorage:
         the current one.  Models DynamoDB/Blob conditional updates, the
         primitive Saga/Beldi-style systems detect conflicts with.
         """
-        return (yield from self._traced(
-            "cas", key, self._compare_and_swap(key, value, expected_version,
-                                               writer)))
-
-    def _compare_and_swap(self, key, value, expected_version, writer):
-        size = sizeof(value)
-        yield self.sim.sleep(self._delay(self.latency.storage_write(size))
-                             + self._region_extra(writer))
-        self.stats.writes += 1
-        record = self._data.get(key)
-        current = record.version if record else 0
-        if current != expected_version:
-            return (False, current)
-        self.stats.write_bytes += size
-        version = current + 1
-        self._data[key] = StorageRecord(value=value, version=version)
-        for listener in self._listeners:
-            listener(key, value, version, writer)
-        return (True, version)
+        self._inflight += 1
+        tracer = self.sim.tracer
+        span = (tracer.span("storage:cas", "storage", store=self.name,
+                            key=key) if tracer.active else None)
+        try:
+            size = sizeof(value)
+            yield self.sim.sleep(self._delay(self.latency.storage_write(size))
+                                 + self._region_extra(writer))
+            self.stats.writes += 1
+            record = self._data.get(key)
+            current = record.version if record else 0
+            if current != expected_version:
+                return (False, current)
+            self.stats.write_bytes += size
+            version = current + 1
+            self._data[key] = StorageRecord(value=value, version=version)
+            for listener in self._listeners:
+                listener(key, value, version, writer)
+            return (True, version)
+        finally:
+            if span is not None:
+                span.end()
+            self._inflight -= 1
 
     def read_version(self, key: str, reader: str = ""):
         """Fetch only the version number of ``key`` (Faa$T fallback path)."""
-        return (yield from self._traced("read_version", key,
-                                        self._read_version(key, reader)))
-
-    def _read_version(self, key: str, reader: str = ""):
-        yield self.sim.sleep(self._delay(self.latency.storage_read(8))
-                             + self._region_extra(reader))
-        self.stats.reads += 1
-        return self.version_of(key)
+        self._inflight += 1
+        tracer = self.sim.tracer
+        span = (tracer.span("storage:read_version", "storage",
+                            store=self.name, key=key) if tracer.active else None)
+        try:
+            yield self.sim.sleep(self._delay(self.latency.storage_read(8))
+                                 + self._region_extra(reader))
+            self.stats.reads += 1
+            return self.version_of(key)
+        finally:
+            if span is not None:
+                span.end()
+            self._inflight -= 1

@@ -11,7 +11,7 @@ import math
 
 from hypothesis import given, strategies as st
 
-from repro.metrics.stats import Histogram
+from repro.metrics.stats import AccessStats, Histogram, OpKind
 
 # Finite floats; allow_nan/inf off because NaN breaks ordering.
 values = st.lists(
@@ -253,3 +253,34 @@ def test_packed_histogram_answers_like_a_list(first, program):
         else:
             assert answers(packed) == answers(reference)
     assert answers(packed) == answers(reference)
+
+
+@given(st.data())
+def test_access_stats_record_answers_like_a_list(data):
+    """``AccessStats.record`` appends into the kind's histogram itself;
+    every kind's answers must still be a list-backed histogram's, across
+    interleaved kinds, each with its own sample stream, and a reset."""
+    op_kinds = list(OpKind)
+    streams_of = {kind: data.draw(kinds, label=kind.value)
+                  for kind in op_kinds}
+    stats, reference = AccessStats(), {}
+
+    def check():
+        assert list(stats.latency) == list(reference)
+        for kind, expected in reference.items():
+            assert answers(stats.latency[kind]) == answers(expected), kind
+
+    for _ in range(data.draw(st.integers(0, 60), label="steps")):
+        op = data.draw(st.sampled_from(
+            ["record"] * 8 + ["query", "reset"]), label="op")
+        if op == "record":
+            kind = data.draw(st.sampled_from(op_kinds), label="kind")
+            value = data.draw(sample_of[streams_of[kind]], label="value")
+            stats.record(kind, value)
+            reference.setdefault(kind, ListHistogram()).record(value)
+        elif op == "reset":
+            stats.reset()
+            reference.clear()
+        else:
+            check()
+    check()

@@ -72,6 +72,9 @@ _leaf_op = st.one_of(
     st.tuples(st.just("wait"), _event),
     st.tuples(st.just("fire"), _event),
     st.tuples(st.just("fire_later"), _event, _delay),
+    # A timer cancelled at once: a dead entry (often a slot's head) that
+    # every way of draining the wheel has to step over.
+    st.tuples(st.just("cancel"), _event, st.sampled_from((0.5, 1.0, 3.0))),
     st.tuples(st.just("fail"), _event),
     st.tuples(st.just("interrupt"), st.integers(0, 7)),
     st.tuples(st.just("die")),
@@ -193,6 +196,8 @@ class _World:
             self._fire(op[1])
         elif kind == "fire_later":
             sim.call_at(sim.now + op[2], self._fire, op[1])
+        elif kind == "cancel":
+            sim.cancel(sim.call_at(sim.now + op[2], self._fire, op[1]))
         elif kind == "fail":
             event = self.events[op[1]]
             if not event.triggered:
@@ -219,7 +224,10 @@ class _World:
         return None
 
 
-def run_program(program, down: bool, chunk_ms=None) -> dict:
+def run_program(program, down: bool, chunk_ms=None,
+                stepped: bool = False) -> dict:
+    """Run ``program`` to the end: through ``run()`` (cut every
+    ``chunk_ms`` if given) or, ``stepped``, one ``step()`` per entry."""
     world = _World(down)
     for body in program:
         world.spawn(body)
@@ -228,7 +236,11 @@ def run_program(program, down: bool, chunk_ms=None) -> dict:
         # An unhandled failure (a failed race whose waiter was interrupted
         # away) stops run(); where it does is part of the log.
         try:
-            sim.run(until=None if chunk_ms is None else sim.now + chunk_ms)
+            if stepped:
+                sim.step()
+            else:
+                sim.run(until=None if chunk_ms is None
+                        else sim.now + chunk_ms)
         except Boom as exc:
             world.log.append((sim.now, "crash", repr(exc)))
     return {
@@ -267,6 +279,28 @@ def test_elided_run_is_the_unelided_run_with_fewer_entries(program, chunked):
         if not chunked:
             assert elided["now"] == reference["now"]
         assert elided["entries"] <= reference["entries"]
+    except Exception:
+        _save_failing(program, chunked)
+        raise
+
+
+@_SETTINGS
+@given(program=_program, chunked=st.booleans())
+def test_run_drains_the_wheel_exactly_like_step(program, chunked):
+    """``run()`` moves the next slot into the current-instant lane itself
+    unless the slot's head was cancelled; ``step()`` always pops through
+    ``EventWheel.pop`` -> ``advance``.  With the flag held down both
+    dispatch the same entries in the same order."""
+    try:
+        ran = run_program(program, down=True,
+                          chunk_ms=0.75 if chunked else None)
+        stepped = run_program(program, down=True, stepped=True)
+        assert ran["log"] == stepped["log"]
+        assert ran["entries"] == stepped["entries"]
+        if not chunked:  # run(until=...) leaves the clock at the cut
+            assert ran["now"] == stepped["now"]
+        for key in ("alive", "failures", "in_use", "queued"):
+            assert ran[key] == stepped[key], key
     except Exception:
         _save_failing(program, chunked)
         raise

@@ -108,6 +108,41 @@ class TestTimeout:
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_leave_the_schedule_untouched(self, bad):
+        """A rejected sleep, timeout or call_at schedules nothing: no
+        sequence number spent, no phantom live entry that would turn a
+        deadlock report into "step() on an empty schedule"."""
+        sim = Simulator()
+        outcomes = []
+
+        def sleeper():
+            with pytest.raises(ValueError):
+                sim.sleep(bad)
+            outcomes.append((sim.schedule_count, len(sim._wheel)))
+            yield sim.sleep(1.0)
+
+        sim.spawn(sleeper())
+        sim.run()
+        # The bootstrap entry was dispatched; nothing else was scheduled.
+        assert outcomes == [(1, 0)]
+        assert sim.peek() == float("inf")
+        for schedule in (lambda: sim.timeout(bad),
+                         lambda: sim.call_at(bad, print)):
+            before = sim.schedule_count
+            with pytest.raises(ValueError):
+                schedule()
+            assert sim.schedule_count == before
+            assert len(sim._wheel) == 0
+            assert sim.peek() == float("inf")
+
+        def stuck_body():
+            yield sim.event()  # never fires
+
+        stuck = sim.spawn(stuck_body())
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run_until_complete(stuck)
+
     def test_timeouts_order_deterministically(self, sim):
         order = []
         for delay in (3.0, 1.0, 2.0):
