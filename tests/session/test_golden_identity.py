@@ -17,12 +17,15 @@ and says so in its PR::
 import functools
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from repro.experiments import fig15_transactions as fig15
 from repro.experiments.fig13_churn import _throughput_at
 from repro.experiments.runner import (
     MixedRunConfig,
@@ -34,11 +37,14 @@ from repro.faults import FaultPlan, NodeCrash, NodeRestart
 from repro.faults.scenario import run_fault_scenario
 from repro.obs import cli as inspect_cli
 from repro.obs import jsonl_dumps as obs_jsonl_dumps
+from repro.session import Session
 from repro.shard.topologies import DURATION_MS, run_topology_scenario
+from repro.storage import DataItem
 from repro.telemetry import csv_dumps, prometheus_dumps
 from repro.telemetry import jsonl_dumps as metrics_jsonl_dumps
 from repro.trace import chrome_dumps
 from repro.trace import jsonl_dumps as trace_jsonl_dumps
+from repro.txn import TXN_APPS
 
 GOLDEN = Path(__file__).with_name("golden_identity.json")
 
@@ -103,6 +109,60 @@ def _exports() -> dict:
         assert status == 0
     out["inspect_timeline_json"] = merged.getvalue()
     return out
+
+
+def _txn_concord() -> tuple:
+    """One fig15 Concord cell: its latencies, txn outcomes and messages.
+
+    Transaction ids come from a class-wide counter whose string order
+    picks squash victims, so the cell starts it afresh to stay
+    independent of whatever ran earlier in the process.
+    """
+    made = {}
+
+    def keep(name, cls):
+        def build(*args):
+            made[name] = instance = cls(*args)
+            return instance
+        return build
+
+    with mock.patch.object(fig15.ConcordTxnRuntime, "_ids",
+                           itertools.count(1)), \
+            mock.patch.object(fig15, "Histogram",
+                              keep("latency", fig15.Histogram)), \
+            mock.patch.object(fig15, "ConcordTxnRuntime",
+                              keep("runtime", fig15.ConcordTxnRuntime)):
+        fig15._measure_system("concord", TXN_APPS["HotelBooking"], 4, 2, 125)
+    runtime = made["runtime"]
+    return (_histogram(made["latency"]), runtime.commits, runtime.aborts,
+            runtime.total_squashes(),
+            runtime.concord.cluster.network.stats.messages)
+
+
+def _external_write_concord() -> tuple:
+    """``examples/external_writes.py``'s sequence: cache, external write,
+    purge, fresh reads."""
+    steps = []
+    with Session(nodes=4, seed=5, scheme="concord", app="catalog") as s:
+        key = "catalog:price:sku-1"
+        s.preload({key: DataItem("$19.99", size_bytes=256)})
+        for node in ("node0", "node1", "node2"):
+            steps.append((node, s.read(node, key).payload, s.sim.now))
+
+        def batch_job(sim):
+            yield sim.timeout(100.0)
+            yield from s.storage.write(
+                key, DataItem("$17.49", size_bytes=256), writer="external")
+
+        s.sim.spawn(batch_job(s.sim))
+        s.advance(500.0)
+        holders = sorted(node for node, agent in s.system.agents.items()
+                         if agent.cache.peek(key))
+        steps.append(("holders", tuple(holders), s.sim.now))
+        for node in ("node0", "node1", "node2"):
+            steps.append((node, s.read(node, key).payload, s.sim.now))
+        steps.append(("messages", s.cluster.network.stats.messages))
+    return tuple(steps)
 
 
 def _export(name):
@@ -194,6 +254,8 @@ CASES = {
         24, duration_ms=2000.0, seed=121, num_nodes=8)[0],
     "fig13_churn_obs": lambda: _throughput_at(
         24, duration_ms=2000.0, seed=121, num_nodes=8, obs=True)[0],
+    "txn_concord": _txn_concord,
+    "external_write_concord": _external_write_concord,
     "scale_point": lambda: sorted(scale_point(
         seed=1009, num_nodes=12, requests_per_node=60,
         working_set=40).items()),
