@@ -1,9 +1,10 @@
 """Cross-check: every coherence op the agent serves is model-checked.
 
 The runtime protocol surface is the handler table in
-``repro/core/agent.py`` (the RPC methods a :class:`CacheAgent` answers);
-the verified surface is the transition set the explicit-state model
-checker in ``repro/verify/model.py`` explores.  A coherence op that the
+``repro/core/agent.py`` (the RPC methods a :class:`CacheAgent` answers,
+its membership protocol included); the verified surface is the
+transition set the explicit-state model checker in
+``repro/verify/model.py`` explores.  A coherence op that the
 agent implements but the model never exercises is an unverified code
 path — exactly how protocol bugs slip into "verified" systems.
 
@@ -20,11 +21,17 @@ rfo                  Write (read-for-ownership on remote write)
 fetch_downgrade      Read (E-state owner downgraded to S)
 invalidate           Write (sharers invalidated before grant)
 external_write       Write (storage update routed to home)
+dir_replicate        Read, Write, RecoverOnFail (shard mirror)
+membership           NodeFail (failure declared to survivors)
+ping                 NodeFail (heartbeat the detector misses)
+recovery_complete    RecoverOnFail (barrier lifted)
+domain_prepare       Join, Leave (barrier up, entries moved)
+domain_commit        Join, Leave (new ring committed)
+dir_install          Join, Leave (moved entries installed)
 ===================  =====================================
 
-Lifecycle transitions (DataEvict, NodeFail, Leave, Join, RecoverOnFail)
-drive the membership machinery rather than a single RPC handler and are
-acknowledged separately.
+DataEvict is silent (no message) and so drives no handler; the
+lifecycle transitions are also acknowledged as a set of their own.
 
 Run with ``python -m repro.analysis.protocol_surface`` (``--format=json``
 for machine-readable output); exits non-zero when any agent op lacks a
@@ -56,9 +63,17 @@ OP_COVERAGE = {
     # directory mutation (reads create entries too) and the mirror is
     # consumed when a follower adopts a failed leader's shards.
     "dir_replicate": ("Read", "Write", "RecoverOnFail"),
+    # The membership protocol (Sections III-D, III-F, III-H).
+    "membership": ("NodeFail",),
+    "ping": ("NodeFail",),
+    "recovery_complete": ("RecoverOnFail",),
+    "domain_prepare": ("Join", "Leave"),
+    "domain_commit": ("Join", "Leave"),
+    "dir_install": ("Join", "Leave"),
 }
 
-#: Model transitions that drive membership/recovery rather than one RPC.
+#: Model transitions of the membership lifecycle (failure, recovery,
+#: domain change, silent eviction).
 LIFECYCLE_EVENTS = frozenset(
     {"DataEvict", "NodeFail", "Leave", "Join", "RecoverOnFail"})
 

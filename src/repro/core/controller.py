@@ -1,0 +1,236 @@
+"""The per-application control plane of a Concord cache.
+
+:class:`AppController` keeps the Node Directory, orchestrates two-phase
+domain changes (Section III-D), coordinates failure recovery (Section
+III-F) and forwards external writes to their home agent (Section
+III-C3).  The per-node halves of those protocols live in
+:class:`~repro.core.agent.CacheAgent`.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.coord.service import MembershipEvent, ping_handler
+from repro.core.agent import NotHome
+from repro.core.recovery import RecoveryTracker
+from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, INHERIT, Endpoint, RpcTimeout
+from repro.obs.events import (
+    DOMAIN_CHANGE,
+    MEMBER_JOIN,
+    MEMBER_LEAVE,
+    RECOVERY_COMPLETE,
+)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.concord import ConcordSystem
+
+
+class AppController:
+    """Per-application control plane.
+
+    Lives on its own (reliable) control node, like the load balancer and
+    the coordination service.  Holds the Node Directory — the list of
+    nodes hosting a cache instance — serializes domain changes, counts
+    recovery acknowledgements and forwards external writes to the proper
+    home agent (Section III-C3).
+    """
+
+    def __init__(self, system: "ConcordSystem"):
+        self.system = system
+        self.sim = system.sim
+        self.app = system.app
+        self.endpoint = Endpoint(
+            system.cluster.network, f"ctl-{self.app}", "appctl"
+        )
+        self.ring = system.ring_template.copy()
+        #: Failed member -> ack tracker.
+        self._recoveries: dict[str, RecoveryTracker] = {}
+        #: Serializes voluntary domain changes.
+        self._domain_busy = False
+        #: Failure recoveries driven to completion (barriers lifted).
+        self.recoveries_completed = 0
+        self.endpoint.register_handler("ping", ping_handler)
+        self.endpoint.register_handler("membership", self._handle_membership)
+        self.endpoint.register_handler("recovery_ack", self._handle_recovery_ack)
+        metrics = self.sim.metrics
+        if metrics.active:
+            metrics.counter(
+                "concord_recoveries_completed_total",
+                "Failure recoveries completed (read barriers lifted).",
+                labelnames=("app",),
+            ).set_callback(lambda: self.recoveries_completed, app=self.app)
+
+    @property
+    def members(self) -> set:
+        return self.ring.members
+
+    # -- failure recovery ------------------------------------------------------
+    def _handle_membership(self, endpoint, src, event: MembershipEvent):
+        if event.kind == "failed":
+            self._on_member_failed(event.member)
+        return None
+        yield  # pragma: no cover - generator marker
+
+    def _on_member_failed(self, member: str) -> None:
+        if member not in self.ring:
+            return
+        self.ring.remove(member)
+        self.system.ring_template.remove(member)
+        manager = self.system.shard_manager
+        if manager is not None:
+            manager.record_membership_change(self.ring, member, "failed")
+        survivors = set(self.ring.members)
+        tracker = self._recoveries.setdefault(member, RecoveryTracker(member))
+        for pending in self._recoveries.values():
+            if not pending.complete and pending.failed_member != member:
+                pending.survivor_lost(member)
+        lease = self.system.recovery_lease_ms
+        if lease is not None:
+            # Lease-based baseline (ZooKeeper-style session expiry): the
+            # barrier stays up for the full lease TTL regardless of how
+            # quickly survivors actually recover — the conservatism
+            # Concord's ack counting avoids (Section III-F).
+            tracker.arm(survivors)
+            self.sim.spawn(
+                self._lease_expiry(member, lease),
+                name=f"lease:{self.app}:{member}", daemon=True,
+            )
+            return
+        if tracker.arm(survivors):
+            self._finish_recovery(member)
+
+    def _lease_expiry(self, member: str, lease_ms: float):
+        yield self.sim.sleep(lease_ms)
+        self._finish_recovery(member)
+
+    def _handle_recovery_ack(self, endpoint, src, args):
+        failed_member, acking_member = args
+        if self.system.recovery_lease_ms is not None:
+            return None  # lease mode: completion is time-, not ack-, driven
+        tracker = self._recoveries.setdefault(
+            failed_member, RecoveryTracker(failed_member)
+        )
+        if tracker.ack(acking_member):
+            self._finish_recovery(failed_member)
+        return None
+        yield  # pragma: no cover - generator marker
+
+    def _finish_recovery(self, failed_member: str) -> None:
+        """All survivors recovered: lift the read barrier everywhere."""
+        self.recoveries_completed += 1
+        tracer = self.sim.tracer
+        if tracer.active:
+            tracer.instant("recovery:complete", "recovery",
+                           app=self.app, member=failed_member)
+        obs = self.sim.obs
+        if obs.active:
+            obs.emit(RECOVERY_COMPLETE, member=failed_member, app=self.app)
+        for node_id in sorted(self.ring.members):
+            self.endpoint.notify(
+                f"{node_id}/concord-{self.app}", "recovery_complete", failed_member,
+                trace=INHERIT,
+            )
+
+    # -- voluntary domain changes ----------------------------------------------
+    def domain_join(self, joiner: str):
+        """Two-phase admission of a new cache instance (a generator)."""
+        yield from self._domain_change("join", joiner)
+
+    def domain_leave(self, leaver: str):
+        """Two-phase graceful departure of a cache instance (a generator)."""
+        yield from self._domain_change("leave", leaver)
+
+    def _domain_change(self, kind: str, member: str):
+        while self._domain_busy:
+            yield self.sim.sleep(1.0)
+        self._domain_busy = True
+        try:
+            if kind == "join":
+                participants = sorted(self.ring.members | {member})
+            else:
+                participants = sorted(self.ring.members)
+            # Phase 1: all agents raise barriers and transfer the
+            # directory entries whose home moves.  The authoritative
+            # member list rides along so a (re)joining agent can rebuild
+            # its ring view from scratch.
+            prepare_calls = [
+                self.sim.spawn(
+                    self.endpoint.call(
+                        f"{node_id}/concord-{self.app}", "domain_prepare",
+                        (kind, member, participants), size_bytes=32,
+                        timeout=DEFAULT_RPC_TIMEOUT_MS,
+                        trace=INHERIT,
+                    ),
+                    name=f"prep:{node_id}",
+                )
+                for node_id in participants
+            ]
+            yield self.sim.all_of(prepare_calls)
+            # Phase 2: everyone atomically switches to the new ring.  The
+            # commit carries the authoritative roster as of commit time:
+            # members may have been declared failed since the prepare
+            # snapshot was taken, and a not-yet-member joiner receives no
+            # failure notifications, so it must not trust its
+            # prepare-time view of the membership.
+            if kind == "join":
+                roster = sorted(self.ring.members | {member})
+            else:
+                roster = sorted(self.ring.members - {member})
+            commit_calls = [
+                self.sim.spawn(
+                    self.endpoint.call(
+                        f"{node_id}/concord-{self.app}", "domain_commit",
+                        (kind, member, roster), size_bytes=32,
+                        timeout=DEFAULT_RPC_TIMEOUT_MS,
+                        trace=INHERIT,
+                    ),
+                    name=f"commit:{node_id}",
+                )
+                for node_id in participants
+            ]
+            yield self.sim.all_of(commit_calls)
+            if kind == "join":
+                self.ring.add(member)
+            else:
+                self.ring.remove(member)
+            manager = self.system.shard_manager
+            if manager is not None:
+                manager.record_membership_change(self.ring, member, kind)
+            obs = self.sim.obs
+            if obs.active:
+                obs.emit(DOMAIN_CHANGE, member=member, kind=kind,
+                         members=len(self.ring.members))
+                event = MEMBER_JOIN if kind == "join" else MEMBER_LEAVE
+                obs.emit(event, member=member, app=self.app,
+                         members=len(self.ring.members))
+        finally:
+            self._domain_busy = False
+
+    # -- external writes ----------------------------------------------------------
+    def forward_external_write(self, key: str, version: int) -> None:
+        """Route an external storage update to the key's home agent."""
+        self.sim.spawn(
+            self._forward_external(key, version),
+            name=f"extwrite:{key}",
+            daemon=True,
+        )
+
+    def _forward_external(self, key: str, version: int):
+        for _attempt in range(20):
+            if not self.ring.members:
+                return
+            home = self.ring.home(key)
+            try:
+                yield from self.endpoint.call(
+                    f"{home}/concord-{self.app}", "external_write", (key, version),
+                    size_bytes=len(key) + 8,
+                    trace=INHERIT,
+                )
+                return
+            except (NotHome, RpcTimeout):
+                # Home moved (domain change) or died; re-resolve and retry.
+                yield self.sim.sleep(5.0)
+
+    def close(self) -> None:
+        self.endpoint.close()

@@ -19,7 +19,9 @@ def test_shipped_tree_fully_covered():
 def test_agent_op_extraction_matches_protocol():
     ops = protocol_surface.agent_ops()
     assert ops == {"read", "write", "rfo", "fetch_downgrade",
-                   "invalidate", "external_write", "dir_replicate"}
+                   "invalidate", "external_write", "dir_replicate",
+                   "membership", "ping", "recovery_complete",
+                   "domain_prepare", "domain_commit", "dir_install"}
 
 
 def test_model_event_extraction():
