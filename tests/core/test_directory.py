@@ -33,11 +33,6 @@ class TestEntries:
         assert entry.owner is None
         assert entry.is_valid()
 
-    def test_downgrade_explicit(self, directory):
-        directory.set_exclusive("k", "node1")
-        directory.downgrade("k")
-        assert directory.get("k").state == SHARED
-
     def test_remove(self, directory):
         directory.set_exclusive("k", "node1")
         removed = directory.remove("k")

@@ -1,9 +1,11 @@
 """Session obs= wiring: recording, export-on-close, determinism."""
 
+import json
+
 import pytest
 
 from repro.obs import FlightRecorder, jsonl_dumps, load_events
-from repro.obs.events import EVENT_TYPES
+from repro.obs.events import DIR_SHARER, EVENT_TYPES
 from repro.session import Session
 from repro.storage import DataItem
 
@@ -50,6 +52,23 @@ class TestWiring:
             assert s.obs.dump_path == str(target)
         events = load_events(target)
         assert events and all(e["type"] in EVENT_TYPES for e in events)
+
+    def test_a_sharer_joining_at_the_home_is_recorded(self):
+        # node0 holds the key in E; node1's read makes the home fetch it
+        # from node0 and register node1 as the second sharer.
+        with Session(nodes=4, seed=3, scheme="concord", obs=True) as s:
+            ring = s.system.agents["node0"].ring
+            key = next(k for k in (f"k{i}" for i in range(100))
+                       if ring.home(k) not in ("node0", "node1"))
+            s.preload({key: DataItem("v0", 64)})
+            s.read("node0", key)
+            s.read("node1", key)
+            dump = [json.loads(line)
+                    for line in jsonl_dumps(s.obs).splitlines()]
+        joins = [(e["node"], e["key"], e["attrs"]) for e in dump
+                 if e["type"] == DIR_SHARER]
+        assert joins == [(ring.home(key), key,
+                          {"sharer": "node1", "state": "S", "sharers": 2})]
 
     def test_export_obs_requires_obs(self, tmp_path):
         with Session(nodes=2, seed=3, scheme="concord") as s:
