@@ -248,8 +248,6 @@ TxnBody = Callable[[TxnHandle], Generator]
 class ConcordTxnRuntime:
     """Transaction execution on top of one application's ConcordSystem."""
 
-    _ids = itertools.count(1)
-
     #: Squash count at which a transaction escalates to the global lock.
     #: Two optimistic attempts, then pessimistic: under contention two
     #: speculating transactions squash each other symmetrically, so the
@@ -258,6 +256,10 @@ class ConcordTxnRuntime:
     BACKOFF_BASE_MS = 4.0
 
     def __init__(self, concord: "ConcordSystem"):
+        #: Transaction ids order squash victims by string comparison, so
+        #: the counter is the runtime's own: a class-level one made the
+        #: second of two runs in one interpreter pick other victims.
+        self._ids = itertools.count(1)
         self.concord = concord
         self.sim = concord.sim
         #: Global commit lock (serializes commits, Section IV-A).

@@ -17,7 +17,6 @@ and says so in its PR::
 import functools
 import hashlib
 import io
-import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -112,12 +111,7 @@ def _exports() -> dict:
 
 
 def _txn_concord() -> tuple:
-    """One fig15 Concord cell: its latencies, txn outcomes and messages.
-
-    Transaction ids come from a class-wide counter whose string order
-    picks squash victims, so the cell starts it afresh to stay
-    independent of whatever ran earlier in the process.
-    """
+    """One fig15 Concord cell: its latencies, txn outcomes and messages."""
     made = {}
 
     def keep(name, cls):
@@ -126,9 +120,7 @@ def _txn_concord() -> tuple:
             return instance
         return build
 
-    with mock.patch.object(fig15.ConcordTxnRuntime, "_ids",
-                           itertools.count(1)), \
-            mock.patch.object(fig15, "Histogram",
+    with mock.patch.object(fig15, "Histogram",
                               keep("latency", fig15.Histogram)), \
             mock.patch.object(fig15, "ConcordTxnRuntime",
                               keep("runtime", fig15.ConcordTxnRuntime)):

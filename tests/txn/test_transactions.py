@@ -92,6 +92,29 @@ class TestCommit:
         assert not entry.speculative
         assert not entry.pinned
 
+    def test_each_runtime_numbers_its_own_transactions(self):
+        """Transaction ids pick squash victims (by string order), so two
+        runtimes built in one interpreter must not share a counter."""
+        first_ids = []
+        for _ in range(2):
+            sim = Simulator(seed=21)
+            cluster = Cluster(sim, SimConfig(num_nodes=2))
+            coord = CoordinationService(cluster.network, cluster.config)
+            runtime = ConcordTxnRuntime(
+                ConcordSystem(cluster, app="txnapp", coord=coord))
+            cluster.storage.preload({"a": V("a0")})
+            seen = []
+
+            def body(txn):
+                seen.append(txn.txn.txn_id)
+                yield from txn.read("a")
+
+            run(sim, runtime.run("node0", body))
+            run(sim, runtime.run("node1", body))
+            first_ids.append(seen[0])
+            assert seen == ["txn-1", "txn-2"]
+        assert first_ids == ["txn-1", "txn-1"]
+
 
 class TestConflicts:
     def test_remote_write_squashes_reader_txn(self, sim, cluster, runtime, concord):
