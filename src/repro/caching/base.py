@@ -30,7 +30,7 @@ class EvictionPinned(Exception):
     """Raised when an insert cannot fit because pinned entries fill the cache."""
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessContext:
     """Attribution for one storage operation.
 

@@ -56,10 +56,13 @@ class Node:
         self.cores = Resource(sim, capacity=config.cores_per_node, name=f"{node_id}/cores")
         self.memory_capacity = config.memory_per_node
         self.containers: dict[int, Container] = {}
-        #: app name -> containers of that app, in creation order — the
-        #: scheduler's warm-container lookup index (containers_of runs on
-        #: every request; scanning all containers showed up in profiles).
+        #: app name -> containers of that app, in creation order.
         self._by_app: dict[str, list[Container]] = {}
+        #: (app, function) -> containers of that function, in creation
+        #: order: the scheduler's warm-container lookup, read on every
+        #: invocation for every node.  Maintained with ``_by_app`` by the
+        #: three container methods below; callers only read it.
+        self.by_function: dict[tuple, list[Container]] = {}
         self.alive = True
         metrics = sim.metrics
         if metrics.active:
@@ -98,30 +101,31 @@ class Node:
         )
         self.containers[container.id] = container
         self._by_app.setdefault(app, []).append(container)
+        self.by_function.setdefault((app, function), []).append(container)
         return container
 
     def remove_container(self, container_id: int) -> Optional[Container]:
         """Evict a container (returns it, or None if already gone)."""
         container = self.containers.pop(container_id, None)
         if container is not None:
-            group = self._by_app.get(container.app)
-            if group is not None:
-                group.remove(container)
+            self._by_app[container.app].remove(container)
+            self.by_function[(container.app, container.function)].remove(
+                container)
         return container
 
     def clear_containers(self) -> None:
         """Drop every container (node crash / restart)."""
         self.containers.clear()
         self._by_app.clear()
+        self.by_function.clear()
 
     def containers_of(self, app: str, function: Optional[str] = None) -> list[Container]:
         """Warm containers of ``app`` (optionally a specific function)."""
-        group = self._by_app.get(app)
-        if not group:
-            return []
         if function is None:
-            return list(group)
-        return [c for c in group if c.function == function]
+            group = self._by_app.get(app)
+        else:
+            group = self.by_function.get((app, function))
+        return list(group) if group else []
 
     # -- memory accounting ----------------------------------------------------
     @property

@@ -821,25 +821,36 @@ class CacheAgent:
     # RPC handlers (server side)
     # ------------------------------------------------------------------
     def _check_home(self, key: str):
-        """Handlers first wait out barriers, then verify ring ownership."""
+        """Handlers first wait out barriers, then verify ring ownership.
+
+        The data handlers enter it only when it has something to do (a
+        barrier is up, or the key is not homed here): a generator per
+        request otherwise.
+        """
         if self._barriers:
             yield from self._barrier_wait(key)
         if self.ring.home(key) != self.node_id or self.ejected:
             raise NotHome(f"{self.node_id} is not home of {key!r}")
 
     def _handle_read(self, endpoint, src, args):
-        yield from self._check_home(args[0])
+        if (self._barriers or self.ejected
+                or self.ring.home(args[0]) != self.node_id):
+            yield from self._check_home(args[0])
         value, state, dir_hit, cacheable = yield from self._home("read", *args)
         return Reply((value, state, dir_hit, cacheable),
                      size_bytes=sizeof(value) + 2)
 
     def _handle_write(self, endpoint, src, args):
-        yield from self._check_home(args[0])
+        if (self._barriers or self.ejected
+                or self.ring.home(args[0]) != self.node_id):
+            yield from self._check_home(args[0])
         kind, cacheable, version = yield from self._home("write", *args)
         return Reply((kind.value, cacheable, version), size_bytes=8)
 
     def _handle_rfo(self, endpoint, src, args):
-        yield from self._check_home(args[0])
+        if (self._barriers or self.ejected
+                or self.ring.home(args[0]) != self.node_id):
+            yield from self._check_home(args[0])
         value, cacheable = yield from self._home("rfo", *args)
         return Reply((value, cacheable), size_bytes=sizeof(value) + 2)
 

@@ -20,6 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class InvocationContext:
     """Runtime services available to one function invocation."""
 
+    __slots__ = ("sim", "node", "app", "function", "storage", "inputs",
+                 "invocation_id", "access", "storage_ms", "compute_ms")
+
     def __init__(
         self,
         sim: "Simulator",

@@ -197,12 +197,14 @@ class FaasPlatform:
 
     def warm_nodes(self, app: DeployedApp, function: str) -> list:
         """Alive nodes holding a warm container of ``function``."""
+        key = (app.spec.name, function)
+        nodes = self.cluster.nodes
         return [
             node
             for node_id in app.node_ids
-            if (node := self.cluster.nodes.get(node_id)) is not None
+            if (node := nodes.get(node_id)) is not None
             and node.alive
-            and node.containers_of(app.name, function)
+            and node.by_function.get(key)
         ]
 
     # -- request execution -------------------------------------------------------
@@ -255,27 +257,28 @@ class FaasPlatform:
         Returns ``(ctx, handler_result)``; traced, it runs under an
         ``invoke`` span.  Public as :attr:`invoke`.
         """
+        app_name = app.spec.name
         tracer = self.sim.tracer
         span = (tracer.span(f"invoke:{function_name}", "invoke",
-                            app=app.name, function=function_name)
+                            app=app_name, function=function_name)
                 if tracer.active else None)
         try:
             spec = app.spec.function(function_name)
             if spec is None:
-                raise KeyError(f"{app.name} has no function {function_name!r}")
+                raise KeyError(f"{app_name} has no function {function_name!r}")
             admitted = self.sim.now
             pre_pick = getattr(self.scheduler, "pre_pick", None)
             if pre_pick is not None:
                 # Schedulers may need cluster state before deciding (Apta
                 # queries its memory nodes for stale compute nodes).
-                yield from pre_pick(self, app.name, function_name, inputs)
+                yield from pre_pick(self, app_name, function_name, inputs)
             candidates = self.warm_nodes(app, function_name)
             if candidates:
-                node = self.scheduler.pick(app.name, function_name, inputs, candidates)
-                container = node.containers_of(app.name, function_name)[0]
+                node = self.scheduler.pick(app_name, function_name, inputs, candidates)
+                container = node.by_function[(app_name, function_name)][0]
                 obs = self.sim.obs
                 if obs.active:
-                    obs.emit(SCHED_WARM, node=node.id, app=app.name,
+                    obs.emit(SCHED_WARM, node=node.id, app=app_name,
                              fn=function_name, warm=len(candidates))
             else:
                 node = self.placement.place(self, app, function_name)
@@ -283,7 +286,7 @@ class FaasPlatform:
                 # concurrent invocations queue on it instead of each starting
                 # yet another container (thundering herd).
                 container = node.add_container(
-                    app.name, function_name,
+                    app_name, function_name,
                     memory_alloc=spec.memory_alloc, memory_used=spec.memory_used,
                 )
                 if node.id not in app.node_ids:
@@ -291,14 +294,14 @@ class FaasPlatform:
                 app.cold_starts += 1
                 obs = self.sim.obs
                 if obs.active:
-                    obs.emit(SCHED_COLD, node=node.id, app=app.name,
+                    obs.emit(SCHED_COLD, node=node.id, app=app_name,
                              fn=function_name)
                 yield self.sim.sleep(COLD_START_MS)
             app.metric_sched_delay.observe(self.sim.now - admitted)
             container.active += 1
             container.last_used = self.sim.now
             ctx = InvocationContext(
-                self.sim, node, app.name, function_name, app.storage_api,
+                self.sim, node, app_name, function_name, app.storage_api,
                 inputs=inputs, invocation_id=next(self._invocation_ids),
             )
             # Register the executing process with its node so a crash there

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,6 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover
 def _hash(value: str, salt: int = 0) -> int:
     digest = hashlib.md5(f"{salt}:{value}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+_node_id = attrgetter("id")
 
 
 class Scheduler(abc.ABC):
@@ -90,6 +94,9 @@ class CasScheduler(Scheduler):
         if tries < 1:
             raise ValueError("tries must be >= 1")
         self.tries = tries
+        #: (app, data key) -> the key's hash under each salt.  Bounded by
+        #: entities x apps, and it saves an md5 per try per invocation.
+        self._hashes: dict = {}
 
     @staticmethod
     def data_key(inputs: dict) -> str:
@@ -98,10 +105,16 @@ class CasScheduler(Scheduler):
         return repr(sorted(inputs.items()))
 
     def pick(self, app, function, inputs, candidates):
-        ordered = sorted(candidates, key=lambda n: n.id)
+        ordered = sorted(candidates, key=_node_id)
         key = self.data_key(inputs)
-        for salt in range(self.tries):
-            node = ordered[_hash(f"{app}/{key}", salt) % len(ordered)]
+        hashes = self._hashes.get((app, key))
+        if hashes is None:
+            value = f"{app}/{key}"
+            hashes = self._hashes[(app, key)] = tuple(
+                _hash(value, salt) for salt in range(self.tries))
+        count = len(ordered)
+        for digest in hashes:
+            node = ordered[digest % count]
             if not node.overloaded:
                 return node
         healthy = [n for n in ordered if not n.overloaded]

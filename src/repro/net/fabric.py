@@ -187,9 +187,12 @@ class Network:
         #: Per (src_node, dst_node) pair: the latest delivery timestamp
         #: handed out, enforcing FIFO delivery per connection as TCP does.
         self._pair_clock: dict[tuple[str, str], float] = {}
-        #: Open same-tick delivery batch: ``[deliver_at, seq_watermark,
-        #: messages]``.  See :meth:`send` for the coalescing rule.
-        self._last_batch: Optional[list] = None
+        #: The open same-tick delivery batch (its messages, or None), the
+        #: time it is delivered at and the schedule count just after it
+        #: was scheduled.  See :meth:`send` for the coalescing rule.
+        self._batch: Optional[list] = None
+        self._batch_at = 0.0
+        self._batch_seq = 0
         self.stats = NetworkStats()
         #: Injected partition/drop/delay rules (see :meth:`fault_rules`).
         self.faults: Optional[FaultRules] = None
@@ -290,8 +293,12 @@ class Network:
     # -- transmission --------------------------------------------------------
     def send(self, message: Message) -> None:
         """Put ``message`` on the wire (delivery is asynchronous)."""
-        src_node = self.node_of(message.src)
-        dst_node = self.node_of(message.dst)
+        src_node = _NODE_OF.get(message.src)
+        if src_node is None:
+            src_node = self.node_of(message.src)
+        dst_node = _NODE_OF.get(message.dst)
+        if dst_node is None:
+            dst_node = self.node_of(message.dst)
         if src_node in self._down_nodes:
             self.stats.dropped += 1
             return
@@ -312,16 +319,21 @@ class Network:
             if message.request_id is not None and not message.is_response:
                 self._reject_fast(message)
             return
+        size = message.size_bytes
         stats = self.stats
         stats.messages += 1
-        stats.bytes += message.size_bytes
+        stats.bytes += size
         kind = message.kind
         by_kind = stats.by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
         if src_node == dst_node:
             delay = extra
         else:
-            delay = self.latency.one_way(message.size_bytes) + extra
+            # LatencyModel.one_way(size) + extra, in its float order.
+            latency = self.latency
+            delay = (latency.rpc_overhead
+                     + size / latency.serialization_bytes_per_ms
+                     + latency.internode_rtt / 2.0) + extra
             topology = self.topology
             if topology is not None:
                 src_region = topology.region_of(src_node)
@@ -347,14 +359,15 @@ class Network:
         # that batch and where this message's own entry would have gone),
         # appending to the batch dispatches the messages back-to-back in
         # exactly the (time, seq) order separate entries would have had.
-        last = self._last_batch
-        if (last is not None and last[0] == deliver_at
-                and last[1] == sim.schedule_count):
-            last[2].append(message)
+        batch = self._batch
+        if (batch is not None and self._batch_at == deliver_at
+                and self._batch_seq == sim.schedule_count):
+            batch.append(message)
             return
-        batch = [message]
+        batch = self._batch = [message]
         sim.call_at(deliver_at, self._deliver_batch, batch)
-        self._last_batch = [deliver_at, sim.schedule_count, batch]
+        self._batch_at = deliver_at
+        self._batch_seq = sim.schedule_count
 
     def _deliver_batch(self, batch: list) -> None:
         # Close the coalescing window: this batch is being dispatched, so
@@ -362,9 +375,8 @@ class Network:
         # was scheduled in between (deliveries that schedule nothing —
         # e.g. a message dropped at a crashed endpoint — leave the seq
         # watermark untouched).
-        last = self._last_batch
-        if last is not None and last[2] is batch:
-            self._last_batch = None
+        if self._batch is batch:
+            self._batch = None
         if len(batch) == 1:
             self._deliver(batch[0])
         else:
@@ -389,14 +401,16 @@ class Network:
         source.reject_call(request_id, error)
 
     def _deliver(self, message: Message) -> None:
-        if self.node_of(message.dst) in self._down_nodes:
+        # send() memoised both addresses' node ids.
+        down = self._down_nodes
+        if down and _NODE_OF[message.dst] in down:
             self.stats.dropped += 1
             if (self.fail_fast and message.request_id is not None
                     and not message.is_response):
                 self._reject_fast(message)
             return
         if self.faults is not None and self.faults.blocked(
-                self.node_of(message.src), self.node_of(message.dst)):
+                _NODE_OF[message.src], _NODE_OF[message.dst]):
             # The partition began while this message was in flight.
             self.stats.dropped += 1
             self.faults.dropped_injected += 1

@@ -108,10 +108,11 @@ class _RpcWaiter(Event):
     occupying the exact same ``(time, seq)`` slots so pop order — and
     therefore every simulated counter — is unchanged:
 
-    - the *deadline* is a raw :meth:`Simulator.call_at` entry in the slot
-      the old ``Timeout`` used; it fires :meth:`_deadline`, which triggers
-      the gate only if nothing else already has (stale deadlines drain as
-      no-ops, exactly like the old timers left in the heap);
+    - the *deadline* is a :meth:`Simulator.call_later` record in the
+      slot the old ``Timeout`` used; it fires :meth:`_deadline`, which
+      triggers the gate only if nothing else already has.  A response or
+      a fail-fast reset cancels it, so an answered call's deadline never
+      reaches the wheel (its firing would be a no-op anyway);
     - response delivery records the payload on the waiter
       (unconditionally — a same-tick-as-deadline response must still win,
       matching the old code where the response event fired independently
@@ -132,7 +133,7 @@ class _RpcWaiter(Event):
     """
 
     __slots__ = ("dst", "method", "resp_done", "resp_value", "resp_exc",
-                 "resp_meta")
+                 "resp_meta", "deadline")
 
     def __init__(self, sim, dst: str, method: str):
         self.sim = sim
@@ -150,6 +151,12 @@ class _RpcWaiter(Event):
         self.resp_exc: Optional[BaseException] = None
         #: Metadata piggybacked on the response (Reply.meta), if any.
         self.resp_meta = None
+        #: The call_later record of the call's deadline.  A response or
+        #: a fail-fast reset cancels it when it lies ahead; one due at
+        #: this very instant is left to fire as a no-op, as every
+        #: deadline used to (it may already be queued for this instant,
+        #: and pulling it out could change what runs in place).
+        self.deadline = None
 
     def _fire(self, _arg=None) -> None:
         """Second hop of response delivery (the old AnyOf hop's slot).
@@ -284,14 +291,18 @@ class Endpoint:
         """Fail the pending call ``request_id`` with ``error`` (idempotent)."""
         waiter = self._pending.pop(request_id, None)
         if waiter is not None and not waiter.resp_done:
+            sim = self.sim
+            deadline = waiter.deadline
+            if deadline[0] > sim.now:
+                sim.cancel(deadline)
             self.resets += 1
-            obs = self.sim.obs
+            obs = sim.obs
             if obs.active:
                 obs.emit(RPC_RESET, node=self.address, reason=type(error).__name__)
             # Two schedule hops to the caller (reject entry, then the
             # waiter's own processing) — the same slots the old
             # response-event failure + AnyOf hop occupied.
-            self.sim.call_soon(waiter._reject, error)
+            sim.call_soon(waiter._reject, error)
 
     def fail_calls_to(self, node_id: str) -> None:
         """Fail every in-flight call addressed to ``node_id`` fast."""
@@ -318,11 +329,15 @@ class Endpoint:
                 # response (the old response event fired independently of
                 # the AnyOf race, and call() checked response.triggered).
                 waiter.resp_done = True
+                sim = self.sim
+                deadline = waiter.deadline
+                if deadline[0] > sim.now:
+                    sim.cancel(deadline)
                 if waiter._state is PENDING:
                     # Delivery is the last thing its dispatch does (the
                     # fabric sees to that for batches), so the hop to
                     # _fire falls under the next-entry rule.
-                    self.sim.tail_call(waiter._fire)
+                    sim.tail_call(waiter._fire)
             return
         method, args = message.payload
         handler = self._handlers.get(method)
@@ -412,15 +427,8 @@ class Endpoint:
             reply_kind = "reply:" + kind
             _REPLY_KINDS[kind] = reply_kind
         self.network.send(Message(
-            src=self.address,
-            dst=request.src,
-            kind=reply_kind,
-            payload=value,
-            size_bytes=size_bytes,
-            request_id=request.request_id,
-            is_response=True,
-            meta=meta,
-        ))
+            self.address, request.src, reply_kind, value, size_bytes,
+            request.request_id, True, None, meta))
 
     # -- client side ---------------------------------------------------------
     def call(
@@ -471,23 +479,15 @@ class Endpoint:
             self._pending[request_id] = waiter
             try:
                 self.network.send(Message(
-                    src=self.address,
-                    dst=dst,
-                    kind=method,
-                    payload=(method, args),
-                    size_bytes=(size_bytes if size_bytes is not None
-                                else sizeof(args)),
-                    request_id=request_id,
-                    trace=ctx,
-                    meta=meta,
-                ))
+                    self.address, dst, method, (method, args),
+                    size_bytes if size_bytes is not None else sizeof(args),
+                    request_id, False, ctx, meta))
                 limit = (timeout if timeout is not None
                          else DEFAULT_RPC_TIMEOUT_MS)
-                # The deadline is a raw entry in the slot the old Timeout
-                # used; it stays in the wheel as a no-op after a response
-                # wins, exactly like the stale timers the old code left
-                # in the heap.
-                sim.call_at(sim.now + limit, waiter._deadline)
+                # In the slot the old Timeout used.  A response cancels
+                # it; an interrupted call keeps it, and it fires (and
+                # schedules the gate) exactly as it always has.
+                waiter.deadline = sim.call_later(limit, waiter._deadline)
                 yield waiter
                 if waiter.resp_done:
                     exc = waiter.resp_exc
@@ -537,12 +537,6 @@ class Endpoint:
         tracer = self.sim.tracer
         ctx = tracer.resolve(trace) if tracer.active else None
         self.network.send(Message(
-            src=self.address,
-            dst=dst,
-            kind=method,
-            payload=(method, args),
-            size_bytes=size_bytes if size_bytes is not None else sizeof(args),
-            request_id=None,
-            trace=ctx,
-            meta=meta,
-        ))
+            self.address, dst, method, (method, args),
+            size_bytes if size_bytes is not None else sizeof(args),
+            None, False, ctx, meta))

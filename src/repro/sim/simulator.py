@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect
+from collections import deque
 from heapq import heappop, heappush
 from math import inf
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from repro.sim.errors import SimulationError
@@ -21,6 +24,65 @@ from repro.trace.tracer import NULL_TRACER
 #: bounds the Python stack (a chain of N processes each waiting on the
 #: next would otherwise finish N frames deep).
 _MAX_INLINE_DEPTH = 16
+
+_seq_of = itemgetter(1)
+
+
+class _Lane:
+    """The records of every :meth:`Simulator.call_later` with one delay.
+
+    A record is ``[time, seq, fn, arg]``.  Records join at the back, and
+    since the clock never runs backwards and the delay is fixed, the lane
+    is in ``(time, seq)`` order by construction.  Only the head holds a
+    wheel entry, carrying the head's own ``(time, seq)``, so the wheel
+    orders it exactly as a :meth:`Simulator.call_at` entry.  A cancelled
+    record behind the head never reaches the wheel at all: RPC deadlines
+    (answered, nearly all of them) cost one deque append and no heap push.
+    """
+
+    __slots__ = ("sim", "records", "fire")
+
+    def __init__(self, sim: "Simulator"):
+        self.sim = sim
+        self.records: deque = deque()
+        #: The bound dispatch method, made once (it rides in every entry).
+        self.fire = self._fire
+
+    def arm(self, record: list) -> None:
+        """Give ``record`` (the new head) its wheel entry."""
+        wheel = self.sim._wheel
+        now = self.sim.now
+        seq = record[1]
+        entry = wheel.push(record[0], seq, now, fn=self.fire)
+        if record[0] == now:
+            # Re-armed at the dispatching instant: the push appended it
+            # to the current-instant lane, whose entries are in seq order,
+            # but the record is older than anything scheduled this instant.
+            imm = wheel._imm
+            imm.pop()
+            imm.insert(bisect(imm, seq, key=_seq_of), entry)
+
+    def _fire(self, _arg=None) -> None:
+        """The head's entry is dispatched: pass the entry on, run the head.
+
+        Cancelled records behind the head are dropped unseen; the next
+        live one inherits the wheel entry — or, with none live, the last
+        record does, so a drained ``run()`` still stops on the clock the
+        last of them would have set.  The successor is armed before the
+        head's callback runs: its ``call_at`` twin would already be
+        queued, and a tail-position hop in the callback must find it so.
+        """
+        records = self.records
+        head = records.popleft()
+        while len(records) > 1 and records[0][2] is None:
+            records.popleft()
+        if records:
+            self.arm(records[0])
+        fn = head[2]
+        if fn is not None:
+            arg = head[3]
+            head[2] = head[3] = None
+            fn(arg)
 
 
 class Simulator:
@@ -66,6 +128,8 @@ class Simulator:
         #: entry.  Kernel-owned: SIM03 flags a store outside
         #: ``repro/sim``.
         self._tail = _MAX_INLINE_DEPTH
+        #: delay -> :class:`_Lane` of the :meth:`call_later` records.
+        self._lanes: dict = {}
         #: The process currently being stepped, if any (kernel-written,
         #: like ``now``).
         self.active_process: Optional[Process] = None
@@ -293,9 +357,40 @@ class Simulator:
             heappush(wheel._days, day)
         return entry
 
+    def call_later(self, delay: float, fn, arg=None) -> list:
+        """Schedule ``fn(arg)`` ``delay`` ms from now, for a shared delay.
+
+        :meth:`call_at` ``(now + delay)`` for a delay that many calls use
+        and most cancel (RPC deadlines): the same seq, so the same place
+        in the ``(time, seq)`` order and the same :attr:`schedule_count`,
+        but the record joins its delay's FIFO lane and only the lane's
+        head holds a wheel entry.  A record cancelled before it reaches
+        the head is never dispatched.  Returns the record, a handle for
+        :meth:`cancel`.
+        """
+        lane = self._lanes.get(delay)
+        if lane is None:
+            if not 0.0 <= delay < inf:  # also rejects nan
+                raise ValueError(
+                    f"call_later({delay}): delay must be finite and >= 0")
+            lane = self._lanes[delay] = _Lane(self)
+        seq = self._seq
+        self._seq = seq + 1
+        record = [self.now + delay, seq, fn, arg]
+        records = lane.records
+        records.append(record)
+        if len(records) == 1:
+            lane.arm(record)
+        return record
+
     def cancel(self, entry: list) -> None:
-        """Cancel a raw-callback entry returned by call_soon/call_at."""
-        self._wheel.cancel(entry)
+        """Cancel an entry of call_soon/call_at or a call_later record."""
+        if len(entry) == 4:
+            # A lane record: its lane skips it (or, as the armed head,
+            # passes its entry on without running it).
+            entry[2] = entry[3] = None
+        else:
+            self._wheel.cancel(entry)
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` if none."""

@@ -10,6 +10,11 @@ entry budgets that make a re-added hop fail tier-1, and the corners the
 rule has to respect (constructors, multi-waiter events, deep chains,
 ``step()`` / ``run_until_complete``).
 
+The same programs also carry fixed-delay ``call_later`` timers, and a
+second differential holds those to the schedule of the deadlines they
+replaced: ``call_at`` entries that a cancellation leaves in the wheel,
+to fire as no-ops (DESIGN.md §12, deadline lanes).
+
 Tier-1 runs a fixed hundred programs.  The nightly job sets
 ``ELISION_EXAMPLES`` (a fresh seed then) and ``ELISION_ARTIFACTS``, a
 directory that receives the failing program as JSON — Hypothesis replays
@@ -33,7 +38,7 @@ from repro.sim import Interrupt, Resource, SimulationError, Simulator
 from repro.storage import DataItem
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 _EXAMPLES = os.environ.get("ELISION_EXAMPLES")
 _ARTIFACTS = os.environ.get("ELISION_ARTIFACTS")
@@ -61,9 +66,17 @@ N_EVENTS = 3
 CAPACITIES = (1, 2)
 
 _delay = st.sampled_from((0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.5))
+#: call_later delays: a few, so timers share lanes, and the same instants
+#: the other ops use, so lane heads meet same-instant neighbours.
+_later_delay = st.sampled_from((0.0, 1.0, 1.0, 2.5))
+#: When a call_later timer is cancelled: never, right away, halfway, or
+#: at its own instant by an entry queued ahead of it or behind it.
+_later_cancel = st.sampled_from(
+    ("never", "never", "now", "before", "at_ahead", "at_behind"))
 _event = st.integers(0, N_EVENTS - 1)
 _resource = st.integers(0, len(CAPACITIES) - 1)
 
+_later_op = st.tuples(st.just("later"), _later_delay, _event, _later_cancel)
 _leaf_op = st.one_of(
     st.tuples(st.just("sleep"), _delay),
     st.tuples(st.just("timeout"), _delay),
@@ -75,6 +88,7 @@ _leaf_op = st.one_of(
     # A timer cancelled at once: a dead entry (often a slot's head) that
     # every way of draining the wheel has to step over.
     st.tuples(st.just("cancel"), _event, st.sampled_from((0.5, 1.0, 3.0))),
+    _later_op,
     st.tuples(st.just("fail"), _event),
     st.tuples(st.just("interrupt"), st.integers(0, 7)),
     st.tuples(st.just("die")),
@@ -105,16 +119,31 @@ _op = st.one_of(
     st.tuples(st.just("all_of"), st.lists(_awaited, max_size=3), _between),
 )
 _program = st.lists(st.lists(_op, max_size=6), min_size=1, max_size=4)
+#: Programs dense in timers, for the lane differential: lanes with many
+#: records, heads re-armed among same-instant neighbours.
+_timer_program = st.lists(
+    st.lists(st.one_of(_op, _later_op, _later_op, _later_op), max_size=6),
+    min_size=1, max_size=4)
 
 
 class _World:
-    """One run of a program: its simulator, shared objects and log."""
+    """One run of a program: its simulator, shared objects and log.
 
-    def __init__(self, down: bool):
+    ``lanes=False`` runs every ``later`` timer the way RPC deadlines ran
+    before ``call_later``: a ``call_at`` entry that cancelling does not
+    remove — it fires at its time and does nothing.
+    """
+
+    def __init__(self, down: bool, lanes: bool = True):
         self.sim = Simulator(seed=0)
         if down:
             hold_down(self.sim)
         sim = self.sim
+        self.lanes = lanes
+        #: Per ``later`` timer: its call_later record (lanes) or None.
+        self.timers: list = []
+        #: Tokens of the cancelled timers (the call_at reference).
+        self.cancelled: set = set()
         self.events = [sim.event(f"e{i}") for i in range(N_EVENTS)]
         self.resources = [Resource(sim, capacity, f"r{i}")
                           for i, capacity in enumerate(CAPACITIES)]
@@ -133,6 +162,43 @@ class _World:
     def _fire(self, k) -> None:
         if not self.events[k].triggered:
             self.events[k].succeed(k)
+
+    def _later(self, spec) -> None:
+        token, k = spec
+        if token in self.cancelled:
+            return  # the reference's stale timer: fires, does nothing
+        self.log.append((self.sim.now, "later", token))
+        # The whole of its dispatch either way, so in tail position: the
+        # hop runs in place only if nothing (a same-instant successor
+        # record, say) is queued for this instant.
+        self.sim.tail_call(self._later_hop, spec)
+
+    def _later_hop(self, spec) -> None:
+        self.log.append((self.sim.now, "hop", spec[0]))
+        self._fire(spec[1])
+
+    def _cancel_later(self, token) -> None:
+        if self.lanes:
+            self.sim.cancel(self.timers[token])
+        else:
+            self.cancelled.add(token)
+
+    def _start_later(self, delay, k, cancel) -> None:
+        sim = self.sim
+        token = len(self.timers)
+        if cancel == "at_ahead":
+            sim.call_at(sim.now + delay, self._cancel_later, token)
+        if self.lanes:
+            self.timers.append(sim.call_later(delay, self._later, (token, k)))
+        else:
+            self.timers.append(None)
+            sim.call_at(sim.now + delay, self._later, (token, k))
+        if cancel == "now":
+            self._cancel_later(token)
+        elif cancel == "before":
+            sim.call_at(sim.now + delay / 2, self._cancel_later, token)
+        elif cancel == "at_behind":
+            sim.call_at(sim.now + delay, self._cancel_later, token)
 
     def _awaited(self, spec):
         kind = spec[0]
@@ -198,6 +264,8 @@ class _World:
             sim.call_at(sim.now + op[2], self._fire, op[1])
         elif kind == "cancel":
             sim.cancel(sim.call_at(sim.now + op[2], self._fire, op[1]))
+        elif kind == "later":
+            self._start_later(op[1], op[2], op[3])
         elif kind == "fail":
             event = self.events[op[1]]
             if not event.triggered:
@@ -225,10 +293,10 @@ class _World:
 
 
 def run_program(program, down: bool, chunk_ms=None,
-                stepped: bool = False) -> dict:
+                stepped: bool = False, lanes: bool = True) -> dict:
     """Run ``program`` to the end: through ``run()`` (cut every
     ``chunk_ms`` if given) or, ``stepped``, one ``step()`` per entry."""
-    world = _World(down)
+    world = _World(down, lanes)
     for body in program:
         world.spawn(body)
     sim = world.sim
@@ -254,13 +322,13 @@ def run_program(program, down: bool, chunk_ms=None,
     }
 
 
-def _save_failing(program, chunked) -> None:
+def _save_failing(program, chunked, **flags) -> None:
     if _ARTIFACTS:
         os.makedirs(_ARTIFACTS, exist_ok=True)
         with open(os.path.join(_ARTIFACTS, "elision-failing-program.json"),
                   "w") as handle:
-            json.dump({"program": program, "chunked": chunked}, handle,
-                      indent=1)
+            json.dump({"program": program, "chunked": chunked, **flags},
+                      handle, indent=1)
 
 
 @_SETTINGS
@@ -304,6 +372,64 @@ def test_run_drains_the_wheel_exactly_like_step(program, chunked):
     except Exception:
         _save_failing(program, chunked)
         raise
+
+
+@_SETTINGS
+@given(program=_timer_program, down=st.booleans(), chunked=st.booleans())
+# Two records due at one instant: the second is re-armed while the first
+# runs, so the first's tail-position hop must not run in place.
+@example(program=[[("later", 1.0, 0, "never"), ("later", 1.0, 0, "never")]],
+         down=False, chunked=False)
+# ... and goes back among this instant's entries by seq, ahead of the
+# sleep that was scheduled after it.
+@example(program=[[("later", 0.0, 0, "never"), ("later", 0.0, 1, "never"),
+                   ("sleep", 0.0)]], down=True, chunked=False)
+def test_lane_timers_run_like_the_call_at_timers_they_replace(
+        program, down, chunked):
+    """Deadline lanes: every live ``call_later`` callback runs at the time
+    and in the order its ``call_at`` twin ran, and so does everything
+    else.  With the flag held down the schedule counts agree exactly (a
+    record takes its seq where ``call_at`` took it); as found, a
+    cancelled record that never reaches the wheel can leave the
+    current-instant lane empty where its no-op entry did not, so at most
+    an extra hop is elided."""
+    try:
+        lanes = run_program(program, down=down,
+                            chunk_ms=0.75 if chunked else None)
+        reference = run_program(program, down=down, lanes=False)
+        assert lanes["log"] == reference["log"]
+        for key in ("alive", "failures", "in_use", "queued"):
+            assert lanes[key] == reference[key], key
+        if not chunked:
+            # The last-record rule: a drained run ends where the stale
+            # timers left the clock.
+            assert lanes["now"] == reference["now"]
+        if down:
+            assert lanes["entries"] == reference["entries"]
+        else:
+            assert lanes["entries"] <= reference["entries"]
+    except Exception:
+        _save_failing(program, chunked, down=down, lanes=True)
+        raise
+
+
+def test_the_lane_differential_exercises_cancelled_records():
+    """Guard against a vacuous oracle: timers sharing a lane and an
+    instant, cancelled every way, and one left live behind them."""
+    program = [[("later", 1.0, 0, "never"), ("later", 1.0, 1, "now"),
+                ("later", 1.0, 2, "at_ahead"), ("later", 1.0, 0, "never"),
+                ("sleep", 0.5), ("later", 1.0, 1, "before"),
+                ("later", 1.0, 2, "at_behind"), ("wait", 2)],
+               [("later", 0.0, 1, "never"), ("later", 0.0, 2, "at_ahead"),
+                ("sleep", 1.0), ("sleep", 0.0), ("fire", 2)]]
+    lanes = run_program(program, down=True)
+    reference = run_program(program, down=True, lanes=False)
+    assert lanes["log"] == reference["log"]
+    assert lanes["entries"] == reference["entries"]
+    fired = [entry[2] for entry in lanes["log"] if entry[1] == "later"]
+    # 1 (now), 2 and 5 (at, ahead) and 6 (before) are cancelled; 7 is
+    # cancelled at its instant by an entry behind it, so it still runs.
+    assert fired == [4, 0, 3, 7]
 
 
 def test_a_protocol_session_is_the_unelided_session_with_fewer_entries():
