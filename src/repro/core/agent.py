@@ -681,6 +681,12 @@ class CacheAgent:
     def _fetch_from_owner(self, key: str, owner: str):
         """Ask the E-state owner for the data (downgrades it to S)."""
         if owner == self.node_id:
+            # Wait out an in-flight direct-to-storage E write here too,
+            # as _handle_fetch_downgrade does for a remote home.
+            lock = self._owner_locks.get(key)
+            if lock is not None and lock.in_use:
+                yield lock.acquire_wait()
+                lock.release()
             local = self.cache.get(key)
             if local is None:
                 return None
@@ -711,6 +717,12 @@ class CacheAgent:
         pending = []
         for sharer in sharers:
             if sharer == self.node_id:
+                # As in _handle_invalidate: a local E write in flight
+                # lands before the copy goes.
+                lock = self._owner_locks.get(key)
+                if lock is not None and lock.in_use:
+                    yield lock.acquire_wait()
+                    lock.release()
                 self._invalidate_local(key)
                 continue
             yield self.sim.sleep(self.system.latency.send_ms)

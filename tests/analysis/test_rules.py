@@ -165,7 +165,7 @@ class TestSimProcessRules:
                 tree = ast.parse(handle.read())
             seen += sum(len(find_acquires(node)) for node in ast.walk(tree)
                         if isinstance(node, ast.stmt))
-        assert seen == 6 + 1 + 2
+        assert seen == 8 + 1 + 2
         report = Analyzer(select=["PRO03", "SIM04"]).run(files)
         assert not report.findings  # (one deliberate hand-off is waived)
 
