@@ -9,7 +9,6 @@ request counts for quick runs.
 
 from repro.experiments.runner import (
     LOAD_LEVELS,
-    MixedRunConfig,
     MixedRunResult,
     run_mixed_workload,
     unloaded_latency,
@@ -18,7 +17,6 @@ from repro.experiments.tables import render_table
 
 __all__ = [
     "LOAD_LEVELS",
-    "MixedRunConfig",
     "MixedRunResult",
     "render_table",
     "run_mixed_workload",

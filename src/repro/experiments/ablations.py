@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.config import SimConfig
 from repro.core import ConsistentHashRing
-from repro.experiments.runner import MixedRunConfig, run_mixed_workload
+from repro.experiments.runner import run_mixed_workload
 from repro.experiments.tables import ExperimentResult
 from repro.schemes import build_scheme
 from repro.session import Session
@@ -83,12 +83,10 @@ def run_faast_annotations(scale: float = 1.0, seed: int = 205) -> ExperimentResu
              "and Concord still wins (paper Related Work).",
     )
     for variant, annotated in (("plain", False), ("annotated", True)):
-        config = MixedRunConfig(
-            scheme="faast", num_nodes=8, cores_per_node=4,
-            utilization=0.5, read_only_annotations=annotated,
-            duration_ms=3000.0 * scale, warmup_ms=1200.0 * scale, seed=seed,
-        )
-        outcome = run_mixed_workload(config)
+        outcome = run_mixed_workload(
+            scheme="faast", nodes=8, cores_per_node=4, utilization=0.5,
+            read_only_annotations=annotated,
+            duration_ms=3000.0 * scale, warmup_ms=1200.0 * scale, seed=seed)
         result.data.append({
             "variant": variant,
             "mean_ms": outcome.mean_latency(),

@@ -8,18 +8,19 @@ operations over the simulated fabric for a sweep of payload sizes.
 
 from __future__ import annotations
 
-from repro.config import KB, LatencyModel, SimConfig
-from repro.cluster import Cluster
+from repro.config import KB, SimConfig
 from repro.experiments.tables import ExperimentResult
 from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, Endpoint, Reply
-from repro.sim import Simulator
+from repro.session import Session
 
 SIZES = (1 * KB, 4 * KB, 12 * KB, 32 * KB, 64 * KB, 256 * KB, 1024 * KB)
 
 
 def run(scale: float = 1.0, seed: int = 103) -> ExperimentResult:
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=2))
+    # A bare fabric: the cluster of a session that caches nothing.
+    s = Session.compose(config=SimConfig(num_nodes=2), seed=seed,
+                        scheme="nocache")
+    cluster = s.cluster
     latency = cluster.config.latency
 
     server = Endpoint(cluster.network, "node1", "bench",
@@ -40,13 +41,9 @@ def run(scale: float = 1.0, seed: int = 103) -> ExperimentResult:
     client = Endpoint(cluster.network, "node0", "bench")
 
     def measure(method, args, size):
-        def op(sim):
-            start = sim.now
-            yield from client.call("node1/bench", method, args,
-                                   size_bytes=size,
-                                   timeout=DEFAULT_RPC_TIMEOUT_MS)
-            return sim.now - start
-        return sim.run_until_complete(sim.spawn(op(sim)), limit=sim.now + 60_000.0)
+        return s.run(client.call("node1/bench", method, args,
+                                 size_bytes=size,
+                                 timeout=DEFAULT_RPC_TIMEOUT_MS)).duration_ms
 
     result = ExperimentResult(
         experiment="Figure 3",

@@ -7,8 +7,8 @@ over OFC (low/medium/high) and slightly more over Faa$T.
 
 from __future__ import annotations
 
-from repro.experiments.runner import LOAD_LEVELS, MixedRunConfig, run_mixed_workload
-from repro.experiments.tables import ExperimentResult
+from repro.experiments.runner import LOAD_LEVELS, run_mixed_workload
+from repro.experiments.tables import ExperimentResult, with_average
 
 SCHEMES = ("ofc", "faast", "concord")
 
@@ -23,34 +23,25 @@ def run(scale: float = 1.0, seed: int = 107,
         note=("Normalized shape to compare with the paper: OFC ~ Faa$T, "
               "Concord fastest, gap widening with load."),
     )
+    runs = {
+        (load, scheme): run_mixed_workload(
+            scheme=scheme, nodes=8, cores_per_node=4,
+            utilization=LOAD_LEVELS[load],
+            duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale, seed=seed)
+        for load in loads for scheme in SCHEMES
+    }
     for load in loads:
-        runs = {}
-        for scheme in SCHEMES:
-            config = MixedRunConfig(
-                scheme=scheme,
-                num_nodes=8, cores_per_node=4,
-                utilization=LOAD_LEVELS[load],
-                duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale,
-                seed=seed,
-            )
-            runs[scheme] = run_mixed_workload(config)
-        speedup_o, speedup_f = [], []
-        for app in runs["concord"].per_app:
-            ofc = runs["ofc"].per_app[app].mean_latency_ms
-            faast = runs["faast"].per_app[app].mean_latency_ms
-            concord = runs["concord"].per_app[app].mean_latency_ms
-            speedup_o.append(ofc / concord)
-            speedup_f.append(faast / concord)
-            result.data.append({
+        rows = []
+        for app in runs[load, "concord"].per_app:
+            ofc, faast, concord = (
+                runs[load, scheme].per_app[app].mean_latency_ms
+                for scheme in SCHEMES)
+            rows.append({
                 "load": load, "app": app,
                 "ofc_ms": ofc, "faast_ms": faast, "concord_ms": concord,
                 "ofc/concord": ofc / concord,
                 "faast/concord": faast / concord,
             })
-        result.data.append({
-            "load": load, "app": "Average",
-            "ofc_ms": "", "faast_ms": "", "concord_ms": "",
-            "ofc/concord": sum(speedup_o) / len(speedup_o),
-            "faast/concord": sum(speedup_f) / len(speedup_f),
-        })
+        result.data += with_average(rows, "ofc/concord", "faast/concord",
+                                    load=load, app="Average")
     return result

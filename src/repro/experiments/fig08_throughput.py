@@ -11,25 +11,26 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.runner import (
-    MixedRunConfig,
-    run_mixed_workload,
-    unloaded_latency,
-)
+from repro.experiments.runner import run_mixed_workload, unloaded_latency
 from repro.experiments.tables import ExperimentResult
 
 SCHEMES = ("ofc", "faast", "concord")
 SLO_FACTOR = 5.0
 
 
-def _within_slo(outcome, slo: dict) -> bool:
-    """All apps completed (close to) their offered load within the SLO.
+#: Measurement window of every grid point (ms).  Fixed and
+#: scale-independent: saturation only shows up once queues have had a
+#: few seconds to build.
+WINDOW_MS = 5000.0
+
+
+def _within_slo(outcome, slo: dict, offered_total: float) -> bool:
+    """All apps completed (close to) the ``offered_total`` requests
+    within the SLO.
 
     Checking completions guards against survivorship bias past CPU
     saturation, where only the fast requests finish inside the window.
     """
-    config = outcome.config
-    offered_total = config.resolved_total_rps() * config.duration_ms / 1000.0
     completed_total = sum(s.completed for s in outcome.per_app.values())
     if completed_total < 0.75 * offered_total:
         return False  # saturated: work is piling up, not completing
@@ -56,18 +57,11 @@ def max_sustained_rps(
         metrics = None
         if timelines is not None:
             metrics = str(Path(timelines) / f"fig08_{scheme}_rps{rps}.jsonl")
-        config = MixedRunConfig(
-            scheme=scheme, num_nodes=8, cores_per_node=4,
-            utilization=None, total_rps=rps,
-            # Fixed, scale-independent window: saturation only shows up
-            # once queues have had a few seconds to build.
-            duration_ms=5000.0,
-            warmup_ms=1500.0,
-            seed=seed,
-            metrics=metrics,
-        )
-        outcome = run_mixed_workload(config)
-        if _within_slo(outcome, slo):
+        outcome = run_mixed_workload(
+            scheme=scheme, nodes=8, cores_per_node=4, total_rps=rps,
+            duration_ms=WINDOW_MS, warmup_ms=1500.0, seed=seed,
+            metrics=metrics)
+        if _within_slo(outcome, slo, rps * WINDOW_MS / 1000.0):
             best = rps
         else:
             break
@@ -89,20 +83,18 @@ def run(scale: float = 1.0, seed: int = 109,
     slo = {
         app: SLO_FACTOR * latency
         for app, latency in unloaded_latency(
-            "ofc", num_nodes=8, cores_per_node=4, seed=seed).items()
+            "ofc", nodes=8, cores_per_node=4, seed=seed).items()
     }
     # CPU saturates around ~135 RPS on this scaled cluster; the grid spans
     # the knee and beyond so every scheme eventually violates.
     rps_grid = [60, 100, 115, 130, 145, 160, 175, 190, 210]
-    sustained = {}
-    for scheme in SCHEMES:
-        sustained[scheme] = max_sustained_rps(
-            scheme, slo, rps_grid, scale, seed, timelines=timelines)
-    for scheme in SCHEMES:
-        result.data.append({
-            "scheme": scheme,
-            "max_rps": sustained[scheme],
-            "vs_ofc": (sustained[scheme] / sustained["ofc"]
-                       if sustained["ofc"] else float("nan")),
-        })
+    sustained = {scheme: max_sustained_rps(scheme, slo, rps_grid, scale,
+                                           seed, timelines=timelines)
+                 for scheme in SCHEMES}
+    result.data = [{
+        "scheme": scheme,
+        "max_rps": sustained[scheme],
+        "vs_ofc": (sustained[scheme] / sustained["ofc"]
+                   if sustained["ofc"] else float("nan")),
+    } for scheme in SCHEMES]
     return result

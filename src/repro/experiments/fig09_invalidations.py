@@ -7,8 +7,8 @@ modest because sharer sets are small (Table I).
 
 from __future__ import annotations
 
-from repro.experiments.runner import MixedRunConfig, run_mixed_workload
-from repro.experiments.tables import ExperimentResult
+from repro.experiments.runner import run_mixed_workload
+from repro.experiments.tables import ExperimentResult, with_average
 
 
 def run(scale: float = 1.0, seed: int = 113, num_nodes: int = 16) -> ExperimentResult:
@@ -18,29 +18,15 @@ def run(scale: float = 1.0, seed: int = 113, num_nodes: int = 16) -> ExperimentR
         columns=["app", "avg_invalidations", "max_invalidations"],
         note="Paper: average 1.2, maximum 4.9 across apps on 16 nodes.",
     )
-    config = MixedRunConfig(
-        scheme="concord", num_nodes=num_nodes, cores_per_node=2,
+    outcome = run_mixed_workload(
+        scheme="concord", nodes=num_nodes, cores_per_node=2,
         utilization=0.5,
-        duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale,
-        seed=seed,
-    )
-    outcome = run_mixed_workload(config)
-    averages, maxima = [], []
-    for app, access in outcome.per_app_access.items():
-        histogram = access.invalidations_per_write
-        if histogram.count == 0:
-            continue
-        averages.append(histogram.mean)
-        maxima.append(histogram.max)
-        result.data.append({
-            "app": app,
-            "avg_invalidations": histogram.mean,
-            "max_invalidations": histogram.max,
-        })
-    if averages:
-        result.data.append({
-            "app": "Average",
-            "avg_invalidations": sum(averages) / len(averages),
-            "max_invalidations": sum(maxima) / len(maxima),
-        })
+        duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale, seed=seed)
+    histograms = {app: access.invalidations_per_write
+                  for app, access in outcome.per_app_access.items()}
+    result.data = with_average([
+        {"app": app, "avg_invalidations": histogram.mean,
+         "max_invalidations": histogram.max}
+        for app, histogram in histograms.items() if histogram.count
+    ], "avg_invalidations", "max_invalidations")
     return result

@@ -7,8 +7,8 @@ local hit rates and cuts average request latency by ~11 % (paper VI-A).
 
 from __future__ import annotations
 
-from repro.experiments.runner import MixedRunConfig, run_mixed_workload
-from repro.experiments.tables import ExperimentResult
+from repro.experiments.runner import run_mixed_workload
+from repro.experiments.tables import ExperimentResult, with_average
 
 
 def run(scale: float = 1.0, seed: int = 115) -> ExperimentResult:
@@ -18,27 +18,18 @@ def run(scale: float = 1.0, seed: int = 115) -> ExperimentResult:
         columns=["app", "nocas_ms", "concord_ms", "reduction_pct"],
         note="Paper: CAS reduces average request latency by 11%.",
     )
-    runs = {}
-    for scheme in ("concord-nocas", "concord"):
-        config = MixedRunConfig(
-            scheme=scheme, num_nodes=8, cores_per_node=4,
-            utilization=0.5,
-            duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale,
-            seed=seed,
-        )
-        runs[scheme] = run_mixed_workload(config)
-    reductions = []
-    for app in runs["concord"].per_app:
-        nocas = runs["concord-nocas"].per_app[app].mean_latency_ms
-        cas = runs["concord"].per_app[app].mean_latency_ms
-        reduction = 100.0 * (1.0 - cas / nocas)
-        reductions.append(reduction)
-        result.data.append({
-            "app": app, "nocas_ms": nocas, "concord_ms": cas,
-            "reduction_pct": reduction,
+    nocas, cas = (
+        run_mixed_workload(
+            scheme=scheme, nodes=8, cores_per_node=4, utilization=0.5,
+            duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale, seed=seed)
+        for scheme in ("concord-nocas", "concord"))
+    rows = []
+    for app, stats in cas.per_app.items():
+        nocas_ms = nocas.per_app[app].mean_latency_ms
+        rows.append({
+            "app": app, "nocas_ms": nocas_ms,
+            "concord_ms": stats.mean_latency_ms,
+            "reduction_pct": 100.0 * (1.0 - stats.mean_latency_ms / nocas_ms),
         })
-    result.data.append({
-        "app": "Average", "nocas_ms": "", "concord_ms": "",
-        "reduction_pct": sum(reductions) / len(reductions),
-    })
+    result.data = with_average(rows, "reduction_pct")
     return result

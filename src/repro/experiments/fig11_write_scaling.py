@@ -9,12 +9,9 @@ a Faa$T *local read hit* costs a version round trip (3.8 ms vs Concord's
 
 from __future__ import annotations
 
-from repro.cluster import Cluster
 from repro.config import SimConfig
 from repro.experiments.tables import ExperimentResult
-from repro.schemes import build_scheme
 from repro.session import Session
-from repro.sim import Simulator
 from repro.storage import DataItem
 
 NODE_COUNTS = (1, 2, 4, 8, 16, 24, 30)
@@ -22,22 +19,14 @@ NODE_COUNTS = (1, 2, 4, 8, 16, 24, 30)
 
 def _measure(system_name: str, num_nodes: int, seed: int) -> tuple:
     """Returns (write_ms, read_hit_ms) for one system at one scale."""
-    config = SimConfig(num_nodes=num_nodes)
-    if system_name == "concord":
-        s = Session(config=config, seed=seed, app="bench")
-        sim, cluster, system = s.sim, s.cluster, s.system
-    else:
-        # Faa$T runs no coordination service.
-        sim = Simulator(seed=seed)
-        cluster = Cluster(sim, config)
-        system = build_scheme("faast", cluster, None, "bench")
+    s = Session(config=SimConfig(num_nodes=num_nodes), seed=seed,
+                scheme=system_name, app="bench")
+    cluster, system = s.cluster, s.system
     key = "shared-item"
-    cluster.storage.preload({key: DataItem("v0", size_bytes=8 * 1024)})
+    s.preload({key: DataItem("v0", size_bytes=8 * 1024)})
 
     def timed(gen):
-        start = sim.now
-        sim.run_until_complete(sim.spawn(gen), limit=sim.now + 600_000.0)
-        return sim.now - start
+        return s.run(gen, limit_ms=600_000.0).duration_ms
 
     # Load the item into every node's cache.
     for node_id in cluster.node_ids:

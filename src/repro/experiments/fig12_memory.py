@@ -8,8 +8,8 @@ instance, roughly a tenth of the 56.8 MB of unused memory available.
 from __future__ import annotations
 
 from repro.config import MB
-from repro.experiments.runner import MixedRunConfig, run_mixed_workload
-from repro.experiments.tables import ExperimentResult
+from repro.experiments.runner import run_mixed_workload
+from repro.experiments.tables import ExperimentResult, with_average
 
 
 def run(scale: float = 1.0, seed: int = 119) -> ExperimentResult:
@@ -19,30 +19,16 @@ def run(scale: float = 1.0, seed: int = 119) -> ExperimentResult:
         columns=["app", "avg_instance_mb", "max_instance_mb"],
         note="Paper: 6.2MB average, 12.6MB maximum per instance.",
     )
-    config = MixedRunConfig(
-        scheme="concord", num_nodes=8, cores_per_node=4,
-        utilization=0.5,
-        cache_capacity=None,  # real repurposed-memory budget
-        duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale,
-        seed=seed,
-    )
-    outcome = run_mixed_workload(config)
+    outcome = run_mixed_workload(
+        scheme="concord", nodes=8, cores_per_node=4, utilization=0.5,
+        capacity=None,  # real repurposed-memory budget
+        duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale, seed=seed)
     per_app: dict = {}
     for (app, _node), peak in outcome.cache_peaks.items():
         per_app.setdefault(app, []).append(peak)
-    all_avgs, all_maxes = [], []
-    for app, peaks in sorted(per_app.items()):
-        avg = sum(peaks) / len(peaks) / MB
-        peak = max(peaks) / MB
-        all_avgs.append(avg)
-        all_maxes.append(peak)
-        result.data.append({
-            "app": app, "avg_instance_mb": avg, "max_instance_mb": peak,
-        })
-    if all_avgs:
-        result.data.append({
-            "app": "Average",
-            "avg_instance_mb": sum(all_avgs) / len(all_avgs),
-            "max_instance_mb": sum(all_maxes) / len(all_maxes),
-        })
+    result.data = with_average([
+        {"app": app, "avg_instance_mb": sum(peaks) / len(peaks) / MB,
+         "max_instance_mb": max(peaks) / MB}
+        for app, peaks in sorted(per_app.items())
+    ], "avg_instance_mb", "max_instance_mb")
     return result

@@ -9,14 +9,14 @@ Concord cuts average latency by 54 % vs Saga and 20 % vs Beldi.
 
 from __future__ import annotations
 
-from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.experiments.tables import ExperimentResult
+from repro.experiments.tables import ExperimentResult, with_average
 from repro.metrics import Histogram
 from repro.session import Session
-from repro.sim import Simulator
 from repro.storage import DataItem
 from repro.txn import BeldiRunner, ConcordTxnRuntime, SagaRunner, TXN_APPS
+
+SYSTEMS = ("saga", "beldi", "concord")
 
 
 def _preload(cluster, app):
@@ -40,15 +40,13 @@ def _concord_body(app, entity):
 
 def _measure_system(system: str, app, clients: int, txns_per_client: int,
                     seed: int) -> float:
-    config = SimConfig(num_nodes=4)
+    # Saga and Beldi run on storage alone: a session that caches nothing.
+    s = Session(config=SimConfig(num_nodes=4), seed=seed, app=app.name,
+                scheme="concord" if system == "concord" else "nocache")
+    sim, cluster = s.sim, s.cluster
     if system == "concord":
-        s = Session(config=config, seed=seed, app=app.name)
-        sim, cluster = s.sim, s.cluster
         runtime = ConcordTxnRuntime(s.system)
     else:
-        # Saga and Beldi run on storage alone: no coordination service.
-        sim = Simulator(seed=seed)
-        cluster = Cluster(sim, config)
         runtime = (SagaRunner if system == "saga" else BeldiRunner)(cluster)
     _preload(cluster, app)
     latencies = Histogram()
@@ -81,25 +79,19 @@ def run(scale: float = 1.0, seed: int = 125) -> ExperimentResult:
                  "vs_saga_pct", "vs_beldi_pct"],
         note="Paper: Concord reduces latency 54% vs Saga, 20% vs Beldi.",
     )
-    clients = 4
     txns = max(2, int(6 * scale))
-    vs_saga, vs_beldi = [], []
-    for name, app in TXN_APPS.items():
-        saga = _measure_system("saga", app, clients, txns, seed)
-        beldi = _measure_system("beldi", app, clients, txns, seed)
-        concord = _measure_system("concord", app, clients, txns, seed)
-        saga_cut = 100.0 * (1 - concord / saga)
-        beldi_cut = 100.0 * (1 - concord / beldi)
-        vs_saga.append(saga_cut)
-        vs_beldi.append(beldi_cut)
-        result.data.append({
+    cells = {
+        (name, system): _measure_system(system, app, 4, txns, seed)
+        for name, app in TXN_APPS.items() for system in SYSTEMS
+    }
+    rows = []
+    for name in TXN_APPS:
+        saga, beldi, concord = (cells[name, system] for system in SYSTEMS)
+        rows.append({
             "app": name, "saga_ms": saga, "beldi_ms": beldi,
             "concord_ms": concord,
-            "vs_saga_pct": saga_cut, "vs_beldi_pct": beldi_cut,
+            "vs_saga_pct": 100.0 * (1 - concord / saga),
+            "vs_beldi_pct": 100.0 * (1 - concord / beldi),
         })
-    result.data.append({
-        "app": "Average", "saga_ms": "", "beldi_ms": "", "concord_ms": "",
-        "vs_saga_pct": sum(vs_saga) / len(vs_saga),
-        "vs_beldi_pct": sum(vs_beldi) / len(vs_beldi),
-    })
+    result.data = with_average(rows, "vs_saga_pct", "vs_beldi_pct")
     return result

@@ -8,7 +8,7 @@ cache instance.  Paper: average latency drops 25 %, most for short apps.
 
 from __future__ import annotations
 
-from repro.experiments.tables import ExperimentResult
+from repro.experiments.tables import ExperimentResult, with_average
 from repro.faas import FaasPlatform
 from repro.metrics import Histogram
 from repro.placement import CommAwarePlacement, ProducerConsumerTable
@@ -59,18 +59,14 @@ def run(scale: float = 1.0, seed: int = 127) -> ExperimentResult:
         note="Paper: co-locating paired functions cuts latency 25% on average.",
     )
     duration = 3000.0 * scale
-    reductions = []
+    rows = []
     for name, profile in PC_PROFILES.items():
-        base = _measure(profile, use_cafp=False, duration_ms=duration, seed=seed)
-        cafp = _measure(profile, use_cafp=True, duration_ms=duration, seed=seed)
-        reduction = 100.0 * (1 - cafp / base)
-        reductions.append(reduction)
-        result.data.append({
+        base, cafp = (_measure(profile, use_cafp=use_cafp,
+                               duration_ms=duration, seed=seed)
+                      for use_cafp in (False, True))
+        rows.append({
             "app": name, "concord_ms": base, "concord+cafp_ms": cafp,
-            "reduction_pct": reduction,
+            "reduction_pct": 100.0 * (1 - cafp / base),
         })
-    result.data.append({
-        "app": "Average", "concord_ms": "", "concord+cafp_ms": "",
-        "reduction_pct": sum(reductions) / len(reductions),
-    })
+    result.data = with_average(rows, "reduction_pct")
     return result

@@ -9,7 +9,7 @@ set and its scheduler pays a memory-node query on every invocation.
 
 from __future__ import annotations
 
-from repro.experiments.runner import MixedRunConfig, run_mixed_workload
+from repro.experiments.runner import run_mixed_workload
 from repro.experiments.tables import ExperimentResult
 
 ENVIRONMENTS = ("apta-az", "concord", "apta-mem", "concord-mem")
@@ -26,20 +26,16 @@ def run(scale: float = 1.0, seed: int = 129) -> ExperimentResult:
         columns=["environment", "mean_ms", "normalized_to_apta_az"],
         note="Paper: Concord-Az/-Mem cut latency 41%/47% vs Apta-Az/-Mem.",
     )
-    means = {}
-    for scheme in ENVIRONMENTS:
-        config = MixedRunConfig(
-            scheme=scheme, num_nodes=8, cores_per_node=4,
-            utilization=0.5,
+    means = {
+        scheme: run_mixed_workload(
+            scheme=scheme, nodes=8, cores_per_node=4, utilization=0.5,
             duration_ms=3000.0 * scale, warmup_ms=1500.0 * scale,
-            seed=seed,
-        )
-        means[scheme] = run_mixed_workload(config).mean_latency()
-    baseline = means["apta-az"]
-    for scheme in ENVIRONMENTS:
-        result.data.append({
-            "environment": LABELS[scheme],
-            "mean_ms": means[scheme],
-            "normalized_to_apta_az": means[scheme] / baseline,
-        })
+            seed=seed).mean_latency()
+        for scheme in ENVIRONMENTS
+    }
+    result.data = [{
+        "environment": LABELS[scheme],
+        "mean_ms": means[scheme],
+        "normalized_to_apta_az": means[scheme] / means["apta-az"],
+    } for scheme in ENVIRONMENTS]
     return result

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.experiments.runner import MixedRunConfig, run_mixed_workload
+from repro.experiments.runner import run_mixed_workload
 from repro.experiments.tables import ExperimentResult
 from repro.faults.plan import FaultPlan
 from repro.faults.scenario import run_fault_scenario
@@ -99,13 +99,11 @@ def run(scale: float = 1.0, seed: int = 11) -> ExperimentResult:
     num_nodes = 4
     crash_plan = _crash_plan(seed, 6)
     for name in available_names():
-        config = MixedRunConfig(
-            scheme=name, num_nodes=num_nodes, cores_per_node=4,
-            apps=APPS, total_rps=40.0 * scale, utilization=None,
+        outcome = run_mixed_workload(
+            scheme=name, nodes=num_nodes, cores_per_node=4,
+            apps=APPS, total_rps=40.0 * scale,
             duration_ms=2500.0 * scale, warmup_ms=800.0,
-            drain_ms=1500.0, seed=seed,
-        )
-        outcome = run_mixed_workload(config)
+            drain_ms=1500.0, seed=seed)
         distinct = _distinct_schemes(outcome.schemes)
         violations: list = []
         stale_reads, max_stale = 0, 0.0

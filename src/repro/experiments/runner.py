@@ -4,7 +4,7 @@ Mirrors the paper's setup: all seven applications run concurrently on one
 cluster, the offered load is split evenly among them, and low/medium/high
 load levels drive cluster CPU utilization to roughly 25 %, 50 % and 70 %
 (Section V).  The cluster is scaled down from the paper's 16x20 cores to
-keep simulation time manageable; ``num_nodes``/``cores_per_node`` are
+keep simulation time manageable; ``nodes``/``cores_per_node`` are
 configurable, and every reported metric is shape-preserving (ratios, hit
 mixes, invalidation counts) rather than absolute.
 """
@@ -24,71 +24,20 @@ from repro.workloads import ALL_PROFILES
 LOAD_LEVELS = {"low": 0.25, "medium": 0.50, "high": 0.70}
 
 
-@dataclass
-class MixedRunConfig:
-    """One mixed-workload measurement run."""
+#: Sampling period (ms) of the sharer-count / cache-occupancy observations.
+SAMPLE_EVERY_MS = 250.0
 
-    scheme: str = "concord"
-    num_nodes: int = 4
-    cores_per_node: int = 8
-    apps: tuple = tuple(ALL_PROFILES)
-    #: Target cluster CPU utilization (overrides total_rps if set).
-    utilization: Optional[float] = 0.50
-    #: Explicit total request rate (requests/s across all apps).
-    total_rps: Optional[float] = None
-    duration_ms: float = 6000.0
-    warmup_ms: float = 2000.0
-    drain_ms: float = 2000.0
-    seed: int = 0xC0FFEE
-    #: Fixed per-instance cache capacity (None = repurposed memory).
-    cache_capacity: Optional[int] = 64 * MB
-    #: Sampling period for sharer/memory observations.
-    sample_every_ms: float = 250.0
-    read_only_annotations: bool = False
-    #: Override for OFC's per-node shared cache budget (by default OFC
-    #: shares one 64 MB per-node cache across all apps, as in its paper;
-    #: Figure 14 sets this to a per-app-equivalent budget for a fair
-    #: capacity sweep).
-    ofc_shared_capacity: Optional[int] = None
-    #: Cache-agent request service time.  The cluster here is scaled down
-    #: ~10x from the paper's 16x20-core / 2000-RPS deployment, so the raw
-    #: 0.3 ms agent cost would make per-node RPC utilization — the
-    #: contention-point effect of Section III — vanish.  1.2 ms restores
-    #: the paper's RPC-utilization operating points (roughly 25/50/70 %
-    #: busy at the hot agents of single-home schemes under the three
-    #: loads) while barely moving unloaded per-op costs.
-    agent_service_ms: float = 1.2
-    #: Causal tracing: ``True`` collects spans (``result.tracer``), a path
-    #: string additionally exports a Chrome trace there, a
-    #: :class:`~repro.trace.Tracer` instance is used as-is.
-    trace: object = None
-    #: Time-series telemetry: ``True`` samples instruments into
-    #: ``result.metrics``, a path string additionally exports the JSONL
-    #: timeline there, a :class:`~repro.telemetry.MetricsRegistry`
-    #: instance is used as-is.
-    metrics: object = None
-    #: Protocol-event flight recorder: ``True`` records into
-    #: ``result.obs``, a path string also dumps the ring there (at the
-    #: end of the run and on every injected fault), a
-    #: :class:`~repro.obs.FlightRecorder` instance is used as-is.
-    obs: object = None
-    #: Optional :class:`~repro.faults.FaultPlan` replayed during the run
-    #: (times are absolute simulated time, warmup included).
-    faults: object = None
 
-    def cpu_ms_per_request(self) -> float:
-        """Average CPU demand of one request across the app mix."""
-        demands = [
-            ALL_PROFILES[name].functions * ALL_PROFILES[name].compute_ms
-            for name in self.apps
-        ]
-        return sum(demands) / len(demands)
+def total_rps_at(utilization: float, nodes: int, cores_per_node: int,
+                 apps: tuple) -> float:
+    """Request rate that keeps ``utilization`` of the cluster's cores busy.
 
-    def resolved_total_rps(self) -> float:
-        if self.total_rps is not None:
-            return self.total_rps
-        cores = self.num_nodes * self.cores_per_node
-        return self.utilization * cores * 1000.0 / self.cpu_ms_per_request()
+    The average CPU demand of one request is taken over the app mix.
+    """
+    demands = [ALL_PROFILES[name].functions * ALL_PROFILES[name].compute_ms
+               for name in apps]
+    cores = nodes * cores_per_node
+    return utilization * cores * 1000.0 / (sum(demands) / len(demands))
 
 
 @dataclass
@@ -107,7 +56,6 @@ class AppRunStats:
 class MixedRunResult:
     """Everything the experiments extract from one run."""
 
-    config: MixedRunConfig
     per_app: dict = field(default_factory=dict)      # app -> AppRunStats
     access: AccessStats = field(default_factory=AccessStats)
     #: app -> that app's own AccessStats (per-app schemes only; the shared
@@ -122,13 +70,13 @@ class MixedRunResult:
     network_messages: int = 0
     storage_reads: int = 0
     storage_writes: int = 0
-    #: The run's Tracer when ``config.trace`` was set (not fingerprinted).
+    #: The run's Tracer when ``trace=`` was given (not fingerprinted).
     tracer: object = None
-    #: The run's MetricsRegistry when ``config.metrics`` was set.
+    #: The run's MetricsRegistry when ``metrics=`` was given.
     metrics: object = None
-    #: The run's FlightRecorder when ``config.obs`` was set.
+    #: The run's FlightRecorder when ``obs=`` was given.
     obs: object = None
-    #: (sim_time, kind, detail) fault events applied (config.faults only).
+    #: (sim_time, kind, detail) fault events applied (``faults=`` only).
     fault_log: list = field(default_factory=list)
     #: app -> the StorageAPI instance that served it (shared schemes map
     #: every app to the same object).  For post-run inspection — scheme
@@ -140,45 +88,62 @@ class MixedRunResult:
         return sum(values) / len(values) if values else float("nan")
 
 
-def _compose(config: MixedRunConfig) -> Session:
-    """Wire ``config``'s cluster, schemes, platform and apps; start nothing."""
-    return Session.compose(
-        seed=config.seed,
+def run_mixed_workload(
+    *, utilization: Optional[float] = None,
+    total_rps: Optional[float] = None, warmup_ms: float = 2000.0,
+    duration_ms: float = 6000.0, drain_ms: float = 2000.0,
+    agent_service_ms: float = 1.2, nodes: int = 4, cores_per_node: int = 8,
+    apps: tuple = tuple(ALL_PROFILES), capacity: Optional[int] = 64 * MB,
+    **compose,
+) -> MixedRunResult:
+    """Execute one measurement run and collect all metrics.
+
+    The offered load is ``utilization`` of the cluster's cores or an
+    explicit ``total_rps`` (exactly one of the two), split evenly over
+    ``apps``: a ``warmup_ms`` load phase whose metrics are discarded,
+    then ``duration_ms`` of measured load and ``drain_ms`` more to
+    finish.  ``capacity`` is the per-instance cache size (None =
+    repurposed memory).  The remaining keywords — ``scheme``, ``seed``,
+    ``trace`` / ``metrics`` / ``obs``, ``faults`` and scheme
+    configuration — go to :meth:`Session.compose` as they are.
+
+    ``agent_service_ms`` is the cache agent's request service time.  The
+    cluster here is scaled down ~10x from the paper's 16x20-core /
+    2000-RPS deployment, so the raw 0.3 ms agent cost would make
+    per-node RPC utilization — the contention-point effect of Section
+    III — vanish.  1.2 ms restores the paper's RPC-utilization operating
+    points (roughly 25/50/70 % busy at the hot agents of single-home
+    schemes under the three loads) while barely moving unloaded per-op
+    costs.
+    """
+    if (utilization is None) == (total_rps is None):
+        raise TypeError("give exactly one of utilization= and total_rps=")
+    if total_rps is None:
+        total_rps = total_rps_at(utilization, nodes, cores_per_node, apps)
+    s = Session.compose(
         config=SimConfig(
-            num_nodes=config.num_nodes, cores_per_node=config.cores_per_node,
+            num_nodes=nodes, cores_per_node=cores_per_node,
             latency=replace(LatencyModel(),
-                            agent_service_ms=config.agent_service_ms)),
-        scheme=config.scheme, apps=config.apps,
-        trace=config.trace, metrics=config.metrics, obs=config.obs,
-        faults=config.faults,
-        capacity=config.cache_capacity,
-        ofc_shared_capacity=config.ofc_shared_capacity,
-        read_only_annotations=config.read_only_annotations,
-        num_memory_nodes=config.num_nodes,
-    )
-
-
-def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
-    """Execute one measurement run and collect all metrics."""
-    s = _compose(config)
+                            agent_service_ms=agent_service_ms)),
+        apps=apps, capacity=capacity, **compose)
     sim, cluster, schemes, platform = s.sim, s.cluster, s.schemes, s.platform
     if s.injector is not None:
         s.injector.start()
 
-    per_app_rps = config.resolved_total_rps() / len(config.apps)
-    result = MixedRunResult(config=config)
+    per_app_rps = total_rps / len(apps)
+    result = MixedRunResult()
 
-    def load_phase(duration_ms):
-        for name in config.apps:
+    def load_phase(phase_ms):
+        for name in apps:
             sim.spawn(
-                platform.open_loop(name, per_app_rps, duration_ms,
+                platform.open_loop(name, per_app_rps, phase_ms,
                                    s.factories[name]),
                 name=f"load:{name}",
             )
 
     # Warmup: populate caches, then reset every metric.
-    load_phase(config.warmup_ms)
-    sim.run(until=sim.now + config.warmup_ms + 500.0)
+    load_phase(warmup_ms)
+    sim.run(until=sim.now + warmup_ms + 500.0)
     for name, app in s.deployed.items():
         app.latency = Histogram()
         app.storage_ms_total = 0.0
@@ -192,9 +157,9 @@ def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
     # Sampler for sharer counts and cache occupancy (Concord only).
     def sampler(sim):
         while True:
-            yield sim.timeout(config.sample_every_ms)
+            yield sim.timeout(SAMPLE_EVERY_MS)
             counts = []
-            for name in config.apps:
+            for name in apps:
                 scheme = schemes[name]
                 if isinstance(scheme, ConcordSystem):
                     app_counts = scheme.sharer_counts()
@@ -218,8 +183,8 @@ def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
     s.sampler.start()
 
     # Measurement phase.
-    load_phase(config.duration_ms)
-    sim.run(until=sim.now + config.duration_ms + config.drain_ms)
+    load_phase(duration_ms)
+    sim.run(until=sim.now + duration_ms + drain_ms)
 
     for name, app in s.deployed.items():
         histogram = app.latency
@@ -252,21 +217,16 @@ def run_mixed_workload(config: MixedRunConfig) -> MixedRunResult:
     return result
 
 
-def unloaded_latency(
-    scheme: str,
-    apps: Optional[tuple] = None,
-    num_nodes: int = 4,
-    cores_per_node: int = 8,
-    requests: int = 8,
-    seed: int = 77,
-) -> dict:
+def unloaded_latency(scheme: str, apps: Optional[tuple] = None,
+                     nodes: int = 4, cores_per_node: int = 8,
+                     requests: int = 8, seed: int = 77) -> dict:
     """Per-app mean latency on an otherwise idle cluster (SLO baseline)."""
-    # A default MixedRunConfig's 1.2 ms agent is a loaded-cluster
-    # calibration; the SLO baseline uses the raw latency model.
-    s = _compose(MixedRunConfig(
-        scheme=scheme, num_nodes=num_nodes, cores_per_node=cores_per_node,
-        apps=apps or tuple(ALL_PROFILES), seed=seed,
-        agent_service_ms=LatencyModel().agent_service_ms))
+    # The mixed run's 1.2 ms agent is a loaded-cluster calibration; the
+    # SLO baseline uses the raw latency model.
+    s = Session.compose(scheme=scheme, nodes=nodes,
+                        cores_per_node=cores_per_node,
+                        apps=apps or tuple(ALL_PROFILES), seed=seed,
+                        capacity=64 * MB)
     latencies = {}
     for name, factory in s.factories.items():
         histogram = Histogram()

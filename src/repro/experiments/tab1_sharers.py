@@ -7,7 +7,7 @@ sharer sets in Concord's data directories.
 
 from __future__ import annotations
 
-from repro.experiments.runner import LOAD_LEVELS, MixedRunConfig, run_mixed_workload
+from repro.experiments.runner import LOAD_LEVELS, run_mixed_workload
 from repro.experiments.tables import ExperimentResult
 
 APPS = ("HotelBook", "TrainT", "eShop", "SocNet")
@@ -20,17 +20,16 @@ def run(scale: float = 1.0, seed: int = 105, num_nodes: int = 16) -> ExperimentR
         columns=["app", "low", "medium", "high"],
         note="Paper averages: 1.7/6.5 (low), 2.2/8.5 (medium), 3.0/10.8 (high).",
     )
+    runs = {
+        load: run_mixed_workload(
+            scheme="concord", apps=APPS, nodes=num_nodes, cores_per_node=2,
+            utilization=utilization,
+            duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale, seed=seed)
+        for load, utilization in LOAD_LEVELS.items()
+    }
     cells = {app: {} for app in APPS}
     averages = {}
-    for load, utilization in LOAD_LEVELS.items():
-        config = MixedRunConfig(
-            scheme="concord", apps=APPS,
-            num_nodes=num_nodes, cores_per_node=2,
-            utilization=utilization,
-            duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale,
-            seed=seed,
-        )
-        outcome = run_mixed_workload(config)
+    for load, outcome in runs.items():
         load_avgs, load_maxes = [], []
         for app in APPS:
             samples = outcome.sharer_samples_per_app.get(app, [])

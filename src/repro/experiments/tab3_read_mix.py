@@ -7,48 +7,39 @@ CAS, 83/10/7 with CAS.
 
 from __future__ import annotations
 
-from repro.experiments.runner import MixedRunConfig, run_mixed_workload
-from repro.experiments.tables import ExperimentResult
+from repro.experiments.runner import run_mixed_workload
+from repro.experiments.tables import ExperimentResult, with_average
+
+SCHEMES = ("concord-nocas", "concord")
+#: column -> read-mix share it shows (NoCAS, then CAS, in percent).
+COLUMNS = {"local% (NoCAS-C)": "local_hit",
+           "remote% (NoCAS-C)": "remote_hit",
+           "miss% (NoCAS-C)": "remote_miss"}
 
 
 def run(scale: float = 1.0, seed: int = 111) -> ExperimentResult:
     result = ExperimentResult(
         experiment="Table III",
         title="Read mix: Concord without CAS (C-NoCAS) vs Concord (C)",
-        columns=["app", "local% (NoCAS-C)", "remote% (NoCAS-C)", "miss% (NoCAS-C)"],
+        columns=["app", *COLUMNS],
         note="Paper averages: 75-83 local, 18-10 remote hit, 7-7 miss.",
     )
-    runs = {}
-    for scheme in ("concord-nocas", "concord"):
-        config = MixedRunConfig(
-            scheme=scheme, num_nodes=8, cores_per_node=4,
-            utilization=0.5,
-            duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale,
-            seed=seed,
-        )
-        runs[scheme] = run_mixed_workload(config)
-
-    def mix(scheme, app):
-        return runs[scheme].per_app_access[app].read_mix()
-
-    totals = {"nocas": [0.0, 0.0, 0.0], "cas": [0.0, 0.0, 0.0]}
-    apps = list(runs["concord"].per_app)
-    for app in apps:
-        nocas, cas = mix("concord-nocas", app), mix("concord", app)
-        for index, field in enumerate(("local_hit", "remote_hit", "remote_miss")):
-            totals["nocas"][index] += nocas[field]
-            totals["cas"][index] += cas[field]
-        result.data.append({
-            "app": app,
-            "local% (NoCAS-C)": f"{nocas['local_hit']*100:.0f} - {cas['local_hit']*100:.0f}",
-            "remote% (NoCAS-C)": f"{nocas['remote_hit']*100:.0f} - {cas['remote_hit']*100:.0f}",
-            "miss% (NoCAS-C)": f"{nocas['remote_miss']*100:.0f} - {cas['remote_miss']*100:.0f}",
-        })
-    count = len(apps)
-    result.data.append({
-        "app": "Average",
-        "local% (NoCAS-C)": f"{totals['nocas'][0]/count*100:.0f} - {totals['cas'][0]/count*100:.0f}",
-        "remote% (NoCAS-C)": f"{totals['nocas'][1]/count*100:.0f} - {totals['cas'][1]/count*100:.0f}",
-        "miss% (NoCAS-C)": f"{totals['nocas'][2]/count*100:.0f} - {totals['cas'][2]/count*100:.0f}",
-    })
+    runs = {
+        scheme: run_mixed_workload(
+            scheme=scheme, nodes=8, cores_per_node=4, utilization=0.5,
+            duration_ms=4000.0 * scale, warmup_ms=1500.0 * scale, seed=seed)
+        for scheme in SCHEMES
+    }
+    shares = [(scheme, field) for field in COLUMNS.values()
+              for scheme in SCHEMES]
+    rows = with_average([
+        {"app": app, **{(scheme, field):
+                        runs[scheme].per_app_access[app].read_mix()[field]
+                        for scheme, field in shares}}
+        for app in runs["concord"].per_app
+    ], *shares)
+    result.data = [{"app": row["app"], **{
+        column: " - ".join(f"{row[scheme, field] * 100:.0f}"
+                           for scheme in SCHEMES)
+        for column, field in COLUMNS.items()}} for row in rows]
     return result

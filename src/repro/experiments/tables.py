@@ -26,6 +26,20 @@ class ExperimentResult:
         )
 
 
+def with_average(rows: list, *columns: str, **label) -> list:
+    """``rows`` closed by one more row holding the mean of each of
+    ``columns`` over them (nothing is added to no rows).
+
+    ``label`` names the closing row (``app="Average"`` unless given);
+    its other columns render blank.
+    """
+    if not rows:
+        return rows
+    means = {column: sum(row[column] for row in rows) / len(rows)
+             for column in columns}
+    return rows + [{**(label or {"app": "Average"}), **means}]
+
+
 def render_table(
     title: str,
     columns: list,

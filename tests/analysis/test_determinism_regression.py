@@ -9,7 +9,7 @@ percentile, access counter and message count bit-for-bit equal.
 
 import pytest
 
-from repro.experiments.runner import MixedRunConfig, run_mixed_workload
+from repro.experiments.runner import run_mixed_workload
 
 
 def _histogram(h) -> tuple:
@@ -47,14 +47,10 @@ def _fingerprint(outcome) -> dict:
 @pytest.mark.parametrize("scheme", ["concord", "faast"])
 def test_seeded_runs_reproduce_exactly(scheme):
     def run():
-        config = MixedRunConfig(
-            scheme=scheme, num_nodes=2, cores_per_node=4,
-            apps=("TrainT", "SocNet"),
-            total_rps=25.0, utilization=None,
-            duration_ms=700.0, warmup_ms=250.0, drain_ms=1200.0,
-            sample_every_ms=100.0, seed=2024,
-        )
-        return run_mixed_workload(config)
+        return run_mixed_workload(
+            scheme=scheme, nodes=2, cores_per_node=4,
+            apps=("TrainT", "SocNet"), total_rps=25.0,
+            duration_ms=700.0, warmup_ms=250.0, drain_ms=1200.0, seed=2024)
 
     first = _fingerprint(run())
     second = _fingerprint(run())
@@ -63,12 +59,10 @@ def test_seeded_runs_reproduce_exactly(scheme):
 
 def test_different_seeds_diverge():
     def run(seed):
-        config = MixedRunConfig(
-            scheme="concord", num_nodes=2, cores_per_node=4,
-            apps=("SocNet",), total_rps=25.0, utilization=None,
-            duration_ms=700.0, warmup_ms=250.0, drain_ms=1200.0, seed=seed,
-        )
-        return run_mixed_workload(config)
+        return run_mixed_workload(
+            scheme="concord", nodes=2, cores_per_node=4,
+            apps=("SocNet",), total_rps=25.0,
+            duration_ms=700.0, warmup_ms=250.0, drain_ms=1200.0, seed=seed)
 
     first = _fingerprint(run(1))
     second = _fingerprint(run(2))

@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
 from repro.core import ConcordSystem
-from repro.sim import Simulator
-
-
-@pytest.fixture
-def sim():
-    return Simulator(seed=42)
+from repro.session import Session
 
 
 @pytest.fixture
@@ -20,13 +13,25 @@ def config():
 
 
 @pytest.fixture
-def cluster(sim, config):
-    return Cluster(sim, config)
+def session(config):
+    # Tests deploy Concord themselves (or through ``concord``) on a
+    # cluster and coordination service that cache nothing yet.
+    return Session.compose(config=config, seed=42, scheme="nocache")
 
 
 @pytest.fixture
-def coord(cluster, config):
-    return CoordinationService(cluster.network, config)
+def sim(session):
+    return session.sim
+
+
+@pytest.fixture
+def cluster(session):
+    return session.cluster
+
+
+@pytest.fixture
+def coord(session):
+    return session.coord
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from repro.cluster import Cluster
 from repro.config import SimConfig
 from repro.coord import CoordinationService
 from repro.core import ConcordSystem
+from repro.session import Session
 from repro.sim import Simulator
 from repro.storage import DataItem
 
@@ -57,11 +58,9 @@ def check_invariants(concord, cluster):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_random_concurrent_ops_keep_invariants(seed):
-    sim = Simulator(seed=seed)
-    config = SimConfig(num_nodes=4)
-    cluster = Cluster(sim, config)
-    coord = CoordinationService(cluster.network, config)
-    concord = ConcordSystem(cluster, app="stress", coord=coord)
+    s = Session.compose(config=SimConfig(num_nodes=4), seed=seed,
+                        app="stress")
+    sim, cluster, concord = s.sim, s.cluster, s.system
     cluster.storage.preload({
         key: DataItem((key, 0), size_bytes=256) for key in KEYS
     })

@@ -9,11 +9,8 @@ lazily (its nodes *can* read stale values between version checks).
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
-from repro.core import ConcordSystem
-from repro.sim import Simulator
+from repro.session import Session
 from repro.storage import DataItem
 
 KEYS = [f"mk-{i}" for i in range(4)]
@@ -21,10 +18,8 @@ KEYS = [f"mk-{i}" for i in range(4)]
 
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_reads_never_go_backwards(seed):
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, SimConfig(num_nodes=4))
-    coord = CoordinationService(cluster.network, cluster.config)
-    concord = ConcordSystem(cluster, app="mono", coord=coord)
+    s = Session.compose(config=SimConfig(num_nodes=4), seed=seed, app="mono")
+    sim, cluster, concord = s.sim, s.cluster, s.system
     cluster.storage.preload({key: DataItem((key, 0), 128) for key in KEYS})
 
     # Map committed value -> its storage version, recorded at commit time.

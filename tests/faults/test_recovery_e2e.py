@@ -12,18 +12,13 @@ counters must agree with the injected plan.
 import pytest
 
 from repro.caching.base import EXCLUSIVE
-from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
-from repro.core import ConcordSystem
-from repro.faas import CasScheduler, FaasPlatform
-from repro.faults import FaultInjector, FaultPlan, NodeCrash
-from repro.sim import Simulator
+from repro.faults import FaultPlan, NodeCrash
+from repro.session import Session
 from repro.storage import DataItem
-from repro.telemetry import MetricsRegistry, Sampler
 from repro.verify import check_coherence
-from repro.workloads import ALL_PROFILES, build_app, entity_inputs_factory
-from repro.workloads.profiles import entity_key, preload_storage
+from repro.workloads import ALL_PROFILES, entity_inputs_factory
+from repro.workloads.profiles import entity_key
 
 APP = "SocNet"
 VICTIM = "node2"
@@ -35,30 +30,18 @@ SETTLE_MS = 4000.0
 @pytest.fixture
 def deployment():
     """The canonical stack with a crash plan targeting ``VICTIM``."""
-    registry = MetricsRegistry()
-    sim = Simulator(seed=21, metrics=registry)
-    config = SimConfig(
-        num_nodes=5, cores_per_node=2,
-        heartbeat_interval_ms=200.0, heartbeat_misses=3,
-    )
-    cluster = Cluster(sim, config)
-    coord = CoordinationService(cluster.network, config)
-    profile = ALL_PROFILES[APP]
-    concord = ConcordSystem(cluster, app=APP, coord=coord)
-    preload_storage(cluster.storage, profile)
-    platform = FaasPlatform(cluster, scheduler=CasScheduler())
-    app = platform.deploy(build_app(profile), concord)
     plan = FaultPlan(events=(NodeCrash(at_ms=CRASH_MS, node=VICTIM),))
-    injector = FaultInjector(cluster, plan, systems=(concord,),
-                             platform=platform)
-    injector.start()
-    sampler = Sampler(sim, interval_ms=100.0)
-    sampler.start()
+    s = Session.compose(
+        seed=21, metrics=True, apps=(APP,), faults=plan,
+        config=SimConfig(num_nodes=5, cores_per_node=2,
+                         heartbeat_interval_ms=200.0, heartbeat_misses=3))
+    s.injector.start()
+    s.sampler.start()
     return {
-        "sim": sim, "registry": registry, "cluster": cluster,
-        "coord": coord, "concord": concord, "profile": profile,
-        "platform": platform, "app": app, "injector": injector,
-        "plan": plan,
+        "sim": s.sim, "registry": s.metrics, "cluster": s.cluster,
+        "coord": s.coord, "concord": s.system, "profile": ALL_PROFILES[APP],
+        "platform": s.platform, "app": s.deployed[APP],
+        "injector": s.injector, "plan": plan,
     }
 
 

@@ -8,6 +8,7 @@ from repro.coord import CoordinationService
 from repro.core import ConcordSystem
 from repro.faas import FaasPlatform
 from repro.placement import CommAwarePlacement, ProducerConsumerTable
+from repro.session import Session
 from repro.sim import Simulator
 from repro.storage import DataItem
 from repro.workloads.pc_apps import PC_PROFILES, build_pc_app
@@ -43,11 +44,11 @@ class TestPct:
             pct.observe("a", "b")
         assert pct.paired_functions("a") == set()
 
-    def test_concord_reports_edges_to_pct(self, sim, cluster):
+    def test_concord_reports_edges_to_pct(self):
         """Coherence traffic (write at one node, read at another) teaches
         the PCT the producer-consumer pair, transparently."""
-        coord = CoordinationService(cluster.network, cluster.config)
-        concord = ConcordSystem(cluster, app="pc", coord=coord)
+        s = Session.compose(config=SimConfig(num_nodes=4), seed=31, app="pc")
+        sim, concord = s.sim, s.system
         pct = ProducerConsumerTable(min_observations=1).attach(concord)
 
         from repro.caching.base import AccessContext
@@ -67,10 +68,11 @@ class TestPct:
 
 
 class TestCommAwarePlacement:
-    def test_new_instance_lands_next_to_paired_function(self, sim, cluster):
-        coord = CoordinationService(cluster.network, cluster.config)
+    def test_new_instance_lands_next_to_paired_function(self):
         profile = PC_PROFILES["IoTSensor"]
-        concord = ConcordSystem(cluster, app=profile.name, coord=coord)
+        s = Session.compose(config=SimConfig(num_nodes=4), seed=31,
+                            app=profile.name)
+        sim, cluster, concord = s.sim, s.cluster, s.system
         pct = ProducerConsumerTable(min_observations=1).attach(concord)
         for _ in range(3):
             pct.observe(f"{profile.name}-s0", f"{profile.name}-s1")

@@ -4,9 +4,7 @@ import pytest
 
 from repro.apta import AptaScheduler, AptaSystem
 from repro.caching import DirectStorage, FaastSystem, OfcSystem
-from repro.cluster import Cluster
 from repro.config import MB, SimConfig
-from repro.coord import CoordinationService
 from repro.core import ConcordSystem
 from repro.faas import CasScheduler, LocalityScheduler
 from repro.schemes import (
@@ -18,20 +16,27 @@ from repro.schemes import (
     registered_schemes,
     scheme_spec,
 )
-from repro.sim import Simulator
+from repro.session import Session
 
 APPS = ("alpha", "beta")
 
 
 @pytest.fixture
-def cluster():
-    sim = Simulator(seed=11)
-    return Cluster(sim, SimConfig(num_nodes=4))
+def session():
+    # The tests build their schemes themselves, on a cluster and
+    # coordination service that cache nothing yet.
+    return Session.compose(config=SimConfig(num_nodes=4), seed=11,
+                           scheme="nocache")
 
 
 @pytest.fixture
-def coord(cluster):
-    return CoordinationService(cluster.network, cluster.config)
+def cluster(session):
+    return session.cluster
+
+
+@pytest.fixture
+def coord(session):
+    return session.coord
 
 
 class TestLookup:

@@ -1,18 +1,19 @@
 """``repro.session`` is the only place ``src/repro`` wires a system.
 
-Walks every source module's AST and fails when a
-``CoordinationService(...)`` or ``FaultInjector(...)`` construction
-appears outside the composition root (and the packages that define
-them), so a new experiment or topology cannot quietly grow its own
-hand-wired copy of the stack.
+Walks every source module's AST and fails when a ``Simulator(...)``,
+``Cluster(...)``, ``CoordinationService(...)`` or ``FaultInjector(...)``
+construction appears outside the composition root, so a new experiment
+or topology cannot quietly grow its own hand-wired copy of the stack —
+not even a coordination-free one: a run without coherence takes the
+``cluster`` of a ``nocache`` session.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-ROOT_ONLY = {"CoordinationService", "FaultInjector"}
-ALLOWED = {"session.py", "coord/service.py", "faults/injector.py"}
+ROOT_ONLY = {"Simulator", "Cluster", "CoordinationService", "FaultInjector"}
+ALLOWED = {"session.py"}
 
 
 def _constructions(path: Path):
@@ -36,5 +37,5 @@ def test_only_the_session_wires_a_system():
 
 def test_the_root_itself_is_seen():
     found = list(_constructions(SRC / "session.py"))
-    assert any("CoordinationService" in site for site in found)
-    assert any("FaultInjector" in site for site in found)
+    for name in ROOT_ONLY:
+        assert any(f" {name}(" in site for site in found), name

@@ -11,31 +11,28 @@ window.
 import pytest
 
 from repro.experiments.fig13_churn import WriteBurst, run_write_burst_timeline
-from repro.experiments.runner import MixedRunConfig, run_mixed_workload
+from repro.experiments.runner import run_mixed_workload
 from repro.telemetry import detect_anomalies, jsonl_dumps
 
 
-def mixed_config(**overrides) -> MixedRunConfig:
-    base = dict(
-        scheme="concord", num_nodes=4, cores_per_node=4,
-        utilization=None, total_rps=40.0,
-        duration_ms=1200.0, warmup_ms=400.0, drain_ms=400.0,
-        seed=2024, metrics=True,
-    )
-    base.update(overrides)
-    return MixedRunConfig(**base)
+def mixed_run(**overrides):
+    return run_mixed_workload(**{
+        **dict(scheme="concord", nodes=4, cores_per_node=4, total_rps=40.0,
+               duration_ms=1200.0, warmup_ms=400.0, drain_ms=400.0,
+               seed=2024, metrics=True),
+        **overrides})
 
 
 @pytest.mark.slow
 class TestMixedRunTimelines:
     def test_repeated_runs_byte_identical(self):
-        first = run_mixed_workload(mixed_config())
-        second = run_mixed_workload(mixed_config())
+        first = mixed_run()
+        second = mixed_run()
         assert first.metrics is not None
         assert jsonl_dumps(first.metrics) == jsonl_dumps(second.metrics)
 
     def test_timeline_covers_all_layers(self):
-        outcome = run_mixed_workload(mixed_config())
+        outcome = mixed_run()
         names = {s.name for s in outcome.metrics.store.all_series()}
         for expected in (
             "node_cpu_utilization", "node_cpu_queue_length",
@@ -50,12 +47,12 @@ class TestMixedRunTimelines:
             assert expected in names, expected
 
     def test_metrics_off_leaves_no_series(self):
-        outcome = run_mixed_workload(mixed_config(metrics=None))
+        outcome = mixed_run(metrics=None)
         assert outcome.metrics is None
 
     def test_metrics_path_exports_jsonl(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
-        outcome = run_mixed_workload(mixed_config(metrics=str(path)))
+        outcome = mixed_run(metrics=str(path))
         assert outcome.metrics is not None
         assert path.exists()
         assert path.read_text() == jsonl_dumps(outcome.metrics)

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.config import LatencyModel, SimConfig
-from repro.coord import CoordinationService
-from repro.core import ConcordSystem
 from repro.net import Endpoint, Network, Reply, RpcTimeout
+from repro.session import Session
 from repro.sim import Simulator
 from repro.storage import DataItem
 from repro.trace import Tracer
@@ -126,12 +124,19 @@ class TestRpcPropagation:
 
 class TestConcordEndToEnd:
     @pytest.fixture
-    def system(self, sim, tracer):
-        cluster = Cluster(sim, SimConfig(num_nodes=4))
-        coord = CoordinationService(cluster.network, cluster.config)
-        system = ConcordSystem(cluster, app="t", coord=coord)
-        cluster.storage.preload({"k": DataItem("v0", 256)})
-        return system
+    def session(self, tracer):
+        s = Session.compose(config=SimConfig(num_nodes=4), seed=7,
+                            trace=tracer, app="t")
+        s.preload({"k": DataItem("v0", 256)})
+        return s
+
+    @pytest.fixture
+    def sim(self, session):
+        return session.sim
+
+    @pytest.fixture
+    def system(self, session):
+        return session.system
 
     def drive(self, sim, op):
         return sim.run_until_complete(sim.spawn(op), limit=sim.now + 60_000.0)

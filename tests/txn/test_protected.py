@@ -2,30 +2,31 @@
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
-from repro.core import ConcordSystem
-from repro.sim import Simulator
+from repro.session import Session
 from repro.storage import DataItem
 from repro.txn import ConcordTxnRuntime
 from repro.txn.manager import TxnContext
 
 
 @pytest.fixture
-def sim():
-    return Simulator(seed=77)
+def session():
+    return Session.compose(config=SimConfig(num_nodes=4), seed=77, app="prot")
 
 
 @pytest.fixture
-def cluster(sim):
-    return Cluster(sim, SimConfig(num_nodes=4))
+def sim(session):
+    return session.sim
 
 
 @pytest.fixture
-def concord(cluster):
-    coord = CoordinationService(cluster.network, cluster.config)
-    return ConcordSystem(cluster, app="prot", coord=coord)
+def cluster(session):
+    return session.cluster
+
+
+@pytest.fixture
+def concord(session):
+    return session.system
 
 
 @pytest.fixture

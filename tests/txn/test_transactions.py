@@ -2,29 +2,31 @@
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.config import SimConfig
-from repro.coord import CoordinationService
-from repro.core import ConcordSystem
-from repro.sim import Simulator
+from repro.session import Session
 from repro.storage import DataItem
 from repro.txn import BeldiRunner, ConcordTxnRuntime, SagaRunner, TXN_APPS, TxnAborted
 
 
 @pytest.fixture
-def sim():
-    return Simulator(seed=21)
+def session():
+    return Session.compose(config=SimConfig(num_nodes=4), seed=21,
+                           app="txnapp")
 
 
 @pytest.fixture
-def cluster(sim):
-    return Cluster(sim, SimConfig(num_nodes=4))
+def sim(session):
+    return session.sim
 
 
 @pytest.fixture
-def concord(cluster):
-    coord = CoordinationService(cluster.network, cluster.config)
-    return ConcordSystem(cluster, app="txnapp", coord=coord)
+def cluster(session):
+    return session.cluster
+
+
+@pytest.fixture
+def concord(session):
+    return session.system
 
 
 @pytest.fixture
@@ -97,12 +99,11 @@ class TestCommit:
         runtimes built in one interpreter must not share a counter."""
         first_ids = []
         for _ in range(2):
-            sim = Simulator(seed=21)
-            cluster = Cluster(sim, SimConfig(num_nodes=2))
-            coord = CoordinationService(cluster.network, cluster.config)
-            runtime = ConcordTxnRuntime(
-                ConcordSystem(cluster, app="txnapp", coord=coord))
-            cluster.storage.preload({"a": V("a0")})
+            s = Session.compose(config=SimConfig(num_nodes=2), seed=21,
+                                app="txnapp")
+            sim = s.sim
+            runtime = ConcordTxnRuntime(s.system)
+            s.preload({"a": V("a0")})
             seen = []
 
             def body(txn):
@@ -237,6 +238,12 @@ class TestConflicts:
 
 
 class TestBaselines:
+    @pytest.fixture
+    def session(self):
+        # Saga and Beldi run on storage alone: a session that caches nothing.
+        return Session.compose(config=SimConfig(num_nodes=4), seed=21,
+                               scheme="nocache")
+
     def test_saga_commits_without_contention(self, sim, cluster):
         saga = SagaRunner(cluster)
         app = TXN_APPS["HotelBooking"]
