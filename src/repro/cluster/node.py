@@ -143,10 +143,6 @@ class Node:
 
     # -- utilization ----------------------------------------------------------
     @property
-    def busy_cores(self) -> int:
-        return self.cores.in_use
-
-    @property
     def load(self) -> float:
         """Fraction of cores busy plus queued work, for overload checks."""
         return (self.cores.in_use + self.cores.queue_length) / self.cores.capacity

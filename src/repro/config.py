@@ -127,8 +127,3 @@ class SimConfig:
 
     #: Root RNG seed; every component derives a named substream.
     seed: int = 0x5EED
-
-    @property
-    def failure_detection_ms(self) -> float:
-        """Worst-case time for the coordination service to notice a crash."""
-        return self.heartbeat_interval_ms * self.heartbeat_misses

@@ -84,7 +84,6 @@ CAUSAL_SYNC = "causal.sync"                  # pull round to close a vc gap
 SHARD_REHOME = "shard.rehome"          # voluntary leader change (join/leave)
 SHARD_FAILOVER = "shard.failover"      # crash-driven leader change
 SHARD_ADOPT = "shard.adopt"            # new leader adopted mirrored entries
-SHARD_SPLIT = "shard.split"            # linear-hash shard-count doubling
 
 # -- FaaS control plane ----------------------------------------------------
 SCHED_WARM = "sched.warm"
@@ -108,7 +107,7 @@ EVENT_TYPES = frozenset({
     BARRIER_RAISE, BARRIER_LIFT, RECOVERY_SURVIVOR, RECOVERY_COMPLETE,
     DOMAIN_CHANGE, MEMBER_EJECT, MEMBER_JOIN, MEMBER_LEAVE,
     PEER_UNREACHABLE,
-    SHARD_REHOME, SHARD_FAILOVER, SHARD_ADOPT, SHARD_SPLIT,
+    SHARD_REHOME, SHARD_FAILOVER, SHARD_ADOPT,
     SCHED_WARM, SCHED_COLD, REQ_RESCHEDULE,
     FAULT_INJECT, VERIFY_VIOLATION,
 })

@@ -9,8 +9,7 @@ and routes a key to its shard's chain head (the *leader*).
 Public surface:
 
 - :class:`~repro.shard.router.ShardRouter` -- drop-in ring replacement
-  with key→shard→home resolution, replica chains, and linear-hash
-  splitting.
+  with key→shard→home resolution and replica chains.
 - :class:`~repro.shard.manager.ShardManager` -- per-system bookkeeping:
   re-homing epochs, failover accounting, telemetry, ``shard.*`` events.
 - :mod:`~repro.shard.topologies` -- named topology presets and the

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.obs.events import SHARD_ADOPT, SHARD_FAILOVER, SHARD_REHOME, SHARD_SPLIT
+from repro.obs.events import SHARD_ADOPT, SHARD_FAILOVER, SHARD_REHOME
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.shard.router import ShardRouter
@@ -39,7 +39,7 @@ class ShardManager:
         self.app = system.app
         self.num_shards = router.num_shards
         self.replication = router.replication
-        #: per-shard leader-change count (grows in place on split).
+        #: per-shard leader-change count.
         self.epochs: list[int] = [0] * router.num_shards
         #: last known leader table, diffed on every membership change.
         self._leaders: list[str] = [
@@ -49,7 +49,6 @@ class ShardManager:
         self.adoptions_total = 0
         self.adopted_entries_total = 0
         self.rehome_cost_ms_total = 0.0
-        self.splits_total = 0
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -124,22 +123,3 @@ class ShardManager:
             obs.emit(SHARD_ADOPT, app=self.app, node=node_id,
                      shards=sorted(shards), entries=entries,
                      cost_ms=cost_ms)
-
-    # -- splitting ----------------------------------------------------------
-    def record_split(self, router: "ShardRouter") -> None:
-        """The router doubled its shard count (linear-hash split).
-
-        Old shard ``i`` split into ``i`` and ``i + old_count``; the new
-        half inherits the old half's epoch so cross-epoch checks stay
-        monotonic over the split.
-        """
-        old_count = self.num_shards
-        self.num_shards = router.num_shards
-        self.epochs = self.epochs + self.epochs[: self.num_shards - old_count]
-        self._leaders = [chain[0] if chain else ""
-                        for chain in router.table()]
-        self.splits_total += 1
-        obs = self.sim.obs
-        if obs.active:
-            obs.emit(SHARD_SPLIT, app=self.app, old_shards=old_count,
-                     new_shards=self.num_shards)

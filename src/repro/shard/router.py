@@ -8,9 +8,7 @@ ring as an opaque "who owns this key" oracle.  The router answers that
 question in two deterministic steps:
 
 1. ``shard_of(key) = md5(key) % num_shards`` — stable across processes
-   and ``PYTHONHASHSEED`` values, and *linear-hash splittable*: doubling
-   ``num_shards`` sends each key of shard ``i`` to shard ``i`` or
-   ``i + num_shards``, so a shard splits into exactly two.
+   and ``PYTHONHASHSEED`` values.
 2. Each shard's replica chain is the member ring's preference list for
    the shard's token (``"shard:<i>"``): the first ``replication``
    distinct members clockwise.  The chain head is the shard *leader* and
@@ -69,10 +67,6 @@ class ShardRouter:
     def table(self) -> tuple[tuple[str, ...], ...]:
         """The full shard→chain table (order-stable; fingerprintable)."""
         return tuple(self._chains)
-
-    def led_by(self, member: str) -> int:
-        """How many shards ``member`` currently leads."""
-        return sum(1 for chain in self._chains if chain and chain[0] == member)
 
     # -- ring-compatible surface -------------------------------------------
     @property
@@ -143,17 +137,6 @@ class ShardRouter:
             for key in keys
             if self.home(key) == member
         }
-
-    # -- splitting ----------------------------------------------------------
-    def split(self) -> None:
-        """Double ``num_shards`` (linear-hash split: every shard in two).
-
-        ``md5 % 2n`` maps each key of old shard ``i`` to ``i`` or
-        ``i + n``, so a split never mixes keys across old shard
-        boundaries and the key→shard map stays deterministic.
-        """
-        self.num_shards *= 2
-        self._rebuild()
 
     # -- internals ----------------------------------------------------------
     def _rebuild(self) -> None:

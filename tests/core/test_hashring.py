@@ -251,47 +251,44 @@ def test_copy_matches_original_and_is_independent(members, virtual_nodes,
     virtual_nodes=st.integers(min_value=1, max_value=16),
     start=st.sets(st.sampled_from(MEMBERS)),
     program=st.lists(st.tuples(
-        st.sampled_from(("copy", "add", "remove", "split")),
+        st.sampled_from(("copy", "add", "remove")),
         st.integers(min_value=0, max_value=31),
         st.sampled_from(MEMBERS)), max_size=20),
     keys=st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=10),
 )
 def test_copy_on_write_family_matches_rebuilt_rings(router, virtual_nodes,
                                                     start, program, keys):
-    """Any interleaving of ``copy``/``add``/``remove`` (and ``split``, for
-    routers) over a family of rings that share tables copy-on-write
-    leaves every ring answering ``home`` and ``preference_list`` exactly
-    as a ring rebuilt from its own membership: mutating one ring never
-    changes another, and no ring keeps a stale home memo."""
-    def rebuilt(members, shards):
+    """Any interleaving of ``copy``/``add``/``remove`` over a family of
+    rings (or routers) that share tables copy-on-write leaves every ring
+    answering ``home`` and ``preference_list`` exactly as a ring rebuilt
+    from its own membership: mutating one ring never changes another,
+    and no ring keeps a stale home memo."""
+    def rebuilt(members):
         if router:
-            return ShardRouter(sorted(members), shards, replication=2,
+            return ShardRouter(sorted(members), 4, replication=2,
                                virtual_nodes=virtual_nodes)
         return ConsistentHashRing(sorted(members), virtual_nodes)
 
-    family = [rebuilt(start, 4)]
-    views = [(set(start), 4)]
+    family = [rebuilt(start)]
+    views = [set(start)]
     for op, index, member in program:
         index %= len(family)
-        ring, (members, shards) = family[index], views[index]
+        ring, members = family[index], views[index]
         if op == "copy":
             family.append(ring.copy())
-            views.append((set(members), shards))
+            views.append(set(members))
         elif op == "add":
             ring.add(member)
             members.add(member)
-        elif op == "remove":
+        else:
             if not members:
                 with pytest.raises(EmptyRingError):
                     ring.remove(member)
                 continue
             ring.remove(member)
             members.discard(member)
-        elif router and shards < 32:
-            ring.split()
-            views[index] = (members, shards * 2)
-        for ring, (members, shards) in zip(family, views):
-            want = rebuilt(members, shards)
+        for ring, members in zip(family, views):
+            want = rebuilt(members)
             assert ring.members == members
             if router:
                 assert ring.table() == want.table()

@@ -112,30 +112,19 @@ class TestMembershipChanges:
         assert rebuilt.members == {"x", "y", "z"}
 
 
-class TestSplit:
-    def test_split_is_linear_hash(self):
-        router = ShardRouter(MEMBERS, num_shards=4)
-        before = {k: router.shard_of(k) for k in KEYS}
-        router.split()
-        assert router.num_shards == 8
-        for key in KEYS:
-            assert router.shard_of(key) in (before[key], before[key] + 4)
-
-
 class TestCopy:
     def test_copy_is_the_router_a_rebuild_makes_and_independent(self):
         router = ShardRouter(MEMBERS, num_shards=8, replication=2)
         router.remove("node3")
-        router.split()
         clone = router.copy()
         rebuilt = router.with_members(router.members)
         assert clone.table() == router.table() == rebuilt.table()
         assert (clone.num_shards, clone.replication, clone.virtual_nodes) == (
-            16, 2, router.virtual_nodes)
+            8, 2, router.virtual_nodes)
         assert all(clone.home(k) == router.home(k) for k in KEYS)
         clone.remove("node0")
         clone.add("node9")
         assert "node0" in router and "node9" not in router
         assert router.table() == rebuilt.table()
         assert clone.table() == ShardRouter(
-            clone.members, num_shards=16, replication=2).table()
+            clone.members, num_shards=8, replication=2).table()
