@@ -174,19 +174,17 @@ def run(scale: float = 1.0, seed: int = 121,
     )
     if timelines is not None:
         Path(timelines).mkdir(parents=True, exist_ok=True)
-    duration = 6000.0 * scale
-    baseline = None
-    for rate in CHURN_RATES:
-        metrics = None
-        if timelines is not None:
-            metrics = str(Path(timelines) / f"fig13_churn{rate}.jsonl")
-        throughput, _registry = _throughput_at(
-            rate, duration, seed, metrics=metrics)
-        if baseline is None:
-            baseline = throughput
-        result.data.append({
-            "removals_per_min": rate,
-            "throughput_rps": throughput,
-            "normalized": throughput / baseline if baseline else float("nan"),
-        })
+    throughputs = {
+        rate: _throughput_at(
+            rate, 6000.0 * scale, seed,
+            metrics=(None if timelines is None else
+                     str(Path(timelines) / f"fig13_churn{rate}.jsonl")))[0]
+        for rate in CHURN_RATES
+    }
+    baseline = throughputs[CHURN_RATES[0]]
+    result.data = [{
+        "removals_per_min": rate,
+        "throughput_rps": throughput,
+        "normalized": throughput / baseline if baseline else float("nan"),
+    } for rate, throughput in throughputs.items()]
     return result
