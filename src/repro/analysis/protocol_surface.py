@@ -86,8 +86,9 @@ def agent_ops(path: Path = AGENT_PATH) -> set:
     """RPC method names the cache agent registers handlers for.
 
     Finds every dict literal whose keys are all strings and whose values
-    are all ``self.<something>`` attributes — the agent's handler-table
-    idiom — and any direct ``register_handler("name", ...)`` calls.
+    are all ``self.<handler>`` or ``self.<factory>(...)`` — the agent's
+    handler-table idiom — and any direct ``register_handler("name", ...)``
+    calls.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     ops: set = set()
@@ -95,10 +96,12 @@ def agent_ops(path: Path = AGENT_PATH) -> set:
         if isinstance(node, ast.Dict) and node.keys:
             keys = [k.value for k in node.keys
                     if isinstance(k, ast.Constant) and isinstance(k.value, str)]
+            values = [v.func if isinstance(v, ast.Call) else v
+                      for v in node.values]
             values_ok = all(
                 isinstance(v, ast.Attribute)
                 and isinstance(v.value, ast.Name) and v.value.id == "self"
-                for v in node.values)
+                for v in values)
             if len(keys) == len(node.keys) and values_ok:
                 ops.update(keys)
         if (isinstance(node, ast.Call)

@@ -223,7 +223,8 @@ class AppController:
             home = self.ring.home(key)
             try:
                 yield from self.endpoint.call(
-                    f"{home}/concord-{self.app}", "external_write", (key, version),
+                    f"{home}/concord-{self.app}", "external_write",
+                    (key, "external", version),
                     size_bytes=len(key) + 8,
                     trace=INHERIT,
                 )
