@@ -178,6 +178,8 @@ class RpcSurfaceRule(ProjectRule):
         expr = site.handler_expr
         if expr is None:
             return None
+        if isinstance(expr, ast.Call):
+            expr = expr.func  # a factory, self._home_handler("read")
         if (isinstance(expr, ast.Attribute)
                 and isinstance(expr.value, ast.Name)
                 and expr.value.id == "self"):
