@@ -166,6 +166,41 @@ class TestConflicts:
         # The concurrent reader never saw the speculative value.
         assert reads == [V("x0")]
 
+    def test_read_at_the_writers_home_squashes_writer_txn(
+            self, sim, cluster, runtime, concord):
+        """The writer's node is also the key's home, so the read's
+        downgrade runs in place rather than through a fetch_downgrade
+        RPC; it must squash the writer all the same."""
+        ring = concord.agents["node0"].ring
+        key = next(f"k{i}" for i in range(1000)
+                   if ring.home(f"k{i}") == "node1")
+        cluster.storage.preload({key: V("committed")})
+
+        def writing_txn(txn):
+            yield from txn.write(key, V("uncommitted"))
+            yield txn.runtime.sim.timeout(50.0)  # hold the speculation open
+            return "done"
+
+        def writer():
+            try:
+                yield from runtime.run("node1", writing_txn, max_attempts=1)
+            except TxnAborted:
+                return "aborted"
+            return "committed"
+
+        reads = []
+
+        def reader(sim):
+            yield sim.timeout(20.0)
+            reads.append((yield from concord.read("node2", key)))
+
+        writer_proc = sim.spawn(writer())
+        sim.spawn(reader(sim))
+        sim.run(until=sim.now + 10_000.0)
+        assert reads == [V("committed")]
+        assert writer_proc.value == "aborted"
+        assert runtime.total_squashes() == 1
+
     def test_local_conflict_between_transactions(self, sim, cluster, runtime):
         cluster.storage.preload({"x": V("x0")})
         order = []
