@@ -63,6 +63,11 @@ class TestEndToEnd:
         assert outcome.shards_rehomed >= 1
         assert len(outcome.shard_table) == 4
 
+    def test_region2_smoke_is_coherent(self):
+        outcome = run_topology_scenario("region2", seed=0)
+        assert outcome.violations == []
+        assert outcome.completed > 0
+
     def test_replay_fingerprints_match(self):
         first = run_topology_scenario("shard4rep", seed=3)
         second = run_topology_scenario("shard4rep", seed=3)
