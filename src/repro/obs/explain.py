@@ -22,7 +22,7 @@ code-path guard whose absence produces it:
 ``barred-install``
     A ``cache.install`` landed while a recovery/domain-change barrier
     was raised: the recovery eviction sweep has already run, so the new
-    copy is tracked by no directory (the ``_key_barred`` guard).
+    copy is tracked by no directory (the ``_grant_holds`` guard).
 
 Storage versions are compared only when both sides are known (> 0);
 read installs carry version 0 and never participate.

@@ -86,7 +86,7 @@ def barred_install() -> FlightRecorder:
     """Read install while the recovery barrier was raised."""
     return _record([
         (1.0, BARRIER_RAISE, "node1", "", {"member": "node3"}),
-        # The in-flight read misses the _key_barred guard and installs
+        # The in-flight read misses the _grant_holds guard and installs
         # after the recovery eviction sweep has already visited node2.
         (0.5, CACHE_INSTALL, "node2", KEY,
          {"state": "S", "version": 0, "src": "read"}),
