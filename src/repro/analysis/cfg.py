@@ -41,7 +41,7 @@ from typing import Optional
 
 from repro.analysis.flow import (
     CFG, build_cfg, build_cfg_body, contains_yield, enclosing_trys,
-    statements_after, stmt_exprs, yields_name,
+    stmt_exprs, yields_name,
 )
 
 
@@ -80,23 +80,6 @@ def _lock_call(node: ast.AST, methods) -> Optional[str]:
     return None
 
 
-def _gives_back(node: ast.AST, lock: str) -> bool:
-    """Whether ``node`` is ``<lock>.release()`` or ``<lock>.cancel(grant)``.
-
-    ``cancel`` withdraws a queued request or releases a granted one —
-    the ``except BaseException: lock.cancel(grant); raise`` guard around
-    the yield of an assigned grant — so either way the slot is not held
-    past it.
-    """
-    if _lock_call(node, ("release",)) == lock:
-        return True
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "cancel"
-            and len(node.args) == 1 and not node.keywords
-            and _expr_text(node.func.value) == lock)
-
-
 def find_acquires(stmt: ast.stmt) -> list[tuple[str, Optional[str]]]:
     """Acquire calls performed by ``stmt`` itself (no nested statements).
 
@@ -130,7 +113,7 @@ def _contains_release(node: ast.AST, lock: str) -> bool:
         if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
                                 ast.Lambda)) and current is not node:
             continue
-        if _gives_back(current, lock):
+        if _lock_call(current, ("release",)) == lock:
             return True
         stack.extend(ast.iter_child_nodes(current))
     return False
@@ -145,7 +128,7 @@ def _stmt_releases(stmt: ast.stmt, lock: str) -> bool:
             node = stack.pop()
             if isinstance(node, ast.Lambda):
                 continue
-            if _gives_back(node, lock):
+            if _lock_call(node, ("release",)) == lock:
                 return True
             stack.extend(ast.iter_child_nodes(node))
     return False
@@ -213,7 +196,8 @@ def _escape(stmt: ast.stmt, grant_name: Optional[str]) -> Optional[str]:
 
     A bare ``yield <grant_name>`` is the second half of an assigned
     acquire (``grant = lock.acquire(); yield grant``) and is not an
-    escape: the lock is not held until that yield completes.
+    escape: the lock is not held until that yield completes, and the
+    kernel withdraws a wait whose process is interrupted in it.
     """
     if grant_name is not None and yields_name(stmt, grant_name):
         return None
@@ -224,30 +208,6 @@ def _escape(stmt: ast.stmt, grant_name: Optional[str]) -> Optional[str]:
     if isinstance(stmt, ast.Return):
         return "a return"
     return None
-
-
-def _is_grant_guard(stmt: ast.stmt, lock: str, grant_name: str) -> bool:
-    """``try: yield <grant>`` / ``except BaseException: <lock>.cancel(<grant>);
-    raise`` — the second half of an assigned ``acquire_wait()``.
-
-    The slot is not held past the guard unless its yield completes: an
-    exception thrown at the yield (a crash interrupting a queued request)
-    withdraws or releases it on the way out.
-    """
-    if not (isinstance(stmt, ast.Try) and len(stmt.body) == 1
-            and not stmt.orelse and not stmt.finalbody
-            and len(stmt.handlers) == 1):
-        return False
-    if not yields_name(stmt.body[0], grant_name):
-        return False
-    handler = stmt.handlers[0]
-    catches_all = handler.type is None or (
-        isinstance(handler.type, ast.Name)
-        and handler.type.id == "BaseException")
-    return (catches_all and len(handler.body) == 2
-            and _stmt_releases(handler.body[0], lock)
-            and isinstance(handler.body[1], ast.Raise)
-            and handler.body[1].exc is None)
 
 
 def check_lock_discipline(func: ast.AST) -> list[LockProblem]:
@@ -278,12 +238,6 @@ def _check_one(func: ast.AST, cfg: CFG, acquire: ast.stmt, lock: str,
     leaks_out = False
     acq_block, acq_index = cfg.locate(acquire)
     start = (acq_block, acq_index + 1)
-    if grant_name is not None:
-        # grant = lock.acquire_wait() followed by its cancel-on-exception
-        # guard: the lock is held from the statement after the guard.
-        rest = statements_after(func, acquire)
-        if len(rest) >= 2 and _is_grant_guard(rest[0], lock, grant_name):
-            start = cfg.locate(rest[1])
     # Walk forward from the acquire.  Re-entering the acquire's block from
     # a back-edge rescans it from the top: statements lexically before the
     # acquire do run while the lock is held on looping paths.

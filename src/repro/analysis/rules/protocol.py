@@ -319,10 +319,10 @@ class LockDisciplineRule(Rule):
     name = "lock-release-paths"
     description = (
         "every <lock>.acquire() / .acquire_wait() must be matched by "
-        "<lock>.release() (or .cancel(grant) while still waiting) on "
-        "all exit paths: either released on the very next statement or "
-        "protected by a try/finally covering every yield/raise/return in "
-        "between (the simulator interrupts processes at yield points)"
+        "<lock>.release() on all exit paths: either released on the "
+        "very next statement or protected by a try/finally covering "
+        "every yield/raise/return in between (the simulator interrupts "
+        "processes at yield points)"
     )
 
     def check_module(self, module: ModuleInfo):

@@ -25,9 +25,10 @@ Simulation processes are plain generator functions stepped by
 - what ``Resource.acquire_wait()`` returns must be yielded at once: a
   free slot comes back as the ``READY`` sentinel, which stands for one
   zero-delay hop that the kernel places (or elides) *when it is
-  yielded* — anything scheduled in between would overtake it, and
-  ``READY`` is not an event that ``any_of`` or a later ``yield`` could
-  wait on.
+  yielded* — anything scheduled in between would overtake it, the
+  kernel notes the slot's resource for an interrupt only at that yield,
+  and ``READY`` is not an event that ``any_of`` or a later ``yield``
+  could wait on.
 """
 
 from __future__ import annotations
@@ -256,8 +257,7 @@ class AcquireWaitYieldedRule(Rule):
     description = (
         "the result of <resource>.acquire_wait() must be the operand of "
         "an immediate yield — `yield res.acquire_wait()`, or `grant = "
-        "res.acquire_wait()` directly followed by `yield grant` (bare, or "
-        "first in the try that cancels the grant on an exception): a "
+        "res.acquire_wait()` directly followed by `yield grant`: a "
         "free slot comes back as the READY sentinel, one zero-delay hop "
         "the kernel places when it is yielded"
     )
@@ -287,7 +287,4 @@ class AcquireWaitYieldedRule(Rule):
         rest = statements_after(module.parent(parent), parent)
         if not rest:
             return False
-        following = rest[0]
-        if isinstance(following, ast.Try):
-            following = following.body[0]
-        return yields_name(following, parent.targets[0].id)
+        return yields_name(rest[0], parent.targets[0].id)

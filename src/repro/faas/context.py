@@ -73,14 +73,7 @@ class InvocationContext:
         start = self.sim.now
         cores = self.node.cores
         try:
-            grant = cores.acquire_wait()
-            try:
-                yield grant
-            except BaseException:
-                # A crash interrupts queued invocations too, and the
-                # cores outlive the restart: withdraw the request.
-                cores.cancel(grant)
-                raise
+            yield cores.acquire_wait()
             try:
                 yield self.sim.sleep(ms)
             finally:

@@ -370,23 +370,10 @@ class Endpoint:
                 if tracer.active else None)
         try:
             if self._server is not None:
-                # A crash interrupts handlers still waiting for a grant,
-                # and the node's cores outlive the restart: a request
-                # that dies waiting is withdrawn, not leaked.
-                slot = self._server.acquire_wait()
-                try:
-                    yield slot
-                except BaseException:
-                    self._server.cancel(slot)
-                    raise
+                yield self._server.acquire_wait()
                 try:
                     if self._cpu is not None:
-                        core = self._cpu.acquire_wait()
-                        try:
-                            yield core
-                        except BaseException:
-                            self._cpu.cancel(core)
-                            raise
+                        yield self._cpu.acquire_wait()
                         try:
                             yield self.sim.sleep(self.service_time_ms)
                         finally:

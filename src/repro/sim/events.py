@@ -122,6 +122,12 @@ class Event:
         return self.succeed(other._value)
 
     # -- internal --------------------------------------------------------
+    def _abandon(self) -> None:
+        """A process waiting on this event was interrupted before it
+        resumed; nothing takes the outcome up.  A no-op here: a
+        :class:`~repro.sim.resources.Resource` grant gives its slot back.
+        """
+
     def _trigger(self) -> None:
         """Schedule processing of the outcome stored in ``_value``/``_exc``."""
         self._state = TRIGGERED

@@ -12,20 +12,44 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 from repro.sim.process import READY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulator import Simulator
 
 
+class _Grant(Event):
+    """The event a request for a slot of ``resource`` waits on."""
+
+    __slots__ = ("resource",)
+
+    def __init__(self, resource: "Resource"):
+        Event.__init__(self, resource.sim, "acquire:" + resource.name)
+        self.resource = resource
+
+    def _abandon(self) -> None:
+        """The waiting process was interrupted: give the slot back."""
+        if self._state is PENDING:
+            self.resource._waiters.remove(self)
+        else:
+            self.resource.release()
+
+
 class Resource:
     """Counting semaphore with FIFO granting.
 
     ``acquire()`` returns an event that fires when a slot is granted; the
-    holder must later call ``release()`` exactly once per grant.  Use
-    :meth:`cancel` to withdraw a not-yet-granted request (e.g. after a
-    timeout won a race against the grant).
+    holder must later call ``release()`` exactly once per grant.
+
+    A wait is the process's own business until it resumes: when
+    :meth:`Process.interrupt <repro.sim.process.Process.interrupt>`
+    reaches a process whose ``yield res.acquire_wait()`` (or ``yield
+    res.acquire()``) has not resumed, the kernel withdraws the request
+    or releases the slot it was handed, so a caller needs no guard
+    around the yield.  Only a grant the process yields itself is
+    covered: one raced inside ``any_of`` is the racer's to give back
+    (``src`` races none).
 
     Instances are small on purpose: a run holds one per cached key (the
     agents' per-key locks) and almost none of those is ever contended,
@@ -84,7 +108,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Request a slot; the returned event fires when granted."""
-        grant = Event(self.sim, "acquire:" + self.name)
+        grant = _Grant(self)
         if self._in_use < self.capacity:
             self._in_use += 1
             grant.succeed()
@@ -102,14 +126,14 @@ class Resource:
         exactly the slot the grant's ``succeed()`` would have used, or —
         when the hop would be the next entry dispatched anyway — carries
         straight on.  Contended requests still return a queued grant
-        event.  The caller must yield the result immediately (SIM04) and
-        must not need a cancellation handle (``release()`` works as
-        usual).
+        event.  The caller must yield the result immediately (SIM04);
+        ``release()`` works as usual.
         """
         if self._in_use < self.capacity:
             self._in_use += 1
+            self.sim._ready = self
             return READY
-        grant = Event(self.sim, "acquire:" + self.name)
+        grant = _Grant(self)
         self._enqueue(grant)
         return grant
 
@@ -117,19 +141,6 @@ class Resource:
         if self._waiters is None:
             self._waiters = deque()
         self._waiters.append(grant)
-
-    def cancel(self, grant) -> None:
-        """Withdraw a pending request, or release an already-granted one.
-
-        ``grant`` is what :meth:`acquire` or :meth:`acquire_wait`
-        returned; the latter's fast path took its slot on the spot.
-        """
-        if grant is READY or grant.triggered:
-            self.release()
-            return
-        if self._waiters is None or grant not in self._waiters:
-            raise SimulationError("cancel() of a request not waiting here")
-        self._waiters.remove(grant)
 
     def release(self) -> None:
         """Return a slot, granting it to the oldest waiter if any."""

@@ -128,6 +128,10 @@ class Simulator:
         #: entry.  Kernel-owned: SIM03 flags a store outside
         #: ``repro/sim``.
         self._tail = _MAX_INLINE_DEPTH
+        #: The resource whose free slot the last ``acquire_wait()`` took:
+        #: if its ``READY`` hop is paid, ``Process._park`` notes it so an
+        #: interrupt before the hop releases the slot.
+        self._ready = None
         #: delay -> :class:`_Lane` of the :meth:`call_later` records.
         self._lanes: dict = {}
         #: The process currently being stepped, if any (kernel-written,

@@ -81,14 +81,10 @@ class BadAgent:
         self.lock.release()
 
     def guarded_wait(self, span):
-        # The repo's idiom, inside somebody else's try/finally: clean.
+        # The assigned form inside somebody else's try/finally: clean.
         try:
             grant = self.lock.acquire_wait()
-            try:
-                yield grant
-            except BaseException:
-                self.lock.cancel(grant)
-                raise
+            yield grant
             try:
                 yield self.sim.sleep(1.0)
             finally:
@@ -97,12 +93,8 @@ class BadAgent:
             span.end()
 
     def guarded_but_leaky(self):
-        # The guard covers the wait for the grant, not what follows it.
-        grant = self.lock.acquire_wait()                       # line 101
-        try:
-            yield grant
-        except BaseException:
-            self.lock.cancel(grant)
-            raise
+        # The kernel withdraws the wait for the grant, not what follows it.
+        grant = self.lock.acquire_wait()                       # line 97
+        yield grant
         yield self.sim.sleep(1.0)
         self.lock.release()

@@ -42,14 +42,10 @@ def granted_process(sim, lock):
 
 
 def guarded_process(sim, lock):
-    # The assigned form: the grant is yielded first thing in the try that
-    # withdraws it when the wait is interrupted.
+    # The assigned form: the grant is yielded in the very next statement
+    # (the kernel withdraws the wait if the process is interrupted in it).
     grant = lock.acquire_wait()
-    try:
-        yield grant
-    except BaseException:
-        lock.cancel(grant)
-        raise
+    yield grant
     try:
         yield sim.sleep(1.0)
     finally:

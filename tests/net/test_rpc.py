@@ -338,13 +338,13 @@ class TestCrashReturnsServiceSlots:
 
     def test_handler_killed_while_queued_for_the_cpu(self, sim, net):
         server, cpu = self._server(sim, net)
-        holder = cpu.acquire()  # something else is computing on the node
+        cpu.acquire()  # something else is computing on the node
         self._fire(sim, net, 1)
         sim.run(until=2.0)
         assert (cpu.in_use, cpu.queue_length) == (1, 1)
         server.kill_inflight_handlers()
         sim.run(until=50.0)
-        cpu.cancel(holder)
+        cpu.release()
         assert (cpu.in_use, cpu.queue_length) == (0, 0)
         assert server._server.in_use == 0
 

@@ -233,12 +233,7 @@ class _World:
             return (yield sim.timeout(op[1], value="t"))
         elif kind == "acquire":
             resource = self.resources[op[1]]
-            grant = resource.acquire_wait()
-            try:
-                yield grant
-            except BaseException:
-                resource.cancel(grant)
-                raise
+            yield resource.acquire_wait()
             try:
                 for delay in op[2]:
                     yield sim.sleep(delay)
@@ -246,12 +241,7 @@ class _World:
                 resource.release()
         elif kind == "acquire_event":
             resource = self.resources[op[1]]
-            grant = resource.acquire()
-            try:
-                yield grant
-            except BaseException:
-                resource.cancel(grant)
-                raise
+            yield resource.acquire()
             try:
                 yield sim.sleep(op[2])
             finally:
