@@ -543,9 +543,9 @@ class CacheAgent:
         try:
             if self._barriers:
                 yield from self._barrier_wait(key)
-            # Ring first: an ejected agent whose sharded ring lost a
-            # shard's last member raises EmptyRingError here, not NotHome.
-            if self.ring.home(key) != self.node_id or self.ejected:
+            # Ejected first: an ejected agent's sharded ring can have a
+            # shard with no members, whose home() raises EmptyRingError.
+            if self.ejected or self.ring.home(key) != self.node_id:
                 raise NotHome(f"{self.node_id} is not home of {key!r}")
             lock = self._lock(self._key_locks, key)
             while True:
