@@ -9,7 +9,6 @@ how much repurposable memory its co-located containers contribute.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -44,11 +43,10 @@ class Container:
 class Node:
     """A simulated compute node."""
 
-    _container_ids = itertools.count(1)
-
     def __init__(self, sim: "Simulator", node_id: str, config: Optional[SimConfig] = None):
         config = config or SimConfig()
         self.sim = sim
+        self._container_ids = sim.ids("container")
         self.id = node_id
         self.config = config
         #: CPU cores; invocations hold one core while *processing* (not

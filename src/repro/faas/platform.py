@@ -8,7 +8,6 @@ application's caching scheme.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -112,10 +111,7 @@ class FaasPlatform:
     ):
         self.cluster = cluster
         self.sim: "Simulator" = cluster.sim
-        #: Invocation ids end up inside stored values, so the counter is
-        #: the platform's own: a class-level one made the second of two
-        #: identically seeded runs in one interpreter write different data.
-        self._invocation_ids = itertools.count(1)
+        self._invocation_ids = self.sim.ids("invocation")
         self.scheduler = scheduler or RandomScheduler(cluster.sim)
         self.placement = placement or PlacementPolicy()
         self.apps: dict[str, DeployedApp] = {}

@@ -17,7 +17,6 @@ peers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
@@ -198,12 +197,10 @@ class Endpoint:
         service_time_ms: float = 0.0,
         cpu=None,
     ):
-        #: Request ids of the calls this endpoint issues (responses are
-        #: matched in its own ``_pending``).  Per endpoint, not per class:
-        #: two runs in one interpreter must not share any counter.
-        self._ids = itertools.count(1)
         self.network = network
         self.sim: "Simulator" = network.sim
+        #: Ids of the calls this endpoint issues, matched in ``_pending``.
+        self._ids = self.sim.ids("rpc")
         self.node_id = node_id
         self.service = service
         self.address = f"{node_id}/{service}"

@@ -7,9 +7,9 @@ the metrics registry:
 
 * **Simulated time only** (DET01): events are stamped with ``sim.now``;
   the recorder never reads a wall clock.
-* **Deterministic identity** (DET03): event sequence numbers come from a
-  plain counter, so two identically-seeded runs produce byte-identical
-  dumps regardless of ``PYTHONHASHSEED``.
+* **Deterministic identity** (DET03): event sequence numbers come from
+  the run's ``sim.ids`` counter, so two identically-seeded runs produce
+  byte-identical dumps regardless of ``PYTHONHASHSEED``.
 * **Zero-cost no-op mode**: an unconfigured simulator carries the shared
   :data:`NULL_RECORDER` whose ``active`` flag lets emission sites skip
   argument packing entirely (OBS01 enforces the gating discipline).
@@ -51,7 +51,6 @@ failing run survives even if the driver crashes before exporting.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.obs.events import DUMP_TRIGGERS
@@ -120,7 +119,6 @@ class FlightRecorder:
         self._sim = None
         # The ring (see "Storage layout" above).
         self._log = PackedLog(window=capacity)
-        self._next_seq = itertools.count(1)
         #: Automatic full dumps written (fault / violation triggers).
         self.autodumps = 0
 
@@ -130,6 +128,7 @@ class FlightRecorder:
             raise ValueError(
                 "FlightRecorder is already bound to another Simulator")
         self._sim = sim
+        self._next_seq = sim.ids("obs-event")
         return self
 
     @property

@@ -5,9 +5,10 @@ from __future__ import annotations
 from bisect import bisect
 from collections import deque
 from heapq import heappop, heappush
+from itertools import count
 from math import inf
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -141,6 +142,7 @@ class Simulator:
         self.daemon_failures: list[tuple[Process, BaseException]] = []
         #: Named deterministic RNG substreams.
         self.rng = RngRegistry(seed)
+        self._id_counters: dict = {}  # namespace -> count(1); see ids()
         #: Causal-trace collector (repro.trace); the shared no-op tracer
         #: unless one is attached, so hot paths can gate on tracer.active.
         self.tracer = (tracer if tracer is not None else NULL_TRACER).bind(self)
@@ -163,6 +165,19 @@ class Simulator:
         touching kernel-private state.
         """
         return self._seq
+
+    def ids(self, namespace: str) -> Iterator[int]:
+        """The run's one id counter for ``namespace``: 1, 2, 3, ...
+
+        One name, one iterator: an id is unique within the run whichever
+        owner draws it (an RPC endpoint re-created at a removed one's
+        address never reissues a request id its predecessor's late reply
+        carries).  Each Simulator starts afresh, so identically seeded
+        runs in one interpreter number alike: invocation ids are written
+        into stored values, transaction ids pick squash victims by string
+        order.  Owners fetch their counter once, off the hot path.
+        """
+        return self._id_counters.setdefault(namespace, count(1))
 
     # -- event construction ----------------------------------------------
     def event(self, name: str = "") -> Event:

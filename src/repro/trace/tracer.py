@@ -8,9 +8,9 @@ rules:
 
 * **Simulated time only** (DET01): spans are stamped with ``sim.now``;
   the tracer never reads a wall clock.
-* **Deterministic identity** (DET03): trace/span ids come from plain
-  counters, never ``id()`` or hashes, so two identically-seeded runs
-  produce byte-identical exports regardless of ``PYTHONHASHSEED``.
+* **Deterministic identity** (DET03): trace/span ids come from the run's
+  ``sim.ids`` counters, never ``id()`` or hashes, so two identically-seeded
+  runs produce byte-identical exports regardless of ``PYTHONHASHSEED``.
 * **Zero-cost no-op mode**: an unconfigured simulator carries the shared
   :data:`NULL_TRACER` whose ``active`` flag lets hot paths skip span
   construction entirely.
@@ -240,8 +240,6 @@ class Tracer:
         self._log = PackedLog()
         # span id -> Span not yet ended, in opening order.
         self._open: dict = {}
-        self._trace_ids = itertools.count(1)
-        self._span_ids = itertools.count(1)
         # Chrome-export lanes, numbered by first use so the numbering is
         # deterministic.  A process carries its lane in its own
         # ``trace_lane`` slot (a Process-keyed table here would keep
@@ -258,6 +256,8 @@ class Tracer:
         if self._sim is not None and self._sim is not sim:
             raise ValueError("Tracer is already bound to another Simulator")
         self._sim = sim
+        self._trace_ids = sim.ids("trace")
+        self._span_ids = sim.ids("span")
         return self
 
     @property

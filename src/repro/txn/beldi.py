@@ -28,13 +28,12 @@ class BeldiRunner:
         self.storage = cluster.storage
         self.commits = 0
         self.aborts = 0
-        self._log_seq = 0
+        self._log_seq = self.sim.ids("beldi-log")
 
     def _append_log(self, record: str):
         """One durable log append (a storage write round trip)."""
-        self._log_seq += 1
-        yield from self.storage.write(
-            f"beldi:log:{self._log_seq}", DataItem(record, 64), writer="beldi")
+        yield from self.storage.write(f"beldi:log:{next(self._log_seq)}",
+                                      DataItem(record, 64), writer="beldi")
 
     def run(self, app: TxnAppSpec, entity: int, writer_tag: str = "beldi",
             max_attempts: int = 40):

@@ -19,7 +19,6 @@ serialize on the global lock and flush buffered writes write-through.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
@@ -256,12 +255,9 @@ class ConcordTxnRuntime:
     BACKOFF_BASE_MS = 4.0
 
     def __init__(self, concord: "ConcordSystem"):
-        #: Transaction ids order squash victims by string comparison, so
-        #: the counter is the runtime's own: a class-level one made the
-        #: second of two runs in one interpreter pick other victims.
-        self._ids = itertools.count(1)
         self.concord = concord
         self.sim = concord.sim
+        self._ids = self.sim.ids("txn")
         #: Global commit lock (serializes commits, Section IV-A).
         self.commit_lock = Resource(self.sim, capacity=1, name="txn-commit")
         self.managers: dict[str, LocalTxnManager] = {}

@@ -217,6 +217,32 @@ class TestEndpointLifecycle:
         sim.run()
         assert progress == ["start"]
 
+    def test_reply_to_a_removed_endpoint_skips_its_successor(self, sim, net):
+        # A cache instance is removed and re-created at the same address.
+        # The predecessor's call is answered after the successor issued
+        # its own; the old reply must not complete the new call.
+        def answer_after(delay):
+            def handler(endpoint, src, args):
+                yield endpoint.sim.timeout(delay)
+                return Reply(endpoint.node_id)
+            return handler
+
+        for node, delay in (("node1", 50.0), ("node2", 500.0)):
+            Endpoint(net, node, "svc").register_handler(
+                "who", answer_after(delay))
+        old = Endpoint(net, "node0", "svc")
+        sim.spawn(old.call("node1/svc", "who"), daemon=True)
+
+        def successor(sim):
+            yield sim.timeout(10.0)
+            old.close()
+            new = Endpoint(net, "node0", "svc")
+            return (yield from new.call("node2/svc", "who"))
+
+        p = sim.spawn(successor(sim))
+        sim.run()
+        assert p.value == "node2"
+
 
 class TestMetaPiggyback:
     """Scheme metadata rides requests and replies (the causal scheme's

@@ -183,10 +183,10 @@ class TestComposition:
 class TestRepeatableInOneProcess:
     """Two identically seeded sessions in one interpreter are the same run.
 
-    Invocation ids are written into stored values, and the id counter
-    used to be a class attribute of ``FaasPlatform`` (``Endpoint._ids``
-    likewise): the second run of a pair started counting where the first
-    one stopped and stored different data under 17 of 1 267 keys.
+    Every id is drawn from the run's own ``sim.ids`` counter.  Invocation
+    ids are written into stored values: with a class-level counter the
+    second run of a pair started counting where the first one stopped and
+    stored different data under 17 of 1 267 keys.
     """
 
     @staticmethod
@@ -207,3 +207,13 @@ class TestRepeatableInOneProcess:
         assert completed > 20
         differing = [key for key in first if first[key] != second[key]]
         assert first.keys() == second.keys() and not differing
+
+    def test_same_seed_same_container_ids(self):
+        def container_ids():
+            s = Session(nodes=2, seed=3, apps=("SocNet",))
+            s.close()
+            return [list(s.cluster.node(node).containers)
+                    for node in s.cluster.node_ids]
+
+        first = container_ids()
+        assert first[0][0] == 1 and container_ids() == first
