@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.sim
 from repro.analysis import Analyzer
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -59,6 +60,19 @@ class TestDeterminismRules:
         assert ("DET02", 41) in keys(report)
         assert not any(f.rule == "DET02" and f.line == 44
                        for f in report.findings)
+
+
+class TestPrivateIdCounterRule:
+    def test_count_import_and_call_flagged(self):
+        report = run_on("bad_ids.py", select=["DET04"])
+        # The count import and the class-level counter; neither the plain
+        # itertools import nor other itertools calls.
+        assert keys(report) == {("DET04", 3), ("DET04", 7)}
+
+    def test_the_kernel_owns_the_counters(self):
+        kernel = Path(repro.sim.__file__).parent
+        report = Analyzer(select=["DET04"]).run([kernel])
+        assert report.files >= 5 and not report.findings
 
 
 class TestSimProcessRules:
