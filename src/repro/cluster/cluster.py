@@ -34,6 +34,9 @@ class Cluster:
             node_id = f"node{index}"
             self.nodes[node_id] = Node(sim, node_id, self.config)
         self._crash_listeners: list[Callable[[str], None]] = []
+        #: The FaaS platform running invocations here, set by it: a cache
+        #: instance that ends has it reschedule its app's invocations.
+        self.platform = None
 
     @property
     def node_ids(self) -> list[str]:

@@ -18,7 +18,6 @@ from repro.config import MB
 from repro.coord.service import CoordinationService
 from repro.core.agent import CacheAgent
 from repro.core.controller import AppController
-from repro.core.domain import ring_with
 from repro.core.hashring import ConsistentHashRing
 from repro.metrics import AccessStats
 
@@ -29,10 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Default cache-instance budget when no container memory exists to
 #: repurpose (protocol unit tests run without the FaaS layer).
 DEFAULT_CAPACITY = 64 * MB
-
-#: Restart re-admission polling cadence and bound (~60 s simulated).
-RESTART_POLL_MS = 25.0
-RESTART_POLL_LIMIT = 2400
 
 
 class ConcordSystem(StorageAPI):
@@ -108,6 +103,7 @@ class ConcordSystem(StorageAPI):
             for node_id, agent in self.agents.items():
                 self.coord.join(app, node_id, agent.endpoint.address)
         self.storage.add_write_listener(self._on_storage_write)
+        cluster.on_crash(self._on_crash)
         register_scheme_metrics(self.sim.metrics, self, app)
 
     # -- StorageAPI ---------------------------------------------------------------
@@ -136,9 +132,8 @@ class ConcordSystem(StorageAPI):
         if node_id in self.agents:
             return self.agents[node_id]
         agent = CacheAgent(self, node_id, self.capacity_for(node_id))
-        agent.ring = ring_with(self.ring_template, node_id)
-        # The newcomer blocks its re-homed keys until commit.
-        agent.raise_barrier(node_id, agent.ring.copy())
+        # Not a member until its join commits: it holds every key.
+        agent.raise_barrier(node_id, agent.ring.with_members([node_id]))
         self.agents[node_id] = agent
         yield from self.admit(agent)
         return agent
@@ -153,40 +148,22 @@ class ConcordSystem(StorageAPI):
     def restart_instance(self, node_id: str):
         """Re-admit the cache instance on a restarted node (generator).
 
-        Models a process restart after :meth:`Cluster.restart_node`:
-        whatever the pre-crash instance held in memory is gone, so the
-        agent must flush and re-enter through the two-phase join — it can
-        never silently resume serving its stale cache or directory.
-
-        Two situations arise.  Usually the crash was already declared
-        while the node was down (heartbeat misses), the survivors purged
-        it, and the "you failed" notification to the dead process was
-        dropped — so the stale agent is ejected and re-admitted here.  If
-        the restart beat the failure detector, the crash is declared
-        explicitly first; the membership notification then reaches the
-        now-live agent, which ejects and re-admits itself through the
-        false-positive path, and this method just awaits that rejoin.
+        Models a process restart after :meth:`Cluster.restart_node`: the
+        crash ended the instance's incarnation, so it re-enters through
+        the two-phase join and never resumes its stale cache or
+        directory.  If the restart beat the failure detector, the crash
+        is declared first and the rejoin waits for the controller's
+        purge.
         """
         agent = self.agents.get(node_id)
         if agent is None:
             return (yield from self.create_instance(node_id))
+        if not agent.ejected:
+            agent.end_incarnation()  # restarted without a crash
         if node_id in self.ring_template.members:
+            purged = self.controller.purged(node_id)
             self.report_unreachable(node_id)
-            for _attempt in range(RESTART_POLL_LIMIT):
-                if agent.ejected or node_id not in self.ring_template.members:
-                    break
-                yield self.sim.sleep(RESTART_POLL_MS)
-        if agent.ejected:
-            # The false-positive path is already re-admitting the agent;
-            # wait for its domain join to commit.
-            for _attempt in range(RESTART_POLL_LIMIT):
-                if not agent.ejected and node_id in self.ring_template.members:
-                    break
-                yield self.sim.sleep(RESTART_POLL_MS)
-            return agent
-        # Declared while the node was down: flush the lost process's
-        # in-memory state and re-admit through the join protocol.
-        agent.eject()
+            yield purged
         yield from agent.rejoin()
         return agent
 
@@ -200,7 +177,8 @@ class ConcordSystem(StorageAPI):
         if self.coord is not None:
             self.coord.leave(self.app, node_id)
         del self.agents[node_id]
-        agent.close()
+        agent.end_incarnation()
+        agent.endpoint.close()
 
     # -- memory -------------------------------------------------------------------
     def capacity_for(self, node_id: str) -> int:
@@ -215,6 +193,12 @@ class ConcordSystem(StorageAPI):
         return node.unused_memory(self.app)
 
     # -- failure plumbing ----------------------------------------------------------
+    def _on_crash(self, node_id: str) -> None:
+        """Crash listener; :meth:`restart_instance` rejoins."""
+        agent = self.agents.get(node_id)
+        if agent is not None:
+            agent.end_incarnation()
+
     def report_unreachable(self, peer: str) -> None:
         """A protocol RPC to ``peer`` timed out (Section III-H)."""
         if self.coord is not None:
@@ -247,5 +231,5 @@ class ConcordSystem(StorageAPI):
 
     def close(self) -> None:
         for agent in self.agents.values():
-            agent.close()
+            agent.endpoint.close()
         self.controller.close()

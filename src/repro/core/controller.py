@@ -50,6 +50,8 @@ class AppController:
         self._domain_busy = False
         #: Failure recoveries driven to completion (barriers lifted).
         self.recoveries_completed = 0
+        #: member -> event fired when this controller purges it as failed.
+        self._purge_events: dict = {}
         self.endpoint.register_handler("ping", ping_handler)
         self.endpoint.register_handler("membership", self._handle_membership)
         self.endpoint.register_handler("recovery_ack", self._handle_recovery_ack)
@@ -72,11 +74,18 @@ class AppController:
         return None
         yield  # pragma: no cover - generator marker
 
+    def purged(self, member: str):
+        """Event fired when this controller next purges ``member`` as
+        failed (a restart waits on it before rejoining)."""
+        return self._purge_events.setdefault(member, self.sim.event())
+
     def _on_member_failed(self, member: str) -> None:
         if member not in self.ring:
             return
         self.ring.remove(member)
         self.system.ring_template.remove(member)
+        if member in self._purge_events:
+            self._purge_events.pop(member).succeed()
         manager = self.system.shard_manager
         if manager is not None:
             manager.record_membership_change(self.ring, member, "failed")
@@ -151,14 +160,12 @@ class AppController:
             else:
                 participants = sorted(self.ring.members)
             # Phase 1: all agents raise barriers and transfer the
-            # directory entries whose home moves.  The authoritative
-            # member list rides along so a (re)joining agent can rebuild
-            # its ring view from scratch.
+            # directory entries whose home moves.
             prepare_calls = [
                 self.sim.spawn(
                     self.endpoint.call(
                         f"{node_id}/concord-{self.app}", "domain_prepare",
-                        (kind, member, participants), size_bytes=32,
+                        (kind, member), size_bytes=32,
                         timeout=DEFAULT_RPC_TIMEOUT_MS,
                         trace=INHERIT,
                     ),

@@ -78,19 +78,20 @@ def _burst_writer(sim, concord, app, burst: WriteBurst, writer_index: int):
         turn += burst.writers
 
 
-def _throughput_at(
+def churn_run(
     churn_per_min: int, duration_ms: float, seed: int,
     num_nodes: int = 16,
     metrics: object = None,
     write_burst: Optional[WriteBurst] = None,
     obs: object = None,
-):
-    """One churn run; returns ``(throughput_rps, registry_or_None)``.
+) -> Session:
+    """One churn run, driven until 3 s after its load stops.
 
-    ``metrics`` and ``obs`` follow the :class:`~repro.session.Session`
-    contract: truthy attaches a sampled registry / an in-memory flight
-    recorder, an instance is used as-is, a path string also exports
-    there when the run ends.
+    Returns the session, still open: a caller may run it on to drain
+    (``scripts/churn_sweep.py`` does).  ``metrics`` and ``obs`` follow
+    the :class:`~repro.session.Session` contract: truthy attaches a
+    sampled registry / an in-memory flight recorder, an instance is used
+    as-is, a path string also exports there when the session closes.
     """
     s = Session(nodes=num_nodes, cores_per_node=2, seed=seed,
                 apps=("SocNet",), metrics=metrics, obs=obs)
@@ -134,8 +135,18 @@ def _throughput_at(
             )
 
     sim.run(until=duration_ms + 3000.0)
+    return s
+
+
+def _throughput_at(churn_per_min: int, duration_ms: float, seed: int,
+                   **options):
+    """One churn run; returns ``(throughput_rps, registry_or_None)``.
+
+    ``options`` are :func:`churn_run`'s."""
+    s = churn_run(churn_per_min, duration_ms, seed, **options)
     s.close()
-    return app.requests_completed / (duration_ms / 1000.0), s.metrics
+    completed = s.deployed["SocNet"].requests_completed
+    return completed / (duration_ms / 1000.0), s.metrics
 
 
 def run_write_burst_timeline(

@@ -60,7 +60,7 @@ class DeployedApp:
     compute_ms_total: float = 0.0
     requests_completed: int = 0
     requests_failed: int = 0
-    #: Requests re-run on another node after a mid-invocation crash.
+    #: Requests re-run after a mid-invocation crash (node or instance).
     requests_rescheduled: int = 0
     cold_starts: int = 0
     #: Requests admitted but not yet completed (queued + running).
@@ -115,18 +115,16 @@ class FaasPlatform:
         self.scheduler = scheduler or RandomScheduler(cluster.sim)
         self.placement = placement or PlacementPolicy()
         self.apps: dict[str, DeployedApp] = {}
-        #: Submitted requests interrupted by a node crash are re-run on
-        #: surviving nodes (scheduling already avoids dead nodes).
-        self.reschedule_on_crash = True
-        #: How many crash re-runs one request gets before failing.
+        #: How many crash re-runs one submitted request gets.
         self.max_reschedules = 2
-        #: node_id -> {request process: None} for invocations currently
-        #: executing there (dict as insertion-ordered set: interrupt
-        #: order must not depend on hash order).
+        #: node_id -> {request process: app name} for invocations
+        #: currently executing there (insertion-ordered: interrupt order
+        #: must not depend on hash order).
         self._invocations_on: dict[str, dict] = {}
         #: app -> interned "req:<app>" spawn name (submit is per-request).
         self._req_names: dict[str, str] = {}
-        cluster.on_crash(self._interrupt_node_invocations)
+        cluster.on_crash(self.interrupt_invocations)
+        cluster.platform = self
 
     # -- deployment ------------------------------------------------------------
     def deploy(
@@ -304,7 +302,7 @@ class FaasPlatform:
             # interrupts the invocation (the process dies with the node).
             process = self.sim.active_process
             if process is not None:
-                self._invocations_on.setdefault(node.id, {})[process] = None
+                self._invocations_on.setdefault(node.id, {})[process] = app_name
             try:
                 result = yield from spec.handler(ctx)
             finally:
@@ -319,9 +317,13 @@ class FaasPlatform:
 
     invoke = _invoke
 
-    def _interrupt_node_invocations(self, node_id: str) -> None:
-        """Crash listener: kill every invocation running on ``node_id``."""
-        for process in list(self._invocations_on.pop(node_id, {})):
+    def interrupt_invocations(self, node_id: str,
+                              app: Optional[str] = None) -> None:
+        """Kill ``app``'s invocations on ``node_id`` (every app's: the
+        crash listener); :meth:`_guarded_request` reschedules them."""
+        running = self._invocations_on.get(node_id, {})
+        for process in [p for p, name in running.items() if app in (None, name)]:
+            del running[process]  # a second end must not interrupt it again
             process.interrupt("node crash")
 
     # -- load generation ----------------------------------------------------------
@@ -344,10 +346,9 @@ class FaasPlatform:
                 result = yield from self.request(app_name, inputs)
             except Interrupt:
                 # The node running one of this request's invocations
-                # crashed.  Re-run the whole request; scheduling and
-                # placement already steer around dead nodes.
-                if (self.reschedule_on_crash
-                        and reschedules < self.max_reschedules):
+                # crashed, or the app's cache instance there ended: re-run
+                # the whole request (scheduling steers around dead nodes).
+                if reschedules < self.max_reschedules:
                     reschedules += 1
                     app.requests_rescheduled += 1
                     obs = self.sim.obs

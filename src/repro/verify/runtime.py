@@ -55,7 +55,7 @@ def _live_agents(system: "ConcordSystem", cluster: "Cluster") -> dict:
         node = cluster.nodes.get(node_id)
         if node is not None and not node.alive:
             continue
-        if not agent.alive or agent.ejected:
+        if agent.ejected:
             continue
         live[node_id] = agent
     return live

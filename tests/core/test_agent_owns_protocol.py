@@ -126,8 +126,9 @@ def test_only_barrier_on_scans_the_barriers_by_key():
     assert scanners == ["_barrier_on"]
 
 
-def test_a_captured_epoch_is_compared_in_two_places():
-    """Whether a grant still stands is :meth:`_grant_holds`; the shard
+def test_a_captured_epoch_is_compared_in_three_places():
+    """Whether a grant still stands is :meth:`_grant_holds`, whether a
+    timed-out call may be reported is :meth:`_report_timeout`; the shard
     takeover's own pause is the other epoch check."""
     comparers = sorted({
         method.name for method in _agent_methods()
@@ -135,4 +136,4 @@ def test_a_captured_epoch_is_compared_in_two_places():
         if isinstance(node, ast.Compare)
         and any(_is_self_attr(side, "epoch")
                 for side in [node.left, *node.comparators])})
-    assert comparers == ["_grant_holds", "_shard_failover"]
+    assert comparers == ["_grant_holds", "_report_timeout", "_shard_failover"]

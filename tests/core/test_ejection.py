@@ -17,13 +17,13 @@ class TestEjection:
         do(concord.read("node1", "k"))
         agent = concord.agents["node1"]
         epoch_before = agent.epoch
-        agent.eject()
+        agent.end_incarnation()
         assert agent.ejected
         assert len(agent.cache) == 0
         assert len(agent.directory) == 0
         assert "node1" not in agent.ring.members
         assert agent.epoch > epoch_before
-        agent.eject()  # idempotent
+        agent.end_incarnation()  # again: still flushed
 
     def test_report_unreachable_ejects_and_rejoins_live_node(
             self, sim, do, concord, cluster, coord):
@@ -91,7 +91,7 @@ class TestEjectedShardedHome:
         agent = concord.agents["node1"]
         for member in sorted(agent.ring.members - {"node1"}):
             agent.ring.remove(member)
-        agent.eject()
+        agent.end_incarnation()
         with pytest.raises(EmptyRingError):
             agent.ring.home("k")
         caller = concord.agents["node2"]
@@ -103,6 +103,25 @@ class TestEjectedShardedHome:
 
         with pytest.raises(NotHome):
             do(read_at_node1())
+
+    def test_a_local_read_at_the_ejected_agent_waits_for_the_rejoin(
+            self, sim, do, cluster, coord):
+        """The requester side of the same drained ring: the read must not
+        resolve a home on it (EmptyRingError) but wait, behind the ended
+        incarnation's barrier, until the rejoin commits."""
+        cluster.storage.preload({"k": V("v0")})
+        concord = ConcordSystem(cluster, app="app1", coord=coord, shards=4)
+        agent = concord.agents["node1"]
+        for member in sorted(agent.ring.members - {"node1"}):
+            agent.ring.remove(member)
+        agent.end_incarnation()
+        read = sim.spawn(concord.read("node1", "k"))
+        sim.run(until=sim.now + 1000.0)
+        assert not read.triggered  # parked, not failed
+        do(agent.rejoin())
+        sim.run(until=sim.now + 1000.0)
+        assert read.triggered and read.value == V("v0")
+        assert not agent.ejected
 
 
 class TestBarriers:

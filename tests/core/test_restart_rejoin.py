@@ -27,7 +27,7 @@ class TestRestartRejoin:
         # The node comes back (fresh, empty) and rejoins the domain.
         cluster.restart_node("node1")
         old_agent = concord.agents.pop("node1")
-        old_agent.close()
+        old_agent.endpoint.close()
         do(concord.create_instance("node1"))
         sim.run(until=sim.now + 1000.0)
 
@@ -49,7 +49,7 @@ class TestRestartRejoin:
         cluster.crash_node("node2")
         sim.run(until=sim.now + 5000.0)
         cluster.restart_node("node2")
-        concord.agents.pop("node2").close()
+        concord.agents.pop("node2").endpoint.close()
         do(concord.create_instance("node2"))
         for key in KEYS:
             do(concord.read("node3", key))

@@ -89,7 +89,7 @@ class TestFailures:
         spec = AppSpec(name="t")
         spec.add_function(FunctionSpec("f", slow))
         platform = FaasPlatform(cluster)
-        platform.reschedule_on_crash = False
+        platform.max_reschedules = 0
         app = platform.deploy(spec, DirectStorage(cluster),
                               node_ids=["node1"])
         platform.submit("t")
@@ -128,7 +128,7 @@ class TestCrashReturnsCores:
         spec = AppSpec(name="t")
         spec.add_function(FunctionSpec("f", burn))
         platform = FaasPlatform(cluster)
-        platform.reschedule_on_crash = False
+        platform.max_reschedules = 0
         platform.deploy(spec, DirectStorage(cluster), node_ids=["node1"])
         return cluster, platform
 

@@ -12,8 +12,11 @@ nobody, times out, and re-declares a live node failed.
 import importlib.util
 from pathlib import Path
 
+from repro.core import ConcordSystem
 from repro.faults import run_fault_scenario
+from repro.session import Session
 from repro.shard.topologies import TOPOLOGIES
+from repro.sim.errors import Interrupt
 
 _SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "fault_matrix.py"
 
@@ -50,3 +53,41 @@ def test_a_crash_leaks_no_home_key_lock():
     outcome = _run_cell(0, "region2")
     assert _held_with_waiters(outcome.system) == {}
     assert not outcome.violations
+
+
+def test_an_interrupted_hand_off_gives_back_the_locks_it_took():
+    """``pop_directory_entries_locked`` takes its keys' home locks one at
+    a time.  Interrupted while it waits for the second, it must release
+    the first: a request queued behind it would wait forever."""
+
+    s = Session.compose(nodes=2, seed=3, scheme="nocache")
+    sim = s.sim
+    agent = ConcordSystem(s.cluster, app="app1").agents["node0"]
+    first, second = (agent._lock(agent._key_locks, key)
+                     for key in ("k1", "k2"))
+    second.acquire()  # a home op holds k2: the hand-off stops there
+
+    def hand_off_keys():
+        try:
+            yield from agent.pop_directory_entries_locked(["k1", "k2"])
+        except Interrupt:
+            pass
+
+    hand_off = sim.spawn(hand_off_keys())
+    sim.run(until=sim.now + 1.0)
+    granted = []
+
+    def request():
+        yield first.acquire_wait()
+        granted.append(sim.now)
+        first.release()
+
+    sim.spawn(request())
+    sim.run(until=sim.now + 1.0)
+    assert (first.in_use, first.queue_length) == (1, 1)
+    hand_off.interrupt()
+    sim.run(until=sim.now + 1.0)
+    assert not hand_off.is_alive
+    assert granted  # the queued request got k1
+    assert (first.in_use, first.queue_length) == (0, 0)
+    second.release()

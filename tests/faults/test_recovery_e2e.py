@@ -73,7 +73,9 @@ def run_scenario(deployment):
                 VICTIM, key, DataItem((key, "hot"), size_bytes=256))
 
     def probe(sim):
-        yield sim.timeout(CRASH_MS - 1.0)
+        # Spawned after the warm-up: wait until 1 ms before the crash,
+        # which ends the victim's incarnation and flushes its state.
+        yield sim.timeout(CRASH_MS - 1.0 - sim.now)
         agent = concord.agents[VICTIM]
         snapshot["cached_exclusive"] = sum(
             1 for k in agent.cache.keys()
@@ -111,7 +113,7 @@ class TestCrashRecoveryEndToEnd:
         # Survivors purged the victim: not a ring member anywhere, no
         # directory entry names it as a sharer.
         live = [a for n, a in concord.agents.items()
-                if n != VICTIM and a.alive and not a.ejected]
+                if n != VICTIM and not a.ejected]
         assert live
         for agent in live:
             assert VICTIM not in agent.ring.members
