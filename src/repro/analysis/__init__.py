@@ -3,16 +3,16 @@
 Every figure in this repo rests on one guarantee: a seeded run of the
 discrete-event simulator is bit-for-bit deterministic.  This package is
 the mechanical check of that guarantee — an AST-based, plugin-style rule
-engine with three rule families:
+engine with three rule families, each kept because it flags a recorded
+defect in ``tests/analysis/corpus``:
 
 - **DET*** — determinism: no ambient randomness or wall-clock reads, no
   iteration over hash-ordered sets into order-sensitive paths, no
-  ``id()``-derived ordering;
-- **SIM*** — sim-process discipline: generator processes yield only
-  Event expressions, never perform real blocking I/O, never read private
-  simulator kernel state;
+  ``id()``-derived ordering, no id counter outside the run's;
 - **PRO*** — protocol surface: RPC call/handler names match up, calls
-  carry a timeout path, lock acquires release on all exit paths.
+  carry a timeout path, lock acquires release on all exit paths;
+- **ATM*/INT*** — atomicity: no stale snapshot, torn write or
+  interrupt-unsafe mutation across a yield point.
 
 Run it with ``python -m repro.analysis src/repro`` (or the
 ``repro-analyze`` console script); waive a finding inline with

@@ -25,7 +25,7 @@ from repro.cli_common import (
     EXIT_OK,
     EXIT_USAGE,
     common_parent,
-    output_stream,
+    run_tool,
 )
 
 BASELINE_NAME = "analysis-baseline.json"
@@ -44,8 +44,9 @@ def _default_baseline_path(paths: list[Path]) -> Optional[Path]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
-        description=("Static analysis enforcing simulator determinism and "
-                     "sim-process discipline for the Concord reproduction. "
+        description=("Static analysis enforcing simulator determinism, "
+                     "RPC and lock discipline and yield-point atomicity "
+                     "for the Concord reproduction. "
                      "sarif output emits SARIF 2.1.0 for code-scanning "
                      "upload."),
         parents=[common_parent(formats=("text", "json", "sarif"), out=True)],
@@ -160,15 +161,7 @@ def _render_json(report, out) -> None:
 
 
 def main(argv: Optional[list] = None, out=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        with output_stream(args.out, out) as out:
-            return _run(args, out)
-    except OSError as exc:
-        if args.out is None:
-            raise
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return run_tool(build_parser(), _run, argv, out)
 
 
 def _run(args, out) -> int:

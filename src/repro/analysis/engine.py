@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Optional
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
-#: ``# noqa`` / ``# noqa: DET01, SIM02`` inline waiver comments.
+#: ``# noqa`` / ``# noqa: DET01, PRO02`` inline waiver comments.
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Za-z0-9_,\s-]+))?")
 
 
@@ -144,7 +144,7 @@ def is_sim_process(func: ast.AST) -> bool:
     A sim process has at least one yield that could produce an Event — a
     call, name or attribute expression, or a ``yield from`` delegation.
     Pure value generators (host-side tooling yielding tuples/literals)
-    are never handed to the kernel and are exempt from the SIM/ATM/INT
+    are never handed to the kernel and are exempt from the ATM/INT
     process rules.
     """
     for node in walk_function_body(func):
@@ -160,20 +160,6 @@ def is_sim_process(func: ast.AST) -> bool:
 def in_layers(module: "ModuleInfo", layers) -> bool:
     """Whether ``module`` lives under a directory named in ``layers``."""
     return not layers.isdisjoint(PurePosixPath(module.display_path).parts)
-
-
-def receiver_name(node: ast.AST) -> str:
-    """The last name of a call receiver: ``sim`` for ``self.sim`` / ``sim``.
-
-    Rules recognise a recorder, tracer, registry or simulator at a call
-    site by what the code calls it; anything that is not a plain name or
-    attribute chain has no name ("").
-    """
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return ""
 
 
 def walk_function_body(func: ast.AST) -> Iterator[ast.AST]:

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Optional
 __all__ = [
     "Block", "CFG", "build_cfg", "build_cfg_body", "stmt_exprs",
     "own_statements", "enclosing_trys", "find_path", "contains_yield",
-    "statements_after", "yields_name",
+    "yields_name",
 ]
 
 
@@ -154,18 +154,6 @@ def yields_name(stmt: ast.stmt, name: str) -> bool:
     return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Yield)
             and isinstance(stmt.value.value, ast.Name)
             and stmt.value.value.id == name)
-
-
-def statements_after(root: ast.AST, stmt: ast.stmt) -> list[ast.stmt]:
-    """The statements following ``stmt`` in the statement list holding it
-    (searched under ``root``; empty when it is last, or not found)."""
-    for node in ast.walk(root):
-        for _name, value in ast.iter_fields(node):
-            if isinstance(value, list):
-                for index, candidate in enumerate(value):
-                    if candidate is stmt:
-                        return value[index + 1:]
-    return []
 
 
 def own_statements(body: list[ast.stmt]) -> Iterator[ast.stmt]:

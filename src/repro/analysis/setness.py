@@ -114,10 +114,10 @@ def local_set_bindings(
 ) -> dict[str, list[tuple[tuple[int, int], bool]]]:
     """Position-ordered set-ness binding events per local name.
 
-    Each event is ``((lineno, col), binds_a_set)``.  Unlike
-    :func:`local_set_names` this is order-aware: a later rebinding to a
-    non-set value *kills* set-ness for subsequent uses.  The motivating
-    idiom is ``sorted()`` negation — the repo's own fix for DET02::
+    Each event is ``((lineno, col), binds_a_set)``.  The events are
+    order-aware: a later rebinding to a non-set value *kills* set-ness
+    for subsequent uses.  The motivating idiom is ``sorted()``
+    negation — the repo's own fix for DET02::
 
         nodes = self.directory.sharers(key)   # a set
         nodes = sorted(nodes)                 # now a list: order is fixed
@@ -191,39 +191,6 @@ def set_names_at(bindings: dict[str, list[tuple[tuple[int, int], bool]]],
                 names.add(name)
         elif any(setish for _, setish in events):
             names.add(name)
-    return names
-
-
-def local_set_names(func: ast.AST, facts: ModuleSetFacts) -> set[str]:
-    """Names bound to set-ish values anywhere in ``func``'s own body.
-
-    One flow-insensitive pass bootstrapped from literal bindings, then a
-    second pass propagates through straight renames (``a = b``).
-    """
-    names: set[str] = set()
-    # Parameters annotated as sets.
-    args = getattr(func, "args", None)
-    if args is not None:
-        for arg in list(args.args) + list(args.kwonlyargs):
-            if arg.annotation is not None and _is_set_annotation(arg.annotation):
-                names.add(arg.arg)
-    for _pass in range(2):
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and is_setish(
-                        node.value, facts, names):
-                    names.add(target.id)
-            elif isinstance(node, ast.AnnAssign):
-                if (isinstance(node.target, ast.Name)
-                        and _is_set_annotation(node.annotation)):
-                    names.add(node.target.id)
-            elif isinstance(node, ast.AugAssign):
-                if (isinstance(node.target, ast.Name)
-                        and isinstance(node.op, (ast.BitOr, ast.BitAnd,
-                                                 ast.Sub, ast.BitXor))
-                        and is_setish(node.value, facts, names)):
-                    names.add(node.target.id)
     return names
 
 

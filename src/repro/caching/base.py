@@ -223,7 +223,8 @@ class StorageAPI(abc.ABC):
     name: str = "abstract"
     #: The consistency level the scheme guarantees, for catalogues and
     #: the scheme-dispatched invariant checker.  Every concrete scheme
-    #: must declare its own (the SCH01 analysis rule enforces this):
+    #: must declare its own (Figure 20's catalogue prints "?" for one
+    #: that does not):
     #: e.g. "sequential", "eventual", "bounded-staleness", "causal".
     consistency: str = ""
 

@@ -26,7 +26,7 @@ from repro.caching.base import (
 from repro.config import MB
 from repro.core.hashring import ConsistentHashRing
 from repro.metrics import AccessStats, OpKind
-from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, INHERIT, Endpoint, Reply
+from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, Endpoint, Reply
 from repro.net.sizes import sizeof
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -165,7 +165,6 @@ class FaastSystem(StorageAPI):
             home_version = yield from instance.endpoint.call(
                 f"{home}/faast-{self.app}", "check_version", key,
                 size_bytes=len(key), timeout=DEFAULT_RPC_TIMEOUT_MS,
-                trace=INHERIT,
             )
             self._stats.version_checks += 1
             if home_version == entry.version:
@@ -175,7 +174,6 @@ class FaastSystem(StorageAPI):
         value, version, home_cached = yield from instance.endpoint.call(
             f"{home}/faast-{self.app}", "fetch", key,
             size_bytes=len(key), timeout=DEFAULT_RPC_TIMEOUT_MS,
-            trace=INHERIT,
         )
         if value is not None:
             instance._insert(key, value, version)
@@ -195,7 +193,6 @@ class FaastSystem(StorageAPI):
             version = yield from instance.endpoint.call(
                 f"{home}/faast-{self.app}", "write", (key, value),
                 size_bytes=sizeof(value), timeout=DEFAULT_RPC_TIMEOUT_MS,
-                trace=INHERIT,
             )
             instance._insert(key, value, version)
             kind = OpKind.REMOTE_WRITE_HIT

@@ -20,7 +20,7 @@ from repro.caching.base import (
 from repro.config import MB
 from repro.core.hashring import ConsistentHashRing
 from repro.metrics import AccessStats, OpKind
-from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, INHERIT, Endpoint, Reply
+from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, Endpoint, Reply
 from repro.net.sizes import sizeof
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -114,7 +114,6 @@ class OfcSystem(StorageAPI):
             value, cached = yield from requester.call(
                 f"{home}/ofc", "read", key, size_bytes=len(key),
                 timeout=DEFAULT_RPC_TIMEOUT_MS,
-                trace=INHERIT,
             )
             kind = OpKind.REMOTE_READ_HIT if cached else OpKind.READ_MISS
         self._stats.record(kind, self.sim.now - start)
@@ -132,7 +131,6 @@ class OfcSystem(StorageAPI):
             yield from requester.call(
                 f"{home}/ofc", "write", (key, value),
                 size_bytes=sizeof(value), timeout=DEFAULT_RPC_TIMEOUT_MS,
-                trace=INHERIT,
             )
             kind = OpKind.REMOTE_WRITE_HIT
         self._stats.record(kind, self.sim.now - start)

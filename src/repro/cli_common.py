@@ -2,8 +2,9 @@
 
 All four console scripts — ``repro-analyze``, ``repro-trace``,
 ``repro-metrics``, ``repro-inspect`` — build their parsers on the parent
-returned by :func:`common_parent`, so the flags every tool shares are
-spelled, typed and documented identically everywhere:
+returned by :func:`common_parent` and run through :func:`run_tool`, so
+the flags every tool shares are spelled, typed and documented
+identically everywhere:
 
 ``--format {text,json,...}``
     Output format (default ``text``; a tool may offer extra formats,
@@ -41,6 +42,7 @@ __all__ = [
     "EXIT_USAGE",
     "common_parent",
     "output_stream",
+    "run_tool",
     "in_window",
     "overlaps_window",
 ]
@@ -125,3 +127,23 @@ class output_stream:
             self._handle.close()
             self._handle = None
         return False
+
+
+def run_tool(parser: argparse.ArgumentParser, run, argv=None,
+             out=None) -> int:
+    """The one ``main()`` body of every tool.
+
+    Parses ``argv`` and returns ``run(args, stream)`` with ``stream`` the
+    ``--out`` file, or ``out`` / stdout without one.  An ``--out`` that
+    cannot be written exits :data:`EXIT_USAGE`; any other ``OSError``
+    propagates.
+    """
+    args = parser.parse_args(argv)
+    try:
+        with output_stream(args.out, out) as stream:
+            return run(args, stream)
+    except OSError as exc:
+        if args.out is None:
+            raise
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE

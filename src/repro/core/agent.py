@@ -41,7 +41,6 @@ from repro.obs.events import (
 )
 from repro.net.rpc import (
     DEFAULT_RPC_TIMEOUT_MS,
-    INHERIT,
     Endpoint,
     Reply,
     RpcError,
@@ -382,7 +381,6 @@ class CacheAgent:
                         self._address_of(home), op, (key, *args),
                         size_bytes=size_bytes,
                         timeout=self.system.config.rpc_timeout_ms,
-                        trace=INHERIT,
                     )
                 result = granted(key, reply, home, epoch)
             except NotHome:
@@ -817,7 +815,6 @@ class CacheAgent:
             value = yield from self.endpoint.call(
                 dst, method, args, size_bytes=size,
                 timeout=self.system.config.rpc_timeout_ms,
-                trace=INHERIT,
             )
         except RpcError as exc:
             return ("err", exc)
@@ -945,7 +942,7 @@ class CacheAgent:
                 continue
             self.endpoint.notify(
                 self._address_of(follower), "dir_replicate", payload,
-                size_bytes=ENTRY_WIRE_BYTES, trace=INHERIT)
+                size_bytes=ENTRY_WIRE_BYTES)
 
     def _handle_dir_replicate(self, endpoint, src, args):
         """Apply one mirrored entry snapshot (follower side)."""
@@ -1047,7 +1044,6 @@ class CacheAgent:
         self.endpoint.notify(
             self.system.controller.endpoint.address, "recovery_ack",
             (failed_member, self.node_id), size_bytes=16,
-            trace=INHERIT,
         )
 
     def _shard_failover(self, failed_member: str, snapshot):
@@ -1162,7 +1158,6 @@ class CacheAgent:
             self._address_of(home), "dir_install", entries,
             size_bytes=ENTRY_WIRE_BYTES * len(entries),
             timeout=DEFAULT_RPC_TIMEOUT_MS,
-            trace=INHERIT,
         )
 
     def _handle_domain_commit(self, endpoint, src, args):

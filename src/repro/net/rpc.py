@@ -442,7 +442,7 @@ class Endpoint:
         ``timeout`` ms (default 5000), and re-raises any :class:`RpcError`
         the handler failed with.
 
-        ``trace`` names the call's position in the span tree (TRC01):
+        ``trace`` names the call's position in the span tree:
         the default :data:`INHERIT` attaches to the calling process's
         ambient :class:`TraceContext`; pass an explicit context/span to
         re-parent, or ``None`` to start a fresh trace.  The context

@@ -28,7 +28,7 @@ from repro.cli_common import (
     EXIT_OK,
     EXIT_USAGE,
     common_parent,
-    output_stream,
+    run_tool,
 )
 from repro.obs.explain import explain_key, find_violations, render_explain
 from repro.obs.export import load_events
@@ -73,15 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None, out=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        with output_stream(args.out, out) as out:
-            return _run(args, out)
-    except OSError as exc:
-        if args.out is None:
-            raise
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return run_tool(build_parser(), _run, argv, out)
 
 
 def _load_dump(args, out):

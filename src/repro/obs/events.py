@@ -1,7 +1,7 @@
 """The protocol event taxonomy: interned event-type constants.
 
 Every flight-recorder emission site names its event through one of the
-module-level constants below (OBS01 enforces this statically).  Interning
+module-level constants below.  Interning
 buys two things: emission sites cannot drift into free-form strings that
 post-mortem tooling would have to fuzzy-match, and the hot path never
 builds a type string — with the Null sink installed an emission site is

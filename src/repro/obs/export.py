@@ -11,8 +11,8 @@ dump/load/dump round trip reproduces the file exactly.
 lines), so a dump — the recorder's automatic one included — never holds
 the document.
 
-Plain functions (not simulation processes), so file I/O here is outside
-the SIM02 no-blocking-calls contract.
+Plain functions (not simulation processes), so file I/O here never
+stalls a simulated clock.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ the metrics registry:
   byte-identical dumps regardless of ``PYTHONHASHSEED``.
 * **Zero-cost no-op mode**: an unconfigured simulator carries the shared
   :data:`NULL_RECORDER` whose ``active`` flag lets emission sites skip
-  argument packing entirely (OBS01 enforces the gating discipline).
+  argument packing entirely.
 * **Purely passive**: recording appends to a Python list and never
   schedules, yields or otherwise touches the event wheel, so a run with
   the recorder enabled is schedule-identical — and therefore

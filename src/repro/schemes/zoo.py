@@ -63,7 +63,6 @@ from repro.coord.service import ping_handler
 from repro.metrics import AccessStats, OpKind
 from repro.net.rpc import (
     DEFAULT_RPC_TIMEOUT_MS,
-    INHERIT,
     Endpoint,
     Reply,
     RpcTimeout,
@@ -190,8 +189,7 @@ class _InvalidatingSystem(StorageAPI):
                 obs.emit(INV_SEND, node=instance.node_id, key=key,
                          dst=node_id)
             instance.endpoint.notify(
-                peer.address, "inv", key, size_bytes=len(key),
-                trace=INHERIT)
+                peer.address, "inv", key, size_bytes=len(key))
             sent += 1
         self._stats.invalidations_per_write.record(sent)
 
@@ -811,7 +809,7 @@ class CausalCacheSystem(StorageAPI):
                 continue
             instance.endpoint.notify(
                 peer.address, "repl", (key, value, version),
-                size_bytes=payload_bytes, trace=INHERIT, meta=vc)
+                size_bytes=payload_bytes, meta=vc)
         session.vc = session.vc.merge(vc)
         session.deps[key] = max(session.deps.get(key, 0), version)
         obs = self.sim.obs
@@ -839,8 +837,7 @@ class CausalCacheSystem(StorageAPI):
             try:
                 entries, origin_seq = yield from instance.endpoint.call(
                     self.instances[origin].address, "pull", have,
-                    size_bytes=16, timeout=self.sync_timeout_ms,
-                    trace=INHERIT)
+                    size_bytes=16, timeout=self.sync_timeout_ms)
             except RpcTimeout:
                 self.sync_failures += 1
                 continue

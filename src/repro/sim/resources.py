@@ -126,7 +126,7 @@ class Resource:
         exactly the slot the grant's ``succeed()`` would have used, or —
         when the hop would be the next entry dispatched anyway — carries
         straight on.  Contended requests still return a queued grant
-        event.  The caller must yield the result immediately (SIM04);
+        event.  The caller must yield the result immediately;
         ``release()`` works as usual.
         """
         if self._in_use < self.capacity:

@@ -115,7 +115,7 @@ class Simulator:
     def __init__(self, seed: int = 0, tracer=None, metrics=None, obs=None):
         #: Current simulated time in milliseconds.  A plain attribute (it
         #: is read several times per protocol step); only the kernel
-        #: stores to it — SIM03 flags a store anywhere else.
+        #: stores to it.
         self.now = 0.0
         self._wheel = EventWheel()
         #: The wheel's current-instant lane (the deque is never replaced).
@@ -126,8 +126,8 @@ class Simulator:
         #: It is only ever lowered and *restored* to what it was — never
         #: set — so a caller that holds it at 0 (``step()``, the
         #: differential tests) gets the un-elided schedule, entry for
-        #: entry.  Kernel-owned: SIM03 flags a store outside
-        #: ``repro/sim``.
+        #: entry.  Kernel-owned: nothing outside ``repro/sim`` stores
+        #: to it.
         self._tail = _MAX_INLINE_DEPTH
         #: The resource whose free slot the last ``acquire_wait()`` took:
         #: if its ``READY`` hop is paid, ``Process._park`` notes it so an
@@ -311,8 +311,8 @@ class Simulator:
         instant, the entry ``call_soon`` would add is the next one popped
         — so ``fn(arg)`` runs here and now instead; otherwise it is
         scheduled exactly as ``call_soon`` would.  The promise cannot be
-        checked across calls, so SIM03 admits one audited caller
-        (``Endpoint._receive``) and nothing after the call in it.
+        checked across calls, so it has one caller
+        (``Endpoint._receive``), with nothing after the call in it.
         """
         depth = self._tail
         if depth and not self._imm:
@@ -330,7 +330,7 @@ class Simulator:
         Only the last call is in tail position: the others are followed
         by their successors, so the hops they cause must be scheduled.
         ``args`` must not be empty.  The caller itself must be in tail
-        position — SIM03 admits ``Network._deliver_batch`` only.
+        position: its one caller is ``Network._deliver_batch``.
         """
         last = len(args) - 1
         tail = self._tail

@@ -26,7 +26,7 @@ from repro.cli_common import (
     EXIT_USAGE,
     common_parent,
     in_window,
-    output_stream,
+    run_tool,
 )
 from repro.telemetry.anomaly import detect_anomalies
 from repro.telemetry.export import load_series
@@ -121,15 +121,7 @@ def _print_anomalies(anomalies: list, out) -> None:
 
 
 def main(argv: Optional[list] = None, out=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        with output_stream(args.out, out) as out:
-            return _run(args, out)
-    except OSError as exc:
-        if args.out is None:
-            raise
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return run_tool(build_parser(), _run, argv, out)
 
 
 def _run(args, out) -> int:

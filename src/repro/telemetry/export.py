@@ -6,7 +6,7 @@ timestamp is simulated milliseconds.  Each format is a generator of
 text chunks over ``iter_dicts()`` — one series, and so one list of
 points, alive at a time; ``*_dumps`` joins the chunks, ``export_*``
 writes them as they come.  The writers are plain functions — not sim
-processes — so file I/O here does not violate SIM02.
+processes — so file I/O here never stalls a simulated clock.
 """
 
 from __future__ import annotations

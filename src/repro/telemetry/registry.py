@@ -144,8 +144,7 @@ class Instrument:
 
         The callback runs only at sampling instants, so instrumented
         layers pay nothing on their hot paths.  Callbacks must be
-        deterministic: no wall clock, no iteration over bare sets
-        (rule MET01).
+        deterministic: no wall clock, no iteration over bare sets.
         """
         child = self.labels(**labelvalues)
         child._callback = callback

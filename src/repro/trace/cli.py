@@ -23,8 +23,8 @@ from repro.cli_common import (
     EXIT_OK,
     EXIT_USAGE,
     common_parent,
-    output_stream,
     overlaps_window,
+    run_tool,
 )
 from repro.trace.export import load_trace
 from repro.trace.summary import (
@@ -53,15 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None, out=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        with output_stream(args.out, out) as out:
-            return _run(args, out)
-    except OSError as exc:
-        if args.out is None:
-            raise
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return run_tool(build_parser(), _run, argv, out)
 
 
 def _run(args, out) -> int:

@@ -15,7 +15,7 @@ trace costs the memory of the spans that ended out of order, not of the
 document.
 
 These are plain functions (not simulation processes), so file I/O here
-is outside the SIM02 no-blocking-calls contract.
+never stalls a simulated clock.
 """
 
 from __future__ import annotations

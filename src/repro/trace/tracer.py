@@ -55,8 +55,7 @@ exporters unpack one batch at a time.
   which is why names are ``sys.intern``-ed below: one object per distinct
   name, not one string per span.
 * *What falls back.*  A batch with an attr ``marshal`` refuses stays in
-  the log as the two lists it was (OBS01 keeps such attrs out of the
-  protocol layers).
+  the log as the two lists it was.
 """
 
 from __future__ import annotations

@@ -106,5 +106,5 @@ class TestCli:
 
 def test_rule_catalogue_complete():
     ids = set(all_rules())
-    assert {"DET01", "DET02", "DET03", "DET04", "SIM01", "SIM02", "SIM03",
-            "PRO01", "PRO02", "PRO03"} <= ids
+    assert {"DET01", "DET02", "DET03", "DET04", "PRO01", "PRO02", "PRO03",
+            "ATM01", "ATM02", "INT01"} <= ids
