@@ -11,7 +11,7 @@ For the given seed this script:
 3. re-runs the scenario in subprocesses under PYTHONHASHSEED=0 and =1
    and byte-compares the telemetry exports,
 4. asserts the run ends coherent (zero invariant violations) with every
-   injected crash detected.
+   injected crash detected and no recovery still waiting on acks.
 
 On any failure the plan and a report land in ``--artifacts`` (CI uploads
 them), so the exact failing schedule replays locally with::
@@ -161,6 +161,9 @@ def check_seed(seed: int, skip_subprocess: bool,
         problems.append(
             "invariant violations after recovery: "
             + "; ".join(first.violations))
+    for member, missing in first.open_recoveries:
+        problems.append(
+            f"recovery of {member} still waits on acks from {missing}")
     if first.completed == 0:
         problems.append("no requests completed")
 

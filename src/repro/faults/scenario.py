@@ -39,6 +39,9 @@ class ScenarioOutcome:
     #: (sim_time, app, node_id) failure declarations by the coordinator.
     failures_detected: list = field(default_factory=list)
     recoveries_completed: int = 0
+    #: ``(failed member, [survivors not acked])`` of each recovery still
+    #: open at the end (Concord only; not part of the fingerprint).
+    open_recoveries: list = field(default_factory=list)
     #: (sim_time, kind, detail) events the injector applied.
     applied: list = field(default_factory=list)
     #: Coherence-invariant violations at the quiescent end state.
@@ -131,6 +134,8 @@ def run_fault_scenario(
     controller = getattr(system, "controller", None)
     recoveries = (controller.recoveries_completed
                   if controller is not None else 0)
+    open_recoveries = (controller.open_recoveries()
+                       if controller is not None else [])
 
     return ScenarioOutcome(
         plan=plan,
@@ -140,6 +145,7 @@ def run_fault_scenario(
         rescheduled=app.requests_rescheduled,
         failures_detected=list(s.coord.failures_detected),
         recoveries_completed=recoveries,
+        open_recoveries=open_recoveries,
         applied=list(s.injector.applied),
         violations=check_scheme_invariants(system, s.cluster),
         telemetry_jsonl=jsonl_dumps(s.metrics),

@@ -1,9 +1,10 @@
-"""A crash leaves no agent lock held by a process it ended.
+"""A crash leaves no agent lock held by a process it ended, and no
+recovery open.
 
-Replays the fault-matrix cell seed 0 × ``region2`` (the matrix's own
-plan and scenario arguments).  The crash of ``node0`` interrupts the
-handler that holds a home key lock; its ``finally`` hands the slot to
-the oldest waiter, a request the same crash also ends.  Unless the
+Replays fault-matrix cells (the matrix's own plan and scenario
+arguments).  In seed 0 × ``region2`` the crash of ``node0`` interrupts
+the handler that holds a home key lock; its ``finally`` hands the slot
+to the oldest waiter, a request the same crash also ends.  Unless the
 kernel gives back a grant whose process dies before taking it up, the
 slot is never returned: every later request for that key queues behind
 nobody, times out, and re-declares a live node failed.
@@ -52,6 +53,17 @@ def _held_with_waiters(system) -> dict:
 def test_a_crash_leaks_no_home_key_lock():
     outcome = _run_cell(0, "region2")
     assert _held_with_waiters(outcome.system) == {}
+    assert not outcome.violations
+
+
+def test_a_recovery_missing_a_dropped_ack_still_completes():
+    """Seed 2 × ``flat`` drops ``node3``'s fire-and-forget ack for the
+    crash of ``node0``.  ``node0`` rejoins within one RPC timeout, so
+    its join's commit completes the recovery (a crash with no restart is
+    re-asked instead: ``tests/core/test_recovery.py``)."""
+    outcome = _run_cell(2, "flat")
+    assert outcome.recoveries_completed >= 1
+    assert outcome.open_recoveries == []
     assert not outcome.violations
 
 
