@@ -28,6 +28,9 @@ class MembershipEvent:
     app: str
     member: str  # node id of the affected member
     address: str  # endpoint address of the affected member
+    #: When a ``failed`` member was declared: it names the declaration,
+    #: so a recovery ack answers one declaration and no later one.
+    declared_ms: float = 0.0
 
 
 class CoordinationService:
@@ -153,7 +156,8 @@ class CoordinationService:
             if tracer.active:
                 tracer.instant("coord:declare_failed", "failure",
                                app=app, member=node_id)
-            event = MembershipEvent("failed", app, node_id, address)
+            event = MembershipEvent("failed", app, node_id, address,
+                                    self.sim.now)
             self._notify_group(app, event)
             # Best-effort notification to the ejected member itself: if it
             # is actually alive (false positive), it must learn that its

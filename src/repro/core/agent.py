@@ -999,7 +999,7 @@ class CacheAgent:
         if event.kind != "failed":
             return None
         if event.member != self.node_id:
-            yield from self._recover(event.member)
+            yield from self._recover(event.member, event.declared_ms)
         elif not self.ejected:
             # False-positive ejection: we are alive but the domain wrote
             # us off.  End and rejoin (after a crash, restart_instance does).
@@ -1008,8 +1008,9 @@ class CacheAgent:
                            daemon=True)
         return None
 
-    def _recover(self, failed_member: str):
-        """Local recovery steps at this surviving agent (Section III-F).
+    def _recover(self, failed_member: str, declared_ms: float):
+        """Local recovery steps at this surviving agent (Section III-F),
+        acked as the answer to the declaration made at ``declared_ms``.
 
         A generator: flat systems never reach a yield (the handler's
         ``yield from`` runs it inline), but on a sharded system an agent
@@ -1043,7 +1044,7 @@ class CacheAgent:
                 yield from self._shard_failover(failed_member, snapshot)
         self.endpoint.notify(
             self.system.controller.endpoint.address, "recovery_ack",
-            (failed_member, self.node_id), size_bytes=16,
+            (failed_member, self.node_id, declared_ms), size_bytes=16,
         )
 
     def _shard_failover(self, failed_member: str, snapshot):

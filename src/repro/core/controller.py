@@ -44,7 +44,7 @@ class AppController:
             system.cluster.network, f"ctl-{self.app}", "appctl"
         )
         self.ring = system.ring_template.copy()
-        #: Failed member -> ack tracker.
+        #: Failed member -> ack tracker of its latest declaration.
         self._recoveries: dict[str, RecoveryTracker] = {}
         #: Serializes voluntary domain changes.
         self._domain_busy = False
@@ -70,7 +70,7 @@ class AppController:
     # -- failure recovery ------------------------------------------------------
     def _handle_membership(self, endpoint, src, event: MembershipEvent):
         if event.kind == "failed":
-            self._on_member_failed(event.member)
+            self._on_member_failed(event.member, event.declared_ms)
         return None
         yield  # pragma: no cover - generator marker
 
@@ -79,7 +79,7 @@ class AppController:
         failed (a restart waits on it before rejoining)."""
         return self._purge_events.setdefault(member, self.sim.event())
 
-    def _on_member_failed(self, member: str) -> None:
+    def _on_member_failed(self, member: str, declared_ms: float) -> None:
         if member not in self.ring:
             return
         self.ring.remove(member)
@@ -90,7 +90,7 @@ class AppController:
         if manager is not None:
             manager.record_membership_change(self.ring, member, "failed")
         survivors = set(self.ring.members)
-        tracker = self._recoveries.setdefault(member, RecoveryTracker(member))
+        tracker = self._tracker(member, declared_ms)
         self._stop_awaiting(member)
         lease = self.system.recovery_lease_ms
         if lease is not None:
@@ -143,7 +143,8 @@ class AppController:
         if not missing:
             return
         event = MembershipEvent("failed", self.app, member,
-                                f"{member}/concord-{self.app}")
+                                f"{member}/concord-{self.app}",
+                                self._recoveries[member].declared_ms)
         for node_id in missing:
             self.endpoint.notify(f"{node_id}/concord-{self.app}",
                                  "membership", event)
@@ -159,14 +160,27 @@ class AppController:
         yield self.sim.sleep(lease_ms)
         self._finish_recovery(member)
 
+    def _tracker(self, member: str, declared_ms: float):
+        """The ack tracker of ``member``'s declaration at ``declared_ms``,
+        or None for an earlier declaration.  Each declaration gets its own
+        tracker (a member fails again only after it rejoined, and the
+        join's commit closes the earlier recovery)."""
+        tracker = self._recoveries.get(member)
+        if tracker is None or tracker.declared_ms < declared_ms:
+            tracker = RecoveryTracker(member, declared_ms)
+            self._recoveries[member] = tracker
+        elif tracker.declared_ms > declared_ms:
+            return None
+        return tracker
+
     def _handle_recovery_ack(self, endpoint, src, args):
-        failed_member, acking_member = args
+        failed_member, acking_member, declared_ms = args
         if self.system.recovery_lease_ms is not None:
             return None  # lease mode: completion is time-, not ack-, driven
-        tracker = self._recoveries.setdefault(
-            failed_member, RecoveryTracker(failed_member)
-        )
-        if tracker.ack(acking_member):
+        # An ack can arrive before the controller's own notification (it
+        # is kept as early) or after a later declaration (it is dropped).
+        tracker = self._tracker(failed_member, declared_ms)
+        if tracker is not None and tracker.ack(acking_member):
             self._finish_recovery(failed_member)
         return None
         yield  # pragma: no cover - generator marker

@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 
 @dataclass
 class RecoveryTracker:
-    """Controller-side ack counting for one failed member."""
+    """Controller-side ack counting for one declaration of a failed
+    member."""
 
     failed_member: str
+    #: When the member was declared failed (the declaration's name).
+    declared_ms: float = 0.0
     #: Survivors that still owe an acknowledgement.
     awaiting: set = field(default_factory=set)
     #: Acks that arrived before the controller processed the failure
