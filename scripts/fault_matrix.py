@@ -1,46 +1,33 @@
 #!/usr/bin/env python
-"""Fault matrix: randomized fault plans must replay deterministically.
+"""Fault matrix: a randomized fault plan must end clean and replay exactly.
 
 For the given seed this script:
 
 1. builds a randomized :class:`FaultPlan` (crash + restart + message
    drop/delay + storage brownout) over a 6-node cluster,
-2. runs the canonical fault scenario twice in-process and compares the
-   full outcome fingerprint (request counts, failure declarations,
-   recovery count, injector log, coherence verdict, telemetry bytes),
-3. re-runs the scenario in subprocesses under PYTHONHASHSEED=0 and =1
-   and byte-compares the telemetry exports,
-4. asserts the run ends coherent (zero invariant violations) with every
-   injected crash detected and no recovery still waiting on acks.
-
-On any failure the plan and a report land in ``--artifacts`` (CI uploads
-them), so the exact failing schedule replays locally with::
-
-    PYTHONPATH=src python scripts/fault_matrix.py --seed N
-
-With ``--obs`` the first run also carries a protocol-event flight
-recorder (provably fingerprint-neutral; the golden identity pins hold it), and on
-failure its full dump lands next to the failing plan as
-``flight_seed{N}.jsonl`` — ready for ``repro-inspect timeline``.
+2. runs the canonical fault scenario with a protocol-event flight
+   recorder attached (it does not change the fingerprint) and takes the
+   run's :func:`repro.verify.check_run` verdict,
+3. runs it again in-process and in subprocesses under PYTHONHASHSEED=0
+   and =1, and compares the full outcome fingerprints (request counts,
+   failure declarations, recoveries, injector log, coherence verdict,
+   telemetry bytes, shard table).
 
 With ``--topology`` the same randomized schedule runs against a named
-preset from :mod:`repro.shard.topologies` — crashes are re-targeted at
-a shard *leader* (the shard index cycles with the seed) and regional
-presets additionally partition one region mid-run, so the nightly
-matrix sweeps the failure modes sharding introduces.
+preset from :mod:`repro.shard.topologies`: crashes are re-targeted at a
+shard *leader* (the shard index cycles with the seed) and regional
+presets also partition one region mid-run.  With ``--scheme`` any
+registered caching scheme runs instead of Concord, held to its own
+invariants.
 
-Usage::
-
-With ``--scheme`` the scenario runs any registered caching scheme
-instead of Concord — the nightly matrix sweeps the zoo catalogue so
-every shipped scheme is exercised (and its own invariants verified)
-under randomized crash/recovery schedules.
+On any failure the plan, a report, the flight recording and the
+fingerprint dumps land in ``--artifacts``, and the cell replays locally
+with the same arguments.
 
 Usage::
 
     PYTHONPATH=src python scripts/fault_matrix.py [--seed N]
         [--topology NAME] [--scheme NAME] [--artifacts DIR]
-        [--skip-subprocess] [--obs]
 """
 
 import argparse
@@ -64,24 +51,17 @@ NUM_NODES = 6
 DURATION_MS = 8000.0
 RPS = 30.0
 
-#: Emitted by the subprocess replay so the parent can extract the
-#: telemetry bytes from stdout regardless of warnings/log noise.
-MARKER = "===TELEMETRY==="
+#: Printed by the subprocess replay before the fingerprint, so the parent
+#: finds it in stdout regardless of warnings/log noise.
+MARKER = "===FINGERPRINT==="
 
 REPLAY_SNIPPET = """\
-import json, sys
-from repro.faults.plan import FaultPlan
-from repro.shard.topologies import TOPOLOGIES
-from repro.faults.scenario import run_fault_scenario
-
-plan = FaultPlan.from_json(sys.argv[1])
-topology = TOPOLOGIES[sys.argv[2]]
-out = run_fault_scenario(plan, seed=plan.seed, num_nodes={num_nodes},
-                         duration_ms={duration}, rps={rps},
-                         scheme=sys.argv[3],
-                         **topology.scenario_kwargs())
+import sys
+sys.path.insert(0, sys.argv[1])
+import fault_matrix
+out = fault_matrix.run_cell(int(sys.argv[2]), sys.argv[3], sys.argv[4])
 print({marker!r})
-sys.stdout.write(out.telemetry_jsonl)
+sys.stdout.write(repr(out.fingerprint()))
 """
 
 
@@ -112,15 +92,23 @@ def build_plan(seed: int, topology: str = "flat") -> FaultPlan:
     return FaultPlan(events=tuple(events), seed=seed)
 
 
-def subprocess_telemetry(plan: FaultPlan, topology: str,
-                         hashseed: str, scheme: str = "concord") -> str:
+def run_cell(seed: int, topology: str = "flat", scheme: str = "concord",
+             obs=None):
+    """One matrix cell's :class:`ScenarioOutcome`."""
+    return run_fault_scenario(
+        build_plan(seed, topology), seed=seed, num_nodes=NUM_NODES,
+        duration_ms=DURATION_MS, rps=RPS, obs=obs, scheme=scheme,
+        **TOPOLOGIES[topology].scenario_kwargs())
+
+
+def subprocess_fingerprint(seed: int, topology: str, scheme: str,
+                           hashseed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    snippet = REPLAY_SNIPPET.format(
-        num_nodes=NUM_NODES, duration=DURATION_MS, rps=RPS, marker=MARKER)
     proc = subprocess.run(
-        [sys.executable, "-c", snippet, plan.to_json(), topology, scheme],
+        [sys.executable, "-c", REPLAY_SNIPPET.format(marker=MARKER),
+         str(Path(__file__).resolve().parent), str(seed), topology, scheme],
         env=env, capture_output=True, text=True, timeout=600,
     )
     if proc.returncode != 0:
@@ -129,58 +117,30 @@ def subprocess_telemetry(plan: FaultPlan, topology: str,
     return proc.stdout.split(MARKER + "\n", 1)[1]
 
 
-def check_seed(seed: int, skip_subprocess: bool,
-               obs: bool = False, topology: str = "flat",
-               scheme: str = "concord") -> tuple:
-    """Run the matrix cell for one seed.
-
-    Returns ``(problems, obs_jsonl)`` — the flight-recorder dump is ""
-    unless ``obs`` was requested.
-    """
-    problems = []
-    plan = build_plan(seed, topology)
-    kwargs = TOPOLOGIES[topology].scenario_kwargs()
-    print(f"[seed {seed}/{topology}/{scheme}] plan: {', '.join(plan.kinds())}")
-
-    first = run_fault_scenario(plan, seed=seed, num_nodes=NUM_NODES,
-                               duration_ms=DURATION_MS, rps=RPS, obs=obs,
-                               scheme=scheme, **kwargs)
-    second = run_fault_scenario(plan, seed=seed, num_nodes=NUM_NODES,
-                                duration_ms=DURATION_MS, rps=RPS,
-                                scheme=scheme, **kwargs)
-    if first.fingerprint() != second.fingerprint():
-        problems.append("in-process replay diverged (same seed, same plan)")
-
-    crashes = sum(1 for e in plan.events if e.kind == "NodeCrash")
-    detected = {node for _t, _app, node in first.failures_detected}
-    if len(detected) < crashes:
-        problems.append(
-            f"{crashes} crash(es) injected but only {sorted(detected)} "
-            "declared failed")
-    if first.violations:
-        problems.append(
-            "invariant violations after recovery: "
-            + "; ".join(first.violations))
-    for member, missing in first.open_recoveries:
-        problems.append(
-            f"recovery of {member} still waits on acks from {missing}")
-    if first.completed == 0:
-        problems.append("no requests completed")
-
-    if not skip_subprocess:
-        tele0 = subprocess_telemetry(plan, topology, "0", scheme)
-        tele1 = subprocess_telemetry(plan, topology, "1", scheme)
-        if tele0 != tele1:
-            problems.append("telemetry differs between PYTHONHASHSEED 0 and 1")
-        if tele0 != first.telemetry_jsonl:
-            problems.append("subprocess telemetry differs from in-process run")
+def check_cell(seed: int, topology: str, scheme: str) -> tuple:
+    """Run one cell: ``(problems, fingerprints, flight recording)``, the
+    fingerprints as label -> repr."""
+    cell = f"seed {seed}/{topology}/{scheme}"
+    print(f"[{cell}] plan: {', '.join(build_plan(seed, topology).kinds())}")
+    first = run_cell(seed, topology, scheme, obs=True)
+    problems = list(first.problems)
+    fingerprints = {
+        "inprocess_a": repr(first.fingerprint()),
+        "inprocess_b": repr(run_cell(seed, topology, scheme).fingerprint()),
+        "hashseed0": subprocess_fingerprint(seed, topology, scheme, "0"),
+        "hashseed1": subprocess_fingerprint(seed, topology, scheme, "1"),
+    }
+    for label, fingerprint in fingerprints.items():
+        if fingerprint != fingerprints["inprocess_a"]:
+            problems.append(f"replay {label} diverged from the first run")
 
     status = "ok" if not problems else "FAIL"
-    print(f"[seed {seed}/{topology}/{scheme}] completed={first.completed} "
+    print(f"[{cell}] completed={first.completed} "
           f"failures_detected={len(first.failures_detected)} "
           f"recoveries={first.recoveries_completed} "
-          f"violations={len(first.violations)} -> {status}")
-    return problems, first.obs_jsonl
+          f"violations={len(first.violations)} "
+          f"problems={len(problems)} -> {status}")
+    return problems, fingerprints, first.obs_jsonl
 
 
 def main(argv=None) -> int:
@@ -196,28 +156,23 @@ def main(argv=None) -> int:
                         help="caching scheme under test (default concord)")
     parser.add_argument("--artifacts", default="fault-artifacts",
                         help="directory for failing plans/reports")
-    parser.add_argument("--skip-subprocess", action="store_true",
-                        help="skip the PYTHONHASHSEED subprocess replays")
-    parser.add_argument("--obs", action="store_true",
-                        help="record protocol events; on failure the "
-                             "flight-recorder dump is written next to "
-                             "the failing plan")
     args = parser.parse_args(argv)
 
-    problems, obs_jsonl = check_seed(args.seed, args.skip_subprocess,
-                                     obs=args.obs, topology=args.topology,
-                                     scheme=args.scheme)
+    problems, fingerprints, obs_jsonl = check_cell(
+        args.seed, args.topology, args.scheme)
     if not problems:
         return 0
 
     artifacts = Path(args.artifacts)
     artifacts.mkdir(parents=True, exist_ok=True)
     cell = f"seed{args.seed}_{args.topology}_{args.scheme}"
-    plan = build_plan(args.seed, args.topology)
-    plan.save(artifacts / f"failing_plan_{cell}.json")
-    if obs_jsonl:
-        flight_path = artifacts / f"flight_{cell}.jsonl"
-        flight_path.write_text(obs_jsonl, encoding="utf-8")
+    build_plan(args.seed, args.topology).save(
+        artifacts / f"failing_plan_{cell}.json")
+    (artifacts / f"flight_{cell}.jsonl").write_text(obs_jsonl,
+                                                    encoding="utf-8")
+    for label, dump in sorted(fingerprints.items()):
+        (artifacts / f"fingerprint_{cell}_{label}.txt").write_text(
+            dump, encoding="utf-8")
     report = {
         "seed": args.seed,
         "topology": args.topology,
@@ -227,8 +182,8 @@ def main(argv=None) -> int:
         "rps": RPS,
         "problems": problems,
     }
-    report_path = artifacts / f"report_{cell}.json"
-    with open(report_path, "w", encoding="utf-8") as handle:
+    with open(artifacts / f"report_{cell}.json", "w",
+              encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     for problem in problems:

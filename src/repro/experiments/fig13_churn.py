@@ -88,7 +88,7 @@ def churn_run(
     """One churn run, driven until 3 s after its load stops.
 
     Returns the session, still open: a caller may run it on to drain
-    (``scripts/churn_sweep.py`` does).  ``metrics`` and ``obs`` follow
+    (the ``churn`` shape of :mod:`repro.verify.races` does).  ``metrics`` and ``obs`` follow
     the :class:`~repro.session.Session` contract: truthy attaches a
     sampled registry / an in-memory flight recorder, an instance is used
     as-is, a path string also exports there when the session closes.

@@ -39,7 +39,7 @@ VARIANTS = ("flat", "shard4", "shard4rep", "region2")
 
 def run(scale: float = 1.0, seed: int = 7) -> ExperimentResult:
     del scale  # The cells share one fixed shape; scaling would decouple
-    #            them from the CI topology matrix they mirror.
+    #            them from the topology presets they mirror.
     result = ExperimentResult(
         experiment="Figure 19",
         title="Sharded directory under faults, by topology",

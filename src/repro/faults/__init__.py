@@ -3,8 +3,10 @@
 A seeded :class:`FaultPlan` schedules fault events; the
 :class:`FaultInjector` replays it against a cluster as a simulator
 daemon.  Same plan + same simulator seed = byte-identical run, under any
-``PYTHONHASHSEED`` — failing CI plans upload as JSON artifacts and
-replay exactly (``scripts/fault_matrix.py``).
+``PYTHONHASHSEED``.  :func:`run_fault_scenario` reports the run's
+:func:`~repro.verify.check_run` verdict; the nightly fault matrix
+(``scripts/fault_matrix.py``) gates on it and uploads a failing plan as
+JSON, which replays exactly.
 """
 
 from repro.faults.injector import FaultInjector

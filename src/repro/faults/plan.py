@@ -5,7 +5,7 @@ events (crashes, restarts, partitions, message drops/delays, storage
 brownouts) plus the seed that generated it.  Plans serialize to JSON so a
 failing CI run can upload the exact plan as an artifact and anyone can
 replay it bit-for-bit (:mod:`repro.faults.injector` consumes plans;
-``scripts/fault_matrix.py`` round-trips them).
+``scripts/fault_matrix.py`` saves the plan of a failing cell).
 
 Determinism contract: a plan is pure data — the only randomness is in
 :meth:`FaultPlan.random`, which draws from an explicitly seeded

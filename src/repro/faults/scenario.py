@@ -1,12 +1,13 @@
 """A canonical fault scenario: one app under load with faults injected.
 
-Shared by the replay-determinism tests and the CI fault matrix
-(``scripts/fault_matrix.py``): build a small single-app deployment of
-any registered scheme (Concord by default), drive Poisson load through
-the FaaS platform, replay a :class:`FaultPlan`, let recovery settle,
-then capture everything a byte-level replay comparison needs — the
-canonical telemetry export, the scheme-dispatched invariant verdict,
-and the failure/recovery counters.
+Shared by the replay-determinism tests, the topology presets and the
+nightly fault matrix (``scripts/fault_matrix.py``): build a small
+single-app deployment of any registered scheme (Concord by default),
+drive Poisson load through the FaaS platform, replay a
+:class:`FaultPlan`, let recovery settle, then capture everything a
+byte-level replay comparison needs — the canonical telemetry export, the
+scheme-dispatched invariant verdict, and the failure/recovery counters —
+plus the run's :func:`~repro.verify.check_run` verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs import jsonl_dumps as obs_jsonl_dumps
 from repro.session import Session
 from repro.telemetry import jsonl_dumps
-from repro.verify import check_scheme_invariants
+from repro.verify import check_run, check_scheme_invariants
 
 #: Post-load settle window: failure detection + recovery + drain.
 SETTLE_MS = 4000.0
@@ -39,9 +40,9 @@ class ScenarioOutcome:
     #: (sim_time, app, node_id) failure declarations by the coordinator.
     failures_detected: list = field(default_factory=list)
     recoveries_completed: int = 0
-    #: ``(failed member, [survivors not acked])`` of each recovery still
-    #: open at the end (Concord only; not part of the fingerprint).
-    open_recoveries: list = field(default_factory=list)
+    #: The :func:`~repro.verify.check_run` verdict, ``[]`` when clean
+    #: (not part of the fingerprint).
+    problems: list = field(default_factory=list)
     #: (sim_time, kind, detail) events the injector applied.
     applied: list = field(default_factory=list)
     #: Coherence-invariant violations at the quiescent end state.
@@ -102,8 +103,8 @@ def run_fault_scenario(
     because unreachability reports trail the RPC timeout (~5 s) and the
     resulting eject/rejoin churn must finish before the checker runs.
 
-    ``scheme`` selects any registered scheme (the CI fault matrix races
-    the whole catalogue through here).  Concord-specific outcome fields
+    ``scheme`` selects any registered scheme (the nightly fault matrix
+    runs zoo schemes through here).  Concord-specific outcome fields
     (recoveries, shard table) stay at their zero defaults for other
     schemes.
     """
@@ -134,8 +135,6 @@ def run_fault_scenario(
     controller = getattr(system, "controller", None)
     recoveries = (controller.recoveries_completed
                   if controller is not None else 0)
-    open_recoveries = (controller.open_recoveries()
-                       if controller is not None else [])
 
     return ScenarioOutcome(
         plan=plan,
@@ -145,7 +144,6 @@ def run_fault_scenario(
         rescheduled=app.requests_rescheduled,
         failures_detected=list(s.coord.failures_detected),
         recoveries_completed=recoveries,
-        open_recoveries=open_recoveries,
         applied=list(s.injector.applied),
         violations=check_scheme_invariants(system, s.cluster),
         telemetry_jsonl=jsonl_dumps(s.metrics),
@@ -155,4 +153,6 @@ def run_fault_scenario(
         shard_failovers=(manager.failovers_total
                         if manager is not None else 0),
         system=system,
+        # Last: its invariant check must not add to the exports above.
+        problems=check_run(s),
     )

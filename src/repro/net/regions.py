@@ -13,7 +13,7 @@ adds an *extra* round-trip cost on top of the base
 
 Intra-region traffic and single-region topologies are byte-identical to
 runs with no topology at all: the extra term is exactly 0.0 and no code
-path diverges, which is what lets the CI topology matrix fingerprint
+path diverges, which is what lets the topology presets fingerprint
 flat and regional runs side by side.
 
 Control-plane nodes (the coordinator, per-app controllers) are not in

@@ -12,8 +12,8 @@ Public surface:
   with key→shard→home resolution and replica chains.
 - :class:`~repro.shard.manager.ShardManager` -- per-system bookkeeping:
   re-homing epochs, failover accounting, telemetry, ``shard.*`` events.
-- :mod:`~repro.shard.topologies` -- named topology presets and the
-  smoke scenarios the CI topology matrix runs.
+- :mod:`~repro.shard.topologies` -- named topology presets and their
+  smoke scenarios (each one a golden pin).
 """
 
 from repro.shard.router import ShardRouter

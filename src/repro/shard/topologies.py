@@ -1,18 +1,18 @@
-"""Named topology presets and the smoke scenarios the CI matrix runs.
+"""Named topology presets and their smoke scenarios.
 
 Each :class:`Topology` bundles the knobs that turn the canonical fault
 scenario (:func:`repro.faults.scenario.run_fault_scenario`) into one
-cell of the CI topology matrix: directory sharding, replica-chain
-depth, and the multi-region split.  The presets deliberately share one
-cluster shape (``NUM_NODES`` nodes, same load) so their fingerprints
-are comparable side by side and a divergence isolates the topology —
-not the workload — as the cause.
+topology cell: directory sharding, replica-chain depth, and the
+multi-region split.  The presets deliberately share one cluster shape
+(``NUM_NODES`` nodes, same load) so their fingerprints are comparable
+side by side and a divergence isolates the topology — not the workload
+— as the cause.
 
 Every preset also carries a *canonical smoke plan*: the minimal fault
 schedule that exercises what the topology adds (crash the shard-0
-leader for sharded cells, partition a region for regional cells).  CI
-replays each plan twice per PYTHONHASHSEED and byte-compares the
-outcome fingerprints.
+leader for sharded cells, partition a region for regional cells).  Each
+smoke run's fingerprint is a golden pin (``topology_<name>``), and the
+nightly fault matrix runs the presets under randomized plans.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.faults.plan import (
 from repro.faults.scenario import SETTLE_MS, run_fault_scenario
 from repro.shard.router import ShardRouter
 
-#: Shared cluster shape for every matrix cell.
+#: Shared cluster shape for every topology cell.
 NUM_NODES = 4
 DURATION_MS = 4000.0
 RPS = 20.0
@@ -41,7 +41,7 @@ REGION_SETTLE_MS = 12000.0
 
 @dataclass(frozen=True)
 class Topology:
-    """One named cell of the topology matrix."""
+    """One named topology cell."""
 
     name: str
     shards: Optional[int] = None
@@ -85,7 +85,7 @@ TOPOLOGIES: dict = {
 
 
 def node_ids() -> list:
-    """The matrix cluster's node ids."""
+    """The topology cluster's node ids."""
     return [f"node{i}" for i in range(NUM_NODES)]
 
 
@@ -103,7 +103,7 @@ def shard_leader(topology: Topology, shard: int = 0) -> str:
 
 
 def smoke_plan(name: str) -> FaultPlan:
-    """The canonical fault plan for matrix cell ``name``.
+    """The canonical fault plan for topology cell ``name``.
 
     - ``flat``: crash + restart one node (the PR 4 recovery path).
     - ``shard4`` / ``shard4rep``: crash + restart the *shard-0 leader*,
@@ -133,10 +133,9 @@ def smoke_plan(name: str) -> FaultPlan:
 
 
 def run_topology_scenario(name: str, seed: int = 0, plan=None, obs=None):
-    """Run one matrix cell: the named topology under its smoke plan.
+    """Run one topology cell: the named topology under its smoke plan.
 
-    ``plan`` overrides the canonical smoke plan (the nightly matrix
-    passes randomized shard-aware plans); ``obs`` forwards to
+    ``plan`` overrides the canonical smoke plan; ``obs`` forwards to
     :func:`run_fault_scenario` to attach a flight recorder.
     """
     topology = TOPOLOGIES[name]

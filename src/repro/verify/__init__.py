@@ -16,8 +16,8 @@ Modelled events, as in the paper: Local/Remote Read/Write Hit, Read/Write
 Miss, DataEvict, NodeFail, RecoverOnFail, DomainChange.
 
 Only the causal history checks (which the zoo schemes run inline) are
-imported with the package; the model checker and the end-state checks
-load on first use.
+imported with the package; the model checker, the end-state checks and
+the verdict on a whole run (:func:`check_run`) load on first use.
 """
 
 from repro import lazy_exports
@@ -31,7 +31,7 @@ __getattr__ = lazy_exports(__name__, {
     "model": ("CheckReport", "ModelChecker", "ModelConfig", "ModelState",
               "enabled_transitions"),
     "runtime": ("CoherenceViolation", "assert_coherent", "check_coherence"),
-    "schemes": ("check_scheme_invariants",),
+    "verdict": ("check_run", "check_scheme_invariants"),
 })
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "assert_coherent",
     "check_bounded_staleness",
     "check_coherence",
+    "check_run",
     "check_scheme_invariants",
     "check_session_guarantees",
     "enabled_transitions",

@@ -33,21 +33,16 @@ returns the pre-write value and the new owner holds it in E.
 from repro.config import SimConfig
 from repro.session import Session
 from repro.storage import DataItem
-from repro.verify import check_scheme_invariants
+from repro.verify import check_run
 from repro.verify.races import run_shape
 
 
 def test_home_local_downgrade_waits_for_the_estate_write():
-    violations, completed, _issued = run_shape("faas_mixed", 8,
-                                               load_ms=8_000.0)
-    assert violations == []
-    assert completed > 400
+    assert run_shape("faas_mixed", 8, load_ms=8_000.0) == []
 
 
 def test_read_grant_keeps_a_newer_local_write():
-    violations, completed, _issued = run_shape("sharded_regions", 25)
-    assert violations == []
-    assert completed > 3000
+    assert run_shape("sharded_regions", 25) == []
 
 
 def test_rfo_at_the_owners_home_waits_for_the_estate_write():
@@ -76,4 +71,4 @@ def test_rfo_at_the_owners_home_waits_for_the_estate_write():
     sim.spawn(rfo())
     sim.run(until=sim.now + 10_000.0)
     assert granted == [new]
-    assert check_scheme_invariants(concord, s.cluster) == []
+    assert check_run(s) == []

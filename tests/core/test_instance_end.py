@@ -9,10 +9,11 @@ on the node, as after a crash (DESIGN.md section 9).
 from repro.core import ConcordSystem
 from repro.faas import AppSpec, FaasPlatform, FunctionSpec
 from repro.storage import DataItem
+from repro.verify import check_run
 
 
 def test_a_request_waiting_on_the_home_of_a_removed_instance_is_rescheduled(
-        sim, cluster, coord):
+        session, sim, cluster, coord):
     """The invocation on ``node1`` waits in ``_call_home`` for a slow home
     read at ``node2`` when ``node1``'s instance is removed.  The home's
     reply would go to the closed endpoint; the request must instead be
@@ -44,5 +45,4 @@ def test_a_request_waiting_on_the_home_of_a_removed_instance_is_rescheduled(
     assert (app.requests_completed, app.requests_rescheduled,
             app.requests_failed) == (1, 1, 0)
     assert (removed.endpoint.timeouts, removed.endpoint._pending) == (0, {})
-    assert coord.failures_detected == []
-    assert sim.daemon_failures == []
+    assert check_run(session) == []  # no declaration, no dead daemon

@@ -21,6 +21,7 @@ from repro.session import Session
 from repro.sim.events import AnyOf
 from repro.sim.process import Process
 from repro.trace import Span, TraceContext
+from repro.verify import check_run
 
 APPS = ("SocNet", "HotelBook")
 
@@ -35,7 +36,7 @@ def _drained_run(signals: bool, metrics: bool = None) -> Session:
                                          s.factories[name]),
                     name=f"load:{name}")
     s.sim.run(until=5000.0)
-    assert all(app.inflight == 0 for app in s.deployed.values())
+    assert check_run(s) == []
     s.close()
     s.advance(500.0)  # the stopped sampler wakes once more and exits
     return s
