@@ -50,7 +50,7 @@ def traced_run(seed: int, load_ms: float, trace_path: str) -> dict:
                     name=f"load:{name}")
     s.sim.run(until=load_ms + DRAIN_MS)
     completed = sum(app.requests_completed for app in s.deployed.values())
-    s.export_trace(trace_path, fmt="chrome")
+    s.export_trace(trace_path)
     s.close()
     return {
         "requests": completed,

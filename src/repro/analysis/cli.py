@@ -175,7 +175,7 @@ def _run(args, out) -> int:
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         # A typo'd path must not produce a green "0 files analyzed" run.
-        print(f"error: no such path: {', '.join(missing)}", file=out)
+        print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
     baseline = Baseline()
     baseline_path = args.baseline or _default_baseline_path(paths)
@@ -186,14 +186,14 @@ def _run(args, out) -> int:
     try:
         analyzer = Analyzer(baseline=baseline, select=args.select)
     except ValueError as exc:
-        print(f"error: {exc}", file=out)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = analyzer.run(paths)
 
     if args.write_baseline:
         if baseline_path is None:
             print("error: no pyproject.toml found to anchor the baseline; "
-                  "pass --baseline PATH", file=out)
+                  "pass --baseline PATH", file=sys.stderr)
             return EXIT_USAGE
         previous = (Baseline.load(baseline_path)
                     if baseline_path.exists() else None)

@@ -27,7 +27,9 @@ Exit-code contract (identical across all four tools):
 ===  ====================================================================
 
 argparse itself exits 2 on unknown flags, which is why 2 doubles as the
-usage code here.
+usage code here.  Every exit-2 message goes to stderr, never to the
+``--out`` file or the output stream: a report file holds a report or
+nothing.
 """
 
 from __future__ import annotations

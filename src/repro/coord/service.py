@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.config import SimConfig
 from repro.net.rpc import Endpoint, Reply, RpcTimeout
+from repro.obs.events import MEMBER_DECLARE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import Network
@@ -152,10 +153,9 @@ class CoordinationService:
                 continue
             self._misses.pop((app, node_id), None)
             self.failures_detected.append((self.sim.now, app, node_id))
-            tracer = self.sim.tracer
-            if tracer.active:
-                tracer.instant("coord:declare_failed", "failure",
-                               app=app, member=node_id)
+            obs = self.sim.obs
+            if obs.active:
+                obs.emit(MEMBER_DECLARE, app=app, member=node_id)
             event = MembershipEvent("failed", app, node_id, address,
                                     self.sim.now)
             self._notify_group(app, event)

@@ -116,7 +116,7 @@ class CacheAgent:
         self.local_access = system.latency.local_access
         self.cache = LruCache(capacity_bytes, name=f"concord:{system.app}:{node_id}")
         self.cache.obs = self.sim.obs
-        self.directory = DataDirectory(self.node_id, self.sim.tracer, self.sim.obs)
+        self.directory = DataDirectory(self.node_id, self.sim.obs)
         self.ring = system.ring_template.copy()
         node = system.cluster.nodes.get(node_id)
         self.endpoint = Endpoint(
@@ -931,7 +931,7 @@ class CacheAgent:
         followers = self.ring.followers(key)
         if not followers:
             return
-        entry = self.directory.peek(key)
+        entry = self.directory.get(key)
         if entry is None:
             payload = (key, None, ())
         else:
@@ -1019,11 +1019,6 @@ class CacheAgent:
         reconfiguration it models.
         """
         if failed_member in self.ring:
-            tracer = self.sim.tracer
-            if tracer.active:
-                tracer.instant("recovery:survivor", "recovery",
-                               app=self.app, node=self.node_id,
-                               member=failed_member)
             obs = self.sim.obs
             if obs.active:
                 obs.emit(RECOVERY_SURVIVOR, node=self.node_id,
@@ -1293,7 +1288,7 @@ class CacheAgent:
         if platform is not None:
             platform.interrupt_invocations(self.node_id, self.app)
         self.cache.clear()
-        self.directory = DataDirectory(self.node_id, self.sim.tracer, self.sim.obs)
+        self.directory = DataDirectory(self.node_id, self.sim.obs)
         self.dir_mirror.clear()
         self._last_writer.clear()
         if self.node_id in self.ring:

@@ -188,10 +188,6 @@ class AppController:
     def _finish_recovery(self, failed_member: str) -> None:
         """All survivors recovered: lift the read barrier everywhere."""
         self.recoveries_completed += 1
-        tracer = self.sim.tracer
-        if tracer.active:
-            tracer.instant("recovery:complete", "recovery",
-                           app=self.app, member=failed_member)
         obs = self.sim.obs
         if obs.active:
             obs.emit(RECOVERY_COMPLETE, member=failed_member, app=self.app)

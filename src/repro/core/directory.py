@@ -25,7 +25,6 @@ from repro.obs.events import (
     DIR_TRANSFER,
 )
 from repro.obs.recorder import NULL_RECORDER
-from repro.trace.tracer import NULL_TRACER
 
 #: Approximate wire size of one marshalled directory entry (used for
 #: domain-change transfers and follower replication snapshots alike).
@@ -57,17 +56,15 @@ class DirectoryEntry:
 class DataDirectory:
     """The set of directory entries homed at one cache agent.
 
-    With a live :class:`~repro.trace.Tracer`, directory lookups and
-    mutations are recorded as zero-duration ``directory`` events inside
-    whatever operation span is current — the "directory lookup" nodes of
-    the per-op trace tree.  The directory itself has no clock; timestamps
-    come from the tracer's simulator.  Both sinks default to the null
-    ones, as :attr:`LruCache.obs <repro.caching.base.LruCache.obs>` does.
+    Ownership and sharer-set changes are ``dir.*`` flight-recorder events,
+    stamped by the recorder's simulator and tied to whatever operation
+    span is current; the directory itself has no clock.  The recorder
+    defaults to the null one, as :attr:`LruCache.obs
+    <repro.caching.base.LruCache.obs>` does.
     """
 
-    def __init__(self, node_id: str, tracer=NULL_TRACER, obs=NULL_RECORDER):
+    def __init__(self, node_id: str, obs=NULL_RECORDER):
         self.node_id = node_id
-        self.tracer = tracer
         #: Flight recorder for ownership/sharer-set change events (the
         #: agent hands in its simulator's recorder).
         self.obs = obs
@@ -126,16 +123,6 @@ class DataDirectory:
         return key in self._entries
 
     def get(self, key: str) -> Optional[DirectoryEntry]:
-        entry = self._entries.get(key)
-        tracer = self.tracer
-        if tracer.active:
-            tracer.instant("dir:get", "directory", key=key,
-                           state=entry.state if entry is not None else "miss",
-                           sharers=len(entry.sharers) if entry else 0)
-        return entry
-
-    def peek(self, key: str) -> Optional[DirectoryEntry]:
-        """Trace-free lookup (replication snapshots, invariant checks)."""
         return self._entries.get(key)
 
     def keys(self) -> list[str]:
@@ -148,10 +135,6 @@ class DataDirectory:
         """(Re)create the entry with a single exclusive owner."""
         entry = DirectoryEntry(key=key, state=EXCLUSIVE, sharers={owner})
         self._entries[key] = entry
-        tracer = self.tracer
-        if tracer.active:
-            tracer.instant("dir:set_exclusive", "directory",
-                           key=key, owner=owner)
         obs = self.obs
         if obs.active:
             obs.emit(DIR_EXCLUSIVE, node=self.node_id, key=key, owner=owner)
@@ -159,10 +142,6 @@ class DataDirectory:
 
     def add_sharer(self, key: str, sharer: str) -> DirectoryEntry:
         """Add a sharer, downgrading to Shared if needed."""
-        tracer = self.tracer
-        if tracer.active:
-            tracer.instant("dir:add_sharer", "directory",
-                           key=key, sharer=sharer)
         entry = self._entries.get(key)
         if entry is None:
             entry = DirectoryEntry(key=key, state=EXCLUSIVE, sharers={sharer})
@@ -179,9 +158,6 @@ class DataDirectory:
 
     def remove(self, key: str) -> Optional[DirectoryEntry]:
         entry = self._entries.pop(key, None)
-        tracer = self.tracer
-        if entry is not None and tracer.active:
-            tracer.instant("dir:remove", "directory", key=key)
         obs = self.obs
         if entry is not None and obs.active:
             obs.emit(DIR_REMOVE, node=self.node_id, key=key)

@@ -17,7 +17,6 @@ from repro.faas.scheduler import RandomScheduler, Scheduler
 from repro.metrics import Histogram
 from repro.obs.events import REQ_RESCHEDULE, SCHED_COLD, SCHED_WARM
 from repro.sim.errors import Interrupt
-from repro.telemetry.registry import NULL_CHILD
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.caching.base import StorageAPI
@@ -65,9 +64,13 @@ class DeployedApp:
     cold_starts: int = 0
     #: Requests admitted but not yet completed (queued + running).
     inflight: int = 0
-    #: Telemetry children (no-ops unless the sim carries a registry).
-    metric_latency: object = field(default=NULL_CHILD, repr=False)
-    metric_sched_delay: object = field(default=NULL_CHILD, repr=False)
+    #: Run-long totals of request latency and of per-invocation
+    #: admission delay; unlike ``latency`` and ``requests_completed``, a
+    #: driver's post-warmup reset leaves them alone.
+    latency_count: int = 0
+    latency_sum_ms: float = 0.0
+    sched_delay_count: int = 0
+    sched_delay_sum_ms: float = 0.0
 
     @property
     def name(self) -> str:
@@ -178,16 +181,21 @@ class FaasPlatform:
             "Requests admitted but not yet completed.",
             labelnames=("app",),
         ).set_callback(lambda: app.inflight, app=name)
-        app.metric_latency = metrics.histogram(
-            "faas_request_latency_ms", "End-to-end request latency.",
-            labelnames=("app",),
-        ).labels(app=name)
-        app.metric_sched_delay = metrics.histogram(
-            "faas_scheduling_delay_ms",
-            "Admission-to-execution delay per invocation "
-            "(scheduling, placement, cold start).",
-            labelnames=("app",),
-        ).labels(app=name)
+        latency = "End-to-end request latency."
+        metrics.counter(
+            "faas_request_latency_ms_count", latency, labelnames=("app",),
+        ).set_callback(lambda: app.latency_count, app=name)
+        metrics.counter(
+            "faas_request_latency_ms_sum", latency, labelnames=("app",),
+        ).set_callback(lambda: app.latency_sum_ms, app=name)
+        delay = ("Admission-to-execution delay per invocation "
+                 "(scheduling, placement, cold start).")
+        metrics.counter(
+            "faas_scheduling_delay_ms_count", delay, labelnames=("app",),
+        ).set_callback(lambda: app.sched_delay_count, app=name)
+        metrics.counter(
+            "faas_scheduling_delay_ms_sum", delay, labelnames=("app",),
+        ).set_callback(lambda: app.sched_delay_sum_ms, app=name)
 
     def warm_nodes(self, app: DeployedApp, function: str) -> list:
         """Alive nodes holding a warm container of ``function``."""
@@ -235,8 +243,10 @@ class FaasPlatform:
                 app=app_name, start_ms=start, end_ms=self.sim.now,
                 storage_ms=storage_ms, compute_ms=compute_ms, output=output,
             )
-            app.latency.record(result.latency_ms)
-            app.metric_latency.observe(result.latency_ms)
+            latency = result.latency_ms
+            app.latency.record(latency)
+            app.latency_count += 1
+            app.latency_sum_ms += latency
             app.storage_ms_total += storage_ms
             app.compute_ms_total += compute_ms
             app.requests_completed += 1
@@ -291,7 +301,8 @@ class FaasPlatform:
                     obs.emit(SCHED_COLD, node=node.id, app=app_name,
                              fn=function_name)
                 yield self.sim.sleep(COLD_START_MS)
-            app.metric_sched_delay.observe(self.sim.now - admitted)
+            app.sched_delay_count += 1
+            app.sched_delay_sum_ms += self.sim.now - admitted
             container.active += 1
             container.last_used = self.sim.now
             ctx = InvocationContext(

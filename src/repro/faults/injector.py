@@ -142,9 +142,6 @@ class FaultInjector:
         kind = event.kind
         self.injected_by_kind[kind] = self.injected_by_kind.get(kind, 0) + 1
         self.applied.append((now, kind, detail))
-        tracer = self.sim.tracer
-        if tracer.active:
-            tracer.instant(f"fault:{kind}", "fault", detail=detail)
         obs = self.sim.obs
         if obs.active:
             # A dump-trigger event: a recorder with a dump_path writes the

@@ -76,20 +76,20 @@ def main(argv: Optional[list] = None, out=None) -> int:
     return run_tool(build_parser(), _run, argv, out)
 
 
-def _load_dump(args, out):
+def _load_dump(args):
     if not args.dump.exists():
-        print(f"error: no such dump file: {args.dump}", file=out)
+        print(f"error: no such dump file: {args.dump}", file=sys.stderr)
         return None
     try:
         return load_events(args.dump)
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {args.dump} is not a flight-recorder dump: {exc}",
-              file=out)
+              file=sys.stderr)
         return None
 
 
 def _run(args, out) -> int:
-    events = _load_dump(args, out)
+    events = _load_dump(args)
     if events is None:
         return EXIT_USAGE
     if args.command == "timeline":
@@ -112,7 +112,7 @@ def _run_timeline(args, events, out) -> int:
         except (OSError, ValueError, KeyError, TypeError,
                 json.JSONDecodeError) as exc:
             print(f"error: {args.trace} is not a repro trace export: {exc}",
-                  file=out)
+                  file=sys.stderr)
             return EXIT_USAGE
     series = []
     if args.metrics is not None:
@@ -122,7 +122,7 @@ def _run_timeline(args, events, out) -> int:
             series = load_series(str(args.metrics))
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"error: {args.metrics} is not a telemetry export: {exc}",
-                  file=out)
+                  file=sys.stderr)
             return EXIT_USAGE
 
     timeline = merge_timeline(events, spans=spans, series=series,

@@ -26,7 +26,8 @@ The taxonomy mirrors the protocol layers (DESIGN.md §13):
     Transport-level failures: timeouts and fail-fast resets.
 ``barrier.*`` / ``recovery.*`` / ``domain.*`` / ``member.*``
     Fault tolerance: barriers raised/lifted around failed homes,
-    survivor recovery steps, two-phase domain changes, ejections.
+    survivor recovery steps, two-phase domain changes, the
+    coordinator's failure declarations, ejections.
 ``sched.*`` / ``req.*``
     FaaS control plane: warm/cold placement decisions, crash reruns.
 ``fault.*`` / ``verify.*``
@@ -64,6 +65,7 @@ BARRIER_LIFT = "barrier.lift"
 RECOVERY_SURVIVOR = "recovery.survivor"
 RECOVERY_COMPLETE = "recovery.complete"
 DOMAIN_CHANGE = "domain.change"
+MEMBER_DECLARE = "member.declare"      # coordinator declared a member failed
 MEMBER_EJECT = "member.eject"
 MEMBER_JOIN = "member.join"
 MEMBER_LEAVE = "member.leave"
@@ -105,7 +107,7 @@ EVENT_TYPES = frozenset({
     INV_SEND, INV_RECV,
     RPC_TIMEOUT, RPC_RESET,
     BARRIER_RAISE, BARRIER_LIFT, RECOVERY_SURVIVOR, RECOVERY_COMPLETE,
-    DOMAIN_CHANGE, MEMBER_EJECT, MEMBER_JOIN, MEMBER_LEAVE,
+    DOMAIN_CHANGE, MEMBER_DECLARE, MEMBER_EJECT, MEMBER_JOIN, MEMBER_LEAVE,
     PEER_UNREACHABLE,
     SHARD_REHOME, SHARD_FAILOVER, SHARD_ADOPT,
     SCHED_WARM, SCHED_COLD, REQ_RESCHEDULE,

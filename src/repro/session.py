@@ -261,39 +261,22 @@ class Session:
         self.sim.run(until=self.sim.now + ms)
 
     # -- tracing -------------------------------------------------------------
-    def export_trace(self, path: str, fmt: str = "chrome") -> None:
-        """Write collected spans to ``path`` (``chrome`` or ``jsonl``)."""
+    def export_trace(self, path: str) -> None:
+        """Write collected spans to ``path`` (Chrome ``trace_event``)."""
         if self.tracer is None:
             raise RuntimeError("session was created without trace=...")
-        from repro.trace.export import export_chrome, export_jsonl
+        from repro.trace.export import export_chrome
 
-        if fmt == "chrome":
-            export_chrome(self.tracer, path)
-        elif fmt == "jsonl":
-            export_jsonl(self.tracer, path)
-        else:
-            raise ValueError(f"unknown trace format {fmt!r}")
+        export_chrome(self.tracer, path)
 
     # -- telemetry -----------------------------------------------------------
-    def export_metrics(self, path: str, fmt: str = "jsonl") -> None:
-        """Write sampled timelines to ``path``.
-
-        ``fmt`` is ``jsonl``, ``csv`` or ``prometheus`` (text exposition
-        format; export-only — the ``repro-metrics`` CLI reads the first
-        two).
-        """
+    def export_metrics(self, path: str) -> None:
+        """Write sampled timelines to ``path`` (JSONL)."""
         if self.metrics is None:
             raise RuntimeError("session was created without metrics=...")
-        from repro.telemetry import export
+        from repro.telemetry.export import export_jsonl
 
-        if fmt == "jsonl":
-            export.export_jsonl(self.metrics, path)
-        elif fmt == "csv":
-            export.export_csv(self.metrics, path)
-        elif fmt == "prometheus":
-            export.export_prometheus(self.metrics, path)
-        else:
-            raise ValueError(f"unknown metrics format {fmt!r}")
+        export_jsonl(self.metrics, path)
 
     # -- flight recorder -----------------------------------------------------
     def export_obs(self, path: str) -> None:

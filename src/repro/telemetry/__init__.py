@@ -3,14 +3,15 @@
 The public surface:
 
 * :class:`MetricsRegistry` / :data:`NULL_REGISTRY` — labeled
-  ``Counter`` / ``Gauge`` / ``HistogramMetric`` instruments, attached to
-  a run via ``Simulator(metrics=...)``.
+  ``Counter`` / ``Gauge`` instruments, each child a pull callback over
+  state a layer already keeps, attached to a run via
+  ``Simulator(metrics=...)``.
 * :class:`Sampler` — sim-process snapshotting every instrument on a
   fixed simulated-clock interval into the registry's
   :class:`TimeSeriesStore`.
-* Exporters — :func:`jsonl_dumps` / :func:`csv_dumps` /
-  :func:`prometheus_dumps` (and ``export_*`` file writers), all
-  byte-deterministic.
+* The one export format, JSONL — :func:`jsonl_dumps` /
+  :func:`export_jsonl`, byte-deterministic — and :func:`load_series`,
+  which reads it back.
 * :func:`detect_anomalies` — rule-based SLO/anomaly windows over
   simulated time (invalidation storms, CPU queue buildup, hit-ratio
   collapse, optional latency SLO).
@@ -24,7 +25,6 @@ from repro import lazy_exports
 from repro.telemetry.registry import (
     Counter,
     Gauge,
-    HistogramMetric,
     MetricError,
     MetricsRegistry,
     NULL_REGISTRY,
@@ -37,8 +37,7 @@ __getattr__ = lazy_exports(__name__, {
     "anomaly": ("Anomaly", "detect_anomalies", "detect_cpu_queue_buildup",
                 "detect_hit_ratio_collapse", "detect_invalidation_storm",
                 "detect_slo_latency"),
-    "export": ("csv_dumps", "export_csv", "export_jsonl", "export_prometheus",
-               "jsonl_dumps", "load_series", "prometheus_dumps"),
+    "export": ("export_jsonl", "jsonl_dumps", "load_series"),
     "summary": ("render_sparkline", "series_stats", "utilization_summary"),
 })
 
@@ -46,7 +45,6 @@ __all__ = [
     "Anomaly",
     "Counter",
     "Gauge",
-    "HistogramMetric",
     "MetricError",
     "MetricsRegistry",
     "NULL_REGISTRY",
@@ -54,18 +52,14 @@ __all__ = [
     "Sampler",
     "Series",
     "TimeSeriesStore",
-    "csv_dumps",
     "detect_anomalies",
     "detect_cpu_queue_buildup",
     "detect_hit_ratio_collapse",
     "detect_invalidation_storm",
     "detect_slo_latency",
-    "export_csv",
     "export_jsonl",
-    "export_prometheus",
     "jsonl_dumps",
     "load_series",
-    "prometheus_dumps",
     "render_sparkline",
     "series_stats",
     "utilization_summary",

@@ -126,13 +126,14 @@ def main(argv: Optional[list] = None, out=None) -> int:
 
 def _run(args, out) -> int:
     if not args.timeline.exists():
-        print(f"error: no such timeline file: {args.timeline}", file=out)
+        print(f"error: no such timeline file: {args.timeline}",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         series_list = load_series(str(args.timeline))
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {args.timeline} is not a telemetry export: {exc}",
-              file=out)
+              file=sys.stderr)
         return EXIT_USAGE
 
     if args.metric is not None:

@@ -15,17 +15,16 @@ The registry mirrors the tracing layer's design contract
   :data:`NULL_REGISTRY` whose ``active`` flag lets instrumentation sites
   skip callback registration entirely.
 
-Instrumentation is *pull-style* where possible: layers that already
-maintain raw counters (network stats, cache stats, resource queues)
-register a zero-argument callback via :meth:`Instrument.set_callback`
-and pay nothing on their hot paths; the sampler evaluates callbacks only
-at sampling instants.  Push-style updates (``inc``/``set``/``observe``)
-exist for signals with no resident state to read back.
+Instrumentation is *pull-only*: every labeled child is a zero-argument
+callback over state a layer already keeps (network stats, cache stats,
+resource queues, per-app totals), registered via
+:meth:`Instrument.set_callback`.  Instrumented layers pay nothing on
+their hot paths; the sampler evaluates callbacks only at sampling
+instants.  A signal with no resident state to read back gets that state
+on its layer (a counter, a running sum), not a push API here.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.telemetry.store import COUNTER, GAUGE, TimeSeriesStore
 
@@ -44,110 +43,49 @@ def _label_key(labelnames: tuple, labelvalues: dict) -> tuple:
 
 
 class _Child:
-    """One labeled stream of an instrument."""
+    """One labeled stream of an instrument: the callback it samples."""
 
-    __slots__ = ("_value", "_callback", "_series")
+    __slots__ = ("_callback", "_series")
 
-    def __init__(self):
-        self._value = 0.0
-        self._callback = None
+    def __init__(self, callback):
+        self._callback = callback
         #: The store series this child samples into, bound at its first
         #: sample (series are created in first-sample order).
         self._series = None
 
     def current(self):
-        callback = self._callback
-        if callback is not None:
-            return callback()
-        return self._value
-
-
-class CounterChild(_Child):
-    """Monotonically non-decreasing stream (pushed or pulled)."""
-
-    __slots__ = ()
-
-    def inc(self, amount=1.0) -> None:
-        if amount < 0:
-            raise MetricError(f"counter increment must be >= 0, got {amount}")
-        self._value += amount
-
-
-class GaugeChild(_Child):
-    """Instantaneous level (pushed or pulled)."""
-
-    __slots__ = ()
-
-    def set(self, value) -> None:
-        self._value = value
-
-    def inc(self, amount=1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount=1.0) -> None:
-        self._value -= amount
-
-
-class HistogramChild:
-    """Streaming distribution summary: count / sum / min / max.
-
-    Full per-sample retention belongs to :class:`repro.metrics.stats.
-    Histogram`; this child keeps only what the sampler snapshots as
-    ``<name>_count`` / ``<name>_sum`` series (plus min/max for the
-    summary CLI), so high-rate observation stays O(1) in memory.
-    """
-
-    __slots__ = ("count", "sum", "min", "max", "_series")
-
-    def __init__(self):
-        self.count = 0
-        self.sum = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        #: The (``_count``, ``_sum``) store series pair, bound like
-        #: :attr:`_Child._series`.
-        self._series = None
-
-    def observe(self, value) -> None:
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        return self._callback()
 
 
 class Instrument:
     """Base: a named metric family with a fixed label set."""
 
     kind: str = ""
-    child_class = _Child
 
     def __init__(self, name: str, help: str, labelnames: tuple):
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        # Label-value tuple -> child, in first-touch order.
+        # Label-value tuple -> child, in registration order.
         self._children: dict = {}
 
     def labels(self, **labelvalues):
-        """Get or create the child for one label-value combination."""
-        key = _label_key(self.labelnames, labelvalues)
-        child = self._children.get(key)
-        if child is None:
-            child = self.child_class()
-            self._children[key] = child
-        return child
+        """The child registered for one label-value combination."""
+        return self._children[_label_key(self.labelnames, labelvalues)]
 
     def set_callback(self, callback, **labelvalues):
-        """Register a pull callback sampled instead of the pushed value.
+        """Register (or replace) the pull callback of one labeled child.
 
         The callback runs only at sampling instants, so instrumented
         layers pay nothing on their hot paths.  Callbacks must be
         deterministic: no wall clock, no iteration over bare sets.
         """
-        child = self.labels(**labelvalues)
-        child._callback = callback
+        key = _label_key(self.labelnames, labelvalues)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = _Child(callback)
+        else:
+            child._callback = callback
         return child
 
     def children(self) -> list:
@@ -164,57 +102,20 @@ class Instrument:
             if series is None:
                 series = child._series = store.series(
                     self.name, self.kind, self._label_pairs(key), self.help)
-            callback = child._callback
             series.times.append(now)
-            series.values.append(
-                callback() if callback is not None else child._value)
+            series.values.append(child._callback())
 
 
 class Counter(Instrument):
-    kind = COUNTER
-    child_class = CounterChild
+    """A monotonically non-decreasing total."""
 
-    def inc(self, amount=1.0) -> None:
-        """Shorthand for unlabeled counters."""
-        self.labels().inc(amount)
+    kind = COUNTER
 
 
 class Gauge(Instrument):
+    """An instantaneous level."""
+
     kind = GAUGE
-    child_class = GaugeChild
-
-    def set(self, value) -> None:
-        """Shorthand for unlabeled gauges."""
-        self.labels().set(value)
-
-
-class HistogramMetric(Instrument):
-    kind = "histogram"
-    child_class = HistogramChild
-
-    def set_callback(self, callback, **labelvalues):
-        raise MetricError("histograms are push-only; use observe()")
-
-    def observe(self, value) -> None:
-        """Shorthand for unlabeled histograms."""
-        self.labels().observe(value)
-
-    def _sample(self, now: float, store: TimeSeriesStore) -> None:
-        # A histogram exports as two counter series, Prometheus-style.
-        for key, child in self._children.items():
-            pair = child._series
-            if pair is None:
-                label_pairs = self._label_pairs(key)
-                pair = child._series = (
-                    store.series(f"{self.name}_count", COUNTER, label_pairs,
-                                 self.help),
-                    store.series(f"{self.name}_sum", COUNTER, label_pairs,
-                                 self.help))
-            count, total = pair
-            count.times.append(now)
-            count.values.append(child.count)
-            total.times.append(now)
-            total.values.append(child.sum)
 
 
 class MetricsRegistry:
@@ -271,9 +172,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", labelnames: tuple = ()):
         return self._instrument(Gauge, name, help, labelnames)
 
-    def histogram(self, name: str, help: str = "", labelnames: tuple = ()):
-        return self._instrument(HistogramMetric, name, help, labelnames)
-
     def instruments(self) -> list:
         """All instruments, in registration order."""
         return list(self._instruments.values())
@@ -301,18 +199,6 @@ class _NullChild:
 
     __slots__ = ()
 
-    def inc(self, amount=1.0):
-        return None
-
-    def dec(self, amount=1.0):
-        return None
-
-    def set(self, value):
-        return None
-
-    def observe(self, value):
-        return None
-
     def current(self):
         return 0.0
 
@@ -333,15 +219,6 @@ class _NullInstrument:
 
     def children(self) -> list:
         return []
-
-    def inc(self, amount=1.0):
-        return None
-
-    def set(self, value):
-        return None
-
-    def observe(self, value):
-        return None
 
 
 NULL_INSTRUMENT = _NullInstrument()
@@ -373,9 +250,6 @@ class NullRegistry:
         return NULL_INSTRUMENT
 
     def gauge(self, name, help="", labelnames=()):
-        return NULL_INSTRUMENT
-
-    def histogram(self, name, help="", labelnames=()):
         return NULL_INSTRUMENT
 
     def instruments(self) -> list:

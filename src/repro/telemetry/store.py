@@ -49,10 +49,6 @@ class Series:
     def label_dict(self) -> dict:
         return dict(self.labels)
 
-    def label_str(self) -> str:
-        """Render labels as ``k=v;k2=v2`` (CSV / display form)."""
-        return ";".join(f"{name}={value}" for name, value in self.labels)
-
     def last(self):
         """The most recent sampled value (None when never sampled)."""
         return self.values[-1] if self.values else None

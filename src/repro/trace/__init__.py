@@ -8,7 +8,6 @@ Public surface::
     sim = Simulator(seed=42, tracer=tracer)
     ...
     export_chrome(tracer, "out.json")     # Perfetto-loadable
-    export_jsonl(tracer, "out.jsonl")     # one span per line
 
 See :mod:`repro.trace.tracer` for the span model and the determinism
 contract, and ``repro-trace`` (:mod:`repro.trace.cli`) for turning an
@@ -28,8 +27,7 @@ from repro.trace.tracer import (
 )
 
 __getattr__ = lazy_exports(__name__, {
-    "export": ("chrome_dumps", "export_chrome", "export_jsonl", "jsonl_dumps",
-               "load_trace", "loads_trace"),
+    "export": ("chrome_dumps", "export_chrome", "load_trace", "loads_trace"),
 })
 
 __all__ = [
@@ -42,8 +40,6 @@ __all__ = [
     "Tracer",
     "chrome_dumps",
     "export_chrome",
-    "export_jsonl",
-    "jsonl_dumps",
     "load_trace",
     "loads_trace",
 ]

@@ -7,8 +7,7 @@ Usage::
     repro-trace out.json --ops           # only the per-op table
     repro-trace out.json --since 500 --until 1500   # sim-time window
 
-Accepts both export formats (JSONL span records and Chrome trace_event
-documents) and auto-detects which one it was given.
+Reads the Chrome trace_event document a ``Tracer`` export writes.
 """
 
 from __future__ import annotations
@@ -38,15 +37,14 @@ from repro.trace.summary import (
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-trace",
-        description=("Summarize a repro.trace export (JSONL or Chrome "
-                     "trace_event) into a Fig. 1-style latency-breakdown "
-                     "table."),
+        description=("Summarize a repro.trace export (Chrome trace_event) "
+                     "into a Fig. 1-style latency-breakdown table."),
         parents=[common_parent(formats=("text", "json"), out=True,
                                window=True)],
     )
     parser.add_argument("trace", type=Path,
                         help="trace file written by Tracer export "
-                             "(JSONL or Chrome trace_event JSON)")
+                             "(Chrome trace_event JSON)")
     parser.add_argument("--ops", action="store_true",
                         help="print only the per-op table")
     return parser
@@ -58,13 +56,13 @@ def main(argv: Optional[list] = None, out=None) -> int:
 
 def _run(args, out) -> int:
     if not args.trace.exists():
-        print(f"error: no such trace file: {args.trace}", file=out)
+        print(f"error: no such trace file: {args.trace}", file=sys.stderr)
         return EXIT_USAGE
     try:
         spans = load_trace(args.trace)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {args.trace} is not a repro trace export: {exc}",
-              file=out)
+              file=sys.stderr)
         return EXIT_USAGE
 
     if args.since is not None or args.until is not None:

@@ -1,21 +1,20 @@
-"""Trace serialization: JSONL span records and Chrome ``trace_event``.
+"""Trace serialization: the Chrome ``trace_event`` document, and back.
 
-Both writers are byte-deterministic for a given simulation: spans are
-emitted sorted by span id (creation order), every JSON object is dumped
-with ``sort_keys=True``, and nothing derived from object identity or
-hash order reaches the output.  The Chrome variant loads directly in
-Perfetto / ``chrome://tracing`` — one ``pid`` for the run, one ``tid``
-lane per simulator process, complete (``ph: "X"``) events in
-microseconds.
+Chrome ``trace_event`` is the trace's one export format: it loads
+directly in Perfetto / ``chrome://tracing`` — one ``pid`` for the run,
+one ``tid`` lane per simulator process, complete (``ph: "X"``) events
+in microseconds — and ``repro-trace`` and ``repro-inspect timeline``
+read it back.  The writer is byte-deterministic for a given simulation:
+spans are emitted sorted by span id (creation order), every JSON object
+is dumped with ``sort_keys=True``, and nothing derived from object
+identity or hash order reaches the output.
 
-Every writer is a generator of text chunks, one span per chunk, over
-``Tracer.iter_dicts()``: the ``*_dumps`` functions join them, the
-``export_*`` functions hand them to the file one by one, so writing a
+The writer is a generator of text chunks, one span per chunk, over
+``Tracer.iter_dicts()``: :func:`chrome_dumps` joins them,
+:func:`export_chrome` hands them to the file one by one, so writing a
 trace costs the memory of the spans that ended out of order, not of the
-document.
-
-These are plain functions (not simulation processes), so file I/O here
-never stalls a simulated clock.
+document.  These are plain functions (not simulation processes), so file
+I/O here never stalls a simulated clock.
 """
 
 from __future__ import annotations
@@ -33,21 +32,6 @@ def _span_dicts(source) -> Iterable[dict]:
 
 def _json(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _jsonl_lines(source) -> Iterator[str]:
-    for span in _span_dicts(source):
-        yield _json(span) + "\n"
-
-
-def jsonl_dumps(source) -> str:
-    """Serialize completed spans as one JSON object per line."""
-    return "".join(_jsonl_lines(source))
-
-
-def export_jsonl(source, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_jsonl_lines(source))
 
 
 def _chrome_events(source, lane_names=None) -> Iterator[dict]:
@@ -75,11 +59,6 @@ def _chrome_events(source, lane_names=None) -> Iterator[dict]:
             "dur": (span["end_ms"] - span["start_ms"]) * 1000.0,
             "args": args,
         }
-
-
-def chrome_events(source, lane_names=None) -> list:
-    """Build the Chrome ``traceEvents`` list (metadata + complete events)."""
-    return list(_chrome_events(source, lane_names))
 
 
 def _chrome_chunks(source, lane_names=None) -> Iterator[str]:
@@ -128,27 +107,16 @@ def _spans_from_chrome(document: dict) -> list:
 
 
 def loads_trace(text: str) -> list:
-    """Parse either export format into a list of span dicts."""
-    stripped = text.lstrip()
-    if not stripped:
+    """Parse a Chrome trace_event document into a list of span dicts."""
+    if not text.strip():
         return []
-    if stripped.startswith("{") and "traceEvents" in stripped.split("\n", 1)[0]:
-        return _spans_from_chrome(json.loads(text))
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError:
-        document = None
-    if isinstance(document, dict) and "traceEvents" in document:
-        return _spans_from_chrome(document)
-    spans = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            spans.append(json.loads(line))
-    return spans
+    document = json.loads(text)
+    if not isinstance(document, dict) or "traceEvents" not in document:
+        raise ValueError("not a Chrome trace_event document")
+    return _spans_from_chrome(document)
 
 
 def load_trace(path) -> list:
-    """Read a trace file (JSONL or Chrome) into span dicts."""
+    """Read a Chrome trace file into span dicts."""
     with open(path, "r", encoding="utf-8") as handle:
         return loads_trace(handle.read())

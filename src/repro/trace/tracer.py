@@ -1,10 +1,12 @@
 """Deterministic causal tracing clocked off the simulated clock.
 
 A :class:`Tracer` collects :class:`Span` records describing what one
-logical operation did — agent op, directory lookup, invalidation fan-out,
-storage round trip — as a tree linked by ``(trace_id, span_id,
-parent_id)``.  The design constraints mirror the repository's analysis
-rules:
+logical operation did — agent op, invalidation fan-out, storage round
+trip — as a tree linked by ``(trace_id, span_id, parent_id)``.  The
+tracer records intervals only: a point transition (a directory change, a
+recovery step, an injected fault) is a flight-recorder event
+(:mod:`repro.obs.events`), which carries the ambient span id.  The
+design constraints mirror the repository's analysis rules:
 
 * **Simulated time only** (DET01): spans are stamped with ``sim.now``;
   the tracer never reads a wall clock.
@@ -42,8 +44,8 @@ exporters unpack one batch at a time.
   collector cannot rule out that the dict gains a container later).
 * *Why batches.*  Packing per record would pay ``dumps``' fixed cost and
   lose its back-references 4096 times over; one blob per run would
-  double the peak while it is built.  The hot path (``Span.end``,
-  ``instant``) gains one length check.
+  double the peak while it is built.  The hot path (``Span.end``) gains
+  one length check.
 * *Why* ``marshal`` *and not typed columns.*  ``array`` columns plus a
   table of attr shapes reach the same bytes per span but have to take
   every row apart in Python — 1.1 µs a row fully vectorised against
@@ -327,27 +329,6 @@ class Tracer:
         self._open[span_id] = span
         return span
 
-    def instant(self, name: str, category: str = "event",
-                parent=INHERIT, **attrs) -> None:
-        """Record a zero-duration event without shifting the context."""
-        sim = self._sim
-        if sim is None:
-            raise RuntimeError("Tracer.instant() before bind()")
-        parent_ctx = self.resolve(parent)
-        if parent_ctx is None:
-            trace_id = next(self._trace_ids)
-            parent_id = None
-        else:
-            trace_id, parent_id = parent_ctx
-        process = sim.active_process
-        lane = (process.trace_lane if process is not None
-                else self._driver_lane)
-        if lane is None:
-            lane = self._new_lane(process)
-        now = sim.now
-        self._log.append((trace_id, next(self._span_ids), parent_id,
-                          sys.intern(name), category, now, now, lane), attrs)
-
     # -- inspection / export ------------------------------------------
 
     @property
@@ -417,9 +398,6 @@ class NullTracer:
 
     def span(self, name, category="span", parent=INHERIT, **attrs):
         return NULL_SPAN
-
-    def instant(self, name, category="event", parent=INHERIT, **attrs):
-        return None
 
     @property
     def spans(self) -> list:

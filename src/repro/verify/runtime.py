@@ -173,7 +173,7 @@ def check_coherence(
                 home_agent = live.get(home)
                 if home_agent is None:
                     continue  # dead home is flagged by the checks above
-                entry = home_agent.directory.peek(key)
+                entry = home_agent.directory.get(key)
                 where = (f"shard {ring.shard_of(key)} leader" if sharded
                          else "home")
                 if entry is None:

@@ -85,6 +85,13 @@ class TestCli:
         assert "DET01" in out
         assert "1 waived" in out
 
+    def test_usage_error_goes_to_stderr_not_out(self, tmp_path, capsys):
+        report = tmp_path / "a.sarif"
+        assert cli_main(["--format", "sarif", "--out", str(report),
+                         str(tmp_path / "nosuch")]) == 2
+        assert report.read_text() == ""
+        assert "error: no such path" in capsys.readouterr().err
+
     def test_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out

@@ -6,6 +6,8 @@ from repro.config import SimConfig
 from repro.coord import CoordinationService
 from repro.coord.service import ping_handler
 from repro.net import Endpoint, Network
+from repro.obs import FlightRecorder
+from repro.obs.events import MEMBER_DECLARE
 from repro.sim import Simulator
 
 
@@ -160,3 +162,42 @@ class TestFailureDetection:
         coord.join("app1", "node0", "node0/agent")
         coord.report_unreachable("app1", "ghost")
         assert coord.members("app1") == {"node0": "node0/agent"}
+
+
+class TestDeclareEvent:
+    """Each failure declaration is recorded once, as ``member.declare``."""
+
+    @staticmethod
+    def wired(config, run_heartbeats):
+        recorder = FlightRecorder()
+        net = Network(Simulator(obs=recorder), config.latency)
+        coord = CoordinationService(net, config, run_heartbeats=run_heartbeats)
+        return net, coord, recorder
+
+    @staticmethod
+    def declarations(recorder):
+        return [(event.t, event.attrs["app"], event.attrs["member"])
+                for event in recorder.events() if event.type == MEMBER_DECLARE]
+
+    def test_heartbeat_path(self, config):
+        net, coord, recorder = self.wired(config, run_heartbeats=True)
+        for node_id in ("node0", "node1"):
+            coord.join("app1", node_id, make_member(net, node_id).address)
+        net.sim.run(until=500.0)
+        net.fail_node("node1")
+        net.sim.run(until=3000.0)
+        assert [member for _, _, member in coord.failures_detected] == [
+            "node1"]
+        assert self.declarations(recorder) == coord.failures_detected
+
+    def test_report_unreachable_path(self, config):
+        net, coord, recorder = self.wired(config, run_heartbeats=False)
+        for app in ("app1", "app2"):
+            for node_id in ("node0", "node1"):
+                coord.join(app, node_id, f"{node_id}/{app}")
+        coord.report_unreachable("app1", "node1")
+        coord.report_unreachable("app2", "node1")  # already declared
+        net.sim.run()
+        assert [app for _, app, _ in coord.failures_detected] == [
+            "app1", "app2"]
+        assert self.declarations(recorder) == coord.failures_detected

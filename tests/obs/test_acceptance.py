@@ -51,7 +51,7 @@ def _traffic(session):
 @pytest.fixture(scope="module")
 def exports(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("acceptance")
-    dump, trace, metrics = (tmp / "flight.jsonl", tmp / "trace.jsonl",
+    dump, trace, metrics = (tmp / "flight.jsonl", tmp / "trace.json",
                             tmp / "metrics.jsonl")
     with Session(nodes=4, seed=13, scheme="concord", trace=True,
                  metrics=True, metrics_interval_ms=100.0,
@@ -66,8 +66,8 @@ def exports(tmp_path_factory):
         # Drain: let RPC timeouts fire and in-flight ops finish so every
         # span is closed before the exports are written.
         session.advance(8000.0)
-        session.export_trace(str(trace), fmt="jsonl")
-        session.export_metrics(str(metrics), fmt="jsonl")
+        session.export_trace(str(trace))
+        session.export_metrics(str(metrics))
     return dump, trace, metrics
 
 

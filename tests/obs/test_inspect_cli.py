@@ -50,32 +50,40 @@ class TestTimeline:
         assert code == EXIT_OK and text == ""
         assert "cache.install" in target.read_text()
 
-    def test_missing_dump_is_usage_error(self, tmp_path):
+    def test_missing_dump_is_usage_error(self, tmp_path, capsys):
         code, text = run_cli("timeline", str(tmp_path / "nope.jsonl"))
-        assert code == EXIT_USAGE
-        assert "no such dump file" in text
+        assert code == EXIT_USAGE and text == ""
+        assert "no such dump file" in capsys.readouterr().err
 
-    def test_malformed_dump_is_usage_error(self, tmp_path):
+    def test_usage_error_goes_to_stderr_not_out(self, tmp_path, capsys):
+        report = tmp_path / "rep.txt"
+        code, text = run_cli("timeline", str(tmp_path / "nope.jsonl"),
+                             "--out", str(report))
+        assert code == EXIT_USAGE and text == ""
+        assert report.read_text() == ""
+        assert "no such dump file" in capsys.readouterr().err
+
+    def test_malformed_dump_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
         code, text = run_cli("timeline", str(bad))
-        assert code == EXIT_USAGE
-        assert "not a flight-recorder dump" in text
+        assert code == EXIT_USAGE and text == ""
+        assert "not a flight-recorder dump" in capsys.readouterr().err
 
     def test_empty_trace_file_is_accepted(self, tmp_path):
-        empty = tmp_path / "trace.jsonl"
+        empty = tmp_path / "trace.json"
         empty.write_text("")
         code, text = run_cli("timeline", DUMP, "--trace", str(empty))
         assert code == EXIT_OK
         assert "spans=0" in text
 
-    def test_bad_trace_file_is_usage_error(self, tmp_path):
+    def test_bad_trace_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "trace.json"
         for content in ("{nope", "[]"):  # unparsable; JSON but not spans
             bad.write_text(content)
             code, text = run_cli("timeline", DUMP, "--trace", str(bad))
-            assert code == EXIT_USAGE
-            assert "not a repro trace export" in text
+            assert code == EXIT_USAGE and text == ""
+            assert "not a repro trace export" in capsys.readouterr().err
 
 
 class TestExplain:

@@ -37,7 +37,7 @@ TOOLING = (
     "repro.obs.explain", "repro.obs.export", "repro.obs.timeline",
     "repro.telemetry.anomaly", "repro.telemetry.export",
     "repro.telemetry.summary", "repro.trace.export", "repro.verify.model",
-    "repro.cli_common", "argparse", "csv", "html", "statistics",
+    "repro.cli_common", "argparse", "html", "statistics",
 )
 
 
@@ -60,12 +60,12 @@ def test_runtime_imports_no_tooling():
 def test_package_roots_still_export_their_tooling():
     from repro import obs, telemetry, trace, verify
     from repro.obs.timeline import render_text
-    from repro.telemetry.export import csv_dumps
+    from repro.telemetry.export import jsonl_dumps
     from repro.trace.export import chrome_dumps
     from repro.verify.model import ModelChecker
 
     assert obs.render_text is render_text
-    assert telemetry.csv_dumps is csv_dumps
+    assert telemetry.jsonl_dumps is jsonl_dumps
     assert trace.chrome_dumps is chrome_dumps
     assert verify.ModelChecker is ModelChecker
     for package in (obs, telemetry, trace, verify):

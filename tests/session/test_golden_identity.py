@@ -39,10 +39,8 @@ from repro.obs import jsonl_dumps as obs_jsonl_dumps
 from repro.session import Session
 from repro.shard.topologies import DURATION_MS, run_topology_scenario
 from repro.storage import DataItem
-from repro.telemetry import csv_dumps, prometheus_dumps
 from repro.telemetry import jsonl_dumps as metrics_jsonl_dumps
 from repro.trace import chrome_dumps
-from repro.trace import jsonl_dumps as trace_jsonl_dumps
 from repro.txn import TXN_APPS
 
 GOLDEN = Path(__file__).with_name("golden_identity.json")
@@ -86,12 +84,9 @@ def _exports() -> dict:
     """Every export of one reduced all-signals mixed run, as text."""
     result = run_mixed_workload(**_MIXED, trace=True, metrics=True, obs=True)
     out = {
-        "trace_jsonl": trace_jsonl_dumps(result.tracer),
         "trace_chrome": chrome_dumps(result.tracer),
         "obs_jsonl": obs_jsonl_dumps(result.obs),
         "metrics_jsonl": metrics_jsonl_dumps(result.metrics),
-        "metrics_csv": csv_dumps(result.metrics),
-        "metrics_prometheus": prometheus_dumps(result.metrics),
     }
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -273,12 +268,9 @@ CASES = {
     "gate_scheme_causal": _gate_scheme("causal"),
     # Byte identity of every signal export of the all-signals run (the
     # digest is of the export text itself).
-    "export_trace_jsonl": _export("trace_jsonl"),
     "export_trace_chrome": _export("trace_chrome"),
     "export_obs_jsonl": _export("obs_jsonl"),
     "export_metrics_jsonl": _export("metrics_jsonl"),
-    "export_metrics_csv": _export("metrics_csv"),
-    "export_metrics_prometheus": _export("metrics_prometheus"),
     "export_inspect_timeline_json": _export("inspect_timeline_json"),
 }
 

@@ -111,23 +111,15 @@ class TestTracing:
             s.read("node1", "k")
         assert tracer.spans
 
-    def test_export_jsonl_format(self, tmp_path):
-        path = tmp_path / "session.jsonl"
-        with Session(seed=9, trace=True) as s:
-            s.preload({"k": DataItem("v0", 256)})
-            s.read("node1", "k")
-            s.export_trace(str(path), fmt="jsonl")
-        spans = load_trace(path)
-        assert spans == s.tracer.to_dicts()
-
     def test_export_without_tracer_raises(self, tmp_path):
         with Session(seed=9) as s:
             with pytest.raises(RuntimeError):
                 s.export_trace(str(tmp_path / "x.json"))
 
     def test_export_unknown_format_rejected(self, tmp_path):
+        """Chrome is the one trace format: there is no ``fmt=``."""
         with Session(seed=9, trace=True) as s:
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 s.export_trace(str(tmp_path / "x.bin"), fmt="protobuf")
 
 

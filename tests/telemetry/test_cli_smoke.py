@@ -28,8 +28,6 @@ with Session(nodes=2, seed=7, scheme="concord",
         s.read("node0", f"k{i}")
         s.write("node1", f"k{i}", DataItem(f"w{i}", 128))
     s.advance(500.0)
-    s.export_metrics("metrics.csv", fmt="csv")
-    s.export_metrics("metrics.prom", fmt="prometheus")
 """
 
 
@@ -53,8 +51,6 @@ def generate_and_inspect(workdir: Path, hashseed: str) -> dict:
 
     outputs = {
         "metrics.jsonl": (workdir / "metrics.jsonl").read_text(),
-        "metrics.csv": (workdir / "metrics.csv").read_text(),
-        "metrics.prom": (workdir / "metrics.prom").read_text(),
         "trace.json": (workdir / "trace.json").read_text(),
     }
     clis = {
@@ -63,8 +59,8 @@ def generate_and_inspect(workdir: Path, hashseed: str) -> dict:
                               "--anomalies", "--slo-latency-ms", "500"],
         "metrics-one": ["-m", "repro.telemetry", "metrics.jsonl",
                         "--metric", "cache_reads_total"],
-        "metrics-json-from-csv": ["-m", "repro.telemetry", "metrics.csv",
-                                  "--format", "json"],
+        "metrics-json": ["-m", "repro.telemetry", "metrics.jsonl",
+                         "--format", "json"],
         "trace-summary": ["-m", "repro.trace", "trace.json"],
     }
     for label, args in clis.items():
@@ -99,6 +95,8 @@ def test_cli_pipeline_byte_identical_across_hashseeds(tmp_path):
 def test_metrics_cli_error_paths(tmp_path):
     missing = run_cmd(["-m", "repro.telemetry", "nope.jsonl"], tmp_path, "0")
     assert missing.returncode == 2
+    assert missing.stdout == ""
+    assert "error: no such timeline file" in missing.stderr
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not a timeline\n")
     garbled = run_cmd(["-m", "repro.telemetry", "bad.jsonl"], tmp_path, "0")
@@ -109,3 +107,12 @@ def test_metrics_cli_error_paths(tmp_path):
     unknown = run_cmd(["-m", "repro.telemetry", "metrics.jsonl",
                        "--metric", "no_such_metric"], tmp_path, "0")
     assert unknown.returncode == 1
+
+
+def test_usage_error_goes_to_stderr_not_out(tmp_path, capsys):
+    from repro.telemetry.cli import main
+
+    report = tmp_path / "rep.txt"
+    assert main([str(tmp_path / "nosuch.jsonl"), "--out", str(report)]) == 2
+    assert report.read_text() == ""
+    assert "error: no such timeline file" in capsys.readouterr().err

@@ -1,16 +1,12 @@
-"""Exporters: canonical ordering, round-trips, byte determinism."""
+"""The JSONL exporter: canonical ordering, round-trip, byte determinism."""
 
 import pytest
 
 from repro.telemetry import (
     MetricsRegistry,
-    csv_dumps,
-    export_csv,
     export_jsonl,
-    export_prometheus,
     jsonl_dumps,
     load_series,
-    prometheus_dumps,
 )
 
 
@@ -20,12 +16,13 @@ def populated_registry() -> MetricsRegistry:
                                labelnames=("node",))
     gauge = registry.gauge("queue_depth", "Run-queue depth.",
                            labelnames=("node",))
+    ops = {"n0": 1.0, "n1": 2.0}
     # Register children in non-sorted order to exercise canonicalization.
-    counter.labels(node="n1").inc(2.0)
-    counter.labels(node="n0").inc(1.0)
-    gauge.labels(node="n1").set(4.0)
+    counter.set_callback(lambda: ops["n1"], node="n1")
+    counter.set_callback(lambda: ops["n0"], node="n0")
+    gauge.set_callback(lambda: 4.0, node="n1")
     registry.sample(0.0)
-    counter.labels(node="n0").inc(3.0)
+    ops["n0"] += 3.0
     registry.sample(100.0)
     return registry
 
@@ -38,19 +35,6 @@ def test_jsonl_round_trip(tmp_path):
     assert loaded == registry.to_dicts()
 
 
-def test_csv_round_trip_preserves_points(tmp_path):
-    registry = populated_registry()
-    path = tmp_path / "out.csv"
-    export_csv(registry, str(path))
-    loaded = load_series(str(path))
-    original = {(s["name"], tuple(sorted(s["labels"].items()))):
-                [[float(t), float(v)] for t, v in s["points"]]
-                for s in registry.to_dicts()}
-    round_tripped = {(s["name"], tuple(sorted(s["labels"].items()))):
-                     s["points"] for s in loaded}
-    assert round_tripped == original
-
-
 def test_canonical_series_order():
     registry = populated_registry()
     names = [series["name"] for series in registry.to_dicts()]
@@ -60,24 +44,20 @@ def test_canonical_series_order():
     assert [s["labels"]["node"] for s in ops] == ["n0", "n1"]
 
 
-def test_prometheus_format(tmp_path):
-    registry = populated_registry()
-    text = prometheus_dumps(registry)
-    assert "# HELP ops_total Operations." in text
-    assert "# TYPE ops_total counter" in text
-    assert "# TYPE queue_depth gauge" in text
-    assert 'ops_total{node="n0"} 4.0 100.0' in text
-    # One TYPE line per family, not per series.
-    assert text.count("# TYPE ops_total") == 1
-    path = tmp_path / "out.prom"
-    export_prometheus(registry, str(path))
-    assert path.read_text() == text
-
-
 def test_prometheus_is_export_only(tmp_path):
-    registry = populated_registry()
+    """Prometheus exposition text (as other tools write it) is not a
+    timeline ``load_series`` reads."""
     path = tmp_path / "out.prom"
-    export_prometheus(registry, str(path))
+    path.write_text('# TYPE ops_total counter\n'
+                    'ops_total{node="n0"} 4.0 100.0\n')
+    with pytest.raises(ValueError):
+        load_series(str(path))
+
+
+def test_csv_is_not_a_timeline(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("name,kind,labels,t_ms,value\n"
+                    "ops_total,counter,node=n0,0.0,1.0\n")
     with pytest.raises(ValueError):
         load_series(str(path))
 
@@ -92,11 +72,8 @@ def test_dumps_accept_dict_lists():
     registry = populated_registry()
     dicts = registry.to_dicts()
     assert jsonl_dumps(dicts) == jsonl_dumps(registry)
-    assert csv_dumps(dicts) == csv_dumps(registry)
 
 
 def test_identical_runs_dump_identical_bytes():
     a, b = populated_registry(), populated_registry()
     assert jsonl_dumps(a) == jsonl_dumps(b)
-    assert csv_dumps(a) == csv_dumps(b)
-    assert prometheus_dumps(a) == prometheus_dumps(b)

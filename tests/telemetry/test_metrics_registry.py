@@ -15,14 +15,14 @@ class TestLabeling:
     def test_label_values_keyed_in_declared_order(self):
         registry = MetricsRegistry()
         counter = registry.counter("ops", labelnames=("node", "app"))
-        counter.labels(app="a", node="n0").inc(3.0)
+        counter.set_callback(lambda: 3.0, app="a", node="n0")
         # Same child regardless of kwarg order.
         assert counter.labels(node="n0", app="a").current() == 3.0
 
     def test_label_values_coerced_to_str(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("depth", labelnames=("shard",))
-        gauge.labels(shard=3).set(7.0)
+        gauge.set_callback(lambda: 7.0, shard=3)
         assert gauge.labels(shard="3").current() == 7.0
 
     def test_mismatched_label_set_rejected(self):
@@ -32,18 +32,8 @@ class TestLabeling:
             counter.labels(app="a")
         with pytest.raises(MetricError):
             counter.labels()
-
-    def test_unlabeled_shorthands(self):
-        registry = MetricsRegistry()
-        registry.counter("total", labelnames=()).inc(2.0)
-        registry.gauge("level", labelnames=()).set(5.0)
-        registry.histogram("lat", labelnames=()).observe(4.0)
-        registry.sample(0.0)
-        values = {s.name: s.last() for s in registry.store.all_series()}
-        assert values["total"] == 2.0
-        assert values["level"] == 5.0
-        assert values["lat_count"] == 1
-        assert values["lat_sum"] == 4.0
+        with pytest.raises(MetricError):
+            counter.set_callback(lambda: 1.0, app="a")
 
 
 class TestRegistration:
@@ -65,26 +55,28 @@ class TestRegistration:
         with pytest.raises(MetricError):
             registry.counter("ops", labelnames=("node", "app"))
 
-    def test_histogram_is_push_only(self):
+    def test_no_push_api(self):
+        """Telemetry only reads state: there is nothing to push into."""
         registry = MetricsRegistry()
-        histogram = registry.histogram("lat", labelnames=())
-        with pytest.raises(MetricError):
-            histogram.set_callback(lambda: 1.0)
-
-    def test_negative_counter_increment_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(MetricError):
-            registry.counter("ops", labelnames=()).labels().inc(-1.0)
+        counter = registry.counter("ops", labelnames=())
+        child = counter.set_callback(lambda: 1.0)
+        assert not hasattr(registry, "histogram")
+        for target, method in ((counter, "inc"),
+                               (registry.gauge("g", labelnames=()), "set"),
+                               (child, "inc"), (child, "set"),
+                               (child, "observe")):
+            assert not hasattr(target, method)
+        with pytest.raises(KeyError):
+            registry.gauge("level", labelnames=("node",)).labels(node="n0")
 
 
 class TestSampling:
-    def test_callback_overrides_pushed_value(self):
+    def test_second_callback_replaces_the_first(self):
         registry = MetricsRegistry()
         state = {"v": 10.0}
         gauge = registry.gauge("level", labelnames=())
-        child = gauge.labels()
-        child.set(1.0)
-        gauge.set_callback(lambda: state["v"])
+        child = gauge.set_callback(lambda: 1.0)
+        assert gauge.set_callback(lambda: state["v"]) is child
         registry.sample(0.0)
         state["v"] = 20.0
         registry.sample(100.0)
@@ -94,8 +86,8 @@ class TestSampling:
     def test_sample_counts_and_series_identity(self):
         registry = MetricsRegistry()
         counter = registry.counter("ops", labelnames=("node",))
-        counter.labels(node="n1").inc()
-        counter.labels(node="n0").inc(2.0)
+        counter.set_callback(lambda: 1.0, node="n1")
+        counter.set_callback(lambda: 2.0, node="n0")
         registry.sample(0.0)
         registry.sample(50.0)
         assert registry.samples == 2
@@ -109,13 +101,16 @@ class TestSampling:
         """points / last / to_dict over the flat times+values storage."""
         registry = MetricsRegistry()
         gauge = registry.gauge("level", "A level.", labelnames=("node",))
-        gauge.labels(node="n0").set(3)
-        latency = registry.histogram("lat", labelnames=())
-        latency.observe(1.0)
+        gauge.set_callback(lambda: 3, node="n0")
+        latency = {"count": 1, "sum": 1.0}
+        registry.counter("lat_count", labelnames=()).set_callback(
+            lambda: latency["count"])
+        registry.counter("lat_sum", labelnames=()).set_callback(
+            lambda: latency["sum"])
         registry.sample(0.0)
-        # A child first touched later starts its series later.
-        gauge.labels(node="n1").set(7.5)
-        latency.observe(4.0)
+        # A child first registered later starts its series later.
+        gauge.set_callback(lambda: 7.5, node="n1")
+        latency["count"], latency["sum"] = 2, 5.0
         registry.sample(100.0)
         by_key = {s.key: s for s in registry.store.all_series()}
         n0 = by_key[("level", (("node", "n0"),))]
@@ -144,8 +139,8 @@ class TestNullRegistry:
     def test_shared_null_registry_is_inert(self):
         assert NULL_REGISTRY.active is False
         counter = NULL_REGISTRY.counter("ops")
-        counter.inc()
-        counter.labels(node="n0").inc(5.0)
+        assert counter.set_callback(lambda: 5.0, node="n0").current() == 0.0
+        assert counter.labels(node="n0").current() == 0.0
         child = NULL_REGISTRY.gauge("g").set_callback(lambda: 1.0)
         assert child.current() == 0.0
         NULL_REGISTRY.sample(0.0)

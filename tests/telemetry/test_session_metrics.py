@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.runner import run_mixed_workload
 from repro.session import Session
 from repro.storage import DataItem
 from repro.telemetry import MetricsRegistry, jsonl_dumps, load_series
@@ -44,15 +45,14 @@ def test_explicit_registry_instance_used_as_is():
 
 
 def test_export_metrics_formats(tmp_path):
+    """JSONL is the one metrics format: no ``fmt=`` to choose another."""
     with Session(nodes=2, seed=7, metrics=True) as session:
         drive(session)
-        session.export_metrics(str(tmp_path / "m.jsonl"), fmt="jsonl")
-        session.export_metrics(str(tmp_path / "m.csv"), fmt="csv")
-        session.export_metrics(str(tmp_path / "m.prom"), fmt="prometheus")
-        with pytest.raises(ValueError):
-            session.export_metrics(str(tmp_path / "m.x"), fmt="xml")
-    assert load_series(str(tmp_path / "m.jsonl"))
-    assert load_series(str(tmp_path / "m.csv"))
+        session.export_metrics(str(tmp_path / "m.jsonl"))
+        with pytest.raises(TypeError):
+            session.export_metrics(str(tmp_path / "m.csv"), fmt="csv")
+    loaded = load_series(str(tmp_path / "m.jsonl"))
+    assert loaded and loaded == session.metrics.to_dicts()
 
 
 def test_metrics_off_by_default():
@@ -84,3 +84,23 @@ def test_repeated_sessions_export_identical_bytes():
             return jsonl_dumps(session.metrics)
 
     assert dump() == dump()
+
+
+def test_request_counters_count_the_warmup_too():
+    """The pulled request counters read run-long totals: the runner's
+    post-warmup reset of ``app.latency`` does not rewind them."""
+    result = run_mixed_workload(
+        nodes=2, cores_per_node=2, apps=("SocNet", "HotelBook"),
+        total_rps=40.0, warmup_ms=400.0, duration_ms=400.0, drain_ms=800.0,
+        seed=5, trace=True, metrics=True)
+    assert result.tracer.open_spans() == []
+    last = {(series["name"], series["labels"]["app"]): series["points"][-1][1]
+            for series in result.metrics.to_dicts()
+            if series["name"].startswith("faas_request_latency_ms_")}
+    for app, measured in result.per_app.items():
+        requests = [span for span in result.tracer.spans
+                    if span.category == "request" and span.attrs["app"] == app]
+        assert last["faas_request_latency_ms_count", app] == len(requests)
+        assert len(requests) > measured.completed > 0
+        assert last["faas_request_latency_ms_sum", app] == pytest.approx(
+            sum(span.duration_ms for span in requests))

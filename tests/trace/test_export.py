@@ -1,4 +1,4 @@
-"""Export formats: JSONL and Chrome trace_event, byte-deterministic."""
+"""The trace export format, Chrome trace_event: byte-deterministic."""
 
 import json
 
@@ -9,8 +9,6 @@ from repro.trace import (
     Tracer,
     chrome_dumps,
     export_chrome,
-    export_jsonl,
-    jsonl_dumps,
     load_trace,
     loads_trace,
 )
@@ -23,7 +21,6 @@ def traced_run(seed: int = 3) -> Tracer:
 
     def op(sim, label):
         with tracer.span(f"op:{label}", "op", parent=None, key=label):
-            tracer.instant("dir:get", "directory", key=label)
             with tracer.span("storage:read", "storage", store="blob"):
                 yield sim.timeout(30.0)
 
@@ -33,31 +30,6 @@ def traced_run(seed: int = 3) -> Tracer:
     return tracer
 
 
-class TestJsonl:
-    def test_one_json_object_per_line(self):
-        text = jsonl_dumps(traced_run())
-        lines = text.strip().split("\n")
-        assert len(lines) == 6  # 2 x (op + instant + storage)
-        for line in lines:
-            record = json.loads(line)
-            assert {"trace_id", "span_id", "name", "category",
-                    "start_ms", "end_ms", "duration_ms"} <= set(record)
-
-    def test_empty_tracer_dumps_empty(self):
-        tracer = Tracer()
-        Simulator(seed=0, tracer=tracer)
-        assert jsonl_dumps(tracer) == ""
-
-    def test_identical_runs_byte_identical(self):
-        assert jsonl_dumps(traced_run()) == jsonl_dumps(traced_run())
-
-    def test_roundtrip_through_file(self, tmp_path):
-        tracer = traced_run()
-        path = tmp_path / "trace.jsonl"
-        export_jsonl(tracer, path)
-        assert load_trace(path) == tracer.to_dicts()
-
-
 class TestChrome:
     def test_document_shape(self):
         tracer = traced_run()
@@ -65,7 +37,12 @@ class TestChrome:
         assert document["displayTimeUnit"] == "ms"
         phases = [e["ph"] for e in document["traceEvents"]]
         assert set(phases) <= {"M", "X"}
-        assert phases.count("X") == 6
+        assert phases.count("X") == 4  # 2 x (op + storage)
+
+    def test_empty_tracer_dumps_no_spans(self):
+        tracer = Tracer()
+        Simulator(seed=0, tracer=tracer)
+        assert json.loads(chrome_dumps(tracer))["traceEvents"] == []
 
     def test_thread_name_metadata_per_process(self):
         tracer = traced_run()
@@ -107,10 +84,6 @@ class TestChrome:
 
 
 class TestLoadsTrace:
-    def test_autodetects_jsonl(self):
-        tracer = traced_run()
-        assert loads_trace(jsonl_dumps(tracer)) == tracer.to_dicts()
-
     def test_autodetects_chrome(self):
         tracer = traced_run()
         spans = loads_trace(chrome_dumps(tracer))
@@ -120,3 +93,8 @@ class TestLoadsTrace:
     def test_empty_text(self):
         assert loads_trace("") == []
         assert loads_trace("   \n") == []
+
+    def test_rejects_span_records_that_are_not_a_chrome_document(self):
+        with pytest.raises(ValueError):
+            loads_trace('{"span_id": 1, "name": "op:a"}\n'
+                        '{"span_id": 2, "name": "op:b"}\n')

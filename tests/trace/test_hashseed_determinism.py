@@ -14,14 +14,14 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: A mixed-workload-style script: FaaS requests over Concord, both export
-#: formats printed, so the check covers request/invoke/op/rpc/invalidation
-#: spans and the Chrome lane assignment.
+#: A mixed-workload-style script: FaaS requests over Concord, the Chrome
+#: export printed, so the check covers request/invoke/op/rpc/invalidation
+#: spans and the lane assignment.
 SCRIPT = """
 import sys
 from repro.session import Session
 from repro.storage import DataItem
-from repro.trace import chrome_dumps, jsonl_dumps
+from repro.trace import chrome_dumps
 
 with Session(nodes=4, seed=1234, scheme="concord", app="det",
              trace=True) as s:
@@ -31,7 +31,6 @@ with Session(nodes=4, seed=1234, scheme="concord", app="det",
     for i in range(8):
         s.write(f"node{(i + 1) % 4}", f"k{i}", DataItem(f"w{i}", 256))
     s.advance(2_000.0)
-    sys.stdout.write(jsonl_dumps(s.tracer))
     sys.stdout.write(chrome_dumps(s.tracer))
 """
 

@@ -126,7 +126,7 @@ class TestConcordEndToEnd:
     @pytest.fixture
     def session(self, tracer):
         s = Session.compose(config=SimConfig(num_nodes=4), seed=7,
-                            trace=tracer, app="t")
+                            trace=tracer, obs=True, app="t")
         s.preload({"k": DataItem("v0", 256)})
         return s
 
@@ -176,10 +176,14 @@ class TestConcordEndToEnd:
                         if s.category == "op" and s.name == "write")
         assert all(s.trace_id == write_op.trace_id for s in invalidations)
 
-    def test_request_trace_covers_cross_node_work(self, sim, tracer, system):
-        self.drive(sim, system.read("node1", "k"))
+    def test_request_trace_covers_cross_node_work(self, session, tracer,
+                                                  system):
+        self.drive(session.sim, system.read("node1", "k"))
         read_op = next(s for s in tracer.spans if s.category == "op")
         members = [s for s in tracer.spans if s.trace_id == read_op.trace_id]
         categories = {s.category for s in members}
-        assert {"op", "rpc", "rpc.server", "agent", "storage",
-                "directory"} <= categories
+        assert {"op", "rpc", "rpc.server", "agent", "storage"} <= categories
+        # The home's directory change is a recorder event in the same trace.
+        changes = [e for e in session.obs.events() if e.type.startswith("dir.")]
+        assert changes
+        assert {e.trace for e in changes} == {read_op.trace_id}

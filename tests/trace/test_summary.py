@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.trace import chrome_dumps
 from repro.trace.cli import main as trace_cli
 from repro.trace.summary import (
     category_totals,
@@ -83,21 +84,27 @@ class TestFormatBreakdown:
 
 class TestCli:
     def test_text_output(self, tmp_path, capsys, request_spans):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            "".join(json.dumps(s) + "\n" for s in request_spans))
+        path = tmp_path / "trace.json"
+        path.write_text(chrome_dumps(request_spans))
         assert trace_cli([str(path)]) == 0
         out = capsys.readouterr().out
         assert "Per-app latency breakdown" in out
         assert "shop" in out
 
     def test_json_output(self, tmp_path, capsys, request_spans):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            "".join(json.dumps(s) + "\n" for s in request_spans))
+        path = tmp_path / "trace.json"
+        path.write_text(chrome_dumps(request_spans))
         assert trace_cli([str(path), "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["per_app"]["shop"]["requests"] == 2
 
     def test_missing_file(self, tmp_path, capsys):
         assert trace_cli([str(tmp_path / "nope.json")]) == 2
+        assert "error: no such trace file" in capsys.readouterr().err
+
+    def test_usage_error_goes_to_stderr_not_out(self, tmp_path, capsys):
+        report = tmp_path / "rep.txt"
+        assert trace_cli([str(tmp_path / "nosuch.json"),
+                          "--out", str(report)]) == 2
+        assert report.read_text() == ""
+        assert "error: no such trace file" in capsys.readouterr().err

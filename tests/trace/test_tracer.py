@@ -14,8 +14,6 @@ from repro.trace import (
     Tracer,
     chrome_dumps,
     export_chrome,
-    export_jsonl,
-    jsonl_dumps,
 )
 
 
@@ -60,14 +58,6 @@ class TestSpanTree:
         assert span.start_ms == 0.0
         assert span.end_ms == 7.5
         assert span.duration_ms == 7.5
-
-    def test_instant_does_not_shift_context(self, sim, tracer):
-        with tracer.span("op", "op") as op:
-            tracer.instant("dir:get", "directory", key="k")
-            assert tracer.current() == op.context
-        instant = next(s for s in tracer.spans if s.name == "dir:get")
-        assert instant.duration_ms == 0.0
-        assert instant.parent_id == op.span_id
 
     def test_explicit_parent_overrides_ambient(self, sim, tracer):
         with tracer.span("a", "op") as a:
@@ -120,7 +110,7 @@ class TestSpanTree:
         def proc(sim):
             with tracer.span("outer", "op", key="k") as outer:
                 yield sim.timeout(2.0)
-                tracer.instant("mark", "event", n=1)
+                tracer.span("mark", "event", n=1).end()
                 with tracer.span("inner", "agent") as inner:
                     yield sim.timeout(3.0)
                     inner.set("status", "ok")
@@ -208,7 +198,6 @@ class TestNullTracer:
         with tracer.span("anything", "op", key="k") as span:
             assert span is NULL_SPAN
             assert span.set("a", 1) is NULL_SPAN
-        assert tracer.instant("e") is None
         assert tracer.spans == []
         assert tracer.open_spans() == []
         assert tracer.to_dicts() == []
@@ -240,13 +229,14 @@ class TestPackedBatches:
 
     def _nested_run(self, sim, tracer):
         # Outer spans open first and end last, each round further out of
-        # order than a batch is long; instants are filed as they happen.
+        # order than a batch is long; zero-length marks are filed as they
+        # happen.
         for round_ in range(5):
             outer = [tracer.span(f"outer{round_}.{i}", "op", parent=None,
                                  round=round_) for i in range(3)]
             for i in range(7):
                 with tracer.span(f"inner{i}", "agent", size=i * 0.5):
-                    tracer.instant("mark", "directory", hit=bool(i % 2))
+                    tracer.span("mark", "directory", hit=bool(i % 2)).end()
             sim.run(until=sim.now + 1.0)
             for span in outer:
                 span.end()
@@ -277,12 +267,9 @@ class TestPackedBatches:
 
     def test_files_are_the_dumps(self, sim, tracer, tmp_path):
         self._nested_run(sim, tracer)
-        export_jsonl(tracer, tmp_path / "t.jsonl")
         export_chrome(tracer, tmp_path / "t.json")
-        assert (tmp_path / "t.jsonl").read_text() == jsonl_dumps(tracer)
         assert (tmp_path / "t.json").read_text() == chrome_dumps(tracer)
         # The dict path (no Tracer behind it) sorts and writes the same.
         shuffled = list(reversed(tracer.to_dicts()))
-        assert jsonl_dumps(shuffled) == jsonl_dumps(tracer)
         assert (chrome_dumps(shuffled, lane_names=tracer.lane_names())
                 == chrome_dumps(tracer))
