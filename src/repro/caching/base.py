@@ -239,9 +239,12 @@ class StorageAPI(abc.ABC):
         return self._traced_read if self.sim.tracer.active else self._do_read
 
     def _traced_read(self, node_id: str, key: str, ctx: Optional[object] = None):
-        with self.sim.tracer.span("read", "op",
-                                  scheme=self.name, node=node_id, key=key):
+        span = self.sim.tracer.span("read", "op",
+                                    scheme=self.name, node=node_id, key=key)
+        try:
             return (yield from self._do_read(node_id, key, ctx))
+        finally:
+            span.end()
 
     @functools.cached_property
     def write(self) -> Callable[..., Generator]:
@@ -251,9 +254,12 @@ class StorageAPI(abc.ABC):
 
     def _traced_write(self, node_id: str, key: str, value: object,
                       ctx: Optional[object] = None):
-        with self.sim.tracer.span("write", "op",
-                                  scheme=self.name, node=node_id, key=key):
+        span = self.sim.tracer.span("write", "op",
+                                    scheme=self.name, node=node_id, key=key)
+        try:
             return (yield from self._do_write(node_id, key, value, ctx))
+        finally:
+            span.end()
 
     @abc.abstractmethod
     def _do_read(

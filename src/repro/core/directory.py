@@ -69,52 +69,56 @@ class DataDirectory:
         #: agent hands in its simulator's recorder).
         self.obs = obs
         self._entries: dict[str, DirectoryEntry] = {}
+        # The sharer gauges' aggregates, kept by every mutation once
+        # :meth:`register_metrics` has run (None before: an unsampled
+        # directory pays nothing): sharer-set size -> entries of that
+        # size (sizes with no entry are absent), and the sizes' sum.
+        self._sizes: Optional[dict[int, int]] = None
+        self._sharer_total = 0
 
     def register_metrics(self, registry, scheme: str, app: str) -> None:
         """Register sharer-set gauges for this home's directory.
 
-        Callbacks use :meth:`sharer_counts` (value lists, never set
-        iteration) so sampling stays hash-order independent.
+        The sharer gauges read running aggregates, seeded here from the
+        current entries and kept by every mutation from now on, so a
+        sampling tick costs the same whatever the directory holds.
         """
         if not registry.active:
             return
+        self._sizes = {}
+        self._sharer_total = 0
+        for entry in self._entries.values():
+            self._recount(None, len(entry.sharers))
         labels = {"scheme": scheme, "app": app, "node": self.node_id}
         registry.gauge(
             "directory_entries", "Items homed at this directory.",
             labelnames=("app", "node", "scheme"),
         ).set_callback(lambda: len(self._entries), **labels)
-
-        # Both sharer gauges read one pass over the entries per sampling
-        # tick: pull callbacks run only inside ``registry.sample()``,
-        # which bumps ``registry.samples`` once per tick.
-        tick = -1
-        largest, mean = 0, 0.0
-
-        def summarise() -> None:
-            nonlocal tick, largest, mean
-            if tick != registry.samples:
-                tick = registry.samples
-                counts = self.sharer_counts()
-                largest = max(counts, default=0)
-                mean = sum(counts) / len(counts) if counts else 0.0
-
-        def sharers_max() -> int:
-            summarise()
-            return largest
-
         registry.gauge(
             "directory_sharers_max", "Largest sharer set homed here.",
             labelnames=("app", "node", "scheme"),
-        ).set_callback(sharers_max, **labels)
-
-        def sharers_mean() -> float:
-            summarise()
-            return mean
-
+        ).set_callback(lambda: max(self._sizes) if self._sizes else 0,
+                       **labels)
         registry.gauge(
             "directory_sharers_mean", "Mean sharer-set size homed here.",
             labelnames=("app", "node", "scheme"),
-        ).set_callback(sharers_mean, **labels)
+        ).set_callback(lambda: (self._sharer_total / len(self._entries)
+                                if self._entries else 0.0), **labels)
+
+    def _recount(self, before: Optional[int], after: Optional[int]) -> None:
+        """Move one entry from sharer-set size ``before`` to ``after`` in
+        the gauge aggregates (None: the entry is absent on that side)."""
+        sizes = self._sizes
+        if before is not None:
+            left = sizes[before] - 1
+            if left:
+                sizes[before] = left
+            else:
+                del sizes[before]
+            self._sharer_total -= before
+        if after is not None:
+            sizes[after] = sizes.get(after, 0) + 1
+            self._sharer_total += after
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -134,6 +138,9 @@ class DataDirectory:
     def set_exclusive(self, key: str, owner: str) -> DirectoryEntry:
         """(Re)create the entry with a single exclusive owner."""
         entry = DirectoryEntry(key=key, state=EXCLUSIVE, sharers={owner})
+        if self._sizes is not None:
+            old = self._entries.get(key)
+            self._recount(None if old is None else len(old.sharers), 1)
         self._entries[key] = entry
         obs = self.obs
         if obs.active:
@@ -146,7 +153,12 @@ class DataDirectory:
         if entry is None:
             entry = DirectoryEntry(key=key, state=EXCLUSIVE, sharers={sharer})
             self._entries[key] = entry
+            if self._sizes is not None:
+                self._recount(None, 1)
         else:
+            if self._sizes is not None and sharer not in entry.sharers:
+                size = len(entry.sharers)
+                self._recount(size, size + 1)
             entry.sharers.add(sharer)
             if len(entry.sharers) > 1:
                 entry.state = SHARED
@@ -158,6 +170,8 @@ class DataDirectory:
 
     def remove(self, key: str) -> Optional[DirectoryEntry]:
         entry = self._entries.pop(key, None)
+        if entry is not None and self._sizes is not None:
+            self._recount(len(entry.sharers), None)
         obs = self.obs
         if entry is not None and obs.active:
             obs.emit(DIR_REMOVE, node=self.node_id, key=key)
@@ -165,6 +179,10 @@ class DataDirectory:
 
     def install(self, entry: DirectoryEntry) -> None:
         """Adopt an entry transferred from another home (domain change)."""
+        if self._sizes is not None:
+            old = self._entries.get(entry.key)
+            self._recount(None if old is None else len(old.sharers),
+                          len(entry.sharers))
         self._entries[entry.key] = entry
         obs = self.obs
         if obs.active:
@@ -185,6 +203,9 @@ class DataDirectory:
                 continue
             entry.sharers.discard(node_id)
             touched.append(key)
+            if self._sizes is not None:
+                left = len(entry.sharers)
+                self._recount(left + 1, left or None)
             if obs.active:
                 obs.emit(DIR_PRUNE, node=self.node_id, key=key,
                          pruned=node_id, sharers=len(entry.sharers))
@@ -203,6 +224,8 @@ class DataDirectory:
             entry = self._entries.pop(key, None)
             if entry is not None:
                 popped.append(entry)
+                if self._sizes is not None:
+                    self._recount(len(entry.sharers), None)
         return popped
 
     def sharer_counts(self) -> list[int]:

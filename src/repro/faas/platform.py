@@ -17,11 +17,16 @@ from repro.faas.scheduler import RandomScheduler, Scheduler
 from repro.metrics import Histogram
 from repro.obs.events import REQ_RESCHEDULE, SCHED_COLD, SCHED_WARM
 from repro.sim.errors import Interrupt
+from repro.trace.tracer import SpanNames
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.caching.base import StorageAPI
     from repro.cluster import Cluster, Node
     from repro.sim import Simulator
+
+#: Span names per app / per function.
+_REQUEST_SPANS = SpanNames("request:")
+_INVOKE_SPANS = SpanNames("invoke:")
 
 #: Frontend request-validation + load-balancer overhead per request.
 FRONTEND_OVERHEAD_MS = 0.5
@@ -219,7 +224,7 @@ class FaasPlatform:
         trips, even on other nodes — forms one trace tree per request.
         """
         tracer = self.sim.tracer
-        span = (tracer.span(f"request:{app_name}", "request", parent=None,
+        span = (tracer.span(_REQUEST_SPANS[app_name], "request", parent=None,
                             app=app_name) if tracer.active else None)
         try:
             app = self.apps[app_name]
@@ -263,7 +268,7 @@ class FaasPlatform:
         """
         app_name = app.spec.name
         tracer = self.sim.tracer
-        span = (tracer.span(f"invoke:{function_name}", "invoke",
+        span = (tracer.span(_INVOKE_SPANS[function_name], "invoke",
                             app=app_name, function=function_name)
                 if tracer.active else None)
         try:

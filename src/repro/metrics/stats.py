@@ -166,9 +166,12 @@ class OpKind(enum.Enum):
 
     @property
     def is_read(self) -> bool:
-        return self in (
-            OpKind.LOCAL_READ_HIT, OpKind.REMOTE_READ_HIT, OpKind.READ_MISS,
-        )
+        return self in _READ_KINDS
+
+
+_READ_KINDS = (OpKind.LOCAL_READ_HIT, OpKind.REMOTE_READ_HIT,
+               OpKind.READ_MISS)
+_WRITE_KINDS = tuple(kind for kind in OpKind if kind not in _READ_KINDS)
 
 
 @dataclass
@@ -204,15 +207,22 @@ class AccessStats:
 
     @property
     def reads(self) -> int:
-        return sum(histogram.count
-                   for kind, histogram in self.latency.items()
-                   if kind.is_read)
+        return self._total(_READ_KINDS)
 
     @property
     def writes(self) -> int:
-        return sum(histogram.count
-                   for kind, histogram in self.latency.items()
-                   if not kind.is_read)
+        return self._total(_WRITE_KINDS)
+
+    def _total(self, kinds: tuple) -> int:
+        """Operations recorded of the given kinds (no call per kind: the
+        sampler reads ``reads`` for two series of every scheme, every tick)."""
+        latency = self.latency
+        total = 0
+        for kind in kinds:
+            histogram = latency.get(kind)
+            if histogram is not None:
+                total += len(histogram._samples)
+        return total
 
     def read_mix(self) -> dict[str, float]:
         """Fractions of reads that were local hits / remote hits / misses."""

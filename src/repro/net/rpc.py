@@ -25,7 +25,8 @@ from repro.net.sizes import sizeof
 from repro.obs.events import RPC_RESET, RPC_TIMEOUT
 from repro.sim.errors import Interrupt
 from repro.sim.events import PENDING, Event
-from repro.trace.tracer import INHERIT, TraceContext  # noqa: F401 - re-export
+from repro.trace.tracer import (  # noqa: F401 - re-export
+    INHERIT, SpanNames, TraceContext)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -97,6 +98,9 @@ Handler = Callable[["Endpoint", str, object], Generator]
 #: request kind -> interned "reply:<kind>" string (method names form a
 #: small closed set, so the memo stays tiny).
 _REPLY_KINDS: dict = {}
+#: Client / server span names per method.
+_CALL_SPANS = SpanNames("rpc:")
+_SERVE_SPANS = SpanNames("serve:")
 
 
 class _RpcWaiter(Event):
@@ -362,7 +366,7 @@ class Endpoint:
         # completion needs no dispatch at all.
         process = self.sim.active_process
         tracer = self.sim.tracer
-        span = (tracer.span(f"serve:{message.kind}", "rpc.server",
+        span = (tracer.span(_SERVE_SPANS[message.kind], "rpc.server",
                             src=message.src, addr=self.address)
                 if tracer.active else None)
         try:
@@ -455,7 +459,7 @@ class Endpoint:
         span = None
         ctx = None
         if tracer.active:
-            span = tracer.span(f"rpc:{method}", "rpc", parent=trace, dst=dst)
+            span = tracer.span(_CALL_SPANS[method], "rpc", parent=trace, dst=dst)
             ctx = span.context
         try:
             request_id = next(self._ids)

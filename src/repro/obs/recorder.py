@@ -34,8 +34,9 @@ sorted by ``(t, seq)``.
 **Storage layout.**  One row of atomics per event — ``(seq, t, type,
 node, key, trace, span, tick)`` — and its attrs dict, never an object
 per event, filed with a :class:`~repro.packedlog.PackedLog` whose
-*window* is the ring: the newest events are staged as two parallel
-lists, every ``packedlog.BATCH`` of them is replaced by one ``marshal``
+*window* is the ring: the newest events are staged in flat lists (rows
+end to end, attrs' keys and values end to end, one attr count per
+event), every ``packedlog.BATCH`` of them is replaced by one ``marshal``
 blob (~70 bytes an event instead of ~360), whole batches that fell out
 of the window are dropped and the batch the window's edge runs through
 is cut when read.  It is the tracer's layout, for the tracer's reasons
@@ -148,10 +149,14 @@ class FlightRecorder:
         if sim is None:
             raise RuntimeError("FlightRecorder.emit() before bind(): attach "
                                "the recorder via Simulator(obs=...)")
-        trace, span = sim.tracer.current() or (0, 0)
+        # ``Tracer.current()``, inline: 26 events a request.
+        process = sim.active_process
+        context = (process.trace_ctx if process is not None
+                   else sim.tracer._ambient)
+        trace, span = context or (0, 0)
         self._log.append((next(self._next_seq), sim.now, etype, node, key,
                           trace, span, sim.metrics.samples), attrs)
-        if etype in DUMP_TRIGGERS and self.dump_path is not None:
+        if self.dump_path is not None and etype in DUMP_TRIGGERS:
             self._autodump()
 
     # -- inspection ---------------------------------------------------

@@ -4,19 +4,30 @@ The tracer and the flight recorder file one *row* per record — a tuple
 of atomics — plus the record's attrs dict (never a column of the row: a
 tuple that holds a dict stays tracked by the cyclic collector for ever).
 Live, such a pair costs ~370 bytes, and a long traced run finishes
-hundreds of thousands.  :class:`PackedLog` therefore keeps only the
-newest records as Python objects (the *stage*) and, every :data:`BATCH`
-records, replaces the staged ``(rows, attrs)`` pair of lists by one
-``marshal.dumps`` blob — ~100 bytes per record, one object per batch —
-which iteration ``loads`` again, one batch at a time.
+hundreds of thousands.
+
+**Storage layout.**  :class:`PackedLog` keeps no object per record.  It
+copies each record into its *stage*, four flat lists — the rows end to
+end, the attrs' keys end to end, their values end to end, and each
+record's attr count — so the tuple and the dict the sink built are freed
+as soon as they are filed: a retained pair per record counted towards
+the collector's young-generation threshold and set off a collection
+every ~350 records.  Every row of a log has the width of its first row
+(both sinks file 8 atomics); a row of another width raises
+``ValueError`` and stages nothing, where it would shift every row after
+it.  Every :data:`BATCH` records the stage is replaced by one
+``marshal.dumps`` blob of the four lists — ~100 bytes per record, one
+object per batch — which iteration ``loads`` again, one batch at a time,
+rebuilding each record's row tuple and a new attrs dict in its key
+order.
 
 ``marshal`` round-trips exactly what the sinks file: ``str``, ``int`` of
 any size, ``float`` bit for bit, ``bool``, ``None``, and lists / tuples /
 dicts of those in their order; and it writes a 5-byte back-reference for
 an object it has already seen, which is why the sinks ``sys.intern``
 their names.  A batch holding anything else (``marshal`` raises
-``ValueError``) stays in the sequence as the two lists it was: an exotic
-attr costs memory, not the run.
+``ValueError``) stays in the sequence as the four lists it was: an
+exotic attr costs memory, not the run.
 
 With a *window* the log is a ring over the last ``window`` records:
 whole batches that fell out of it are dropped when the next one is
@@ -27,6 +38,7 @@ packed, the batch the boundary runs through is cut at read time, and
 from __future__ import annotations
 
 import marshal
+from itertools import islice
 from typing import Iterator, Optional
 
 __all__ = ["BATCH", "PackedLog"]
@@ -40,44 +52,63 @@ BATCH = 4096
 class PackedLog:
     """``(row, attrs)`` records, oldest first; all but the newest packed."""
 
-    __slots__ = ("window", "_batch", "_rows", "_attrs", "_packed",
-                 "_packed_count", "_dropped_before_clear")
+    __slots__ = ("window", "_batch", "_width", "_flat", "_keys", "_values",
+                 "_sizes", "_packed", "_packed_count", "_dropped_before_clear")
 
     def __init__(self, window: Optional[int] = None):
         #: Keep only the last ``window`` records (None: keep them all).
         self.window = window
         self._batch = BATCH
+        # Atomics per row: the first row's length, for every row after.
+        self._width: Optional[int] = None
         self._dropped_before_clear = 0
         self._reset()
 
     def _reset(self) -> None:
-        # The stage: the newest records, index for index.
-        self._rows: list = []
-        self._attrs: list = []
-        # Full batches, oldest first: a ``marshal`` blob each, or the
-        # ``(rows, attrs)`` pair itself where ``marshal`` refused.
+        # The stage: the newest records' rows end to end, their attrs'
+        # keys and values end to end, and each record's attrs count.
+        self._flat: list = []
+        self._keys: list = []
+        self._values: list = []
+        self._sizes: list = []
+        # Full batches, oldest first: a ``marshal`` blob of the stage's
+        # four lists each, or the lists themselves where ``marshal``
+        # refused.
         self._packed: list = []
         # Records that have left the stage for a batch (kept or not).
         self._packed_count = 0
 
     def append(self, row: tuple, attrs: dict) -> None:
-        rows = self._rows
-        rows.append(row)
-        self._attrs.append(attrs)
-        if len(rows) >= self._batch:
+        if len(row) != self._width:
+            self._set_width(len(row))
+        self._flat.extend(row)
+        self._keys.extend(attrs)
+        self._values.extend(attrs.values())
+        sizes = self._sizes
+        sizes.append(len(attrs))
+        if len(sizes) >= self._batch:
             self._pack()
 
+    def _set_width(self, width: int) -> None:
+        if self._width is not None:
+            raise ValueError(f"a row of {width} values filed with a log of "
+                             f"{self._width}-value rows")
+        self._width = width
+
+    def _stage(self) -> tuple:
+        return (self._flat, self._keys, self._values, self._sizes)
+
     def _pack(self) -> None:
-        batch = (self._rows, self._attrs)
-        self._packed_count += len(self._rows)
+        batch = self._stage()
+        self._packed_count += len(self._sizes)
         try:
             self._packed.append(marshal.dumps(batch))
         except ValueError:
             self._packed.append(batch)
-            self._rows, self._attrs = [], []
+            self._flat, self._keys, self._values, self._sizes = [], [], [], []
         else:
-            self._rows.clear()
-            self._attrs.clear()
+            for part in batch:
+                part.clear()
         window = self.window
         if window is not None:
             # The stage is empty: a batch is out of the window once the
@@ -87,7 +118,7 @@ class PackedLog:
                 del packed[0]
 
     def __len__(self) -> int:
-        total = self._packed_count + len(self._rows)
+        total = self._packed_count + len(self._sizes)
         window = self.window
         return total if window is None or total < window else window
 
@@ -95,24 +126,31 @@ class PackedLog:
     def dropped(self) -> int:
         """Records the window has let go of (``clear()`` does not reset it)."""
         return (self._dropped_before_clear + self._packed_count
-                + len(self._rows) - len(self))
+                + len(self._sizes) - len(self))
 
     def batches(self) -> Iterator[tuple]:
         """``(rows, attrs)`` list pairs, oldest first, one batch unpacked
-        at a time.  The last pair is the live stage: read it, do not keep it.
+        at a time: each record's row as a tuple and its attrs as a dict
+        again (a new dict, also for the records still staged).
         """
-        held = len(self._packed) * self._batch + len(self._rows)
+        held = len(self._packed) * self._batch + len(self._sizes)
         skip = held - len(self)
-        for batch in self._packed + [(self._rows, self._attrs)]:
-            rows, attrs = (marshal.loads(batch) if type(batch) is bytes
-                           else batch)
-            if skip >= len(rows):
-                skip -= len(rows)
-            elif skip:
-                yield rows[skip:], attrs[skip:]
+        width = self._width
+        for batch in self._packed + [self._stage()]:
+            flat, keys, values, sizes = (marshal.loads(batch)
+                                         if type(batch) is bytes else batch)
+            if skip >= len(sizes):
+                skip -= len(sizes)
+                continue
+            if skip:
+                start = sum(sizes[:skip])
+                flat, keys, values, sizes = (flat[skip * width:], keys[start:],
+                                             values[start:], sizes[skip:])
                 skip = 0
-            else:
-                yield rows, attrs
+            keys, values = iter(keys), iter(values)
+            yield (list(zip(*[iter(flat)] * width)),
+                   [dict(zip(islice(keys, size), islice(values, size)))
+                    for size in sizes])
 
     def __iter__(self) -> Iterator[tuple]:
         for rows, attrs in self.batches():

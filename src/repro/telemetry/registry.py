@@ -45,13 +45,10 @@ def _label_key(labelnames: tuple, labelvalues: dict) -> tuple:
 class _Child:
     """One labeled stream of an instrument: the callback it samples."""
 
-    __slots__ = ("_callback", "_series")
+    __slots__ = ("_callback",)
 
     def __init__(self, callback):
         self._callback = callback
-        #: The store series this child samples into, bound at its first
-        #: sample (series are created in first-sample order).
-        self._series = None
 
     def current(self):
         return self._callback()
@@ -96,15 +93,6 @@ class Instrument:
     def _label_pairs(self, key: tuple) -> tuple:
         return tuple(zip(self.labelnames, key))
 
-    def _sample(self, now: float, store: TimeSeriesStore) -> None:
-        for key, child in self._children.items():
-            series = child._series
-            if series is None:
-                series = child._series = store.series(
-                    self.name, self.kind, self._label_pairs(key), self.help)
-            series.times.append(now)
-            series.values.append(child._callback())
-
 
 class Counter(Instrument):
     """A monotonically non-decreasing total."""
@@ -133,6 +121,11 @@ class MetricsRegistry:
         self._instruments: dict = {}
         self.store = TimeSeriesStore()
         self.samples = 0
+        # The sampling plan: ``(child, series.times.append,
+        # series.values.append)`` for every child of every instrument, in
+        # registration order.  Children are never removed, so a plan
+        # shorter than the children count is missing a new child.
+        self._plan: list = []
 
     # -- wiring -------------------------------------------------------
 
@@ -180,9 +173,34 @@ class MetricsRegistry:
 
     def sample(self, now: float) -> None:
         """Snapshot every instrument into the store at sim time ``now``."""
-        for instrument in self._instruments.values():
-            instrument._sample(now, self.store)
+        plan = self._plan
+        if len(plan) != sum([len(instrument._children)
+                             for instrument in self._instruments.values()]):
+            plan = self._plan = self._build_plan()
+        for child, times_append, values_append in plan:
+            times_append(now)
+            values_append(child._callback())
         self.samples += 1
+
+    def _build_plan(self) -> list:
+        """The sampling plan over every child registered so far.
+
+        A child's series is created the first time a plan holds it, so
+        series are created in first-sample order: instrument, then child,
+        in registration order.  The plan holds the child, not its
+        callback, so :meth:`Instrument.set_callback` replacing a callback
+        needs no rebuild.
+        """
+        store = self.store
+        plan = []
+        for instrument in self._instruments.values():
+            for key, child in instrument._children.items():
+                series = store.series(instrument.name, instrument.kind,
+                                      instrument._label_pairs(key),
+                                      instrument.help)
+                plan.append((child, series.times.append,
+                             series.values.append))
+        return plan
 
     def iter_dicts(self):
         """Sampled series as JSON-ready dicts (canonical order), one at

@@ -26,26 +26,29 @@ says "attach to whatever operation this process is serving".
 
 **Storage layout.**  A long traced run finishes hundreds of thousands of
 spans; what each one costs while the run goes on is what bounds the run.
-A :class:`Span` object exists only while its span is open.  Ending it
-files one row of atomics — ``(trace_id, span_id, parent_id, name,
-category, start_ms, end_ms, tid)`` — and the attrs dict with the tracer's
-:class:`~repro.packedlog.PackedLog`, in closure order.  The log keeps the
-newest records *staged* as exactly that pair (two parallel lists) and,
-every ``packedlog.BATCH`` records, replaces the staged batch by one
-``marshal.dumps`` blob: ~70 bytes a span instead of the ~380 of a live
-tuple and dict, and one object per 4096 spans for the allocator and the
-cyclic collector to know about.  ``spans``, ``to_dicts()`` and the
-exporters unpack one batch at a time.
+A :class:`Span` object exists only while its span is open, and
+:meth:`Tracer.span` fills its slots without an ``__init__`` frame.
+Ending it files one row of atomics — ``(trace_id, span_id, parent_id,
+name, category, start_ms, end_ms, tid)`` — and the attrs dict with the
+tracer's :class:`~repro.packedlog.PackedLog`, in closure order.  The log
+copies both into flat lists (the rows end to end, the attrs' keys and
+values end to end, one attr count per span), so a finished span keeps no
+tuple or dict of its own alive, and every ``packedlog.BATCH`` records
+replaces them by one ``marshal.dumps`` blob: ~70 bytes a span instead of
+the ~380 of a live tuple and dict, and one object per 4096 spans for the
+allocator and the cyclic collector to know about.  ``spans``,
+``to_dicts()`` and the exporters unpack one batch at a time.
 
-* *Why a row beside a dict, not a ninth column.*  What is staged should
-  not feed the collector either: a tuple of atomics is untracked at its
-  first young pass and a dict of str/int/float/bool/None values is never
-  tracked, but a tuple that *holds a dict* stays tracked for ever (the
-  collector cannot rule out that the dict gains a container later).
+* *Why flat lists, not a tuple and a dict per span.*  CPython counts a
+  GC-capable object towards the next young collection from its
+  allocation until it is freed, tracked or not: staging a row tuple and
+  the attrs dict per span until the batch is packed triggered a young
+  collection every ~350 records (DESIGN.md §7).  Copied into flat lists,
+  both are freed as soon as they are filed.
 * *Why batches.*  Packing per record would pay ``dumps``' fixed cost and
   lose its back-references 4096 times over; one blob per run would
   double the peak while it is built.  The hot path (``Span.end``) gains
-  one length check.
+  a width check and one length check.
 * *Why* ``marshal`` *and not typed columns.*  ``array`` columns plus a
   table of attr shapes reach the same bytes per span but have to take
   every row apart in Python — 1.1 µs a row fully vectorised against
@@ -54,10 +57,11 @@ exporters unpack one batch at a time.
   logs") — for five times the code.
   ``marshal`` writes str/int/float/bool/None and lists / dicts of them
   exactly, and a 5-byte reference for an object it has already written,
-  which is why names are ``sys.intern``-ed below: one object per distinct
-  name, not one string per span.
+  which is why names are ``sys.intern``-ed below and the per-method,
+  per-app and per-function span names come from :class:`SpanNames`:
+  one object per distinct name, not one string per span.
 * *What falls back.*  A batch with an attr ``marshal`` refuses stays in
-  the log as the two lists it was.
+  the log as the lists it was.
 """
 
 from __future__ import annotations
@@ -80,6 +84,27 @@ class TraceContext(NamedTuple):
 #: ``TraceContext(a, b)`` runs the NamedTuple's Python-level ``__new__``;
 #: :meth:`Tracer.span` (once per span) goes to the C constructor.
 _tuple_new = tuple.__new__
+#: Allocates a :class:`Span` with no ``__init__`` frame.
+_new_span = object.__new__
+
+
+class SpanNames(dict):
+    """``key -> sys.intern(prefix + key)``, each name built once.
+
+    For span sites named per RPC method, app or function (closed sets):
+    a hit is one C dict lookup where an f-string would build and intern
+    a new string per span.
+    """
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, key: str) -> str:
+        name = self[key] = sys.intern(self.prefix + key)
+        return name
 
 
 class _Inherit:
@@ -101,27 +126,24 @@ class Span:
     Live while the span is open: ending it files the row with the tracer
     and drops the references (tracer, process, previous context) that
     would otherwise keep the process that opened it reachable.
+
+    :meth:`Tracer.span` fills the slots itself (once per span, a Python
+    ``__init__`` frame is a fifth of the span's cost); ``context`` —
+    this span's position, as handed to children and RPC messages — is
+    the one home of its trace and span ids.
     """
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "category",
-                 "start_ms", "end_ms", "attrs", "tid", "context",
-                 "_tracer", "_process", "_prev_ctx")
+    __slots__ = ("context", "parent_id", "name", "category", "start_ms",
+                 "end_ms", "attrs", "tid", "_tracer", "_process",
+                 "_prev_ctx")
 
-    def __init__(self, tracer, context, parent_id, name, category,
-                 start_ms, end_ms, attrs, tid, process=None, prev_ctx=None):
-        self.trace_id, self.span_id = context
-        self.parent_id = parent_id
-        self.name = name
-        self.category = category
-        self.start_ms = start_ms
-        self.end_ms: Optional[float] = end_ms
-        self.attrs = attrs
-        self.tid = tid
-        #: This span's position, as handed to children and RPC messages.
-        self.context: TraceContext = context
-        self._tracer = tracer          # None once ended
-        self._process = process
-        self._prev_ctx: Optional[TraceContext] = prev_ctx
+    @property
+    def trace_id(self) -> int:
+        return self.context[0]
+
+    @property
+    def span_id(self) -> int:
+        return self.context[1]
 
     @property
     def duration_ms(self) -> float:
@@ -139,12 +161,12 @@ class Span:
         if tracer is None:
             return
         self._tracer = None
-        span_id = self.span_id
+        trace_id, span_id = self.context
         end_ms = self.end_ms = tracer._sim.now
         del tracer._open[span_id]
-        tracer._log.append((self.trace_id, span_id, self.parent_id,
-                            self.name, self.category, self.start_ms,
-                            end_ms, self.tid), self.attrs)
+        tracer._log.append((trace_id, span_id, self.parent_id, self.name,
+                            self.category, self.start_ms, end_ms, self.tid),
+                           self.attrs)
         # Restore the context on whichever process opened the span, but
         # only if that span is still its current context (spans closed
         # out of order keep whatever the inner code installed).
@@ -162,9 +184,10 @@ class Span:
 
     def to_dict(self) -> dict:
         end = self.end_ms if self.end_ms is not None else self.start_ms
-        return _span_dict((self.trace_id, self.span_id, self.parent_id,
-                           self.name, self.category, self.start_ms, end,
-                           self.tid), self.attrs)
+        trace_id, span_id = self.context
+        return _span_dict((trace_id, span_id, self.parent_id, self.name,
+                           self.category, self.start_ms, end, self.tid),
+                          self.attrs)
 
     def __enter__(self) -> "Span":
         return self
@@ -195,6 +218,17 @@ def _span_dict(row: tuple, attrs: dict) -> dict:
         "attrs": attrs,
         "tid": tid,
     }
+
+
+def _finished_span(row: tuple, attrs: dict) -> Span:
+    """A closed :class:`Span` view of one finished-span row."""
+    span = _new_span(Span)
+    (trace_id, span_id, span.parent_id, span.name, span.category,
+     span.start_ms, span.end_ms, span.tid) = row
+    span.context = _tuple_new(TraceContext, (trace_id, span_id))
+    span.attrs = attrs
+    span._tracer = span._process = span._prev_ctx = None
+    return span
 
 
 def _pair_span_id(pair: tuple) -> int:
@@ -306,7 +340,12 @@ class Tracer:
                                "tracer via Simulator(tracer=...)")
         process = sim.active_process
         current = process.trace_ctx if process is not None else self._ambient
-        parent_ctx = current if parent is INHERIT else self.resolve(parent)
+        if parent is INHERIT:
+            parent_ctx = current
+        elif parent is None:
+            parent_ctx = None
+        else:
+            parent_ctx = self.resolve(parent)
         if parent_ctx is None:
             trace_id = next(self._trace_ids)
             parent_id = None
@@ -322,10 +361,19 @@ class Tracer:
             lane = self._driver_lane
         if lane is None:
             lane = self._new_lane(process)
-        # Names are mostly per-call f-strings ("rpc:read"): retain one
-        # copy per distinct name, not one per span.
-        span = Span(self, context, parent_id, sys.intern(name), category,
-                    sim.now, None, attrs, lane, process, current)
+        span = _new_span(Span)
+        span.context = context
+        span.parent_id = parent_id
+        # Retain one copy per distinct name, not one per span.
+        span.name = sys.intern(name)
+        span.category = category
+        span.start_ms = sim.now
+        span.end_ms = None
+        span.attrs = attrs
+        span.tid = lane
+        span._tracer = self
+        span._process = process
+        span._prev_ctx = current
         self._open[span_id] = span
         return span
 
@@ -334,9 +382,7 @@ class Tracer:
     @property
     def spans(self) -> list:
         """Completed spans, in the order they ended (built on demand)."""
-        return [Span(None, TraceContext(row[0], row[1]), *row[2:7], attrs,
-                     row[7])
-                for row, attrs in self._log]
+        return [_finished_span(row, attrs) for row, attrs in self._log]
 
     def open_spans(self) -> list:
         """Spans begun but not yet ended (should drain to empty)."""
@@ -382,6 +428,10 @@ class NullTracer:
     """
 
     active = False
+    #: Read by :meth:`FlightRecorder.emit
+    #: <repro.obs.recorder.FlightRecorder.emit>` as a tracer's context
+    #: outside any process: there is none.
+    _ambient = None
 
     def bind(self, sim) -> "NullTracer":
         return self

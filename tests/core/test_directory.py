@@ -1,9 +1,14 @@
 """Unit tests for the DataDirectory structure."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.caching.base import EXCLUSIVE, SHARED
 from repro.core import DataDirectory, DirectoryEntry
+from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 
 
 @pytest.fixture
@@ -83,3 +88,75 @@ class TestPruning:
         directory.set_exclusive("b", "n1")
         assert sorted(directory.keys()) == ["a", "b"]
         assert {e.key for e in directory.entries()} == {"a", "b"}
+
+
+NODES = ("node1", "node2", "node3", "node4")
+KEYS = ("a", "b", "c", "d", "e")
+_node = st.sampled_from(NODES)
+_key = st.sampled_from(KEYS)
+#: One call of each path that changes a sharer set or the entry set.
+MUTATIONS = st.one_of(
+    st.tuples(st.just("set_exclusive"), _key, _node),
+    st.tuples(st.just("add_sharer"), _key, _node),
+    st.tuples(st.just("remove"), _key),
+    st.tuples(st.just("install"), _key, st.sampled_from([EXCLUSIVE, SHARED]),
+              st.frozensets(_node)),
+    st.tuples(st.just("remove_sharer_everywhere"), _node),
+    st.tuples(st.just("pop_entries_for"), st.lists(_key, max_size=3)),
+)
+
+
+def mutate(directory, step) -> None:
+    name, *args = step
+    if name == "install":
+        key, state, sharers = args
+        directory.install(DirectoryEntry(key=key, state=state,
+                                         sharers=set(sharers)))
+    else:
+        getattr(directory, name)(*args)
+
+
+def gauge_values(registry) -> dict:
+    """The one registered directory's gauges, read as the sampler would."""
+    return {instrument.name: child.current()
+            for instrument in registry.instruments()
+            for _labels, child in instrument.children()}
+
+
+class TestSharerGauges:
+    @given(before=st.lists(MUTATIONS, max_size=8),
+           after=st.lists(MUTATIONS, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_aggregates_equal_a_rescan_after_every_mutation(self, before,
+                                                            after):
+        directory = DataDirectory("node0")
+        for step in before:          # seeded from what is already there
+            mutate(directory, step)
+        registry = MetricsRegistry()
+        directory.register_metrics(registry, scheme="concord", app="app")
+        for step in [None] + after:
+            if step is not None:
+                mutate(directory, step)
+            counts = directory.sharer_counts()
+            want_max = max(counts, default=0)
+            want_mean = sum(counts) / len(counts) if counts else 0.0
+            got = gauge_values(registry)
+            assert got["directory_entries"] == len(counts)
+            assert got["directory_sharers_max"] == want_max
+            assert type(got["directory_sharers_max"]) is type(want_max)
+            # Bit for bit: the same integer sum over the same count.
+            assert got["directory_sharers_mean"] == want_mean
+            assert type(got["directory_sharers_mean"]) is float
+            assert directory._sizes == Counter(counts)
+
+    @pytest.mark.parametrize("registry", [None, NULL_REGISTRY])
+    def test_unregistered_directory_keeps_no_aggregates(self, registry):
+        directory = DataDirectory("node0")
+        if registry is not None:
+            directory.register_metrics(registry, scheme="concord", app="app")
+        directory.set_exclusive("a", "node1")
+        directory.add_sharer("a", "node2")
+        directory.install(DirectoryEntry(key="b", sharers={"node3"}))
+        directory.remove_sharer_everywhere("node2")
+        assert directory._sizes is None
+        assert directory._sharer_total == 0

@@ -37,7 +37,7 @@ def test_default_batch_is_the_module_constant():
     fill(log, 4095)
     assert log._packed == []
     fill(log, 1, start=4095)
-    assert len(log._packed) == 1 and log._rows == []
+    assert len(log._packed) == 1 and log._flat == []
     assert list(log) == [record(index) for index in range(4096)]
 
 
@@ -59,7 +59,7 @@ def test_packed_records_are_copies_equal_to_what_was_filed(monkeypatch):
     attrs = {"state": "S", "version": 3, "fresh": True, "owner": None}
     for index in range(4):
         log.append((index, "read", 0.5), attrs)
-    assert log._rows == [] and log._attrs == []
+    assert log._flat == [] and log._sizes == []
     for row, got in log:
         assert got == attrs and got is not attrs
         assert list(got) == list(attrs)          # key order kept
@@ -81,7 +81,7 @@ def test_window_matches_a_bounded_deque_at_every_step(batch, window, count):
         assert len(log) == len(model)
         assert log.dropped == index + 1 - len(model)
         # Never more than a window and one batch of records held.
-        assert len(log._packed) * batch + len(log._rows) < window + 2 * batch
+        assert len(log._packed) * batch + len(log._sizes) < window + 2 * batch
     assert list(log) == list(model)
 
 
@@ -131,19 +131,33 @@ def test_list_valued_attr_round_trips(monkeypatch):
 
 
 def test_floats_and_big_ints_round_trip_exactly(monkeypatch):
-    log = make_log(monkeypatch, batch=1)
+    # One log per row width: a log's rows all have its first row's width.
+    log_a, log_b = make_log(monkeypatch, batch=1), make_log(monkeypatch, 1)
     floats = [-0.0, 0.0, 5e-324, 1e308, 0.1 + 0.2, float("inf")]
     ints = [0, -1, 2 ** 63, 2 ** 64 + 1, -(2 ** 200), 255, 256, 257]
-    log.append(tuple(floats), {"ints": ints})
-    log.append(tuple(ints), {f"f{i}": value for i, value in enumerate(floats)})
-    assert log._rows == [] and len(log._packed) == 2
-    (row_a, attrs_a), (row_b, attrs_b) = list(log)
+    log_a.append(tuple(floats), {"ints": ints})
+    log_b.append(tuple(ints),
+                 {f"f{i}": value for i, value in enumerate(floats)})
+    for log in (log_a, log_b):
+        assert log._flat == [] and len(log._packed) == 1
+    ((row_a, attrs_a),), ((row_b, attrs_b),) = list(log_a), list(log_b)
     for got in (row_a, tuple(attrs_b.values())):
         assert [type(value) for value in got] == [float] * len(floats)
         assert ([struct.pack("<d", value) for value in got]
                 == [struct.pack("<d", value) for value in floats])
     for got in (attrs_a["ints"], list(row_b)):
         assert got == ints and all(type(value) is int for value in got)
+
+
+def test_a_row_of_another_width_raises(monkeypatch):
+    # Rows are staged end to end; a narrower or wider row would shift
+    # every row after it.
+    log = make_log(monkeypatch, batch=4)
+    fill(log, 5)
+    for row in ((5, 5.0), (5, 5.0, "name2", None)):
+        with pytest.raises(ValueError, match="3-value rows"):
+            log.append(row, {})
+    assert list(log) == [record(index) for index in range(5)]
 
 
 def test_interned_names_come_back_as_the_same_object(monkeypatch):

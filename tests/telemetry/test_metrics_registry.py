@@ -1,6 +1,8 @@
 """Registry semantics: labeling, kind discipline, null mode."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.telemetry import (
@@ -9,6 +11,38 @@ from repro.telemetry import (
     NULL_REGISTRY,
     NullRegistry,
 )
+from repro.telemetry.store import TimeSeriesStore
+
+
+#: Instrument name -> (registry method, labelnames) for the plan test.
+SHAPES = {
+    "ops": ("counter", ("node",)),
+    "depth": ("gauge", ("node",)),
+    "late": ("gauge", ("app", "node")),
+}
+
+
+class ReferenceLoop:
+    """The per-instrument sampling loop the registry's plan replaced, run
+    over the same registry into a store of its own."""
+
+    def __init__(self, registry):
+        self.registry = registry
+        self.store = TimeSeriesStore()
+        self.samples = 0
+        self._series: dict = {}     # child -> its series, bound at first sample
+
+    def sample(self, now: float) -> None:
+        for instrument in self.registry.instruments():
+            for key, child in instrument._children.items():
+                series = self._series.get(child)
+                if series is None:
+                    series = self._series[child] = self.store.series(
+                        instrument.name, instrument.kind,
+                        instrument._label_pairs(key), instrument.help)
+                series.times.append(now)
+                series.values.append(child._callback())
+        self.samples += 1
 
 
 class TestLabeling:
@@ -126,6 +160,46 @@ class TestSampling:
         assert list(by_key) == [
             ("level", (("node", "n0"),)), ("lat_count", ()), ("lat_sum", ()),
             ("level", (("node", "n1"),))]
+
+    @given(program=st.lists(st.one_of(
+        st.just(("tick",)),
+        st.tuples(st.just("register"), st.sampled_from(sorted(SHAPES)),
+                  st.sampled_from(["n0", "n1", "n2"]),
+                  st.integers(min_value=0, max_value=3))), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_sampling_plan_matches_the_per_instrument_loop(self, program):
+        """Children registered between ticks, as churn registers them: a
+        new label set first seen mid-run, a re-created agent replacing
+        its callbacks, an instrument first registered after the first
+        tick.  The registry's plan must fill the same series, in the
+        same creation order, with the same points as the loop it
+        replaced."""
+        registry = MetricsRegistry()
+        reference = ReferenceLoop(registry)
+        state = [0, 10, 20, 30]
+        now = 0.0
+        for step in program + [("tick",)]:
+            if step[0] == "tick":
+                registry.sample(now)
+                reference.sample(now)
+                now += 100.0
+                state[:] = [value + index + 1
+                            for index, value in enumerate(state)]
+                continue
+            _, name, node, slot = step
+            kind, labelnames = SHAPES[name]
+            labels = {label: node for label in labelnames}
+            getattr(registry, kind)(name, labelnames=labelnames).set_callback(
+                lambda slot=slot: state[slot], **labels)
+        got = registry.store.all_series()
+        want = reference.store.all_series()
+        assert [series.key for series in got] == [
+            series.key for series in want]
+        for mine, theirs in zip(got, want):
+            assert (mine.kind, mine.help) == (theirs.kind, theirs.help)
+            assert mine.times == theirs.times
+            assert mine.values == theirs.values
+        assert registry.samples == reference.samples
 
     def test_bind_rejects_second_simulator(self):
         registry = MetricsRegistry()
