@@ -127,10 +127,10 @@ class Span:
     and drops the references (tracer, process, previous context) that
     would otherwise keep the process that opened it reachable.
 
-    :meth:`Tracer.span` fills the slots itself (once per span, a Python
-    ``__init__`` frame is a fifth of the span's cost); ``context`` —
-    this span's position, as handed to children and RPC messages — is
-    the one home of its trace and span ids.
+    :meth:`Tracer.span` fills the slots itself, so opening a span runs
+    no ``__init__`` frame; ``context`` — this span's position, as handed
+    to children and RPC messages — is the one home of its trace and
+    span ids.
     """
 
     __slots__ = ("context", "parent_id", "name", "category", "start_ms",
