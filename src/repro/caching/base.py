@@ -18,6 +18,7 @@ from repro.metrics.stats import OpKind
 from repro.net.sizes import sizeof
 from repro.obs.events import CACHE_EVICT
 from repro.obs.recorder import NULL_RECORDER
+from repro.trace.tracer import fold_keys
 
 # Cache entry coherence states (paper Section III-C1: MESI without M).
 EXCLUSIVE = "E"
@@ -215,6 +216,9 @@ class StorageAPI(abc.ABC):
     ``_do_read``/``_do_write`` — or, traced, to a twin opening one ``op``
     span per logical operation around them, so every scheme traces
     uniformly and the span is exactly the interval the scheme records.
+    The span is a leaf (:meth:`Tracer.span
+    <repro.trace.tracer.Tracer.span>`'s ``leaf=``): an op that opened no
+    span of its own — a local hit — is folded into its parent as a count.
     Subclasses must expose the simulator as ``self.sim`` (every scheme in
     this package does).
     """
@@ -239,7 +243,7 @@ class StorageAPI(abc.ABC):
         return self._traced_read if self.sim.tracer.active else self._do_read
 
     def _traced_read(self, node_id: str, key: str, ctx: Optional[object] = None):
-        span = self.sim.tracer.span("read", "op",
+        span = self.sim.tracer.span("read", "op", leaf=self._op_folds[0],
                                     scheme=self.name, node=node_id, key=key)
         try:
             return (yield from self._do_read(node_id, key, ctx))
@@ -254,12 +258,19 @@ class StorageAPI(abc.ABC):
 
     def _traced_write(self, node_id: str, key: str, value: object,
                       ctx: Optional[object] = None):
-        span = self.sim.tracer.span("write", "op",
+        span = self.sim.tracer.span("write", "op", leaf=self._op_folds[1],
                                     scheme=self.name, node=node_id, key=key)
         try:
             return (yield from self._do_write(node_id, key, value, ctx))
         finally:
             span.end()
+
+    @functools.cached_property
+    def _op_folds(self) -> tuple:
+        """Fold keys of a childless read / write ``op`` span: its parent
+        counts it as ``op:<scheme>:<read|write>``."""
+        return (fold_keys(f"op:{self.name}:read"),
+                fold_keys(f"op:{self.name}:write"))
 
     @abc.abstractmethod
     def _do_read(

@@ -1289,6 +1289,10 @@ class CacheAgent:
             platform.interrupt_invocations(self.node_id, self.app)
         self.cache.clear()
         self.directory = DataDirectory(self.node_id, self.sim.obs)
+        # The directory gauges close over the directory they were
+        # registered with: re-point them at the new one.
+        self.directory.register_metrics(self.sim.metrics, scheme="concord",
+                                        app=self.app)
         self.dir_mirror.clear()
         self._last_writer.clear()
         if self.node_id in self.ring:

@@ -10,6 +10,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.caching.base import AccessContext
+from repro.trace.tracer import fold_keys
+
+#: Where a traced compute interval is counted on its enclosing span.
+_COMPUTE = fold_keys("compute")
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.caching.base import StorageAPI
@@ -65,11 +69,14 @@ class InvocationContext:
 
     # -- compute ------------------------------------------------------------
     def compute(self, ms: float):
-        """Burn ``ms`` of CPU on this node's cores (queues when busy)."""
+        """Burn ``ms`` of CPU on this node's cores (queues when busy).
+
+        Traced, the interval is a fixed-cost leaf: it opens no span, and
+        is counted on the span it runs under (the invocation's) as
+        ``compute.n`` / ``compute.ms``.
+        """
         tracer = self.sim.tracer
-        span = (tracer.span("compute", "compute",
-                            node=self.node.id, function=self.function)
-                if tracer.active else None)
+        within = tracer.enclosing() if tracer.active else None
         start = self.sim.now
         cores = self.node.cores
         try:
@@ -81,5 +88,5 @@ class InvocationContext:
             self.compute_ms += self.sim.now - start
             return None
         finally:
-            if span is not None:
-                span.end()
+            if within is not None:
+                within.fold(_COMPUTE, start)

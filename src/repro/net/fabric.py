@@ -33,7 +33,8 @@ class Message:
     request_id: Optional[int] = None
     is_response: bool = False
     #: TraceContext travelling with the request so the serving side joins
-    #: the caller's span tree (None when tracing is off / for responses).
+    #: the caller's span tree; on a response, the server's
+    #: ``(start_ms, end_ms)`` serving interval.  None when tracing is off.
     trace: Optional[object] = None
     #: Scheme-level metadata piggybacked on the message (e.g. the causal
     #: scheme's vector clocks).  Opaque to the fabric; callers that care

@@ -26,7 +26,7 @@ from repro.obs.events import RPC_RESET, RPC_TIMEOUT
 from repro.sim.errors import Interrupt
 from repro.sim.events import PENDING, Event
 from repro.trace.tracer import (  # noqa: F401 - re-export
-    INHERIT, SpanNames, TraceContext)
+    INHERIT, SERVER_END, SERVER_START, SpanNames, TraceContext)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -136,7 +136,7 @@ class _RpcWaiter(Event):
     """
 
     __slots__ = ("dst", "method", "resp_done", "resp_value", "resp_exc",
-                 "resp_meta", "deadline")
+                 "resp_meta", "deadline", "served")
 
     def __init__(self, sim, dst: str, method: str):
         self.sim = sim
@@ -160,6 +160,9 @@ class _RpcWaiter(Event):
         #: deadline used to (it may already be queued for this instant,
         #: and pulling it out could change what runs in place).
         self.deadline = None
+        #: Traced: the server's ``(start_ms, end_ms)`` from the response.
+        #: Set only when a traced response carries it, and read only by
+        #: a traced call.
 
     def _fire(self, _arg=None) -> None:
         """Second hop of response delivery (the old AnyOf hop's slot).
@@ -325,6 +328,8 @@ class Endpoint:
                 else:
                     waiter.resp_value = payload
                     waiter.resp_meta = message.meta
+                if message.trace is not None:
+                    waiter.served = message.trace
                 # Recorded even when the deadline already fired this tick:
                 # the caller resumes later in the tick and must see the
                 # response (the old response event fired independently of
@@ -360,15 +365,23 @@ class Endpoint:
         self._inflight_handlers[process] = None
 
     def _serve(self, handler: Handler, message: Message):
-        # Traced, the span covers service slice, handler and response.
+        # Traced, the serving interval covers service slice, handler and
+        # response.  A call's interval rides back on its response and
+        # lands on the client's ``rpc`` span, and the handler runs in
+        # that span's context; a one-way notify has no client span, so
+        # it gets an ``rpc.server`` span of its own.
         # The handler drops its own in-flight slot on the way out, so a
         # finished handler has no callback: nothing waits on it and its
         # completion needs no dispatch at all.
         process = self.sim.active_process
         tracer = self.sim.tracer
-        span = (tracer.span(_SERVE_SPANS[message.kind], "rpc.server",
-                            src=message.src, addr=self.address)
-                if tracer.active else None)
+        span = start = None
+        if tracer.active:
+            if message.request_id is None:
+                span = tracer.span(_SERVE_SPANS[message.kind], "rpc.server",
+                                   src=message.src, addr=self.address)
+            else:
+                start = self.sim.now
         try:
             if self._server is not None:
                 yield self._server.acquire_wait()
@@ -390,23 +403,32 @@ class Endpoint:
                 result = yield from handler(
                     self, message.src, message.payload[1])
         except Interrupt:
-            return  # crashed mid-handling; no response ever leaves
+            # Crashed mid-handling; no response ever leaves, so the
+            # serving interval is filed as a span of its own.
+            if start is not None:
+                span = tracer.span(_SERVE_SPANS[message.kind], "rpc.server",
+                                   src=message.src, addr=self.address)
+                span.start_ms = start
+            return
         except RpcError as exc:
-            self._respond(message, _RemoteFailure(exc), 0)
+            self._respond(message, _RemoteFailure(exc), 0, None,
+                          None if start is None else (start, self.sim.now))
             return
         else:
+            served = None if start is None else (start, self.sim.now)
             if isinstance(result, Reply):
                 self._respond(message, result.value, result.wire_size(),
-                              meta=result.meta)
+                              result.meta, served)
             else:
-                self._respond(message, result, sizeof(result))
+                self._respond(message, result, sizeof(result), None, served)
         finally:
             self._inflight_handlers.pop(process, None)
             if span is not None:
                 span.end()
 
     def _respond(self, request: Message, value: object, size_bytes: int,
-                 meta: Optional[object] = None) -> None:
+                 meta: Optional[object] = None,
+                 served: Optional[tuple] = None) -> None:
         if request.request_id is None:
             return  # one-way notify: nobody is waiting
         kind = request.kind
@@ -414,9 +436,10 @@ class Endpoint:
         if reply_kind is None:
             reply_kind = "reply:" + kind
             _REPLY_KINDS[kind] = reply_kind
+        # A response's ``trace`` is the serving interval, when traced.
         self.network.send(Message(
             self.address, request.src, reply_kind, value, size_bytes,
-            request.request_id, True, None, meta))
+            request.request_id, True, served, meta))
 
     # -- client side ---------------------------------------------------------
     def call(
@@ -453,6 +476,8 @@ class Endpoint:
         travels with the request, and the client span survives the
         timeout path (ended in a ``finally`` with ``status=timeout``),
         so retries issued afterwards join the same operation's trace.
+        An answered call's span carries the server's serving interval as
+        ``server_start_ms`` / ``server_end_ms``.
         """
         sim = self.sim
         tracer = sim.tracer
@@ -478,6 +503,11 @@ class Endpoint:
                 waiter.deadline = sim.call_later(limit, waiter._deadline)
                 yield waiter
                 if waiter.resp_done:
+                    if span is not None:
+                        served = getattr(waiter, "served", None)
+                        if served is not None:
+                            attrs = span.attrs
+                            attrs[SERVER_START], attrs[SERVER_END] = served
                     exc = waiter.resp_exc
                     if exc is not None:
                         # Late same-tick remote failure (deadline fired

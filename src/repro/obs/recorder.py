@@ -153,7 +153,15 @@ class FlightRecorder:
         process = sim.active_process
         context = (process.trace_ctx if process is not None
                    else sim.tracer._ambient)
-        trace, span = context or (0, 0)
+        if context is None:
+            trace = span = 0
+        else:
+            trace, span = context
+            # An event names its span, so a leaf it names stays a span
+            # (Span.end); a context implies an active Tracer.
+            leaves = sim.tracer._leaves
+            if span in leaves:
+                del leaves[span]
         self._log.append((next(self._next_seq), sim.now, etype, node, key,
                           trace, span, sim.metrics.samples), attrs)
         if self.dump_path is not None and etype in DUMP_TRIGGERS:

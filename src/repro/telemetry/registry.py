@@ -26,6 +26,8 @@ on its layer (a counter, a running sum), not a push API here.
 
 from __future__ import annotations
 
+from math import copysign
+
 from repro.telemetry.store import COUNTER, GAUGE, TimeSeriesStore
 
 
@@ -121,9 +123,9 @@ class MetricsRegistry:
         self._instruments: dict = {}
         self.store = TimeSeriesStore()
         self.samples = 0
-        # The sampling plan: ``(child, series.times.append,
-        # series.values.append)`` for every child of every instrument, in
-        # registration order.  Children are never removed, so a plan
+        # The sampling plan: ``(child, series, series._at.append,
+        # series._values.append)`` for every child of every instrument,
+        # in registration order.  Children are never removed, so a plan
         # shorter than the children count is missing a new child.
         self._plan: list = []
 
@@ -172,14 +174,31 @@ class MetricsRegistry:
     # -- sampling / export --------------------------------------------
 
     def sample(self, now: float) -> None:
-        """Snapshot every instrument into the store at sim time ``now``."""
+        """Snapshot every instrument into the store at sim time ``now``.
+
+        A series stores the value only when it changed: when it is not
+        equal to the previous one, or is of another type (``0`` /
+        ``0.0``), or is a float zero of the other sign.  A NaN equals
+        nothing, so it is always stored.
+        """
         plan = self._plan
         if len(plan) != sum([len(instrument._children)
                              for instrument in self._instruments.values()]):
             plan = self._plan = self._build_plan()
-        for child, times_append, values_append in plan:
-            times_append(now)
-            values_append(child._callback())
+        ticks = self.store.ticks
+        tick = len(ticks)
+        ticks.append(now)
+        for child, series, at_append, values_append in plan:
+            value = child._callback()
+            last = series._last
+            if value is last or (
+                    value == last and type(value) is type(last)
+                    and (value != 0 or type(value) is not float
+                         or copysign(1.0, value) == copysign(1.0, last))):
+                continue
+            series._last = value
+            at_append(tick)
+            values_append(value)
         self.samples += 1
 
     def _build_plan(self) -> list:
@@ -198,8 +217,8 @@ class MetricsRegistry:
                 series = store.series(instrument.name, instrument.kind,
                                       instrument._label_pairs(key),
                                       instrument.help)
-                plan.append((child, series.times.append,
-                             series.values.append))
+                plan.append((child, series, series._at.append,
+                             series._values.append))
         return plan
 
     def iter_dicts(self):

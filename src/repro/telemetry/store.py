@@ -8,34 +8,74 @@ order.  Timestamps are simulated milliseconds stamped by the
 :class:`~repro.telemetry.sampler.Sampler`; nothing here reads a wall
 clock.
 
-A series keeps its samples as two flat lists (``times`` / ``values``),
-not a list of ``(t, v)`` pairs: a long run takes hundreds of thousands
-of samples, every sample of one tick shares the same timestamp object,
-and a retained tuple per sample is one more allocation for CPython's
-cyclic collector to visit.  ``points`` zips the pairs on demand.
+**Storage layout.**  Most sampled values repeat their series' previous
+one (a counter that did not move, a gauge at rest), so the store keeps
+one list of sampling instants — the *ticks*, shared by every series —
+and each series stores a point only when its value *changes*: the tick
+index and the value, in two flat lists.  "Changes" means "is not the
+same value" (:meth:`MetricsRegistry.sample
+<repro.telemetry.registry.MetricsRegistry.sample>` decides): ``0`` then
+``0.0``, ``0.0`` then ``-0.0``, and a NaN are all stored, so every value
+a reader gets back is the one sampled, or one equal to it in value,
+type and sign.  A series is sampled at every tick from its first, so
+:attr:`Series.points` (and ``times`` / ``values`` / ``to_dict``)
+forward-fill the per-tick series from the ticks: every reader sees each
+tick's point as if it had been stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Optional
 
 #: Series kinds (mirrors the Prometheus metric taxonomy we export).
 COUNTER = "counter"
 GAUGE = "gauge"
 
+#: The previous value of a series never sampled: equal to no value.
+_UNSAMPLED = object()
 
-@dataclass
+
 class Series:
     """One labeled time series of sampled values."""
 
-    name: str
-    kind: str                       # COUNTER or GAUGE
-    #: Label pairs in labelnames order, e.g. (("node", "node0"),).
-    labels: tuple = ()
-    help: str = ""
-    #: Sampling instants (sim_time_ms) and, index for index, the values.
-    times: list = field(default_factory=list)
-    values: list = field(default_factory=list)
+    __slots__ = ("name", "kind", "labels", "help", "_ticks", "_at",
+                 "_values", "_last")
+
+    def __init__(self, name: str, kind: str, labels: tuple = (),
+                 help: str = "", ticks: Optional[list] = None):
+        self.name = name
+        self.kind = kind            # COUNTER or GAUGE
+        #: Label pairs in labelnames order, e.g. (("node", "node0"),).
+        self.labels = labels
+        self.help = help
+        # The store's sampling instants, and this series' changes: the
+        # tick index of each and, index for index, the value.
+        self._ticks = ticks if ticks is not None else []
+        self._at: list = []
+        self._values: list = []
+        #: The newest sampled value (the registry compares against it).
+        self._last = _UNSAMPLED
+
+    @property
+    def stored(self) -> int:
+        """Points actually stored: the first sample and each change."""
+        return len(self._at)
+
+    @property
+    def times(self) -> list:
+        """Every sampling instant since the series' first sample."""
+        return self._ticks[self._at[0]:] if self._at else []
+
+    @property
+    def values(self) -> list:
+        """The sampled value at each of :attr:`times` (forward-filled)."""
+        at = self._at
+        bounds = at[1:] + [len(self._ticks)]
+        out: list = []
+        for start, stop, value in zip(at, bounds, self._values):
+            out.extend(repeat(value, stop - start))
+        return out
 
     @property
     def points(self) -> list:
@@ -51,7 +91,7 @@ class Series:
 
     def last(self):
         """The most recent sampled value (None when never sampled)."""
-        return self.values[-1] if self.values else None
+        return self._values[-1] if self._values else None
 
     def to_dict(self) -> dict:
         return {
@@ -68,6 +108,9 @@ class TimeSeriesStore:
 
     def __init__(self):
         self._series: dict[tuple, Series] = {}
+        #: Sampling instants (sim_time_ms), one per tick, shared by
+        #: every series.
+        self.ticks: list = []
 
     def __len__(self) -> int:
         return len(self._series)
@@ -78,13 +121,18 @@ class TimeSeriesStore:
         key = (name, labels)
         existing = self._series.get(key)
         if existing is None:
-            existing = Series(name=name, kind=kind, labels=labels, help=help)
+            existing = Series(name=name, kind=kind, labels=labels, help=help,
+                              ticks=self.ticks)
             self._series[key] = existing
         return existing
 
     def all_series(self) -> list:
         """Every series, in creation order."""
         return list(self._series.values())
+
+    def stored_points(self) -> int:
+        """Points stored across every series (changes, not ticks)."""
+        return sum(series.stored for series in self._series.values())
 
     def iter_dicts(self):
         """JSON-ready dicts in canonical (name, labels) order, one series

@@ -12,11 +12,35 @@ Works on the plain span dicts produced by :mod:`repro.trace.export`
 * **Category totals** — time summed per span category (agent, rpc,
   invalidation, storage, ...) across the whole trace; useful for raw
   operation traces that have no surrounding requests.
+
+Three protocol steps are recorded as counts, not spans, and every view
+counts them back in: a ``compute`` interval and a childless ``op`` (a
+local hit) are folded into the span they ran under as ``<label>.n`` /
+``<label>.ms`` attrs (:func:`~repro.trace.tracer.folded_leaves`), and a
+call's ``rpc.server`` interval is the ``server_start_ms`` /
+``server_end_ms`` pair on the client's ``rpc`` span.  A window filter
+over spans keeps or drops a folded leaf with the span it is folded into.
 """
 
 from __future__ import annotations
 
 from typing import Optional
+
+from repro.trace.tracer import SERVER_END, SERVER_START, folded_leaves
+
+
+def _steps(span: dict):
+    """``(category, label, count, total_ms)`` of every recorded step one
+    span dict stands for: itself, its folded leaves, and the serving
+    interval it carries."""
+    attrs = span.get("attrs") or {}
+    yield (span.get("category", "span"), None, 1, span["duration_ms"])
+    if attrs:
+        for label, count, total_ms in folded_leaves(attrs):
+            yield label.split(":", 1)[0], label, count, total_ms
+        start = attrs.get(SERVER_START)
+        if start is not None:
+            yield "rpc.server", None, 1, attrs[SERVER_END] - start
 
 
 def _mean(total: float, count: int) -> float:
@@ -27,24 +51,23 @@ def per_app_requests(spans) -> dict:
     """app -> aggregate request stats derived purely from the trace.
 
     ``request`` spans are roots, so every span in the same ``trace_id``
-    belongs to that request; storage time is the sum of ``op`` spans
+    belongs to that request; storage time is the sum of ``op`` steps
     (the uniform StorageAPI instrumentation) and compute time the sum of
-    ``compute`` spans.
+    ``compute`` steps, spans and folded counts alike.
     """
     requests = {}     # trace_id -> (app, duration)
     storage = {}      # trace_id -> ms
     compute = {}      # trace_id -> ms
     for span in spans:
-        category = span.get("category")
-        if category == "request":
-            app = (span.get("attrs") or {}).get("app", "?")
-            requests[span["trace_id"]] = (app, span["duration_ms"])
-        elif category == "op":
-            storage[span["trace_id"]] = (
-                storage.get(span["trace_id"], 0.0) + span["duration_ms"])
-        elif category == "compute":
-            compute[span["trace_id"]] = (
-                compute.get(span["trace_id"], 0.0) + span["duration_ms"])
+        trace_id = span["trace_id"]
+        for category, _label, _count, total_ms in _steps(span):
+            if category == "request":
+                app = (span.get("attrs") or {}).get("app", "?")
+                requests[trace_id] = (app, total_ms)
+            elif category == "op":
+                storage[trace_id] = storage.get(trace_id, 0.0) + total_ms
+            elif category == "compute":
+                compute[trace_id] = compute.get(trace_id, 0.0) + total_ms
 
     table: dict = {}
     for trace_id, (app, duration_ms) in requests.items():
@@ -70,10 +93,10 @@ def category_totals(spans) -> dict:
     """category -> {"count", "total_ms", "mean_ms"} over all spans."""
     totals: dict = {}
     for span in spans:
-        row = totals.setdefault(span.get("category", "span"),
-                                {"count": 0, "total_ms": 0.0})
-        row["count"] += 1
-        row["total_ms"] += span["duration_ms"]
+        for category, _label, count, total_ms in _steps(span):
+            row = totals.setdefault(category, {"count": 0, "total_ms": 0.0})
+            row["count"] += count
+            row["total_ms"] += total_ms
     for row in totals.values():
         row["mean_ms"] = _mean(row["total_ms"], row["count"])
     return totals
@@ -83,13 +106,17 @@ def op_breakdown(spans) -> dict:
     """(scheme, op name) -> count / mean duration for ``op`` spans."""
     ops: dict = {}
     for span in spans:
-        if span.get("category") != "op":
-            continue
-        scheme = (span.get("attrs") or {}).get("scheme", "?")
-        row = ops.setdefault((scheme, span.get("name", "?")),
-                             {"count": 0, "total_ms": 0.0})
-        row["count"] += 1
-        row["total_ms"] += span["duration_ms"]
+        for category, label, count, total_ms in _steps(span):
+            if category != "op":
+                continue
+            if label is None:
+                scheme = (span.get("attrs") or {}).get("scheme", "?")
+                key = (scheme, span.get("name", "?"))
+            else:   # op:<scheme>:<name>
+                key = tuple(label.split(":", 1)[1].rsplit(":", 1))
+            row = ops.setdefault(key, {"count": 0, "total_ms": 0.0})
+            row["count"] += count
+            row["total_ms"] += total_ms
     for row in ops.values():
         row["mean_ms"] = _mean(row["total_ms"], row["count"])
     return ops
@@ -122,8 +149,15 @@ def format_breakdown(spans, title: Optional[str] = None) -> str:
     lines = []
     if title:
         lines.append(title)
-    total_spans = len(list(spans))
-    lines.append(f"{total_spans} completed span(s)")
+    spans = list(spans)
+    folded = sum(count for span in spans
+                 for _category, label, count, _ms in _steps(span)
+                 if label is not None)
+    served = sum(1 for span in spans
+                 if SERVER_START in (span.get("attrs") or {}))
+    lines.append(f"{len(spans)} completed span(s); {folded} leaf step(s) "
+                 f"folded into them, {served} server interval(s) on their "
+                 f"rpc spans")
     lines.append("")
 
     apps = per_app_requests(spans)

@@ -156,7 +156,13 @@ class Span:
         return self
 
     def end(self) -> None:
-        """Close the span at ``sim.now``; a second call is a no-op."""
+        """Close the span at ``sim.now``; a second call is a no-op.
+
+        A leaf (opened with ``leaf=``) that nothing named while it was
+        open — no span opened under it, no recorder event stamped with
+        it — and whose parent is still open is *folded*: its duration is
+        counted on the parent (:meth:`fold`) and no row is filed.
+        """
         tracer = self._tracer
         if tracer is None:
             return
@@ -164,9 +170,18 @@ class Span:
         trace_id, span_id = self.context
         end_ms = self.end_ms = tracer._sim.now
         del tracer._open[span_id]
-        tracer._log.append((trace_id, span_id, self.parent_id, self.name,
-                            self.category, self.start_ms, end_ms, self.tid),
-                           self.attrs)
+        leaves = tracer._leaves
+        if span_id in leaves:
+            keys = leaves.pop(span_id)
+            parent = tracer._open.get(self.parent_id)
+        else:
+            parent = None
+        if parent is None:
+            tracer._log.append((trace_id, span_id, self.parent_id,
+                                self.name, self.category, self.start_ms,
+                                end_ms, self.tid), self.attrs)
+        else:
+            parent.fold(keys, self.start_ms)
         # Restore the context on whichever process opened the span, but
         # only if that span is still its current context (spans closed
         # out of order keep whatever the inner code installed).
@@ -181,6 +196,24 @@ class Span:
             if holder_ctx is not None and holder_ctx[1] == span_id:
                 tracer._ambient = self._prev_ctx
         self._prev_ctx = None
+
+    def fold(self, keys: tuple, start_ms: float) -> None:
+        """Count the leaf interval ``[start_ms, now]`` on this open span:
+        one more under ``keys[0]``, its duration added under ``keys[1]``
+        (:func:`fold_keys`).  A no-op once the span has ended."""
+        tracer = self._tracer
+        if tracer is None:
+            return
+        count_key, ms_key = keys
+        attrs = self.attrs
+        ms = tracer._sim.now - start_ms
+        count = attrs.get(count_key)
+        if count is None:
+            attrs[count_key] = 1
+            attrs[ms_key] = ms
+        else:
+            attrs[count_key] = count + 1
+            attrs[ms_key] += ms
 
     def to_dict(self) -> dict:
         end = self.end_ms if self.end_ms is not None else self.start_ms
@@ -229,6 +262,41 @@ def _finished_span(row: tuple, attrs: dict) -> Span:
     span.attrs = attrs
     span._tracer = span._process = span._prev_ctx = None
     return span
+
+
+#: label -> its ``(count key, ms key)`` attr names, built once each.
+_FOLD_KEYS: dict = {}
+_COUNT_SUFFIX = ".n"
+_MS_SUFFIX = ".ms"
+
+
+def fold_keys(label: str) -> tuple:
+    """The attr names a folded leaf labelled ``label`` is counted under.
+
+    A label is ``<category>`` or ``<category>:<detail>`` (``compute``,
+    ``op:concord:read``); its parent carries ``<label>.n`` (leaves
+    folded) and ``<label>.ms`` (their summed duration).
+    """
+    keys = _FOLD_KEYS.get(label)
+    if keys is None:
+        keys = _FOLD_KEYS[label] = (sys.intern(label + _COUNT_SUFFIX),
+                                    sys.intern(label + _MS_SUFFIX))
+    return keys
+
+
+def folded_leaves(attrs: dict):
+    """``(label, count, summed_ms)`` of every leaf kind folded into a
+    span with these attrs."""
+    for key, count in attrs.items():
+        if key.endswith(_COUNT_SUFFIX):
+            label = key[:-len(_COUNT_SUFFIX)]
+            yield label, count, attrs[label + _MS_SUFFIX]
+
+
+#: Attrs on a client ``rpc`` span: when the server began and finished
+#: serving the call (its ``_serve`` interval, carried on the response).
+SERVER_START = "server_start_ms"
+SERVER_END = "server_end_ms"
 
 
 def _pair_span_id(pair: tuple) -> int:
@@ -284,6 +352,9 @@ class Tracer:
         self._driver_lane: Optional[int] = None
         # Context for code running outside any sim process.
         self._ambient: Optional[TraceContext] = None
+        # span id -> fold keys of every open leaf (``span(leaf=...)``)
+        # that nothing has named yet; a child span or an event drops it.
+        self._leaves: dict = {}
 
     # -- wiring -------------------------------------------------------
 
@@ -332,8 +403,13 @@ class Tracer:
     # -- span lifecycle -----------------------------------------------
 
     def span(self, name: str, category: str = "span",
-             parent=INHERIT, **attrs) -> Span:
-        """Open a span; it becomes the current context until ended."""
+             parent=INHERIT, leaf: Optional[tuple] = None,
+             **attrs) -> Span:
+        """Open a span; it becomes the current context until ended.
+
+        ``leaf`` (:func:`fold_keys`) makes it a leaf that
+        :meth:`Span.end` may fold into its parent as a count.
+        """
         sim = self._sim
         if sim is None:
             raise RuntimeError("Tracer.span() before bind(): attach the "
@@ -351,6 +427,8 @@ class Tracer:
             parent_id = None
         else:
             trace_id, parent_id = parent_ctx
+            if parent_id in self._leaves:
+                del self._leaves[parent_id]
         span_id = next(self._span_ids)
         context = _tuple_new(TraceContext, (trace_id, span_id))
         if process is not None:
@@ -375,7 +453,15 @@ class Tracer:
         span._process = process
         span._prev_ctx = current
         self._open[span_id] = span
+        if leaf is not None:
+            self._leaves[span_id] = leaf
         return span
+
+    def enclosing(self) -> Optional[Span]:
+        """The open span the running code is inside of (None: none)."""
+        process = self._sim.active_process
+        context = process.trace_ctx if process is not None else self._ambient
+        return self._open.get(context[1]) if context is not None else None
 
     # -- inspection / export ------------------------------------------
 
@@ -446,7 +532,8 @@ class NullTracer:
     def resolve(self, parent) -> Optional[TraceContext]:
         return None
 
-    def span(self, name, category="span", parent=INHERIT, **attrs):
+    def span(self, name, category="span", parent=INHERIT, leaf=None,
+             **attrs):
         return NULL_SPAN
 
     @property

@@ -6,8 +6,10 @@ interrupted and the platform reschedules the application's invocations
 on the node, as after a crash (DESIGN.md section 9).
 """
 
+from repro.config import SimConfig
 from repro.core import ConcordSystem
 from repro.faas import AppSpec, FaasPlatform, FunctionSpec
+from repro.session import Session
 from repro.storage import DataItem
 from repro.verify import check_run
 
@@ -46,3 +48,47 @@ def test_a_request_waiting_on_the_home_of_a_removed_instance_is_rescheduled(
             app.requests_failed) == (1, 1, 0)
     assert (removed.endpoint.timeouts, removed.endpoint._pending) == (0, {})
     assert check_run(session) == []  # no declaration, no dead daemon
+
+
+def test_directory_gauges_follow_the_directory_a_rejoin_rebuilds():
+    """An ejection replaces the agent's directory; the node's directory
+    gauges must read the new one, not freeze at the discarded one's
+    values.  A false-positive report ejects ``node1``, which rejoins
+    within 5 s; 80 more reads through ``node2`` / ``node3`` then home
+    new entries at ``node1``."""
+    session = Session.compose(
+        config=SimConfig(num_nodes=4, heartbeat_interval_ms=100.0,
+                         heartbeat_misses=3),
+        seed=42, scheme="nocache", metrics=True)
+    sim = session.sim
+    concord = ConcordSystem(session.cluster, app="app1", coord=session.coord)
+    keys = [f"k{i}" for i in range(120)]
+    session.cluster.storage.preload({key: DataItem("v", 64) for key in keys})
+
+    def read(node, key):
+        sim.run_until_complete(sim.spawn(concord.read(node, key)),
+                               limit=sim.now + 60_000.0)
+
+    for key in keys[:40]:
+        read("node2", key)
+    agent = concord.agents["node1"]
+    before = len(agent.directory)
+    session.coord.report_unreachable("app1", "node1")
+    sim.run(until=sim.now + 5000.0)
+    assert not agent.ejected  # rejoined
+    for index, key in enumerate(keys[40:]):
+        read(("node2", "node3")[index % 2], key)
+    session.metrics.sample(sim.now)
+    gauges = {series.name: series.last()
+              for series in session.metrics.store.all_series()
+              if series.name.startswith("directory_")
+              and dict(series.labels)["node"] == "node1"}
+    directory = agent.directory
+    sharers = directory.sharer_counts()
+    assert len(directory) != before
+    assert gauges == {
+        "directory_entries": len(directory),
+        "directory_sharers_max": max(sharers, default=0),
+        "directory_sharers_mean": (sum(sharers) / len(directory)
+                                   if len(directory) else 0.0),
+    }

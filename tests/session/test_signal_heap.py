@@ -26,16 +26,17 @@ from repro.verify import check_run
 APPS = ("SocNet", "HotelBook")
 
 
-def _drained_run(signals: bool, metrics: bool = None) -> Session:
+def _drained_run(signals: bool, metrics: bool = None,
+                 load_ms: float = 2500.0) -> Session:
     """A small FaaS run driven to quiescence (sampler included)."""
     s = Session(seed=7, nodes=4, cores_per_node=4, scheme="concord",
                 apps=APPS, trace=signals, obs=signals,
                 metrics=signals if metrics is None else metrics)
     for name in APPS:
-        s.sim.spawn(s.platform.open_loop(name, 40.0, 2500.0,
+        s.sim.spawn(s.platform.open_loop(name, 40.0, load_ms,
                                          s.factories[name]),
                     name=f"load:{name}")
-    s.sim.run(until=5000.0)
+    s.sim.run(until=load_ms + 2500.0)
     assert check_run(s) == []
     s.close()
     s.advance(500.0)  # the stopped sampler wakes once more and exits
@@ -51,10 +52,10 @@ def _census() -> dict:
     return counts
 
 
-def _measured_run(signals: bool):
+def _measured_run(signals: bool, metrics: bool = None):
     """(session, {type or "tracked": objects the run left tracked})."""
     before = _census()
-    session = _drained_run(signals)
+    session = _drained_run(signals, metrics)
     after = _census()
     return session, {key: after[key] - before.get(key, 0) for key in after}
 
@@ -66,7 +67,14 @@ def plain_heap():
 
 
 @pytest.fixture(scope="module")
-def heaps(plain_heap):
+def metrics_heap(plain_heap):
+    """(metrics-only session, its heap cost): telemetry on, no trace or
+    recorder."""
+    return _measured_run(signals=False, metrics=True)
+
+
+@pytest.fixture(scope="module")
+def heaps(plain_heap, metrics_heap):
     """(plain heap cost, signals session, signals heap cost)."""
     _, plain_cost = plain_heap
     signals, signals_cost = _measured_run(signals=True)
@@ -117,10 +125,24 @@ def test_tracing_keeps_no_finished_process_alive(heaps):
     assert cost[Process] == plain_cost[Process]
 
 
-def test_tracked_objects_per_finished_span(heaps):
-    plain_cost, s, cost = heaps
+def test_tracked_objects_per_finished_span(heaps, metrics_heap):
+    # Measured against the metrics-only run: what telemetry keeps is per
+    # series, not per span (next test), and with ~6k spans a run its
+    # ~1.75k objects alone would read as 0.3 a span.
+    _, s, cost = heaps
+    _, metrics_cost = metrics_heap
     spans = len(s.tracer.to_dicts())
-    assert (cost["tracked"] - plain_cost["tracked"]) / spans < 0.1
+    assert (cost["tracked"] - metrics_cost["tracked"]) / spans < 0.1
+
+
+def test_tracked_objects_per_telemetry_series(plain_heap, metrics_heap):
+    # A series keeps a fixed set — the Series, its child, callback and
+    # plan row, its two change lists: 10.6 objects each over 165 series
+    # — and nothing per tick (each sampled 51 times).
+    _, plain_cost = plain_heap
+    s, cost = metrics_heap
+    series = len(s.metrics.store)
+    assert (cost["tracked"] - plain_cost["tracked"]) / series < 12.0
 
 
 def test_read_surfaces_are_built_on_demand(heaps):
@@ -153,12 +175,13 @@ def _allocated_by(build):
 
 
 def test_bytes_retained_per_finished_record(monkeypatch):
-    # 23k records: at the real batch size a third would still be staged.
+    # 22k records: at the real batch size a third would still be staged.
     monkeypatch.setattr(repro.packedlog, "BATCH", 256)
     tracemalloc.start()
     try:
-        _, plain = _allocated_by(lambda: _drained_run(False))
-        s, traced = _allocated_by(lambda: _drained_run(True, metrics=False))
+        _, plain = _allocated_by(lambda: _drained_run(False, load_ms=8000.0))
+        s, traced = _allocated_by(
+            lambda: _drained_run(True, metrics=False, load_ms=8000.0))
         records = len(s.tracer.to_dicts()) + len(s.obs)
         assert records > 20000
         per_record = (traced - plain) / records

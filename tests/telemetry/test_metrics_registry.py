@@ -1,17 +1,19 @@
 """Registry semantics: labeling, kind discipline, null mode."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
+from repro.telemetry import jsonl_dumps
 from repro.telemetry import (
     MetricError,
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
 )
-from repro.telemetry.store import TimeSeriesStore
 
 
 #: Instrument name -> (registry method, labelnames) for the plan test.
@@ -24,24 +26,24 @@ SHAPES = {
 
 class ReferenceLoop:
     """The per-instrument sampling loop the registry's plan replaced, run
-    over the same registry into a store of its own."""
+    over the same registry, storing every point of every tick."""
 
     def __init__(self, registry):
         self.registry = registry
-        self.store = TimeSeriesStore()
+        #: (name, labels) -> [kind, help, points], in creation order.
+        self.series: dict = {}
         self.samples = 0
-        self._series: dict = {}     # child -> its series, bound at first sample
+        self._series: dict = {}     # child -> its record, bound at first sample
 
     def sample(self, now: float) -> None:
         for instrument in self.registry.instruments():
             for key, child in instrument._children.items():
-                series = self._series.get(child)
-                if series is None:
-                    series = self._series[child] = self.store.series(
-                        instrument.name, instrument.kind,
-                        instrument._label_pairs(key), instrument.help)
-                series.times.append(now)
-                series.values.append(child._callback())
+                record = self._series.get(child)
+                if record is None:
+                    record = self._series[child] = self.series.setdefault(
+                        (instrument.name, instrument._label_pairs(key)),
+                        [instrument.kind, instrument.help, []])
+                record[2].append((now, child._callback()))
         self.samples += 1
 
 
@@ -192,13 +194,11 @@ class TestSampling:
             getattr(registry, kind)(name, labelnames=labelnames).set_callback(
                 lambda slot=slot: state[slot], **labels)
         got = registry.store.all_series()
-        want = reference.store.all_series()
-        assert [series.key for series in got] == [
-            series.key for series in want]
-        for mine, theirs in zip(got, want):
-            assert (mine.kind, mine.help) == (theirs.kind, theirs.help)
-            assert mine.times == theirs.times
-            assert mine.values == theirs.values
+        assert [series.key for series in got] == list(reference.series)
+        for mine, (kind, help, points) in zip(
+                got, reference.series.values()):
+            assert (mine.kind, mine.help) == (kind, help)
+            assert mine.points == points
         assert registry.samples == reference.samples
 
     def test_bind_rejects_second_simulator(self):
@@ -207,6 +207,88 @@ class TestSampling:
         assert registry.sim is sim
         with pytest.raises(ValueError):
             Simulator(seed=2, metrics=registry)
+
+
+#: Values a callback may return: repeats, int / float / bool of one
+#: number, both float zeros, a shared NaN and fresh NaNs, big ints.
+_NAN = float("nan")
+VALUES = st.sampled_from([
+    0, 0.0, -0.0, 1, 1.0, True, False, 2.5, _NAN, "fresh-nan",
+    10 ** 20, "fresh-big"])
+
+
+def _value(token):
+    """A fresh object where the token asks for one."""
+    if token == "fresh-nan":
+        return float("nan")
+    if token == "fresh-big":
+        return int("1" + "0" * 20)
+    return token
+
+
+def _exact(points) -> list:
+    """Points compared by type and repr: 0 / 0.0 / False, 0.0 / -0.0 and
+    NaN all tell apart."""
+    return [(t, type(v), repr(v)) for t, v in points]
+
+
+class TestStoredOnChange:
+    def test_a_series_stores_its_first_sample_and_each_change(self):
+        registry = MetricsRegistry()
+        state = {"v": 0}
+        registry.gauge("g").set_callback(lambda: state["v"])
+        for now, value in enumerate([0, 0, 0.0, 0.0, -0.0, 1, 1, _NAN,
+                                     _NAN]):
+            state["v"] = value
+            registry.sample(float(now))
+        (series,) = registry.store.all_series()
+        # 0, 0.0, -0.0, 1, NaN: the repeats of each are not stored.
+        assert series.stored == 5
+        assert registry.store.stored_points() == 5
+        assert _exact(series.points) == _exact(
+            enumerate([0, 0, 0.0, 0.0, -0.0, 1, 1, _NAN, _NAN]))
+        assert series.last() is _NAN
+
+    @given(program=st.lists(st.one_of(
+        st.tuples(st.just("tick"), st.lists(VALUES, min_size=3,
+                                             max_size=3)),
+        st.tuples(st.just("register"), st.integers(0, 2))), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_forward_filled_series_equal_the_per_tick_series(self, program):
+        """Each tick sets every slot's value; series registered between
+        ticks start late.  What every reader sees — ``points``,
+        ``times`` / ``values``, ``last`` and the JSONL export — equals
+        what storing every tick would give."""
+        registry = MetricsRegistry()
+        reference = ReferenceLoop(registry)
+        state = [0, 0, 0]
+        now = 0.0
+        registry.gauge("slot0", "first").set_callback(lambda: state[0])
+        for step in program + [("tick", [0, 0, 0])]:
+            if step[0] == "register":
+                slot = step[1]
+                registry.gauge("late", labelnames=("slot",)).set_callback(
+                    lambda slot=slot: state[slot], slot=slot)
+                continue
+            state[:] = [_value(token) for token in step[1]]
+            registry.sample(now)
+            reference.sample(now)
+            now += 100.0
+        got = registry.store.all_series()
+        assert [series.key for series in got] == list(reference.series)
+        for mine, (_kind, _help, points) in zip(
+                got, reference.series.values()):
+            assert _exact(mine.points) == _exact(points)
+            assert _exact(zip(mine.times, mine.values)) == _exact(points)
+            assert repr(mine.last()) == repr(points[-1][1])
+            assert mine.stored <= len(points)
+        want = "".join(
+            json.dumps({"help": help, "kind": kind,
+                        "labels": dict(key[1]), "name": key[0],
+                        "points": [[t, v] for t, v in points]},
+                       sort_keys=True, separators=(",", ":")) + "\n"
+            for key, (kind, help, points) in sorted(reference.series.items()))
+        assert jsonl_dumps(registry) == want
 
 
 class TestNullRegistry:

@@ -32,8 +32,20 @@ def echo_handler(endpoint, src, args):
 
 class TestRpcPropagation:
     def test_server_span_joins_client_trace(self, sim, net, tracer):
-        server = Endpoint(net, "node1", "svc")
-        server.register_handler("echo", echo_handler)
+        """A call's server side joins the client's trace: the handler
+        runs in the client ``rpc`` span's context, and the serving
+        interval rides back on the response onto that span — separable
+        from the network time on either side — instead of being filed
+        as an ``rpc.server`` span of its own."""
+        seen = {}
+
+        def echo(endpoint, src, args):
+            seen["ctx"] = tracer.current()
+            yield endpoint.sim.timeout(3.0)
+            return Reply(args)
+
+        server = Endpoint(net, "node1", "svc", service_time_ms=0.5)
+        server.register_handler("echo", echo)
         client = Endpoint(net, "node0", "svc")
 
         def caller(sim):
@@ -43,12 +55,46 @@ class TestRpcPropagation:
         sim.spawn(caller(sim))
         sim.run()
         by_name = {s.name: s for s in tracer.spans}
-        op, rpc, serve = by_name["op"], by_name["rpc:echo"], by_name["serve:echo"]
+        assert sorted(by_name) == ["op", "rpc:echo"]
+        op, rpc = by_name["op"], by_name["rpc:echo"]
         assert rpc.trace_id == op.trace_id
         assert rpc.parent_id == op.span_id
-        assert serve.trace_id == op.trace_id
+        assert seen["ctx"] == rpc.context
+        start, end = rpc.attrs["server_start_ms"], rpc.attrs["server_end_ms"]
+        assert rpc.start_ms < start < end < rpc.end_ms
+        # The service slice and the handler's 3 ms, nothing of the wire.
+        assert end - start == pytest.approx(3.5)
+
+    def test_a_crashed_handler_files_its_serving_interval(self, sim, net,
+                                                          tracer):
+        """No response carries the interval of a handler a crash
+        interrupts, so it is filed as an ``rpc.server`` span."""
+        def stall(endpoint, src, args):
+            yield endpoint.sim.timeout(50.0)
+            return Reply(args)
+
+        server = Endpoint(net, "node1", "svc")
+        server.register_handler("stall", stall)
+        client = Endpoint(net, "node0", "svc")
+
+        def caller(sim):
+            with tracer.span("op", "op", parent=None):
+                try:
+                    yield from client.call("node1/svc", "stall", "x",
+                                           timeout=100.0)
+                except RpcTimeout:
+                    pass
+
+        sim.spawn(caller(sim))
+        sim.run(until=10.0)
+        server.kill_inflight_handlers()
+        sim.run()
+        by_name = {s.name: s for s in tracer.spans}
+        rpc, serve = by_name["rpc:stall"], by_name["serve:stall"]
+        assert serve.category == "rpc.server"
         assert serve.parent_id == rpc.span_id
-        assert serve.attrs["src"] == "node0/svc"
+        assert rpc.start_ms < serve.start_ms < serve.end_ms == 10.0
+        assert "server_start_ms" not in rpc.attrs
 
     def test_notify_carries_context_to_handler(self, sim, net, tracer):
         seen = {}
@@ -182,7 +228,11 @@ class TestConcordEndToEnd:
         read_op = next(s for s in tracer.spans if s.category == "op")
         members = [s for s in tracer.spans if s.trace_id == read_op.trace_id]
         categories = {s.category for s in members}
-        assert {"op", "rpc", "rpc.server", "agent", "storage"} <= categories
+        assert {"op", "rpc", "agent", "storage"} <= categories
+        # Every call was answered: each rpc span carries the serving
+        # interval the server's rpc.server span used to hold.
+        rpcs = [s for s in members if s.category == "rpc"]
+        assert all("server_start_ms" in s.attrs for s in rpcs)
         # The home's directory change is a recorder event in the same trace.
         changes = [e for e in session.obs.events() if e.type.startswith("dir.")]
         assert changes
