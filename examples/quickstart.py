@@ -12,7 +12,8 @@ Shows the core API through the :class:`repro.session.Session` facade:
 Run:  python examples/quickstart.py [--trace out.json]
 
 With ``--trace``, a Chrome trace is written on exit — load it in
-Perfetto / chrome://tracing, or summarize it with ``repro-trace out.json``.
+Perfetto / chrome://tracing, or summarize it with
+``repro-inspect breakdown out.json``.
 """
 
 import argparse
@@ -80,7 +81,8 @@ def main() -> None:
 
     if cli.trace:
         print(f"\nwrote Chrome trace to {cli.trace} "
-              f"(open in Perfetto, or run: repro-trace {cli.trace})")
+              f"(open in Perfetto, or run: repro-inspect breakdown "
+              f"{cli.trace})")
 
 
 if __name__ == "__main__":

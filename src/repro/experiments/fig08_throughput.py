@@ -50,7 +50,8 @@ def max_sustained_rps(
 
     When ``timelines`` names a directory, every grid point additionally
     exports its telemetry timeline there as
-    ``fig08_<scheme>_rps<rate>.jsonl`` (readable with ``repro-metrics``).
+    ``fig08_<scheme>_rps<rate>.jsonl`` (readable with
+    ``repro-inspect metrics``).
     """
     best = 0.0
     for rps in rps_grid:

@@ -6,7 +6,7 @@ bounded ring buffer with a zero-cost Null sink, dumped to byte-
 deterministic JSONL (:mod:`repro.obs.export`), and interrogated through
 merged timelines (:mod:`repro.obs.timeline`), causal explanations
 (:mod:`repro.obs.explain`) and the ``repro-inspect`` CLI
-(:mod:`repro.obs.cli`).
+(:mod:`repro.obs.cli`), which reads every recorded log of a run.
 
 Only the recorder is imported with the package; the export, timeline
 and explain names load on first use.

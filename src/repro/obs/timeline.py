@@ -111,24 +111,44 @@ def merge_timeline(
     }
 
 
-def _row_text(row: dict) -> str:
-    t = f"{row['t']:>12.3f}"
+def _describe(row: dict) -> tuple:
+    """``(what, attrs, ids, tick)``: the parts of a row both renderers
+    show — what happened, its attrs, its ``t<trace>/s<span>`` ids and
+    its metric tick, each ``""`` where the row has none."""
     if row["source"] == "metric":
-        return (f"{t}  metric  tick {row['tick']}: "
-                f"{row['points']} series sampled")
-    if row["source"] == "span":
-        where = f" t{row['trace']}/s{row['span']}"
-        attrs = _attr_str(row["attrs"])
-        attrs = f" {attrs}" if attrs else ""
-        return (f"{t}  span    {row['category']}:{row['name']} "
-                f"[{row['t']:.3f}..{row['end_ms']:.3f}]ms{where}{attrs}")
-    where = f" t{row['trace']}/s{row['span']}" if row["span"] else ""
-    key = f" key={row['key']}" if row["key"] else ""
-    node = f" {row['node']}" if row["node"] else ""
+        return (f"tick {row['tick']}: {row['points']} series sampled",
+                "", "", str(row["tick"]))
+    ids = f"t{row['trace']}/s{row['span']}"
     attrs = _attr_str(row["attrs"])
-    attrs = f" {attrs}" if attrs else ""
-    return (f"{t}  event  {row['type']}{node}{key}{attrs}"
-            f"{where} tick={row['tick']}")
+    if row["source"] == "span":
+        return (f"{row['category']}:{row['name']} "
+                f"[{row['t']:.3f}..{row['end_ms']:.3f}]ms", attrs, ids, "")
+    bits = [row["type"]]
+    if row["node"]:
+        bits.append(row["node"])
+    if row["key"]:
+        bits.append(f"key={row['key']}")
+    return (" ".join(bits), attrs, ids if row["span"] else "",
+            str(row["tick"]))
+
+
+def _spaced(text: str) -> str:
+    return f" {text}" if text else ""
+
+
+#: One text line per source; each optional part arrives ``_spaced``.
+_TEXT_ROW = {
+    "metric": "{t:>12.3f}  metric  {what}",
+    "span": "{t:>12.3f}  span    {what}{ids}{attrs}",
+    "event": "{t:>12.3f}  event  {what}{attrs}{ids} tick={tick}",
+}
+
+
+def _row_text(row: dict) -> str:
+    what, attrs, ids, tick = _describe(row)
+    return _TEXT_ROW[row["source"]].format(
+        t=row["t"], what=what, attrs=_spaced(attrs), ids=_spaced(ids),
+        tick=tick)
 
 
 def render_text(timeline: dict, title: str = "timeline") -> str:
@@ -177,32 +197,11 @@ def render_html(timeline: dict, title: str = "timeline") -> str:
         events=counts["events"], spans=counts["spans"],
         ticks=counts["ticks"])]
     for row in timeline["rows"]:
-        if row["source"] == "metric":
-            what = f"tick {row['tick']}: {row['points']} series sampled"
-            ids = ""
-            tick = str(row["tick"])
-        elif row["source"] == "span":
-            attrs = _attr_str(row["attrs"])
-            what = (f"{row['category']}:{row['name']} "
-                    f"[{row['t']:.3f}..{row['end_ms']:.3f}]ms"
-                    + (f" {attrs}" if attrs else ""))
-            ids = f"t{row['trace']}/s{row['span']}"
-            tick = ""
-        else:
-            attrs = _attr_str(row["attrs"])
-            bits = [row["type"]]
-            if row["node"]:
-                bits.append(row["node"])
-            if row["key"]:
-                bits.append(f"key={row['key']}")
-            if attrs:
-                bits.append(attrs)
-            what = " ".join(bits)
-            ids = f"t{row['trace']}/s{row['span']}" if row["span"] else ""
-            tick = str(row["tick"])
+        what, attrs, ids, tick = _describe(row)
         parts.append(
             f'<tr class="{row["source"]}"><td>{row["t"]:.3f}</td>'
-            f"<td>{row['source']}</td><td>{escape(what)}</td>"
+            f"<td>{row['source']}</td>"
+            f"<td>{escape(what + _spaced(attrs))}</td>"
             f"<td>{escape(ids)}</td><td>{tick}</td></tr>\n")
     parts.append("</table></body></html>\n")
     return "".join(parts)

@@ -1,4 +1,4 @@
-"""Time-series telemetry: instruments, sampling, export, anomaly rules.
+"""Time-series telemetry: instruments, sampling, export, summaries.
 
 The public surface:
 
@@ -10,15 +10,14 @@ The public surface:
   fixed simulated-clock interval into the registry's
   :class:`TimeSeriesStore`.
 * The one export format, JSONL — :func:`jsonl_dumps` /
-  :func:`export_jsonl`, byte-deterministic — and :func:`load_series`,
-  which reads it back.
-* :func:`detect_anomalies` — rule-based SLO/anomaly windows over
-  simulated time (invalidation storms, CPU queue buildup, hit-ratio
-  collapse, optional latency SLO).
+  :func:`export_jsonl`, byte-deterministic — and :func:`load_series` /
+  :func:`loads_series`, which read it back.
+* The summaries ``repro-inspect metrics`` prints — per-series
+  statistics, sparklines and a per-node utilization table.
 
 See DESIGN.md §8 for the telemetry model and its determinism contract.
 Instruments, sampler and store are imported with the package; the
-exporters, anomaly rules and summaries load on first use.
+exporters and summaries load on first use.
 """
 
 from repro import lazy_exports
@@ -34,15 +33,11 @@ from repro.telemetry.sampler import Sampler
 from repro.telemetry.store import Series, TimeSeriesStore
 
 __getattr__ = lazy_exports(__name__, {
-    "anomaly": ("Anomaly", "detect_anomalies", "detect_cpu_queue_buildup",
-                "detect_hit_ratio_collapse", "detect_invalidation_storm",
-                "detect_slo_latency"),
-    "export": ("export_jsonl", "jsonl_dumps", "load_series"),
+    "export": ("export_jsonl", "jsonl_dumps", "load_series", "loads_series"),
     "summary": ("render_sparkline", "series_stats", "utilization_summary"),
 })
 
 __all__ = [
-    "Anomaly",
     "Counter",
     "Gauge",
     "MetricError",
@@ -52,14 +47,10 @@ __all__ = [
     "Sampler",
     "Series",
     "TimeSeriesStore",
-    "detect_anomalies",
-    "detect_cpu_queue_buildup",
-    "detect_hit_ratio_collapse",
-    "detect_invalidation_storm",
-    "detect_slo_latency",
     "export_jsonl",
     "jsonl_dumps",
     "load_series",
+    "loads_series",
     "render_sparkline",
     "series_stats",
     "utilization_summary",

@@ -1,7 +1,7 @@
 """Serialize sampled time series as JSONL, and read them back.
 
-JSONL is telemetry's one export format: ``repro-metrics``,
-``repro-inspect timeline`` and the anomaly rules all read it.  It is
+JSONL is telemetry's one export format: ``repro-inspect metrics`` and
+``repro-inspect timeline`` read it back (:func:`loads_series`).  It is
 byte-deterministic: series are emitted in canonical ``(name, labels)``
 order, JSON objects use ``sort_keys``, and every timestamp is simulated
 milliseconds.  The writer is a generator of lines over ``iter_dicts()``
@@ -14,6 +14,9 @@ here never stalls a simulated clock.
 from __future__ import annotations
 
 import json
+
+#: Fields every series record carries (load-time validation).
+_REQUIRED = ("name", "kind", "labels", "points")
 
 
 def _series_dicts(source):
@@ -46,12 +49,29 @@ def export_jsonl(source, path: str) -> str:
     return path
 
 
-# -- loading (for the CLIs) -------------------------------------------
+# -- loading ---------------------------------------------------------
+
+def loads_series(text: str) -> list:
+    """Parse a JSONL timeline into series dicts (validated, file order)."""
+    series = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError(f"line {lineno}: not a series object")
+        missing = [field for field in _REQUIRED if field not in record]
+        if missing:
+            raise ValueError(
+                f"line {lineno}: series record missing {missing}")
+        if not isinstance(record["points"], list):
+            raise ValueError(f"line {lineno}: points is not a list")
+        series.append(record)
+    return series
+
 
 def load_series(path: str) -> list:
-    """Load an exported JSONL timeline."""
+    """Read an exported JSONL timeline into series dicts."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle.read().splitlines() if line.strip()]
-    if lines and not lines[0].lstrip().startswith("{"):
-        raise ValueError(f"{path}: not a JSONL timeline")
-    return [json.loads(line) for line in lines]
+        return loads_series(handle.read())

@@ -1,8 +1,10 @@
-"""Timeline summarisation for the ``repro-metrics`` CLI.
+"""Timeline summaries: what ``repro-inspect metrics`` prints.
 
 Works on the exported dict form of series (see
-:func:`repro.telemetry.export.load_series`), so the CLI can summarise a
-file without re-running the simulation.
+:func:`repro.telemetry.export.loads_series`), so a timeline file is
+summarised without re-running the simulation.  :func:`series_stats`,
+:func:`render_sparkline` and :func:`utilization_summary` compute;
+:func:`format_series` and :func:`format_overview` render text.
 """
 
 from __future__ import annotations
@@ -92,3 +94,64 @@ def utilization_summary(series_list: list) -> list:
                 if containers[node]["points"] else None
         rows.append(row)
     return rows
+
+
+def _label_str(labels: dict) -> str:
+    return ";".join(f"{name}={value}"
+                    for name, value in sorted(labels.items()))
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    return str(value)
+
+
+def format_series(series_list: list) -> str:
+    """Each series' statistics and sparkline, four lines or three."""
+    lines = []
+    for series in series_list:
+        stats = series_stats(series)
+        labels = _label_str(stats["labels"])
+        lines.append(f"{stats['name']}{{{labels}}}" if labels
+                     else stats["name"])
+        lines.append(f"  kind={stats['kind']} samples={stats['samples']} "
+                     f"window=[{_fmt(stats['t_first_ms'])}, "
+                     f"{_fmt(stats['t_last_ms'])}]ms")
+        lines.append(f"  min={_fmt(stats['min'])} mean={_fmt(stats['mean'])} "
+                     f"p50={_fmt(stats['p50'])} max={_fmt(stats['max'])} "
+                     f"stddev={_fmt(stats['stddev'])} "
+                     f"last={_fmt(stats['last'])}")
+        spark = render_sparkline(series)
+        if spark:
+            lines.append(f"  {spark}")
+    return "".join(line + "\n" for line in lines)
+
+
+def format_overview(series_list: list, title: str) -> str:
+    """Series and point counts per metric, then per-node utilization."""
+    names: dict = {}
+    total_points = 0
+    for series in series_list:
+        names[series["name"]] = names.get(series["name"], 0) + 1
+        total_points += len(series["points"])
+    lines = [title,
+             f"  {len(series_list)} series / {len(names)} metrics / "
+             f"{total_points} points"]
+    lines.extend(f"  {name:<40} x{names[name]}" for name in sorted(names))
+    lines.append("")
+    rows = utilization_summary(series_list)
+    if rows:
+        lines.append("per-node utilization:")
+        lines.append(f"  {'node':<10} {'cpu mean':>9} {'cpu peak':>9} "
+                     f"{'queue mean':>11} {'queue peak':>11} "
+                     f"{'mem peak':>12}")
+        lines.extend(
+            f"  {row['node']:<10} {_fmt(row.get('cpu_mean')):>9} "
+            f"{_fmt(row.get('cpu_peak')):>9} "
+            f"{_fmt(row.get('queue_mean')):>11} "
+            f"{_fmt(row.get('queue_peak')):>11} "
+            f"{_fmt(row.get('memory_peak_bytes')):>12}" for row in rows)
+    return "".join(line + "\n" for line in lines)

@@ -10,9 +10,10 @@ Public surface::
     export_chrome(tracer, "out.json")     # Perfetto-loadable
 
 See :mod:`repro.trace.tracer` for the span model and the determinism
-contract, and ``repro-trace`` (:mod:`repro.trace.cli`) for turning an
-export back into a Fig. 1-style latency breakdown.  The exporters load
-on first use; importing the package loads only the tracer.
+contract, and ``repro-inspect breakdown`` (:mod:`repro.trace.summary`)
+for turning an export back into a Fig. 1-style latency breakdown.  The
+exporters load on first use; importing the package loads only the
+tracer.
 """
 
 from repro import lazy_exports

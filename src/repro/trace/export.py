@@ -3,7 +3,7 @@
 Chrome ``trace_event`` is the trace's one export format: it loads
 directly in Perfetto / ``chrome://tracing`` — one ``pid`` for the run,
 one ``tid`` lane per simulator process, complete (``ph: "X"``) events
-in microseconds — and ``repro-trace`` and ``repro-inspect timeline``
+in microseconds — and ``repro-inspect breakdown`` and ``timeline``
 read it back.  The writer is byte-deterministic for a given simulation:
 spans are emitted sorted by span id (creation order), every JSON object
 is dumped with ``sort_keys=True``, and nothing derived from object
@@ -82,12 +82,17 @@ def export_chrome(source, path, lane_names=None) -> None:
 
 def _spans_from_chrome(document: dict) -> list:
     spans = []
-    for event in document.get("traceEvents", []):
+    for index, event in enumerate(document.get("traceEvents", [])):
+        if not isinstance(event, dict):
+            raise ValueError(f"traceEvents[{index}]: not an event object")
         if event.get("ph") != "X":
             continue
         args = dict(event.get("args") or {})
         trace_id = args.pop("trace_id", None)
         span_id = args.pop("span_id", None)
+        if trace_id is None or span_id is None:
+            raise ValueError(f"traceEvents[{index}]: span without "
+                             "trace_id / span_id")
         parent_id = args.pop("parent_id", None)
         start_ms = event.get("ts", 0.0) / 1000.0
         duration_ms = event.get("dur", 0.0) / 1000.0

@@ -1,7 +1,8 @@
 """Turn a span soup back into a Fig. 1-style latency breakdown.
 
-Works on the plain span dicts produced by :mod:`repro.trace.export`
-(either format) or ``Tracer.to_dicts()``.  Two views are computed:
+Works on the plain span dicts :func:`repro.trace.export.loads_trace`
+reads back from a Chrome trace, or ``Tracer.to_dicts()``; it renders
+what ``repro-inspect breakdown`` prints.  Two views are computed:
 
 * **Per-app request table** — for traces that contain ``request`` root
   spans (FaaS platform runs): requests, mean response, storage and
@@ -120,6 +121,14 @@ def op_breakdown(spans) -> dict:
     for row in ops.values():
         row["mean_ms"] = _mean(row["total_ms"], row["count"])
     return ops
+
+
+def format_ops(spans) -> str:
+    """One line per (scheme, op) row of :func:`op_breakdown`."""
+    return "".join(
+        f"{scheme:>12}  {name:<8} n={stats['count']:<6} "
+        f"total={stats['total_ms']:.2f}ms mean={stats['mean_ms']:.3f}ms\n"
+        for (scheme, name), stats in sorted(op_breakdown(spans).items()))
 
 
 def _render_table(title: str, columns: list, rows: list) -> list:

@@ -106,8 +106,7 @@ class TestMergedTimeline:
     def test_cli_renders_the_merged_timeline(self, exports):
         dump, trace, metrics = exports
         out = io.StringIO()
-        code = main(["timeline", str(dump), "--trace", str(trace),
-                     "--metrics", str(metrics),
+        code = main(["timeline", str(dump), str(trace), str(metrics),
                      "--since", "0", "--until", str(RUN_MS)], out=out)
         text = out.getvalue()
         assert code == 0

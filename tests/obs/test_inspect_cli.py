@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli_common import EXIT_FAILURE, EXIT_OK, EXIT_USAGE
 from repro.obs.cli import main
+from repro.telemetry import jsonl_dumps as timeline_dumps
+from repro.trace import chrome_dumps
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP = str(FIXTURES / "e_write_clobber.jsonl")
@@ -53,7 +55,7 @@ class TestTimeline:
     def test_missing_dump_is_usage_error(self, tmp_path, capsys):
         code, text = run_cli("timeline", str(tmp_path / "nope.jsonl"))
         assert code == EXIT_USAGE and text == ""
-        assert "no such dump file" in capsys.readouterr().err
+        assert "no such file" in capsys.readouterr().err
 
     def test_usage_error_goes_to_stderr_not_out(self, tmp_path, capsys):
         report = tmp_path / "rep.txt"
@@ -61,29 +63,51 @@ class TestTimeline:
                              "--out", str(report))
         assert code == EXIT_USAGE and text == ""
         assert report.read_text() == ""
-        assert "no such dump file" in capsys.readouterr().err
+        assert "no such file" in capsys.readouterr().err
 
     def test_malformed_dump_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
         code, text = run_cli("timeline", str(bad))
         assert code == EXIT_USAGE and text == ""
-        assert "not a flight-recorder dump" in capsys.readouterr().err
+        assert "is not JSON" in capsys.readouterr().err
+
+    def test_malformed_record_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        lines = Path(DUMP).read_text().splitlines()
+        lines[2] = json.dumps({"seq": 3, "type": "cache.install"})
+        bad.write_text("\n".join(lines) + "\n")
+        code, text = run_cli("timeline", str(bad))
+        assert code == EXIT_USAGE and text == ""
+        err = capsys.readouterr().err
+        assert "not a valid flight-recorder dump: line 3" in err
 
     def test_empty_trace_file_is_accepted(self, tmp_path):
         empty = tmp_path / "trace.json"
         empty.write_text("")
-        code, text = run_cli("timeline", DUMP, "--trace", str(empty))
+        code, text = run_cli("timeline", DUMP, str(empty))
         assert code == EXIT_OK
         assert "spans=0" in text
 
     def test_bad_trace_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "trace.json"
-        for content in ("{nope", "[]"):  # unparsable; JSON but not spans
+        idless = '{"traceEvents": [{"ph": "X", "ts": 1000, "dur": 5}]}'
+        for content, found in (
+                ("{nope", "is not JSON"),
+                ("[]", "is JSON but not a trace export"),
+                (idless, "not a valid trace export: traceEvents[0]"),
+                ('{"traceEvents": [1]}', "not an event object")):
             bad.write_text(content)
-            code, text = run_cli("timeline", DUMP, "--trace", str(bad))
+            code, text = run_cli("timeline", DUMP, str(bad))
             assert code == EXIT_USAGE and text == ""
-            assert "not a repro trace export" in capsys.readouterr().err
+            assert found in capsys.readouterr().err
+
+    def test_kinds_are_detected_in_any_order(self, tmp_path):
+        logs = one_log_of_each_kind(tmp_path)
+        code, text = run_cli("timeline", str(logs["timeline"]),
+                             str(logs["trace"]), DUMP)
+        assert code == EXIT_OK
+        assert "events=4 spans=1 metric_ticks=2" in text
 
 
 class TestExplain:
@@ -132,3 +156,48 @@ class TestExplain:
         code, text = run_cli("explain", str(FIXTURES / f"{name}.jsonl"))
         assert code == EXIT_OK
         assert race in text
+
+
+def one_log_of_each_kind(tmp_path) -> dict:
+    """A tiny trace export and telemetry timeline beside the dump
+    fixture, and a file that is not JSON."""
+    trace = tmp_path / "trace.json"
+    trace.write_text(chrome_dumps([{
+        "trace_id": 1, "span_id": 1, "parent_id": None, "name": "read",
+        "category": "op", "start_ms": 1.0, "end_ms": 2.0,
+        "attrs": {"scheme": "concord"}}]))
+    timeline = tmp_path / "metrics.jsonl"
+    timeline.write_text(timeline_dumps([{
+        "name": "cache_reads_total", "kind": "counter",
+        "labels": {"node": "node0"}, "help": "",
+        "points": [[1.0, 1], [2.0, 3]]}]))
+    garbage = tmp_path / "notes.txt"
+    garbage.write_text("not a log\n")
+    return {"trace": trace, "dump": Path(DUMP), "timeline": timeline,
+            "not JSON": garbage}
+
+
+#: What each wrong input is called in the error message.
+FOUND = {"trace": "trace export", "dump": "flight-recorder dump",
+         "timeline": "telemetry timeline", "not JSON": "is not JSON"}
+
+
+@pytest.mark.parametrize("command,wrong", [
+    ("breakdown", "dump"), ("breakdown", "timeline"),
+    ("breakdown", "not JSON"),
+    ("metrics", "trace"), ("metrics", "dump"), ("metrics", "not JSON"),
+    ("explain", "trace"), ("explain", "timeline"), ("explain", "not JSON"),
+    # timeline reads every kind: a second dump and a non-log are wrong.
+    ("timeline", "dump"), ("timeline", "not JSON"),
+])
+def test_a_log_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys,
+                                                  command, wrong):
+    logs = one_log_of_each_kind(tmp_path)
+    files = [DUMP] if command == "timeline" else []
+    report = tmp_path / "report.txt"
+    code, text = run_cli(command, *files, str(logs[wrong]),
+                         "--out", str(report))
+    assert code == EXIT_USAGE and text == ""
+    assert report.read_text() == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and FOUND[wrong] in err

@@ -31,13 +31,14 @@ def test_compose_holds_one_ring_table_per_membership(monkeypatch):
     assert held <= 2 * 2 ** 20, f"{held / 2 ** 20:.1f} MB in hashring.py"
 
 
-#: Exporters, CLIs, the HTML timeline, anomaly rules and the model
-#: checker: tooling that a simulation run never calls.
+#: Exporters, the CLIs and their log reader (``repro.cli_common``), the
+#: HTML timeline and the model checker: tooling that a simulation run
+#: never calls.
 TOOLING = (
-    "repro.obs.explain", "repro.obs.export", "repro.obs.timeline",
-    "repro.telemetry.anomaly", "repro.telemetry.export",
-    "repro.telemetry.summary", "repro.trace.export", "repro.verify.model",
-    "repro.cli_common", "argparse", "html", "statistics",
+    "repro.obs.cli", "repro.obs.explain", "repro.obs.export",
+    "repro.obs.timeline", "repro.telemetry.export",
+    "repro.telemetry.summary", "repro.trace.export", "repro.trace.summary",
+    "repro.verify.model", "repro.cli_common", "argparse", "html",
 )
 
 

@@ -96,8 +96,7 @@ def _exports() -> dict:
         merged = io.StringIO()
         status = inspect_cli.main(
             ["timeline", str(paths["obs_jsonl"]),
-             "--trace", str(paths["trace_chrome"]),
-             "--metrics", str(paths["metrics_jsonl"]),
+             str(paths["trace_chrome"]), str(paths["metrics_jsonl"]),
              "--format", "json"], out=merged)
         assert status == 0
     out["inspect_timeline_json"] = merged.getvalue()

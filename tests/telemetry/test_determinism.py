@@ -1,18 +1,16 @@
-"""Acceptance: byte-identical timelines and the write-burst anomaly.
+"""Acceptance: byte-identical timelines.
 
-The 4-node mixed-workload run is the ISSUE's acceptance scenario: with
-``metrics=`` on, repeated runs must export byte-identical timelines (the
+With ``metrics=`` on, repeated runs of the 4-node mixed workload and of
+a fig13 churn run must export byte-identical timelines (the
 cross-``PYTHONHASHSEED`` half of that claim lives in the subprocess CLI
-smoke tests).  The fig13 write-burst run must produce an invalidation
-storm that the anomaly report pins to the injected simulated-time
-window.
+smoke tests).
 """
 
 import pytest
 
-from repro.experiments.fig13_churn import WriteBurst, run_write_burst_timeline
+from repro.experiments.fig13_churn import churn_run
 from repro.experiments.runner import run_mixed_workload
-from repro.telemetry import detect_anomalies, jsonl_dumps
+from repro.telemetry import jsonl_dumps
 
 
 def mixed_run(**overrides):
@@ -59,38 +57,13 @@ class TestMixedRunTimelines:
 
 
 @pytest.mark.slow
-class TestWriteBurstAnomaly:
-    def test_storm_report_matches_injected_window(self):
-        burst = WriteBurst(start_ms=2400.0, duration_ms=1500.0)
-        registry, returned = run_write_burst_timeline(
-            num_nodes=4, duration_ms=6000.0, churn_per_min=6, burst=burst)
-        assert returned is burst
-        storms = [a for a in detect_anomalies(registry.store.all_series())
-                  if a.rule == "invalidation_storm"]
-        assert storms, "injected write burst produced no storm anomaly"
-        storm = storms[0]
-        # The reported simulated-time window tracks the injection:
-        # overlaps it, and does not wildly overshoot either edge.
-        assert storm.start_ms < burst.end_ms
-        assert storm.end_ms > burst.start_ms
-        assert abs(storm.start_ms - burst.start_ms) <= 500.0
-        assert abs(storm.end_ms - burst.end_ms) <= 500.0
-
-    def test_no_burst_no_sustained_storm(self):
-        # The organic workload can clip the low default threshold for an
-        # interval or two; what it cannot do is sustain a storm window
-        # anywhere near the injected burst's length.
-        registry, _burst = run_write_burst_timeline(
-            num_nodes=4, duration_ms=6000.0, churn_per_min=6,
-            burst=WriteBurst(start_ms=0.0, duration_ms=0.0, writers=0))
-        storms = [a for a in detect_anomalies(registry.store.all_series())
-                  if a.rule == "invalidation_storm"]
-        assert not [a for a in storms if a.end_ms - a.start_ms >= 500.0]
-
-    def test_burst_runs_are_deterministic(self):
+class TestChurnTimeline:
+    def test_churn_runs_are_deterministic(self):
         def dump():
-            registry, _burst = run_write_burst_timeline(
-                num_nodes=4, duration_ms=4000.0, churn_per_min=6)
-            return jsonl_dumps(registry)
+            session = churn_run(6, 4000.0, 121, num_nodes=4, metrics=True)
+            session.close()
+            return jsonl_dumps(session.metrics)
 
-        assert dump() == dump()
+        first = dump()
+        assert "cache_invalidations_sent_total" in first
+        assert first == dump()

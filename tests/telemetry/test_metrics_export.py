@@ -1,5 +1,8 @@
 """The JSONL exporter: canonical ordering, round-trip, byte determinism."""
 
+import json
+import re
+
 import pytest
 
 from repro.telemetry import (
@@ -7,6 +10,7 @@ from repro.telemetry import (
     export_jsonl,
     jsonl_dumps,
     load_series,
+    loads_series,
 )
 
 
@@ -60,6 +64,17 @@ def test_csv_is_not_a_timeline(tmp_path):
                     "ops_total,counter,node=n0,0.0,1.0\n")
     with pytest.raises(ValueError):
         load_series(str(path))
+
+
+@pytest.mark.parametrize("record,problem", [
+    ({"name": "a", "kind": "gauge", "points": []}, "missing ['labels']"),
+    ({"name": "a", "kind": "gauge", "labels": {}, "points": 5},
+     "points is not a list"),
+])
+def test_series_records_are_validated(record, problem):
+    good = jsonl_dumps(populated_registry())
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        loads_series(good + json.dumps(record) + "\n")
 
 
 def test_empty_file_loads_empty(tmp_path):

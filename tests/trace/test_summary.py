@@ -1,11 +1,11 @@
-"""Trace summarization (Fig. 1-style breakdown) and the repro-trace CLI."""
+"""The Fig. 1-style trace breakdown and ``repro-inspect breakdown``."""
 
 import json
 
 import pytest
 
+from repro.obs.cli import main as inspect_cli
 from repro.trace import chrome_dumps
-from repro.trace.cli import main as trace_cli
 from repro.trace.summary import (
     category_totals,
     format_breakdown,
@@ -80,6 +80,10 @@ class TestFormatBreakdown:
     def test_empty_trace(self):
         text = format_breakdown([])
         assert "0 completed span(s)" in text
+
+
+def trace_cli(argv):
+    return inspect_cli(["breakdown", *argv])
 
 
 class TestCli:
