@@ -217,8 +217,9 @@ class StorageAPI(abc.ABC):
     span per logical operation around them, so every scheme traces
     uniformly and the span is exactly the interval the scheme records.
     The span is a leaf (:meth:`Tracer.span
-    <repro.trace.tracer.Tracer.span>`'s ``leaf=``): an op that opened no
-    span of its own — a local hit — is folded into its parent as a count.
+    <repro.trace.tracer.Tracer.span>`'s ``leaf=``): an op under which no
+    span opened, no step began and no event was recorded — a local hit —
+    is folded into its parent as a count.
     Subclasses must expose the simulator as ``self.sim`` (every scheme in
     this package does).
     """

@@ -48,6 +48,7 @@ from repro.net.rpc import (
 )
 from repro.net.sizes import sizeof
 from repro.sim.resources import Resource
+from repro.trace.tracer import Step
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.concord import ConcordSystem
@@ -75,6 +76,11 @@ MAX_ATTEMPTS = 60
 SHARD_REHOME_MS = 1.5
 #: Per mirrored directory entry adopted by a new shard leader.
 ADOPT_ENTRY_MS = 0.02
+
+#: Traced protocol steps besides the home ops (``CacheAgent._HOME_OPS``):
+#: each is counted on the span it runs under, not a span of its own.
+_FETCH_OWNER = Step("agent", "fetch_owner")
+_INVALIDATE = Step("invalidation", "invalidate")
 
 #: Read once: an enum member read through its class costs ~150 ns on 3.11.
 _LOCAL_READ_HIT = OpKind.LOCAL_READ_HIT
@@ -525,7 +531,7 @@ class CacheAgent:
     def _home(self, op: str, key: str, requester: str, *args):
         """Run home op ``op`` for ``requester`` behind the one homeship gate.
 
-        The gate: a span; barriers waited out and a key homed elsewhere
+        The gate: a traced step; barriers waited out and a key homed elsewhere
         turned away before the request queues on the per-key home lock
         (the directory is the write serialization point, Section
         III-C2); then, under the lock, :meth:`_still_home` at the current
@@ -536,10 +542,9 @@ class CacheAgent:
         gate releases the lock, waits, and queues again.  The body runs
         with the epoch it must re-check before it mutates the directory.
         """
-        span_name, body, _encode = self._HOME_OPS[op]
+        home_step, body, _encode = self._HOME_OPS[op]
         tracer = self.sim.tracer
-        span = (tracer.span(span_name, "agent", key=key, requester=requester)
-                if tracer.active else None)
+        step = tracer.begin_step() if tracer.active else None
         try:
             if self.ejected:  # its sharded ring may have an empty shard
                 raise NotHome(f"{self.node_id} is ejected")
@@ -562,8 +567,8 @@ class CacheAgent:
                     raise NotHome(f"{self.node_id} lost home of {key!r}")
                 yield barrier
         finally:
-            if span is not None:
-                span.end()
+            if step is not None:
+                tracer.end_step(home_step, step)
 
     def _home_read(self, key: str, requester: str, epoch: int, fn: str):
         """Serve a read; returns (value, state, dir_hit, cacheable,
@@ -708,15 +713,15 @@ class CacheAgent:
         else:
             yield from self._invalidate_here(key)
 
-    #: Home op -> (span name, body run behind :meth:`_home`, the body's
-    #: result as an RPC reply).  ``requester`` is ``"external"`` for an
-    #: external write.
+    #: Home op -> (its traced step, body run behind :meth:`_home`, the
+    #: body's result as an RPC reply).  ``requester`` is ``"external"``
+    #: for an external write.
     _HOME_OPS = {
-        "read": ("home_read", _home_read, _value_reply),
-        "write": ("home_write", _home_write, _write_reply),
-        "rfo": ("home_rfo", _home_rfo, _value_reply),
-        "external_write": ("home_external_write", _home_external_write,
-                           _ack_reply),
+        "read": (Step("agent", "home_read"), _home_read, _value_reply),
+        "write": (Step("agent", "home_write"), _home_write, _write_reply),
+        "rfo": (Step("agent", "home_rfo"), _home_rfo, _value_reply),
+        "external_write": (Step("agent", "home_external_write"),
+                           _home_external_write, _ack_reply),
     }
 
     def _fetch_from_owner(self, key: str, owner: str):
@@ -726,8 +731,7 @@ class CacheAgent:
             entry = yield from self._downgrade(key)
             return (None, 0) if entry is None else (entry.value, entry.version)
         tracer = self.sim.tracer
-        span = (tracer.span("fetch_owner", "agent", key=key, owner=owner)
-                if tracer.active else None)
+        step = tracer.begin_step() if tracer.active else None
         try:
             reply = yield from self._call_peer(
                 owner, "fetch_downgrade", key, f"fetch:{key}:{owner}")
@@ -735,8 +739,8 @@ class CacheAgent:
                 return None, 0
             return reply
         finally:
-            if span is not None:
-                span.end()
+            if step is not None:
+                tracer.end_step(_FETCH_OWNER, step)
 
     def _send_invalidations(self, key: str, sharers: list):
         """Issue invalidations; returns the ack-wait processes.
@@ -768,21 +772,19 @@ class CacheAgent:
         return None
 
     def _invalidate_one(self, key: str, sharer: str):
-        # One span per sharer: the write's invalidation fan-out shows up
-        # as parallel children of the home_write span.
+        # One step per sharer, counted on the span the home write runs
+        # under; its ``rpc`` call is a child span of that one.
         self.invalidations_inflight += 1
         tracer = self.sim.tracer
-        span = (tracer.span("invalidate", "invalidation",
-                            key=key, sharer=sharer)
-                if tracer.active else None)
+        step = tracer.begin_step() if tracer.active else None
         try:
             # A sharer declared failed (or timing out) holds no readable
             # copy; recovery handles whatever it cached.
             yield from self._call_peer(
                 sharer, "invalidate", key, f"invrpc:{key}:{sharer}")
         finally:
-            if span is not None:
-                span.end()
+            if step is not None:
+                tracer.end_step(_INVALIDATE, step)
             self.invalidations_inflight -= 1
 
     def _call_peer(self, peer: str, method: str, key: str, name: str):

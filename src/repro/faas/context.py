@@ -10,10 +10,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.caching.base import AccessContext
-from repro.trace.tracer import fold_keys
+from repro.trace.tracer import Step
 
-#: Where a traced compute interval is counted on its enclosing span.
-_COMPUTE = fold_keys("compute")
+#: A traced compute interval: a step counted on the span it runs under.
+_COMPUTE = Step("compute")
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.caching.base import StorageAPI
@@ -71,12 +71,13 @@ class InvocationContext:
     def compute(self, ms: float):
         """Burn ``ms`` of CPU on this node's cores (queues when busy).
 
-        Traced, the interval is a fixed-cost leaf: it opens no span, and
+        Traced, the interval is a step (:meth:`Tracer.begin_step
+        <repro.trace.tracer.Tracer.begin_step>`): it opens no span, and
         is counted on the span it runs under (the invocation's) as
         ``compute.n`` / ``compute.ms``.
         """
         tracer = self.sim.tracer
-        within = tracer.enclosing() if tracer.active else None
+        step = tracer.begin_step() if tracer.active else None
         start = self.sim.now
         cores = self.node.cores
         try:
@@ -88,5 +89,5 @@ class InvocationContext:
             self.compute_ms += self.sim.now - start
             return None
         finally:
-            if within is not None:
-                within.fold(_COMPUTE, start)
+            if step is not None:
+                tracer.end_step(_COMPUTE, step)

@@ -131,9 +131,12 @@ class Session:
                     regions=tuple(f"region{i}" for i in range(regions)))
             config = replace(config, regions=regions)
         self._trace = trace
+        # isinstance first: an empty Tracer is falsy (len() == 0).
         tracer = None
-        if trace:
-            tracer = trace if isinstance(trace, Tracer) else Tracer()
+        if isinstance(trace, Tracer):
+            tracer = trace
+        elif trace:
+            tracer = Tracer()
         self.tracer: Optional[Tracer] = tracer
         self._metrics = metrics
         registry = None

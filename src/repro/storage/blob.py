@@ -14,6 +14,13 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config import LatencyModel
 from repro.net.sizes import sizeof
+from repro.trace.tracer import Step
+
+#: Traced, each access is a step counted on the span it runs under.
+_READ = Step("storage", "read")
+_WRITE = Step("storage", "write")
+_CAS = Step("storage", "cas")
+_READ_VERSION = Step("storage", "read_version")
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -187,8 +194,7 @@ class GlobalStorage:
         """
         self._inflight += 1
         tracer = self.sim.tracer
-        span = (tracer.span("storage:read", "storage", store=self.name,
-                            key=key) if tracer.active else None)
+        step = tracer.begin_step() if tracer.active else None
         try:
             record = self._data.get(key)
             size = sizeof(record.value) if record else 0
@@ -202,8 +208,8 @@ class GlobalStorage:
                 return (None, 0)
             return (record.value, record.version)
         finally:
-            if span is not None:
-                span.end()
+            if step is not None:
+                tracer.end_step(_READ, step)
             self._inflight -= 1
 
     def write(self, key: str, value: object, writer: str = "unknown"):
@@ -216,8 +222,7 @@ class GlobalStorage:
         """
         self._inflight += 1
         tracer = self.sim.tracer
-        span = (tracer.span("storage:write", "storage", store=self.name,
-                            key=key) if tracer.active else None)
+        step = tracer.begin_step() if tracer.active else None
         try:
             size = sizeof(value)
             yield self.sim.sleep(self._delay(self.latency.storage_write(size))
@@ -231,8 +236,8 @@ class GlobalStorage:
                 listener(key, value, version, writer)
             return version
         finally:
-            if span is not None:
-                span.end()
+            if step is not None:
+                tracer.end_step(_WRITE, step)
             self._inflight -= 1
 
     def compare_and_swap(self, key: str, value: object, expected_version: int,
@@ -245,8 +250,7 @@ class GlobalStorage:
         """
         self._inflight += 1
         tracer = self.sim.tracer
-        span = (tracer.span("storage:cas", "storage", store=self.name,
-                            key=key) if tracer.active else None)
+        step = tracer.begin_step() if tracer.active else None
         try:
             size = sizeof(value)
             yield self.sim.sleep(self._delay(self.latency.storage_write(size))
@@ -263,22 +267,21 @@ class GlobalStorage:
                 listener(key, value, version, writer)
             return (True, version)
         finally:
-            if span is not None:
-                span.end()
+            if step is not None:
+                tracer.end_step(_CAS, step)
             self._inflight -= 1
 
     def read_version(self, key: str, reader: str = ""):
         """Fetch only the version number of ``key`` (Faa$T fallback path)."""
         self._inflight += 1
         tracer = self.sim.tracer
-        span = (tracer.span("storage:read_version", "storage",
-                            store=self.name, key=key) if tracer.active else None)
+        step = tracer.begin_step() if tracer.active else None
         try:
             yield self.sim.sleep(self._delay(self.latency.storage_read(8))
                                  + self._region_extra(reader))
             self.stats.reads += 1
             return self.version_of(key)
         finally:
-            if span is not None:
-                span.end()
+            if step is not None:
+                tracer.end_step(_READ_VERSION, step)
             self._inflight -= 1

@@ -123,10 +123,10 @@ class MetricsRegistry:
         self._instruments: dict = {}
         self.store = TimeSeriesStore()
         self.samples = 0
-        # The sampling plan: ``(child, series, series._at.append,
-        # series._values.append)`` for every child of every instrument,
-        # in registration order.  Children are never removed, so a plan
-        # shorter than the children count is missing a new child.
+        # The sampling plan: ``(child, series)`` for every child of
+        # every instrument, in registration order.  Children are never
+        # removed, so a plan shorter than the children count is missing a
+        # new child.
         self._plan: list = []
 
     # -- wiring -------------------------------------------------------
@@ -188,7 +188,7 @@ class MetricsRegistry:
         ticks = self.store.ticks
         tick = len(ticks)
         ticks.append(now)
-        for child, series, at_append, values_append in plan:
+        for child, series in plan:
             value = child._callback()
             last = series._last
             if value is last or (
@@ -196,9 +196,7 @@ class MetricsRegistry:
                     and (value != 0 or type(value) is not float
                          or copysign(1.0, value) == copysign(1.0, last))):
                 continue
-            series._last = value
-            at_append(tick)
-            values_append(value)
+            series._store(tick, value)
         self.samples += 1
 
     def _build_plan(self) -> list:
@@ -217,8 +215,7 @@ class MetricsRegistry:
                 series = store.series(instrument.name, instrument.kind,
                                       instrument._label_pairs(key),
                                       instrument.help)
-                plan.append((child, series, series._at.append,
-                             series._values.append))
+                plan.append((child, series))
         return plan
 
     def iter_dicts(self):

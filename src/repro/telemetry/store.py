@@ -21,11 +21,22 @@ type and sign.  A series is sampled at every tick from its first, so
 :attr:`Series.points` (and ``times`` / ``values`` / ``to_dict``)
 forward-fill the per-tick series from the ticks: every reader sees each
 tick's point as if it had been stored.
+
+The change lists are typed arrays while the stream allows it, in the
+manner of :class:`~repro.metrics.stats.Histogram`: the tick indices an
+``array('I')``, the values an ``array('d')`` when the first is a
+``float`` or an ``array('q')`` when it is an ``int`` that fits 64 bits
+(8 bytes a point, not a list slot plus a boxed number).  The first value
+of another type — an ``int`` among floats, a ``bool``, an ``int`` of 2⁶³
+or more — turns the values into a plain list, for good.  An array hands
+back exactly what it stored, ``-0.0`` and NaN included, so every reader
+sees what a list would have held.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from array import array
+from itertools import chain, islice, repeat
 from typing import Optional
 
 #: Series kinds (mirrors the Prometheus metric taxonomy we export).
@@ -34,6 +45,9 @@ GAUGE = "gauge"
 
 #: The previous value of a series never sampled: equal to no value.
 _UNSAMPLED = object()
+
+#: The ``array('q')`` range.
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 class Series:
@@ -50,12 +64,29 @@ class Series:
         self.labels = labels
         self.help = help
         # The store's sampling instants, and this series' changes: the
-        # tick index of each and, index for index, the value.
+        # tick index of each and, index for index, the value.  The empty
+        # values array is a placeholder: the first value picks its type.
         self._ticks = ticks if ticks is not None else []
-        self._at: list = []
-        self._values: list = []
+        self._at = array("I")
+        self._values = array("d")
         #: The newest sampled value (the registry compares against it).
         self._last = _UNSAMPLED
+
+    def _store(self, tick: int, value) -> None:
+        """Store the change to ``value`` at tick index ``tick``."""
+        self._last = value
+        self._at.append(tick)
+        values = self._values
+        if type(values) is not list:
+            # The array type that holds ``value`` exactly (None: none).
+            kind = type(value)
+            code = ("d" if kind is float
+                    else "q" if kind is int and value in _INT64 else None)
+            if not values:
+                values = self._values = array(code) if code else []
+            elif code != values.typecode:
+                values = self._values = values.tolist()
+        values.append(value)
 
     @property
     def stored(self) -> int:
@@ -71,7 +102,7 @@ class Series:
     def values(self) -> list:
         """The sampled value at each of :attr:`times` (forward-filled)."""
         at = self._at
-        bounds = at[1:] + [len(self._ticks)]
+        bounds = chain(islice(at, 1, None), (len(self._ticks),))
         out: list = []
         for start, stop, value in zip(at, bounds, self._values):
             out.extend(repeat(value, stop - start))
@@ -91,7 +122,7 @@ class Series:
 
     def last(self):
         """The most recent sampled value (None when never sampled)."""
-        return self._values[-1] if self._values else None
+        return None if self._last is _UNSAMPLED else self._last
 
     def to_dict(self) -> dict:
         return {

@@ -23,6 +23,7 @@ from repro.trace.tracer import (
     NULL_TRACER,
     NullTracer,
     Span,
+    Step,
     TraceContext,
     Tracer,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
+    "Step",
     "TraceContext",
     "Tracer",
     "chrome_dumps",

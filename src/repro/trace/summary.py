@@ -14,13 +14,15 @@ what ``repro-inspect breakdown`` prints.  Two views are computed:
   invalidation, storage, ...) across the whole trace; useful for raw
   operation traces that have no surrounding requests.
 
-Three protocol steps are recorded as counts, not spans, and every view
-counts them back in: a ``compute`` interval and a childless ``op`` (a
-local hit) are folded into the span they ran under as ``<label>.n`` /
-``<label>.ms`` attrs (:func:`~repro.trace.tracer.folded_leaves`), and a
-call's ``rpc.server`` interval is the ``server_start_ms`` /
-``server_end_ms`` pair on the client's ``rpc`` span.  A window filter
-over spans keeps or drops a folded leaf with the span it is folded into.
+Most protocol steps are recorded as counts, not spans, and every view
+counts them back in: a step (``compute``, ``agent:home_read``,
+``storage:read``, ...) and a childless ``op`` (a local hit) are folded
+into the span they ran under as ``<label>.n`` / ``<label>.ms`` attrs
+(:func:`~repro.trace.tracer.folded_leaves`), the label's category being
+its part before the first ``:``, and a call's ``rpc.server`` interval is
+the ``server_start_ms`` / ``server_end_ms`` pair on the client's ``rpc``
+span.  A window filter over spans keeps or drops a folded step with the
+span it is folded into.
 """
 
 from __future__ import annotations

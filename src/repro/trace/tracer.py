@@ -1,9 +1,13 @@
 """Deterministic causal tracing clocked off the simulated clock.
 
 A :class:`Tracer` collects :class:`Span` records describing what one
-logical operation did — agent op, invalidation fan-out, storage round
-trip — as a tree linked by ``(trace_id, span_id, parent_id)``.  The
-tracer records intervals only: a point transition (a directory change, a
+logical operation did as a tree linked by ``(trace_id, span_id,
+parent_id)``.  Spans open only at the four boundaries a reader follows —
+``request``, ``invoke``, ``op`` and ``rpc`` — and every protocol step
+inside them (a home op, an owner fetch, an invalidation, a storage
+access, a compute burst) is a :class:`Step`: a count on the span it ran
+under (:meth:`Tracer.begin_step` / :meth:`Tracer.end_step`).  The tracer
+records intervals only: a point transition (a directory change, a
 recovery step, an injected fault) is a flight-recorder event
 (:mod:`repro.obs.events`), which carries the ambient span id.  The
 design constraints mirror the repository's analysis rules:
@@ -35,8 +39,8 @@ copies both into flat lists (the rows end to end, the attrs' keys and
 values end to end, one attr count per span), so a finished span keeps no
 tuple or dict of its own alive, and every ``packedlog.BATCH`` records
 replaces them by one ``marshal.dumps`` blob: ~70 bytes a span instead of
-the ~380 of a live tuple and dict, and one object per 4096 spans for the
-allocator and the cyclic collector to know about.  ``spans``,
+the ~380 of a live tuple and dict, and one object per batch of spans for
+the allocator and the cyclic collector to know about.  ``spans``,
 ``to_dicts()`` and the exporters unpack one batch at a time.
 
 * *Why flat lists, not a tuple and a dict per span.*  CPython counts a
@@ -46,7 +50,7 @@ allocator and the cyclic collector to know about.  ``spans``,
   collection every ~350 records (DESIGN.md §7).  Copied into flat lists,
   both are freed as soon as they are filed.
 * *Why batches.*  Packing per record would pay ``dumps``' fixed cost and
-  lose its back-references 4096 times over; one blob per run would
+  lose its back-references once a record; one blob per run would
   double the peak while it is built.  The hot path (``Span.end``) gains
   a width check and one length check.
 * *Why* ``marshal`` *and not typed columns.*  ``array`` columns plus a
@@ -159,9 +163,10 @@ class Span:
         """Close the span at ``sim.now``; a second call is a no-op.
 
         A leaf (opened with ``leaf=``) that nothing named while it was
-        open — no span opened under it, no recorder event stamped with
-        it — and whose parent is still open is *folded*: its duration is
-        counted on the parent (:meth:`fold`) and no row is filed.
+        open — no span opened or step began under it, no recorder event
+        stamped with it — and whose parent is still open is *folded*:
+        its duration is counted on the parent (:meth:`fold`) and no row
+        is filed.
         """
         tracer = self._tracer
         if tracer is None:
@@ -198,9 +203,10 @@ class Span:
         self._prev_ctx = None
 
     def fold(self, keys: tuple, start_ms: float) -> None:
-        """Count the leaf interval ``[start_ms, now]`` on this open span:
-        one more under ``keys[0]``, its duration added under ``keys[1]``
-        (:func:`fold_keys`).  A no-op once the span has ended."""
+        """Count the leaf or step interval ``[start_ms, now]`` on this
+        open span: one more under ``keys[0]``, its duration added under
+        ``keys[1]`` (:func:`fold_keys`).  A no-op once the span has
+        ended."""
         tracer = self._tracer
         if tracer is None:
             return
@@ -299,6 +305,24 @@ SERVER_START = "server_start_ms"
 SERVER_END = "server_end_ms"
 
 
+class Step:
+    """One kind of protocol step, counted on the span it runs under.
+
+    ``category`` and ``name`` make its label ``<category>:<name>`` (just
+    ``<category>`` without a name), and the label its fold keys
+    (:func:`fold_keys`); both name the span a step is filed as when the
+    span it ran under ended first (:meth:`Tracer.end_step`).
+    """
+
+    __slots__ = ("category", "name", "keys")
+
+    def __init__(self, category: str, name: Optional[str] = None):
+        self.category = sys.intern(category)
+        self.name = sys.intern(name or category)
+        self.keys = fold_keys(category if name is None
+                              else f"{category}:{name}")
+
+
 def _pair_span_id(pair: tuple) -> int:
     """Sort key of a ``(row, attrs)`` pair: the row's span id."""
     return pair[0][1]
@@ -348,12 +372,14 @@ class Tracer:
         # ``trace_lane`` slot (a Process-keyed table here would keep
         # every finished process of the run alive); code outside any
         # process shares the "driver" lane.
-        self._lane_names: dict = {}
+        # Lane id -> name: the list index is the id.
+        self._lane_names: list = []
         self._driver_lane: Optional[int] = None
         # Context for code running outside any sim process.
         self._ambient: Optional[TraceContext] = None
         # span id -> fold keys of every open leaf (``span(leaf=...)``)
-        # that nothing has named yet; a child span or an event drops it.
+        # that nothing has named yet; a child span, a step or an event
+        # drops it.
         self._leaves: dict = {}
 
     # -- wiring -------------------------------------------------------
@@ -394,10 +420,13 @@ class Tracer:
         lane = len(self._lane_names)
         if process is None:
             self._driver_lane = lane
-            self._lane_names[lane] = "driver"
+            self._lane_names.append("driver")
         else:
             process.trace_lane = lane
-            self._lane_names[lane] = process.name or f"process-{lane}"
+            # Interned: many processes share a name
+            # (``fetch:<key>:<owner>``).
+            self._lane_names.append(sys.intern(process.name
+                                               or f"process-{lane}"))
         return lane
 
     # -- span lifecycle -----------------------------------------------
@@ -457,11 +486,49 @@ class Tracer:
             self._leaves[span_id] = leaf
         return span
 
-    def enclosing(self) -> Optional[Span]:
-        """The open span the running code is inside of (None: none)."""
-        process = self._sim.active_process
+    # -- protocol steps -----------------------------------------------
+
+    def begin_step(self) -> tuple:
+        """Start a protocol step: ``(context, start_ms)``, the context
+        it runs under and now, for :meth:`end_step`.
+
+        A step opens no span: it is counted on its context's span.  If
+        that span is an open leaf, the step names it, so it is filed,
+        exactly as when a child span opens.
+        """
+        sim = self._sim
+        process = sim.active_process
         context = process.trace_ctx if process is not None else self._ambient
-        return self._open.get(context[1]) if context is not None else None
+        if context is not None:
+            self._leaves.pop(context[1], None)
+        return context, sim.now
+
+    def end_step(self, step: Step, begun: tuple) -> None:
+        """End the step :meth:`begin_step` returned ``begun`` for: count
+        ``[start_ms, now]`` on its context's span as ``<label>.n`` /
+        ``<label>.ms`` attrs.
+
+        If that span has ended already (the caller's call timed out,
+        say), or there is none, the step is filed as a span of its own
+        under the context (a root without one): nothing is dropped.
+        """
+        context, start_ms = begun
+        if context is not None:
+            span = self._open.get(context[1])
+            if span is not None:
+                span.fold(step.keys, start_ms)
+                return
+            trace_id, parent_id = context
+        else:
+            trace_id, parent_id = next(self._trace_ids), None
+        process = self._sim.active_process
+        lane = (process.trace_lane if process is not None
+                else self._driver_lane)
+        if lane is None:
+            lane = self._new_lane(process)
+        self._log.append((trace_id, next(self._span_ids), parent_id,
+                          step.name, step.category, start_ms, self._sim.now,
+                          lane), {})
 
     # -- inspection / export ------------------------------------------
 
@@ -476,7 +543,11 @@ class Tracer:
 
     def lane_names(self) -> dict:
         """Chrome-export lane id -> human-readable process name."""
-        return dict(self._lane_names)
+        return dict(enumerate(self._lane_names))
+
+    def __len__(self) -> int:
+        """Spans filed so far (read off the log; builds no span)."""
+        return len(self._log)
 
     def iter_dicts(self):
         """Completed spans as JSON-ready dicts, sorted by span id.

@@ -32,13 +32,13 @@ def fill(log, count, start=0):
 
 
 def test_default_batch_is_the_module_constant():
-    assert repro.packedlog.BATCH == 4096
+    assert repro.packedlog.BATCH == 1024
     log = PackedLog()
-    fill(log, 4095)
+    fill(log, 1023)
     assert log._packed == []
-    fill(log, 1, start=4095)
+    fill(log, 1, start=1023)
     assert len(log._packed) == 1 and log._flat == []
-    assert list(log) == [record(index) for index in range(4096)]
+    assert list(log) == [record(index) for index in range(1024)]
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 16, 29])

@@ -1,19 +1,23 @@
-"""Fixed-cost leaves are counted on their parents, and every reader
-counts them back.
+"""Protocol steps and fixed-cost leaves are counted on their parents,
+and every reader counts them back.
 
-A ``compute`` interval and a childless ``op`` (a local hit) become
-``<label>.n`` / ``<label>.ms`` attrs on the span they ran under, and a
-call's serving interval becomes ``server_start_ms`` / ``server_end_ms``
-on the client's ``rpc`` span.  These tests hold the folding rule
-itself, the breakdown it must reproduce, and the volume it buys.
+A protocol step (``compute``, a home op, an owner fetch, an
+invalidation, a storage access) and a childless ``op`` (a local hit)
+become ``<label>.n`` / ``<label>.ms`` attrs on the span they ran under,
+and a call's serving interval becomes ``server_start_ms`` /
+``server_end_ms`` on the client's ``rpc`` span.  These tests hold the
+folding rules themselves, the breakdown they must reproduce, and the
+volume they buy.
 """
 
 import pytest
 
+from repro.config import SimConfig
 from repro.experiments.runner import run_mixed_workload
 from repro.obs import FlightRecorder
 from repro.session import Session
 from repro.sim import Simulator
+from repro.storage import DataItem
 from repro.trace import Tracer
 from repro.trace.summary import category_totals, op_breakdown, per_app_requests
 from repro.trace.tracer import fold_keys, folded_leaves
@@ -95,6 +99,78 @@ class TestLeafRule:
         assert (span.name, span.duration_ms) == ("read", 2.0)
 
 
+class TestStepRule:
+    """A step opens no span: it is counted on the span it runs under,
+    names that span if it is an open leaf, and is filed as a span of its
+    own if that span ended first."""
+
+    @pytest.fixture
+    def session(self):
+        # Four nodes, one app; "k" is homed on node0.
+        s = Session.compose(config=SimConfig(num_nodes=4), seed=7,
+                            trace=True, obs=True, app="t")
+        s.preload({"k": DataItem("v0", 256)})
+        return s
+
+    @staticmethod
+    def drive(session, op):
+        sim = session.sim
+        return sim.run_until_complete(sim.spawn(op),
+                                      limit=sim.now + 60_000.0)
+
+    def test_a_step_names_the_leaf_it_runs_under(self):
+        """A read miss at its own home stays on node0: under an open
+        ``invoke``, with no recorder event to name it, the home op and
+        its storage read name the ``op`` leaf, so it is filed carrying
+        both instead of being folded into the ``invoke``."""
+        s = Session.compose(config=SimConfig(num_nodes=4), seed=7,
+                            trace=True, app="t")
+        s.preload({"k": DataItem("v0", 256)})
+
+        def invocation():
+            with s.tracer.span("f", "invoke", parent=None):
+                yield from s.system.read("node0", "k")
+
+        self.drive(s, invocation())
+        spans = {span["category"]: span for span in s.tracer.to_dicts()
+                 if span["category"] in ("invoke", "op")}
+        op, invoke = spans["op"], spans["invoke"]
+        assert (op["parent_id"], op["attrs"]["node"]) == (
+            invoke["span_id"], "node0")
+        steps = {label: count
+                 for label, count, _ms in folded_leaves(op["attrs"])}
+        assert steps == {"agent:home_read": 1, "storage:read": 1}
+        assert op["attrs"]["agent:home_read.ms"] == pytest.approx(
+            op["attrs"]["storage:read.ms"])
+        assert list(folded_leaves(invoke["attrs"])) == []
+
+    def test_a_step_that_outlives_its_span_is_filed(self, session):
+        """node1's invalidation ack is dropped, so node3's home write
+        waits out the RPC timeout and its caller's call times out first:
+        the home write (and the lost invalidation) are filed as spans
+        under the timed-out ``rpc`` span, not dropped."""
+        self.drive(session, session.system.read("node1", "k"))
+        self.drive(session, session.system.read("node2", "k"))
+        now = session.sim.now
+        session.cluster.network.fault_rules().add_drop(
+            now, now + 20_000.0, 1.0, src="node1", dst="node0")
+        self.drive(session, session.system.write("node3", "k",
+                                                 DataItem("v1", 256)))
+        spans = {span["span_id"]: span for span in session.tracer.to_dicts()}
+        (home_write,) = [span for span in spans.values()
+                         if span["category"] == "agent"]
+        assert home_write["name"] == "home_write"
+        caller = spans[home_write["parent_id"]]
+        assert (caller["name"], caller["attrs"]["status"]) == ("rpc:write",
+                                                               "timeout")
+        assert caller["end_ms"] < home_write["end_ms"]
+        (lost,) = [span for span in spans.values()
+                   if span["category"] == "invalidation"]
+        assert lost["parent_id"] == caller["span_id"]
+        # node2's invalidation ended in time: a count on the caller.
+        assert caller["attrs"]["invalidation:invalidate.n"] == 1
+
+
 @pytest.fixture(scope="module")
 def golden():
     """The golden all-signals run: its span dicts and registry."""
@@ -122,13 +198,14 @@ class TestGoldenRun:
                        ("concord", "write"): (1683, 70674.48)}
 
     def test_signal_volume_per_request(self, golden):
-        """Per finished request (all 440, warmup included): 32.2 spans
-        (88.8 when every step was a span) and 4.4 stored telemetry points
-        (11.0 when every tick was stored)."""
+        """Per finished request (all 440, warmup included): 18.7 spans
+        (32.2 with a span per protocol step, 88.8 when every step was a
+        span) and 4.4 stored telemetry points (11.0 when every tick was
+        stored)."""
         spans, registry, _ = golden
         requests = sum(1 for span in spans if span["category"] == "request")
         assert requests == 440
-        assert len(spans) / requests <= 35.0
+        assert len(spans) / requests <= 20.0
         assert registry.store.stored_points() / requests <= 5.0
 
     def test_every_named_span_was_filed(self, golden):

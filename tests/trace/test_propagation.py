@@ -4,10 +4,12 @@ import pytest
 
 from repro.config import LatencyModel, SimConfig
 from repro.net import Endpoint, Network, Reply, RpcTimeout
+from repro.obs.events import INV_SEND
 from repro.session import Session
 from repro.sim import Simulator
 from repro.storage import DataItem
 from repro.trace import Tracer
+from repro.trace.summary import _steps
 
 
 @pytest.fixture
@@ -207,33 +209,44 @@ class TestConcordEndToEnd:
         assert op_total == pytest.approx(hist_total, abs=1e-9)
 
     def test_write_produces_one_invalidation_span_per_sharer(
-            self, sim, tracer, system):
+            self, session, sim, tracer, system):
+        """One invalidation step per sharer, in the write's trace.  The
+        steps are counts on the span the home write ran under; the
+        sharer each went to is on its ``inv.send`` recorder event."""
         self.drive(sim, system.read("node1", "k"))
         self.drive(sim, system.read("node2", "k"))
         write = system.write("node0", "k", DataItem("v1", 256))
         self.drive(sim, write)
-        invalidations = [s for s in tracer.spans
-                         if s.category == "invalidation"]
+        spans = tracer.to_dicts()
+        write_op = next(s for s in spans
+                        if s["category"] == "op" and s["name"] == "write")
+        invalidations = sum(
+            count for s in spans if s["trace_id"] == write_op["trace_id"]
+            for category, _label, count, _ms in _steps(s)
+            if category == "invalidation")
+        assert sum(count for s in spans for category, _label, count, _ms
+                   in _steps(s) if category == "invalidation") == invalidations
         # node1 and node2 held shared copies (the writer and home do not
         # need invalidation RPCs for themselves).
-        sharers = {s.attrs["sharer"] for s in invalidations}
-        assert len(invalidations) == len(sharers) >= 1
-        write_op = next(s for s in tracer.spans
-                        if s.category == "op" and s.name == "write")
-        assert all(s.trace_id == write_op.trace_id for s in invalidations)
+        sends = [e for e in session.obs.events() if e.type == INV_SEND]
+        sharers = {e.attrs["sharer"] for e in sends}
+        assert invalidations == len(sends) == len(sharers) >= 1
+        assert {e.trace for e in sends} == {write_op["trace_id"]}
 
     def test_request_trace_covers_cross_node_work(self, session, tracer,
                                                   system):
         self.drive(session.sim, system.read("node1", "k"))
-        read_op = next(s for s in tracer.spans if s.category == "op")
-        members = [s for s in tracer.spans if s.trace_id == read_op.trace_id]
-        categories = {s.category for s in members}
+        spans = tracer.to_dicts()
+        read_op = next(s for s in spans if s["category"] == "op")
+        members = [s for s in spans if s["trace_id"] == read_op["trace_id"]]
+        categories = {category for s in members
+                      for category, _label, _count, _ms in _steps(s)}
         assert {"op", "rpc", "agent", "storage"} <= categories
         # Every call was answered: each rpc span carries the serving
         # interval the server's rpc.server span used to hold.
-        rpcs = [s for s in members if s.category == "rpc"]
-        assert all("server_start_ms" in s.attrs for s in rpcs)
+        rpcs = [s for s in members if s["category"] == "rpc"]
+        assert all("server_start_ms" in s["attrs"] for s in rpcs)
         # The home's directory change is a recorder event in the same trace.
         changes = [e for e in session.obs.events() if e.type.startswith("dir.")]
         assert changes
-        assert {e.trace for e in changes} == {read_op.trace_id}
+        assert {e.trace for e in changes} == {read_op["trace_id"]}

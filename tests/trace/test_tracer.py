@@ -3,6 +3,7 @@
 import pytest
 
 import repro.packedlog
+import repro.trace.tracer
 from repro.sim import Simulator
 from repro.trace import (
     INHERIT,
@@ -264,6 +265,20 @@ class TestPackedBatches:
             range(1, 86))
         assert {s.span_id: s.to_dict() for s in spans} == {
             d["span_id"]: d for d in tracer.to_dicts()}
+
+    def test_len_counts_filed_spans_and_builds_none(self, sim, tracer,
+                                                     monkeypatch):
+        self._nested_run(sim, tracer)
+        tracer.span("open", "op")
+        expected = len(tracer.to_dicts())
+        assert expected == 85
+
+        def refuse(*args):
+            raise AssertionError("len(tracer) built or unpacked a span")
+
+        monkeypatch.setattr(repro.trace.tracer, "_new_span", refuse)
+        monkeypatch.setattr(repro.packedlog.PackedLog, "batches", refuse)
+        assert len(tracer) == expected
 
     def test_files_are_the_dumps(self, sim, tracer, tmp_path):
         self._nested_run(sim, tracer)
