@@ -16,10 +16,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class Cluster:
     """A set of nodes sharing a network fabric and global storage.
 
-    Components that need to react to crashes (coordination service,
-    platform) register ``on_failure`` callbacks; failure *detection*
-    latency is still governed by heartbeats — these callbacks only model
-    the physical crash itself (network silence, dead processes).
+    A crash cancels the node's scope (every process running there) and
+    silences its network; components holding per-node state register
+    ``on_crash`` listeners.  Failure *detection* latency is still
+    governed by heartbeats: all of this models only the crash itself.
     """
 
     def __init__(self, sim: "Simulator", config: Optional[SimConfig] = None):
@@ -34,9 +34,6 @@ class Cluster:
             node_id = f"node{index}"
             self.nodes[node_id] = Node(sim, node_id, self.config)
         self._crash_listeners: list[Callable[[str], None]] = []
-        #: The FaaS platform running invocations here, set by it: a cache
-        #: instance that ends has it reschedule its app's invocations.
-        self.platform = None
 
     @property
     def node_ids(self) -> list[str]:
@@ -63,11 +60,12 @@ class Cluster:
         self._crash_listeners.append(listener)
 
     def crash_node(self, node_id: str) -> None:
-        """Hard-crash a node: silence its network, kill its processes."""
+        """Hard-crash a node: kill its processes, silence its network."""
         node = self.nodes[node_id]
         if not node.alive:
             return
         node.alive = False
+        node.scope.cancel("node crash")
         self.network.fail_node(node_id)
         for listener in self._crash_listeners:
             listener(node_id)

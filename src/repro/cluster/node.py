@@ -62,6 +62,7 @@ class Node:
         #: three container methods below; callers only read it.
         self.by_function: dict[tuple, list[Container]] = {}
         self.alive = True
+        self.scope = sim.scopes.child(node_id)  # a crash cancels it
         metrics = sim.metrics
         if metrics.active:
             self.cores.register_gauges(metrics, "node_cpu", node=node_id)

@@ -125,10 +125,14 @@ class CacheAgent:
         self.directory = DataDirectory(self.node_id, self.sim.obs)
         self.ring = system.ring_template.copy()
         node = system.cluster.nodes.get(node_id)
+        #: The app's invocations on this node, the handlers (a child
+        #: scope: a cancel ends them first) and all they spawn.
+        self.scope = self.sim.scopes.child(node_id).child(self.app)
         self.endpoint = Endpoint(
             system.cluster.network, node_id, f"concord-{system.app}",
             service_time_ms=system.latency.agent_service_ms,
             cpu=node.cores if node is not None else None,
+            scope=self.scope.child("handlers"),
         )
         #: Home-side per-key serialization (directory is the write
         #: serialization point, Section III-C2).
@@ -1004,10 +1008,11 @@ class CacheAgent:
             yield from self._recover(event.member, event.declared_ms)
         elif not self.ejected:
             # False-positive ejection: we are alive but the domain wrote
-            # us off.  End and rejoin (after a crash, restart_instance does).
+            # us off.  End and rejoin (after a crash, restart_instance does);
+            # the end took this handler out of the scope, the rejoin joins.
             self.end_incarnation()
-            self.sim.spawn(self.rejoin(), name=f"rejoin:{self.node_id}",
-                           daemon=True)
+            self.scope.join(self.sim.spawn(
+                self.rejoin(), name=f"rejoin:{self.node_id}", daemon=True))
         return None
 
     def _recover(self, failed_member: str, declared_ms: float):
@@ -1229,8 +1234,9 @@ class CacheAgent:
                     # of parking here.
                     pass
         finally:
-            for entry in keep:
-                self.directory.install(entry)
+            if not self.ejected:  # an ended incarnation keeps nothing
+                for entry in keep:
+                    self.directory.install(entry)
             release()
 
     # ------------------------------------------------------------------
@@ -1273,9 +1279,10 @@ class CacheAgent:
         """End this incarnation, whether by removal, ejection or crash
         (DESIGN.md section 9).
 
-        It owns its processes: its handlers are interrupted, and the
-        platform reschedules the app's invocations on this node.  Its
-        cache and directory go (the domain already wrote them off), the
+        It owns its processes: cancelling its scope interrupts its
+        handlers, the app's invocations on this node (the platform
+        reschedules them) and everything they spawned.  Its cache and
+        directory are emptied (the domain already wrote them off), the
         epoch bump voids every grant and timeout in flight, and until a
         rejoin commits a barrier over every key holds what still runs.
         """
@@ -1285,16 +1292,9 @@ class CacheAgent:
         if obs.active:
             obs.emit(MEMBER_EJECT, node=self.node_id,
                      cached=len(self.cache), homed=len(self.directory))
-        self.endpoint.kill_inflight_handlers()
-        platform = self.system.cluster.platform
-        if platform is not None:
-            platform.interrupt_invocations(self.node_id, self.app)
+        self.scope.cancel("instance end")
         self.cache.clear()
-        self.directory = DataDirectory(self.node_id, self.sim.obs)
-        # The directory gauges close over the directory they were
-        # registered with: re-point them at the new one.
-        self.directory.register_metrics(self.sim.metrics, scheme="concord",
-                                        app=self.app)
+        self.directory.clear()
         self.dir_mirror.clear()
         self._last_writer.clear()
         if self.node_id in self.ring:

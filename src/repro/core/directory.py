@@ -120,6 +120,13 @@ class DataDirectory:
             sizes[after] = sizes.get(after, 0) + 1
             self._sharer_total += after
 
+    def clear(self) -> None:
+        """Drop every entry, keeping the gauges (an incarnation's end)."""
+        self._entries.clear()
+        if self._sizes is not None:
+            self._sizes.clear()
+            self._sharer_total = 0
+
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -125,14 +125,8 @@ class FaasPlatform:
         self.apps: dict[str, DeployedApp] = {}
         #: How many crash re-runs one submitted request gets.
         self.max_reschedules = 2
-        #: node_id -> {request process: app name} for invocations
-        #: currently executing there (insertion-ordered: interrupt order
-        #: must not depend on hash order).
-        self._invocations_on: dict[str, dict] = {}
         #: app -> interned "req:<app>" spawn name (submit is per-request).
         self._req_names: dict[str, str] = {}
-        cluster.on_crash(self.interrupt_invocations)
-        cluster.platform = self
 
     # -- deployment ------------------------------------------------------------
     def deploy(
@@ -314,33 +308,23 @@ class FaasPlatform:
                 self.sim, node, app_name, function_name, app.storage_api,
                 inputs=inputs, invocation_id=next(self._invocation_ids),
             )
-            # Register the executing process with its node so a crash there
-            # interrupts the invocation (the process dies with the node).
+            # The handler runs in the (node, app) scope: a crash there, or
+            # the end of the app's cache instance, interrupts what it runs.
             process = self.sim.active_process
-            if process is not None:
-                self._invocations_on.setdefault(node.id, {})[process] = app_name
+            scope = node.scope.child(app_name)
+            outer = scope.join(process)
             try:
                 result = yield from spec.handler(ctx)
             finally:
                 container.active -= 1
                 container.last_used = self.sim.now
-                if process is not None:
-                    self._invocations_on.get(node.id, {}).pop(process, None)
+                scope.leave(process, outer)
             return ctx, result
         finally:
             if span is not None:
                 span.end()
 
     invoke = _invoke
-
-    def interrupt_invocations(self, node_id: str,
-                              app: Optional[str] = None) -> None:
-        """Kill ``app``'s invocations on ``node_id`` (every app's: the
-        crash listener); :meth:`_guarded_request` reschedules them."""
-        running = self._invocations_on.get(node_id, {})
-        for process in [p for p, name in running.items() if app in (None, name)]:
-            del running[process]  # a second end must not interrupt it again
-            process.interrupt("node crash")
 
     # -- load generation ----------------------------------------------------------
     def submit(self, app_name: str, inputs: Optional[dict] = None):

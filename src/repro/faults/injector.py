@@ -3,8 +3,9 @@
 The injector runs as a simulator daemon process and applies each
 scheduled :class:`~repro.faults.plan.FaultEvent` at its simulated time:
 crashes and restarts go through the :class:`~repro.cluster.Cluster`
-lifecycle (so crash listeners — the FaaS platform, the coordination
-heartbeats — see them), partitions/drops/delays install time-windowed
+lifecycle (a crash cancels the node's scope, ending every process that
+runs there, and the cache systems' crash listeners see it),
+partitions/drops/delays install time-windowed
 :class:`~repro.net.fabric.FaultRules` on the fabric, and brownouts
 degrade global-storage latency.
 

@@ -272,11 +272,8 @@ class Network:
 
     # -- failures ------------------------------------------------------------
     def fail_node(self, node_id: str) -> None:
-        """Mark a node crashed: drop its traffic and kill its handlers."""
+        """Mark a node crashed: drop its traffic."""
         self._down_nodes.add(node_id)
-        for address, endpoint in self._endpoints.items():
-            if self.node_of(address) == node_id:
-                endpoint.kill_inflight_handlers()
         if self.fail_fast:
             # Connection-reset semantics: every survivor's in-flight call
             # to the dead node fails now rather than at its timeout.

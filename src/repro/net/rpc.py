@@ -192,8 +192,9 @@ class Endpoint:
 
     One endpoint per (node, service); the address is
     ``"<node_id>/<service>"``.  Incoming requests spawn one handler process
-    each; a node crash interrupts all in-flight handlers (their responses
-    are never sent).
+    each, a member of :attr:`scope` (by default the node's scope's child
+    named by the service), so a node crash ends every handler in flight
+    (their responses are never sent).
     """
 
     def __init__(
@@ -203,6 +204,7 @@ class Endpoint:
         service: str,
         service_time_ms: float = 0.0,
         cpu=None,
+        scope=None,
     ):
         self.network = network
         self.sim: "Simulator" = network.sim
@@ -221,9 +223,9 @@ class Endpoint:
         #: ordered: fail_calls_to() rejects in issue order, never in hash
         #: order).
         self._pending: dict[int, "_RpcWaiter"] = {}
-        # Dict used as an insertion-ordered set: kill_inflight_handlers()
-        # iterates it, and interrupt order must not depend on hash order.
-        self._inflight_handlers: dict = {}
+        #: The scope every handler joins.
+        self.scope = (scope if scope is not None
+                      else self.sim.scopes.child(node_id).child(service))
         #: CPU cost of accepting one request.  A server process handles
         #: requests one at a time for this slice, so a hot endpoint (e.g.
         #: the cache agent homing a popular key) becomes a queueing
@@ -266,8 +268,7 @@ class Endpoint:
                            node=node_id, service=service)
 
     def close(self) -> None:
-        """Detach from the network and abort in-flight handlers."""
-        self.kill_inflight_handlers()
+        """Detach from the network."""
         self.network.unregister(self.address)
 
     # -- server side ---------------------------------------------------------
@@ -283,12 +284,6 @@ class Endpoint:
         self._handlers[method] = handler
         if meta:
             self._meta_handlers[method] = None
-
-    def kill_inflight_handlers(self) -> None:
-        """Interrupt every running handler (crash semantics)."""
-        for process in list(self._inflight_handlers):
-            process.interrupt("node failure")
-        self._inflight_handlers.clear()
 
     # -- fail-fast plumbing (fault injection) -------------------------------
     def reject_call(self, request_id: int, error: RpcError) -> None:
@@ -360,9 +355,9 @@ class Endpoint:
         # The handler joins the caller's span tree: its ambient context is
         # whatever TraceContext travelled with the request.
         process.trace_ctx = message.trace
-        # Registered here, not in _serve: a crash between this spawn and
-        # the handler's first step must still find (and interrupt) it.
-        self._inflight_handlers[process] = None
+        # Joined here, not in _serve: a crash between this spawn and the
+        # handler's first step must still find (and interrupt) it.
+        self.scope.join(process)
 
     def _serve(self, handler: Handler, message: Message):
         # Traced, the serving interval covers service slice, handler and
@@ -370,10 +365,8 @@ class Endpoint:
         # lands on the client's ``rpc`` span, and the handler runs in
         # that span's context; a one-way notify has no client span, so
         # it gets an ``rpc.server`` span of its own.
-        # The handler drops its own in-flight slot on the way out, so a
-        # finished handler has no callback: nothing waits on it and its
-        # completion needs no dispatch at all.
-        process = self.sim.active_process
+        # A finished handler has no callback: nothing waits on it and
+        # its completion needs no dispatch at all.
         tracer = self.sim.tracer
         span = start = None
         if tracer.active:
@@ -422,7 +415,6 @@ class Endpoint:
             else:
                 self._respond(message, result, sizeof(result), None, served)
         finally:
-            self._inflight_handlers.pop(process, None)
             if span is not None:
                 span.end()
 

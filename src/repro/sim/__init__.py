@@ -23,7 +23,7 @@ Example::
 
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
+from repro.sim.process import Process, Scope
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
@@ -36,6 +36,7 @@ __all__ = [
     "Process",
     "Resource",
     "RngRegistry",
+    "Scope",
     "SimulationError",
     "Simulator",
     "Store",

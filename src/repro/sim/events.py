@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import inf
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from repro.sim.errors import SimulationError
+from repro.sim.errors import Interrupt, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulator import Simulator
@@ -179,8 +179,9 @@ class Event:
             finally:
                 sim._tail = tail
             callbacks[-1](self)
-        if self._exc is not None and not self._defused:
-            raise self._exc
+        exc = self._exc  # an Interrupt left alone is a scope's end, no fault
+        if exc is not None and not self._defused and exc.__class__ is not Interrupt:
+            raise exc
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         label = self.name or type(self).__name__

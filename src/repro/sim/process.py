@@ -50,10 +50,11 @@ class Process(Event):
 
     ``daemon`` processes have failures recorded on the simulator instead of
     crashing the run; use for background services whose crash is itself a
-    simulated condition (for example a process on a failed node).
+    simulated condition (for example a process on a failed node).  An
+    uncaught :class:`Interrupt` is no failure: its :class:`Scope` ended it.
     """
 
-    __slots__ = ("generator", "daemon", "trace_ctx", "trace_lane",
+    __slots__ = ("generator", "daemon", "trace_ctx", "trace_lane", "scope",
                  "_waiting_on", "_send", "_throw", "_sleep_token",
                  "_ready_of")
 
@@ -79,6 +80,8 @@ class Process(Event):
         self.trace_ctx = None
         #: Chrome-export lane id, assigned by the tracer on first use.
         self.trace_lane = None
+        #: The :class:`Scope` this process is a member of, if any.
+        self.scope = None
         #: The event this process is currently blocked on, if any.
         self._waiting_on: Optional[Event] = None
         #: Wheel entry of an in-flight raw sleep (see Simulator.sleep).
@@ -106,10 +109,17 @@ class Process(Event):
         :class:`~repro.sim.resources.Resource` wait that the process has
         not taken up is withdrawn: a queued request leaves the queue, and
         a slot already handed over — or taken by ``acquire_wait()``
-        behind a paid ``READY`` hop — is released.
+        behind a paid ``READY`` hop — is released.  Its one caller is
+        :meth:`Scope.cancel`.
         """
         if self.triggered:
             return
+        self._detach()
+        self.sim.call_soon(self._interrupt_step, cause)
+
+    # -- internal --------------------------------------------------------
+    def _detach(self) -> None:
+        """Let go of the wait in progress, if any."""
         target = self._waiting_on
         if target is not None and self._resume in target.callbacks:
             target.callbacks.remove(self._resume)
@@ -123,10 +133,9 @@ class Process(Event):
         # (exactly like the stale Timeout the old path left in the heap)
         # but the token mismatch makes its firing a no-op.
         self._sleep_token = None
-        self.sim.call_soon(self._interrupt_step, cause)
 
-    # -- internal --------------------------------------------------------
     def _interrupt_step(self, cause: object) -> None:
+        self._detach()  # interrupted while it ran, it may have parked since
         self._step(throw=Interrupt(cause))
 
     def _sleep_wake(self, token: list) -> None:
@@ -155,6 +164,10 @@ class Process(Event):
                 self._park(target)
             return
         sim.active_process = None
+        scope = self.scope
+        if scope is not None:  # finished: leave it, scheduling nothing
+            del scope._running[self]
+            self.scope = None
         self._tail_trigger()
 
     def _ready_wake(self, token: list) -> None:
@@ -210,12 +223,16 @@ class Process(Event):
                 self._park(target)
             return
         sim.active_process = None
+        scope = self.scope
+        if scope is not None:  # finished: leave it, scheduling nothing
+            del scope._running[self]
+            self.scope = None
         self._tail_trigger()
 
     def _crash(self, exc: BaseException) -> None:
         """The generator raised: note the failure (daemons record it and
         carry on); the caller triggers once it has left its ``except``."""
-        if self.daemon:
+        if self.daemon and exc.__class__ is not Interrupt:
             self.sim.daemon_failures.append((self, exc))
             self._defused = True
         self._exc = exc
@@ -232,6 +249,8 @@ class Process(Event):
             self._ready_of = sim._ready
             return
         if target.__class__ is not Event and not isinstance(target, Event):
+            if self.scope is not None:
+                self.scope.leave(self)
             self.fail(
                 SimulationError(
                     f"process {self.name!r} yielded {target!r}; "
@@ -247,3 +266,57 @@ class Process(Event):
             self.sim.call_soon(self._resume, target)
         else:
             target.callbacks.append(self._resume)
+
+
+class Scope:
+    """The live processes of one owner, in join order, and its children.
+
+    A process spawned by a member joins the spawner's scope and leaves it
+    in the kernel's finish path.  :meth:`cancel` interrupts the child
+    scopes' members (children in creation order), then its own, taking
+    each out as it goes: cancelling twice does nothing.
+    """
+
+    __slots__ = ("_running", "_children")
+
+    def __init__(self):
+        self._running: dict = {}  # process -> None, a set in join order
+        self._children: dict = {}  # key -> Scope, in creation order
+
+    @property
+    def members(self) -> list:
+        return list(self._running)
+
+    def child(self, key) -> "Scope":
+        """The child scope named ``key``, made on first use."""
+        scope = self._children.get(key)
+        if scope is None:
+            scope = self._children[key] = Scope()
+        return scope
+
+    def join(self, process: Process) -> Optional["Scope"]:
+        """Move ``process`` into this scope; returns the scope it left."""
+        outer = process.scope
+        if outer is not None:
+            del outer._running[process]
+        self._running[process] = None
+        process.scope = self
+        return outer
+
+    def leave(self, process: Process, outer: Optional["Scope"] = None):
+        """Move ``process`` back to ``outer``, unless a cancel took it."""
+        if process.scope is self:
+            del self._running[process]
+            process.scope = None
+            if outer is not None:
+                outer.join(process)
+
+    def cancel(self, cause: object = None) -> None:
+        """Interrupt every live process below and in this scope (a member
+        that cancels its own scope is interrupted at its next wait)."""
+        for child in list(self._children.values()):
+            child.cancel(cause)
+        live, self._running = self._running, {}
+        for process in live:
+            process.scope = None
+            process.interrupt(cause)

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Optional
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import RAW_WAIT, Process, ProcessGenerator
+from repro.sim.process import RAW_WAIT, Process, ProcessGenerator, Scope
 from repro.obs.recorder import NULL_RECORDER
 from repro.sim.rng import RngRegistry
 from repro.sim.wheel import _MAX_FREE, EventWheel
@@ -140,6 +140,8 @@ class Simulator:
         self.active_process: Optional[Process] = None
         #: Failures of daemon processes, recorded instead of raised.
         self.daemon_failures: list[tuple[Process, BaseException]] = []
+        #: The root :class:`Scope`; ``scopes.child(node_id)`` is a node's.
+        self.scopes = Scope()
         #: Named deterministic RNG substreams.
         self.rng = RngRegistry(seed)
         self._id_counters: dict = {}  # namespace -> count(1); see ids()
@@ -250,11 +252,17 @@ class Simulator:
 
         The child inherits the spawner's TraceContext, so work forked from
         inside a traced operation (handlers, invalidations, write-through
-        processes) stays attached to that operation's span tree.
+        processes) stays attached to that operation's span tree, and its
+        :class:`Scope`, so it ends with what started it.
         """
         process = Process(self, generator, name=name, daemon=daemon)
-        if self.active_process is not None:
-            process.trace_ctx = self.active_process.trace_ctx
+        active = self.active_process
+        if active is not None:
+            process.trace_ctx = active.trace_ctx
+            scope = active.scope
+            if scope is not None:
+                scope._running[process] = None
+                process.scope = scope
         return process
 
     # -- scheduling / running ----------------------------------------------

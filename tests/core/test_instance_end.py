@@ -92,3 +92,51 @@ def test_directory_gauges_follow_the_directory_a_rejoin_rebuilds():
         "directory_sharers_mean": (sum(sharers) / len(directory)
                                    if len(directory) else 0.0),
     }
+
+
+def test_a_crash_ends_the_rejoin_of_a_false_positive_ejection():
+    """A false-positive report ejects ``node1``: its membership handler
+    ends the incarnation and starts a rejoin daemon in the instance's
+    scope.  ``node1`` crashes while that daemon waits to retry; the
+    daemon ends with the crash instead of running a join to a dead node
+    (whose prepare would time out and kill it), and only the restart's
+    rejoin commits."""
+    session = Session.compose(
+        config=SimConfig(num_nodes=4, heartbeat_interval_ms=100.0,
+                         heartbeat_misses=3),
+        seed=42, scheme="nocache")
+    sim, cluster = session.sim, session.cluster
+    concord = ConcordSystem(cluster, app="app1", coord=session.coord)
+    commits = []
+    admit = concord.admit
+
+    def counting_admit(agent):
+        yield from admit(agent)
+        commits.append(agent.node_id)
+
+    concord.admit = counting_admit
+    spawned = {}
+    spawn = sim.spawn
+
+    def recording_spawn(generator, name="", daemon=False):
+        spawned[name] = process = spawn(generator, name, daemon)
+        return process
+
+    sim.spawn = recording_spawn
+    session.coord.report_unreachable("app1", "node1")
+    while "rejoin:node1" not in spawned:
+        sim.step()
+    rejoin = spawned["rejoin:node1"]
+    sim.run(until=sim.now + 0.5)  # inside its retry pause
+    assert rejoin.is_alive and not commits
+    cluster.crash_node("node1")
+    sim.run(until=sim.now)
+    assert not rejoin.is_alive
+    sim.run(until=sim.now + 2000.0)
+    cluster.restart_node("node1")
+    sim.run_until_complete(sim.spawn(concord.restart_instance("node1")),
+                           limit=sim.now + 60_000.0)
+    sim.run(until=sim.now + 10_000.0)
+    assert (commits, sim.daemon_failures) == (["node1"], [])
+    assert "node1" in concord.agents["node0"].ring.members
+    assert not concord.agents["node1"].ejected

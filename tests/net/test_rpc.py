@@ -210,12 +210,15 @@ class TestEndpointLifecycle:
 
         def crasher(sim):
             yield sim.timeout(10.0)
+            # Cluster.crash_node: cancel the node's scope, silence it.
+            sim.scopes.child("node1").cancel("node crash")
             net.fail_node("node1")
 
         sim.spawn(caller(sim))
         sim.spawn(crasher(sim))
         sim.run()
         assert progress == ["start"]
+        assert server.scope.members == []
 
     def test_reply_to_a_removed_endpoint_skips_its_successor(self, sim, net):
         # A cache instance is removed and re-created at the same address.
@@ -336,7 +339,8 @@ def sizeof_dict():
 
 
 class TestCrashReturnsServiceSlots:
-    """kill_inflight_handlers() must free the server slot and the CPU."""
+    """Cancelling the endpoint's scope must free the server slot and the
+    CPU, and leave no member behind."""
 
     def _server(self, sim, net):
         from repro.sim.resources import Resource
@@ -357,10 +361,11 @@ class TestCrashReturnsServiceSlots:
         sim.run(until=2.0)  # one in its service slice, one queued behind it
         assert (server._server.in_use, server._server.queue_length) == (1, 1)
         assert cpu.in_use == 1
-        server.kill_inflight_handlers()
+        server.scope.cancel("node failure")
         sim.run(until=50.0)
         assert (server._server.in_use, server._server.queue_length) == (0, 0)
         assert (cpu.in_use, cpu.queue_length) == (0, 0)
+        assert server.scope.members == []
 
     def test_handler_killed_while_queued_for_the_cpu(self, sim, net):
         server, cpu = self._server(sim, net)
@@ -368,18 +373,20 @@ class TestCrashReturnsServiceSlots:
         self._fire(sim, net, 1)
         sim.run(until=2.0)
         assert (cpu.in_use, cpu.queue_length) == (1, 1)
-        server.kill_inflight_handlers()
+        server.scope.cancel("node failure")
         sim.run(until=50.0)
         cpu.release()
         assert (cpu.in_use, cpu.queue_length) == (0, 0)
         assert server._server.in_use == 0
+        assert server.scope.members == []
 
     def test_handler_killed_on_the_uncontended_grant_hop(self, sim, net):
         server, cpu = self._server(sim, net)
         self._fire(sim, net, 1)
         while server._server.in_use == 0:
             sim.step()
-        server.kill_inflight_handlers()
+        server.scope.cancel("node failure")
         sim.run(until=50.0)
         assert server._server.in_use == 0
         assert cpu.in_use == 0
+        assert server.scope.members == []

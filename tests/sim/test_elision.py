@@ -814,7 +814,7 @@ class TestEntryBudget:
         assert _entries_of(
             sim, lambda: client.call("node1/server", "echo", 1,
                                      timeout=1000.0)) == budget
-        assert not server._inflight_handlers
+        assert server.scope.members == []
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.experiments.runner import run_mixed_workload
+from repro.net.rpc import RpcError
 from repro.obs import FlightRecorder
 from repro.session import Session
 from repro.sim import Simulator
@@ -169,6 +170,47 @@ class TestStepRule:
         assert lost["parent_id"] == caller["span_id"]
         # node2's invalidation ended in time: a count on the caller.
         assert caller["attrs"]["invalidation:invalidate.n"] == 1
+
+    def test_a_crash_ends_what_the_home_write_spawned(self, session):
+        """The same lost ack, but ``node0`` crashes while its home write
+        waits on it with the write-through in flight: the write's
+        ``inv:`` children and ``wt:`` write-through end in the crash's
+        instant (they are in the handler's scope), and the write never
+        commits."""
+        self.drive(session, session.system.read("node1", "k"))
+        self.drive(session, session.system.read("node2", "k"))
+        sim = session.sim
+        now = sim.now
+        session.cluster.network.fault_rules().add_drop(
+            now, now + 20_000.0, 1.0, src="node1", dst="node0")
+        spawned = {}
+        spawn = sim.spawn
+
+        def recording_spawn(generator, name="", daemon=False):
+            spawned[name] = process = spawn(generator, name, daemon)
+            return process
+
+        sim.spawn = recording_spawn
+
+        def writer():
+            try:
+                yield from session.system.write("node3", "k",
+                                                DataItem("v1", 256))
+            except RpcError:
+                pass  # the home crashed
+
+        sim.spawn(writer())
+        while "wt:k" not in spawned:
+            sim.step()
+        sim.run(until=sim.now + 1.0)
+        children = [spawned[name]
+                    for name in ("inv:k:node1", "inv:k:node2", "wt:k")]
+        assert [child.is_alive for child in children] == [True, True, True]
+        session.cluster.crash_node("node0")
+        sim.run(until=sim.now)
+        assert [child.is_alive for child in children] == [False] * 3
+        sim.run(until=sim.now + 1000.0)
+        assert session.cluster.storage.peek("k").value == DataItem("v0", 256)
 
 
 @pytest.fixture(scope="module")

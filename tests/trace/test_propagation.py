@@ -89,7 +89,7 @@ class TestRpcPropagation:
 
         sim.spawn(caller(sim))
         sim.run(until=10.0)
-        server.kill_inflight_handlers()
+        server.scope.cancel("node failure")
         sim.run()
         by_name = {s.name: s for s in tracer.spans}
         rpc, serve = by_name["rpc:stall"], by_name["serve:stall"]
@@ -97,6 +97,7 @@ class TestRpcPropagation:
         assert serve.parent_id == rpc.span_id
         assert rpc.start_ms < serve.start_ms < serve.end_ms == 10.0
         assert "server_start_ms" not in rpc.attrs
+        assert server.scope.members == []
 
     def test_notify_carries_context_to_handler(self, sim, net, tracer):
         seen = {}
