@@ -3,14 +3,12 @@
 Every figure in this repo rests on one guarantee: a seeded run of the
 discrete-event simulator is bit-for-bit deterministic.  This package is
 the mechanical check of that guarantee — an AST-based, plugin-style rule
-engine with three rule families, each kept because it flags a recorded
+engine with two rule families, each kept because it flags a recorded
 defect in ``tests/analysis/corpus``:
 
 - **DET*** — determinism: no ambient randomness or wall-clock reads, no
   iteration over hash-ordered sets into order-sensitive paths, no
   ``id()``-derived ordering, no id counter outside the run's;
-- **PRO*** — protocol surface: RPC call/handler names match up, calls
-  carry a timeout path, lock acquires release on all exit paths;
 - **ATM*/INT*** — atomicity: no stale snapshot, torn write or
   interrupt-unsafe mutation across a yield point.
 

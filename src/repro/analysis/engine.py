@@ -12,7 +12,7 @@ through two suppression layers:
   entries stable under unrelated edits.
 
 Rules subclass :class:`Rule` (per-module) or :class:`ProjectRule`
-(whole-tree, e.g. cross-file RPC surface matching) and self-register via
+(whole-tree, e.g. interprocedural may-suspend summaries) and self-register via
 the :func:`register` decorator; importing :mod:`repro.analysis.rules`
 populates the registry.
 """
@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Optional
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
-#: ``# noqa`` / ``# noqa: DET01, PRO02`` inline waiver comments.
+#: ``# noqa`` / ``# noqa: DET01, INT01`` inline waiver comments.
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Za-z0-9_,\s-]+))?")
 
 

@@ -5,6 +5,6 @@ Add a new rule family by creating a module here that defines
 :func:`~repro.analysis.engine.register`, then import it below.
 """
 
-from repro.analysis.rules import atomicity, determinism, protocol
+from repro.analysis.rules import atomicity, determinism
 
-__all__ = ["atomicity", "determinism", "protocol"]
+__all__ = ["atomicity", "determinism"]

@@ -27,7 +27,7 @@ from repro.config import MB
 from repro.core.hashring import ConsistentHashRing
 from repro.faas.scheduler import LocalityScheduler, Scheduler
 from repro.metrics import AccessStats, OpKind
-from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, Endpoint, Reply
+from repro.net.rpc import Endpoint, Reply
 from repro.net.sizes import sizeof
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,8 +107,7 @@ class _MemoryNode:
             yield self.sim.timeout(self.system.lazy_batch_ms)
             yield from self.endpoint.call(
                 f"{victim}/apta-cache-{self.system.app}", "invalidate", key,
-                size_bytes=len(key), timeout=5000.0,
-            )
+                size_bytes=len(key))
         finally:
             self.stale_counts[victim] = max(0, self.stale_counts.get(victim, 1) - 1)
 
@@ -205,8 +204,7 @@ class AptaSystem(StorageAPI):
         home = self.home_of(key)
         value = yield from compute.endpoint.call(
             f"{home}/apta-{self.app}", "read", (key, node_id),
-            size_bytes=len(key) + 8, timeout=DEFAULT_RPC_TIMEOUT_MS,
-        )
+            size_bytes=len(key) + 8)
         # Re-read the registry: install into the node's *current* compute
         # instance, not a handle snapshotted before the RPC suspension.
         compute = self.caches[node_id]
@@ -227,8 +225,7 @@ class AptaSystem(StorageAPI):
         home = self.home_of(key)
         yield from compute.endpoint.call(
             f"{home}/apta-{self.app}", "write", (key, value, node_id),
-            size_bytes=sizeof(value) + len(key), timeout=DEFAULT_RPC_TIMEOUT_MS,
-        )
+            size_bytes=sizeof(value) + len(key))
         # Re-read the registry: install into the node's *current* compute
         # instance, not a handle snapshotted before the RPC suspension.
         compute = self.caches[node_id]
@@ -276,8 +273,7 @@ class AptaScheduler(Scheduler):
             platform.sim.spawn(
                 endpoint.call(
                     memory_node.endpoint.address, "stale_query", None,
-                    size_bytes=8, timeout=DEFAULT_RPC_TIMEOUT_MS,
-                ),
+                    size_bytes=8),
                 name="stale-q",
             )
             for memory_node in system.memory.values()

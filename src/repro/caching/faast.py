@@ -26,7 +26,7 @@ from repro.caching.base import (
 from repro.config import MB
 from repro.core.hashring import ConsistentHashRing
 from repro.metrics import AccessStats, OpKind
-from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, Endpoint, Reply
+from repro.net.rpc import Endpoint, Reply
 from repro.net.sizes import sizeof
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -164,8 +164,7 @@ class FaastSystem(StorageAPI):
             # even though the data is cached locally.
             home_version = yield from instance.endpoint.call(
                 f"{home}/faast-{self.app}", "check_version", key,
-                size_bytes=len(key), timeout=DEFAULT_RPC_TIMEOUT_MS,
-            )
+                size_bytes=len(key))
             self._stats.version_checks += 1
             if home_version == entry.version:
                 self._stats.record(OpKind.LOCAL_READ_HIT, self.sim.now - start)
@@ -173,8 +172,7 @@ class FaastSystem(StorageAPI):
 
         value, version, home_cached = yield from instance.endpoint.call(
             f"{home}/faast-{self.app}", "fetch", key,
-            size_bytes=len(key), timeout=DEFAULT_RPC_TIMEOUT_MS,
-        )
+            size_bytes=len(key))
         if value is not None:
             instance._insert(key, value, version)
         kind = OpKind.REMOTE_READ_HIT if home_cached else OpKind.READ_MISS
@@ -192,8 +190,7 @@ class FaastSystem(StorageAPI):
         else:
             version = yield from instance.endpoint.call(
                 f"{home}/faast-{self.app}", "write", (key, value),
-                size_bytes=sizeof(value), timeout=DEFAULT_RPC_TIMEOUT_MS,
-            )
+                size_bytes=sizeof(value))
             instance._insert(key, value, version)
             kind = OpKind.REMOTE_WRITE_HIT
         self._stats.record(kind, self.sim.now - start)

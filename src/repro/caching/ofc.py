@@ -20,7 +20,7 @@ from repro.caching.base import (
 from repro.config import MB
 from repro.core.hashring import ConsistentHashRing
 from repro.metrics import AccessStats, OpKind
-from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, Endpoint, Reply
+from repro.net.rpc import Endpoint, Reply
 from repro.net.sizes import sizeof
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,9 +112,7 @@ class OfcSystem(StorageAPI):
         else:
             requester = self.agents[node_id].endpoint
             value, cached = yield from requester.call(
-                f"{home}/ofc", "read", key, size_bytes=len(key),
-                timeout=DEFAULT_RPC_TIMEOUT_MS,
-            )
+                f"{home}/ofc", "read", key, size_bytes=len(key))
             kind = OpKind.REMOTE_READ_HIT if cached else OpKind.READ_MISS
         self._stats.record(kind, self.sim.now - start)
         return value
@@ -130,8 +128,7 @@ class OfcSystem(StorageAPI):
             requester = self.agents[node_id].endpoint
             yield from requester.call(
                 f"{home}/ofc", "write", (key, value),
-                size_bytes=sizeof(value), timeout=DEFAULT_RPC_TIMEOUT_MS,
-            )
+                size_bytes=sizeof(value))
             kind = OpKind.REMOTE_WRITE_HIT
         self._stats.record(kind, self.sim.now - start)
         return None

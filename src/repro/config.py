@@ -112,9 +112,6 @@ class SimConfig:
     #: Heartbeats missed before a node is declared failed.
     heartbeat_misses: int = 3
 
-    #: RPC timeout after which a peer is reported unreachable.
-    rpc_timeout_ms: float = 5000.0
-
     #: Latency model shared by all components.
     latency: LatencyModel = field(default_factory=LatencyModel)
 

@@ -40,7 +40,7 @@ from repro.obs.events import (
     RECOVERY_SURVIVOR,
 )
 from repro.net.rpc import (
-    DEFAULT_RPC_TIMEOUT_MS,
+    DeadlineExceeded,
     Endpoint,
     Reply,
     RpcError,
@@ -389,9 +389,7 @@ class CacheAgent:
                 else:
                     reply = yield from self.endpoint.call(
                         self._address_of(home), op, (key, *args),
-                        size_bytes=size_bytes,
-                        timeout=self.system.config.rpc_timeout_ms,
-                    )
+                        size_bytes=size_bytes)
                 result = granted(key, reply, home, epoch)
             except NotHome:
                 yield self.sim.sleep(RETRY_DELAY_MS)
@@ -799,17 +797,26 @@ class CacheAgent:
         early, because a failed peer's copies are unreadable (crash) or
         about to be flushed (ejection).  A timeout reports ``peer``
         unreachable; if the epoch moved instead, the call is made again.
+        Once the request's budget is spent, the calls go out outside it:
+        the reply will be late, but the peer must still drop its copy or
+        be reported.
         """
+        spent = False
         while peer in self.ring and not self.ejected:
             epoch = self.epoch
             call = self.sim.spawn(self._call_catching(
                 self._address_of(peer), method, key, len(key)), name=name)
+            if spent:
+                call.deadline = None
             yield self.sim.any_of([call, self._removal_event(peer)])
             if not call.triggered:
                 return None
             status, reply = call.value
             if status == "ok":
                 return reply
+            if isinstance(reply, DeadlineExceeded):
+                spent = True
+                continue
             if (not isinstance(reply, RpcTimeout)
                     or self._report_timeout(peer, epoch)):
                 return None
@@ -819,9 +826,7 @@ class CacheAgent:
         """RPC returning ("ok", value) or ("err", exception) — never raises."""
         try:
             value = yield from self.endpoint.call(
-                dst, method, args, size_bytes=size,
-                timeout=self.system.config.rpc_timeout_ms,
-            )
+                dst, method, args, size_bytes=size)
         except RpcError as exc:
             return ("err", exc)
         return ("ok", value)
@@ -1159,9 +1164,7 @@ class CacheAgent:
         """Install transferred directory ``entries`` at ``home``."""
         yield from self.endpoint.call(
             self._address_of(home), "dir_install", entries,
-            size_bytes=ENTRY_WIRE_BYTES * len(entries),
-            timeout=DEFAULT_RPC_TIMEOUT_MS,
-        )
+            size_bytes=ENTRY_WIRE_BYTES * len(entries))
 
     def _handle_domain_commit(self, endpoint, src, args):
         kind, member, roster = args
@@ -1321,10 +1324,10 @@ class CacheAgent:
 
         try:
             for key in keys:
-                # Deliberate lock handoff: released by the returned
-                # closure once the caller's dir_install RPC is acknowledged.
+                # Handed off: released by the returned closure once the
+                # caller's dir_install RPC is acknowledged.
                 lock = self._lock(self._key_locks, key)
-                yield lock.acquire_wait()  # noqa: PRO03
+                yield lock.acquire_wait()
                 held.append(lock)
         except BaseException:
             release()  # interrupted partway: give back what it took

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 from repro.coord.service import MembershipEvent, ping_handler
 from repro.core.agent import NotHome
 from repro.core.recovery import RecoveryTracker
-from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, Endpoint, RpcTimeout
+from repro.net.rpc import RPC_TIMEOUT_MS, Endpoint, RpcError, RpcTimeout
 from repro.obs.events import (
     DOMAIN_CHANGE,
     MEMBER_JOIN,
@@ -118,8 +118,7 @@ class AppController:
                 self._finish_recovery(pending.failed_member)
 
     def _reask_later(self, member: str) -> None:
-        self.sim.call_at(self.sim.now + self.system.config.rpc_timeout_ms,
-                         self._reask, member)
+        self.sim.call_at(self.sim.now + RPC_TIMEOUT_MS, self._reask, member)
 
     def _missing_acks(self, member: str) -> list:
         """Survivors whose ack for ``member`` is missing."""
@@ -217,14 +216,9 @@ class AppController:
             # Phase 1: all agents raise barriers and transfer the
             # directory entries whose home moves.
             prepare_calls = [
-                self.sim.spawn(
-                    self.endpoint.call(
-                        f"{node_id}/concord-{self.app}", "domain_prepare",
-                        (kind, member), size_bytes=32,
-                        timeout=DEFAULT_RPC_TIMEOUT_MS,
-                    ),
-                    name=f"prep:{node_id}",
-                )
+                self.sim.spawn(self._ask(node_id, "domain_prepare",
+                                         (kind, member)),
+                               name=f"prep:{node_id}")
                 for node_id in participants
             ]
             yield self.sim.all_of(prepare_calls)
@@ -248,15 +242,12 @@ class AppController:
             if closes_recovery:
                 self._recoveries[member].complete = True
             commit_calls = [
-                self.sim.spawn(
-                    self.endpoint.call(
-                        f"{node_id}/concord-{self.app}", "domain_commit",
-                        (kind, member, roster), size_bytes=32,
-                        timeout=DEFAULT_RPC_TIMEOUT_MS,
-                    ),
-                    name=f"commit:{node_id}",
-                )
+                self.sim.spawn(self._ask(node_id, "domain_commit",
+                                         (kind, member, roster)),
+                               name=f"commit:{node_id}")
+                # A participant declared failed since the prepare is out.
                 for node_id in participants
+                if node_id in self.ring or node_id == member
             ]
             yield self.sim.all_of(commit_calls)
             if kind == "join":
@@ -278,6 +269,19 @@ class AppController:
                          members=len(self.ring.members))
         finally:
             self._domain_busy = False
+
+    def _ask(self, node_id: str, method: str, args: tuple):
+        """One participant's phase of a domain change (``args`` is
+        ``(kind, member, ...)``).  A member declared failed meanwhile is
+        no longer awaited, as a recovery stops awaiting its ack, so its
+        call failing fails nothing; the joiner's still does."""
+        kind, member = args[0], args[1]
+        try:
+            yield from self.endpoint.call(
+                f"{node_id}/concord-{self.app}", method, args, size_bytes=32)
+        except RpcError:
+            if node_id in self.ring or (kind == "join" and node_id == member):
+                raise
 
     # -- external writes ----------------------------------------------------------
     def forward_external_write(self, key: str, version: int) -> None:

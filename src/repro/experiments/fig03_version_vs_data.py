@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.config import KB, SimConfig
 from repro.experiments.tables import ExperimentResult
-from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, Endpoint, Reply
+from repro.net.rpc import Endpoint, Reply
 from repro.session import Session
 
 SIZES = (1 * KB, 4 * KB, 12 * KB, 32 * KB, 64 * KB, 256 * KB, 1024 * KB)
@@ -34,16 +34,13 @@ def run(scale: float = 1.0, seed: int = 103) -> ExperimentResult:
         return Reply("blob", size_bytes=size)
         yield  # pragma: no cover
 
-    # Called through measure(method, ...) below, invisible to the static
-    # RPC-surface match.
-    server.register_handler("version", version_handler)  # noqa: PRO01
+    server.register_handler("version", version_handler)
     server.register_handler("fetch", data_handler)
     client = Endpoint(cluster.network, "node0", "bench")
 
     def measure(method, args, size):
         return s.run(client.call("node1/bench", method, args,
-                                 size_bytes=size,
-                                 timeout=DEFAULT_RPC_TIMEOUT_MS)).duration_ms
+                                 size_bytes=size)).duration_ms
 
     result = ExperimentResult(
         experiment="Figure 3",

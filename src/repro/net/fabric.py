@@ -40,6 +40,9 @@ class Message:
     #: scheme's vector clocks).  Opaque to the fabric; callers that care
     #: about wire realism must fold its size into ``size_bytes``.
     meta: Optional[object] = None
+    #: Absolute sim ms by which the caller stops waiting (requests only):
+    #: the handler's nested calls inherit it (:meth:`Endpoint.call`).
+    deadline: Optional[float] = None
 
 
 #: address -> node id memo for :meth:`Network.node_of`.  Addresses are

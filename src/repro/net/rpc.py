@@ -13,6 +13,14 @@ Callers use :meth:`Endpoint.call`, which yields the response value or
 raises :class:`RpcTimeout` when the peer never answers (crashed node,
 dropped message) — mirroring how the real system detects unreachable
 peers.
+
+The budget a call waits is its call chain's, as in gRPC's deadline
+propagation: a request carries its absolute deadline, the handler (and
+every non-daemon process it spawns) inherits it, and a call made there
+waits only what is left of it, less a hop's margin.  So the innermost
+wait of a chain gives up first, and it is the node that owes that reply
+which gets reported unreachable.  A call outside any handler starts a
+chain with :data:`RPC_TIMEOUT_MS`.
 """
 
 from __future__ import annotations
@@ -31,10 +39,16 @@ from repro.trace.tracer import (  # noqa: F401 - re-export
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
 
-#: Library-wide RPC timeout.  Callers that have no system-level timeout
-#: config should pass this explicitly (the PRO02 static-analysis rule
-#: requires every call site to name its timeout path).
-DEFAULT_RPC_TIMEOUT_MS = 5000.0
+#: The budget of a call that starts a chain (no inherited deadline).
+RPC_TIMEOUT_MS = 5000.0
+
+#: What a nested call leaves its handler, and the step nested budgets
+#: round down to.  It must cover what a handler does after its nested
+#: wait ends plus one reply: on the E-owner write path a storage write
+#: after the invalidation (30 ms RTT, up to 60 ms more across regions)
+#: and the reply (1-31 ms).  Rounding to one step also bounds the
+#: deadline lanes (Simulator.call_later) to RPC_TIMEOUT_MS / HOP_MS.
+HOP_MS = 250.0
 
 
 class RpcError(Exception):
@@ -49,6 +63,14 @@ class RpcTimeout(RpcError):
         self.dst = dst
         self.method = method
         self.timeout = timeout
+
+
+class DeadlineExceeded(RpcError):
+    """The calling chain's budget was spent before the call was sent.
+
+    Not an :class:`RpcTimeout`: no peer failed to answer, so none is
+    reported unreachable for the caller's own lateness.
+    """
 
 
 class PeerDown(RpcTimeout):
@@ -353,8 +375,10 @@ class Endpoint:
         process = self.sim.spawn(self._serve(handler, message), name=name,
                                  daemon=True)
         # The handler joins the caller's span tree: its ambient context is
-        # whatever TraceContext travelled with the request.
+        # whatever TraceContext travelled with the request.  It answers
+        # by the caller's deadline (a daemon spawn inherits none).
         process.trace_ctx = message.trace
+        process.deadline = message.deadline
         # Joined here, not in _serve: a crash between this spawn and the
         # handler's first step must still find (and interrupt) it.
         self.scope.join(process)
@@ -457,9 +481,13 @@ class Endpoint:
 
             value = yield from endpoint.call("node1/agent", "read", {...})
 
-        Raises :class:`RpcTimeout` if no response arrives within
-        ``timeout`` ms (default 5000), and re-raises any :class:`RpcError`
-        the handler failed with.
+        Raises :class:`RpcTimeout` if no response arrives within the
+        call's budget, and re-raises any :class:`RpcError` the handler
+        failed with.  The budget is the chain's: outside a handler it is
+        ``timeout`` or :data:`RPC_TIMEOUT_MS`; inside one it is what is
+        left of the inherited deadline, rounded down to a multiple of
+        :data:`HOP_MS`, less one ``HOP_MS`` (``timeout`` caps it).  A
+        spent budget raises :class:`DeadlineExceeded` and sends nothing.
 
         ``trace`` names the call's position in the span tree:
         the default :data:`INHERIT` attaches to the calling process's
@@ -472,6 +500,16 @@ class Endpoint:
         ``server_start_ms`` / ``server_end_ms``.
         """
         sim = self.sim
+        process = sim.active_process
+        deadline = process.deadline if process is not None else None
+        if deadline is None:
+            limit = timeout if timeout is not None else RPC_TIMEOUT_MS
+        else:
+            limit = (deadline - sim.now) // HOP_MS * HOP_MS - HOP_MS
+            if timeout is not None and timeout < limit:
+                limit = timeout
+            if limit <= 0.0:
+                raise DeadlineExceeded(f"{method!r} to {dst}: budget spent")
         tracer = sim.tracer
         span = None
         ctx = None
@@ -486,9 +524,7 @@ class Endpoint:
                 self.network.send(Message(
                     self.address, dst, method, (method, args),
                     size_bytes if size_bytes is not None else sizeof(args),
-                    request_id, False, ctx, meta))
-                limit = (timeout if timeout is not None
-                         else DEFAULT_RPC_TIMEOUT_MS)
+                    request_id, False, ctx, meta, sim.now + limit))
                 # In the slot the old Timeout used.  A response cancels
                 # it; an interrupted call keeps it, and it fires (and
                 # schedules the gate) exactly as it always has.

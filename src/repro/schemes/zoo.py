@@ -62,7 +62,6 @@ from repro.config import MB
 from repro.coord.service import ping_handler
 from repro.metrics import AccessStats, OpKind
 from repro.net.rpc import (
-    DEFAULT_RPC_TIMEOUT_MS,
     Endpoint,
     Reply,
     RpcTimeout,

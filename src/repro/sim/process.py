@@ -55,7 +55,7 @@ class Process(Event):
     """
 
     __slots__ = ("generator", "daemon", "trace_ctx", "trace_lane", "scope",
-                 "_waiting_on", "_send", "_throw", "_sleep_token",
+                 "deadline", "_waiting_on", "_send", "_throw", "_sleep_token",
                  "_ready_of")
 
     def __init__(
@@ -82,6 +82,9 @@ class Process(Event):
         self.trace_lane = None
         #: The :class:`Scope` this process is a member of, if any.
         self.scope = None
+        #: Absolute sim ms by which the request this process serves must
+        #: be answered, or None (see Endpoint.call).
+        self.deadline = None
         #: The event this process is currently blocked on, if any.
         self._waiting_on: Optional[Event] = None
         #: Wheel entry of an in-flight raw sleep (see Simulator.sleep).

@@ -253,12 +253,16 @@ class Simulator:
         The child inherits the spawner's TraceContext, so work forked from
         inside a traced operation (handlers, invalidations, write-through
         processes) stays attached to that operation's span tree, and its
-        :class:`Scope`, so it ends with what started it.
+        :class:`Scope`, so it ends with what started it.  A non-daemon
+        child is part of the spawner's answer, so it also inherits the
+        spawner's RPC deadline; a daemon is not, and starts without one.
         """
         process = Process(self, generator, name=name, daemon=daemon)
         active = self.active_process
         if active is not None:
             process.trace_ctx = active.trace_ctx
+            if not daemon:
+                process.deadline = active.deadline
             scope = active.scope
             if scope is not None:
                 scope._running[process] = None

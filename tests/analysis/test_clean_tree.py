@@ -1,9 +1,8 @@
 """Tier-1 gate: the shipped tree passes its own static analysis.
 
 This is the CI wiring of the determinism contract — any new ambient
-randomness, unordered set iteration, private id counter, RPC call
-without a timeout path, unbalanced lock acquire or yield-point race in
-``src/repro`` fails the default pytest run, warnings included.
+randomness, unordered set iteration, private id counter or yield-point
+race in ``src/repro`` fails the default pytest run, warnings included.
 Waive deliberate exceptions inline with ``# noqa: RULEID`` or accept
 them in ``analysis-baseline.json`` at the repo root.
 """

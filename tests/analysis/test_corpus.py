@@ -7,9 +7,6 @@ lines its fix changed carry a ``# defect`` comment.  ``ENTRIES`` pins the
 exact set of rule ids the analyzer reports on each; an empty set is a
 result too (the analyzer missed that defect).  A rule family stays in
 the analyzer only while one of its rules flags a corpus defect.
-
-PRO01 matches RPC call and handler names across the whole tree, and a
-cut has no tree, so the corpus runs every rule but PRO01.
 """
 
 from pathlib import Path
@@ -32,7 +29,6 @@ ENTRIES = {
     # What the analyzer found when it landed (PRs 1 and 6).
     "txn/set_iteration_order.py": ("8fa75c5", {"DET02"}),
     "experiments/id_dedup.py": ("8fa75c5", {"DET03"}),
-    "apta/rpc_timeout.py": ("8fa75c5", {"PRO02"}),
     "net/inflight_leak.py": ("909923c", {"ATM02", "INT01"}),
     "apta/cache_before_storage.py": ("909923c", {"INT01"}),
     # The races the runtime checker caught when fault injection landed.
@@ -42,14 +38,12 @@ ENTRIES = {
 #: The families of DESIGN.md §6 and §11, by rule-id prefix.
 FAMILIES = {
     "determinism": ("DET",),
-    "protocol": ("PRO",),
     "atomicity": ("ATM", "INT"),
 }
 
 
 def _report(fixture: str):
-    rules = [rule for rule in all_rules().values() if rule.id != "PRO01"]
-    return Analyzer(rules=rules).run([CORPUS / fixture])
+    return Analyzer().run([CORPUS / fixture])
 
 
 @pytest.mark.parametrize("fixture", sorted(ENTRIES))

@@ -43,24 +43,22 @@ class TestBaseline:
 
 class TestReport:
     def test_exit_codes(self):
-        report = Analyzer().run([FIXTURES / "bad_protocol.py"])
+        report = Analyzer().run([FIXTURES / "bad_determinism.py"])
         assert report.exit_code() == 1
-        clean = Analyzer(select=["DET01"]).run([FIXTURES / "bad_protocol.py"])
+        clean = Analyzer(select=["ATM01"]).run(
+            [FIXTURES / "bad_determinism.py"])
         assert clean.findings == []
         assert clean.exit_code() == 0
 
     def test_strict_fails_on_warnings(self):
-        report = Analyzer(select=["PRO01"]).run(
-            [FIXTURES / "bad_protocol.py"])
-        assert report.warnings
-        errors_only = [f for f in report.findings if f.severity == "error"]
-        warning_report = Analyzer(select=["PRO01"]).run(
-            [FIXTURES / "bad_protocol.py"])
-        warning_report.findings = [
-            f for f in warning_report.findings if f.severity == "warning"]
-        assert warning_report.exit_code(strict=False) == 0
-        assert warning_report.exit_code(strict=True) == 1
-        assert errors_only  # the fixture still has PRO01 errors
+        report = Analyzer(select=["DET01"]).run(
+            [FIXTURES / "bad_determinism.py"])
+        assert report.errors
+        report.findings = [Finding(rule="DET01", path="p", line=1, col=0,
+                                   message="m", severity="warning")]
+        assert report.warnings and not report.errors
+        assert report.exit_code(strict=False) == 0
+        assert report.exit_code(strict=True) == 1
 
 
 class TestCli:
@@ -113,5 +111,5 @@ class TestCli:
 
 def test_rule_catalogue_complete():
     ids = set(all_rules())
-    assert {"DET01", "DET02", "DET03", "DET04", "PRO01", "PRO02", "PRO03",
+    assert {"DET01", "DET02", "DET03", "DET04",
             "ATM01", "ATM02", "INT01"} <= ids

@@ -124,6 +124,27 @@ class TestLeave:
         for key in KEYS[:20]:
             assert do(concord.read("node3", key)) == DataItem(f"val-{key}", size_bytes=64)
 
+    def test_a_participant_declared_mid_prepare_is_not_awaited(
+            self, sim, do, concord, cluster, coord, loaded):
+        """node3's answer to the leave's prepare is lost, and node3 is
+        declared failed meanwhile (it ends its incarnation and rejoins):
+        the leave stops waiting for it and commits, as a recovery stops
+        awaiting the ack of a member that failed."""
+        now = sim.now
+        cluster.network.fault_rules().add_drop(
+            now, now + 3000.0, 1.0, src="node3", dst="ctl-app1")
+
+        def declare():
+            yield sim.sleep(100.0)
+            coord.report_unreachable("app1", "node3")
+
+        sim.spawn(declare())
+        do(concord.remove_instance("node2"))
+        assert "node2" not in concord.controller.ring
+        sim.run(until=sim.now + 5000.0)
+        assert concord.controller.ring.members == {"node0", "node1", "node3"}
+        assert not concord.agents["node3"].ejected
+
     def test_remove_unknown_instance_is_noop(self, do, concord):
         do(concord.remove_instance("node99"))
 

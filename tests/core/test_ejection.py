@@ -81,6 +81,32 @@ class TestEjection:
                 assert entry.value == cluster.storage.peek("k").value
 
 
+class TestSpentBudget:
+    def test_a_home_whose_budget_is_spent_still_invalidates(
+            self, sim, do, concord, cluster):
+        """The home's invalidation of a live sharer is lost and times out
+        after the epoch moved (the other sharer was declared meanwhile),
+        so the home asks again with the write's budget spent: the call
+        goes out outside that budget, and the sharer drops its copy
+        instead of being skipped."""
+        cluster.storage.preload({"k": V("v0")})
+        home = concord.controller.ring.home("k")
+        live, crashed, writer = [node for node in sorted(concord.agents)
+                                 if node != home]
+        do(concord.read(live, "k"))
+        do(concord.read(crashed, "k"))
+        now = sim.now
+        cluster.network.fault_rules().add_drop(
+            now, now + 4000.0, 1.0, src=home, dst=live)
+        sim.spawn(concord.write(writer, "k", V("v1")))
+        sim.run(until=now + 100.0)
+        cluster.crash_node(crashed)
+        sim.run(until=now + 10_000.0)
+        assert cluster.storage.peek("k").value == V("v1")
+        assert concord.agents[live].cache.get("k") is None
+        assert live in concord.controller.ring
+
+
 class TestEjectedShardedHome:
     def test_ejected_agent_with_an_empty_shard_is_not_home(
             self, do, cluster, coord):

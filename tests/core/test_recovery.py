@@ -8,6 +8,7 @@ observes an inconsistent mix of old and new values.
 
 import pytest
 
+from repro.net.rpc import RPC_TIMEOUT_MS
 from repro.storage import DataItem
 
 
@@ -223,7 +224,7 @@ class TestDroppedRecoveryAck:
         assert controller.open_recoveries() == [("node1", ["node2"])]
         assert "node1" in survivor._barriers
         # Asked again, the survivor that already recovered only acks.
-        settle(sim, concord.config.rpc_timeout_ms)
+        settle(sim, RPC_TIMEOUT_MS)
         assert controller.open_recoveries() == []
         assert controller.recoveries_completed == 1
         assert "node1" not in survivor._barriers

@@ -13,7 +13,7 @@ from repro.cluster import Cluster
 from repro.config import SimConfig
 from repro.faults import FaultInjector, FaultPlan, NodeCrash
 from repro.net import Endpoint, Reply
-from repro.net.rpc import DEFAULT_RPC_TIMEOUT_MS, PeerDown, RpcTimeout
+from repro.net.rpc import RPC_TIMEOUT_MS, PeerDown, RpcTimeout
 from repro.sim import Simulator
 
 
@@ -65,7 +65,7 @@ class TestPeerDown:
         assert outcome == "error"
         assert isinstance(exc, PeerDown)
         # One propagation delay, not the 5000 ms library timeout.
-        assert when - 20.0 < DEFAULT_RPC_TIMEOUT_MS / 10
+        assert when - 20.0 < RPC_TIMEOUT_MS / 10
 
     def test_without_fail_fast_the_same_call_times_out(self, sim, cluster):
         Endpoint(cluster.network, "node1", "svc").register_handler(

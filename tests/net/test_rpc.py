@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import KB, LatencyModel
 from repro.net import Endpoint, Network, Reply, RpcError, RpcTimeout
+from repro.net.rpc import HOP_MS, RPC_TIMEOUT_MS, DeadlineExceeded
 from repro.sim import Simulator
 
 
@@ -161,6 +162,101 @@ class TestCall:
             sim.spawn(caller(sim, tag))
         sim.run()
         assert sorted(results) == ["a", "b", "c"]
+
+
+class TestDeadlines:
+    """A call's budget is its chain's: a handler's nested calls wait only
+    what is left of the request's deadline, less a hop."""
+
+    def relay(self, net, nested):
+        """node1/svc "relay" runs ``nested(endpoint)`` and answers with
+        its result; node0/svc is the client."""
+        def relay_handler(endpoint, src, args):
+            return Reply((yield from nested(endpoint, args)))
+
+        Endpoint(net, "node1", "svc").register_handler("relay", relay_handler)
+        return Endpoint(net, "node0", "svc")
+
+    def test_a_nested_call_times_out_a_hop_before_its_caller(self, sim, net):
+        fired = []
+
+        def nested(endpoint, args):
+            try:
+                yield from endpoint.call("node9/gone", "echo", None)
+            except RpcTimeout as exc:
+                fired.append(sim.now)
+                return ("inner timed out", exc.timeout % HOP_MS)
+
+        client = self.relay(net, nested)
+        p = sim.spawn(client.call("node1/svc", "relay", None))
+        sim.run()
+        assert p.value == ("inner timed out", 0.0)
+        assert fired[0] <= RPC_TIMEOUT_MS - HOP_MS
+
+    def test_a_call_outside_any_handler_gets_the_full_budget(self, sim, net):
+        client = Endpoint(net, "node0", "svc")
+
+        def caller():
+            try:
+                yield from client.call("node9/gone", "echo", None)
+            except RpcTimeout as exc:
+                return exc.timeout, sim.now
+
+        p = sim.spawn(caller())
+        sim.run()
+        assert p.value == (RPC_TIMEOUT_MS, RPC_TIMEOUT_MS)
+
+    def test_a_daemon_a_handler_spawns_gets_the_full_budget(self, sim, net):
+        budgets = []
+
+        def background(endpoint):
+            try:
+                yield from endpoint.call("node9/gone", "echo", None)
+            except RpcTimeout as exc:
+                budgets.append(exc.timeout)
+
+        def nested(endpoint, args):
+            sim.spawn(background(endpoint), daemon=True)
+            return "spawned"
+            yield  # pragma: no cover - generator marker
+
+        client = self.relay(net, nested)
+        p = sim.spawn(client.call("node1/svc", "relay", None, timeout=1000.0))
+        sim.run()
+        assert (p.value, budgets) == ("spawned", [RPC_TIMEOUT_MS])
+
+    def test_a_spent_budget_sends_nothing_and_blames_nobody(self, sim, net):
+        seen = []
+
+        def nested(endpoint, args):
+            sent = net.stats.messages
+            try:
+                yield from endpoint.call("node2/svc", "echo", None)
+            except DeadlineExceeded as exc:
+                seen.append((net.stats.messages - sent,
+                             isinstance(exc, RpcTimeout), endpoint.timeouts))
+            return "late"
+
+        client = self.relay(net, nested)
+        # Less than two hops left on arrival: nothing to give a nested call.
+        p = sim.spawn(client.call("node1/svc", "relay", None,
+                                  timeout=2 * HOP_MS - 1.0))
+        sim.run()
+        assert (p.value, seen) == ("late", [(0, False, 0)])
+
+    def test_nested_budgets_share_a_bounded_set_of_lanes(self, sim, net):
+        Endpoint(net, "node2", "svc").register_handler("echo", echo_handler)
+
+        def nested(endpoint, wait):
+            yield sim.sleep(wait)
+            return (yield from endpoint.call("node2/svc", "echo", wait))
+
+        client = self.relay(net, nested)
+        calls = [sim.spawn(client.call("node1/svc", "relay", index * 37.3))
+                 for index in range(100)]
+        sim.run()
+        assert [call.value for call in calls] == [i * 37.3 for i in range(100)]
+        assert len(sim._lanes) <= RPC_TIMEOUT_MS / HOP_MS + 2
 
 
 class TestNotify:

@@ -145,25 +145,52 @@ class TestStepRule:
             op["attrs"]["storage:read.ms"])
         assert list(folded_leaves(invoke["attrs"])) == []
 
-    def test_a_step_that_outlives_its_span_is_filed(self, session):
-        """node1's invalidation ack is dropped, so node3's home write
-        waits out the RPC timeout and its caller's call times out first:
-        the home write (and the lost invalidation) are filed as spans
-        under the timed-out ``rpc`` span, not dropped."""
-        self.drive(session, session.system.read("node1", "k"))
-        self.drive(session, session.system.read("node2", "k"))
+    @staticmethod
+    def lose_node1_ack(session):
+        """node1 and node2 share "k"; every node1 -> node0 message drops."""
+        TestStepRule.drive(session, session.system.read("node1", "k"))
+        TestStepRule.drive(session, session.system.read("node2", "k"))
         now = session.sim.now
         session.cluster.network.fault_rules().add_drop(
             now, now + 20_000.0, 1.0, src="node1", dst="node0")
+
+    def test_a_lost_ack_blames_the_silent_sharer_not_the_home(self, session):
+        """node0's wait on node1's lost ack is nested in node3's ``write``
+        call, so it inherits that call's deadline less a hop and times out
+        first: node1 is reported, the live home never is, and the write
+        commits."""
+        self.lose_node1_ack(session)
         self.drive(session, session.system.write("node3", "k",
                                                  DataItem("v1", 256)))
+        assert session.cluster.storage.peek("k").value == DataItem("v1", 256)
+        events = session.obs.events()
+        declared = [e.attrs["member"] for e in events
+                    if e.type == "member.declare"]
+        assert "node0" not in declared
+        timeouts = [(e.node, e.attrs["dst"], e.attrs["method"])
+                    for e in events if e.type == "rpc.timeout"]
+        assert timeouts == [("node0/concord-t", "node1/concord-t",
+                             "invalidate")]
+
+    def test_a_step_that_outlives_its_span_is_filed(self, session):
+        """node1's invalidation ack is dropped, and node3 crashes while
+        node0's home write waits on it, ending the caller's ``rpc:write``
+        span first: the home write (and the lost invalidation) are filed
+        as spans under the ended ``rpc`` span, not dropped."""
+        self.lose_node1_ack(session)
+        sim = session.sim
+        writer = sim.spawn(session.system.write("node3", "k",
+                                                DataItem("v1", 256)))
+        session.cluster.nodes["node3"].scope.join(writer)
+        sim.run(until=sim.now + 100.0)  # node2's ack is back by now
+        session.cluster.crash_node("node3")
+        sim.run(until=sim.now + 10_000.0)
         spans = {span["span_id"]: span for span in session.tracer.to_dicts()}
         (home_write,) = [span for span in spans.values()
                          if span["category"] == "agent"]
         assert home_write["name"] == "home_write"
         caller = spans[home_write["parent_id"]]
-        assert (caller["name"], caller["attrs"]["status"]) == ("rpc:write",
-                                                               "timeout")
+        assert caller["name"] == "rpc:write"
         assert caller["end_ms"] < home_write["end_ms"]
         (lost,) = [span for span in spans.values()
                    if span["category"] == "invalidation"]
@@ -177,12 +204,8 @@ class TestStepRule:
         ``inv:`` children and ``wt:`` write-through end in the crash's
         instant (they are in the handler's scope), and the write never
         commits."""
-        self.drive(session, session.system.read("node1", "k"))
-        self.drive(session, session.system.read("node2", "k"))
+        self.lose_node1_ack(session)
         sim = session.sim
-        now = sim.now
-        session.cluster.network.fault_rules().add_drop(
-            now, now + 20_000.0, 1.0, src="node1", dst="node0")
         spawned = {}
         spawn = sim.spawn
 
