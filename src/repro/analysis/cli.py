@@ -8,8 +8,7 @@ Usage::
     python -m repro.analysis --write-baseline src # accept current findings
 
 Exit status: 0 when the tree is clean (modulo waivers/baseline), 1 when
-any error-severity finding or parse error remains; ``--strict`` also
-fails on warnings.
+any finding or parse error remains.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--select", action="append", default=None,
                         metavar="RULE", help="run only these rule ids "
                         "(repeatable)")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat warnings as failures")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     return parser
@@ -81,7 +78,6 @@ def _render_text(report, out) -> None:
         print(f"{path}: parse-error: {message}", file=out)
     summary = (f"{report.files} files analyzed: "
                f"{len(report.errors)} error(s), "
-               f"{len(report.warnings)} warning(s), "
                f"{report.waived} waived, {report.baselined} baselined")
     print(summary, file=out)
 
@@ -92,7 +88,7 @@ def _render_sarif(report, rules, out) -> None:
     for finding in report.findings:
         results.append({
             "ruleId": finding.rule,
-            "level": ("error" if finding.severity == "error" else "warning"),
+            "level": finding.severity,
             "message": {"text": finding.message},
             "locations": [{
                 "physicalLocation": {
@@ -129,8 +125,7 @@ def _render_sarif(report, rules, out) -> None:
                         "name": rule.name,
                         "shortDescription": {"text": rule.description},
                         "defaultConfiguration": {
-                            "level": ("error" if rule.severity == "error"
-                                      else "warning"),
+                            "level": rule.severity,
                         },
                     }
                     for rule in rules
@@ -147,7 +142,6 @@ def _render_json(report, out) -> None:
     payload = {
         "files": report.files,
         "errors": len(report.errors),
-        "warnings": len(report.warnings),
         "waived": report.waived,
         "baselined": report.baselined,
         "parse_errors": [
@@ -216,7 +210,7 @@ def _run(args, out) -> int:
         import os
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return report.exit_code(strict=args.strict)
+    return report.exit_code()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,6 @@ from pathlib import Path, PurePosixPath
 from typing import Iterable, Iterator, Optional
 
 SEVERITY_ERROR = "error"
-SEVERITY_WARNING = "warning"
 
 #: ``# noqa`` / ``# noqa: DET01, INT01`` inline waiver comments.
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Za-z0-9_,\s-]+))?")
@@ -190,15 +189,15 @@ class Rule:
         return ()
 
     # -- helpers for subclasses ------------------------------------------
-    def finding(self, module: ModuleInfo, node: ast.AST, message: str,
-                severity: Optional[str] = None) -> Finding:
+    def finding(self, module: ModuleInfo, node: ast.AST,
+                message: str) -> Finding:
         return Finding(
             rule=self.id,
             path=module.display_path,
             line=getattr(node, "lineno", 0),
             col=getattr(node, "col_offset", 0),
             message=message,
-            severity=severity or self.severity,
+            severity=self.severity,
             symbol=module.qualname(node),
         )
 
@@ -314,16 +313,8 @@ class AnalysisReport:
     def errors(self) -> list:
         return [f for f in self.findings if f.severity == SEVERITY_ERROR]
 
-    @property
-    def warnings(self) -> list:
-        return [f for f in self.findings if f.severity == SEVERITY_WARNING]
-
-    def exit_code(self, strict: bool = False) -> int:
-        if self.parse_errors or self.errors:
-            return 1
-        if strict and self.warnings:
-            return 1
-        return 0
+    def exit_code(self) -> int:
+        return 1 if self.parse_errors or self.errors else 0
 
 
 class Analyzer:

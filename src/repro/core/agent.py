@@ -228,7 +228,7 @@ class CacheAgent:
         """Read ``key``: the whole operation, accounting included.
 
         :meth:`ConcordSystem._do_read` hands this generator straight to
-        the caller, so a local hit is one generator frame, one wheel
+        the caller, so a local hit is one generator frame, one schedule
         entry (the local-access sleep), a C lookup and one stats record.
         """
         sim = self.sim

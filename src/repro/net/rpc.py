@@ -137,7 +137,7 @@ class _RpcWaiter(Event):
       slot the old ``Timeout`` used; it fires :meth:`_deadline`, which
       triggers the gate only if nothing else already has.  A response or
       a fail-fast reset cancels it, so an answered call's deadline never
-      reaches the wheel (its firing would be a no-op anyway);
+      reaches the schedule (its firing would be a no-op anyway);
     - response delivery records the payload on the waiter
       (unconditionally — a same-tick-as-deadline response must still win,
       matching the old code where the response event fired independently

@@ -14,7 +14,7 @@ the metrics registry:
   :data:`NULL_RECORDER` whose ``active`` flag lets emission sites skip
   argument packing entirely.
 * **Purely passive**: recording appends to a Python list and never
-  schedules, yields or otherwise touches the event wheel, so a run with
+  schedules, yields or otherwise touches the schedule, so a run with
   the recorder enabled is schedule-identical — and therefore
   counter-identical — to the same run without it (the golden identity
   pins hold this).

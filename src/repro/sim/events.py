@@ -87,22 +87,12 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = value
         self._state = TRIGGERED
-        # Inlined Simulator._schedule zero-delay fast path (succeed is the
-        # single busiest scheduling site in a run).
+        # Inlined Simulator._schedule at zero delay (succeed is the single
+        # busiest scheduling site in a run).
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
-        wheel = sim._wheel
-        free = wheel._free
-        if free:
-            entry = free.pop()
-            entry[0] = sim.now
-            entry[1] = seq
-            entry[2] = self
-        else:
-            entry = [sim.now, seq, self, None, None]
-        wheel._live += 1
-        wheel._imm.append(entry)
+        sim._imm.append((sim.now, seq, _process, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -186,6 +176,10 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         label = self.name or type(self).__name__
         return f"<{label} {self._state}>"
+
+
+#: The dispatch of an event's schedule entry, ``(time, seq, _process, event)``.
+_process = Event._process
 
 
 class Timeout(Event):

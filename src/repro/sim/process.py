@@ -25,14 +25,14 @@ class _Sentinel:
         return f"<{self._label}>"
 
 
-#: Yielded by :meth:`Simulator.sleep`: the wakeup entry is already in the
-#: wheel (registered by ``sleep``), so there is no event to attach a
+#: Yielded by :meth:`Simulator.sleep`: the wakeup entry is already
+#: scheduled (by ``sleep``), so there is no event to attach a
 #: callback to — the process just parks until the entry fires.
 RAW_WAIT = _Sentinel("raw-wait")
 
 #: Yielded by :meth:`Resource.acquire_wait` when it took a free slot: the
 #: wait is already over and the process is owed one zero-delay hop.  The
-#: stepping code pays it through the wheel (``_park``) unless the
+#: stepping code pays it as a schedule entry (``_park``) unless the
 #: next-entry rule says the hop would be the next entry dispatched — then
 #: it just sends again.  Whoever returns ``READY`` must have scheduled
 #: nothing and named the resource in ``sim._ready``, and the caller must
@@ -87,8 +87,9 @@ class Process(Event):
         self.deadline = None
         #: The event this process is currently blocked on, if any.
         self._waiting_on: Optional[Event] = None
-        #: Wheel entry of an in-flight raw sleep (see Simulator.sleep).
-        self._sleep_token: Optional[list] = None
+        #: Seq of the entry of an in-flight raw sleep or paid ``READY``
+        #: hop (see Simulator.sleep).
+        self._sleep_token: Optional[int] = None
         #: The resource whose slot a pending paid ``READY`` hop holds.
         self._ready_of = None
         # Bound generator methods, cached: _step runs a few hundred
@@ -132,7 +133,7 @@ class Process(Event):
         if ready is not None:
             self._ready_of = None
             ready.release()
-        # Orphan any in-flight raw sleep: its wheel entry stays scheduled
+        # Orphan any in-flight raw sleep: its entry stays scheduled
         # (exactly like the stale Timeout the old path left in the heap)
         # but the token mismatch makes its firing a no-op.
         self._sleep_token = None
@@ -141,8 +142,11 @@ class Process(Event):
         self._detach()  # interrupted while it ran, it may have parked since
         self._step(throw=Interrupt(cause))
 
-    def _sleep_wake(self, token: list) -> None:
+    def _sleep_wake(self, token: int) -> None:
         """Fire a raw sleep (see Simulator.sleep); stale tokens are no-ops.
+
+        The token is the entry's seq, the very int object stored in
+        ``_sleep_token``, so identity is the check.
 
         Steps the generator itself rather than through :meth:`_step`: a
         live token means the process is parked on this very entry, so it
@@ -173,7 +177,7 @@ class Process(Event):
             self.scope = None
         self._tail_trigger()
 
-    def _ready_wake(self, token: list) -> None:
+    def _ready_wake(self, token: int) -> None:
         """Fire a paid ``READY`` hop: from here the process holds the slot."""
         self._ready_of = None
         self._sleep_wake(token)
@@ -246,9 +250,10 @@ class Process(Event):
             # The hop is not the next entry to be dispatched: pay it, in
             # the slot a granted acquire has always taken.
             sim = self.sim
-            token = sim.call_soon(self._ready_wake)
-            token[4] = token
-            self._sleep_token = token
+            seq = sim._seq
+            sim._seq = seq + 1
+            sim._imm.append((sim.now, seq, self._ready_wake, seq))
+            self._sleep_token = seq
             self._ready_of = sim._ready
             return
         if target.__class__ is not Event and not isinstance(target, Event):

@@ -122,7 +122,7 @@ class Resource:
         When a slot is free, the granted event's only job is to resume the
         requesting process one schedule slot later — so this fast path
         skips the event entirely and returns ``READY``: the process's
-        stepping code either pays that hop on a raw wheel entry, in
+        stepping code either pays that hop on a raw schedule entry, in
         exactly the slot the grant's ``succeed()`` would have used, or —
         when the hop would be the next entry dispatched anyway — carries
         straight on.  Contended requests still return a queued grant

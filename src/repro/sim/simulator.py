@@ -11,16 +11,15 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout, _process
 from repro.sim.process import RAW_WAIT, Process, ProcessGenerator, Scope
 from repro.obs.recorder import NULL_RECORDER
 from repro.sim.rng import RngRegistry
-from repro.sim.wheel import _MAX_FREE, EventWheel
 from repro.telemetry.registry import NULL_REGISTRY
 from repro.trace.tracer import NULL_TRACER
 
 #: How deep zero-delay hops may nest when they are run in place instead
-#: of through the wheel (see ``Simulator._tail``).  Beyond it the hop is
+#: of through the schedule (see ``Simulator._tail``).  Beyond it the hop is
 #: scheduled as usual — either way is the same execution, so the cap only
 #: bounds the Python stack (a chain of N processes each waiting on the
 #: next would otherwise finish N frames deep).
@@ -29,16 +28,21 @@ _MAX_INLINE_DEPTH = 16
 _seq_of = itemgetter(1)
 
 
+def _cancelled(_arg) -> None:
+    """The callback of a cancelled entry (see :meth:`Simulator.cancel`)."""
+
+
 class _Lane:
     """The records of every :meth:`Simulator.call_later` with one delay.
 
     A record is ``[time, seq, fn, arg]``.  Records join at the back, and
     since the clock never runs backwards and the delay is fixed, the lane
     is in ``(time, seq)`` order by construction.  Only the head holds a
-    wheel entry, carrying the head's own ``(time, seq)``, so the wheel
-    orders it exactly as a :meth:`Simulator.call_at` entry.  A cancelled
-    record behind the head never reaches the wheel at all: RPC deadlines
-    (answered, nearly all of them) cost one deque append and no heap push.
+    schedule entry, carrying the head's own ``(time, seq)``, so the
+    schedule orders it exactly as a :meth:`Simulator.call_at` entry.  A
+    cancelled record behind the head never reaches the schedule: RPC
+    deadlines (answered, nearly all of them) cost one deque append and no
+    heap push.
     """
 
     __slots__ = ("sim", "records", "fire")
@@ -50,26 +54,26 @@ class _Lane:
         self.fire = self._fire
 
     def arm(self, record: list) -> None:
-        """Give ``record`` (the new head) its wheel entry."""
-        wheel = self.sim._wheel
-        now = self.sim.now
-        seq = record[1]
-        entry = wheel.push(record[0], seq, now, fn=self.fire)
-        if record[0] == now:
-            # Re-armed at the dispatching instant: the push appended it
-            # to the current-instant lane, whose entries are in seq order,
-            # but the record is older than anything scheduled this instant.
-            imm = wheel._imm
-            imm.pop()
+        """Give ``record`` (the new head) its schedule entry."""
+        sim = self.sim
+        when, seq = record[0], record[1]
+        entry = (when, seq, self.fire, None)
+        if when == sim.now:
+            # Re-armed at the dispatching instant: the record is older than
+            # anything scheduled this instant, so it goes among the
+            # current-instant lane's entries by seq, not to its back.
+            imm = sim._imm
             imm.insert(bisect(imm, seq, key=_seq_of), entry)
+        else:
+            heappush(sim._heap, entry)
 
     def _fire(self, _arg=None) -> None:
         """The head's entry is dispatched: pass the entry on, run the head.
 
         Cancelled records behind the head are dropped unseen; the next
-        live one inherits the wheel entry — or, with none live, the last
-        record does, so a drained ``run()`` still stops on the clock the
-        last of them would have set.  The successor is armed before the
+        live one inherits the schedule entry — or, with none live, the
+        last record does, so a drained ``run()`` still stops on the clock
+        the last of them would have set.  The successor is armed before the
         head's callback runs: its ``call_at`` twin would already be
         queued, and a tail-position hop in the callback must find it so.
         """
@@ -87,19 +91,23 @@ class _Lane:
 
 
 class Simulator:
-    """Owns the event wheel and the simulated clock.
+    """Owns the schedule and the simulated clock.
 
     Time is a float in milliseconds (by convention of this project).  Events
     scheduled at the same instant are processed in schedule order (FIFO),
     which keeps runs fully deterministic.
 
-    The schedule holds two kinds of entries: *events* (the public
-    :class:`~repro.sim.events.Event` machinery) and *raw callbacks*
-    (:meth:`call_soon` / :meth:`call_at`), the kernel's allocation-free
-    path for one-shot continuations — process bootstraps and wakeups,
-    fabric message delivery — that used to be modelled as throwaway
-    events.  Both kinds share one ``(time, seq)`` sequence space, so their
-    relative order is exactly what the old heap scheduler produced.
+    **The schedule.**  An entry is an immutable tuple ``(time, seq, fn,
+    arg)`` and its dispatch is ``fn(arg)``: an event rides as
+    ``(..., Event._process, event)``, a raw callback (:meth:`call_soon` /
+    :meth:`call_at`: process bootstraps and wakeups, fabric deliveries)
+    as itself.  Every entry draws its ``seq`` from one counter, so entries
+    pop in strictly increasing ``(time, seq)`` order, ties in schedule
+    order.  Entries due at the current instant queue in ``_imm``, a FIFO
+    (its entries share one time and join in seq order); later ones sit in
+    ``_heap``, one ``heapq``.  When the lane runs dry the heap's next
+    instant moves into it — or, alone at its instant, is dispatched
+    straight off the heap.  Only the pop order is observable.
 
     **The next-entry rule.**  A zero-delay wake-up is *not* scheduled when
     it would be the very next entry dispatched: the current-instant lane
@@ -109,7 +117,7 @@ class Simulator:
     execution with one entry fewer.  ``_tail`` tracks the second
     condition; the sites that apply the rule are :meth:`tail_call`,
     ``Event._tail_trigger`` and the ``READY`` loop of ``Process``.  Every
-    other hop goes through the wheel in the slot it has always occupied.
+    other hop is scheduled in the slot it has always occupied.
     """
 
     def __init__(self, seed: int = 0, tracer=None, metrics=None, obs=None):
@@ -117,9 +125,11 @@ class Simulator:
         #: is read several times per protocol step); only the kernel
         #: stores to it.
         self.now = 0.0
-        self._wheel = EventWheel()
-        #: The wheel's current-instant lane (the deque is never replaced).
-        self._imm = self._wheel._imm
+        #: Entries due at ``now``, in seq order (the deque is never
+        #: replaced; the next-entry rule reads it).
+        self._imm: deque = deque()
+        #: Entries due after ``now``: a ``heapq`` ordered by (time, seq).
+        self._heap: list = []
         self._seq = 0
         #: Nonzero while the running code is in tail position of its
         #: dispatch; the value is how many more hops may nest in place.
@@ -196,7 +206,7 @@ class Simulator:
         The allocation-free twin of ``yield sim.timeout(d)`` for the
         overwhelmingly common case where the timeout's value is unused and
         nothing else waits on it: instead of a Timeout event plus callback
-        registration, one raw wheel entry re-enters the process's step at
+        registration, one raw entry re-enters the process's step at
         exactly the ``(time, seq)`` slot the Timeout would have occupied.
         Only valid as a direct ``yield`` target inside a process.
         """
@@ -209,32 +219,13 @@ class Simulator:
         self._seq = seq + 1
         now = self.now
         when = now + delay
-        # Inlined EventWheel.push; the wakeup receives its own entry as
-        # the staleness token (entry[4] = entry), so an interrupt can
-        # orphan the sleep without cancelling the wheel entry.
-        wheel = self._wheel
-        free = wheel._free
-        if free:
-            entry = free.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[3] = process._sleep_wake
-            entry[4] = entry
-        else:
-            entry = [when, seq, None, process._sleep_wake, None]
-            entry[4] = entry
-        wheel._live += 1
-        process._sleep_token = entry
+        # The wakeup receives its own seq as the staleness token, so an
+        # interrupt can orphan the sleep without cancelling the entry.
+        process._sleep_token = seq
         if when == now:
-            wheel._imm.append(entry)
-            return RAW_WAIT
-        day = int(when * wheel._inv_width)
-        buckets = wheel._buckets
-        try:
-            heappush(buckets[day], entry)
-        except KeyError:
-            buckets[day] = [entry]
-            heappush(wheel._days, day)
+            self._imm.append((when, seq, process._sleep_wake, seq))
+        else:
+            heappush(self._heap, (when, seq, process._sleep_wake, seq))
         return RAW_WAIT
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -274,45 +265,23 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         now = self.now
-        wheel = self._wheel
-        if delay == 0.0:
-            # Fast lane: the common zero-delay schedule (succeed/fail at
-            # the current instant) skips all bucket machinery.
-            free = wheel._free
-            if free:
-                entry = free.pop()
-                entry[0] = now
-                entry[1] = seq
-                entry[2] = event
-            else:
-                entry = [now, seq, event, None, None]
-            wheel._live += 1
-            wheel._imm.append(entry)
+        when = now + delay
+        if when == now:
+            self._imm.append((when, seq, _process, event))
         else:
-            wheel.push(now + delay, seq, now, event=event)
+            heappush(self._heap, (when, seq, _process, event))
 
-    def call_soon(self, fn, arg=None) -> list:
+    def call_soon(self, fn, arg=None) -> tuple:
         """Schedule ``fn(arg)`` at the current instant (after pending work).
 
         The raw-callback twin of creating and immediately succeeding an
-        event: one schedule slot, zero allocations beyond the recycled
-        wheel entry.  Returns the wheel entry (a cancellation handle for
-        :meth:`cancel`).
+        event: one schedule slot, no event.  Returns the entry (a
+        cancellation handle for :meth:`cancel`).
         """
         seq = self._seq
         self._seq = seq + 1
-        wheel = self._wheel
-        free = wheel._free
-        if free:
-            entry = free.pop()
-            entry[0] = self.now
-            entry[1] = seq
-            entry[3] = fn
-            entry[4] = arg
-        else:
-            entry = [self.now, seq, None, fn, arg]
-        wheel._live += 1
-        wheel._imm.append(entry)
+        entry = (self.now, seq, fn, arg)
+        self._imm.append(entry)
         return entry
 
     def tail_call(self, fn, arg=None) -> None:
@@ -354,7 +323,7 @@ class Simulator:
             self._tail = tail
         fn(args[last])
 
-    def call_at(self, when: float, fn, arg=None) -> list:
+    def call_at(self, when: float, fn, arg=None) -> tuple:
         """Schedule ``fn(arg)`` at absolute time ``when`` (>= now, finite)."""
         now = self.now
         if not now <= when < inf:
@@ -364,28 +333,11 @@ class Simulator:
             raise ValueError(f"call_at({when}): time must be finite")
         seq = self._seq
         self._seq = seq + 1
-        # Inlined EventWheel.push (this is the fabric/timer hot path).
-        wheel = self._wheel
-        free = wheel._free
-        if free:
-            entry = free.pop()
-            entry[0] = when
-            entry[1] = seq
-            entry[3] = fn
-            entry[4] = arg
-        else:
-            entry = [when, seq, None, fn, arg]
-        wheel._live += 1
+        entry = (when, seq, fn, arg)
         if when == now:
-            wheel._imm.append(entry)
-            return entry
-        day = int(when * wheel._inv_width)
-        buckets = wheel._buckets
-        try:
-            heappush(buckets[day], entry)
-        except KeyError:
-            buckets[day] = [entry]
-            heappush(wheel._days, day)
+            self._imm.append(entry)
+        else:
+            heappush(self._heap, entry)
         return entry
 
     def call_later(self, delay: float, fn, arg=None) -> list:
@@ -395,7 +347,7 @@ class Simulator:
         and most cancel (RPC deadlines): the same seq, so the same place
         in the ``(time, seq)`` order and the same :attr:`schedule_count`,
         but the record joins its delay's FIFO lane and only the lane's
-        head holds a wheel entry.  A record cancelled before it reaches
+        head holds a schedule entry.  A record cancelled before it reaches
         the head is never dispatched.  Returns the record, a handle for
         :meth:`cancel`.
         """
@@ -414,18 +366,46 @@ class Simulator:
             lane.arm(record)
         return record
 
-    def cancel(self, entry: list) -> None:
-        """Cancel an entry of call_soon/call_at or a call_later record."""
-        if len(entry) == 4:
+    def cancel(self, entry) -> None:
+        """Cancel an entry of call_soon/call_at or a call_later record.
+
+        Lazy and exact: a pending entry is swapped, in its place, for a
+        twin with the same ``(time, seq)`` that runs :func:`_cancelled`,
+        so the schedule keeps its shape (a cancelled entry still fills
+        the current-instant lane) and nothing runs.  An entry that has
+        run, or was cancelled before, is no longer in the schedule, and
+        cancelling it does nothing.
+        """
+        if entry.__class__ is list:
             # A lane record: its lane skips it (or, as the armed head,
             # passes its entry on without running it).
             entry[2] = entry[3] = None
+            return
+        when = entry[0]
+        if when > self.now:
+            queue = self._heap
+        elif when == self.now:
+            queue = self._imm
         else:
-            self._wheel.cancel(entry)
+            return
+        try:
+            index = queue.index(entry)
+        except ValueError:
+            return
+        queue[index] = (when, entry[1], _cancelled, None)
 
     def peek(self) -> float:
-        """Time of the next scheduled entry, or ``inf`` if none."""
-        return self._wheel.peek()
+        """Time of the next live entry, or ``inf`` if none."""
+        for entry in self._imm:
+            if entry[2] is not _cancelled:
+                return entry[0]
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2] is not _cancelled:
+                return entry[0]
+            heappop(heap)
+        return inf
 
     def step(self) -> None:
         """Process exactly one schedule entry.
@@ -438,22 +418,25 @@ class Simulator:
         :meth:`run_until_complete` return on exactly the state it always
         did, the awaited process's waiters not yet resumed.
         """
-        wheel = self._wheel
-        entry = wheel.pop(self.now)
-        if entry is None:
-            raise SimulationError("step() on an empty schedule")
-        when = entry[0]
-        if when > self.now:
-            self.now = when
-        event, fn, arg = entry[2], entry[3], entry[4]
-        wheel.recycle(entry)
+        imm, heap = self._imm, self._heap
+        while True:
+            if imm:
+                entry = imm.popleft()
+            elif heap:
+                entry = heappop(heap)
+                when = entry[0]
+                while heap and heap[0][0] == when:
+                    imm.append(heappop(heap))
+            else:
+                raise SimulationError("step() on an empty schedule")
+            if entry[2] is not _cancelled:
+                break
+        if entry[0] > self.now:
+            self.now = entry[0]
         tail = self._tail
         self._tail = 0
         try:
-            if event is not None:
-                event._process()
-            else:
-                fn(arg)
+            entry[2](entry[3])
         finally:
             self._tail = tail
 
@@ -468,62 +451,33 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {until}; clock already at {self.now}"
             )
-        wheel = self._wheel
-        imm = wheel._imm
-        imm_popleft = imm.popleft
-        advance = wheel.advance
-        free, days, buckets = wheel._free, wheel._days, wheel._buckets
+        limit = inf if until is None else until
+        imm = self._imm
+        popleft = imm.popleft
+        heap = self._heap
         while True:
-            # Current-instant lane first: FIFO == (time, seq) order here.
-            # Entry recycling is inlined (this loop dispatches hundreds of
-            # thousands of entries per benchmark); the freelist invariant
-            # is that entries return with [2]=[3]=[4]=None, so each branch
-            # blanks exactly the fields its entry kind uses.
             if imm:
-                entry = imm_popleft()
-                event = entry[2]
-                if event is not None:
-                    wheel._live -= 1
-                    entry[2] = None
-                    if len(free) < _MAX_FREE:
-                        free.append(entry)
-                    event._process()
-                    continue
-                fn = entry[3]
-                if fn is not None:
-                    arg = entry[4]
-                    wheel._live -= 1
-                    entry[3] = None
-                    entry[4] = None
-                    if len(free) < _MAX_FREE:
-                        free.append(entry)
-                    fn(arg)
-                    continue
-                # Lazily-cancelled entry draining through (already blanked).
-                if len(free) < _MAX_FREE:
-                    free.append(entry)
+                entry = popleft()
+                entry[2](entry[3])
                 continue
-            # Inlined EventWheel.advance for a live head in the next slot
-            # (never empty); a cancelled head takes the wheel's own path.
-            if days:
-                bucket = buckets[days[0]]
-                head = bucket[0]
-                if head[2] is not None or head[3] is not None:
-                    when = head[0]
-                    if until is not None and when > until:
-                        break
-                    while bucket and bucket[0][0] == when:
-                        imm.append(heappop(bucket))
-                    if not bucket:
-                        del buckets[heappop(days)]
-                    self.now = when
-                    continue
-            advanced = advance(until)
-            if advanced is None:
+            if not heap or heap[0][0] > limit:
                 break
-            self.now = advanced
-        if until is not None:
-            self.now = max(self.now, until)
+            entry = heappop(heap)
+            if entry[2] is _cancelled:
+                continue  # a dead head leaves without moving the clock
+            when = entry[0]
+            self.now = when
+            if heap and heap[0][0] == when:
+                # The instant has company: it all goes to the lane, where
+                # entries scheduled during it queue behind.
+                imm.append(entry)
+                while heap and heap[0][0] == when:
+                    imm.append(heappop(heap))
+                continue
+            # Alone at its instant: exactly as if popped from the lane.
+            entry[2](entry[3])
+        if until is not None and until > self.now:
+            self.now = until
 
     def run_until_complete(self, process: Process, limit: float = float("inf")) -> object:
         """Run until ``process`` finishes; return its value.
@@ -536,11 +490,12 @@ class Simulator:
         is reached with the process still alive (deadlock guard).
         """
         while not process.triggered:
-            if not self._wheel:
+            when = self.peek()
+            if when == inf:
                 raise SimulationError(
                     f"deadlock: schedule drained but {process.name!r} still alive"
                 )
-            if self._wheel.peek() > limit:
+            if when > limit:
                 raise SimulationError(
                     f"time limit {limit} reached with {process.name!r} still alive"
                 )

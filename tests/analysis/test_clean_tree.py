@@ -2,7 +2,7 @@
 
 This is the CI wiring of the determinism contract — any new ambient
 randomness, unordered set iteration, private id counter or yield-point
-race in ``src/repro`` fails the default pytest run, warnings included.
+race in ``src/repro`` fails the default pytest run.
 Waive deliberate exceptions inline with ``# noqa: RULEID`` or accept
 them in ``analysis-baseline.json`` at the repo root.
 """

@@ -50,16 +50,6 @@ class TestReport:
         assert clean.findings == []
         assert clean.exit_code() == 0
 
-    def test_strict_fails_on_warnings(self):
-        report = Analyzer(select=["DET01"]).run(
-            [FIXTURES / "bad_determinism.py"])
-        assert report.errors
-        report.findings = [Finding(rule="DET01", path="p", line=1, col=0,
-                                   message="m", severity="warning")]
-        assert report.warnings and not report.errors
-        assert report.exit_code(strict=False) == 0
-        assert report.exit_code(strict=True) == 1
-
 
 class TestCli:
     def test_json_format(self, capsys):

@@ -3,7 +3,7 @@
 The hit is the operation Concord's case rests on (paper §III-C2), so its
 Python-level call count is pinned: the scheme's ``_do_read``, the agent's
 generator (started, then resumed by its wake-up), ``Simulator.sleep``,
-``Process._sleep_wake`` and ``AccessStats.record``.  The wheel advance,
+``Process._sleep_wake`` and ``AccessStats.record``.  The schedule advance,
 the LRU lookup and touch, the histogram append and the op dispatch cost
 no call of their own.
 """

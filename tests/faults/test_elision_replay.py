@@ -7,7 +7,7 @@ running canonical scenarios twice: as shipped, and with every simulator
 built with its tail-position flag at 0 (patching the kernel's depth
 constant, test-side: there is no option for it), which is the schedule
 from before the rule existed.  Everything simulated must agree; only the
-number of wheel entries may differ, and it must.
+number of schedule entries may differ, and it must.
 """
 
 from pathlib import Path

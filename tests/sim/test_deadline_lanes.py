@@ -1,8 +1,8 @@
-"""Deadline lanes: an answered call's deadline never reaches the wheel.
+"""Deadline lanes: an answered call's deadline never reaches the schedule.
 
 ``Simulator.call_later(delay, fn, arg)`` is ``call_at(now + delay, ...)``
 for a delay many calls share (DESIGN.md §12).  Its records queue in the
-delay's FIFO lane and only the lane's head holds a wheel entry, carrying
+delay's FIFO lane and only the lane's head holds a schedule entry, carrying
 the head's own ``(time, seq)``.  The contract pinned here: a live record
 runs in exactly the slot its ``call_at`` twin would, a cancelled one is
 never dispatched, the schedule count is the ``call_at`` path's, and a
@@ -19,7 +19,7 @@ from repro.net import Endpoint, Reply, RpcTimeout
 from repro.net import rpc as rpc_module
 from repro.sim import Simulator
 
-#: Calls driven through one endpoint by the wheel-entry budget.
+#: Calls driven through one endpoint by the schedule-entry budget.
 CALLS = 1000
 #: Wheel entries a lane may hold, however many of its records are
 #: pending.  Before lanes every call kept its deadline's entry for the
@@ -28,14 +28,10 @@ ENTRIES_PER_LANE = 1
 
 
 def _lane_entries(sim) -> int:
-    """Live wheel entries that dispatch a lane."""
-    wheel = sim._wheel
-    entries = list(wheel._imm)
-    for bucket in wheel._buckets.values():
-        entries.extend(bucket)
+    """Schedule entries (``(time, seq, fn, arg)``) that dispatch a lane."""
     fires = {id(lane.fire) for lane in sim._lanes.values()}
-    return sum(1 for entry in entries
-               if entry[3] is not None and id(entry[3]) in fires)
+    return sum(1 for entry in (*sim._imm, *sim._heap)
+               if id(entry[2]) in fires)
 
 
 def parent_deadlines(sim):
@@ -101,10 +97,10 @@ def test_a_thousand_answered_calls_hold_one_wheel_entry_per_lane():
     assert len(peak) == CALLS
     assert len(sim._lanes) == 2
     assert max(peak) <= ENTRIES_PER_LANE * len(sim._lanes), (
-        f"{max(peak)} lane entries in the wheel (budget "
+        f"{max(peak)} lane entries scheduled (budget "
         f"{ENTRIES_PER_LANE} per lane)")
     # Every record is still pending (the timeouts lie ahead), unanswered
-    # by the wheel: the lanes hold them, not the heap.
+    # by the schedule: the lanes hold them, not the heap.
     assert sum(len(lane.records) for lane in sim._lanes.values()) == CALLS
 
 

@@ -2,8 +2,8 @@
 
 The kernel does not schedule a zero-delay wake-up that would be the very
 next entry dispatched (DESIGN.md §12).  The oracle needs no second
-kernel: with the tail-position flag held at 0 every hop is paid through
-the wheel, which *is* the schedule from before the rule existed.  So the
+kernel: with the tail-position flag held at 0 every hop is paid as a
+schedule entry, which *is* the schedule from before the rule existed.  So the
 differential here runs one random program twice — flag as found, flag
 held down — and demands the identical ordered log.  Around it: the
 entry budgets that make a re-added hop fail tier-1, and the corners the
@@ -12,8 +12,8 @@ rule has to respect (constructors, multi-waiter events, deep chains,
 
 The same programs also carry fixed-delay ``call_later`` timers, and a
 second differential holds those to the schedule of the deadlines they
-replaced: ``call_at`` entries that a cancellation leaves in the wheel,
-to fire as no-ops (DESIGN.md §12, deadline lanes).
+replaced: ``call_at`` entries that a cancellation leaves in the
+schedule, to fire as no-ops (DESIGN.md §12, deadline lanes).
 
 Tier-1 runs a fixed hundred programs.  The nightly job sets
 ``ELISION_EXAMPLES`` (a fresh seed then) and ``ELISION_ARTIFACTS``, a
@@ -49,7 +49,7 @@ _SETTINGS = (
 
 
 def hold_down(sim: Simulator) -> Simulator:
-    """Every hop through the wheel from here on (test-side only)."""
+    """Every hop through the schedule from here on (test-side only)."""
     sim._tail = 0
     return sim
 
@@ -86,7 +86,7 @@ _leaf_op = st.one_of(
     st.tuples(st.just("fire"), _event),
     st.tuples(st.just("fire_later"), _event, _delay),
     # A timer cancelled at once: a dead entry (often a slot's head) that
-    # every way of draining the wheel has to step over.
+    # every way of draining the schedule has to step over.
     st.tuples(st.just("cancel"), _event, st.sampled_from((0.5, 1.0, 3.0))),
     _later_op,
     st.tuples(st.just("fail"), _event),
@@ -345,10 +345,10 @@ def test_elided_run_is_the_unelided_run_with_fewer_entries(program, chunked):
 @_SETTINGS
 @given(program=_program, chunked=st.booleans())
 def test_run_drains_the_wheel_exactly_like_step(program, chunked):
-    """``run()`` moves the next slot into the current-instant lane itself
-    unless the slot's head was cancelled; ``step()`` always pops through
-    ``EventWheel.pop`` -> ``advance``.  With the flag held down both
-    dispatch the same entries in the same order."""
+    """``run()`` dispatches an entry alone at its instant straight off
+    the heap and drops a cancelled heap head unseen; ``step()`` moves
+    every instant through the current-instant lane.  With the flag held
+    down both dispatch the same entries in the same order."""
     try:
         ran = run_program(program, down=True,
                           chunk_ms=0.75 if chunked else None)
@@ -380,7 +380,7 @@ def test_lane_timers_run_like_the_call_at_timers_they_replace(
     and in the order its ``call_at`` twin ran, and so does everything
     else.  With the flag held down the schedule counts agree exactly (a
     record takes its seq where ``call_at`` took it); as found, a
-    cancelled record that never reaches the wheel can leave the
+    cancelled record that never reaches the schedule can leave the
     current-instant lane empty where its no-op entry did not, so at most
     an extra hop is elided."""
     try:
@@ -552,7 +552,7 @@ class TestTailPosition:
 
     def test_ten_thousand_process_wait_chain(self):
         """Each link finishes in place and wakes the next: the depth cap
-        turns that recursion into wheel hops before the stack notices."""
+        turns that recursion into scheduled hops before the stack notices."""
         sim = Simulator()
 
         def link(previous):
@@ -597,7 +597,7 @@ class TestTailPosition:
         """A crashed process is triggered after its ``except`` block has
         been left: what its waiters raise carries no ``__context__`` (whose
         traceback would keep the crashed frames alive), as when the
-        failure is dispatched from the wheel."""
+        failure is dispatched from the schedule."""
         for down in (False, True):
             sim = Simulator()
             if down:
@@ -823,18 +823,23 @@ class TestEntryBudget:
 
 def test_only_the_kernel_pops_the_wheel():
     """``Simulator.run`` / ``step()`` are the only code that dispatches
-    wheel entries, so the elision contract above has no second loop to
-    keep in step with."""
+    schedule entries, so the elision contract above has no second loop
+    to keep in step with: nothing else pops the current-instant lane
+    (``_imm``) or ``heappop``s the heap (``_heap``)."""
+    def names(node, *wanted):
+        return ((isinstance(node, ast.Name) and node.id in wanted)
+                or (isinstance(node, ast.Attribute) and node.attr in wanted))
+
     source = Path(__file__).resolve().parents[2] / "src" / "repro"
     popping = set()
     for path in sorted(source.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "pop"):
-                receiver = node.func.value
-                if ((isinstance(receiver, ast.Name) and receiver.id == "wheel")
-                        or (isinstance(receiver, ast.Attribute)
-                            and receiver.attr == "_wheel")):
-                    popping.add(path.relative_to(source).as_posix())
+            lane_pop = (isinstance(node, ast.Attribute)
+                        and node.attr in ("pop", "popleft")
+                        and names(node.value, "imm", "_imm"))
+            heap_pop = (isinstance(node, ast.Call)
+                        and names(node.func, "heappop")
+                        and node.args and names(node.args[0], "heap", "_heap"))
+            if lane_pop or heap_pop:
+                popping.add(path.relative_to(source).as_posix())
     assert popping == {"sim/simulator.py"}

@@ -119,13 +119,13 @@ class TestTimeout:
         def sleeper():
             with pytest.raises(ValueError):
                 sim.sleep(bad)
-            outcomes.append((sim.schedule_count, len(sim._wheel)))
+            outcomes.append((sim.schedule_count, sim.peek()))
             yield sim.sleep(1.0)
 
         sim.spawn(sleeper())
         sim.run()
         # The bootstrap entry was dispatched; nothing else was scheduled.
-        assert outcomes == [(1, 0)]
+        assert outcomes == [(1, float("inf"))]
         assert sim.peek() == float("inf")
         for schedule in (lambda: sim.timeout(bad),
                          lambda: sim.call_at(bad, print)):
@@ -133,7 +133,6 @@ class TestTimeout:
             with pytest.raises(ValueError):
                 schedule()
             assert sim.schedule_count == before
-            assert len(sim._wheel) == 0
             assert sim.peek() == float("inf")
 
         def stuck_body():

@@ -183,7 +183,7 @@ class TestInterruptedWait:
 
     def _interrupt_after_the_free_grant(self, sim, res, wait):
         # The victim takes the free slot with other work queued at the
-        # same instant, so its hop to resumption goes through the wheel;
+        # same instant, so its hop to resumption goes through the schedule;
         # the successor queues, then the killer interrupts the victim.
         log = []
         victim = sim.spawn(self._waiter(sim, res, log, "victim", wait))
