@@ -53,17 +53,52 @@ _NODE_OF: dict = {}
 
 @dataclass
 class NetworkStats:
-    """Aggregate traffic counters, by message kind."""
+    """Aggregate traffic counters, by message kind (:meth:`Network.send`
+    keeps them)."""
 
     messages: int = 0
     bytes: int = 0
     dropped: int = 0
     by_kind: dict = field(default_factory=dict)
 
-    def record(self, message: Message) -> None:
-        self.messages += 1
-        self.bytes += message.size_bytes
-        self.by_kind[message.kind] = self.by_kind.get(message.kind, 0) + 1
+
+class _Link:
+    """The one-way path from one node to another, made once per pair.
+
+    It holds what every message on it needs: the pair's FIFO clock (the
+    latest delivery time handed out; messages between the same pair of
+    nodes never overtake each other, as over one TCP connection) and the
+    terms of ``LatencyModel.one_way`` — plus, across regions, the
+    ordered region pair and half its extra RTT.  The network owns it:
+    every endpoint on the source node sends on it to every service on
+    the destination node, and so does an endpoint re-created there.
+    """
+
+    __slots__ = ("src", "dst", "clock", "remote", "overhead", "per_byte",
+                 "half_rtt", "regions", "cross_half")
+
+    def __init__(self, network: "Network", src: str, dst: str):
+        latency = network.latency
+        self.src = src
+        self.dst = dst
+        self.clock = 0.0
+        #: Same-node traffic is an in-memory hand-off: no latency terms.
+        self.remote = src != dst
+        self.overhead = latency.rpc_overhead
+        self.per_byte = latency.serialization_bytes_per_ms
+        self.half_rtt = latency.internode_rtt / 2.0
+        #: The ordered (src_region, dst_region) pair of a cross-region
+        #: link, else None; ``cross_half`` is half that pair's extra RTT.
+        self.regions = None
+        self.cross_half = 0.0
+        topology = network.topology
+        if topology is not None and self.remote:
+            src_region = topology.region_of(src)
+            dst_region = topology.region_of(dst)
+            if src_region != dst_region:
+                self.regions = (src_region, dst_region)
+                self.cross_half = topology.extra_rtt_ms(
+                    src_region, dst_region) / 2.0
 
 
 @dataclass(frozen=True)
@@ -188,9 +223,8 @@ class Network:
         self.cross_region: dict[tuple[str, str], int] = {}
         self._endpoints: dict[str, "Endpoint"] = {}
         self._down_nodes: set[str] = set()
-        #: Per (src_node, dst_node) pair: the latest delivery timestamp
-        #: handed out, enforcing FIFO delivery per connection as TCP does.
-        self._pair_clock: dict[tuple[str, str], float] = {}
+        #: (src_node, dst_node) -> its :class:`_Link` (see :meth:`link`).
+        self._links: dict[tuple[str, str], _Link] = {}
         #: The open same-tick delivery batch (its messages, or None), the
         #: time it is delivered at and the schedule count just after it
         #: was scheduled.  See :meth:`send` for the coalescing rule.
@@ -257,6 +291,14 @@ class Network:
         """The endpoint registered at ``address``, if any."""
         return self._endpoints.get(address)
 
+    def link(self, src: str, dst: str) -> _Link:
+        """The link from address ``src``'s node to address ``dst``'s."""
+        pair = (self.node_of(src), self.node_of(dst))
+        link = self._links.get(pair)
+        if link is None:
+            link = self._links[pair] = _Link(self, *pair)
+        return link
+
     @staticmethod
     def node_of(address: str) -> str:
         """The node id component of an endpoint address."""
@@ -292,34 +334,40 @@ class Network:
         return node_id in self._down_nodes
 
     # -- transmission --------------------------------------------------------
-    def send(self, message: Message) -> None:
-        """Put ``message`` on the wire (delivery is asynchronous)."""
-        src_node = _NODE_OF.get(message.src)
-        if src_node is None:
-            src_node = self.node_of(message.src)
-        dst_node = _NODE_OF.get(message.dst)
-        if dst_node is None:
-            dst_node = self.node_of(message.dst)
-        if src_node in self._down_nodes:
-            self.stats.dropped += 1
-            return
+    def send(self, message: Message, link: Optional[_Link] = None) -> None:
+        """Put ``message`` on the wire (delivery is asynchronous).
+
+        ``link`` is :meth:`link` ``(message.src, message.dst)``, which an
+        endpoint keeps per destination; without it, it is looked up.
+        """
+        if link is None:
+            link = self.link(message.src, message.dst)
         extra = 0.0
-        if self.faults is not None:
-            if (self.faults.blocked(src_node, dst_node)
-                    or self.faults.should_drop(src_node, dst_node)):
+        down = self._down_nodes
+        faults = self.faults
+        if down or faults is not None:
+            src_node = link.src
+            dst_node = link.dst
+            if src_node in down:
                 self.stats.dropped += 1
-                self.faults.dropped_injected += 1
                 return
-            extra = self.faults.extra_delay(src_node, dst_node)
-            if extra > 0.0:
-                self.faults.delayed_injected += 1
-        if self.fail_fast and dst_node in self._down_nodes:
-            # The destination's TCP stack is gone: a request gets an RST
-            # back after one propagation delay instead of a silent drop.
-            self.stats.dropped += 1
-            if message.request_id is not None and not message.is_response:
-                self._reject_fast(message)
-            return
+            if faults is not None:
+                if (faults.blocked(src_node, dst_node)
+                        or faults.should_drop(src_node, dst_node)):
+                    self.stats.dropped += 1
+                    faults.dropped_injected += 1
+                    return
+                extra = faults.extra_delay(src_node, dst_node)
+                if extra > 0.0:
+                    faults.delayed_injected += 1
+            if self.fail_fast and dst_node in down:
+                # The destination's TCP stack is gone: a request gets an
+                # RST back after one propagation delay, not a silent drop.
+                self.stats.dropped += 1
+                if (message.request_id is not None
+                        and not message.is_response):
+                    self._reject_fast(message)
+                return
         size = message.size_bytes
         stats = self.stats
         stats.messages += 1
@@ -327,33 +375,23 @@ class Network:
         kind = message.kind
         by_kind = stats.by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
-        if src_node == dst_node:
-            delay = extra
-        else:
+        if link.remote:
             # LatencyModel.one_way(size) + extra, in its float order.
-            latency = self.latency
-            delay = (latency.rpc_overhead
-                     + size / latency.serialization_bytes_per_ms
-                     + latency.internode_rtt / 2.0) + extra
-            topology = self.topology
-            if topology is not None:
-                src_region = topology.region_of(src_node)
-                dst_region = topology.region_of(dst_node)
-                if src_region != dst_region:
-                    delay += topology.extra_rtt_ms(src_region, dst_region) / 2.0
-                    self.cross_region[(src_region, dst_region)] += 1
-        # Messages between the same pair of nodes never overtake each
-        # other (gRPC over one TCP connection): a later send is delivered
-        # no earlier than every previous one.
+            delay = (link.overhead + size / link.per_byte
+                     + link.half_rtt) + extra
+            regions = link.regions
+            if regions is not None:
+                delay += link.cross_half
+                self.cross_region[regions] += 1
+        else:
+            delay = extra
+        # A later send on the link is delivered no earlier than every
+        # previous one (gRPC over one TCP connection).
         sim = self.sim
-        now = sim.now
-        pair_clock = self._pair_clock
-        pair = (src_node, dst_node)
-        deliver_at = now + delay
-        floor = pair_clock.get(pair, 0.0)
-        if floor > deliver_at:
-            deliver_at = floor
-        pair_clock[pair] = deliver_at
+        deliver_at = sim.now + delay
+        if link.clock > deliver_at:
+            deliver_at = link.clock
+        link.clock = deliver_at
         # Same-tick coalescing: if the previous send scheduled delivery at
         # this exact timestamp and *nothing else* has been scheduled since
         # (the seq watermark is unchanged, so no entry can sit between
@@ -366,9 +404,9 @@ class Network:
             batch.append(message)
             return
         batch = self._batch = [message]
-        sim.call_at(deliver_at, self._deliver_batch, batch)
+        entry = sim.call_at(deliver_at, self._deliver_batch, batch)
         self._batch_at = deliver_at
-        self._batch_seq = sim.schedule_count
+        self._batch_seq = entry[1] + 1  # schedule_count just after it
 
     def _deliver_batch(self, batch: list) -> None:
         # Close the coalescing window: this batch is being dispatched, so
@@ -379,7 +417,14 @@ class Network:
         if self._batch is batch:
             self._batch = None
         if len(batch) == 1:
-            self._deliver(batch[0])
+            message = batch[0]
+            if not self._down_nodes and self.faults is None:
+                # Nothing to check on a healthy fabric: hand it over.
+                endpoint = self._endpoints.get(message.dst)
+                if endpoint is not None:
+                    endpoint._receive(message)
+                    return
+            self._deliver(message)
         else:
             # Each delivery but the last is followed by another: not in
             # tail position, which only the kernel may say.
@@ -402,7 +447,7 @@ class Network:
         source.reject_call(request_id, error)
 
     def _deliver(self, message: Message) -> None:
-        # send() memoised both addresses' node ids.
+        # link() memoised both addresses' node ids.
         down = self._down_nodes
         if down and _NODE_OF[message.dst] in down:
             self.stats.dropped += 1

@@ -33,6 +33,7 @@ from repro.net.sizes import sizeof
 from repro.obs.events import RPC_RESET, RPC_TIMEOUT
 from repro.sim.errors import Interrupt
 from repro.sim.events import PENDING, Event
+from repro.sim.process import Process
 from repro.trace.tracer import (  # noqa: F401 - re-export
     INHERIT, SERVER_END, SERVER_START, SpanNames, TraceContext)
 
@@ -145,10 +146,10 @@ class _RpcWaiter(Event):
       :meth:`_fire` in the slot the old response event's processing
       used; ``_fire`` then triggers the gate in the slot the old
       ``AnyOf`` hop used.  Both hops are asked for in tail position
-      (``Simulator.tail_call`` / ``Event._tail_trigger``), so on the
-      common path — nothing else queued for the delivery instant — the
-      caller resumes inside the delivery's own dispatch and neither
-      entry exists.
+      (``Event._tail_settle``: ``Simulator.tail_call``, then
+      ``Event._tail_trigger``), so on the common path — nothing else
+      queued for the delivery instant — the caller resumes inside the
+      delivery's own dispatch, in one step, and neither entry exists.
 
     The caller inspects ``resp_done`` after the yield: the old code's
     ``response.triggered`` check, verbatim.
@@ -186,20 +187,26 @@ class _RpcWaiter(Event):
         #: Set only when a traced response carries it, and read only by
         #: a traced call.
 
-    def _fire(self, _arg=None) -> None:
-        """Second hop of response delivery (the old AnyOf hop's slot).
+    def _fire(self) -> None:
+        """First hop of response delivery (the old response event's
+        slot); the gate it triggers takes the old AnyOf hop's.
 
         Runs as the whole of its dispatch or in place from
         :meth:`Endpoint._receive` — in tail position either way, so the
-        gate's own entry is subject to the next-entry rule.
+        gate's own entry is subject to the next-entry rule.  When both
+        would run in place, ``Event._tail_settle`` does its work without
+        it.
         """
         if self._state is PENDING:
             self._exc = self.resp_exc
             self._value = self.resp_value
             self._tail_trigger()
 
-    def _deadline(self, _arg=None) -> None:
-        """RPC deadline reached; a no-op if the gate already fired."""
+    def _deadline(self) -> None:
+        """RPC deadline reached; a no-op if the gate already fired.
+
+        Scheduled unbound, ``(_RpcWaiter._deadline, waiter)``: no bound
+        method per call."""
         if self._state is PENDING:
             self.succeed(None)
 
@@ -241,6 +248,8 @@ class Endpoint:
         self._meta_handlers: dict = {}
         #: method -> interned handler-process name "rpc:<addr>:<method>".
         self._spawn_names: dict[str, str] = {}
+        #: dst address -> the fabric's link to its node (Network.link).
+        self._links: dict = {}
         #: request_id -> waiter of every in-flight call (insertion-
         #: ordered: fail_calls_to() rejects in issue order, never in hash
         #: order).
@@ -293,6 +302,11 @@ class Endpoint:
         """Detach from the network."""
         self.network.unregister(self.address)
 
+    def _link(self, dst: str):
+        """The fabric's link to ``dst``'s node, kept for the next send."""
+        link = self._links[dst] = self.network.link(self.address, dst)
+        return link
+
     # -- server side ---------------------------------------------------------
     def register_handler(self, method: str, handler: Handler,
                          meta: bool = False) -> None:
@@ -315,7 +329,7 @@ class Endpoint:
             sim = self.sim
             deadline = waiter.deadline
             if deadline[0] > sim.now:
-                sim.cancel(deadline)
+                sim.cancel_later(deadline)
             self.resets += 1
             obs = sim.obs
             if obs.active:
@@ -341,9 +355,11 @@ class Endpoint:
             if waiter is not None:
                 payload = message.payload
                 if isinstance(payload, _RemoteFailure):
-                    waiter.resp_exc = payload.exception
+                    value = None
+                    exc = waiter.resp_exc = payload.exception
                 else:
-                    waiter.resp_value = payload
+                    value = waiter.resp_value = payload
+                    exc = None
                     waiter.resp_meta = message.meta
                 if message.trace is not None:
                     waiter.served = message.trace
@@ -355,12 +371,13 @@ class Endpoint:
                 sim = self.sim
                 deadline = waiter.deadline
                 if deadline[0] > sim.now:
-                    sim.cancel(deadline)
+                    sim.cancel_later(deadline)
                 if waiter._state is PENDING:
                     # Delivery is the last thing its dispatch does (the
                     # fabric sees to that for batches), so the hop to
-                    # _fire falls under the next-entry rule.
-                    sim.tail_call(waiter._fire)
+                    # _fire falls under the next-entry rule, and so does
+                    # the gate's own hop after it.
+                    waiter._tail_settle(_RpcWaiter._fire, value, exc)
             return
         method, args = message.payload
         handler = self._handlers.get(method)
@@ -372,16 +389,16 @@ class Endpoint:
         if name is None:
             name = f"rpc:{self.address}:{method}"
             self._spawn_names[method] = name
-        process = self.sim.spawn(self._serve(handler, message), name=name,
-                                 daemon=True)
         # The handler joins the caller's span tree: its ambient context is
         # whatever TraceContext travelled with the request.  It answers
-        # by the caller's deadline (a daemon spawn inherits none).
-        process.trace_ctx = message.trace
-        process.deadline = message.deadline
-        # Joined here, not in _serve: a crash between this spawn and the
-        # handler's first step must still find (and interrupt) it.
-        self.scope.join(process)
+        # by the caller's deadline.  It joins the scope here, not in
+        # _serve: a crash between this start and the handler's first
+        # step must still find (and interrupt) it.
+        process = Process(self.sim, self._serve(handler, message), name, True,
+                          message.trace, message.deadline, self.scope)
+        # Last, in tail position: the first step runs in place when it
+        # would be the next entry popped, else in the slot spawn() gives.
+        self.sim.tail_call(process._step)
 
     def _serve(self, handler: Handler, message: Message):
         # Traced, the serving interval covers service slice, handler and
@@ -453,9 +470,11 @@ class Endpoint:
             reply_kind = "reply:" + kind
             _REPLY_KINDS[kind] = reply_kind
         # A response's ``trace`` is the serving interval, when traced.
+        dst = request.src
         self.network.send(Message(
-            self.address, request.src, reply_kind, value, size_bytes,
-            request.request_id, True, served, meta))
+            self.address, dst, reply_kind, value, size_bytes,
+            request.request_id, True, served, meta),
+            self._links.get(dst) or self._link(dst))
 
     # -- client side ---------------------------------------------------------
     def call(
@@ -524,11 +543,13 @@ class Endpoint:
                 self.network.send(Message(
                     self.address, dst, method, (method, args),
                     size_bytes if size_bytes is not None else sizeof(args),
-                    request_id, False, ctx, meta, sim.now + limit))
+                    request_id, False, ctx, meta, sim.now + limit),
+                    self._links.get(dst) or self._link(dst))
                 # In the slot the old Timeout used.  A response cancels
                 # it; an interrupted call keeps it, and it fires (and
                 # schedules the gate) exactly as it always has.
-                waiter.deadline = sim.call_later(limit, waiter._deadline)
+                waiter.deadline = sim.call_later(
+                    limit, _RpcWaiter._deadline, waiter)
                 yield waiter
                 if waiter.resp_done:
                     if span is not None:
@@ -585,4 +606,4 @@ class Endpoint:
         self.network.send(Message(
             self.address, dst, method, (method, args),
             size_bytes if size_bytes is not None else sizeof(args),
-            None, False, ctx, meta))
+            None, False, ctx, meta), self._links.get(dst) or self._link(dst))

@@ -145,6 +145,33 @@ class Event:
         else:
             self._trigger()
 
+    def _tail_settle(self, hop, value: object, exc) -> None:
+        """Ask for ``hop(self)`` with ``Simulator.tail_call``, where
+        ``hop`` is this pending event's first of two hops: if the event
+        is still pending, it stores ``value`` / ``exc`` and calls
+        :meth:`_tail_trigger`.
+
+        The first hop adds nothing to the lane, so when it would run in
+        place with depth left for the second (``_tail`` >= 2, the lane
+        empty), both would, back to back: the outcome is stored and
+        processed here, in one step.  Otherwise — depth 1, the lane
+        occupied — ``hop`` goes through ``tail_call``.  The caller's duty
+        is ``tail_call``'s, and so is its one caller
+        (``Endpoint._receive``, a response).
+        """
+        sim = self.sim
+        depth = sim._tail
+        if depth > 1 and not sim._imm:
+            sim._tail = depth - 2
+            self._value = value
+            self._exc = exc
+            try:
+                self._process()
+            finally:
+                sim._tail = depth
+        else:
+            sim.tail_call(hop, self)
+
     def _process(self) -> None:
         """Run callbacks; called by the simulator at the scheduled time."""
         self._state = PROCESSED

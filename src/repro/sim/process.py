@@ -41,7 +41,7 @@ READY = _Sentinel("ready")
 
 
 class Process(Event):
-    """A running simulation process.
+    """A simulation process.
 
     Wraps a generator that yields :class:`~repro.sim.events.Event` objects.
     The process itself *is* an event: it fires when the generator returns
@@ -52,6 +52,10 @@ class Process(Event):
     crashing the run; use for background services whose crash is itself a
     simulated condition (for example a process on a failed node).  An
     uncaught :class:`Interrupt` is no failure: its :class:`Scope` ended it.
+
+    Constructing one starts nothing: :meth:`Simulator.spawn` schedules
+    its first step, and ``Endpoint._receive`` asks for it in tail
+    position (``Simulator.tail_call``).
     """
 
     __slots__ = ("generator", "daemon", "trace_ctx", "trace_lane", "scope",
@@ -64,6 +68,9 @@ class Process(Event):
         generator: ProcessGenerator,
         name: str = "",
         daemon: bool = False,
+        trace_ctx=None,
+        deadline: Optional[float] = None,
+        scope: Optional["Scope"] = None,
     ):
         # Inlined Event.__init__ (spawns are a hot allocation site).
         self.sim = sim
@@ -77,14 +84,17 @@ class Process(Event):
         self.daemon = daemon
         #: Ambient TraceContext this process runs under (see repro.trace).
         #: Inherited from the spawning process; updated as spans open/close.
-        self.trace_ctx = None
+        self.trace_ctx = trace_ctx
         #: Chrome-export lane id, assigned by the tracer on first use.
         self.trace_lane = None
-        #: The :class:`Scope` this process is a member of, if any.
-        self.scope = None
+        #: The :class:`Scope` this process is a member of, if any: it
+        #: joins ``scope`` here.
+        self.scope = scope
+        if scope is not None:
+            scope._running[self] = None
         #: Absolute sim ms by which the request this process serves must
         #: be answered, or None (see Endpoint.call).
-        self.deadline = None
+        self.deadline = deadline
         #: The event this process is currently blocked on, if any.
         self._waiting_on: Optional[Event] = None
         #: Seq of the entry of an in-flight raw sleep or paid ``READY``
@@ -96,9 +106,6 @@ class Process(Event):
         # thousand times per benchmark and the attribute walk shows up.
         self._send = generator.send
         self._throw = generator.throw
-        # Kick off the first step "now" (one schedule slot, exactly like
-        # the old bootstrap event + succeed()).
-        sim.call_soon(self._step)
 
     @property
     def is_alive(self) -> bool:

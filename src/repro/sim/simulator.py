@@ -248,16 +248,18 @@ class Simulator:
         child is part of the spawner's answer, so it also inherits the
         spawner's RPC deadline; a daemon is not, and starts without one.
         """
-        process = Process(self, generator, name=name, daemon=daemon)
         active = self.active_process
-        if active is not None:
-            process.trace_ctx = active.trace_ctx
-            if not daemon:
-                process.deadline = active.deadline
-            scope = active.scope
-            if scope is not None:
-                scope._running[process] = None
-                process.scope = scope
+        if active is None:
+            process = Process(self, generator, name, daemon)
+        else:
+            process = Process(self, generator, name, daemon, active.trace_ctx,
+                              None if daemon else active.deadline,
+                              active.scope)
+        # The first step, "now": one schedule slot, exactly like the old
+        # bootstrap event + succeed().
+        seq = self._seq
+        self._seq = seq + 1
+        self._imm.append((self.now, seq, process._step, None))
         return process
 
     # -- scheduling / running ----------------------------------------------
@@ -292,8 +294,10 @@ class Simulator:
         instant, the entry ``call_soon`` would add is the next one popped
         — so ``fn(arg)`` runs here and now instead; otherwise it is
         scheduled exactly as ``call_soon`` would.  The promise cannot be
-        checked across calls, so it has one caller
-        (``Endpoint._receive``), with nothing after the call in it.
+        checked across calls, so it has one caller outside the kernel
+        (``Endpoint._receive``: a handler's first step, and through
+        ``Event._tail_settle`` a response's first hop), with nothing
+        after either call in it.
         """
         depth = self._tail
         if depth and not self._imm:
@@ -377,9 +381,7 @@ class Simulator:
         cancelling it does nothing.
         """
         if entry.__class__ is list:
-            # A lane record: its lane skips it (or, as the armed head,
-            # passes its entry on without running it).
-            entry[2] = entry[3] = None
+            self.cancel_later(entry)
             return
         when = entry[0]
         if when > self.now:
@@ -393,6 +395,12 @@ class Simulator:
         except ValueError:
             return
         queue[index] = (when, entry[1], _cancelled, None)
+
+    def cancel_later(self, record: list) -> None:
+        """Cancel a :meth:`call_later` record (:meth:`cancel` for a
+        caller that knows it holds one): its lane skips it, or, as the
+        armed head, passes its entry on without running it."""
+        record[2] = record[3] = None
 
     def peek(self) -> float:
         """Time of the next live entry, or ``inf`` if none."""

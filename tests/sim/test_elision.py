@@ -792,29 +792,96 @@ class TestEntryBudget:
         # With 2 bootstraps, 2 sleeps and the queued grant's event: 7.
         assert sim.schedule_count == 7
 
-    @pytest.mark.parametrize("service_ms, budget", [(0.0, 4), (1.2, 5)])
+    @pytest.mark.parametrize("service_ms, budget", [(0.0, 3), (1.2, 4)])
     def test_uncontended_cross_node_rpc_round_trip(self, service_ms, budget):
-        """Request delivery, deadline, handler bootstrap, response
-        delivery (+ the service slice when the agent charges one).  At
-        the parent: three more — the handler's completion event and the
-        two-hop response gate — plus the server-slot and core grants."""
-        sim = Simulator()
-        cluster = Cluster(sim, SimConfig(num_nodes=2, cores_per_node=2))
-        network = cluster.network
-        client = Endpoint(network, "node0", "client")
-        server = Endpoint(network, "node1", "server",
-                          service_time_ms=service_ms,
-                          cpu=cluster.node("node1").cores)
-
-        def echo(endpoint, src, args):
-            return Reply(args, size_bytes=8)
-            yield  # pragma: no cover - makes this a generator
-
-        server.register_handler("echo", echo)
+        """Request delivery, deadline and response delivery (+ the
+        service slice when the agent charges one): the handler starts
+        inside its delivery's dispatch.  Pre-elision: four more — the
+        handler bootstrap, its completion event and the two-hop response
+        gate — plus the server-slot and core grants."""
+        sim, client, server, _log = _echo_pair(service_ms)
         assert _entries_of(
             sim, lambda: client.call("node1/server", "echo", 1,
                                      timeout=1000.0)) == budget
         assert server.scope.members == []
+
+    def test_a_handler_delivered_beside_another_entry_starts_in_its_slot(
+            self):
+        """A neighbour queued for the request's delivery instant runs
+        between the delivery and the handler's first step, exactly as
+        with the bootstrap entry scheduled: the start is paid, one
+        entry."""
+        def round_trip(neighbour):
+            sim, client, _server, log = _echo_pair(0.0)
+
+            def caller():
+                value = yield from client.call("node1/server", "echo", 7)
+                log.append(("answer", value))
+
+            def plant():
+                # Runs after the caller's send: the neighbour shares the
+                # request's delivery instant, one seq behind it.
+                arrival = client.network.latency.one_way(8)
+                sim.call_at(arrival, lambda _arg: log.append("neighbour"))
+                yield from ()
+
+            sim.spawn(caller())
+            if neighbour:
+                sim.spawn(plant())
+            sim.run()
+            return log, sim.schedule_count
+
+        alone, entries = round_trip(False)
+        beside, more = round_trip(True)
+        assert alone == ["handler", ("answer", 7)]
+        assert beside == ["neighbour", "handler", ("answer", 7)]
+        # The planting process, the neighbour and the paid start.
+        assert more == entries + 3
+
+    def test_a_response_at_depth_one_pays_the_gate_hop(self):
+        """With one in-place hop left, the response's first hop runs in
+        place and the gate's hop is scheduled: one entry over the
+        budget, the same answers."""
+        sim, client, _server, _log = _echo_pair(0.0)
+        receive = client._receive
+
+        def at_depth_one(message):
+            found, sim._tail = sim._tail, 1  # test-side only
+            try:
+                receive(message)
+            finally:
+                sim._tail = found
+
+        client._receive = at_depth_one
+        answers = []
+
+        def call():
+            answers.append((yield from client.call(
+                "node1/server", "echo", len(answers), timeout=1000.0)))
+
+        assert _entries_of(sim, call) == 3 + 1
+        assert answers == list(range(11))
+
+
+def _echo_pair(service_ms):
+    """A client on node0 and an echo server on node1; the handler logs
+    ``"handler"`` on its first step."""
+    sim = Simulator()
+    cluster = Cluster(sim, SimConfig(num_nodes=2, cores_per_node=2))
+    network = cluster.network
+    client = Endpoint(network, "node0", "client")
+    server = Endpoint(network, "node1", "server",
+                      service_time_ms=service_ms,
+                      cpu=cluster.node("node1").cores)
+    log = []
+
+    def echo(endpoint, src, args):
+        log.append("handler")
+        return Reply(args, size_bytes=8)
+        yield  # pragma: no cover - makes this a generator
+
+    server.register_handler("echo", echo)
+    return sim, client, server, log
 
 
 # ---------------------------------------------------------------------------
